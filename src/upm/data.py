@@ -24,8 +24,7 @@ from .geometry import (
     ObjectAnnotation,
     Pointmap,
     back_project,
-    chamfer_distance,
-    visible_area,
+    visible_areas,
 )
 
 logger = logging.getLogger(__name__)
@@ -345,7 +344,7 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> Scene | None:
     ]
 
     pointmaps = [v.pointmap() for v in views]
-    areas = np.array([[visible_area(pm, ob) for ob in objects] for pm in pointmaps])
+    areas = visible_areas(pointmaps, objects)
     if objects and not np.all(areas.max(axis=0) >= spec.min_points):
         return None
 
@@ -396,18 +395,6 @@ def render_depth_consistency_check(scene: Scene, room_half: float | None = None)
             best = np.minimum(best, _aabb_surface_distance(pts, obj.aabb_min, obj.aabb_max))
         worst = max(worst, float(best.max()))
     return worst
-
-
-def cross_view_surface_chamfer(scene: Scene, obj: ObjectAnnotation, view_a: int, view_b: int) -> float:
-    """Chamfer distance between two views' points inside one object box."""
-    maps = [scene.views[view_a].pointmap(), scene.views[view_b].pointmap()]
-    clipped = []
-    for pm in maps:
-        pts = pm.valid_points()
-        inside = np.logical_and(pts >= obj.aabb_min, pts <= obj.aabb_max).all(axis=1)
-        kept = pts[inside]
-        clipped.append(Pointmap(points=kept.reshape(-1, 1, 3), validity=np.ones((len(kept), 1), bool)))
-    return chamfer_distance(clipped[0], clipped[1])
 
 
 # ---------------------------------------------------------------------------

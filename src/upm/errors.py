@@ -31,3 +31,7 @@ class ConfigError(UpmError):
 
 class NumericError(UpmError):
     """A non-finite value surfaced where finite math was required."""
+
+
+class RangeError(UpmError):
+    """Values span a range too wide for their fixed-width integer encoding."""

@@ -19,7 +19,7 @@ from . import engine as E
 from .data import Scene
 from .encoder import EncoderConfig, EncoderParams, encode_texts, encode_views
 from .errors import ContractError, DegenerateInputError
-from .geometry import DEFAULT_MIN_POINTS, max_coverage_sample, visible_area
+from .geometry import DEFAULT_MIN_POINTS, max_coverage_sample, visible_areas
 from .probe import ProbeConfig, ProbeOutcome, linear_probe
 
 logger = logging.getLogger(__name__)
@@ -104,9 +104,8 @@ def build_grounding_instances(
     """
     instances = []
     for scene in scenes:
-        pointmaps = scene.pointmaps()
-        for obj in scene.objects:
-            areas = np.array([visible_area(pm, obj) for pm in pointmaps])
+        scene_areas = visible_areas(scene.pointmaps(), scene.objects)
+        for obj, areas in zip(scene.objects, scene_areas.T):
             visible = frozenset(int(v) for v in np.nonzero(areas >= min_points)[0])
             if not visible:
                 logger.warning(

@@ -7,12 +7,14 @@ over immutable numpy inputs; nothing touches the autodiff engine.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, ShapeError
+from .errors import ContractError, DegenerateInputError, RangeError, ShapeError
 
 DEFAULT_MIN_POINTS = 16
 DEFAULT_CHAMFER_SUBSAMPLE = 512
@@ -144,67 +146,47 @@ def _min_sq_dists_brute(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return (diff * diff).sum(axis=2).min(axis=1)
 
 
-class _UniformGrid:
-    """Hash grid over a point set for exact nearest-neighbor queries.
+# Relative gap below which a KD-tree's two nearest distances count as tied.
+# Rounding inside the tree is ~1e-16 relative, so anything this close may
+# order differently under the brute-force expression.
+_NEAR_TIE_RTOL = 1e-9
 
-    Per-pair squared distances use the same elementwise expression as the
-    brute-force path, so the minima agree bitwise.
+
+def _min_sq_dists(queries: np.ndarray, targets: np.ndarray, tree) -> np.ndarray:
+    """``_min_sq_dists_brute(queries, targets)``, bitwise, found through a KD-tree.
+
+    The tree's nearest index is rescored with the brute-force expression.
+    Rows whose two nearest tree distances are near-tied are rescanned by
+    brute force, so ties and duplicates resolve exactly as the scan does.
     """
-
-    def __init__(self, points: np.ndarray, cell: float):
-        self.points = points
-        self.cell = cell
-        self.origin = points.min(axis=0)
-        coords = np.floor((points - self.origin) / cell).astype(np.int64)
-        self.max_coord = coords.max(axis=0)
-        self.cells: dict[tuple[int, int, int], list[int]] = {}
-        for i, key in enumerate(map(tuple, coords)):
-            self.cells.setdefault(key, []).append(i)
-
-    def _ring_candidates(self, center: np.ndarray, radius: int) -> list[int]:
-        out: list[int] = []
-        lo = center - radius
-        hi = center + radius
-        for a in range(lo[0], hi[0] + 1):
-            for b in range(lo[1], hi[1] + 1):
-                for c in range(lo[2], hi[2] + 1):
-                    if max(abs(a - center[0]), abs(b - center[1]), abs(c - center[2])) != radius:
-                        continue
-                    bucket = self.cells.get((a, b, c))
-                    if bucket:
-                        out.extend(bucket)
-        return out
-
-    def min_sq_dist(self, query: np.ndarray) -> float:
-        center = np.floor((query - self.origin) / self.cell).astype(np.int64)
-        # Any point in a ring at Chebyshev cell-distance r is farther than
-        # (r - 1) * cell, so once best <= (r * cell)^2 no later ring can win.
-        max_radius = int(
-            max(np.maximum(center - 0, 0).max(), np.maximum(self.max_coord - center, 0).max())
-        )
-        best = np.inf
-        radius = 0
-        while radius <= max_radius or not np.isfinite(best):
-            cand = self._ring_candidates(center, radius)
-            if cand:
-                pts = self.points[cand]
-                diff = query[None, :] - pts
-                d2 = (diff * diff).sum(axis=1).min()
-                if d2 < best:
-                    best = d2
-            if np.isfinite(best) and best <= (radius * self.cell) ** 2:
-                break
-            radius += 1
-        return float(best)
+    dist, idx = tree.query(queries, k=2)
+    diff = queries - targets[idx[:, 0]]
+    out = (diff * diff).sum(axis=1)
+    near_tie = dist[:, 1] <= dist[:, 0] * (1.0 + _NEAR_TIE_RTOL)
+    if near_tie.any():
+        out[near_tie] = _min_sq_dists_brute(queries[near_tie], targets)
+    return out
 
 
-def _min_sq_dists_grid(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    extent = targets.max(axis=0) - targets.min(axis=0)
-    cell = float(extent.max()) / max(round(len(targets) ** (1.0 / 3.0)), 1)
-    if cell <= 0:
-        cell = 1.0
-    grid = _UniformGrid(targets, cell)
-    return np.array([grid.min_sq_dist(q) for q in queries])
+def _mean_min_sq_dists(point_sets: Sequence[np.ndarray]) -> np.ndarray:
+    """Entry [v, u]: mean squared distance from set v to its nearest points in set u.
+
+    One KD-tree per set serves every ordered pair; the diagonal is zero.
+    """
+    # Deferred: importing scipy.spatial costs ~10 MB of RSS, which code that
+    # never computes Chamfer distances should not pay.
+    from scipy.spatial import cKDTree
+
+    if any(len(pts) == 0 for pts in point_sets):
+        raise DegenerateInputError("Chamfer distance needs at least one valid point per set")
+    trees = [cKDTree(pts) for pts in point_sets]
+    n_sets = len(point_sets)
+    means = np.zeros((n_sets, n_sets))
+    for v in range(n_sets):
+        for u in range(n_sets):
+            if u != v:
+                means[v, u] = np.mean(_min_sq_dists(point_sets[v], point_sets[u], trees[u]))
+    return means
 
 
 def _subsample(points: np.ndarray, count: int | None, seed: int) -> np.ndarray:
@@ -215,44 +197,58 @@ def _subsample(points: np.ndarray, count: int | None, seed: int) -> np.ndarray:
     return points[idx]
 
 
+def pairwise_chamfer(
+    pointmaps: Sequence[Pointmap],
+    subsample: int | None = DEFAULT_CHAMFER_SUBSAMPLE,
+    seed: int = DEFAULT_CHAMFER_SEED,
+) -> np.ndarray:
+    """Symmetric (V, V) matrix of Chamfer distances between all view pairs.
+
+    Each view is subsampled once; entry [v, u] is bitwise
+    ``chamfer_distance(pointmaps[v], pointmaps[u], subsample, seed)`` and
+    the diagonal is zero.
+    """
+    means = _mean_min_sq_dists([_subsample(pm.valid_points(), subsample, seed) for pm in pointmaps])
+    return means + means.T
+
+
 def chamfer_distance(
     map_a: Pointmap,
     map_b: Pointmap,
     subsample: int | None = None,
     seed: int = DEFAULT_CHAMFER_SEED,
-    method: str = "brute",
 ) -> float:
     """Symmetric Chamfer distance between the valid points of two pointmaps.
 
     Each direction averages the squared distance from every (optionally
     subsampled) valid point to its nearest neighbor on the other side, and
-    the two directional means are added.  ``method`` selects the reference
-    O(n^2) scan ("brute") or the uniform-grid accelerator ("grid"); the
-    two agree bitwise.
+    the two directional means are added.  Nearest neighbors come from a
+    KD-tree and agree bitwise with an exhaustive O(n^2) scan.
     """
     pts_a = _subsample(map_a.valid_points(), subsample, seed)
     pts_b = _subsample(map_b.valid_points(), subsample, seed)
-    return chamfer_distance_points(pts_a, pts_b, method=method)
+    return chamfer_distance_points(pts_a, pts_b)
 
 
-def chamfer_distance_points(pts_a: np.ndarray, pts_b: np.ndarray, method: str = "brute") -> float:
+def chamfer_distance_points(pts_a: np.ndarray, pts_b: np.ndarray) -> float:
     pts_a = np.asarray(pts_a, dtype=np.float64).reshape(-1, 3)
     pts_b = np.asarray(pts_b, dtype=np.float64).reshape(-1, 3)
-    if len(pts_a) == 0 or len(pts_b) == 0:
-        raise DegenerateInputError("Chamfer distance needs at least one valid point per set")
-    if method == "brute":
-        min_ab = _min_sq_dists_brute(pts_a, pts_b)
-        min_ba = _min_sq_dists_brute(pts_b, pts_a)
-    elif method == "grid":
-        min_ab = _min_sq_dists_grid(pts_a, pts_b)
-        min_ba = _min_sq_dists_grid(pts_b, pts_a)
-    else:
-        raise ContractError(f"unknown Chamfer method {method!r}")
-    return float(np.mean(min_ab) + np.mean(min_ba))
+    means = _mean_min_sq_dists([pts_a, pts_b])
+    return float(means[0, 1] + means[1, 0])
 
 
 # ---------------------------------------------------------------------------
 # proximity ranks, visibility, coverage
+
+
+def _ranks_by_distance(distances: np.ndarray, anchor: int) -> dict[int, int]:
+    """0-based rank of every index but the anchor, by ascending distance.
+
+    Ties break toward the lower index.
+    """
+    candidates = [u for u in range(len(distances)) if u != anchor]
+    order = sorted(candidates, key=lambda u: (distances[u], u))
+    return {u: rank for rank, u in enumerate(order)}
 
 
 def proximity_ranks(
@@ -271,27 +267,27 @@ def proximity_ranks(
         raise DegenerateInputError("proximity ranks need at least two views")
     if not (0 <= anchor < n_views):
         raise ContractError(f"anchor {anchor} out of range for {n_views} views")
-    distances = []
-    for u in range(n_views):
-        if u == anchor:
-            continue
-        cd = chamfer_distance(pointmaps[anchor], pointmaps[u], subsample=subsample, seed=seed)
-        distances.append((cd, u))
-    distances.sort()
-    return {u: rank for rank, (_, u) in enumerate(distances)}
+    cd = pairwise_chamfer(pointmaps, subsample=subsample, seed=seed)
+    return _ranks_by_distance(cd[anchor], anchor)
 
 
-def points_in_aabb(points: np.ndarray, obj: ObjectAnnotation) -> int:
-    """Count points inside the object's AABB, bounds inclusive."""
-    if len(points) == 0:
-        return 0
-    inside = np.logical_and(points >= obj.aabb_min, points <= obj.aabb_max).all(axis=1)
-    return int(inside.sum())
+def visible_areas(pointmaps: Sequence[Pointmap], objects: Sequence[ObjectAnnotation]) -> np.ndarray:
+    """(V, O) counts of each view's valid pixels whose world point lies in each object box.
+
+    Box bounds are inclusive.
+    """
+    lo = np.array([obj.aabb_min for obj in objects]).reshape(-1, 3)
+    hi = np.array([obj.aabb_max for obj in objects]).reshape(-1, 3)
+    areas = np.zeros((len(pointmaps), len(objects)), dtype=np.int64)
+    for v, pm in enumerate(pointmaps):
+        pts = pm.valid_points()[:, None, :]
+        areas[v] = np.logical_and(pts >= lo, pts <= hi).all(axis=2).sum(axis=0)
+    return areas
 
 
 def visible_area(pointmap: Pointmap, obj: ObjectAnnotation) -> int:
     """Number of valid pixels whose world point falls inside the object box."""
-    return points_in_aabb(pointmap.valid_points(), obj)
+    return int(visible_areas([pointmap], [obj])[0, 0])
 
 
 def visibility_pairs(
@@ -302,21 +298,33 @@ def visibility_pairs(
     """All (view index, object index) pairs where the view observes the object."""
     if min_points < 1:
         raise ContractError("min_points must be at least 1")
-    pairs = set()
-    for v, pm in enumerate(pointmaps):
-        pts = pm.valid_points()
-        for o, obj in enumerate(objects):
-            if points_in_aabb(pts, obj) >= min_points:
-                pairs.add((v, o))
-    return pairs
+    views, objs = np.nonzero(visible_areas(pointmaps, objects) >= min_points)
+    return {(int(v), int(o)) for v, o in zip(views, objs)}
 
 
-def _voxel_set(pointmap: Pointmap, voxel_size: float) -> set[tuple[int, int, int]]:
-    pts = pointmap.valid_points()
-    if len(pts) == 0:
-        return set()
-    coords = np.floor(pts / voxel_size).astype(np.int64)
-    return set(map(tuple, coords))
+def _voxel_keys(pointmaps: Sequence[Pointmap], voxel_size: float) -> list[np.ndarray]:
+    """Per view, the sorted unique int64 keys of the voxels its valid points occupy.
+
+    Voxel coordinates are packed relative to the minimum over all views, so
+    keys compare across the views of one call only.
+    """
+    with np.errstate(over="ignore"):  # an overflow to inf is caught below
+        cells = [np.floor(pm.valid_points() / voxel_size) for pm in pointmaps]
+    occupied = [c for c in cells if len(c)]
+    if not occupied:
+        return [np.empty(0, dtype=np.int64) for _ in pointmaps]
+    lo = np.min([c.min(axis=0) for c in occupied], axis=0)
+    hi = np.max([c.max(axis=0) for c in occupied], axis=0)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise RangeError(f"voxel coordinates overflow at voxel size {voxel_size}")
+    sizes = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    if math.prod(sizes) > np.iinfo(np.int64).max:
+        raise RangeError(f"voxel grid {sizes} at voxel size {voxel_size} overflows int64 keys")
+    keys = []
+    for c in cells:
+        offset = (c - lo).astype(np.int64)
+        keys.append(np.unique((offset[:, 0] * sizes[1] + offset[:, 1]) * sizes[2] + offset[:, 2]))
+    return keys
 
 
 def max_coverage_sample(
@@ -332,22 +340,22 @@ def max_coverage_sample(
         raise ContractError(f"budget {budget} outside [1, {n_views}]")
     if voxel_size <= 0:
         raise ContractError("voxel_size must be positive")
-    voxels = [_voxel_set(pm, voxel_size) for pm in pointmaps]
-    covered: set[tuple[int, int, int]] = set()
+    voxels = _voxel_keys(pointmaps, voxel_size)
+    covered = np.empty(0, dtype=np.int64)
     chosen: list[int] = []
     remaining = list(range(n_views))
     while len(chosen) < budget:
         best_gain = -1
         best_view = None
         for v in remaining:
-            gain = len(voxels[v] - covered)
+            gain = int(np.isin(voxels[v], covered, assume_unique=True, invert=True).sum())
             if gain > best_gain:
                 best_gain = gain
                 best_view = v
         if best_gain <= 0:
             break
         chosen.append(best_view)
-        covered |= voxels[best_view]
+        covered = np.union1d(covered, voxels[best_view])
         remaining.remove(best_view)
     for v in remaining:
         if len(chosen) >= budget:
@@ -358,7 +366,5 @@ def max_coverage_sample(
 
 def coverage_of(pointmaps: Sequence[Pointmap], views: Iterable[int], voxel_size: float) -> int:
     """Voxel count covered by a specific view subset (exhaustive baseline)."""
-    covered: set[tuple[int, int, int]] = set()
-    for v in views:
-        covered |= _voxel_set(pointmaps[v], voxel_size)
-    return len(covered)
+    voxels = _voxel_keys(pointmaps, voxel_size)
+    return len(functools.reduce(np.union1d, (voxels[v] for v in views), np.empty(0, dtype=np.int64)))

@@ -21,7 +21,8 @@ from .geometry import (
     DEFAULT_CHAMFER_SEED,
     DEFAULT_CHAMFER_SUBSAMPLE,
     Pointmap,
-    chamfer_distance,
+    _ranks_by_distance,
+    pairwise_chamfer,
 )
 
 logger = logging.getLogger(__name__)
@@ -113,19 +114,11 @@ def geo_targets(
     n_views = len(pointmaps)
     if n_views < 2:
         raise DegenerateInputError("geometric targets need at least two views")
-    cd = np.zeros((n_views, n_views))
-    for v in range(n_views):
-        for u in range(v + 1, n_views):
-            cd[v, u] = cd[u, v] = chamfer_distance(
-                pointmaps[v], pointmaps[u], subsample=subsample, seed=seed
-            )
+    cd = pairwise_chamfer(pointmaps, subsample=subsample, seed=seed)
     targets = np.zeros((n_views, n_views - 1))
     for v in range(n_views):
-        candidates = [u for u in range(n_views) if u != v]
-        order = sorted(candidates, key=lambda u: (cd[v, u], u))
-        rank_of = {u: r for r, u in enumerate(order)}
-        ranks = [rank_of[u] for u in candidates]
-        targets[v] = soft_targets(ranks, cfg)
+        rank_of = _ranks_by_distance(cd[v], v)
+        targets[v] = soft_targets([rank_of[u] for u in range(n_views) if u != v], cfg)
     return targets
 
 

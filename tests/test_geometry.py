@@ -1,12 +1,17 @@
 """Tests for pointmap geometry: back-projection, Chamfer, ranks, coverage."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from upm import geometry as G
-from upm.errors import ContractError, DegenerateInputError, ShapeError
+from upm.errors import ContractError, DegenerateInputError, RangeError, ShapeError
 
 
 def single_point_map(xyz):
@@ -26,6 +31,11 @@ def brute_chamfer(a, b):
     fwd = np.mean([min(np.sum((x - y) ** 2) for y in b) for x in a])
     bwd = np.mean([min(np.sum((x - y) ** 2) for x in a) for y in b])
     return fwd + bwd
+
+
+def brute_path_chamfer(a, b):
+    """Chamfer through the exhaustive scan, the oracle the KD-tree path must match bitwise."""
+    return float(np.mean(G._min_sq_dists_brute(a, b)) + np.mean(G._min_sq_dists_brute(b, a)))
 
 
 def identity_pose():
@@ -174,13 +184,73 @@ class TestChamferDistance:
         for _ in range(20):
             pts_a = rng.uniform(-3, 3, size=(rng.integers(1, 120), 3))
             pts_b = rng.uniform(-3, 3, size=(rng.integers(1, 120), 3))
-            brute = G.chamfer_distance_points(pts_a, pts_b, method="brute")
-            grid = G.chamfer_distance_points(pts_a, pts_b, method="grid")
-            assert brute == grid
+            assert G.chamfer_distance_points(pts_a, pts_b) == brute_path_chamfer(pts_a, pts_b)
 
     def test_grid_handles_identical_points(self):
         pts = np.zeros((5, 3))
-        assert G.chamfer_distance_points(pts, pts, method="grid") == 0.0
+        assert G.chamfer_distance_points(pts, pts) == brute_path_chamfer(pts, pts) == 0.0
+
+
+class TestKdTreeNearest:
+    """The KD-tree nearest distances equal the exhaustive scan's bitwise."""
+
+    def assert_bitwise(self, queries, targets):
+        kd = G._min_sq_dists(queries, targets, cKDTree(targets))
+        assert np.array_equal(kd, G._min_sq_dists_brute(queries, targets))
+        assert G.chamfer_distance_points(queries, targets) == brute_path_chamfer(queries, targets)
+
+    def test_integer_lattice_ties(self):
+        # Half-integer queries sit equidistant from up to eight lattice points.
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            targets = rng.integers(-3, 4, size=(rng.integers(1, 200), 3)).astype(float)
+            queries = rng.integers(-6, 7, size=(rng.integers(1, 200), 3)) / 2.0
+            self.assert_bitwise(queries, targets)
+
+    def test_targets_contain_queries(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            queries = rng.normal(size=(rng.integers(1, 100), 3))
+            extra = rng.normal(size=(rng.integers(0, 100), 3))
+            targets = rng.permutation(np.vstack([queries, extra, queries[:3]]))
+            self.assert_bitwise(queries, targets)
+
+    def test_tight_clusters_far_from_origin(self):
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            centers = rng.uniform(-1e6, 1e6, size=(3, 3))
+            queries = centers[rng.integers(0, 3, 80)] + 1e-6 * rng.normal(size=(80, 3))
+            targets = centers[rng.integers(0, 3, 60)] + 1e-6 * rng.normal(size=(60, 3))
+            self.assert_bitwise(queries, targets)
+
+    def test_single_point_targets(self):
+        rng = np.random.default_rng(34)
+        for _ in range(10):
+            self.assert_bitwise(rng.normal(size=(rng.integers(1, 50), 3)), rng.normal(size=(1, 3)))
+
+
+class TestPairwiseChamfer:
+    def test_symmetric_and_equal_to_each_pair(self):
+        rng = np.random.default_rng(35)
+        maps = [cloud_map(rng.normal(size=(rng.integers(1, 90), 3))) for _ in range(6)]
+        maps.append(cloud_map(rng.integers(-2, 3, size=(40, 3)).astype(float)))
+        cd = G.pairwise_chamfer(maps, subsample=32, seed=4)
+        assert np.array_equal(cd, cd.T)
+        assert np.all(np.diag(cd) == 0.0)
+        for v, u in itertools.combinations(range(len(maps)), 2):
+            assert cd[v, u] == G.chamfer_distance(maps[v], maps[u], subsample=32, seed=4)
+
+    def test_empty_view_rejected(self):
+        empty = G.Pointmap(points=np.zeros((2, 2, 3)), validity=np.zeros((2, 2), bool))
+        with pytest.raises(DegenerateInputError):
+            G.pairwise_chamfer([single_point_map([0, 0, 0]), empty])
+
+    def test_scipy_spatial_imported_lazily(self):
+        code = "import sys, upm.evaluation, upm.trainer; print('scipy.spatial' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(G.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestProximityRanks:
@@ -263,7 +333,70 @@ class TestVisibleArea:
         assert G.visible_area(pm, obj) == expected
 
 
+class TestVisibleAreas:
+    def test_matches_elementwise_count(self):
+        rng = np.random.default_rng(36)
+        maps = [cloud_map(rng.integers(-3, 4, size=(rng.integers(1, 60), 3)).astype(float))
+                for _ in range(5)]
+        maps.append(G.Pointmap(points=np.zeros((2, 2, 3)), validity=np.zeros((2, 2), bool)))
+        objects = []
+        for i in range(4):
+            lo = rng.integers(-3, 2, size=3).astype(float)
+            objects.append(G.ObjectAnnotation(i, lo, lo + rng.integers(0, 3, size=3), "t", "c"))
+        areas = G.visible_areas(maps, objects)
+        assert areas.shape == (6, 4) and areas.dtype == np.int64
+        for v, pm in enumerate(maps):
+            for o, obj in enumerate(objects):
+                expected = sum(
+                    all(obj.aabb_min[k] <= p[k] <= obj.aabb_max[k] for k in range(3))
+                    for p in pm.valid_points()
+                )
+                assert areas[v, o] == expected
+
+    def test_no_objects(self):
+        assert G.visible_areas([single_point_map([0, 0, 0])], []).shape == (1, 0)
+
+
+def set_based_coverage_sample(maps, budget, voxel):
+    """Greedy max coverage over Python sets of voxel tuples, the reference selection."""
+    voxels = [set(map(tuple, np.floor(pm.valid_points() / voxel).astype(np.int64))) for pm in maps]
+    covered, chosen, remaining = set(), [], list(range(len(maps)))
+    while len(chosen) < budget:
+        gains = [len(voxels[v] - covered) for v in remaining]
+        if max(gains) <= 0:
+            break
+        best = remaining[int(np.argmax(gains))]
+        chosen.append(best)
+        covered |= voxels[best]
+        remaining.remove(best)
+    return chosen + remaining[: budget - len(chosen)], voxels
+
+
 class TestMaxCoverage:
+    def test_matches_set_based_reference(self):
+        rng = np.random.default_rng(37)
+        empty = G.Pointmap(points=np.zeros((1, 1, 3)), validity=np.zeros((1, 1), bool))
+        for _ in range(30):
+            maps = [cloud_map(rng.uniform(-2, 2, size=(rng.integers(1, 40), 3)))
+                    for _ in range(rng.integers(1, 7))]
+            if rng.random() < 0.3:
+                maps.insert(int(rng.integers(0, len(maps) + 1)), empty)
+            if rng.random() < 0.3:
+                maps.append(maps[0])
+            voxel = float(rng.choice([0.3, 0.8, 2.0]))
+            for budget in range(1, len(maps) + 1):
+                expected, voxels = set_based_coverage_sample(maps, budget, voxel)
+                assert G.max_coverage_sample(maps, budget, voxel) == expected
+                assert G.coverage_of(maps, expected, voxel) == len(
+                    set().union(*(voxels[v] for v in expected)))
+
+    def test_key_overflow_raises(self):
+        wide = cloud_map([[0.0, 0.0, 0.0], [1e7, 1e7, 1e7]])
+        with pytest.raises(RangeError):
+            G.max_coverage_sample([wide], budget=1, voxel_size=1e-1)
+        with pytest.raises(RangeError):
+            G.coverage_of([cloud_map([[1e300, 0.0, 0.0]])], [0], 1e-10)
+
     def test_full_budget_returns_all_views(self):
         rng = np.random.default_rng(21)
         maps = [cloud_map(rng.normal(size=(10, 3))) for _ in range(4)]
