@@ -392,8 +392,13 @@ def _config_record(config: EncoderConfig) -> bytes:
 def _parse_config_record(blob: bytes) -> EncoderConfig:
     values = {}
     for line in blob.decode("utf-8").splitlines():
-        key, _, raw = line.partition("=")
-        values[key.strip()] = int(raw.strip())
+        key, sep, raw = line.partition("=")
+        if not sep:
+            raise FormatError(f"checkpoint config line without '=': {line!r}")
+        try:
+            values[key.strip()] = int(raw.strip())
+        except ValueError as exc:
+            raise FormatError(f"checkpoint config value is not an integer: {line!r}") from exc
     try:
         return EncoderConfig(**values)
     except TypeError as exc:

@@ -37,9 +37,11 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity between rows of a and rows of b."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    an = a / np.linalg.norm(a, axis=-1, keepdims=True)
-    bn = b / np.linalg.norm(b, axis=-1, keepdims=True)
-    return an @ bn.T
+    a_norm = np.linalg.norm(a, axis=-1, keepdims=True)
+    b_norm = np.linalg.norm(b, axis=-1, keepdims=True)
+    if np.any(a_norm == 0) or np.any(b_norm == 0):
+        raise DegenerateInputError("cosine similarity of a zero row")
+    return (a / a_norm) @ (b / b_norm).T
 
 
 def rank_descending(scores: np.ndarray) -> list[int]:
@@ -353,7 +355,6 @@ class EvalReport:
     zero_shot_accuracy: float | None = None
     probe_outcomes: dict[int, ProbeOutcome] = field(default_factory=dict)
     views_curve: list[tuple[int, float]] = field(default_factory=list)
-    data_scale_curve: list[tuple[int, float]] = field(default_factory=list)
 
 
 def _fmt(value) -> str:
@@ -412,14 +413,10 @@ def emit_report(report: EvalReport, out_dir) -> dict[str, Path]:
     classify_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written["classification"] = classify_path
 
-    for name, series in (
-        ("plot_views_vs_r1", report.views_curve),
-        ("plot_data_scale", report.data_scale_curve),
-    ):
-        path = out_dir / f"{name}.tsv"
-        lines = ["x\ty"] + [f"{x}\t{_fmt(y)}" for x, y in series]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written[name] = path
+    curve_path = out_dir / "plot_views_vs_r1.tsv"
+    lines = ["x\ty"] + [f"{x}\t{_fmt(y)}" for x, y in report.views_curve]
+    curve_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    written["plot_views_vs_r1"] = curve_path
 
     summary_path = out_dir / "summary.txt"
     summary_path.write_text(

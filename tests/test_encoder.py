@@ -309,6 +309,19 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             enc.load_checkpoint(path)
 
+    def test_malformed_config_record_rejected(self, tmp_path):
+        config = tiny_config()
+        path = tmp_path / "model.upm"
+        enc.save_checkpoint(path, enc.init_encoder_params(config, seed=29), config)
+        blob = path.read_bytes()
+        field = f"patch_size={config.patch_size}".encode()
+        assert field in blob
+        # Same-length edits keep the record length, so only the record is bad.
+        for bad in (b"patch_size=" + b"x" * (len(field) - 11), field.replace(b"=", b"_")):
+            path.write_bytes(blob.replace(field, bad))
+            with pytest.raises(FormatError, match="config"):
+                enc.load_checkpoint(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         config = tiny_config()
         params = enc.init_encoder_params(config, seed=28)

@@ -6,7 +6,7 @@ import pytest
 from upm import data as D
 from upm import evaluation as ev
 from upm.encoder import load_checkpoint
-from upm.errors import ContractError
+from upm.errors import ContractError, DegenerateInputError
 from upm.probe import ProbeConfig, ProbeOutcome
 from tests.conftest import TINY_ENCODER
 
@@ -183,6 +183,12 @@ class TestZeroShot:
         scaled = ev.cosine_similarity(scenes * 37.5, classes).argmax(axis=1)
         np.testing.assert_array_equal(base, scaled)
 
+    def test_zero_row_rejected(self):
+        rows = np.eye(3)
+        for a, b in ((np.zeros((1, 3)), rows), (rows, np.vstack([rows, np.zeros(3)]))):
+            with pytest.raises(DegenerateInputError):
+                ev.cosine_similarity(a, b)
+
     def test_random_null_model(self):
         rng = np.random.default_rng(5)
         n_classes, n_scenes = 4, 2000
@@ -233,6 +239,9 @@ class TestFewShotProbe:
 class TestEmitReport:
     def test_empty_report_writes_headers(self, tmp_path):
         written = ev.emit_report(ev.EvalReport(), tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "classification.tsv", "grounding.tsv", "plot_views_vs_r1.tsv", "retrieval.tsv",
+            "summary.txt"]
         for name in ("grounding", "retrieval", "classification", "plot_views_vs_r1"):
             lines = written[name].read_text().splitlines()
             assert len(lines) == 1  # header only
