@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, FormatError, GenerationError
+from .atomic import atomic_write
+from .errors import ConfigError, ContractError, DegenerateInputError, FormatError, GenerationError
 from .geometry import (
     DEFAULT_MIN_POINTS,
     CameraIntrinsics,
@@ -30,6 +31,9 @@ from .geometry import (
 logger = logging.getLogger(__name__)
 
 RASTER_MAGIC = b"UPMV"
+# Characters that would split a meta.txt record: its field separator, and
+# every line boundary of ``str.splitlines``.
+_RECORD_BREAKS = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 FLOOR_COLOR = (0.52, 0.48, 0.42)
 
 COLOR_TABLE = {
@@ -136,6 +140,8 @@ class View:
             raise ContractError(f"image must be HxWx3, got {self.image.shape}")
         if self.depth.shape != self.image.shape[:2]:
             raise ContractError("depth is not pixel-aligned with the image")
+        if not (np.isfinite(self.image).all() and np.isfinite(self.depth).all()):
+            raise DegenerateInputError("image and depth values must be finite")
         if np.any(self.depth < 0):
             raise ContractError("depth must be nonnegative")
 
@@ -403,7 +409,7 @@ def render_depth_consistency_check(scene: Scene, room_half: float | None = None)
 
 def _write_raster(path: Path, array: np.ndarray) -> None:
     array = np.asarray(array, dtype=np.float64)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(RASTER_MAGIC)
         fh.write(struct.pack("<B", array.ndim))
         for dim in array.shape:
@@ -432,8 +438,26 @@ def _floats(values) -> str:
     return " ".join(repr(float(x)) for x in np.asarray(values).ravel())
 
 
+def _check_record_text(text: str, what: str) -> None:
+    bad = sorted({c for c in text if c in _RECORD_BREAKS})
+    if bad:
+        raise ContractError(f"{what} {text!r} contains {bad!r}, which meta.txt cannot hold")
+
+
 def save_scene(scene: Scene, directory) -> None:
-    """Write one scene directory: meta.txt plus per-view binary rasters."""
+    """Write one scene directory: per-view binary rasters, then meta.txt.
+
+    Every file is written atomically.  Texts that would break a meta.txt
+    record (a tab or a line break) are rejected before anything is written.
+    """
+    for what, text in [("scene id", scene.scene_id), ("scene type", scene.scene_type),
+                       ("scene caption", scene.scene_caption)]:
+        _check_record_text(text, what)
+    for caption in scene.view_captions:
+        _check_record_text(caption, "view caption")
+    for obj in scene.objects:
+        _check_record_text(obj.category, "object category")
+        _check_record_text(obj.referring_text, "referring text")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     lines = [
@@ -452,10 +476,42 @@ def save_scene(scene: Scene, directory) -> None:
     for obj in scene.objects:
         box = _floats(obj.aabb_min) + " " + _floats(obj.aabb_max)
         lines.append(f"object={obj.object_id}\t{obj.category}\t{box}\t{obj.referring_text}")
-    (directory / "meta.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     for i, view in enumerate(scene.views):
         _write_raster(directory / f"view_{i:03d}_image.upmv", view.image)
         _write_raster(directory / f"view_{i:03d}_depth.upmv", view.depth)
+    with atomic_write(directory / "meta.txt") as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def _record_fields(value: str, count: int, key: str, meta_path: Path) -> list[str]:
+    fields = value.split("\t")
+    if len(fields) != count:
+        raise FormatError(f"{key} record has {len(fields)} tab-separated fields, "
+                          f"expected {count}, in {meta_path}")
+    return fields
+
+
+def _record_int(text: str, what: str, meta_path: Path) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise FormatError(f"{what} {text!r} is not an integer in {meta_path}") from exc
+
+
+def _record_floats(text: str, count: int, what: str, meta_path: Path) -> list[float]:
+    try:
+        values = [float(x) for x in text.split()]
+    except ValueError as exc:
+        raise FormatError(f"non-numeric {what} value in {text!r} in {meta_path}") from exc
+    if len(values) != count:
+        raise FormatError(f"{what} has {len(values)} values, expected {count}, in {meta_path}")
+    return values
+
+
+def _store_once(records: dict, idx: int, value, key: str, meta_path: Path) -> None:
+    if idx in records:
+        raise FormatError(f"duplicate {key} record for view {idx} in {meta_path}")
+    records[idx] = value
 
 
 def load_scene(directory) -> Scene:
@@ -474,24 +530,29 @@ def load_scene(directory) -> Scene:
             continue
         key, _, value = raw.partition("=")
         if key == "view":
-            idx_str, cam_str, pose_str = value.split("\t")
-            cam = [float(x) for x in cam_str.split()]
-            pose_vals = [float(x) for x in pose_str.split()]
-            intr = CameraIntrinsics(*cam)
-            pose = CameraPose(
-                rotation=np.array(pose_vals[:9]).reshape(3, 3),
-                translation=np.array(pose_vals[9:12]),
-            )
-            cameras[int(idx_str)] = (intr, pose)
+            idx_str, cam_str, pose_str = _record_fields(value, 3, key, meta_path)
+            idx = _record_int(idx_str, "view index", meta_path)
+            cam = _record_floats(cam_str, 4, "camera", meta_path)
+            pose_vals = _record_floats(pose_str, 12, "pose", meta_path)
+            try:
+                intr = CameraIntrinsics(*cam)
+                pose = CameraPose(
+                    rotation=np.array(pose_vals[:9]).reshape(3, 3),
+                    translation=np.array(pose_vals[9:12]),
+                )
+            except ContractError as exc:
+                raise FormatError(f"invalid camera for view {idx} in {meta_path}: {exc}") from exc
+            _store_once(cameras, idx, (intr, pose), key, meta_path)
         elif key == "view_caption":
-            idx_str, text = value.split("\t", 1)
-            captions[int(idx_str)] = text
+            idx_str, text = _record_fields(value, 2, key, meta_path)
+            idx = _record_int(idx_str, "view caption index", meta_path)
+            _store_once(captions, idx, text, key, meta_path)
         elif key == "object":
-            obj_id, category, box_str, text = value.split("\t")
-            box = [float(x) for x in box_str.split()]
+            obj_id, category, box_str, text = _record_fields(value, 4, key, meta_path)
+            box = _record_floats(box_str, 6, "box", meta_path)
             objects.append(
                 ObjectAnnotation(
-                    object_id=int(obj_id),
+                    object_id=_record_int(obj_id, "object id", meta_path),
                     aabb_min=np.array(box[:3]),
                     aabb_max=np.array(box[3:6]),
                     referring_text=text,
@@ -503,15 +564,23 @@ def load_scene(directory) -> Scene:
         else:
             logger.warning("ignoring unknown metadata key %r in %s", key, meta_path)
 
-    try:
-        n_views = int(scalars["num_views"])
-    except KeyError as exc:
-        raise FormatError(f"metadata missing required key {exc} in {meta_path}") from exc
+    if "num_views" not in scalars:
+        raise FormatError(f"metadata missing required key 'num_views' in {meta_path}")
+    n_views = _record_int(scalars["num_views"], "num_views", meta_path)
+    if n_views < 2:
+        raise FormatError(f"num_views={n_views} in {meta_path}: a scene needs at least two views")
+    for key, records in (("view", cameras), ("view_caption", captions)):
+        stray = sorted(set(records) - set(range(n_views)))
+        if stray:
+            raise FormatError(f"{key} records for views {stray} outside num_views={n_views} "
+                              f"in {meta_path}")
 
     views = []
     for i in range(n_views):
         if i not in cameras:
             raise FormatError(f"metadata missing camera record for view {i} in {meta_path}")
+        if i not in captions:
+            raise FormatError(f"metadata missing view_caption record for view {i} in {meta_path}")
         image = _read_raster(directory / f"view_{i:03d}_image.upmv")
         depth = _read_raster(directory / f"view_{i:03d}_depth.upmv")
         intr, pose = cameras[i]
@@ -553,7 +622,8 @@ def split_dataset(scene_ids: list[str], seed: int) -> list[tuple[str, str]]:
 
 def write_manifest(path, entries: list[tuple[str, str]]) -> None:
     lines = [f"{split}\t{scene_dir}" for split, scene_dir in entries]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_manifest(path) -> dict[str, list[str]]:

@@ -12,7 +12,6 @@ be exercised end to end.
 from __future__ import annotations
 
 import hashlib
-import math
 import re
 import struct
 from dataclasses import dataclass, field
@@ -21,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import engine as E
+from .atomic import atomic_write
 from .engine import Tensor
 from .errors import ConfigError, ContractError, DegenerateInputError, FormatError, ShapeError
 from .geometry import Pointmap
@@ -240,17 +240,18 @@ def unpatchify(patches: np.ndarray, image_size: int, patch_size: int) -> np.ndar
 # forward pass
 
 
-def embed_view(image_patches: np.ndarray, point_patches: np.ndarray, params: EncoderParams) -> Tensor:
-    """Fuse the two patch streams and prepend the class token.
+def embed_views(image_patches: np.ndarray, point_patches: np.ndarray, params: EncoderParams) -> Tensor:
+    """Fuse the two patch streams of N views and prepend the class token.
 
-    The positional table is added to the image stream only; the pointmap
+    Takes (N, M, p*p*3) patch stacks and gives (N, M + 1, d) tokens.  The
+    positional table is added to the image stream only; the pointmap
     stream carries its own coordinates.
     """
     if image_patches.shape != point_patches.shape:
         raise ShapeError("patch streams disagree in shape")
-    if image_patches.shape[0] != params.pos_embedding.shape[0]:
+    if image_patches.ndim != 3 or image_patches.shape[1] != params.pos_embedding.shape[0]:
         raise ShapeError(
-            f"got {image_patches.shape[0]} patches, positional table has "
+            f"got patch stack {image_patches.shape}, positional table has "
             f"{params.pos_embedding.shape[0]} rows"
         )
     z_image = E.add(
@@ -259,25 +260,15 @@ def embed_view(image_patches: np.ndarray, point_patches: np.ndarray, params: Enc
     )
     z_points = E.add(E.matmul(Tensor(point_patches), params.phi_p_weight), params.phi_p_bias)
     fused = E.add(z_image, z_points)
-    return E.concat([params.cls_token, fused], axis=0)
+    n, _, d = fused.shape
+    return E.concat([E.broadcast_to(params.cls_token, (n, 1, d)), fused], axis=1)
 
 
 def _attention(x: Tensor, blk: BlockParams, num_heads: int) -> Tensor:
-    d = x.shape[1]
-    head_dim = d // num_heads
     q = E.add(E.matmul(x, blk.wq), blk.bq)
     k = E.add(E.matmul(x, blk.wk), blk.bk)
     v = E.add(E.matmul(x, blk.wv), blk.bv)
-    heads = []
-    for h in range(num_heads):
-        start = h * head_dim
-        qh = E.narrow(q, 1, start, head_dim)
-        kh = E.narrow(k, 1, start, head_dim)
-        vh = E.narrow(v, 1, start, head_dim)
-        scores = E.scale(E.matmul(qh, E.transpose(kh)), 1.0 / math.sqrt(head_dim))
-        heads.append(E.matmul(E.softmax(scores, axis=-1), vh))
-    merged = E.concat(heads, axis=1)
-    return E.add(E.matmul(merged, blk.wo), blk.bo)
+    return E.add(E.matmul(E.attention(q, k, v, num_heads), blk.wo), blk.bo)
 
 
 def _mlp(x: Tensor, blk: BlockParams) -> Tensor:
@@ -290,38 +281,35 @@ def _transformer_block(x: Tensor, blk: BlockParams, num_heads: int) -> Tensor:
     return E.add(x, _mlp(E.layer_norm(x, blk.ln2_gamma, blk.ln2_beta), blk))
 
 
-def encode_view(
-    image: np.ndarray,
-    pointmap: Pointmap,
-    params: EncoderParams,
-    config: EncoderConfig,
-    modality: str = MODALITY_BOTH,
-) -> Tensor:
-    """Encode one view to a unit-norm (1, d) embedding."""
-    if modality not in MODALITIES:
-        raise ContractError(f"unknown modality {modality!r}")
-    image_patches, point_patches = patchify(image, pointmap, config.patch_size)
-    if modality == MODALITY_IMAGE_ONLY:
-        point_patches = np.zeros_like(point_patches)
-    elif modality == MODALITY_POINTMAP_ONLY:
-        image_patches = np.zeros_like(image_patches)
-    x = embed_view(image_patches, point_patches, params)
-    for blk in params.blocks:
-        x = _transformer_block(x, blk, config.num_heads)
-    x = E.layer_norm(x, params.final_gamma, params.final_beta)
-    return E.normalize_rows(E.narrow(x, 0, 0, 1))
-
-
 def encode_views(
     views: Sequence[tuple[np.ndarray, Pointmap]],
     params: EncoderParams,
     config: EncoderConfig,
     modality: str = MODALITY_BOTH,
 ) -> list[Tensor]:
-    """Independently encode each (image, pointmap) pair of a scene."""
+    """Encode N (image, pointmap) pairs to N unit-norm (1, d) embeddings.
+
+    All views run through one stacked graph over (N, M + 1, d) tokens;
+    each row has the bits it would have if its view were encoded alone.
+    """
+    if modality not in MODALITIES:
+        raise ContractError(f"unknown modality {modality!r}")
     if len(views) == 0:
         raise DegenerateInputError("cannot encode an empty view list")
-    return [encode_view(img, pm, params, config, modality) for img, pm in views]
+    patches = [patchify(image, pointmap, config.patch_size) for image, pointmap in views]
+    image_patches = np.stack([ip for ip, _ in patches])
+    point_patches = np.stack([pp for _, pp in patches])
+    if modality == MODALITY_IMAGE_ONLY:
+        point_patches = np.zeros_like(point_patches)
+    elif modality == MODALITY_POINTMAP_ONLY:
+        image_patches = np.zeros_like(image_patches)
+    x = embed_views(image_patches, point_patches, params)
+    for blk in params.blocks:
+        x = _transformer_block(x, blk, config.num_heads)
+    x = E.layer_norm(x, params.final_gamma, params.final_beta)
+    n = len(views)
+    rows = E.normalize_rows(E.reshape(E.narrow(x, 1, 0, 1), (n, config.embed_dim)))
+    return [E.narrow(rows, 0, i, 1) for i in range(n)]
 
 
 def pool_scene(view_embeddings: Sequence[Tensor]) -> Tensor:
@@ -367,10 +355,6 @@ def encode_texts(texts: Sequence[str], params: EncoderParams, config: EncoderCon
     return E.normalize_rows(projected)
 
 
-def encode_text(text: str, params: EncoderParams, config: EncoderConfig) -> Tensor:
-    return encode_texts([text], params, config)
-
-
 # ---------------------------------------------------------------------------
 # checkpoint container
 
@@ -406,7 +390,7 @@ def _parse_config_record(blob: bytes) -> EncoderConfig:
 
 
 def save_checkpoint(path, params: EncoderParams, config: EncoderConfig, extras=None) -> None:
-    """Write the self-describing binary container (magic ``UPM1``).
+    """Write the self-describing binary container (magic ``UPM1``), atomically.
 
     ``extras`` may carry additional named tensors (e.g. the loss
     temperature) that are stored after the encoder parameters.
@@ -415,7 +399,7 @@ def save_checkpoint(path, params: EncoderParams, config: EncoderConfig, extras=N
     if extras:
         entries.extend(extras)
     record = _config_record(config)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(record)))
         fh.write(record)

@@ -4,13 +4,22 @@ The graph is built define-by-run: every operation on gradient-tracked
 tensors records its parents and a local backward rule on the output.
 ``backward`` walks the recorded graph once in reverse topological order.
 All storage is float64 and row-major; slicing copies, it never aliases.
+
+Operands may carry a leading stack axis: ``matmul`` takes an (N, T, k)
+left operand against a (k, p) weight, and ``attention`` runs on (N, T, d)
+activations.  A stack of N items gives every item the same bits as
+running it alone.  Each item's product is its own BLAS call (a stacked
+``np.matmul``, never one flattened (N*T, k) product), and every gradient
+that reduces over the stack first reduces within each item, then adds the
+N item results in stack order.  That is the order in which per-item
+graphs accumulated into a shared parameter; one reduction over both axes
+at once would re-associate the sum and change bits.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,9 +48,8 @@ def no_grad():
 class Tensor:
     """A dense float64 array, optionally tracked for differentiation.
 
-    ``array`` is the row-major value storage, ``data`` exposes it flat.
-    ``grad``, once ``backward`` has run, holds d(root)/d(self) with the
-    same shape as ``array``.
+    ``array`` is the row-major value storage.  ``grad``, once ``backward``
+    has run, holds d(root)/d(self) with the same shape as ``array``.
     """
 
     __slots__ = ("array", "requires_grad", "grad", "_parents", "_backward_fn")
@@ -57,11 +65,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.array.shape
-
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the value storage."""
-        return self.array.ravel()
 
     def item(self) -> float:
         if self.array.size != 1:
@@ -92,13 +95,6 @@ class Tensor:
         return matmul(self, other)
 
 
-@dataclass
-class Graph:
-    """Operations reachable from a root, operands before their users."""
-
-    nodes: list[Tensor]
-
-
 def _make(array: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor(array)
     if _grad_enabled and any(p.requires_grad for p in parents):
@@ -115,18 +111,23 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _sum_leading(g: np.ndarray, count: int) -> np.ndarray:
+    """Sum out the first ``count`` axes, innermost first (see module doc)."""
+    for axis in reversed(range(count)):
+        g = g.sum(axis=axis)
+    return g
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcast gradient back to the original operand shape."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+    g = _sum_leading(g, g.ndim - len(shape))
     axes = tuple(i for i, (gd, sd) in enumerate(zip(g.shape, shape)) if sd == 1 and gd != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
 
 
-def trace_graph(root: Tensor) -> Graph:
+def trace_graph(root: Tensor) -> list[Tensor]:
     """Topologically order the gradient-tracked graph below ``root``."""
     order: list[Tensor] = []
     seen: set[int] = set()
@@ -143,16 +144,16 @@ def trace_graph(root: Tensor) -> Graph:
         for parent in node._parents:
             if parent.requires_grad:
                 stack.append((parent, False))
-    return Graph(nodes=order)
+    return order
 
 
 def backward(root: Tensor) -> None:
     """Populate ``grad`` on every tracked ancestor of a scalar root."""
     if root.array.size != 1:
         raise ContractError(f"backward requires a scalar root, got shape {root.shape}")
-    graph = trace_graph(root)
+    order = trace_graph(root)
     root.grad = np.ones_like(root.array)
-    for node in reversed(graph.nodes):
+    for node in reversed(order):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
 
@@ -247,15 +248,21 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.array.ndim != 2 or b.array.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.array.shape[1] != b.array.shape[0]:
+    """(m, k) @ (k, p), or a stack (N, m, k) @ (k, p) with one product per item."""
+    if a.array.ndim not in (2, 3) or b.array.ndim != 2:
+        raise ShapeError(f"matmul expects a 2-D or 3-D left and a 2-D right operand, "
+                         f"got {a.shape} and {b.shape}")
+    if a.array.shape[-1] != b.array.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     out = a.array @ b.array
 
     def bwd(g):
         _accumulate(a, g @ b.array.T)
-        _accumulate(b, a.array.T @ g)
+        if a.array.ndim == 2:
+            _accumulate(b, a.array.T @ g)
+        else:
+            per_item = np.matmul(a.array.transpose(0, 2, 1), g)
+            _accumulate(b, per_item.sum(axis=0))  # added in stack order
 
     return _make(out, (a, b), bwd)
 
@@ -268,6 +275,16 @@ def transpose(a: Tensor) -> Tensor:
         _accumulate(a, g.T)
 
     return _make(a.array.T.copy(), (a,), bwd)
+
+
+def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
+    """Copy ``a`` along new or size-1 axes, as numpy broadcasting does."""
+    shape = tuple(int(s) for s in shape)
+
+    def bwd(g):
+        _accumulate(a, _unbroadcast(g, a.array.shape))
+
+    return _make(np.broadcast_to(a.array, shape).copy(), (a,), bwd)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -328,11 +345,6 @@ def reduce_mean(a: Tensor) -> Tensor:
     return scale(reduce_sum(a), 1.0 / a.array.size)
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Sum of the elementwise product (inner product for vectors)."""
-    return reduce_sum(mul(a, b))
-
-
 # ---------------------------------------------------------------------------
 # normalization and attention nonlinearities
 
@@ -370,15 +382,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x.array - mean) * inv_std
     out = gamma.array * xhat + beta.array
-    lead_axes = tuple(range(x.array.ndim - 1))
+    lead = x.array.ndim - 1
 
     def bwd(g):
         g_xhat = g * gamma.array
         term = g_xhat - g_xhat.mean(axis=-1, keepdims=True)
         term -= xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True)
         _accumulate(x, term * inv_std)
-        _accumulate(gamma, (g * xhat).sum(axis=lead_axes))
-        _accumulate(beta, g.sum(axis=lead_axes))
+        _accumulate(gamma, _sum_leading(g * xhat, lead))
+        _accumulate(beta, _sum_leading(g, lead))
 
     return _make(out, (x, gamma, beta), bwd)
 
@@ -395,6 +407,50 @@ def normalize_rows(x: Tensor) -> Tensor:
         _accumulate(x, (g - out * inner) / norms)
 
     return _make(out, (x,), bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over (N, T, d) q, k and v.
+
+    Each head sees a contiguous (T, d / num_heads) copy of its columns,
+    and the head outputs are merged back in head order: the same products,
+    in the same operand layouts, as a per-head chain of ``narrow``,
+    ``transpose``, ``matmul``, ``scale``, ``softmax`` and ``concat``.
+    """
+    shape = q.array.shape
+    if len(shape) != 3 or k.array.shape != shape or v.array.shape != shape:
+        raise ShapeError(f"attention expects equal (N, T, d) q, k, v; got "
+                         f"{q.shape}, {k.shape}, {v.shape}")
+    n, t, d = shape
+    if num_heads < 1 or d % num_heads != 0:
+        raise ShapeError(f"width {d} does not split into {num_heads} heads")
+    head_dim = d // num_heads
+    factor = 1.0 / math.sqrt(head_dim)
+
+    def split(x):  # (N, T, d) -> contiguous (N, H, T, head_dim)
+        return np.ascontiguousarray(x.reshape(n, t, num_heads, head_dim).transpose(0, 2, 1, 3))
+
+    def merge(x):  # (N, H, T, head_dim) -> (N, T, d)
+        return x.transpose(0, 2, 1, 3).reshape(n, t, d)
+
+    qh, kh, vh = split(q.array), split(k.array), split(v.array)
+    kt = np.ascontiguousarray(kh.transpose(0, 1, 3, 2))
+    scores = (qh @ kt) * factor
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    out = merge(probs @ vh)
+
+    def bwd(g):
+        gh = split(g)
+        g_probs = gh @ vh.transpose(0, 1, 3, 2)
+        g_vh = probs.transpose(0, 1, 3, 2) @ gh
+        inner = (g_probs * probs).sum(axis=-1, keepdims=True)
+        g_scores = probs * (g_probs - inner) * factor
+        _accumulate(q, merge(g_scores @ kt.transpose(0, 1, 3, 2)))
+        _accumulate(k, merge((qh.transpose(0, 1, 3, 2) @ g_scores).transpose(0, 1, 3, 2)))
+        _accumulate(v, merge(g_vh))
+
+    return _make(out, (q, k, v), bwd)
 
 
 # ---------------------------------------------------------------------------

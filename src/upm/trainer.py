@@ -204,9 +204,11 @@ def batch_loss(
 ) -> obj.LossBreakdown:
     """All four objectives over one batch of prepared scenes."""
     zero = Tensor(np.zeros(1))
-    per_scene_embeddings = [
-        encode_views(scene.views, params, enc_cfg, modality=cfg.modality) for scene in batch
-    ]
+    flat = encode_views(
+        [view for scene in batch for view in scene.views], params, enc_cfg, modality=cfg.modality
+    )
+    bounds = np.cumsum([0] + [len(scene.views) for scene in batch])
+    per_scene_embeddings = [flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     l_geo = zero
     if cfg.use_geo:

@@ -1,14 +1,18 @@
 """Tests for synthetic scene generation and the on-disk scene format."""
 
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from upm import atomic
 from upm import data as D
-from upm.errors import ConfigError, FormatError, GenerationError
+from upm import encoder as enc
+from upm.errors import ConfigError, ContractError, DegenerateInputError, FormatError, GenerationError
 from upm.geometry import (
     CameraIntrinsics,
+    CameraPose,
     ObjectAnnotation,
     Pointmap,
     back_project,
@@ -245,6 +249,214 @@ class TestSceneIO:
     def test_missing_metadata_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="meta.txt"):
             D.load_scene(tmp_path / "nowhere")
+
+
+def _edit_field(line, index, edit):
+    key, _, value = line.partition("=")
+    fields = value.split("\t")
+    fields[index] = edit(fields[index])
+    return key + "=" + "\t".join(fields)
+
+
+def _edit_first_number(text, replacement):
+    return " ".join([replacement] + text.split()[1:])
+
+
+# name -> (prefix of the meta.txt line to edit, edit of that line; None deletes it)
+MALFORMED_RECORDS = {
+    "view_missing_field": ("view=0\t", lambda line: line.rsplit("\t", 1)[0]),
+    "view_extra_field": ("view=0\t", lambda line: line + "\textra"),
+    "view_caption_missing_tab": ("view_caption=0\t", lambda line: line.replace("\t", " ")),
+    "view_caption_extra_field": ("view_caption=0\t", lambda line: line + "\textra"),
+    "object_missing_field": ("object=0\t", lambda line: line.rsplit("\t", 1)[0]),
+    "object_extra_field": ("object=0\t", lambda line: line + "\textra"),
+    "camera_non_numeric": ("view=0\t", lambda l: _edit_field(l, 1, lambda f: _edit_first_number(f, "abc"))),
+    "camera_value_count": ("view=0\t", lambda l: _edit_field(l, 1, lambda f: f.split(" ", 1)[1])),
+    "pose_non_numeric": ("view=1\t", lambda l: _edit_field(l, 2, lambda f: _edit_first_number(f, "1.0.0"))),
+    "pose_value_count": ("view=1\t", lambda l: _edit_field(l, 2, lambda f: f + " 0.0")),
+    "box_non_numeric": ("object=0\t", lambda l: _edit_field(l, 2, lambda f: _edit_first_number(f, "x"))),
+    "box_value_count": ("object=0\t", lambda l: _edit_field(l, 2, lambda f: f.split(" ", 1)[1])),
+    "num_views_non_integer": ("num_views=", lambda line: "num_views=six"),
+    "num_views_float": ("num_views=", lambda line: line + ".5"),
+    "view_index_non_integer": ("view=1\t", lambda line: line.replace("view=1", "view=one", 1)),
+    "view_caption_index_non_integer": ("view_caption=1\t", lambda line: line.replace("=1", "=1.0", 1)),
+    "object_id_non_integer": ("object=0\t", lambda line: line.replace("object=0", "object=#0", 1)),
+    "view_caption_missing": ("view_caption=1\t", None),
+    "num_views_too_small": ("num_views=", lambda line: "num_views=1"),
+    "num_views_negative": ("num_views=", lambda line: "num_views=-3"),
+    "focal_length_negative": ("view=0\t", lambda l: _edit_field(l, 1, lambda f: _edit_first_number(f, "-1.0"))),
+    "rotation_not_orthonormal": ("view=1\t", lambda l: _edit_field(l, 2, lambda f: _edit_first_number(f, "2.0"))),
+    "view_duplicated": ("view=1\t", lambda line: line + "\n" + line),
+    "view_caption_duplicated": ("view_caption=1\t", lambda line: line + "\n" + line),
+    "view_index_past_num_views": ("view=1\t", lambda line: line + "\n" + line.replace("=1", "=6", 1)),
+    "view_caption_index_past_num_views": ("view_caption=0\t", lambda line: line + "\nview_caption=9\tx"),
+}
+
+
+class TestMalformedMeta:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+    def test_raises_format_error(self, tmp_path, case):
+        prefix, edit = MALFORMED_RECORDS[case]
+        scene = D.generate_scene(small_spec(object_count=(2, 3)), seed=14)
+        D.save_scene(scene, tmp_path / "scene")
+        meta = tmp_path / "scene" / "meta.txt"
+        lines = meta.read_text().splitlines()
+        (hit,) = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+        if edit is None:
+            del lines[hit]
+        else:
+            lines[hit] = edit(lines[hit])
+        meta.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="meta.txt"):
+            D.load_scene(tmp_path / "scene")
+
+
+class TestViewValidation:
+    def view_arrays(self):
+        intr = CameraIntrinsics(fx=4.0, fy=4.0, cx=1.5, cy=1.5)
+        pose = CameraPose(rotation=np.eye(3), translation=np.zeros(3))
+        return np.full((4, 4, 3), 0.5), np.ones((4, 4)), intr, pose
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_depth_rejected(self, bad):
+        image, depth, intr, pose = self.view_arrays()
+        depth[2, 1] = bad
+        with pytest.raises(DegenerateInputError):
+            D.View(image=image, depth=depth, intrinsics=intr, pose=pose)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_image_rejected(self, bad):
+        image, depth, intr, pose = self.view_arrays()
+        image[0, 3, 2] = bad
+        with pytest.raises(DegenerateInputError):
+            D.View(image=image, depth=depth, intrinsics=intr, pose=pose)
+
+    def test_nan_depth_raster_rejected_on_load(self, tmp_path):
+        scene = D.generate_scene(small_spec(), seed=15)
+        D.save_scene(scene, tmp_path / "scene")
+        depth = scene.views[2].depth.copy()
+        depth[3, 3] = np.nan
+        D._write_raster(tmp_path / "scene" / "view_002_depth.upmv", depth)
+        with pytest.raises(DegenerateInputError):
+            D.load_scene(tmp_path / "scene")
+
+
+class TestSaveSceneTexts:
+    def scene_with(self, field, text):
+        scene = D.generate_scene(small_spec(object_count=(2, 3)), seed=16)
+        if field == "scene_caption":
+            scene.scene_caption = text
+        elif field == "view_caption":
+            scene.view_captions[1] = text
+        elif field == "referring_text":
+            scene.objects[0].referring_text = text
+        else:
+            scene.objects[1].category = text
+        return scene
+
+    @pytest.mark.parametrize("field", ["scene_caption", "view_caption", "referring_text", "category"])
+    @pytest.mark.parametrize("breaker", ["\t", "\r", "\n", "\r\n", "\u2028"])
+    def test_rejected_before_any_write(self, tmp_path, field, breaker):
+        scene = self.scene_with(field, f"a red{breaker}chair")
+        with pytest.raises(ContractError, match="meta.txt"):
+            D.save_scene(scene, tmp_path / "scene")
+        assert not (tmp_path / "scene").exists()
+
+    def test_round_trip_of_unusual_texts(self, tmp_path):
+        scene = D.generate_scene(small_spec(object_count=(2, 3)), seed=17)
+        scene.scene_caption = "a=b  room, caf\u00e9 \u00a0 with = signs "
+        scene.view_captions[0] = ""
+        scene.view_captions[2] = " leading and trailing spaces "
+        scene.objects[0].referring_text = "the \u201cred\u201d chair = seat #1"
+        scene.objects[1].category = "arm chair"
+        D.save_scene(scene, tmp_path / "scene")
+        assert scenes_equal(scene, D.load_scene(tmp_path / "scene"))
+
+
+class FailingWrites:
+    """An ``open`` for ``upm.atomic``: a write to the named file stops halfway and raises."""
+
+    def __init__(self, target: str):
+        self.target = target
+        self.temp_paths = []
+
+    def __call__(self, path, mode):
+        fh = open(path, mode)
+        if self.target not in Path(path).name:
+            return fh
+        self.temp_paths.append(Path(path))
+        return _FailingHandle(fh)
+
+
+class _FailingHandle:
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, blob):
+        self.fh.write(blob[: len(blob) // 2])
+        self.fh.flush()
+        raise OSError("no space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestAtomicWrites:
+    def assert_failed_write_keeps(self, monkeypatch, path, write):
+        before = path.read_bytes()
+        failing = FailingWrites(path.name)
+        monkeypatch.setattr(atomic, "open", failing, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            write()
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.parent for p in failing.temp_paths] == [path.parent]
+        assert not failing.temp_paths[0].exists()
+        assert [p.name for p in path.parent.iterdir() if p.name.startswith(".")] == []
+
+    def test_checkpoint(self, tmp_path, monkeypatch):
+        config = enc.EncoderConfig(image_size=8, patch_size=4, embed_dim=8, num_blocks=1,
+                                   num_heads=2, text_vocab_size=16)
+        path = tmp_path / "model.upm"
+        enc.save_checkpoint(path, enc.init_encoder_params(config, seed=1), config)
+        newer = enc.init_encoder_params(config, seed=2)
+        self.assert_failed_write_keeps(
+            monkeypatch, path, lambda: enc.save_checkpoint(path, newer, config))
+
+    def test_raster(self, tmp_path, monkeypatch):
+        first = D.generate_scene(small_spec(), seed=18)
+        second = D.generate_scene(small_spec(), seed=19)
+        D.save_scene(first, tmp_path / "scene")
+        raster = tmp_path / "scene" / "view_003_depth.upmv"
+        self.assert_failed_write_keeps(
+            monkeypatch, raster, lambda: D.save_scene(second, tmp_path / "scene"))
+        assert np.array_equal(D._read_raster(raster), first.views[3].depth)
+
+    def test_meta(self, tmp_path, monkeypatch):
+        first = D.generate_scene(small_spec(), seed=20)
+        second = D.generate_scene(small_spec(), seed=21)
+        D.save_scene(first, tmp_path / "scene")
+        meta = tmp_path / "scene" / "meta.txt"
+        self.assert_failed_write_keeps(
+            monkeypatch, meta, lambda: D.save_scene(second, tmp_path / "scene"))
+
+    def test_manifest(self, tmp_path, monkeypatch):
+        path = tmp_path / "manifest.tsv"
+        D.write_manifest(path, [("train", "a")])
+        self.assert_failed_write_keeps(
+            monkeypatch, path, lambda: D.write_manifest(path, [("train", "b"), ("val", "c")]))
+
+    def test_success_replaces_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "file.bin"
+        path.write_bytes(b"old")
+        with atomic.atomic_write(path) as fh:
+            fh.write(b"new")
+            assert path.read_bytes() == b"old"
+        assert path.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["file.bin"]
 
 
 class TestManifest:

@@ -1,5 +1,7 @@
 """Tests for the early-fusion view encoder, text encoder, and checkpoints."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -96,12 +98,13 @@ class TestEmbedView:
         params.phi_i_bias.array[:] = 0.25
         params.phi_p_bias.array[:] = 0.5
         m = config.num_patches
-        zeros = np.zeros((m, config.patch_dim))
-        tokens = enc.embed_view(zeros, zeros, params)
-        assert tokens.shape == (m + 1, config.embed_dim)
-        np.testing.assert_array_equal(tokens.array[0], params.cls_token.array[0])
+        zeros = np.zeros((2, m, config.patch_dim))
+        tokens = enc.embed_views(zeros, zeros, params)
+        assert tokens.shape == (2, m + 1, config.embed_dim)
         expected = params.pos_embedding.array + 0.75
-        np.testing.assert_allclose(tokens.array[1:], expected, atol=1e-12)
+        for view_tokens in tokens.array:
+            np.testing.assert_array_equal(view_tokens[0], params.cls_token.array[0])
+            np.testing.assert_allclose(view_tokens[1:], expected, atol=1e-12)
 
     def test_zeroed_point_projection_reduces_to_image_path(self):
         config = tiny_config()
@@ -111,26 +114,36 @@ class TestEmbedView:
         rng = np.random.default_rng(5)
         ip = rng.normal(size=(config.num_patches, config.patch_dim))
         pp = rng.normal(size=(config.num_patches, config.patch_dim))
-        tokens = enc.embed_view(ip, pp, params)
+        tokens = enc.embed_views(ip[None], pp[None], params).array[0]
         image_only = (
             ip @ params.phi_i_weight.array
             + params.phi_i_bias.array
             + params.pos_embedding.array
         )
-        np.testing.assert_allclose(tokens.array[1:], image_only, atol=1e-12)
+        np.testing.assert_allclose(tokens[1:], image_only, atol=1e-12)
 
     def test_fused_rows_componentwise(self):
         config = tiny_config()
         params = enc.init_encoder_params(config, seed=6)
         rng = np.random.default_rng(7)
-        ip = rng.normal(size=(config.num_patches, config.patch_dim))
-        pp = rng.normal(size=(config.num_patches, config.patch_dim))
-        tokens = enc.embed_view(ip, pp, params)
-        for m in range(config.num_patches):
-            image_row = ip[m] @ params.phi_i_weight.array + params.phi_i_bias.array
-            point_row = pp[m] @ params.phi_p_weight.array + params.phi_p_bias.array
-            expected = image_row + params.pos_embedding.array[m] + point_row
-            np.testing.assert_allclose(tokens.array[m + 1], expected, atol=1e-12)
+        ip = rng.normal(size=(3, config.num_patches, config.patch_dim))
+        pp = rng.normal(size=(3, config.num_patches, config.patch_dim))
+        tokens = enc.embed_views(ip, pp, params)
+        for n in range(3):
+            for m in range(config.num_patches):
+                image_row = ip[n, m] @ params.phi_i_weight.array + params.phi_i_bias.array
+                point_row = pp[n, m] @ params.phi_p_weight.array + params.phi_p_bias.array
+                expected = image_row + params.pos_embedding.array[m] + point_row
+                np.testing.assert_allclose(tokens.array[n, m + 1], expected, atol=1e-12)
+
+    def test_patch_stack_shape_checked(self):
+        config = tiny_config()
+        params = enc.init_encoder_params(config, seed=9)
+        patches = np.zeros((config.num_patches, config.patch_dim))
+        with pytest.raises(ShapeError):
+            enc.embed_views(patches, patches, params)
+        with pytest.raises(ShapeError):
+            enc.embed_views(patches[None, 1:], patches[None, 1:], params)
 
     def test_shared_initialization_of_patch_embeddings(self):
         params = enc.init_encoder_params(tiny_config(), seed=8)
@@ -144,8 +157,8 @@ class TestEncodeViews:
         params = enc.init_encoder_params(config, seed=9)
         rng = np.random.default_rng(10)
         view = random_view(rng, config)
-        h1 = enc.encode_view(*view, params, config)
-        h2 = enc.encode_view(*view, params, config)
+        h1 = enc.encode_views([view], params, config)[0]
+        h2 = enc.encode_views([view], params, config)[0]
         assert abs(np.linalg.norm(h1.array) - 1.0) <= 1e-9
         np.testing.assert_array_equal(h1.array, h2.array)
 
@@ -161,8 +174,8 @@ class TestEncodeViews:
         config = tiny_config(num_blocks=0)
         params = enc.init_encoder_params(config, seed=13)
         rng = np.random.default_rng(14)
-        h1 = enc.encode_view(*random_view(rng, config), params, config)
-        h2 = enc.encode_view(*random_view(rng, config), params, config)
+        h1 = enc.encode_views([random_view(rng, config)], params, config)[0]
+        h2 = enc.encode_views([random_view(rng, config)], params, config)[0]
         np.testing.assert_array_equal(h1.array, h2.array)
 
     def test_permutation_equivariance(self):
@@ -181,9 +194,9 @@ class TestEncodeViews:
         params = enc.init_encoder_params(config, seed=17)
         rng = np.random.default_rng(18)
         view = random_view(rng, config)
-        both = enc.encode_view(*view, params, config).array
-        image_only = enc.encode_view(*view, params, config, modality="image-only").array
-        pointmap_only = enc.encode_view(*view, params, config, modality="pointmap-only").array
+        both = enc.encode_views([view], params, config)[0].array
+        image_only = enc.encode_views([view], params, config, modality="image-only")[0].array
+        pointmap_only = enc.encode_views([view], params, config, modality="pointmap-only")[0].array
         assert not np.array_equal(both, image_only)
         assert not np.array_equal(both, pointmap_only)
 
@@ -196,7 +209,7 @@ class TestEncodeViews:
 
         def loss_for(param):
             def f(_):
-                h = enc.encode_view(*view, params, config)
+                h = enc.encode_views([view], params, config)[0]
                 return E.reduce_sum(E.mul(h, E.Tensor(probe)))
 
             return f
@@ -215,6 +228,124 @@ class TestEncodeViews:
         params = enc.init_encoder_params(config, seed=21)
         with pytest.raises(DegenerateInputError):
             enc.encode_views([], params, config)
+
+
+def oracle_encode_view(image, pointmap, params, config, modality="both"):
+    """The per-view encoder: one graph per view, one op chain per head.
+
+    Batched ``encode_views`` must match it byte for byte, in embeddings
+    and in every gradient that reaches the parameters.
+    """
+    image_patches, point_patches = enc.patchify(image, pointmap, config.patch_size)
+    if modality == "image-only":
+        point_patches = np.zeros_like(point_patches)
+    elif modality == "pointmap-only":
+        image_patches = np.zeros_like(image_patches)
+    z_image = E.add(
+        E.add(E.matmul(E.Tensor(image_patches), params.phi_i_weight), params.phi_i_bias),
+        params.pos_embedding,
+    )
+    z_points = E.add(E.matmul(E.Tensor(point_patches), params.phi_p_weight), params.phi_p_bias)
+    x = E.concat([params.cls_token, E.add(z_image, z_points)], axis=0)
+    head_dim = config.embed_dim // config.num_heads
+    for blk in params.blocks:
+        h = E.layer_norm(x, blk.ln1_gamma, blk.ln1_beta)
+        q = E.add(E.matmul(h, blk.wq), blk.bq)
+        k = E.add(E.matmul(h, blk.wk), blk.bk)
+        v = E.add(E.matmul(h, blk.wv), blk.bv)
+        heads = []
+        for head in range(config.num_heads):
+            start = head * head_dim
+            qh = E.narrow(q, 1, start, head_dim)
+            kh = E.narrow(k, 1, start, head_dim)
+            vh = E.narrow(v, 1, start, head_dim)
+            scores = E.scale(E.matmul(qh, E.transpose(kh)), 1.0 / math.sqrt(head_dim))
+            heads.append(E.matmul(E.softmax(scores, axis=-1), vh))
+        attended = E.add(E.matmul(E.concat(heads, axis=1), blk.wo), blk.bo)
+        x = E.add(x, attended)
+        h = E.layer_norm(x, blk.ln2_gamma, blk.ln2_beta)
+        hidden = E.gelu(E.add(E.matmul(h, blk.w_up), blk.b_up))
+        x = E.add(x, E.add(E.matmul(hidden, blk.w_down), blk.b_down))
+    x = E.layer_norm(x, params.final_gamma, params.final_beta)
+    return E.normalize_rows(E.narrow(x, 0, 0, 1))
+
+
+def mixing_loss(rows, seed):
+    """A scalar that reads every row through several consumers."""
+    rng = np.random.default_rng(seed)
+    n, d = len(rows), rows[0].shape[1]
+    stacked = E.concat(list(rows), axis=0)
+    logits = E.matmul(stacked, E.Tensor(rng.normal(size=(d, n))))
+    total = E.reduce_sum(E.mul(E.log_softmax(logits, axis=1), E.Tensor(rng.normal(size=(n, n)))))
+    for row in rows:
+        total = E.add(total, E.reduce_sum(E.mul(row, E.Tensor(rng.normal(size=(1, d))))))
+    return E.add(total, E.reduce_sum(E.mul(enc.pool_scene(rows), E.Tensor(rng.normal(size=(1, d))))))
+
+
+def encoded_bytes(encode, views, config, modality="both", seed=0):
+    """Embedding bytes and every parameter's gradient bytes after one backward."""
+    params = enc.init_encoder_params(config, seed=seed)
+    rows = encode(views, params, config, modality)
+    E.backward(mixing_loss(rows, seed))
+    grads = {name: (t.grad.tobytes() if t.grad is not None else None)
+             for name, t in params.named_parameters()}
+    return [r.array.tobytes() for r in rows], grads
+
+
+def batched(views, params, config, modality):
+    return enc.encode_views(views, params, config, modality=modality)
+
+
+def per_view(views, params, config, modality):
+    return [oracle_encode_view(img, pm, params, config, modality) for img, pm in views]
+
+
+class TestBatchedEqualsPerView:
+    @pytest.mark.parametrize("num_blocks", [0, 2])
+    @pytest.mark.parametrize("modality", enc.MODALITIES)
+    @pytest.mark.parametrize("n_views", [1, 5])
+    def test_bytes_match_oracle(self, num_blocks, modality, n_views):
+        config = tiny_config(num_blocks=num_blocks)
+        rng = np.random.default_rng(100 + 10 * num_blocks + n_views)
+        views = [random_view(rng, config) for _ in range(n_views)]
+        got = encoded_bytes(batched, views, config, modality)
+        want = encoded_bytes(per_view, views, config, modality)
+        assert got[0] == want[0]
+        assert got[1].keys() == want[1].keys()
+        for name in want[1]:
+            assert got[1][name] == want[1][name], name
+        text_only = {"text.table", "text.weight", "text.bias"}
+        assert all(want[1][name] is not None for name in want[1] if name not in text_only)
+
+    def test_permuted_order_matches_oracle(self):
+        config = tiny_config(num_heads=4)
+        rng = np.random.default_rng(200)
+        views = [random_view(rng, config) for _ in range(6)]
+        permuted = [views[i] for i in [4, 1, 5, 0, 3, 2]]
+        got = encoded_bytes(batched, permuted, config)
+        want = encoded_bytes(per_view, permuted, config)
+        assert got == want
+        unpermuted = encoded_bytes(batched, views, config)
+        assert [got[0][j] for j in np.argsort([4, 1, 5, 0, 3, 2])] == unpermuted[0]
+
+    def test_default_config_matches_oracle(self):
+        config = EncoderConfig()
+        rng = np.random.default_rng(300)
+        views = [random_view(rng, config) for _ in range(8)]
+        got = encoded_bytes(batched, views, config, seed=21)
+        want = encoded_bytes(per_view, views, config, seed=21)
+        assert got == want
+
+    def test_forward_without_grad_matches_oracle(self):
+        config = tiny_config()
+        params = enc.init_encoder_params(config, seed=31)
+        rng = np.random.default_rng(32)
+        views = [random_view(rng, config) for _ in range(3)]
+        with E.no_grad():
+            rows = enc.encode_views(views, params, config)
+        assert not any(r.requires_grad for r in rows)
+        for row, (img, pm) in zip(rows, views):
+            assert row.array.tobytes() == oracle_encode_view(img, pm, params, config).array.tobytes()
 
 
 class TestPoolScene:
@@ -244,14 +375,14 @@ class TestTextEncoder:
     def test_deterministic(self):
         config = tiny_config()
         params = enc.init_encoder_params(config, seed=22)
-        a = enc.encode_text("the red chair near the blue table", params, config).array
-        b = enc.encode_text("the red chair near the blue table", params, config).array
+        a = enc.encode_texts(["the red chair near the blue table"], params, config).array
+        b = enc.encode_texts(["the red chair near the blue table"], params, config).array
         np.testing.assert_array_equal(a, b)
 
     def test_empty_string_uses_reserved_token(self):
         config = tiny_config()
         params = enc.init_encoder_params(config, seed=23)
-        emb = enc.encode_text("", params, config).array
+        emb = enc.encode_texts([""], params, config).array
         assert abs(np.linalg.norm(emb) - 1.0) <= 1e-9
         assert enc.token_ids("", config) == [0]
 

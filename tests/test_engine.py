@@ -28,14 +28,15 @@ class TestTensorBasics:
     def test_storage_invariants(self):
         t = E.Tensor(np.arange(12.0).reshape(3, 4))
         assert t.shape == (3, 4)
-        assert t.data.shape == (12,)
-        assert math.prod(t.shape) == t.data.size
+        assert t.array.flags["C_CONTIGUOUS"]
+        assert t.array.ravel().shape == (12,)
+        assert math.prod(t.shape) == t.array.size
         assert t.array.dtype == np.float64
 
     def test_grad_matches_data_length(self):
         t = E.Tensor(np.ones((2, 5)), requires_grad=True)
         E.backward(E.reduce_sum(t))
-        assert t.grad.size == t.data.size
+        assert t.grad.shape == t.array.shape
 
     def test_item_rejects_non_scalar(self):
         with pytest.raises(ContractError):
@@ -136,7 +137,7 @@ class TestBackward:
     def test_dot_gradient_is_2x(self):
         rng = np.random.default_rng(5)
         x = E.Tensor(rng.normal(size=7), requires_grad=True)
-        E.backward(E.dot(x, x))
+        E.backward(E.reduce_sum(E.mul(x, x)))
         np.testing.assert_allclose(x.grad, 2 * x.array, atol=1e-12)
 
     def test_rejects_non_scalar_root(self):
@@ -184,9 +185,9 @@ class TestBackward:
         x = E.Tensor([1.0, 2.0], requires_grad=True)
         y = E.mul(x, x)
         z = E.reduce_sum(E.add(y, x))
-        graph = E.trace_graph(z)
-        position = {id(node): i for i, node in enumerate(graph.nodes)}
-        for node in graph.nodes:
+        order = E.trace_graph(z)
+        position = {id(node): i for i, node in enumerate(order)}
+        for node in order:
             for parent in node._parents:
                 if parent.requires_grad:
                     assert position[id(parent)] < position[id(node)]
@@ -237,6 +238,103 @@ class TestRegisteredOpGradients:
         assert E.finite_diff_check(f, bias) <= 1e-6
 
 
+class TestStackedOpGradients:
+    """Ops on (N, T, d) stacks pass finite-difference checks too."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(61)
+
+    def stacked(self, *shape, grad=True):
+        return E.Tensor(self.rng.normal(size=shape), requires_grad=grad)
+
+    def test_matmul_stacked_left(self):
+        w = self.stacked(4, 3, grad=False)
+        probe = self.stacked(2, 5, 3, grad=False)
+        x = self.stacked(2, 5, 4)
+        assert E.finite_diff_check(lambda t: E.reduce_sum(E.mul(E.matmul(t, w), probe)), x) <= 1e-6
+
+    def test_matmul_stacked_weight(self):
+        x = self.stacked(3, 5, 4, grad=False)
+        probe = self.stacked(3, 5, 2, grad=False)
+        w = self.stacked(4, 2)
+        assert E.finite_diff_check(lambda t: E.reduce_sum(E.mul(E.matmul(x, t), probe)), w) <= 1e-6
+
+    def test_matmul_rejects_stacked_right(self):
+        with pytest.raises(ShapeError):
+            E.matmul(E.Tensor(np.ones((2, 3))), E.Tensor(np.ones((2, 3, 4))))
+        with pytest.raises(ShapeError):
+            E.matmul(E.Tensor(np.ones((2, 3, 4))), E.Tensor(np.ones((3, 4))))
+
+    def test_matmul_stacked_is_per_item(self):
+        a = self.stacked(4, 5, 6, grad=False)
+        b = self.stacked(6, 3, grad=False)
+        out = E.matmul(a, b).array
+        for i in range(4):
+            assert out[i].tobytes() == E.matmul(E.Tensor(a.array[i]), b).array.tobytes()
+
+    def test_layer_norm_stacked(self):
+        x = self.stacked(2, 3, 5)
+        gamma = self.stacked(5)
+        beta = self.stacked(5)
+        w = self.stacked(2, 3, 5, grad=False)
+
+        def loss(xv, gv, bv):
+            return E.reduce_sum(E.mul(E.layer_norm(xv, gv, bv), w))
+
+        assert E.finite_diff_check(lambda t: loss(t, gamma, beta), x) <= 1e-6
+        assert E.finite_diff_check(lambda t: loss(x, t, beta), gamma) <= 1e-6
+        assert E.finite_diff_check(lambda t: loss(x, gamma, t), beta) <= 1e-6
+
+    def test_layer_norm_stacked_sums_items_in_order(self):
+        x = self.stacked(3, 4, 5, grad=False)
+        gamma = self.stacked(5)
+        beta = self.stacked(5)
+        g = self.stacked(3, 4, 5, grad=False)
+        E.backward(E.reduce_sum(E.mul(E.layer_norm(x, gamma, beta), g)))
+        stacked_grads = gamma.grad.tobytes(), beta.grad.tobytes()
+        gamma.grad = beta.grad = None
+        for i in range(3):
+            item = E.layer_norm(E.Tensor(x.array[i]), gamma, beta)
+            E.backward(E.reduce_sum(E.mul(item, E.Tensor(g.array[i]))))
+        assert stacked_grads == (gamma.grad.tobytes(), beta.grad.tobytes())
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_attention(self, which):
+        qkv = [self.stacked(2, 4, 6) for _ in range(3)]
+        probe = self.stacked(2, 4, 6, grad=False)
+
+        def f(t):
+            args = list(qkv)
+            args[which] = t
+            return E.reduce_sum(E.mul(E.attention(*args, num_heads=3), probe))
+
+        assert E.finite_diff_check(f, qkv[which]) <= 1e-6
+
+    def test_attention_single_head_is_softmax_attention(self):
+        q, k, v = (self.stacked(2, 3, 4, grad=False) for _ in range(3))
+        out = E.attention(q, k, v, num_heads=1).array
+        for i in range(2):
+            scores = q.array[i] @ k.array[i].T / 2.0
+            weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+            weights /= weights.sum(axis=1, keepdims=True)
+            np.testing.assert_allclose(out[i], weights @ v.array[i], atol=1e-12)
+
+    def test_attention_rejects_bad_shapes(self):
+        x = E.Tensor(np.ones((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            E.attention(x, x, x, num_heads=3)
+        with pytest.raises(ShapeError):
+            E.attention(x, x, E.Tensor(np.ones((2, 3, 8))), num_heads=2)
+
+    def test_broadcast_to(self):
+        row = self.stacked(1, 4)
+        probe = self.stacked(3, 1, 4, grad=False)
+        out = E.broadcast_to(row, (3, 1, 4))
+        assert out.shape == (3, 1, 4)
+        f = lambda t: E.reduce_sum(E.mul(E.broadcast_to(t, (3, 1, 4)), probe))
+        assert E.finite_diff_check(f, row) <= 1e-6
+
+
 class TestFiniteDiffCheck:
     def test_sum_is_exact(self):
         x = E.Tensor(np.arange(4.0), requires_grad=True)
@@ -245,7 +343,7 @@ class TestFiniteDiffCheck:
     def test_squared_norm(self):
         rng = np.random.default_rng(41)
         x = E.Tensor(rng.normal(size=6), requires_grad=True)
-        assert E.finite_diff_check(lambda t: E.dot(t, t), x) <= 1e-7
+        assert E.finite_diff_check(lambda t: E.reduce_sum(E.mul(t, t)), x) <= 1e-7
 
     def test_rejects_bad_h(self):
         x = E.Tensor(np.ones(2), requires_grad=True)

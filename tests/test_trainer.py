@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from upm import data as D
-from upm.encoder import load_checkpoint
-from upm.engine import Tensor
+from upm.encoder import EncoderConfig, init_encoder_params, load_checkpoint
+from upm.engine import Tensor, trace_graph
 from upm.errors import ConfigError, ContractError, NumericError
+from upm.objectives import Temperature
 from upm.trainer import (
     TEMPERATURE_KEY,
     OptimizerState,
     TrainConfig,
     adamw_step,
+    batch_loss,
     clip_gradients,
     cosine_lr,
     paper_train_config,
@@ -161,6 +163,20 @@ class TestPrepareScene:
         assert h.hexdigest() == "16420ee83bf5e69f732b24c4858e3e474d97765080049b176cbb7aeb98cbf587"
 
 
+class TestBatchLoss:
+    def test_default_step_graph_is_small(self):
+        # 4 scenes x 8 views encode as one stacked graph: under 600 nodes,
+        # where one graph per view and one op chain per head built ~4,000.
+        cfg = TrainConfig()
+        scenes = [D.generate_scene(D.SceneSpec(scene_type=D.SCENE_TYPES[i]), seed=i)
+                  for i in range(cfg.scenes_per_batch)]
+        batch = [prepare_scene(scene, cfg) for scene in scenes]
+        assert sum(len(p.views) for p in batch) == 32
+        params = init_encoder_params(EncoderConfig(), seed=0)
+        breakdown = batch_loss(batch, params, EncoderConfig(), Temperature(cfg.initial_tau), cfg)
+        assert len(trace_graph(breakdown.total)) < 600
+
+
 class TestTrainLoop:
     def test_smoke_run_produces_finite_history(self, tiny_run):
         assert math.isfinite(tiny_run.initial_total)
@@ -198,3 +214,22 @@ class TestTrainLoop:
         cfg = TrainConfig(scenes_per_batch=1000)
         with pytest.raises(ConfigError, match="training scenes"):
             train(tiny_dataset, cfg, TINY_ENCODER, "/tmp/unused_out")
+
+    def test_default_config_run_pinned(self, tmp_path):
+        # metrics.tsv and both checkpoints of a short default-config run, as
+        # produced by the per-view encoder (one autodiff graph per view).
+        root = tmp_path / "data"
+        ids = []
+        for i in range(10):
+            spec = D.SceneSpec(scene_type=D.SCENE_TYPES[i % 4], view_count=10)
+            scene = D.generate_scene(spec, seed=100 + i)
+            D.save_scene(scene, root / scene.scene_id)
+            ids.append(scene.scene_id)
+        D.write_manifest(root / "manifest.tsv", D.split_dataset(ids, seed=0))
+        result = train(root / "manifest.tsv", TrainConfig(epochs=2, seed=5), EncoderConfig(),
+                       tmp_path / "run")
+        assert result.steps == 4
+        h = hashlib.sha256()
+        for path in (result.metrics_path, result.checkpoint_path, result.best_checkpoint_path):
+            h.update(path.read_bytes())
+        assert h.hexdigest() == "53d73dd086b04f31a282e12553c687c543e828d581592d16774a686afd87ec06"
