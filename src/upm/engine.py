@@ -14,6 +14,17 @@ that reduces over the stack first reduces within each item, then adds the
 N item results in stack order.  That is the order in which per-item
 graphs accumulated into a shared parameter; one reduction over both axes
 at once would re-associate the sum and change bits.
+
+No gradient is computed for an operand that does not require one: every
+backward rule tests ``requires_grad`` before it forms an operand's
+gradient, so constant inputs (patch stacks, text selection matrices)
+cost nothing in ``backward``.
+
+``off_diagonal_soft_xent`` replaces a per-row chain of ``narrow``,
+``concat``, ``log_softmax``, ``mul``, ``reduce_sum``, ``neg`` and ``add``
+with the same bits.  It works on all rows at once, but every reduction
+stays within a row, and the negated row sums are added onto a zero
+scalar one by one in row order, as the chain's ``add`` nodes did.
 """
 
 from __future__ import annotations
@@ -105,10 +116,10 @@ def _make(array: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.requires_grad:
-        if t.grad is None:
-            t.grad = np.zeros_like(t.array)
-        t.grad += g
+    """Add ``g`` into ``t.grad``; callers skip operands without ``requires_grad``."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.array)
+    t.grad += g
 
 
 def _sum_leading(g: np.ndarray, count: int) -> np.ndarray:
@@ -171,8 +182,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.array + b.array
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.array.shape))
-        _accumulate(b, _unbroadcast(g, b.array.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.array.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.array.shape))
 
     return _make(out, (a, b), bwd)
 
@@ -181,8 +194,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.array - b.array
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.array.shape))
-        _accumulate(b, _unbroadcast(-g, b.array.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.array.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g, b.array.shape))
 
     return _make(out, (a, b), bwd)
 
@@ -191,8 +206,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.array * b.array
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g * b.array, a.array.shape))
-        _accumulate(b, _unbroadcast(g * a.array, b.array.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.array, a.array.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.array, b.array.shape))
 
     return _make(out, (a, b), bwd)
 
@@ -257,7 +274,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.array @ b.array
 
     def bwd(g):
-        _accumulate(a, g @ b.array.T)
+        if a.requires_grad:
+            _accumulate(a, g @ b.array.T)
+        if not b.requires_grad:
+            return
         if a.array.ndim == 2:
             _accumulate(b, a.array.T @ g)
         else:
@@ -308,10 +328,9 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     out = a.array[index].copy()
 
     def bwd(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.array)
-            full[index] = g
-            _accumulate(a, full)
+        full = np.zeros_like(a.array)
+        full[index] = g
+        _accumulate(a, full)
 
     return _make(out, (a,), bwd)
 
@@ -328,7 +347,8 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         for p, size in zip(parts, sizes):
             index = [slice(None)] * g.ndim
             index[axis] = slice(offset, offset + size)
-            _accumulate(p, g[tuple(index)])
+            if p.requires_grad:
+                _accumulate(p, g[tuple(index)])
             offset += size
 
     return _make(out, parts, bwd)
@@ -339,10 +359,6 @@ def reduce_sum(a: Tensor) -> Tensor:
         _accumulate(a, np.full_like(a.array, np.ravel(g)[0]))
 
     return _make(np.asarray(a.array.sum()), (a,), bwd)
-
-
-def reduce_mean(a: Tensor) -> Tensor:
-    return scale(reduce_sum(a), 1.0 / a.array.size)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +389,44 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (x,), bwd)
 
 
+def off_diagonal_soft_xent(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Soft-label cross-entropy of each row's off-diagonal entries, summed over rows.
+
+    Row v of the (V, V) ``logits`` scores its V-1 candidates, every column
+    but v in ascending order, against row v of the (V, V-1) ``targets``:
+    the (1,) result is the sum over v of -sum_j targets[v, j] *
+    log_softmax(candidates of v)[j], accumulated in row order.  The
+    diagonal gets a zero gradient; ``targets`` gets none.
+    """
+    shape = logits.array.shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ShapeError(f"off_diagonal_soft_xent expects square logits, got {logits.shape}")
+    n = shape[0]
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape != (n, n - 1):
+        raise ShapeError(f"targets of shape {targets.shape} do not match {n} rows")
+    if n < 2:
+        raise DegenerateInputError("off-diagonal cross-entropy needs at least two rows")
+    off_diagonal = ~np.eye(n, dtype=bool)
+    candidates = logits.array[off_diagonal].reshape(n, n - 1)
+    shifted = candidates - candidates.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    row_sums = (targets * log_probs).sum(axis=1)
+    out = np.zeros(1)
+    for row_sum in row_sums:
+        out = out + -row_sum
+
+    def bwd(g):
+        # Each row's reduce_sum/neg/add chain handed its weighted log-probs -g.
+        g_log_probs = targets * -g[0]
+        soft = np.exp(log_probs)
+        full = np.zeros((n, n))
+        full[off_diagonal] = (g_log_probs - soft * g_log_probs.sum(axis=1, keepdims=True)).ravel()
+        _accumulate(logits, full)
+
+    return _make(out, (logits,), bwd)
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if eps <= 0:
@@ -385,12 +439,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     lead = x.array.ndim - 1
 
     def bwd(g):
-        g_xhat = g * gamma.array
-        term = g_xhat - g_xhat.mean(axis=-1, keepdims=True)
-        term -= xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, term * inv_std)
-        _accumulate(gamma, _sum_leading(g * xhat, lead))
-        _accumulate(beta, _sum_leading(g, lead))
+        if x.requires_grad:
+            g_xhat = g * gamma.array
+            term = g_xhat - g_xhat.mean(axis=-1, keepdims=True)
+            term -= xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True)
+            _accumulate(x, term * inv_std)
+        if gamma.requires_grad:
+            _accumulate(gamma, _sum_leading(g * xhat, lead))
+        if beta.requires_grad:
+            _accumulate(beta, _sum_leading(g, lead))
 
     return _make(out, (x, gamma, beta), bwd)
 
@@ -442,13 +499,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
 
     def bwd(g):
         gh = split(g)
-        g_probs = gh @ vh.transpose(0, 1, 3, 2)
-        g_vh = probs.transpose(0, 1, 3, 2) @ gh
-        inner = (g_probs * probs).sum(axis=-1, keepdims=True)
-        g_scores = probs * (g_probs - inner) * factor
-        _accumulate(q, merge(g_scores @ kt.transpose(0, 1, 3, 2)))
-        _accumulate(k, merge((qh.transpose(0, 1, 3, 2) @ g_scores).transpose(0, 1, 3, 2)))
-        _accumulate(v, merge(g_vh))
+        if q.requires_grad or k.requires_grad:
+            g_probs = gh @ vh.transpose(0, 1, 3, 2)
+            inner = (g_probs * probs).sum(axis=-1, keepdims=True)
+            g_scores = probs * (g_probs - inner) * factor
+            if q.requires_grad:
+                _accumulate(q, merge(g_scores @ kt.transpose(0, 1, 3, 2)))
+            if k.requires_grad:
+                _accumulate(k, merge((qh.transpose(0, 1, 3, 2) @ g_scores).transpose(0, 1, 3, 2)))
+        if v.requires_grad:
+            _accumulate(v, merge(probs.transpose(0, 1, 3, 2) @ gh))
 
     return _make(out, (q, k, v), bwd)
 

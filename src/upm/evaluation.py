@@ -295,7 +295,10 @@ def zero_shot_classify(
         prompts = [t.format(name) for t in templates]
         rows = embed_texts(prompts, params, config)
         mean = rows.mean(axis=0)
-        class_rows.append(mean / np.linalg.norm(mean))
+        norm = np.linalg.norm(mean)
+        if norm == 0:
+            raise DegenerateInputError(f"class {name!r}: mean prompt embedding has zero norm")
+        class_rows.append(mean / norm)
     class_matrix = np.stack(class_rows)
 
     scene_matrix = np.stack(

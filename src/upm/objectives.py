@@ -74,7 +74,10 @@ def _zero_scalar() -> Tensor:
 def _stack(embeddings) -> Tensor:
     if isinstance(embeddings, Tensor):
         return embeddings
-    return E.concat(list(embeddings), axis=0)
+    embeddings = list(embeddings)
+    if not embeddings:
+        return Tensor(np.zeros((0, 0)))
+    return E.concat(embeddings, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,22 +135,12 @@ def geo_loss_from_targets(
     """Soft-label cross-entropy of within-scene similarities against targets."""
     h = _stack(view_embeddings)
     n_views = h.shape[0]
+    if n_views < 2:
+        raise DegenerateInputError("geometric loss needs at least two views")
     if targets.shape != (n_views, n_views - 1):
         raise ContractError(f"targets shape {targets.shape} does not match {n_views} views")
     logits = E.mul(E.matmul(h, E.transpose(h)), temperature.inverse())
-    total = _zero_scalar()
-    for v in range(n_views):
-        row = E.narrow(logits, 0, v, 1)
-        parts = []
-        if v > 0:
-            parts.append(E.narrow(row, 1, 0, v))
-        if v < n_views - 1:
-            parts.append(E.narrow(row, 1, v + 1, n_views - 1 - v))
-        candidate_row = parts[0] if len(parts) == 1 else E.concat(parts, axis=1)
-        log_probs = E.log_softmax(candidate_row, axis=1)
-        weighted = E.mul(Tensor(targets[v][None, :]), log_probs)
-        total = E.add(total, E.neg(E.reduce_sum(weighted)))
-    return total
+    return E.off_diagonal_soft_xent(logits, targets)
 
 
 def geo_loss(

@@ -18,12 +18,15 @@ then the chosen strength is refit on the full few-shot training set.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
+
+logger = logging.getLogger(__name__)
 
 GRID_STEPS = 96
 
@@ -478,7 +481,9 @@ def linear_probe(
 
     The holdout fold takes ``holdout_fraction`` of the few-shot training
     set (at least one example); the best grid point by holdout accuracy
-    (lowest reg on ties) is refit on the full training set.
+    (lowest reg on ties) is refit on the full training set.  One WARNING
+    reports how many grid fits stopped at ``max_iterations`` without
+    converging and whether the refit converged, when any fit did not.
     """
     train_labels = np.asarray(train_labels)
     test_labels = np.asarray(test_labels)
@@ -510,9 +515,17 @@ def linear_probe(
             best = (score, gi)
 
     chosen_reg = float(cfg.reg_grid[best[1]])
-    w, b, _ = fit_logistic(
+    w, b, refit = fit_logistic(
         train_features, train_labels, n_classes, chosen_reg,
         max_iterations=cfg.max_iterations, history=cfg.history,
     )
+    unconverged = sum(not fit.converged for fit in fits)
+    if unconverged or not refit.converged:
+        logger.warning(
+            "linear probe: %d of %d grid fits stopped at max_iterations=%d without "
+            "converging; the refit at reg %g %s",
+            unconverged, len(fits), cfg.max_iterations, chosen_reg,
+            "converged" if refit.converged else "did not converge",
+        )
     test_acc = accuracy(predict_logistic(w, b, test_features), test_labels)
     return ProbeOutcome(test_accuracy=test_acc, chosen_reg=chosen_reg, holdout_accuracy=best[0])

@@ -28,6 +28,7 @@ logger = logging.getLogger(__name__)
 
 TEMPERATURE_KEY = "temperature.log_tau"
 METRICS_HEADER = "step\tlr\tl_geo\tl_ground\tl_view\tl_scene\ttotal\ttau"
+TELEMETRY_HEADER = "step\tgrad_norm\tlr\ttau"
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,10 @@ class OptimizerState:
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
+    # Two work arrays per parameter shape for adamw_step; they carry no state.
+    work_arrays: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, repr=False
+    )
 
 
 def adamw_step(
@@ -110,25 +115,48 @@ def adamw_step(
     eps: float = 1e-8,
     no_decay: frozenset[str] = frozenset({TEMPERATURE_KEY}),
 ) -> None:
-    """Decoupled-weight-decay Adam with bias correction, in place."""
+    """Decoupled-weight-decay Adam with bias correction, in place.
+
+    Per parameter: m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g*g,
+    then p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay*p), with the
+    intermediates written into the state's work arrays.
+    """
     state.step += 1
     t = state.step
+    m_correction = 1.0 - beta1**t
+    v_correction = 1.0 - beta2**t
     for name, tensor in named_params:
         grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.array)
         if not np.isfinite(grad).all():
             raise NumericError(f"non-finite gradient in parameter {name}")
-        m = state.first_moment.setdefault(name, np.zeros_like(tensor.array))
-        v = state.second_moment.setdefault(name, np.zeros_like(tensor.array))
+        m = state.first_moment.get(name)
+        if m is None:
+            m = state.first_moment[name] = np.zeros_like(tensor.array)
+        v = state.second_moment.get(name)
+        if v is None:
+            v = state.second_moment[name] = np.zeros_like(tensor.array)
+        buffers = state.work_arrays.get(tensor.array.shape)
+        if buffers is None:
+            buffers = state.work_arrays[tensor.array.shape] = (
+                np.empty_like(tensor.array), np.empty_like(tensor.array))
+        update, work = buffers
         m *= beta1
-        m += (1.0 - beta1) * grad
+        np.multiply(1.0 - beta1, grad, out=work)
+        m += work
         v *= beta2
-        v += (1.0 - beta2) * grad * grad
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        update = m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(1.0 - beta2, grad, out=work)
+        work *= grad
+        v += work
+        np.divide(m, m_correction, out=update)
+        np.divide(v, v_correction, out=work)
+        np.sqrt(work, out=work)
+        work += eps
+        update /= work
         if weight_decay and name not in no_decay:
-            update = update + weight_decay * tensor.array
-        tensor.array -= lr * update
+            np.multiply(weight_decay, tensor.array, out=work)
+            update += work
+        update *= lr
+        tensor.array -= update
 
 
 def clip_gradients(named_params, max_norm: float) -> float:
@@ -258,6 +286,7 @@ class TrainResult:
     checkpoint_path: Path
     best_checkpoint_path: Path
     metrics_path: Path
+    telemetry_path: Path
     initial_total: float
     final_total: float
     steps: int
@@ -274,7 +303,12 @@ def train(
     enc_cfg: EncoderConfig,
     out_dir,
 ) -> TrainResult:
-    """Run pretraining over the manifest's train split."""
+    """Run pretraining over the manifest's train split.
+
+    Writes ``metrics.tsv`` (the losses per step) and ``telemetry.tsv`` (the
+    pre-clip gradient norm, learning rate and temperature per step) into
+    ``out_dir``, with the checkpoints.
+    """
     manifest_path = Path(manifest_path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -297,6 +331,7 @@ def train(
     total_steps = cfg.epochs * steps_per_epoch
 
     metrics_path = out_dir / "metrics.tsv"
+    telemetry_path = out_dir / "telemetry.tsv"
     checkpoint_path = out_dir / "checkpoint.upm"
     best_path = out_dir / "checkpoint_best.upm"
 
@@ -304,8 +339,10 @@ def train(
     initial_total = None
     final_epoch_totals: list[float] = []
     step = 0
-    with open(metrics_path, "w", encoding="utf-8") as metrics:
+    with (open(metrics_path, "w", encoding="utf-8") as metrics,
+          open(telemetry_path, "w", encoding="utf-8") as telemetry):
         metrics.write(METRICS_HEADER + "\n")
+        telemetry.write(TELEMETRY_HEADER + "\n")
         for epoch in range(cfg.epochs):
             order = np.random.default_rng((cfg.seed, epoch)).permutation(len(train_scenes))
             epoch_totals = []
@@ -315,7 +352,7 @@ def train(
                 E.zero_grads(t for _, t in named)
                 breakdown = batch_loss(batch, params, enc_cfg, temperature, cfg)
                 E.backward(breakdown.total)
-                clip_gradients(named, cfg.grad_clip)
+                grad_norm = clip_gradients(named, cfg.grad_clip)
                 adamw_step(
                     named, state, lr,
                     beta1=cfg.beta1, beta2=cfg.beta2, weight_decay=cfg.weight_decay,
@@ -333,6 +370,7 @@ def train(
                     f"\t{values['l_view']!r}\t{values['l_scene']!r}\t{values['total']!r}"
                     f"\t{temperature.value!r}\n"
                 )
+                telemetry.write(f"{step}\t{grad_norm!r}\t{lr!r}\t{temperature.value!r}\n")
                 step += 1
 
             if val_scenes:
@@ -353,6 +391,7 @@ def train(
         checkpoint_path=checkpoint_path,
         best_checkpoint_path=best_path,
         metrics_path=metrics_path,
+        telemetry_path=telemetry_path,
         initial_total=float(initial_total),
         final_total=float(np.mean(final_epoch_totals)),
         steps=step,

@@ -335,6 +335,57 @@ class TestStackedOpGradients:
         assert E.finite_diff_check(f, row) <= 1e-6
 
 
+class TestConstantOperands:
+    """An operand without requires_grad gets no gradient, and the others the same bits."""
+
+    @pytest.mark.parametrize("left_shape", [(5, 4), (3, 5, 4)])
+    def test_matmul_constant_left(self, left_shape):
+        rng = np.random.default_rng(71)
+        a = E.Tensor(rng.normal(size=left_shape))
+        w = E.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        probe = rng.normal(size=left_shape[:-1] + (3,))
+        E.backward(E.reduce_sum(E.mul(E.matmul(a, w), E.Tensor(probe))))
+        assert a.grad is None
+        # The weight gradient as matmul has always formed it.
+        if len(left_shape) == 2:
+            expected = np.zeros((4, 3)) + a.array.T @ probe
+        else:
+            expected = np.zeros((4, 3)) + np.matmul(a.array.transpose(0, 2, 1), probe).sum(axis=0)
+        assert w.grad.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "name,shapes,build",
+        [
+            ("add", [(3, 4), (1, 4)], lambda a, b: E.add(a, b)),
+            ("sub", [(3, 4), (3, 4)], lambda a, b: E.sub(a, b)),
+            ("mul", [(3, 4), (3, 4)], lambda a, b: E.mul(a, b)),
+            ("matmul", [(3, 4), (4, 2)], lambda a, b: E.matmul(a, b)),
+            ("matmul_stacked", [(2, 3, 4), (4, 2)], lambda a, b: E.matmul(a, b)),
+            ("concat", [(2, 4), (3, 4)], lambda a, b: E.concat([a, b], axis=0)),
+            ("layer_norm", [(2, 3, 4), (4,), (4,)], lambda x, g, b: E.layer_norm(x, g, b)),
+            ("attention", [(2, 3, 4)] * 3, lambda q, k, v: E.attention(q, k, v, 2)),
+        ],
+    )
+    def test_every_subset_of_tracked_operands(self, name, shapes, build):
+        rng = np.random.default_rng(72)
+        values = [rng.normal(size=shape) for shape in shapes]
+        probe = E.Tensor(rng.normal(size=build(*map(E.Tensor, values)).shape))
+
+        def run(tracked):
+            operands = [E.Tensor(v.copy(), requires_grad=t) for v, t in zip(values, tracked)]
+            E.backward(E.reduce_sum(E.mul(build(*operands), probe)))
+            return operands
+
+        reference = run([True] * len(shapes))
+        for mask in range(1, 2 ** len(shapes) - 1):
+            tracked = [bool(mask >> i & 1) for i in range(len(shapes))]
+            for operand, ref, t in zip(run(tracked), reference, tracked):
+                if t:
+                    assert operand.grad.tobytes() == ref.grad.tobytes(), (name, tracked)
+                else:
+                    assert operand.grad is None, (name, tracked)
+
+
 class TestFiniteDiffCheck:
     def test_sum_is_exact(self):
         x = E.Tensor(np.arange(4.0), requires_grad=True)

@@ -204,6 +204,14 @@ class TestZeroShot:
         with pytest.raises(ContractError):
             ev.zero_shot_classify(params, config, test_scenes, ["bedroom"])
 
+    def test_zero_mean_prompt_embedding_rejected(self, trained, test_scenes, monkeypatch):
+        # Two prompts with opposite embeddings average to a zero vector.
+        params, config = trained
+        monkeypatch.setattr(ev, "embed_texts", lambda prompts, *_: np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        with pytest.raises(DegenerateInputError, match="zero norm"):
+            ev.zero_shot_classify(params, config, test_scenes, ["bedroom", "kitchen"],
+                                  template=["a {}", "the {}"])
+
     def test_end_to_end_with_prompt_ensemble(self, trained, test_scenes):
         params, config = trained
         names = list(D.SCENE_TYPES)

@@ -9,7 +9,7 @@ import pytest
 from upm import engine as E
 from upm import objectives as obj
 from upm.engine import Tensor
-from upm.errors import ContractError, DegenerateInputError
+from upm.errors import ContractError, DegenerateInputError, ShapeError
 from upm.geometry import Pointmap
 
 
@@ -47,6 +47,43 @@ def paired_infonce_oracle(logits):
         total -= math.log(math.exp(logits[i, i]) / sum(math.exp(x) for x in logits[i, :]))
         total -= math.log(math.exp(logits[i, i]) / sum(math.exp(x) for x in logits[:, i]))
     return total / (2.0 * n)
+
+
+def oracle_off_diagonal_soft_xent(logits, targets):
+    """The per-row graph the fused op replaces: one op chain per anchor view."""
+    n_views = logits.shape[0]
+    total = Tensor(np.zeros(1))
+    for v in range(n_views):
+        row = E.narrow(logits, 0, v, 1)
+        parts = []
+        if v > 0:
+            parts.append(E.narrow(row, 1, 0, v))
+        if v < n_views - 1:
+            parts.append(E.narrow(row, 1, v + 1, n_views - 1 - v))
+        candidate_row = parts[0] if len(parts) == 1 else E.concat(parts, axis=1)
+        log_probs = E.log_softmax(candidate_row, axis=1)
+        weighted = E.mul(Tensor(targets[v][None, :]), log_probs)
+        total = E.add(total, E.neg(E.reduce_sum(weighted)))
+    return total
+
+
+def random_targets(rng, n_views):
+    """Dirichlet rows, with a one-hot row (exact zeros) when there is room."""
+    targets = rng.dirichlet(np.ones(n_views - 1), size=n_views)
+    if n_views > 2:
+        targets[1] = np.eye(n_views - 1)[rng.integers(0, n_views - 1)]
+    return targets
+
+
+def geo_graph(xent, base, targets, tau):
+    """Per-view rows -> stacked logits -> xent, backpropagated as in a train step."""
+    rows = [Tensor(base[i : i + 1].copy(), requires_grad=True) for i in range(len(base))]
+    temp = obj.Temperature(tau)
+    h = E.concat(rows, axis=0)
+    logits = E.mul(E.matmul(h, E.transpose(h)), temp.inverse())
+    loss = xent(logits, targets)
+    E.backward(E.add(E.scale(loss, obj.DEFAULT_GEO_WEIGHT), Tensor(np.ones(1))))
+    return loss, logits, rows, temp
 
 
 class TestGeoAlignConfig:
@@ -179,6 +216,88 @@ class TestGeoLoss:
         assert E.finite_diff_check(
             lambda _: obj.geo_loss_from_targets(h2, targets, temp), temp.log_tau, h=1e-6
         ) <= 1e-5
+
+
+class TestFusedGeoLoss:
+    """The fused op is bitwise the per-row chain it replaced."""
+
+    @pytest.mark.parametrize("n_views", range(2, 13))
+    def test_matches_per_row_oracle_bytewise(self, n_views):
+        rng = np.random.default_rng(100 + n_views)
+        for trial in range(3):
+            base = unit_rows(rng, n_views, 16)
+            if trial == 2:
+                base[-1] = base[0]  # tied logits
+            targets = random_targets(rng, n_views)
+            tau = float(rng.uniform(0.05, 1.0))
+            fused = geo_graph(E.off_diagonal_soft_xent, base, targets, tau)
+            oracle = geo_graph(oracle_off_diagonal_soft_xent, base, targets, tau)
+            (loss, logits, rows, temp), (o_loss, o_logits, o_rows, o_temp) = fused, oracle
+            assert loss.array.tobytes() == o_loss.array.tobytes()
+            assert logits.grad.tobytes() == o_logits.grad.tobytes()
+            for row, o_row in zip(rows, o_rows):
+                assert row.grad.tobytes() == o_row.grad.tobytes()
+            assert temp.log_tau.grad.tobytes() == o_temp.log_tau.grad.tobytes()
+            assert np.all(np.diag(logits.grad) == 0.0)
+
+    @pytest.mark.parametrize("n_views", [3, 12])
+    def test_geo_loss_from_targets_matches_oracle_bytewise(self, n_views):
+        rng = np.random.default_rng(n_views)
+        base = unit_rows(rng, n_views, 16)
+        targets = random_targets(rng, n_views)
+        rows = [Tensor(base[i : i + 1].copy(), requires_grad=True) for i in range(n_views)]
+        temp = obj.Temperature(0.3)
+        loss = obj.geo_loss_from_targets(rows, targets, temp)
+        # The rows, log_tau, and seven nodes, whatever the view count.
+        assert len(E.trace_graph(loss)) == n_views + 8
+        E.backward(E.add(E.scale(loss, obj.DEFAULT_GEO_WEIGHT), Tensor(np.ones(1))))
+        o_loss, _, o_rows, o_temp = geo_graph(oracle_off_diagonal_soft_xent, base, targets, 0.3)
+        assert loss.array.tobytes() == o_loss.array.tobytes()
+        for row, o_row in zip(rows, o_rows):
+            assert row.grad.tobytes() == o_row.grad.tobytes()
+        assert temp.log_tau.grad.tobytes() == o_temp.log_tau.grad.tobytes()
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(13)
+        for n_views in (2, 5, 9):
+            targets = random_targets(rng, n_views)
+            logits = Tensor(rng.normal(size=(n_views, n_views)), requires_grad=True)
+            assert E.finite_diff_check(
+                lambda x: E.off_diagonal_soft_xent(x, targets), logits, h=1e-6
+            ) <= 1e-6
+
+    def test_value_matches_scalar_oracle(self):
+        rng = np.random.default_rng(14)
+        logits = rng.normal(size=(5, 5))
+        targets = random_targets(rng, 5)
+        expected = 0.0
+        for v in range(5):
+            row = [logits[v, u] for u in range(5) if u != v]
+            z = sum(math.exp(x) for x in row)
+            expected -= sum(t * math.log(math.exp(x) / z) for t, x in zip(targets[v], row))
+        loss = E.off_diagonal_soft_xent(Tensor(logits), targets)
+        assert loss.shape == (1,)
+        assert loss.item() == pytest.approx(expected, abs=1e-12)
+
+    def test_shape_checks(self):
+        with pytest.raises(ShapeError):
+            E.off_diagonal_soft_xent(Tensor(np.zeros((3, 4))), np.zeros((3, 2)))
+        with pytest.raises(ShapeError):
+            E.off_diagonal_soft_xent(Tensor(np.zeros(3)), np.zeros((3, 2)))
+        with pytest.raises(ShapeError):
+            E.off_diagonal_soft_xent(Tensor(np.zeros((3, 3))), np.zeros((3, 3)))
+        with pytest.raises(DegenerateInputError):
+            E.off_diagonal_soft_xent(Tensor(np.zeros((1, 1))), np.zeros((1, 0)))
+
+    @pytest.mark.parametrize("n_views", [0, 1])
+    def test_fewer_than_two_views_rejected(self, n_views):
+        rows = [Tensor(np.ones((1, 4))) for _ in range(n_views)]
+        targets = np.zeros((n_views, max(n_views - 1, 0)))
+        with pytest.raises(DegenerateInputError, match="at least two views"):
+            obj.geo_loss_from_targets(rows, targets, obj.Temperature())
+        if n_views:
+            with pytest.raises(DegenerateInputError, match="at least two views"):
+                obj.geo_loss_from_targets(rows[0], targets, obj.Temperature())
 
 
 class TestGroundLoss:

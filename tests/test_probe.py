@@ -1,6 +1,7 @@
 """Tests for the L-BFGS optimizer and the linear probe."""
 
 import hashlib
+import logging
 
 import numpy as np
 import pytest
@@ -328,6 +329,25 @@ class TestLinearProbe:
             assert len(sweeps[-1]) == GRID_STEPS
             assert sweep.hexdigest() == sweep_digest
             assert hashlib.sha256(refits[-1][2].x.tobytes()).hexdigest() == refit_digest
+
+    def test_unconverged_fits_logged_once(self, caplog):
+        rng = np.random.default_rng(7)
+        features, labels = separable_toy(rng, n_per_class=4, gap=1.0)
+        regs = (1e-3, 1.0, 1e3)
+        capped = ProbeConfig(shots=4, reg_grid=regs, max_iterations=1)
+        with caplog.at_level(logging.WARNING, logger="upm.probe"):
+            outcome = linear_probe(features, labels, features, labels, capped)
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "3 of 3 grid fits stopped at max_iterations=1" in warnings[0].getMessage()
+        assert "did not converge" in warnings[0].getMessage()
+        assert outcome.chosen_reg in regs
+
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="upm.probe"):
+            linear_probe(features, labels, features, labels,
+                         ProbeConfig(shots=4, reg_grid=(1e3,), max_iterations=1000))
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
 
     def test_accuracy_helper(self):
         assert accuracy(np.array([1, 0, 1]), np.array([1, 1, 1])) == pytest.approx(2 / 3)

@@ -12,6 +12,7 @@ from upm.engine import Tensor, trace_graph
 from upm.errors import ConfigError, ContractError, NumericError
 from upm.objectives import Temperature
 from upm.trainer import (
+    TELEMETRY_HEADER,
     TEMPERATURE_KEY,
     OptimizerState,
     TrainConfig,
@@ -46,6 +47,29 @@ class TestCosineLr:
     def test_step_out_of_range(self):
         with pytest.raises(ContractError):
             cosine_lr(101, 100, 1e-3, 0.1)
+
+
+def oracle_adamw_step(named_params, state, lr, beta1=0.9, beta2=0.98, weight_decay=0.0,
+                      eps=1e-8, no_decay=frozenset({TEMPERATURE_KEY})):
+    """AdamW as one numpy expression per quantity, allocating as it goes."""
+    state.step += 1
+    t = state.step
+    for name, tensor in named_params:
+        grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.array)
+        if not np.isfinite(grad).all():
+            raise NumericError(f"non-finite gradient in parameter {name}")
+        m = state.first_moment.setdefault(name, np.zeros_like(tensor.array))
+        v = state.second_moment.setdefault(name, np.zeros_like(tensor.array))
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        v += (1.0 - beta2) * grad * grad
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        update = m_hat / (np.sqrt(v_hat) + eps)
+        if weight_decay and name not in no_decay:
+            update = update + weight_decay * tensor.array
+        tensor.array -= lr * update
 
 
 class TestAdamw:
@@ -83,6 +107,32 @@ class TestAdamw:
         t = self.one_param(1.0, grad=float("nan"))
         with pytest.raises(NumericError, match="attn.wq"):
             adamw_step([("blocks.0.attn.wq", t)], OptimizerState(), lr=0.1)
+
+    def test_seeded_sequence_matches_oracle_bytewise(self):
+        # Shapes repeat, so parameters share work arrays; one parameter never
+        # gets a gradient and one is excluded from decay.
+        rng = np.random.default_rng(17)
+        shapes = {"a": (6, 4), "b": (6, 4), "c": (4,), "d": (1,), TEMPERATURE_KEY: (1,),
+                  "never": (3, 2)}
+        values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        runs = []
+        for step_fn in (adamw_step, oracle_adamw_step):
+            named = [(name, Tensor(v.copy(), requires_grad=True)) for name, v in values.items()]
+            runs.append((step_fn, named, OptimizerState()))
+        for step in range(8):
+            grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+                     for name, shape in shapes.items() if name != "never"}
+            lr = float(rng.uniform(1e-4, 1e-1))
+            for step_fn, named, state in runs:
+                for name, tensor in named:
+                    tensor.grad = grads[name].copy() if name in grads else None
+                step_fn(named, state, lr, beta1=0.85, beta2=0.97, weight_decay=0.05)
+            (_, named, state), (_, o_named, o_state) = runs
+            assert state.step == o_state.step == step + 1
+            for (name, tensor), (_, o_tensor) in zip(named, o_named):
+                assert tensor.array.tobytes() == o_tensor.array.tobytes(), (step, name)
+                assert state.first_moment[name].tobytes() == o_state.first_moment[name].tobytes()
+                assert state.second_moment[name].tobytes() == o_state.second_moment[name].tobytes()
 
     def test_missing_grad_treated_as_zero(self):
         t = self.one_param(3.0)
@@ -165,8 +215,9 @@ class TestPrepareScene:
 
 class TestBatchLoss:
     def test_default_step_graph_is_small(self):
-        # 4 scenes x 8 views encode as one stacked graph: under 600 nodes,
-        # where one graph per view and one op chain per head built ~4,000.
+        # 4 scenes x 8 views encode as one stacked graph, and each scene's
+        # geometric loss is one fused op: under 300 nodes, where one graph
+        # per view, one op chain per head and one per anchor view built ~4,000.
         cfg = TrainConfig()
         scenes = [D.generate_scene(D.SceneSpec(scene_type=D.SCENE_TYPES[i]), seed=i)
                   for i in range(cfg.scenes_per_batch)]
@@ -174,7 +225,7 @@ class TestBatchLoss:
         assert sum(len(p.views) for p in batch) == 32
         params = init_encoder_params(EncoderConfig(), seed=0)
         breakdown = batch_loss(batch, params, EncoderConfig(), Temperature(cfg.initial_tau), cfg)
-        assert len(trace_graph(breakdown.total)) < 600
+        assert len(trace_graph(breakdown.total)) < 300
 
 
 class TestTrainLoop:
@@ -205,6 +256,18 @@ class TestTrainLoop:
         b = train(tiny_dataset, cfg, TINY_ENCODER, tmp_path / "b")
         assert a.checkpoint_path.read_bytes() == b.checkpoint_path.read_bytes()
         assert a.metrics_path.read_bytes() == b.metrics_path.read_bytes()
+        assert a.telemetry_path.read_bytes() == b.telemetry_path.read_bytes()
+
+    def test_telemetry_rows(self, tiny_run):
+        assert TELEMETRY_HEADER == "step\tgrad_norm\tlr\ttau"
+        lines = tiny_run.telemetry_path.read_text().splitlines()
+        assert lines[0] == TELEMETRY_HEADER
+        assert len(lines) - 1 == tiny_run.steps
+        metrics = [row.split("\t") for row in tiny_run.metrics_path.read_text().splitlines()[1:]]
+        for row, metric in zip(lines[1:], metrics):
+            step, grad_norm, lr, tau = row.split("\t")
+            assert (step, lr, tau) == (metric[0], metric[1], metric[7])
+            assert math.isfinite(float(grad_norm)) and float(grad_norm) > 0.0
 
     def test_checkpoint_carries_temperature(self, tiny_run):
         _, _, extras = load_checkpoint(tiny_run.checkpoint_path)
