@@ -374,36 +374,6 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> Scene | None:
 
 
 # ---------------------------------------------------------------------------
-# consistency check
-
-
-def _aabb_surface_distance(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    below = np.maximum(lo - points, 0.0)
-    above = np.maximum(points - hi, 0.0)
-    outside = np.sqrt((below * below + above * above).sum(axis=1))
-    inside_margin = np.minimum(points - lo, hi - points).min(axis=1)
-    return np.where(outside > 0.0, outside, inside_margin)
-
-
-def render_depth_consistency_check(scene: Scene, room_half: float | None = None) -> float:
-    """Max distance from any back-projected point to a rendered surface.
-
-    Every valid pixel must land on the floor plane or on some object's
-    AABB surface; returns the worst offender in meters.
-    """
-    worst = 0.0
-    for view in scene.views:
-        pts = view.pointmap().valid_points()
-        if len(pts) == 0:
-            continue
-        best = np.abs(pts[:, 2])  # floor plane z=0
-        for obj in scene.objects:
-            best = np.minimum(best, _aabb_surface_distance(pts, obj.aabb_min, obj.aabb_max))
-        worst = max(worst, float(best.max()))
-    return worst
-
-
-# ---------------------------------------------------------------------------
 # on-disk format
 
 

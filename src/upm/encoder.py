@@ -48,12 +48,20 @@ class EncoderConfig:
     text_context_length: int = 77
 
     def __post_init__(self):
+        sizes = ("image_size", "patch_size", "embed_dim", "num_heads", "mlp_ratio",
+                 "text_context_length")
+        for name in sizes:
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be positive, got {value}")
+        if self.num_blocks < 0:
+            raise ConfigError(f"num_blocks must be nonnegative, got {self.num_blocks}")
+        if self.text_vocab_size < 2:  # id 0 is reserved for the empty text
+            raise ConfigError(f"text_vocab_size must be at least 2, got {self.text_vocab_size}")
         if self.image_size % self.patch_size != 0:
             raise ConfigError("image_size must be divisible by patch_size")
         if self.embed_dim % self.num_heads != 0:
             raise ConfigError("embed_dim must be divisible by num_heads")
-        if self.text_vocab_size < 2 or self.text_context_length < 1:
-            raise ConfigError("text vocabulary/context sizes out of range")
 
     @property
     def num_patches(self) -> int:
@@ -227,15 +235,6 @@ def _to_patches(grid: np.ndarray, p: int) -> np.ndarray:
     return np.ascontiguousarray(patches.reshape(rows * cols, p * p * c))
 
 
-def unpatchify(patches: np.ndarray, image_size: int, patch_size: int) -> np.ndarray:
-    """Inverse of the patch split (used to verify the round trip)."""
-    p = patch_size
-    side = image_size // p
-    c = patches.shape[1] // (p * p)
-    grid = patches.reshape(side, side, p, p, c).transpose(0, 2, 1, 3, 4)
-    return np.ascontiguousarray(grid.reshape(image_size, image_size, c))
-
-
 # ---------------------------------------------------------------------------
 # forward pass
 
@@ -374,8 +373,12 @@ def _config_record(config: EncoderConfig) -> bytes:
 
 
 def _parse_config_record(blob: bytes) -> EncoderConfig:
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"checkpoint config record is not UTF-8: {exc}") from exc
     values = {}
-    for line in blob.decode("utf-8").splitlines():
+    for line in text.splitlines():
         key, sep, raw = line.partition("=")
         if not sep:
             raise FormatError(f"checkpoint config line without '=': {line!r}")
@@ -385,8 +388,8 @@ def _parse_config_record(blob: bytes) -> EncoderConfig:
             raise FormatError(f"checkpoint config value is not an integer: {line!r}") from exc
     try:
         return EncoderConfig(**values)
-    except TypeError as exc:
-        raise FormatError(f"unrecognized checkpoint config record: {exc}") from exc
+    except (TypeError, ConfigError) as exc:
+        raise FormatError(f"invalid checkpoint config record: {exc}") from exc
 
 
 def save_checkpoint(path, params: EncoderParams, config: EncoderConfig, extras=None) -> None:
@@ -433,7 +436,10 @@ def load_checkpoint(path) -> tuple[EncoderParams, EncoderConfig, dict[str, Tenso
         tensors: dict[str, np.ndarray] = {}
         for _ in range(n_entries):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, path))
-            name = _read_exact(fh, name_len, path).decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len, path).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"checkpoint tensor name is not UTF-8: {path}") from exc
             (rank,) = struct.unpack("<B", _read_exact(fh, 1, path))
             dims = [struct.unpack("<I", _read_exact(fh, 4, path))[0] for _ in range(rank)]
             count = int(np.prod(dims)) if dims else 1

@@ -2,7 +2,9 @@
 classification (zero-shot and linear probe), and report emission.
 
 All rankings use cosine similarity between unit-normalized embeddings;
-ties break toward the lower index.  Embedding extraction runs outside
+ties break toward the lower index.  Grounding and retrieval share one
+Recall@N, and retrieval, zero-shot classification and the probe share
+one scene embedding, ``embed_scenes``.  Embedding extraction runs outside
 the autodiff graph.
 """
 
@@ -18,7 +20,7 @@ import numpy as np
 from . import engine as E
 from .data import Scene
 from .encoder import EncoderConfig, EncoderParams, encode_texts, encode_views
-from .errors import ContractError, DegenerateInputError
+from .errors import ContractError, DegenerateInputError, FormatError
 from .geometry import DEFAULT_MIN_POINTS, max_coverage_sample, visible_areas
 from .probe import ProbeConfig, ProbeOutcome, linear_probe
 
@@ -49,6 +51,14 @@ def rank_descending(scores: np.ndarray) -> list[int]:
     return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
 
+def _recall_at(
+    orders: Sequence[list[int]], targets: Sequence[int], recall_ns: Sequence[int]
+) -> dict[int, float]:
+    """For each N, the fraction of rankings that place their target in the top N."""
+    positions = [order.index(target) for order, target in zip(orders, targets)]
+    return {n: sum(position < n for position in positions) / len(positions) for n in recall_ns}
+
+
 # ---------------------------------------------------------------------------
 # embedding extraction
 
@@ -69,6 +79,15 @@ def scene_embedding_from_views(view_embeddings: np.ndarray) -> np.ndarray:
     if norm < 1e-12:
         raise DegenerateInputError("scene embedding degenerates to zero")
     return mean / norm
+
+
+def embed_scenes(
+    scenes: Sequence[Scene], params: EncoderParams, config: EncoderConfig
+) -> np.ndarray:
+    """One pooled, unit-norm embedding row per scene, as an (S, d) array."""
+    return np.stack(
+        [scene_embedding_from_views(embed_scene_views(s, params, config)) for s in scenes]
+    )
 
 
 def embed_texts(texts: Sequence[str], params: EncoderParams, config: EncoderConfig) -> np.ndarray:
@@ -136,21 +155,12 @@ def grounding_metrics(
     """Recall@N and visible-set accuracy from per-instance view scores."""
     if len(similarities) == 0:
         return RetrievalResult(recall_at={n: 0.0 for n in recall_ns}, visible_set_accuracy=0.0, count=0)
-    hits = {n: 0 for n in recall_ns}
-    visible_hits = 0
-    for scores, gt, visible in zip(similarities, gt_views, visible_sets):
-        order = rank_descending(np.asarray(scores))
-        position = order.index(gt)
-        for n in recall_ns:
-            if position < n:
-                hits[n] += 1
-        if order[0] in visible:
-            visible_hits += 1
-    count = len(similarities)
+    orders = [rank_descending(np.asarray(scores)) for scores in similarities]
+    visible_hits = sum(order[0] in visible for order, visible in zip(orders, visible_sets))
     return RetrievalResult(
-        recall_at={n: hits[n] / count for n in recall_ns},
-        visible_set_accuracy=visible_hits / count,
-        count=count,
+        recall_at=_recall_at(orders, gt_views, recall_ns),
+        visible_set_accuracy=visible_hits / len(orders),
+        count=len(orders),
     )
 
 
@@ -204,47 +214,40 @@ def build_scene_captions(scene: Scene, n_utterances: int) -> list[str]:
     return [". ".join(chunk) for chunk in chunks]
 
 
+def _retrieval_captions(scenes: Sequence[Scene], n_utterances: int) -> tuple[list[str], list[int]]:
+    """Every scene's captions, and the index of the scene each one describes."""
+    captions, gt_scene = [], []
+    for i, scene in enumerate(scenes):
+        for caption in build_scene_captions(scene, n_utterances):
+            captions.append(caption)
+            gt_scene.append(i)
+    return captions, gt_scene
+
+
+def _caption_recall(
+    caption_matrix: np.ndarray,
+    gt_scene: Sequence[int],
+    scene_matrix: np.ndarray,
+    recall_ns: Sequence[int],
+) -> dict[int, float]:
+    orders = [rank_descending(row) for row in cosine_similarity(caption_matrix, scene_matrix)]
+    return _recall_at(orders, gt_scene, recall_ns)
+
+
 def scene_retrieval(
     params: EncoderParams,
     config: EncoderConfig,
     scenes: Sequence[Scene],
     n_utterances: int,
     recall_ns: Sequence[int] = (1, 5),
-    view_budget: int | None = None,
-    voxel_size: float = 0.25,
 ) -> RetrievalResult:
     """Rank scenes against captions built from their referring texts."""
-    scene_rows = []
-    for scene in scenes:
-        views = embed_scene_views(scene, params, config)
-        if view_budget is not None and view_budget < len(scene.views):
-            chosen = max_coverage_sample(scene.pointmaps(), view_budget, voxel_size)
-            views = views[chosen]
-        scene_rows.append(scene_embedding_from_views(views))
-    scene_matrix = np.stack(scene_rows)
-
-    captions, gt_scene = [], []
-    for i, scene in enumerate(scenes):
-        for caption in build_scene_captions(scene, n_utterances):
-            captions.append(caption)
-            gt_scene.append(i)
+    captions, gt_scene = _retrieval_captions(scenes, n_utterances)
     if not captions:
         return RetrievalResult(recall_at={n: 0.0 for n in recall_ns}, visible_set_accuracy=None, count=0)
-
-    caption_matrix = embed_texts(captions, params, config)
-    sims = cosine_similarity(caption_matrix, scene_matrix)
-    hits = {n: 0 for n in recall_ns}
-    for row, gt in zip(sims, gt_scene):
-        order = rank_descending(row)
-        position = order.index(gt)
-        for n in recall_ns:
-            if position < n:
-                hits[n] += 1
-    return RetrievalResult(
-        recall_at={n: hits[n] / len(captions) for n in recall_ns},
-        visible_set_accuracy=None,
-        count=len(captions),
-    )
+    scene_matrix = embed_scenes(scenes, params, config)
+    recall = _caption_recall(embed_texts(captions, params, config), gt_scene, scene_matrix, recall_ns)
+    return RetrievalResult(recall_at=recall, visible_set_accuracy=None, count=len(captions))
 
 
 def retrieval_views_curve(
@@ -255,14 +258,25 @@ def retrieval_views_curve(
     budgets: Sequence[int],
     voxel_size: float = 0.25,
 ) -> list[tuple[int, float]]:
-    """R@1 of scene retrieval as the per-scene view budget varies."""
+    """R@1 of scene retrieval as the per-scene view budget varies.
+
+    Each scene and each caption is encoded once.  At each budget a scene
+    with more views than the budget is represented by the pooled rows of
+    its max-coverage views.
+    """
+    captions, gt_scene = _retrieval_captions(scenes, n_utterances)
+    if not captions:
+        return [(budget, 0.0) for budget in budgets]
+    caption_matrix = embed_texts(captions, params, config)
+    scene_views = [(embed_scene_views(s, params, config), s.pointmaps()) for s in scenes]
     curve = []
     for budget in budgets:
-        result = scene_retrieval(
-            params, config, scenes, n_utterances,
-            recall_ns=(1,), view_budget=budget, voxel_size=voxel_size,
-        )
-        curve.append((budget, result.recall_at[1]))
+        rows = []
+        for views, pointmaps in scene_views:
+            if budget < len(views):
+                views = views[max_coverage_sample(pointmaps, budget, voxel_size)]
+            rows.append(scene_embedding_from_views(views))
+        curve.append((budget, _caption_recall(caption_matrix, gt_scene, np.stack(rows), (1,))[1]))
     return curve
 
 
@@ -301,11 +315,9 @@ def zero_shot_classify(
         class_rows.append(mean / norm)
     class_matrix = np.stack(class_rows)
 
-    scene_matrix = np.stack(
-        [scene_embedding_from_views(embed_scene_views(s, params, config)) for s in scenes]
-    )
     labels = np.array([class_names.index(s.scene_type) for s in scenes])
-    return classify_from_similarities(cosine_similarity(scene_matrix, class_matrix), labels)
+    similarities = cosine_similarity(embed_scenes(scenes, params, config), class_matrix)
+    return classify_from_similarities(similarities, labels)
 
 
 def probe_features(
@@ -315,11 +327,8 @@ def probe_features(
     class_names: Sequence[str],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scene embeddings and integer labels for linear probing."""
-    features = np.stack(
-        [scene_embedding_from_views(embed_scene_views(s, params, config)) for s in scenes]
-    )
     labels = np.array([class_names.index(s.scene_type) for s in scenes])
-    return features, labels
+    return embed_scenes(scenes, params, config), labels
 
 
 def few_shot_probe(
@@ -429,12 +438,15 @@ def emit_report(report: EvalReport, out_dir) -> dict[str, Path]:
     return written
 
 
-def parse_summary(path) -> dict[str, float]:
+def parse_summary(path) -> dict[str, float | None]:
     """Read back a key=value summary with exact float round-trip."""
-    values: dict[str, float] = {}
+    values: dict[str, float | None] = {}
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if not line.strip():
             continue
         key, _, raw = line.partition("=")
-        values[key] = float(raw) if raw != "None" else None
+        try:  # a line without '=' leaves raw empty, which float rejects too
+            values[key] = float(raw) if raw != "None" else None
+        except ValueError as exc:
+            raise FormatError(f"summary line is not key=number: {line!r} in {path}") from exc
     return values

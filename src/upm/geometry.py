@@ -7,10 +7,9 @@ over immutable numpy inputs; nothing touches the autodiff engine.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -204,37 +203,14 @@ def pairwise_chamfer(
 ) -> np.ndarray:
     """Symmetric (V, V) matrix of Chamfer distances between all view pairs.
 
-    Each view is subsampled once; entry [v, u] is bitwise
-    ``chamfer_distance(pointmaps[v], pointmaps[u], subsample, seed)`` and
-    the diagonal is zero.
+    Each view's valid points are subsampled once (``subsample=None`` keeps
+    them all).  Entry [v, u] averages the squared distance from every point
+    of v to its nearest neighbor in u, and adds the same average from u to
+    v; the diagonal is zero.  Nearest neighbors come from a KD-tree and
+    agree bitwise with an exhaustive O(n^2) scan.
     """
     means = _mean_min_sq_dists([_subsample(pm.valid_points(), subsample, seed) for pm in pointmaps])
     return means + means.T
-
-
-def chamfer_distance(
-    map_a: Pointmap,
-    map_b: Pointmap,
-    subsample: int | None = None,
-    seed: int = DEFAULT_CHAMFER_SEED,
-) -> float:
-    """Symmetric Chamfer distance between the valid points of two pointmaps.
-
-    Each direction averages the squared distance from every (optionally
-    subsampled) valid point to its nearest neighbor on the other side, and
-    the two directional means are added.  Nearest neighbors come from a
-    KD-tree and agree bitwise with an exhaustive O(n^2) scan.
-    """
-    pts_a = _subsample(map_a.valid_points(), subsample, seed)
-    pts_b = _subsample(map_b.valid_points(), subsample, seed)
-    return chamfer_distance_points(pts_a, pts_b)
-
-
-def chamfer_distance_points(pts_a: np.ndarray, pts_b: np.ndarray) -> float:
-    pts_a = np.asarray(pts_a, dtype=np.float64).reshape(-1, 3)
-    pts_b = np.asarray(pts_b, dtype=np.float64).reshape(-1, 3)
-    means = _mean_min_sq_dists([pts_a, pts_b])
-    return float(means[0, 1] + means[1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -251,26 +227,6 @@ def _ranks_by_distance(distances: np.ndarray, anchor: int) -> dict[int, int]:
     return {u: rank for rank, u in enumerate(order)}
 
 
-def proximity_ranks(
-    pointmaps: Sequence[Pointmap],
-    anchor: int,
-    subsample: int | None = DEFAULT_CHAMFER_SUBSAMPLE,
-    seed: int = DEFAULT_CHAMFER_SEED,
-) -> dict[int, int]:
-    """Rank all other views by ascending Chamfer distance to the anchor.
-
-    Returns a map from view index to 0-based rank; ties break toward the
-    lower view index.
-    """
-    n_views = len(pointmaps)
-    if n_views < 2:
-        raise DegenerateInputError("proximity ranks need at least two views")
-    if not (0 <= anchor < n_views):
-        raise ContractError(f"anchor {anchor} out of range for {n_views} views")
-    cd = pairwise_chamfer(pointmaps, subsample=subsample, seed=seed)
-    return _ranks_by_distance(cd[anchor], anchor)
-
-
 def visible_areas(pointmaps: Sequence[Pointmap], objects: Sequence[ObjectAnnotation]) -> np.ndarray:
     """(V, O) counts of each view's valid pixels whose world point lies in each object box.
 
@@ -283,11 +239,6 @@ def visible_areas(pointmaps: Sequence[Pointmap], objects: Sequence[ObjectAnnotat
         pts = pm.valid_points()[:, None, :]
         areas[v] = np.logical_and(pts >= lo, pts <= hi).all(axis=2).sum(axis=0)
     return areas
-
-
-def visible_area(pointmap: Pointmap, obj: ObjectAnnotation) -> int:
-    """Number of valid pixels whose world point falls inside the object box."""
-    return int(visible_areas([pointmap], [obj])[0, 0])
 
 
 def visibility_pairs(
@@ -362,9 +313,3 @@ def max_coverage_sample(
             break
         chosen.append(v)
     return chosen
-
-
-def coverage_of(pointmaps: Sequence[Pointmap], views: Iterable[int], voxel_size: float) -> int:
-    """Voxel count covered by a specific view subset (exhaustive baseline)."""
-    voxels = _voxel_keys(pointmaps, voxel_size)
-    return len(functools.reduce(np.union1d, (voxels[v] for v in views), np.empty(0, dtype=np.int64)))

@@ -8,7 +8,6 @@ at the view-caption and scene-caption levels.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,8 +23,6 @@ from .geometry import (
     _ranks_by_distance,
     pairwise_chamfer,
 )
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_GEO_WEIGHT = 0.1  # Eq. 8 weight on the geometric term
 TAU_MIN = 1e-3
@@ -65,10 +62,6 @@ class Temperature:
     def clamp(self) -> None:
         """Keep tau inside [TAU_MIN, TAU_MAX]; call after each update."""
         np.clip(self.log_tau.array, np.log(TAU_MIN), np.log(TAU_MAX), out=self.log_tau.array)
-
-
-def _zero_scalar() -> Tensor:
-    return Tensor(np.zeros(1))
 
 
 def _stack(embeddings) -> Tensor:
@@ -143,22 +136,6 @@ def geo_loss_from_targets(
     return E.off_diagonal_soft_xent(logits, targets)
 
 
-def geo_loss(
-    view_embeddings,
-    pointmaps: Sequence[Pointmap],
-    cfg: GeoAlignConfig,
-    temperature: Temperature,
-    subsample: int | None = DEFAULT_CHAMFER_SUBSAMPLE,
-    seed: int = DEFAULT_CHAMFER_SEED,
-) -> Tensor:
-    """Cross-view geometric alignment for one scene (zero if under 2 views)."""
-    if len(pointmaps) < 2:
-        logger.warning("geo loss: scene with fewer than 2 views contributes zero")
-        return _zero_scalar()
-    targets = geo_targets(pointmaps, cfg, subsample=subsample, seed=seed)
-    return geo_loss_from_targets(view_embeddings, targets, temperature)
-
-
 def ground_loss(
     view_embeddings,
     object_text_embeddings,
@@ -168,8 +145,7 @@ def ground_loss(
     """Symmetric InfoNCE over all visible (view, object) pairs in a scene."""
     pair_list = sorted(set(pairs))
     if not pair_list:
-        logger.warning("ground loss: empty positive-pair set contributes zero")
-        return _zero_scalar()
+        raise DegenerateInputError("ground loss needs at least one visible (view, object) pair")
     h = _stack(view_embeddings)
     t = _stack(object_text_embeddings)
     n_views, n_objects = h.shape[0], t.shape[0]

@@ -5,6 +5,10 @@ visibility pairs) is computed once at dataset load; each step encodes the
 selected views, assembles the four losses on one graph, and applies a
 clipped AdamW update.  Everything is deterministic given (seed, config,
 dataset).
+
+Every scene of a batch enters all four losses, except in one place: in
+``batch_loss``, a scene whose selected views observe no object has no
+(view, object) pair, so it contributes zero to the grounded loss.
 """
 
 from __future__ import annotations
@@ -64,6 +68,8 @@ class TrainConfig:
             raise ConfigError("warmup fraction must lie in [0, 1)")
         if self.scenes_per_batch < 1 or self.views_per_scene < 1:
             raise ConfigError("batch and view counts must be positive")
+        if self.use_geo and self.views_per_scene < 2:
+            raise ConfigError("the geometric loss needs at least two views per scene")
 
 
 def paper_train_config() -> TrainConfig:
@@ -230,7 +236,7 @@ def batch_loss(
     temperature: obj.Temperature,
     cfg: TrainConfig,
 ) -> obj.LossBreakdown:
-    """All four objectives over one batch of prepared scenes."""
+    """All four objectives over one batch; a scene without visible pairs skips the grounded one."""
     zero = Tensor(np.zeros(1))
     flat = encode_views(
         [view for scene in batch for view in scene.views], params, enc_cfg, modality=cfg.modality
@@ -241,9 +247,6 @@ def batch_loss(
     l_geo = zero
     if cfg.use_geo:
         for scene, embeddings in zip(batch, per_scene_embeddings):
-            if scene.geo_targets is None:
-                logger.warning("geo loss: scene %s skipped (single view)", scene.scene_id)
-                continue
             l_geo = E.add(l_geo, obj.geo_loss_from_targets(embeddings, scene.geo_targets, temperature))
 
     l_ground = zero

@@ -16,9 +16,35 @@ from upm.geometry import (
     ObjectAnnotation,
     Pointmap,
     back_project,
-    chamfer_distance,
-    visible_area,
+    pairwise_chamfer,
+    visible_areas,
 )
+
+
+def aabb_surface_distance(points, lo, hi):
+    below = np.maximum(lo - points, 0.0)
+    above = np.maximum(points - hi, 0.0)
+    outside = np.sqrt((below * below + above * above).sum(axis=1))
+    inside_margin = np.minimum(points - lo, hi - points).min(axis=1)
+    return np.where(outside > 0.0, outside, inside_margin)
+
+
+def render_depth_consistency(scene):
+    """Max distance from any back-projected point to a rendered surface.
+
+    Every valid pixel must land on the floor plane or on some object's
+    AABB surface; returns the worst offender in meters.
+    """
+    worst = 0.0
+    for view in scene.views:
+        pts = view.pointmap().valid_points()
+        if len(pts) == 0:
+            continue
+        best = np.abs(pts[:, 2])  # floor plane z=0
+        for obj in scene.objects:
+            best = np.minimum(best, aabb_surface_distance(pts, obj.aabb_min, obj.aabb_max))
+        worst = max(worst, float(best.max()))
+    return worst
 
 
 def small_spec(**overrides):
@@ -105,7 +131,7 @@ class TestGenerateScene:
                 scene = D.generate_scene(small_spec(scene_type=scene_type), seed=seed)
                 pms = scene.pointmaps()
                 for obj in scene.objects:
-                    best = max(visible_area(pm, obj) for pm in pms)
+                    best = visible_areas(pms, [obj]).max()
                     assert best >= D.DEFAULT_MIN_POINTS, (scene_type, seed, obj.category)
 
     def test_referring_texts_unique_per_object(self):
@@ -120,7 +146,7 @@ class TestGenerateScene:
         for vi, caption in enumerate(scene.view_captions):
             for obj in scene.objects:
                 noun = obj.referring_text.split(" near ")[0].removeprefix("the ")
-                if visible_area(pms[vi], obj) >= spec.min_points:
+                if visible_areas([pms[vi]], [obj])[0, 0] >= spec.min_points:
                     assert noun in caption
                 else:
                     assert noun not in caption
@@ -167,7 +193,7 @@ class TestRenderConsistency:
         lo, hi = np.array([-0.5, -0.5, 0.0]), np.array([0.5, 0.5, 0.6])
         obj = ObjectAnnotation(0, lo, hi, "the box", "box")
         for pm in self.ring_pointmaps(lo, hi):
-            assert visible_area(pm, obj) > 0
+            assert visible_areas([pm], [obj])[0, 0] > 0
 
     def test_floor_pixels_back_project_to_zero_height(self):
         scene = D.generate_scene(small_spec(object_count=(0, 0)), seed=8)
@@ -204,12 +230,13 @@ class TestRenderConsistency:
             return Pointmap(points=kept.reshape(-1, 1, 3), validity=np.ones((len(kept), 1), bool))
 
         voxel_tolerance = 0.2**2
-        assert chamfer_distance(clipped(pms[0]), clipped(pms[1])) < voxel_tolerance
-        assert chamfer_distance(clipped(pms[0]), clipped(pms[4])) < voxel_tolerance
+        cd = pairwise_chamfer([clipped(pms[0]), clipped(pms[1]), clipped(pms[4])], subsample=None)
+        assert cd[0, 1] < voxel_tolerance
+        assert cd[0, 2] < voxel_tolerance
 
     def test_scene_level_consistency_check(self):
         scene = D.generate_scene(small_spec(), seed=9)
-        assert D.render_depth_consistency_check(scene) <= 1e-6
+        assert render_depth_consistency(scene) <= 1e-6
 
 
 class TestSceneIO:

@@ -27,6 +27,28 @@ def tiny_config(**overrides):
     return EncoderConfig(**defaults)
 
 
+def unpatchify(patches, image_size, patch_size):
+    """Inverse of the patch split, to check the round trip."""
+    p = patch_size
+    side = image_size // p
+    c = patches.shape[1] // (p * p)
+    grid = patches.reshape(side, side, p, p, c).transpose(0, 2, 1, 3, 4)
+    return np.ascontiguousarray(grid.reshape(image_size, image_size, c))
+
+
+def softmax(x, axis=-1):
+    """Softmax as a graph op, for the per-head attention chain of the oracle below."""
+    shifted = x.array - x.array.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def bwd(g):
+        inner = (g * out).sum(axis=axis, keepdims=True)
+        E._accumulate(x, out * (g - inner))
+
+    return E._make(out, (x,), bwd)
+
+
 def random_view(rng, config, invalid_fraction=0.2):
     size = config.image_size
     image = rng.uniform(0.0, 1.0, size=(size, size, 3))
@@ -46,6 +68,17 @@ class TestConfig:
             tiny_config(image_size=10)
         with pytest.raises(ConfigError):
             tiny_config(embed_dim=15)
+
+    @pytest.mark.parametrize("name", ["image_size", "patch_size", "embed_dim", "num_heads", "mlp_ratio",
+                                      "text_context_length"])
+    def test_nonpositive_sizes_rejected(self, name):
+        for value in (0, -4):
+            with pytest.raises(ConfigError, match=name):
+                tiny_config(**{name: value})
+
+    def test_negative_block_count_rejected(self):
+        with pytest.raises(ConfigError, match="num_blocks"):
+            tiny_config(num_blocks=-1)
 
     def test_paper_preset_matches_vit_b16(self):
         cfg = enc.paper_encoder_config()
@@ -76,7 +109,7 @@ class TestPatchify:
         image = rng.uniform(size=(8, 8, 3))
         pm = Pointmap(points=rng.normal(size=(8, 8, 3)), validity=np.ones((8, 8), bool))
         ip, _ = enc.patchify(image, pm, patch_size=4)
-        np.testing.assert_array_equal(enc.unpatchify(ip, 8, 4), image)
+        np.testing.assert_array_equal(unpatchify(ip, 8, 4), image)
 
     def test_invalid_pixels_zeroed(self):
         rng = np.random.default_rng(2)
@@ -260,7 +293,7 @@ def oracle_encode_view(image, pointmap, params, config, modality="both"):
             kh = E.narrow(k, 1, start, head_dim)
             vh = E.narrow(v, 1, start, head_dim)
             scores = E.scale(E.matmul(qh, E.transpose(kh)), 1.0 / math.sqrt(head_dim))
-            heads.append(E.matmul(E.softmax(scores, axis=-1), vh))
+            heads.append(E.matmul(softmax(scores, axis=-1), vh))
         attended = E.add(E.matmul(E.concat(heads, axis=1), blk.wo), blk.bo)
         x = E.add(x, attended)
         h = E.layer_norm(x, blk.ln2_gamma, blk.ln2_beta)
@@ -452,6 +485,32 @@ class TestCheckpoint:
             path.write_bytes(blob.replace(field, bad))
             with pytest.raises(FormatError, match="config"):
                 enc.load_checkpoint(path)
+
+    def edited(self, tmp_path, old, new):
+        """A saved checkpoint with one same-length byte edit, so every length stays valid."""
+        assert len(old) == len(new)
+        config = tiny_config()
+        path = tmp_path / "model.upm"
+        enc.save_checkpoint(path, enc.init_encoder_params(config, seed=30), config)
+        blob = path.read_bytes()
+        assert old in blob
+        path.write_bytes(blob.replace(old, new, 1))
+        return path
+
+    def test_non_utf8_config_record_rejected(self, tmp_path):
+        path = self.edited(tmp_path, b"patch_size=4", b"patch_size=\xff")
+        with pytest.raises(FormatError, match="config record is not UTF-8"):
+            enc.load_checkpoint(path)
+
+    def test_non_utf8_tensor_name_rejected(self, tmp_path):
+        path = self.edited(tmp_path, b"phi_i.weight", b"phi_i.\xffeight")
+        with pytest.raises(FormatError, match="tensor name is not UTF-8"):
+            enc.load_checkpoint(path)
+
+    def test_zero_patch_size_record_rejected(self, tmp_path):
+        path = self.edited(tmp_path, b"patch_size=4", b"patch_size=0")
+        with pytest.raises(FormatError, match="patch_size must be positive"):
+            enc.load_checkpoint(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         config = tiny_config()

@@ -1,12 +1,14 @@
 """Tests for the evaluation protocols and report emission."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from upm import data as D
 from upm import evaluation as ev
 from upm.encoder import load_checkpoint
-from upm.errors import ContractError, DegenerateInputError
+from upm.errors import ContractError, DegenerateInputError, FormatError
 from upm.probe import ProbeConfig, ProbeOutcome
 from tests.conftest import TINY_ENCODER
 
@@ -284,3 +286,35 @@ class TestEmitReport:
         assert parsed["grounding.standard.r_at_5"] == values[1]
         assert parsed["classification.zero_shot"] == values[0] / 3
         assert parsed["classification.probe_1shot"] == values[1] / 7
+
+    @pytest.mark.parametrize("line", ["grounding.standard.count 7", "retrieval.n1.r_at_1=0.5x"])
+    def test_malformed_summary_line_rejected(self, tmp_path, line):
+        path = tmp_path / "summary.txt"
+        path.write_text(f"classification.zero_shot=0.25\n{line}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="summary"):
+            ev.parse_summary(path)
+
+
+class TestFullReport:
+    def test_outcomes_pinned(self, trained, tiny_dataset, tmp_path):
+        # summary.txt and the views curve of a full report on the tiny run's
+        # checkpoint, as produced when each protocol embedded its scenes itself
+        # and the curve re-ran scene_retrieval once per view budget.
+        params, config = trained
+        scenes = [scene for split in ("train", "val", "test")
+                  for scene in D.load_split_scenes(tiny_dataset, split)]
+        names = list(D.SCENE_TYPES)
+        instances = ev.build_grounding_instances(scenes)
+        probe_cfg = ProbeConfig(shots=2, reg_grid=tuple(np.logspace(-4, 2, 8)), seed=0)
+        report = ev.EvalReport(
+            grounding=ev.viewpoint_grounding(params, config, scenes, instances),
+            grounding_unique=ev.viewpoint_grounding(
+                params, config, scenes, ev.filter_unique(instances)),
+            retrieval={n: ev.scene_retrieval(params, config, scenes, n) for n in (1, 2)},
+            zero_shot_accuracy=ev.zero_shot_classify(params, config, scenes, names),
+            probe_outcomes={2: ev.few_shot_probe(params, config, scenes, scenes, names, probe_cfg)},
+            views_curve=ev.retrieval_views_curve(params, config, scenes, 1, budgets=(2, 4)),
+        )
+        summary = ev.emit_report(report, tmp_path)["summary"].read_bytes()
+        digest = hashlib.sha256(summary + repr(report.views_curve).encode()).hexdigest()
+        assert digest == "f563ef77b4f8732828510dadcd9e013159b90d99dd8977d7a7e688fe19488a64"

@@ -12,6 +12,7 @@ from scipy.spatial import cKDTree
 
 from upm import geometry as G
 from upm.errors import ContractError, DegenerateInputError, RangeError, ShapeError
+from upm.objectives import GeoAlignConfig, geo_targets
 
 
 def single_point_map(xyz):
@@ -22,6 +23,15 @@ def cloud_map(points):
     """Wrap an (n, 3) cloud as an n x 1 pointmap."""
     pts = np.asarray(points, float).reshape(-1, 1, 3)
     return G.Pointmap(points=pts, validity=np.ones(pts.shape[:2], bool))
+
+
+def chamfer(a, b, subsample=None, seed=G.DEFAULT_CHAMFER_SEED):
+    """The Chamfer distance of one pair of pointmaps, read from the pairwise matrix."""
+    return G.pairwise_chamfer([a, b], subsample, seed)[0, 1]
+
+
+def chamfer_points(pts_a, pts_b):
+    return chamfer(cloud_map(pts_a), cloud_map(pts_b))
 
 
 def brute_chamfer(a, b):
@@ -36,6 +46,11 @@ def brute_chamfer(a, b):
 def brute_path_chamfer(a, b):
     """Chamfer through the exhaustive scan, the oracle the KD-tree path must match bitwise."""
     return float(np.mean(G._min_sq_dists_brute(a, b)) + np.mean(G._min_sq_dists_brute(b, a)))
+
+
+def proximity_ranks(maps, anchor):
+    """Every other view's 0-based rank by Chamfer distance to the anchor, as geo_targets ranks."""
+    return G._ranks_by_distance(G.pairwise_chamfer(maps)[anchor], anchor)
 
 
 def identity_pose():
@@ -112,19 +127,19 @@ class TestChamferDistance:
     def test_identity_is_zero(self):
         rng = np.random.default_rng(2)
         pm = cloud_map(rng.normal(size=(20, 3)))
-        assert G.chamfer_distance(pm, pm) == 0.0
+        assert chamfer(pm, pm) == 0.0
 
     def test_single_point_pair(self):
         a = single_point_map([0, 0, 0])
         b = single_point_map([1, 0, 0])
-        assert G.chamfer_distance(a, b) == pytest.approx(2.0)
+        assert chamfer(a, b) == pytest.approx(2.0)
 
     def test_two_against_one(self):
         a = cloud_map([[0, 0, 0], [2, 0, 0]])
         b = cloud_map([[1, 0, 0]])
         # (1 + 1)/2 forward, plus 1 backward.
-        assert G.chamfer_distance(a, b) == pytest.approx(brute_chamfer(a.valid_points(), b.valid_points()))
-        assert G.chamfer_distance(a, b) == pytest.approx(2.0)
+        assert chamfer(a, b) == pytest.approx(brute_chamfer(a.valid_points(), b.valid_points()))
+        assert chamfer(a, b) == pytest.approx(2.0)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(3)
@@ -132,29 +147,29 @@ class TestChamferDistance:
             a = cloud_map(rng.normal(size=(rng.integers(1, 30), 3)))
             b = cloud_map(rng.normal(size=(rng.integers(1, 30), 3)))
             expected = brute_chamfer(a.valid_points(), b.valid_points())
-            assert G.chamfer_distance(a, b) == pytest.approx(expected, abs=1e-12)
+            assert chamfer(a, b) == pytest.approx(expected, abs=1e-12)
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(5)
         a = cloud_map(rng.normal(size=(17, 3)))
         b = cloud_map(rng.normal(size=(23, 3)))
-        assert G.chamfer_distance(a, b) == G.chamfer_distance(b, a)
+        assert chamfer(a, b) == chamfer(b, a)
 
     def test_symmetry_exact_under_subsampling(self):
         rng = np.random.default_rng(6)
         a = cloud_map(rng.normal(size=(60, 3)))
         b = cloud_map(rng.normal(size=(45, 3)))
-        fwd = G.chamfer_distance(a, b, subsample=16, seed=9)
-        rev = G.chamfer_distance(b, a, subsample=16, seed=9)
+        fwd = chamfer(a, b, subsample=16, seed=9)
+        rev = chamfer(b, a, subsample=16, seed=9)
         assert fwd == rev
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
         pts_a = rng.normal(size=(12, 3))
         pts_b = rng.normal(size=(9, 3))
-        base = G.chamfer_distance_points(pts_a, pts_b)
+        base = chamfer_points(pts_a, pts_b)
         for _ in range(5):
-            shuffled = G.chamfer_distance_points(rng.permutation(pts_a), rng.permutation(pts_b))
+            shuffled = chamfer_points(rng.permutation(pts_a), rng.permutation(pts_b))
             assert shuffled == pytest.approx(base, abs=1e-12)
 
     def test_rigid_motion_invariance(self):
@@ -163,8 +178,8 @@ class TestChamferDistance:
         pts_b = rng.normal(size=(11, 3))
         r = random_rotation(rng)
         t = rng.normal(size=3)
-        base = G.chamfer_distance_points(pts_a, pts_b)
-        moved = G.chamfer_distance_points(pts_a @ r.T + t, pts_b @ r.T + t)
+        base = chamfer_points(pts_a, pts_b)
+        moved = chamfer_points(pts_a @ r.T + t, pts_b @ r.T + t)
         assert abs(base - moved) <= 1e-9
 
     def test_nonnegative(self):
@@ -172,23 +187,23 @@ class TestChamferDistance:
         for _ in range(20):
             a = cloud_map(rng.normal(size=(rng.integers(1, 15), 3)))
             b = cloud_map(rng.normal(size=(rng.integers(1, 15), 3)))
-            assert G.chamfer_distance(a, b) >= 0.0
+            assert chamfer(a, b) >= 0.0
 
     def test_empty_set_rejected(self):
         empty = G.Pointmap(points=np.zeros((2, 2, 3)), validity=np.zeros((2, 2), bool))
         with pytest.raises(DegenerateInputError):
-            G.chamfer_distance(empty, single_point_map([0, 0, 0]))
+            chamfer(empty, single_point_map([0, 0, 0]))
 
     def test_grid_agrees_bitwise_with_brute(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             pts_a = rng.uniform(-3, 3, size=(rng.integers(1, 120), 3))
             pts_b = rng.uniform(-3, 3, size=(rng.integers(1, 120), 3))
-            assert G.chamfer_distance_points(pts_a, pts_b) == brute_path_chamfer(pts_a, pts_b)
+            assert chamfer_points(pts_a, pts_b) == brute_path_chamfer(pts_a, pts_b)
 
     def test_grid_handles_identical_points(self):
         pts = np.zeros((5, 3))
-        assert G.chamfer_distance_points(pts, pts) == brute_path_chamfer(pts, pts) == 0.0
+        assert chamfer_points(pts, pts) == brute_path_chamfer(pts, pts) == 0.0
 
 
 class TestKdTreeNearest:
@@ -197,7 +212,7 @@ class TestKdTreeNearest:
     def assert_bitwise(self, queries, targets):
         kd = G._min_sq_dists(queries, targets, cKDTree(targets))
         assert np.array_equal(kd, G._min_sq_dists_brute(queries, targets))
-        assert G.chamfer_distance_points(queries, targets) == brute_path_chamfer(queries, targets)
+        assert chamfer_points(queries, targets) == brute_path_chamfer(queries, targets)
 
     def test_integer_lattice_ties(self):
         # Half-integer queries sit equidistant from up to eight lattice points.
@@ -238,7 +253,7 @@ class TestPairwiseChamfer:
         assert np.array_equal(cd, cd.T)
         assert np.all(np.diag(cd) == 0.0)
         for v, u in itertools.combinations(range(len(maps)), 2):
-            assert cd[v, u] == G.chamfer_distance(maps[v], maps[u], subsample=32, seed=4)
+            assert cd[v, u] == chamfer(maps[v], maps[u], subsample=32, seed=4)
 
     def test_empty_view_rejected(self):
         empty = G.Pointmap(points=np.zeros((2, 2, 3)), validity=np.zeros((2, 2), bool))
@@ -256,11 +271,11 @@ class TestPairwiseChamfer:
 class TestProximityRanks:
     def test_two_views(self):
         maps = [single_point_map([0, 0, 0]), single_point_map([3, 0, 0])]
-        assert G.proximity_ranks(maps, anchor=0) == {1: 0}
+        assert proximity_ranks(maps, anchor=0) == {1: 0}
 
     def test_collinear_points(self):
         maps = [single_point_map([x, 0, 0]) for x in (0.0, 1.0, 5.0)]
-        assert G.proximity_ranks(maps, anchor=0) == {1: 0, 2: 1}
+        assert proximity_ranks(maps, anchor=0) == {1: 0, 2: 1}
 
     def test_tie_breaks_to_lower_index(self):
         maps = [
@@ -268,20 +283,21 @@ class TestProximityRanks:
             single_point_map([1, 0, 0]),
             single_point_map([-1, 0, 0]),
         ]
-        ranks = G.proximity_ranks(maps, anchor=0)
+        ranks = proximity_ranks(maps, anchor=0)
         assert ranks[1] == 0 and ranks[2] == 1
 
     def test_ranks_are_a_bijection(self):
         rng = np.random.default_rng(13)
         maps = [cloud_map(rng.normal(size=(8, 3))) for _ in range(6)]
         for anchor in range(6):
-            ranks = G.proximity_ranks(maps, anchor)
+            ranks = proximity_ranks(maps, anchor)
             assert sorted(ranks.keys()) == [u for u in range(6) if u != anchor]
             assert sorted(ranks.values()) == list(range(5))
 
     def test_single_view_rejected(self):
+        # geo_targets ranks the views of a scene, and there are none to rank.
         with pytest.raises(DegenerateInputError):
-            G.proximity_ranks([single_point_map([0, 0, 0])], anchor=0)
+            geo_targets([single_point_map([0, 0, 0])], GeoAlignConfig())
 
 
 class TestVisibility:
@@ -316,13 +332,13 @@ class TestVisibleArea:
     def test_disjoint_is_zero(self):
         pm = cloud_map(np.full((7, 3), 5.0))
         obj = G.ObjectAnnotation(0, [-1, -1, -1], [1, 1, 1], "t", "c")
-        assert G.visible_area(pm, obj) == 0
+        assert G.visible_areas([pm], [obj])[0, 0] == 0
 
     def test_all_points_inside(self):
         pts = np.zeros((3, 4, 3))
         pm = G.Pointmap(points=pts, validity=np.ones((3, 4), bool))
         obj = G.ObjectAnnotation(0, [-1, -1, -1], [1, 1, 1], "t", "c")
-        assert G.visible_area(pm, obj) == 12
+        assert G.visible_areas([pm], [obj])[0, 0] == 12
 
     def test_half_plane_exact_count(self):
         xs = np.linspace(-2, 2, 9)
@@ -330,7 +346,7 @@ class TestVisibleArea:
         pm = cloud_map(pts)
         obj = G.ObjectAnnotation(0, [0, -1, -1], [3, 1, 1], "t", "c")
         expected = int(np.sum(xs >= 0))
-        assert G.visible_area(pm, obj) == expected
+        assert G.visible_areas([pm], [obj])[0, 0] == expected
 
 
 class TestVisibleAreas:
@@ -357,9 +373,18 @@ class TestVisibleAreas:
         assert G.visible_areas([single_point_map([0, 0, 0])], []).shape == (1, 0)
 
 
+def voxel_set(pm, voxel):
+    return set(map(tuple, np.floor(pm.valid_points() / voxel).astype(np.int64)))
+
+
+def coverage(maps, views, voxel):
+    """Voxel count covered by a view subset, over Python sets of voxel tuples."""
+    return len(set().union(*(voxel_set(maps[v], voxel) for v in views)))
+
+
 def set_based_coverage_sample(maps, budget, voxel):
     """Greedy max coverage over Python sets of voxel tuples, the reference selection."""
-    voxels = [set(map(tuple, np.floor(pm.valid_points() / voxel).astype(np.int64))) for pm in maps]
+    voxels = [voxel_set(pm, voxel) for pm in maps]
     covered, chosen, remaining = set(), [], list(range(len(maps)))
     while len(chosen) < budget:
         gains = [len(voxels[v] - covered) for v in remaining]
@@ -369,7 +394,7 @@ def set_based_coverage_sample(maps, budget, voxel):
         chosen.append(best)
         covered |= voxels[best]
         remaining.remove(best)
-    return chosen + remaining[: budget - len(chosen)], voxels
+    return chosen + remaining[: budget - len(chosen)]
 
 
 class TestMaxCoverage:
@@ -385,17 +410,15 @@ class TestMaxCoverage:
                 maps.append(maps[0])
             voxel = float(rng.choice([0.3, 0.8, 2.0]))
             for budget in range(1, len(maps) + 1):
-                expected, voxels = set_based_coverage_sample(maps, budget, voxel)
+                expected = set_based_coverage_sample(maps, budget, voxel)
                 assert G.max_coverage_sample(maps, budget, voxel) == expected
-                assert G.coverage_of(maps, expected, voxel) == len(
-                    set().union(*(voxels[v] for v in expected)))
 
     def test_key_overflow_raises(self):
         wide = cloud_map([[0.0, 0.0, 0.0], [1e7, 1e7, 1e7]])
         with pytest.raises(RangeError):
             G.max_coverage_sample([wide], budget=1, voxel_size=1e-1)
         with pytest.raises(RangeError):
-            G.coverage_of([cloud_map([[1e300, 0.0, 0.0]])], [0], 1e-10)
+            G.max_coverage_sample([cloud_map([[1e300, 0.0, 0.0]])], budget=1, voxel_size=1e-10)
 
     def test_full_budget_returns_all_views(self):
         rng = np.random.default_rng(21)
@@ -417,9 +440,9 @@ class TestMaxCoverage:
         maps = [cloud_map(rng.uniform(-2, 2, size=(30, 3))) for _ in range(6)]
         voxel = 0.8
         chosen = G.max_coverage_sample(maps, budget=3, voxel_size=voxel)
-        greedy_cover = G.coverage_of(maps, chosen, voxel)
+        greedy_cover = coverage(maps, chosen, voxel)
         for triple in itertools.combinations(range(6), 3):
-            assert greedy_cover >= G.coverage_of(maps, triple, voxel)
+            assert greedy_cover >= coverage(maps, triple, voxel)
 
     def test_greedy_approximation_guarantee(self):
         # On arbitrary instances greedy is within (1 - 1/e) of the best
@@ -429,21 +452,21 @@ class TestMaxCoverage:
             maps = [cloud_map(rng.uniform(-2, 2, size=(30, 3))) for _ in range(6)]
             voxel = 0.8
             chosen = G.max_coverage_sample(maps, budget=3, voxel_size=voxel)
-            greedy_cover = G.coverage_of(maps, chosen, voxel)
+            greedy_cover = coverage(maps, chosen, voxel)
             best_triple = max(
-                G.coverage_of(maps, t, voxel) for t in itertools.combinations(range(6), 3)
+                coverage(maps, t, voxel) for t in itertools.combinations(range(6), 3)
             )
             assert greedy_cover >= (1 - 1 / np.e) * best_triple
             first = G.max_coverage_sample(maps, budget=1, voxel_size=voxel)[0]
-            assert G.coverage_of(maps, [first], voxel) == max(
-                G.coverage_of(maps, [v], voxel) for v in range(6)
+            assert coverage(maps, [first], voxel) == max(
+                coverage(maps, [v], voxel) for v in range(6)
             )
 
     def test_coverage_monotone_in_budget(self):
         rng = np.random.default_rng(29)
         maps = [cloud_map(rng.uniform(-2, 2, size=(20, 3))) for _ in range(5)]
         covers = [
-            G.coverage_of(maps, G.max_coverage_sample(maps, k, 0.5), 0.5) for k in range(1, 6)
+            coverage(maps, G.max_coverage_sample(maps, k, 0.5), 0.5) for k in range(1, 6)
         ]
         assert all(b >= a for a, b in zip(covers, covers[1:]))
 

@@ -1,6 +1,5 @@
 """Tests for the alignment losses against scalar-arithmetic oracles."""
 
-import logging
 import math
 
 import numpy as np
@@ -73,6 +72,11 @@ def random_targets(rng, n_views):
     if n_views > 2:
         targets[1] = np.eye(n_views - 1)[rng.integers(0, n_views - 1)]
     return targets
+
+
+def geo_loss(h, maps, cfg, temperature):
+    """One scene's geometric loss from its pointmaps: targets as in prepare_scene, loss as in batch_loss."""
+    return obj.geo_loss_from_targets(h, obj.geo_targets(maps, cfg), temperature)
 
 
 def geo_graph(xent, base, targets, tau):
@@ -160,7 +164,7 @@ class TestGeoLoss:
         rng = np.random.default_rng(3)
         h = Tensor(unit_rows(rng, 2, 8))
         maps = [single_point_map([0, 0, 0]), single_point_map([1, 0, 0])]
-        loss = obj.geo_loss(h, maps, obj.GeoAlignConfig(), obj.Temperature())
+        loss = geo_loss(h, maps, obj.GeoAlignConfig(), obj.Temperature())
         assert loss.item() == pytest.approx(0.0, abs=1e-15)
 
     def test_alpha_one_equals_one_hot_cross_entropy(self):
@@ -169,7 +173,7 @@ class TestGeoLoss:
         maps = [single_point_map([x, 0, 0]) for x in (0.0, 1.0, 5.0)]
         temp = obj.Temperature(0.5)
         cfg = obj.GeoAlignConfig(alpha=1.0, tau_r=0.35)
-        loss = obj.geo_loss(h, maps, cfg, temp).item()
+        loss = geo_loss(h, maps, cfg, temp).item()
 
         # Independent one-hot oracle: nearest by Chamfer gets all mass.
         logits = h.array @ h.array.T / temp.value
@@ -190,15 +194,8 @@ class TestGeoLoss:
         h = Tensor(np.repeat(row, 3, axis=0))
         maps = [single_point_map([x, 0, 0]) for x in (0.0, 1.0, 5.0)]
         cfg = obj.GeoAlignConfig(alpha=0.0, tau_r=0.35)
-        loss = obj.geo_loss(h, maps, cfg, obj.Temperature(1.0))
+        loss = geo_loss(h, maps, cfg, obj.Temperature(1.0))
         assert loss.item() == pytest.approx(3.0 * math.log(2.0), abs=1e-12)
-
-    def test_single_view_scene_warns_and_contributes_zero(self, caplog):
-        h = Tensor(np.ones((1, 4)))
-        with caplog.at_level(logging.WARNING):
-            loss = obj.geo_loss(h, [single_point_map([0, 0, 0])], obj.GeoAlignConfig(), obj.Temperature())
-        assert loss.item() == 0.0
-        assert any("fewer than 2 views" in r.message for r in caplog.records)
 
     def test_gradient_through_embeddings_and_temperature(self):
         rng = np.random.default_rng(5)
@@ -323,13 +320,11 @@ class TestGroundLoss:
         logits = h.array @ t.array.T / temp.value
         assert loss == pytest.approx(ground_loss_oracle(logits, pairs), abs=1e-12)
 
-    def test_empty_pairs_warn_and_contribute_zero(self, caplog):
+    def test_empty_pairs_rejected(self):
         h = Tensor(np.ones((2, 4)))
         t = Tensor(np.ones((1, 4)))
-        with caplog.at_level(logging.WARNING):
-            loss = obj.ground_loss(h, t, [], obj.Temperature())
-        assert loss.item() == 0.0
-        assert any("empty positive-pair" in r.message for r in caplog.records)
+        with pytest.raises(DegenerateInputError, match="at least one visible"):
+            obj.ground_loss(h, t, [], obj.Temperature())
 
     def test_out_of_range_pair_rejected(self):
         h = Tensor(np.ones((2, 4)))

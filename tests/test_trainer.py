@@ -163,6 +163,9 @@ class TestTrainConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ConfigError):
             TrainConfig(warmup_fraction=1.0)
+        with pytest.raises(ConfigError, match="two views"):
+            TrainConfig(views_per_scene=1)
+        assert TrainConfig(views_per_scene=1, use_geo=False).views_per_scene == 1
 
     def test_paper_preset(self):
         cfg = paper_train_config()
