@@ -3,8 +3,9 @@
 Each view is patchified twice (RGB and world-frame point coordinates),
 both patch sets are linearly embedded, and the token streams are fused by
 elementwise summation before a stack of pre-norm transformer blocks.  The
-output class token, L2-normalized, is the view embedding; scene
-embeddings mean-pool view embeddings.  A deterministic hashing text
+output class token, L2-normalized, is the view embedding: a batch of N
+views encodes to one unit-norm (N, d) tensor, one row per view, and a
+scene embedding mean-pools a scene's rows.  A deterministic hashing text
 encoder stands in for a pretrained text tower so the alignment losses can
 be exercised end to end.
 """
@@ -285,11 +286,11 @@ def encode_views(
     params: EncoderParams,
     config: EncoderConfig,
     modality: str = MODALITY_BOTH,
-) -> list[Tensor]:
-    """Encode N (image, pointmap) pairs to N unit-norm (1, d) embeddings.
+) -> Tensor:
+    """Encode N (image, pointmap) pairs to an (N, d) tensor of unit-norm rows.
 
     All views run through one stacked graph over (N, M + 1, d) tokens;
-    each row has the bits it would have if its view were encoded alone.
+    row i has the bits it would have if view i were encoded alone.
     """
     if modality not in MODALITIES:
         raise ContractError(f"unknown modality {modality!r}")
@@ -306,18 +307,16 @@ def encode_views(
     for blk in params.blocks:
         x = _transformer_block(x, blk, config.num_heads)
     x = E.layer_norm(x, params.final_gamma, params.final_beta)
-    n = len(views)
-    rows = E.normalize_rows(E.reshape(E.narrow(x, 1, 0, 1), (n, config.embed_dim)))
-    return [E.narrow(rows, 0, i, 1) for i in range(n)]
+    return E.normalize_rows(E.reshape(E.narrow(x, 1, 0, 1), (len(views), config.embed_dim)))
 
 
-def pool_scene(view_embeddings: Sequence[Tensor]) -> Tensor:
-    """Mean of the view embeddings, re-normalized to the unit sphere."""
-    if len(view_embeddings) == 0:
+def pool_scene(view_embeddings: Tensor) -> Tensor:
+    """Mean of a scene's (V, d) view embeddings, re-normalized to a unit (1, d) row."""
+    n_views = view_embeddings.shape[0]
+    if n_views == 0:
         raise DegenerateInputError("cannot pool an empty scene")
-    stacked = E.concat(list(view_embeddings), axis=0)
-    weights = Tensor(np.full((1, stacked.shape[0]), 1.0 / stacked.shape[0]))
-    return E.normalize_rows(E.matmul(weights, stacked))
+    weights = Tensor(np.full((1, n_views), 1.0 / n_views))
+    return E.normalize_rows(E.matmul(weights, view_embeddings))
 
 
 # ---------------------------------------------------------------------------

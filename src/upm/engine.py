@@ -89,19 +89,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={list(self.shape)}{flag})"
 
-    # Small operator sugar; the module-level functions are the real API.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
 
 def _make(array: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor(array)

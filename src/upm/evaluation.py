@@ -69,8 +69,7 @@ def embed_scene_views(
     """All view embeddings of a scene as a (V, d) array, without gradients."""
     pairs = [(v.image, v.pointmap()) for v in scene.views]
     with E.no_grad():
-        rows = encode_views(pairs, params, config, modality=modality)
-    return np.concatenate([r.array for r in rows], axis=0)
+        return encode_views(pairs, params, config, modality=modality).array
 
 
 def scene_embedding_from_views(view_embeddings: np.ndarray) -> np.ndarray:
@@ -262,20 +261,28 @@ def retrieval_views_curve(
 
     Each scene and each caption is encoded once.  At each budget a scene
     with more views than the budget is represented by the pooled rows of
-    its max-coverage views.
+    its max-coverage views.  Greedy picks at a smaller budget are a prefix
+    of those at a larger one, so coverage runs once per scene, at the
+    largest budget below its view count.
     """
     captions, gt_scene = _retrieval_captions(scenes, n_utterances)
     if not captions:
         return [(budget, 0.0) for budget in budgets]
+    if min(budgets, default=1) < 1:
+        raise ContractError(f"view budgets must be at least 1, got {list(budgets)}")
     caption_matrix = embed_texts(captions, params, config)
-    scene_views = [(embed_scene_views(s, params, config), s.pointmaps()) for s in scenes]
+    scene_views = []
+    for scene in scenes:
+        views = embed_scene_views(scene, params, config)
+        below = [budget for budget in budgets if budget < len(views)]
+        picks = max_coverage_sample(scene.pointmaps(), max(below), voxel_size) if below else []
+        scene_views.append((views, picks))
     curve = []
     for budget in budgets:
-        rows = []
-        for views, pointmaps in scene_views:
-            if budget < len(views):
-                views = views[max_coverage_sample(pointmaps, budget, voxel_size)]
-            rows.append(scene_embedding_from_views(views))
+        rows = [
+            scene_embedding_from_views(views[picks[:budget]] if budget < len(views) else views)
+            for views, picks in scene_views
+        ]
         curve.append((budget, _caption_recall(caption_matrix, gt_scene, np.stack(rows), (1,))[1]))
     return curve
 

@@ -126,16 +126,6 @@ def back_project(depth: np.ndarray, intr: CameraIntrinsics, pose: CameraPose) ->
     return Pointmap(points=world, validity=validity)
 
 
-def project(points_world: np.ndarray, intr: CameraIntrinsics, pose: CameraPose) -> np.ndarray:
-    """Forward-project world points to (u, v, z) through the same camera."""
-    pts = np.asarray(points_world, dtype=np.float64).reshape(-1, 3)
-    cam = (pts - pose.translation) @ pose.rotation
-    z = cam[:, 2]
-    u = cam[:, 0] * intr.fx / z + intr.cx
-    v = cam[:, 1] * intr.fy / z + intr.cy
-    return np.stack([u, v, z], axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # Chamfer distance
 

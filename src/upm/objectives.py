@@ -64,15 +64,6 @@ class Temperature:
         np.clip(self.log_tau.array, np.log(TAU_MIN), np.log(TAU_MAX), out=self.log_tau.array)
 
 
-def _stack(embeddings) -> Tensor:
-    if isinstance(embeddings, Tensor):
-        return embeddings
-    embeddings = list(embeddings)
-    if not embeddings:
-        return Tensor(np.zeros((0, 0)))
-    return E.concat(embeddings, axis=0)
-
-
 # ---------------------------------------------------------------------------
 # soft targets
 
@@ -123,10 +114,10 @@ def geo_targets(
 
 
 def geo_loss_from_targets(
-    view_embeddings, targets: np.ndarray, temperature: Temperature
+    view_embeddings: Tensor, targets: np.ndarray, temperature: Temperature
 ) -> Tensor:
-    """Soft-label cross-entropy of within-scene similarities against targets."""
-    h = _stack(view_embeddings)
+    """Soft-label cross-entropy of a scene's (V, d) view similarities against targets."""
+    h = view_embeddings
     n_views = h.shape[0]
     if n_views < 2:
         raise DegenerateInputError("geometric loss needs at least two views")
@@ -137,8 +128,8 @@ def geo_loss_from_targets(
 
 
 def ground_loss(
-    view_embeddings,
-    object_text_embeddings,
+    view_embeddings: Tensor,
+    object_text_embeddings: Tensor,
     pairs: Sequence[tuple[int, int]],
     temperature: Temperature,
 ) -> Tensor:
@@ -146,8 +137,7 @@ def ground_loss(
     pair_list = sorted(set(pairs))
     if not pair_list:
         raise DegenerateInputError("ground loss needs at least one visible (view, object) pair")
-    h = _stack(view_embeddings)
-    t = _stack(object_text_embeddings)
+    h, t = view_embeddings, object_text_embeddings
     n_views, n_objects = h.shape[0], t.shape[0]
     for v, o in pair_list:
         if not (0 <= v < n_views and 0 <= o < n_objects):
@@ -162,9 +152,7 @@ def ground_loss(
     return E.scale(E.neg(E.reduce_sum(picked)), 1.0 / (2.0 * len(pair_list)))
 
 
-def _paired_infonce(left, right, temperature: Temperature, what: str) -> Tensor:
-    a = _stack(left)
-    b = _stack(right)
+def _paired_infonce(a: Tensor, b: Tensor, temperature: Temperature, what: str) -> Tensor:
     if a.shape[0] == 0:
         raise DegenerateInputError(f"{what} loss needs at least one pair")
     if a.shape[0] != b.shape[0]:
@@ -178,12 +166,16 @@ def _paired_infonce(left, right, temperature: Temperature, what: str) -> Tensor:
     return E.scale(E.neg(E.reduce_sum(picked)), 1.0 / (2.0 * n))
 
 
-def view_loss(view_embeddings, caption_embeddings, temperature: Temperature) -> Tensor:
+def view_loss(
+    view_embeddings: Tensor, caption_embeddings: Tensor, temperature: Temperature
+) -> Tensor:
     """Batch-level InfoNCE between views and their own captions."""
     return _paired_infonce(view_embeddings, caption_embeddings, temperature, "view")
 
 
-def scene_loss(scene_embeddings, caption_embeddings, temperature: Temperature) -> Tensor:
+def scene_loss(
+    scene_embeddings: Tensor, caption_embeddings: Tensor, temperature: Temperature
+) -> Tensor:
     """Batch-level InfoNCE between pooled scenes and scene captions."""
     return _paired_infonce(scene_embeddings, caption_embeddings, temperature, "scene")
 

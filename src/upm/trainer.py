@@ -238,27 +238,31 @@ def batch_loss(
 ) -> obj.LossBreakdown:
     """All four objectives over one batch; a scene without visible pairs skips the grounded one."""
     zero = Tensor(np.zeros(1))
-    flat = encode_views(
+    views = encode_views(
         [view for scene in batch for view in scene.views], params, enc_cfg, modality=cfg.modality
     )
-    bounds = np.cumsum([0] + [len(scene.views) for scene in batch])
-    per_scene_embeddings = [flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    counts = [len(scene.views) for scene in batch]
+    spans = list(zip(np.cumsum([0] + counts[:-1]).tolist(), counts))  # (start, count) per scene
+    # Each use takes a fresh narrow: a shared slice regroups row gradient sums, changing bits.
 
     l_geo = zero
     if cfg.use_geo:
-        for scene, embeddings in zip(batch, per_scene_embeddings):
-            l_geo = E.add(l_geo, obj.geo_loss_from_targets(embeddings, scene.geo_targets, temperature))
+        for scene, span in zip(batch, spans):
+            scene_term = obj.geo_loss_from_targets(
+                E.narrow(views, 0, *span), scene.geo_targets, temperature)
+            l_geo = E.add(l_geo, scene_term)
 
     l_ground = zero
     if cfg.use_ground:
         weighted = zero
         total_pairs = 0
-        for scene, embeddings in zip(batch, per_scene_embeddings):
+        for scene, span in zip(batch, spans):
             if not scene.pairs:
                 logger.warning("ground loss: scene %s has no visible pairs", scene.scene_id)
                 continue
             text_embeddings = encode_texts(scene.object_texts, params, enc_cfg)
-            scene_term = obj.ground_loss(embeddings, text_embeddings, scene.pairs, temperature)
+            scene_term = obj.ground_loss(
+                E.narrow(views, 0, *span), text_embeddings, scene.pairs, temperature)
             weighted = E.add(weighted, E.scale(scene_term, float(len(scene.pairs))))
             total_pairs += len(scene.pairs)
         if total_pairs:
@@ -266,14 +270,13 @@ def batch_loss(
 
     l_view = zero
     if cfg.use_view:
-        all_views = [h for embeddings in per_scene_embeddings for h in embeddings]
         all_captions = [c for scene in batch for c in scene.view_captions]
         caption_embeddings = encode_texts(all_captions, params, enc_cfg)
-        l_view = obj.view_loss(all_views, caption_embeddings, temperature)
+        l_view = obj.view_loss(views, caption_embeddings, temperature)
 
     l_scene = zero
     if cfg.use_scene:
-        pooled = [pool_scene(embeddings) for embeddings in per_scene_embeddings]
+        pooled = E.concat([pool_scene(E.narrow(views, 0, *span)) for span in spans], axis=0)
         scene_caption_embeddings = encode_texts([s.scene_caption for s in batch], params, enc_cfg)
         l_scene = obj.scene_loss(pooled, scene_caption_embeddings, temperature)
 
@@ -314,13 +317,13 @@ def train(
     """
     manifest_path = Path(manifest_path)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     splits = load_manifest(manifest_path)
     if len(splits["train"]) < cfg.scenes_per_batch:
         raise ConfigError(
             f"need at least {cfg.scenes_per_batch} training scenes, "
             f"manifest has {len(splits['train'])}"
         )
+    out_dir.mkdir(parents=True, exist_ok=True)
     base = manifest_path.parent
     train_scenes = [prepare_scene(load_scene(base / name), cfg) for name in splits["train"]]
     val_scenes = [prepare_scene(load_scene(base / name), cfg) for name in splits["val"]]

@@ -190,10 +190,10 @@ class TestEncodeViews:
         params = enc.init_encoder_params(config, seed=9)
         rng = np.random.default_rng(10)
         view = random_view(rng, config)
-        h1 = enc.encode_views([view], params, config)[0]
-        h2 = enc.encode_views([view], params, config)[0]
-        assert abs(np.linalg.norm(h1.array) - 1.0) <= 1e-9
-        np.testing.assert_array_equal(h1.array, h2.array)
+        h1 = enc.encode_views([view], params, config).array[0]
+        h2 = enc.encode_views([view], params, config).array[0]
+        assert abs(np.linalg.norm(h1) - 1.0) <= 1e-9
+        np.testing.assert_array_equal(h1, h2)
 
     def test_identical_views_identical_embeddings(self):
         config = tiny_config()
@@ -201,35 +201,35 @@ class TestEncodeViews:
         rng = np.random.default_rng(12)
         view = random_view(rng, config)
         out = enc.encode_views([view, view], params, config)
-        np.testing.assert_array_equal(out[0].array, out[1].array)
+        np.testing.assert_array_equal(out.array[0], out.array[1])
 
     def test_zero_blocks_ignore_patch_content(self):
         config = tiny_config(num_blocks=0)
         params = enc.init_encoder_params(config, seed=13)
         rng = np.random.default_rng(14)
-        h1 = enc.encode_views([random_view(rng, config)], params, config)[0]
-        h2 = enc.encode_views([random_view(rng, config)], params, config)[0]
-        np.testing.assert_array_equal(h1.array, h2.array)
+        h1 = enc.encode_views([random_view(rng, config)], params, config).array[0]
+        h2 = enc.encode_views([random_view(rng, config)], params, config).array[0]
+        np.testing.assert_array_equal(h1, h2)
 
     def test_permutation_equivariance(self):
         config = tiny_config()
         params = enc.init_encoder_params(config, seed=15)
         rng = np.random.default_rng(16)
         views = [random_view(rng, config) for _ in range(4)]
-        base = [h.array for h in enc.encode_views(views, params, config)]
+        base = enc.encode_views(views, params, config).array
         perm = [2, 0, 3, 1]
-        permuted = enc.encode_views([views[i] for i in perm], params, config)
+        permuted = enc.encode_views([views[i] for i in perm], params, config).array
         for out_row, src in zip(permuted, perm):
-            np.testing.assert_array_equal(out_row.array, base[src])
+            np.testing.assert_array_equal(out_row, base[src])
 
     def test_modality_ablation_changes_output(self):
         config = tiny_config()
         params = enc.init_encoder_params(config, seed=17)
         rng = np.random.default_rng(18)
         view = random_view(rng, config)
-        both = enc.encode_views([view], params, config)[0].array
-        image_only = enc.encode_views([view], params, config, modality="image-only")[0].array
-        pointmap_only = enc.encode_views([view], params, config, modality="pointmap-only")[0].array
+        both = enc.encode_views([view], params, config).array[0]
+        image_only = enc.encode_views([view], params, config, modality="image-only").array[0]
+        pointmap_only = enc.encode_views([view], params, config, modality="pointmap-only").array[0]
         assert not np.array_equal(both, image_only)
         assert not np.array_equal(both, pointmap_only)
 
@@ -242,7 +242,7 @@ class TestEncodeViews:
 
         def loss_for(param):
             def f(_):
-                h = enc.encode_views([view], params, config)[0]
+                h = enc.encode_views([view], params, config)
                 return E.reduce_sum(E.mul(h, E.Tensor(probe)))
 
             return f
@@ -304,13 +304,13 @@ def oracle_encode_view(image, pointmap, params, config, modality="both"):
 
 
 def mixing_loss(rows, seed):
-    """A scalar that reads every row through several consumers."""
+    """A scalar that reads every row of an (N, d) tensor through several consumers."""
     rng = np.random.default_rng(seed)
-    n, d = len(rows), rows[0].shape[1]
-    stacked = E.concat(list(rows), axis=0)
-    logits = E.matmul(stacked, E.Tensor(rng.normal(size=(d, n))))
+    n, d = rows.shape
+    logits = E.matmul(rows, E.Tensor(rng.normal(size=(d, n))))
     total = E.reduce_sum(E.mul(E.log_softmax(logits, axis=1), E.Tensor(rng.normal(size=(n, n)))))
-    for row in rows:
+    for i in range(n):
+        row = E.narrow(rows, 0, i, 1)
         total = E.add(total, E.reduce_sum(E.mul(row, E.Tensor(rng.normal(size=(1, d))))))
     return E.add(total, E.reduce_sum(E.mul(enc.pool_scene(rows), E.Tensor(rng.normal(size=(1, d))))))
 
@@ -322,7 +322,7 @@ def encoded_bytes(encode, views, config, modality="both", seed=0):
     E.backward(mixing_loss(rows, seed))
     grads = {name: (t.grad.tobytes() if t.grad is not None else None)
              for name, t in params.named_parameters()}
-    return [r.array.tobytes() for r in rows], grads
+    return [r.tobytes() for r in rows.array], grads
 
 
 def batched(views, params, config, modality):
@@ -330,7 +330,7 @@ def batched(views, params, config, modality):
 
 
 def per_view(views, params, config, modality):
-    return [oracle_encode_view(img, pm, params, config, modality) for img, pm in views]
+    return E.concat([oracle_encode_view(img, pm, params, config, modality) for img, pm in views])
 
 
 class TestBatchedEqualsPerView:
@@ -376,32 +376,32 @@ class TestBatchedEqualsPerView:
         views = [random_view(rng, config) for _ in range(3)]
         with E.no_grad():
             rows = enc.encode_views(views, params, config)
-        assert not any(r.requires_grad for r in rows)
-        for row, (img, pm) in zip(rows, views):
-            assert row.array.tobytes() == oracle_encode_view(img, pm, params, config).array.tobytes()
+        assert not rows.requires_grad
+        for row, (img, pm) in zip(rows.array, views):
+            assert row.tobytes() == oracle_encode_view(img, pm, params, config).array[0].tobytes()
 
 
 class TestPoolScene:
     def test_single_view_passthrough(self):
         row = E.Tensor(np.eye(1, 5))
-        pooled = enc.pool_scene([row])
+        pooled = enc.pool_scene(row)
         np.testing.assert_allclose(pooled.array, row.array, atol=1e-12)
 
     def test_two_basis_vectors(self):
-        e1 = E.Tensor(np.eye(1, 4, 0))
-        e2 = E.Tensor(np.eye(1, 4, 1))
-        pooled = enc.pool_scene([e1, e2]).array
-        expected = (e1.array + e2.array) / np.sqrt(2.0)
+        e1 = np.eye(1, 4, 0)
+        e2 = np.eye(1, 4, 1)
+        pooled = enc.pool_scene(E.Tensor(np.concatenate([e1, e2]))).array
+        expected = (e1 + e2) / np.sqrt(2.0)
         np.testing.assert_allclose(pooled, expected, atol=1e-12)
 
     def test_antipodal_views_degenerate(self):
-        e1 = E.Tensor(np.eye(1, 4, 0))
+        e1 = np.eye(1, 4, 0)
         with pytest.raises(DegenerateInputError):
-            enc.pool_scene([e1, E.neg(e1)])
+            enc.pool_scene(E.Tensor(np.concatenate([e1, -e1])))
 
     def test_empty_scene_rejected(self):
         with pytest.raises(DegenerateInputError):
-            enc.pool_scene([])
+            enc.pool_scene(E.Tensor(np.zeros((0, 4))))
 
 
 class TestTextEncoder:

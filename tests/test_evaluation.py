@@ -171,6 +171,11 @@ class TestSceneRetrieval:
         assert [x for x, _ in curve] == [2, 4]
         assert all(0.0 <= y <= 1.0 for _, y in curve)
 
+    def test_views_curve_rejects_nonpositive_budget(self, trained, test_scenes):
+        params, config = trained
+        with pytest.raises(ContractError, match="at least 1"):
+            ev.retrieval_views_curve(params, config, test_scenes, 2, budgets=(0, 2))
+
 
 class TestZeroShot:
     def test_identity_similarities_are_perfect(self):

@@ -25,6 +25,16 @@ def cloud_map(points):
     return G.Pointmap(points=pts, validity=np.ones(pts.shape[:2], bool))
 
 
+def project(points_world, intr, pose):
+    """Forward-project world points to (u, v, z): the inverse of back_project, as its oracle."""
+    pts = np.asarray(points_world, dtype=np.float64).reshape(-1, 3)
+    cam = (pts - pose.translation) @ pose.rotation
+    z = cam[:, 2]
+    u = cam[:, 0] * intr.fx / z + intr.cx
+    v = cam[:, 1] * intr.fy / z + intr.cy
+    return np.stack([u, v, z], axis=-1)
+
+
 def chamfer(a, b, subsample=None, seed=G.DEFAULT_CHAMFER_SEED):
     """The Chamfer distance of one pair of pointmaps, read from the pairwise matrix."""
     return G.pairwise_chamfer([a, b], subsample, seed)[0, 1]
@@ -109,7 +119,7 @@ class TestBackProject:
         depth[rng.random((32, 32)) < 0.3] = 0.0
         pm = G.back_project(depth, intr, pose)
         vs, us = np.nonzero(pm.validity)
-        uvz = G.project(pm.points[vs, us], intr, pose)
+        uvz = project(pm.points[vs, us], intr, pose)
         np.testing.assert_allclose(uvz[:, 0], us, atol=1e-9)
         np.testing.assert_allclose(uvz[:, 1], vs, atol=1e-9)
         np.testing.assert_allclose(uvz[:, 2], depth[vs, us], atol=1e-9)
@@ -469,6 +479,19 @@ class TestMaxCoverage:
             coverage(maps, G.max_coverage_sample(maps, k, 0.5), 0.5) for k in range(1, 6)
         ]
         assert all(b >= a for a, b in zip(covers, covers[1:]))
+
+    def test_smaller_budget_picks_are_a_prefix(self):
+        # retrieval_views_curve reads every budget's picks off one run at the largest.
+        rng = np.random.default_rng(41)
+        spread = [cloud_map(rng.uniform(-2, 2, size=(25, 3))) for _ in range(7)]
+        # Coverage saturates after views 0 and 2, so the rest fill by ascending index.
+        a, b = cloud_map(np.zeros((4, 3))), cloud_map(np.full((4, 3), 5.0))
+        saturating = [a, a, b, b, a]
+        assert G.max_coverage_sample(saturating, 5, 0.5) == [0, 2, 1, 3, 4]
+        for maps in (spread, saturating):
+            largest = G.max_coverage_sample(maps, len(maps), 0.5)
+            for budget in range(1, len(maps) + 1):
+                assert G.max_coverage_sample(maps, budget, 0.5) == largest[:budget]
 
     def test_budget_validation(self):
         maps = [single_point_map([0, 0, 0])]

@@ -218,9 +218,10 @@ class TestPrepareScene:
 
 class TestBatchLoss:
     def test_default_step_graph_is_small(self):
-        # 4 scenes x 8 views encode as one stacked graph, and each scene's
-        # geometric loss is one fused op: under 300 nodes, where one graph
-        # per view, one op chain per head and one per anchor view built ~4,000.
+        # 4 scenes x 8 views encode as one stacked graph to one (32, d) tensor
+        # that the losses read whole or by per-scene slice, and each scene's
+        # geometric loss is one fused op: 250 nodes.  One narrow node per view
+        # row, concatenated back by each consumer, would make 283.
         cfg = TrainConfig()
         scenes = [D.generate_scene(D.SceneSpec(scene_type=D.SCENE_TYPES[i]), seed=i)
                   for i in range(cfg.scenes_per_batch)]
@@ -228,7 +229,7 @@ class TestBatchLoss:
         assert sum(len(p.views) for p in batch) == 32
         params = init_encoder_params(EncoderConfig(), seed=0)
         breakdown = batch_loss(batch, params, EncoderConfig(), Temperature(cfg.initial_tau), cfg)
-        assert len(trace_graph(breakdown.total)) < 300
+        assert len(trace_graph(breakdown.total)) <= 250
 
 
 class TestTrainLoop:
@@ -276,10 +277,12 @@ class TestTrainLoop:
         _, _, extras = load_checkpoint(tiny_run.checkpoint_path)
         assert TEMPERATURE_KEY in extras
 
-    def test_rejects_undersized_manifest(self, tiny_dataset):
+    def test_rejects_undersized_manifest(self, tiny_dataset, tmp_path):
         cfg = TrainConfig(scenes_per_batch=1000)
+        out_dir = tmp_path / "out"
         with pytest.raises(ConfigError, match="training scenes"):
-            train(tiny_dataset, cfg, TINY_ENCODER, "/tmp/unused_out")
+            train(tiny_dataset, cfg, TINY_ENCODER, out_dir)
+        assert not out_dir.exists()
 
     def test_default_config_run_pinned(self, tmp_path):
         # metrics.tsv and both checkpoints of a short default-config run, as
