@@ -4,12 +4,15 @@ Each scene is a set of posed RGB + depth views of axis-aligned colored
 boxes standing on a square floor, plus object annotations (world AABB,
 referring text, category) and template-generated view/scene captions.
 Generation is a pure function of (spec, seed); every object is guaranteed
-to be visible from at least one view, by regeneration if needed.
+to be visible from at least one view, by regeneration if needed.  All
+views of a layout are ray-cast in one batched pass, and each view is
+bitwise equal to casting it alone (``oracle_render_view`` in the tests).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -110,10 +113,19 @@ class SceneSpec:
     min_points: int = DEFAULT_MIN_POINTS
 
     def __post_init__(self):
-        if self.room_extent <= 0:
-            raise ConfigError("room extent must be positive")
+        if not (math.isfinite(self.room_extent) and self.room_extent > 0):
+            raise ConfigError(f"room extent must be finite and positive, got {self.room_extent}")
         if self.view_count < 2:
             raise ConfigError("a scene needs at least two views")
+        if self.image_size < 1:
+            raise ConfigError(f"image size must be at least 1, got {self.image_size}")
+        for name in ("camera_radius", "camera_height"):
+            low, high = getattr(self, name)
+            if not (math.isfinite(low) and math.isfinite(high) and 0 < low <= high):
+                raise ConfigError(f"{name} must be a finite range with 0 < low <= high, "
+                                  f"got {(low, high)}")
+        if self.min_points < 1:
+            raise ConfigError(f"min_points must be at least 1, got {self.min_points}")
         if self.object_count[0] < 0 or self.object_count[0] > self.object_count[1]:
             raise ConfigError("invalid object count range")
         if not self.catalog:
@@ -180,6 +192,13 @@ def _noun(entry_color: str, category: str) -> str:
     return f"{entry_color} {category}"
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two 3-vectors, with the float ops it uses but without its overhead."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _look_at_pose(eye: np.ndarray, target: np.ndarray) -> CameraPose:
     forward = target - eye
     norm = np.linalg.norm(forward)
@@ -187,12 +206,12 @@ def _look_at_pose(eye: np.ndarray, target: np.ndarray) -> CameraPose:
         raise GenerationError("camera eye coincides with its target")
     z_axis = forward / norm
     up = np.array([0.0, 0.0, 1.0])
-    x_axis = np.cross(z_axis, up)
+    x_axis = _cross(z_axis, up)
     x_norm = np.linalg.norm(x_axis)
     if x_norm < 1e-9:
         raise GenerationError("camera looks straight along the world up axis")
     x_axis /= x_norm
-    y_axis = np.cross(z_axis, x_axis)
+    y_axis = _cross(z_axis, x_axis)
     rotation = np.stack([x_axis, y_axis, z_axis], axis=1)
     return CameraPose(rotation=rotation, translation=eye)
 
@@ -230,48 +249,66 @@ def _clear_of(placed, lo, hi, margin) -> bool:
     return True
 
 
-def _render_view(
-    eye: np.ndarray,
-    pose: CameraPose,
+def _render_views(
+    eyes: np.ndarray,
+    rotations: np.ndarray,
     intr: CameraIntrinsics,
-    image_size: int,
+    n: int,
     boxes: list[tuple[np.ndarray, np.ndarray]],
     colors: list[tuple[float, float, float]],
     room_half: float,
-):
-    """Nearest-hit ray cast of the boxes and the floor, flat shading."""
-    n = image_size
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-hit ray cast of the boxes and the floor from V cameras at once, flat shading.
+
+    ``eyes`` (V, 3) are the camera centres and ``rotations`` (V, 3, 3) their
+    camera-to-world rotations.  Returns images (V, n, n, 3) and depths
+    (V, n, n); a ray that hits nothing is black at depth 0.  Every view is
+    bitwise equal to casting it alone: the float ops per ray are the same,
+    and the ray directions come from one stacked product, a BLAS call per
+    view.  The ray directions and their zero-safe copy hold V·n·n·3 float64
+    values each; the slab test works one axis at a time in five V·n·n
+    float64 buffers written in place.
+    """
+    v_count = len(eyes)
     u = np.arange(n, dtype=np.float64)[None, :].repeat(n, axis=0)
     v = np.arange(n, dtype=np.float64)[:, None].repeat(n, axis=1)
     dirs_cam = np.stack([(u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy, np.ones((n, n))], axis=-1)
-    dirs = dirs_cam.reshape(-1, 3) @ pose.rotation.T
+    # (3, V, n*n): one contiguous plane per world axis.
+    dirs = np.matmul(dirs_cam.reshape(-1, 3), rotations.transpose(0, 2, 1)).transpose(2, 0, 1).copy()
     safe_dirs = np.where(dirs == 0.0, 1e-300, dirs)
 
-    depth = np.full(n * n, np.inf)
-    color = np.zeros((n * n, 3))
-
     # Floor: z = 0 inside the room square.
-    s_floor = -eye[2] / safe_dirs[:, 2]
-    fx = eye[0] + s_floor * dirs[:, 0]
-    fy = eye[1] + s_floor * dirs[:, 1]
-    floor_hit = (s_floor > 1e-9) & (np.abs(fx) <= room_half) & (np.abs(fy) <= room_half)
-    update = floor_hit & (s_floor < depth)
-    depth[update] = s_floor[update]
-    color[update] = FLOOR_COLOR
+    ex, ey, ez = eyes.T[:, :, None]
+    s_floor = -ez / safe_dirs[2]
+    fx = ex + s_floor * dirs[0]
+    fy = ey + s_floor * dirs[1]
+    update = (s_floor > 1e-9) & (np.abs(fx) <= room_half) & (np.abs(fy) <= room_half)
+    depth = np.where(update, s_floor, np.inf)
+    # Index into the palette: nothing, the floor, then each box.
+    label = update.astype(np.intp)
 
-    for (lo, hi), rgb in zip(boxes, colors):
-        t1 = (lo - eye) / safe_dirs
-        t2 = (hi - eye) / safe_dirs
-        t_near = np.minimum(t1, t2).max(axis=1)
-        t_far = np.maximum(t1, t2).min(axis=1)
-        hit = (t_far >= t_near) & (t_near > 1e-9)
-        update = hit & (t_near < depth)
-        depth[update] = t_near[update]
-        color[update] = rgb
+    t1, t2, t3, t_near, t_far = (np.empty_like(depth) for _ in range(5))
+    mask = np.empty_like(update)
+    for index, (lo, hi) in enumerate(boxes, start=2):
+        lo_rel, hi_rel = lo - eyes, hi - eyes
+        for a in range(3):
+            np.divide(lo_rel[:, a, None], safe_dirs[a], out=t1)
+            np.divide(hi_rel[:, a, None], safe_dirs[a], out=t2)
+            if a == 0:
+                np.minimum(t1, t2, out=t_near)
+                np.maximum(t1, t2, out=t_far)
+            else:
+                np.maximum(t_near, np.minimum(t1, t2, out=t3), out=t_near)
+                np.minimum(t_far, np.maximum(t1, t2, out=t3), out=t_far)
+        np.greater_equal(t_far, t_near, out=update)
+        update &= np.greater(t_near, 1e-9, out=mask)
+        update &= np.less(t_near, depth, out=mask)
+        np.copyto(depth, t_near, where=update)
+        np.copyto(label, index, where=update)
 
-    invalid = ~np.isfinite(depth)
-    depth[invalid] = 0.0
-    return color.reshape(n, n, 3), depth.reshape(n, n)
+    depth[~np.isfinite(depth)] = 0.0
+    palette = np.array([(0.0, 0.0, 0.0), FLOOR_COLOR, *colors])
+    return palette[label].reshape(v_count, n, n, 3), depth.reshape(v_count, n, n)
 
 
 def _referring_texts(placed) -> list[str]:
@@ -312,17 +349,25 @@ def _join(parts: list[str]) -> str:
 
 
 def generate_scene(spec: SceneSpec, seed: int, max_regenerations: int = 25) -> Scene:
-    """Generate one scene; regenerate until every object is observable."""
+    """Generate one scene; regenerate until every object is observable.
+
+    Each rejected layout is logged at DEBUG with the objects no view observes.
+    """
+    unobserved: list[str] = []
     for attempt in range(max_regenerations):
-        scene = _generate_once(spec, seed, attempt)
+        scene, unobserved = _generate_once(spec, seed, attempt)
         if scene is not None:
             return scene
+        logger.debug("seed %d attempt %d: layout rejected, no view observes %s",
+                     seed, attempt, _join(unobserved))
+    last = f"; the last left unobserved: {_join(unobserved)}" if unobserved else ""
     raise GenerationError(
-        f"no layout with all objects visible after {max_regenerations} attempts (seed {seed})"
+        f"no layout with all objects visible after {max_regenerations} attempts (seed {seed}){last}"
     )
 
 
-def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> Scene | None:
+def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> tuple[Scene | None, list[str]]:
+    """One layout: the scene, or None and the objects that no view observes."""
     rng = np.random.default_rng((spec.seed, seed, attempt))
     placed = _place_objects(spec, rng, seed)
     boxes = [(lo, hi) for _, lo, hi in placed]
@@ -331,16 +376,20 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> Scene | None:
 
     n = spec.image_size
     intr = CameraIntrinsics(fx=0.8 * n, fy=0.8 * n, cx=(n - 1) / 2.0, cy=(n - 1) / 2.0)
-    views: list[View] = []
+    poses: list[CameraPose] = []
     for i in range(spec.view_count):
         angle = 2.0 * np.pi * i / spec.view_count + rng.uniform(-0.4, 0.4) * 2.0 * np.pi / spec.view_count
         radius = rng.uniform(*spec.camera_radius)
         height = rng.uniform(*spec.camera_height)
         eye = np.array([radius * np.cos(angle), radius * np.sin(angle), height])
         target = np.array([rng.uniform(-0.3, 0.3) * half, rng.uniform(-0.3, 0.3) * half, 0.0])
-        pose = _look_at_pose(eye, target)
-        image, depth = _render_view(eye, pose, intr, n, boxes, colors, half)
-        views.append(View(image=image, depth=depth, intrinsics=intr, pose=pose))
+        poses.append(_look_at_pose(eye, target))
+    images, depths = _render_views(
+        np.array([p.translation for p in poses]), np.array([p.rotation for p in poses]),
+        intr, n, boxes, colors, half,
+    )
+    views = [View(image=images[i], depth=depths[i], intrinsics=intr, pose=pose)
+             for i, pose in enumerate(poses)]
 
     texts = _referring_texts(placed)
     objects = [
@@ -351,8 +400,12 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> Scene | None:
 
     pointmaps = [v.pointmap() for v in views]
     areas = visible_areas(pointmaps, objects)
-    if objects and not np.all(areas.max(axis=0) >= spec.min_points):
-        return None
+    unobserved = [
+        _noun(entry.color_name, entry.category)
+        for (entry, _, _), best in zip(placed, areas.max(axis=0)) if best < spec.min_points
+    ]
+    if unobserved:
+        return None, unobserved
 
     view_captions = []
     for vi in range(spec.view_count):
@@ -370,7 +423,7 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> Scene | None:
         scene_type=spec.scene_type,
         scene_caption=_scene_caption(spec.scene_type, [e for e, _, _ in placed]),
         view_captions=view_captions,
-    )
+    ), []
 
 
 # ---------------------------------------------------------------------------

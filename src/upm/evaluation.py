@@ -265,11 +265,11 @@ def retrieval_views_curve(
     of those at a larger one, so coverage runs once per scene, at the
     largest budget below its view count.
     """
+    if min(budgets, default=1) < 1:
+        raise ContractError(f"view budgets must be at least 1, got {list(budgets)}")
     captions, gt_scene = _retrieval_captions(scenes, n_utterances)
     if not captions:
         return [(budget, 0.0) for budget in budgets]
-    if min(budgets, default=1) < 1:
-        raise ContractError(f"view budgets must be at least 1, got {list(budgets)}")
     caption_matrix = embed_texts(captions, params, config)
     scene_views = []
     for scene in scenes:

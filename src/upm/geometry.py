@@ -226,8 +226,12 @@ def visible_areas(pointmaps: Sequence[Pointmap], objects: Sequence[ObjectAnnotat
     hi = np.array([obj.aabb_max for obj in objects]).reshape(-1, 3)
     areas = np.zeros((len(pointmaps), len(objects)), dtype=np.int64)
     for v, pm in enumerate(pointmaps):
-        pts = pm.valid_points()[:, None, :]
-        areas[v] = np.logical_and(pts >= lo, pts <= hi).all(axis=2).sum(axis=0)
+        pts = pm.valid_points()
+        inside = np.ones((len(pts), len(objects)), dtype=bool)
+        for a in range(3):
+            coord = pts[:, a, None]
+            inside &= (coord >= lo[:, a]) & (coord <= hi[:, a])
+        areas[v] = inside.sum(axis=0)
     return areas
 
 

@@ -1,5 +1,6 @@
 """Tests for synthetic scene generation and the on-disk scene format."""
 
+import hashlib
 import logging
 from pathlib import Path
 
@@ -47,6 +48,41 @@ def render_depth_consistency(scene):
     return worst
 
 
+def oracle_render_view(eye, pose, intr, image_size, boxes, colors, room_half):
+    """One view's nearest-hit ray cast, one camera at a time: the oracle of ``_render_views``."""
+    n = image_size
+    u = np.arange(n, dtype=np.float64)[None, :].repeat(n, axis=0)
+    v = np.arange(n, dtype=np.float64)[:, None].repeat(n, axis=1)
+    dirs_cam = np.stack([(u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy, np.ones((n, n))], axis=-1)
+    dirs = dirs_cam.reshape(-1, 3) @ pose.rotation.T
+    safe_dirs = np.where(dirs == 0.0, 1e-300, dirs)
+
+    depth = np.full(n * n, np.inf)
+    color = np.zeros((n * n, 3))
+
+    s_floor = -eye[2] / safe_dirs[:, 2]
+    fx = eye[0] + s_floor * dirs[:, 0]
+    fy = eye[1] + s_floor * dirs[:, 1]
+    floor_hit = (s_floor > 1e-9) & (np.abs(fx) <= room_half) & (np.abs(fy) <= room_half)
+    update = floor_hit & (s_floor < depth)
+    depth[update] = s_floor[update]
+    color[update] = D.FLOOR_COLOR
+
+    for (lo, hi), rgb in zip(boxes, colors):
+        t1 = (lo - eye) / safe_dirs
+        t2 = (hi - eye) / safe_dirs
+        t_near = np.minimum(t1, t2).max(axis=1)
+        t_far = np.maximum(t1, t2).min(axis=1)
+        hit = (t_far >= t_near) & (t_near > 1e-9)
+        update = hit & (t_near < depth)
+        depth[update] = t_near[update]
+        color[update] = rgb
+
+    invalid = ~np.isfinite(depth)
+    depth[invalid] = 0.0
+    return color.reshape(n, n, 3), depth.reshape(n, n)
+
+
 def small_spec(**overrides):
     defaults = dict(scene_type="bedroom", view_count=6, image_size=24)
     defaults.update(overrides)
@@ -84,6 +120,43 @@ def scenes_equal(a: D.Scene, b: D.Scene) -> bool:
     return True
 
 
+def _bits(array) -> bytes:
+    array = np.asarray(array)
+    return repr((array.dtype.str, array.shape)).encode() + array.tobytes()
+
+
+def scene_digest(scene: D.Scene) -> str:
+    """SHA-256 over every stored field of a scene: equal digests mean bitwise-equal scenes."""
+    h = hashlib.sha256()
+    h.update(repr((scene.scene_id, scene.scene_type, scene.scene_caption,
+                   list(scene.view_captions))).encode())
+    for view in scene.views:
+        intr = view.intrinsics
+        for part in (view.image, view.depth, view.pose.rotation, view.pose.translation,
+                     np.array([intr.fx, intr.fy, intr.cx, intr.cy])):
+            h.update(_bits(part))
+    for ob in scene.objects:
+        h.update(repr((ob.object_id, ob.category, ob.referring_text)).encode())
+        h.update(_bits(ob.aabb_min) + _bits(ob.aabb_max))
+    return h.hexdigest()
+
+
+# (spec overrides, seed, SHA-256 of the scene): every scene type at the
+# default spec; a seed whose first layout is rejected (library seed 2); an
+# object-free spec; and non-default view counts and image sizes, one odd.
+PINNED_SCENES = [
+    (dict(scene_type="bedroom"), 8, "3ccf4883844f934b570fca87d829f74cde22e607cec5eb37030f9acea4175b19"),
+    (dict(scene_type="office"), 4, "67e7d2de4c76c34252f437e27d937a4559c7b1ec6fbc1ed956e49f0ce9d1a86f"),
+    (dict(scene_type="kitchen"), 2, "351b08a62e45839088da197a65335c7484250e2fe782f81e5f6b598aa5da6434"),
+    (dict(scene_type="library"), 0, "090a435e6186c9c08f33f7162a2d0549f612cf362cf4d6c10f033bf9a2ac9ff0"),
+    (dict(scene_type="library"), 2, "4b0aef5b17a6011cec1837eee2a88230ec5cabd92b0dd2248a1e3efbc157d398"),
+    (dict(scene_type="office", object_count=(0, 0)), 5, "58e8af485381d5ad33b830e308ba569aa545a070236bbd7526a75893824ef31e"),
+    (dict(scene_type="kitchen", view_count=5, image_size=17), 3, "1024a1ee45743a3b230889cc4c1fea107d88b6bded0dc6defb271f39fec8e443"),
+    (dict(scene_type="bedroom", view_count=3, image_size=8, object_count=(1, 2)), 9, "60e68f7f7877fa9f1e3fc4dedf97137cc7557a72d6fa83e1fda5cdc3f6a4f929"),
+    (dict(scene_type="library", view_count=7, image_size=24), 6, "becb2ce9700eebd7ac523b5c8a11174892c375a5e9de3f927b5e36233104aa3d"),
+]
+
+
 class TestSceneSpec:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -94,6 +167,25 @@ class TestSceneSpec:
             D.SceneSpec(scene_type="spaceship")
         with pytest.raises(ConfigError):
             D.SceneSpec(scene_type="bedroom", object_count=(3, 2))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(image_size=0),
+        dict(room_extent=float("nan")),
+        dict(room_extent=float("inf")),
+        dict(room_extent=-2.0),
+        dict(camera_radius=(2.5, 1.7)),
+        dict(camera_radius=(1.7, float("inf"))),
+        dict(camera_radius=(float("nan"), 2.5)),
+        dict(camera_radius=(0.0, 2.5)),
+        dict(camera_height=(2.4, 1.5)),
+        dict(camera_height=(1.5, float("nan"))),
+        dict(camera_height=(-1.0, 2.4)),
+        dict(camera_height=(0.0, 2.4)),
+        dict(min_points=0),
+    ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+    def test_rejects_degenerate_geometry(self, overrides):
+        with pytest.raises(ConfigError):
+            D.SceneSpec(scene_type="bedroom", **overrides)
 
     def test_four_scene_types_available(self):
         assert len(D.SCENE_TYPES) == 4
@@ -171,23 +263,78 @@ class TestGenerateScene:
         with pytest.raises(GenerationError):
             D.generate_scene(small_spec(), seed=0, max_regenerations=0)
 
+    def test_rejected_layouts_logged_with_unobserved_objects(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="upm.data"):
+            scene = D.generate_scene(D.SceneSpec(scene_type="bedroom"), seed=0)
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "seed 0 attempt 0: layout rejected, no view observes teal wardrobe, green nightstand "
+            "and yellow nightstand",
+            "seed 0 attempt 1: layout rejected, no view observes green nightstand",
+        ]
+        assert [o.category for o in scene.objects] == ["bed", "lamp"]
+
+    def test_generation_error_names_last_unobserved_objects(self, caplog):
+        spec = small_spec(view_count=2, image_size=8, object_count=(1, 1), min_points=65)
+        with caplog.at_level(logging.DEBUG, logger="upm.data"):
+            with pytest.raises(GenerationError) as info:
+                D.generate_scene(spec, seed=0, max_regenerations=3)
+        messages = [r.getMessage() for r in caplog.records]
+        assert [m.split(":")[0] for m in messages] == [f"seed 0 attempt {a}" for a in range(3)]
+        last_object = messages[-1].rsplit("no view observes ", 1)[1]
+        assert str(info.value).endswith(f"the last left unobserved: {last_object}")
+
+
+class TestGenerationPinned:
+    @pytest.mark.parametrize("overrides, seed, digest", PINNED_SCENES)
+    def test_scene_bytes_pinned(self, overrides, seed, digest):
+        assert scene_digest(D.generate_scene(D.SceneSpec(**overrides), seed)) == digest
+
+    def test_set_includes_a_rejected_first_layout(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="upm.data"):
+            D.generate_scene(D.SceneSpec(scene_type="library"), seed=2)
+        assert "attempt 0: layout rejected" in caplog.text
+
+
+def ring_intrinsics(n):
+    return CameraIntrinsics(fx=0.8 * n, fy=0.8 * n, cx=(n - 1) / 2.0, cy=(n - 1) / 2.0)
+
+
+def random_boxes(rng, count):
+    boxes = []
+    for _ in range(count):
+        lo = np.append(rng.uniform(-2.0, 1.5, size=2), 0.0)
+        boxes.append((lo, lo + rng.uniform(0.2, 1.2, size=3)))
+    colors = [tuple(rng.uniform(0.0, 1.0, size=3)) for _ in boxes]
+    return boxes, colors
+
+
+def look_at_poses(rng, count, room_half=3.0):
+    poses = []
+    for _ in range(count):
+        eye = np.append(rng.uniform(-room_half, room_half, size=2), rng.uniform(0.2, 3.0))
+        target = np.append(rng.uniform(-1.0, 1.0, size=2), rng.uniform(0.0, 0.5))
+        poses.append(D._look_at_pose(eye, target))
+    return poses
+
+
+# Camera-to-world rotations that keep exact zeros in the ray directions:
+# looking straight down, and looking horizontally along +x.
+DOWN = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+ALONG_X = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
 
 class TestRenderConsistency:
     def ring_pointmaps(self, box_lo, box_hi, n_views=8, image_size=32):
-        intr = CameraIntrinsics(
-            fx=0.8 * image_size, fy=0.8 * image_size,
-            cx=(image_size - 1) / 2, cy=(image_size - 1) / 2,
+        intr = ring_intrinsics(image_size)
+        angles = 2 * np.pi * np.arange(n_views) / n_views
+        poses = [D._look_at_pose(np.array([2.2 * np.cos(a), 2.2 * np.sin(a), 1.8]), np.zeros(3))
+                 for a in angles]
+        _, depths = D._render_views(
+            np.array([p.translation for p in poses]), np.array([p.rotation for p in poses]),
+            intr, image_size, [(box_lo, box_hi)], [(1.0, 0.0, 0.0)], 3.0,
         )
-        pms = []
-        for i in range(n_views):
-            angle = 2 * np.pi * i / n_views
-            eye = np.array([2.2 * np.cos(angle), 2.2 * np.sin(angle), 1.8])
-            pose = D._look_at_pose(eye, np.zeros(3))
-            _, depth = D._render_view(
-                eye, pose, intr, image_size, [(box_lo, box_hi)], [(1.0, 0.0, 0.0)], 3.0
-            )
-            pms.append(back_project(depth, intr, pose))
-        return pms
+        return [back_project(depth, intr, pose) for depth, pose in zip(depths, poses)]
 
     def test_centered_box_visible_from_every_ring_view(self):
         lo, hi = np.array([-0.5, -0.5, 0.0]), np.array([0.5, 0.5, 0.6])
@@ -237,6 +384,86 @@ class TestRenderConsistency:
     def test_scene_level_consistency_check(self):
         scene = D.generate_scene(small_spec(), seed=9)
         assert render_depth_consistency(scene) <= 1e-6
+
+
+class TestRenderViews:
+    def assert_matches_oracle(self, poses, intr, n, boxes, colors, room_half=3.0):
+        eyes = np.array([p.translation for p in poses])
+        images, depths = D._render_views(
+            eyes, np.array([p.rotation for p in poses]), intr, n, boxes, colors, room_half)
+        assert images.shape == (len(poses), n, n, 3) and depths.shape == (len(poses), n, n)
+        for pose, image, depth in zip(poses, images, depths):
+            want_image, want_depth = oracle_render_view(
+                pose.translation, pose, intr, n, boxes, colors, room_half)
+            assert image.tobytes() == want_image.tobytes()
+            assert depth.tobytes() == want_depth.tobytes()
+        return images, depths
+
+    @pytest.mark.parametrize("n", [8, 24, 32, 17])
+    def test_random_cameras_match_oracle(self, n):
+        rng = np.random.default_rng(n)
+        boxes, colors = random_boxes(rng, 4)
+        images, depths = self.assert_matches_oracle(look_at_poses(rng, 12), ring_intrinsics(n),
+                                                    n, boxes, colors)
+        drawn = {tuple(c) for c in images.reshape(-1, 3)}
+        assert D.FLOOR_COLOR in drawn and drawn & set(colors) and (depths > 0).any()
+
+    @pytest.mark.parametrize("n", [8, 17])
+    def test_zero_direction_components_match_oracle(self, n):
+        # Integer principal points put exact zeros in the camera rays.
+        intr = CameraIntrinsics(fx=0.8 * n, fy=0.8 * n, cx=float(n // 2), cy=float(n // 3))
+        boxes, colors = random_boxes(np.random.default_rng(5), 3)
+        poses = [CameraPose(rotation=DOWN, translation=np.array([0.3, -0.2, 2.5])),
+                 CameraPose(rotation=ALONG_X, translation=np.array([-2.5, 0.1, 0.4])),
+                 CameraPose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 1.0]))]
+        self.assert_matches_oracle(poses, intr, n, boxes, colors)
+
+    def test_eye_on_box_face_planes_matches_oracle(self):
+        # Zero slab distances, signed either way; the downward cameras also
+        # cast rays inside a face plane, where the distance is 0 / 0 unguarded.
+        lo, hi = np.array([-0.5, -0.4, 0.0]), np.array([0.6, 0.5, 0.7])
+        eyes = [np.array([lo[0], 2.0, 1.2]), np.array([1.5, hi[1], 0.9]),
+                np.array([-1.5, -1.5, hi[2]]), np.array([hi[0], lo[1], 1.5])]
+        poses = [D._look_at_pose(eye, np.array([0.05, 0.05, 0.0])) for eye in eyes]
+        poses += [CameraPose(rotation=DOWN, translation=np.array([0.0, 0.0, hi[2]])),
+                  CameraPose(rotation=DOWN, translation=np.array([lo[0], 0.0, 2.0])),
+                  CameraPose(rotation=DOWN, translation=np.array([0.1, hi[1], 1.6]))]
+        intr = CameraIntrinsics(fx=12.8, fy=12.8, cx=8.0, cy=8.0)
+        images, _ = self.assert_matches_oracle(poses, intr, 16, [(lo, hi)], [(0.9, 0.1, 0.1)])
+        assert tuple(images[5, 8, 8]) == (0.9, 0.1, 0.1)
+
+    def test_no_boxes_matches_oracle(self):
+        poses = look_at_poses(np.random.default_rng(6), 5)
+        images, _ = self.assert_matches_oracle(poses, ring_intrinsics(24), 24, [], [])
+        assert {tuple(c) for c in images.reshape(-1, 3)} <= {D.FLOOR_COLOR, (0.0, 0.0, 0.0)}
+
+    def test_overlapping_boxes_match_oracle(self):
+        boxes = [(np.array([-0.6, -0.6, 0.0]), np.array([0.6, 0.6, 0.5])),
+                 (np.array([-0.3, -0.3, 0.0]), np.array([0.9, 0.9, 0.9])),
+                 (np.array([-0.3, -0.3, 0.0]), np.array([0.9, 0.9, 0.9]))]
+        colors = [(0.8, 0.2, 0.1), (0.1, 0.7, 0.2), (0.2, 0.2, 0.9)]
+        images, _ = self.assert_matches_oracle(
+            look_at_poses(np.random.default_rng(7), 8), ring_intrinsics(32), 32, boxes, colors)
+        assert colors[2] not in {tuple(c) for c in images.reshape(-1, 3)}
+
+    def test_one_view_batch_matches_oracle(self):
+        rng = np.random.default_rng(8)
+        boxes, colors = random_boxes(rng, 2)
+        self.assert_matches_oracle(look_at_poses(rng, 1), ring_intrinsics(24), 24, boxes, colors)
+
+
+class TestCross:
+    def test_bytes_equal_numpy_cross(self):
+        rng = np.random.default_rng(9)
+        vectors = rng.normal(size=(400, 3))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        axes = np.vstack([np.eye(3), -np.eye(3), [[0.6, -0.8, 0.0], [-0.6, 0.0, 0.8]]])
+        vectors = np.vstack([vectors, axes])
+        for a, b in zip(vectors, np.roll(vectors, 1, axis=0)):
+            assert D._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+        for a in vectors:
+            for b in axes:
+                assert D._cross(a, b).tobytes() == np.cross(a, b).tobytes()
 
 
 class TestSceneIO:

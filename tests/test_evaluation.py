@@ -176,6 +176,14 @@ class TestSceneRetrieval:
         with pytest.raises(ContractError, match="at least 1"):
             ev.retrieval_views_curve(params, config, test_scenes, 2, budgets=(0, 2))
 
+    def test_views_curve_rejects_nonpositive_budget_without_captions(self, trained):
+        params, config = trained
+        spec = D.SceneSpec(scene_type="kitchen", view_count=4, image_size=24, object_count=(0, 0))
+        scenes = [D.generate_scene(spec, seed=i) for i in range(2)]
+        assert ev.retrieval_views_curve(params, config, scenes, 2, budgets=(2,)) == [(2, 0.0)]
+        with pytest.raises(ContractError, match="at least 1"):
+            ev.retrieval_views_curve(params, config, scenes, 2, budgets=[0])
+
 
 class TestZeroShot:
     def test_identity_similarities_are_perfect(self):
