@@ -28,7 +28,7 @@ from .geometry import (
     ObjectAnnotation,
     Pointmap,
     back_project,
-    visible_areas,
+    box_counts,
 )
 
 logger = logging.getLogger(__name__)
@@ -157,9 +157,6 @@ class View:
         if np.any(self.depth < 0):
             raise ContractError("depth must be nonnegative")
 
-    def pointmap(self) -> Pointmap:
-        return back_project(self.depth, self.intrinsics, self.pose)
-
 
 @dataclass
 class Scene:
@@ -175,9 +172,22 @@ class Scene:
             raise ContractError("a scene needs at least two views")
         if len(self.view_captions) != len(self.views):
             raise ContractError("one caption per view required")
+        sizes = sorted({v.depth.shape for v in self.views})
+        if len(sizes) > 1:
+            raise ContractError(f"views differ in image size: {sizes}")
 
     def pointmaps(self) -> list[Pointmap]:
-        return [v.pointmap() for v in self.views]
+        """Every view's pointmap, back-projected in one batched pass.
+
+        Recomputed on each call by design: keeping them would hold every
+        view's points for as long as the scene lives (about 16 MB for the
+        640 views of a default 40-scene evaluation).
+        """
+        points, validity = back_project(
+            np.array([v.depth for v in self.views]),
+            [v.intrinsics for v in self.views], [v.pose for v in self.views],
+        )
+        return [Pointmap(points=p, validity=m) for p, m in zip(points, validity)]
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +408,9 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> tuple[Scene | No
         for i, (entry, lo, hi) in enumerate(placed)
     ]
 
-    pointmaps = [v.pointmap() for v in views]
-    areas = visible_areas(pointmaps, objects)
+    points, validity = back_project(depths, [intr] * spec.view_count, poses)
+    areas = box_counts(points.reshape(spec.view_count, n * n, 3),
+                       validity.reshape(spec.view_count, n * n), objects)
     unobserved = [
         _noun(entry.color_name, entry.category)
         for (entry, _, _), best in zip(placed, areas.max(axis=0)) if best < spec.min_points
@@ -441,8 +452,11 @@ def _write_raster(path: Path, array: np.ndarray) -> None:
 
 
 def _read_raster(path: Path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        raise FormatError(f"unreadable raster {path}: {exc.strerror}") from exc
     if len(blob) < 5 or blob[:4] != RASTER_MAGIC:
         raise FormatError(f"bad raster magic in {path}")
     rank = blob[4]
@@ -533,22 +547,31 @@ def _record_floats(text: str, count: int, what: str, meta_path: Path) -> list[fl
 
 def _store_once(records: dict, idx: int, value, key: str, meta_path: Path) -> None:
     if idx in records:
-        raise FormatError(f"duplicate {key} record for view {idx} in {meta_path}")
+        raise FormatError(f"duplicate {key}={idx} record in {meta_path}")
     records[idx] = value
 
 
 def load_scene(directory) -> Scene:
-    """Read a scene directory written by :func:`save_scene`."""
+    """Read a scene directory written by :func:`save_scene`.
+
+    Any malformed directory raises :class:`FormatError`: a missing or
+    unreadable file, metadata that is not UTF-8 or breaks a record, and
+    rasters or records that no valid scene could hold.
+    """
     directory = Path(directory)
     meta_path = directory / "meta.txt"
-    if not meta_path.exists():
-        raise FormatError(f"missing metadata file {meta_path}")
+    try:
+        meta_text = meta_path.read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise FormatError(f"missing metadata file {meta_path}") from exc
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise FormatError(f"unreadable metadata file {meta_path}: {exc}") from exc
 
     scalars: dict[str, str] = {}
     cameras: dict[int, tuple[CameraIntrinsics, CameraPose]] = {}
     captions: dict[int, str] = {}
-    objects: list[ObjectAnnotation] = []
-    for raw in meta_path.read_text(encoding="utf-8").splitlines():
+    objects: dict[int, ObjectAnnotation] = {}
+    for raw in meta_text.splitlines():
         if not raw.strip():
             continue
         key, _, value = raw.partition("=")
@@ -572,16 +595,15 @@ def load_scene(directory) -> Scene:
             _store_once(captions, idx, text, key, meta_path)
         elif key == "object":
             obj_id, category, box_str, text = _record_fields(value, 4, key, meta_path)
+            idx = _record_int(obj_id, "object id", meta_path)
             box = _record_floats(box_str, 6, "box", meta_path)
-            objects.append(
-                ObjectAnnotation(
-                    object_id=_record_int(obj_id, "object id", meta_path),
-                    aabb_min=np.array(box[:3]),
-                    aabb_max=np.array(box[3:6]),
-                    referring_text=text,
-                    category=category,
-                )
-            )
+            try:
+                annotation = ObjectAnnotation(object_id=idx, aabb_min=np.array(box[:3]),
+                                              aabb_max=np.array(box[3:6]),
+                                              referring_text=text, category=category)
+            except ContractError as exc:
+                raise FormatError(f"invalid box for object {idx} in {meta_path}: {exc}") from exc
+            _store_once(objects, idx, annotation, key, meta_path)
         elif key in ("scene_id", "scene_type", "scene_caption", "num_views", "num_objects"):
             scalars[key] = value
         else:
@@ -607,16 +629,22 @@ def load_scene(directory) -> Scene:
         image = _read_raster(directory / f"view_{i:03d}_image.upmv")
         depth = _read_raster(directory / f"view_{i:03d}_depth.upmv")
         intr, pose = cameras[i]
-        views.append(View(image=image, depth=depth, intrinsics=intr, pose=pose))
+        try:
+            views.append(View(image=image, depth=depth, intrinsics=intr, pose=pose))
+        except (ContractError, DegenerateInputError) as exc:
+            raise FormatError(f"invalid rasters for view {i} in {directory}: {exc}") from exc
 
-    return Scene(
-        scene_id=scalars.get("scene_id", directory.name),
-        views=views,
-        objects=objects,
-        scene_type=scalars.get("scene_type", ""),
-        scene_caption=scalars.get("scene_caption", ""),
-        view_captions=[captions[i] for i in range(n_views)],
-    )
+    try:
+        return Scene(
+            scene_id=scalars.get("scene_id", directory.name),
+            views=views,
+            objects=list(objects.values()),
+            scene_type=scalars.get("scene_type", ""),
+            scene_caption=scalars.get("scene_caption", ""),
+            view_captions=[captions[i] for i in range(n_views)],
+        )
+    except ContractError as exc:
+        raise FormatError(f"invalid scene in {directory}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,13 @@ def _recall_at(
 def embed_scene_views(
     scene: Scene, params: EncoderParams, config: EncoderConfig, modality: str = "both"
 ) -> np.ndarray:
-    """All view embeddings of a scene as a (V, d) array, without gradients."""
-    pairs = [(v.image, v.pointmap()) for v in scene.views]
+    """All view embeddings of a scene as a (V, d) array, without gradients.
+
+    The pointmaps come from ``Scene.pointmaps``, recomputed on each call by
+    design: holding them for every evaluated scene would cost more memory
+    than back-projecting again saves.
+    """
+    pairs = list(zip([v.image for v in scene.views], scene.pointmaps()))
     with E.no_grad():
         return encode_views(pairs, params, config, modality=modality).array
 

@@ -3,6 +3,20 @@
 Pointmaps store one world-frame 3D coordinate per pixel, pixel-aligned
 with the RGB image they came from.  Everything here is a pure function
 over immutable numpy inputs; nothing touches the autodiff engine.
+
+Each per-view step makes one array pass over all of a scene's views, and
+each is bitwise equal to its one-view-at-a-time form, kept in the tests
+as its oracle:
+
+- ``back_project`` lifts a (V, H, W) depth stack to (V, H, W, 3) points
+  with one stacked rotation product (oracle: ``oracle_back_project``);
+- ``box_counts`` counts valid pixels inside object boxes on the
+  (V, H·W) pixel grid; ``visible_areas`` pads ragged pointmaps into it;
+- ``max_coverage_sample`` builds one (V, K) voxel-occupancy matrix and
+  scores every view per greedy round (oracle:
+  ``oracle_max_coverage_sample``, an ``np.isin`` loop over views);
+- ``pairwise_chamfer`` queries each view's KD-tree once, with the other
+  views' points concatenated (oracle: the exhaustive scan).
 """
 
 from __future__ import annotations
@@ -107,23 +121,39 @@ class ObjectAnnotation:
 # back-projection
 
 
-def back_project(depth: np.ndarray, intr: CameraIntrinsics, pose: CameraPose) -> Pointmap:
-    """Lift a depth map to a world-frame pointmap. Zero depth marks invalid pixels."""
-    depth = np.asarray(depth, dtype=np.float64)
-    if depth.ndim != 2:
-        raise ShapeError(f"depth must be HxW, got {depth.shape}")
-    if np.any(depth < 0):
+def back_project(
+    depths: np.ndarray,
+    intrinsics: Sequence[CameraIntrinsics],
+    poses: Sequence[CameraPose],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lift V depth maps to world points (V, H, W, 3) and validity (V, H, W).
+
+    Zero depth marks invalid pixels, whose points are zero.  Each view is
+    bitwise equal to lifting it alone: the per-pixel float ops are the
+    same, and the rotation is one stacked product, a BLAS call per image
+    row as in the one-view form.
+    """
+    depths = np.asarray(depths, dtype=np.float64)
+    if depths.ndim != 3:
+        raise ShapeError(f"depths must be VxHxW, got {depths.shape}")
+    if not len(intrinsics) == len(poses) == len(depths):
+        raise ShapeError(f"{len(depths)} depth maps, {len(intrinsics)} intrinsics, "
+                         f"{len(poses)} poses")
+    if np.any(depths < 0):
         raise ContractError("depth values must be nonnegative")
-    h, w = depth.shape
+    # Each intrinsic as a (V, 1, 1) column.
+    columns = np.array([(i.fx, i.fy, i.cx, i.cy) for i in intrinsics]).reshape(-1, 4)
+    fx, fy, cx, cy = columns.T[..., None, None]
+    _, h, w = depths.shape
     u = np.arange(w, dtype=np.float64)[None, :]
     v = np.arange(h, dtype=np.float64)[:, None]
-    x_cam = (u - intr.cx) * depth / intr.fx
-    y_cam = (v - intr.cy) * depth / intr.fy
-    cam = np.stack([x_cam, y_cam, depth], axis=-1)
-    world = cam @ pose.rotation.T + pose.translation
-    validity = depth > 0
+    cam = np.stack([(u - cx) * depths / fx, (v - cy) * depths / fy, depths], axis=-1)
+    rotations_t = np.array([p.rotation for p in poses]).reshape(-1, 3, 3).transpose(0, 2, 1)
+    translations = np.array([p.translation for p in poses]).reshape(-1, 1, 1, 3)
+    world = np.matmul(cam, rotations_t[:, None]) + translations
+    validity = depths > 0
     world[~validity] = 0.0
-    return Pointmap(points=world, validity=validity)
+    return world, validity
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +190,9 @@ def _min_sq_dists(queries: np.ndarray, targets: np.ndarray, tree) -> np.ndarray:
 def _mean_min_sq_dists(point_sets: Sequence[np.ndarray]) -> np.ndarray:
     """Entry [v, u]: mean squared distance from set v to its nearest points in set u.
 
-    One KD-tree per set serves every ordered pair; the diagonal is zero.
+    Each set's KD-tree is queried once, with every other set's points
+    concatenated; the distances are split back per source set.  The
+    diagonal is zero.
     """
     # Deferred: importing scipy.spatial costs ~10 MB of RSS, which code that
     # never computes Chamfer distances should not pay.
@@ -168,13 +200,15 @@ def _mean_min_sq_dists(point_sets: Sequence[np.ndarray]) -> np.ndarray:
 
     if any(len(pts) == 0 for pts in point_sets):
         raise DegenerateInputError("Chamfer distance needs at least one valid point per set")
-    trees = [cKDTree(pts) for pts in point_sets]
     n_sets = len(point_sets)
     means = np.zeros((n_sets, n_sets))
-    for v in range(n_sets):
-        for u in range(n_sets):
-            if u != v:
-                means[v, u] = np.mean(_min_sq_dists(point_sets[v], point_sets[u], trees[u]))
+    for u, targets in enumerate(point_sets):
+        sources = [v for v in range(n_sets) if v != u]
+        queries = np.concatenate([point_sets[v] for v in sources])
+        dists = _min_sq_dists(queries, targets, cKDTree(targets))
+        splits = np.cumsum([len(point_sets[v]) for v in sources])[:-1]
+        for v, part in zip(sources, np.split(dists, splits)):
+            means[v, u] = np.mean(part)
     return means
 
 
@@ -217,22 +251,37 @@ def _ranks_by_distance(distances: np.ndarray, anchor: int) -> dict[int, int]:
     return {u: rank for rank, u in enumerate(order)}
 
 
+def box_counts(points: np.ndarray, validity: np.ndarray,
+               objects: Sequence[ObjectAnnotation]) -> np.ndarray:
+    """(V, O) counts of valid pixels whose world point lies in each object box.
+
+    ``points`` (V, N, 3) and ``validity`` (V, N) hold each view's pixels in
+    raster order; invalid pixels are never counted, whatever their
+    coordinates.  Box bounds are inclusive.
+    """
+    lo = np.array([obj.aabb_min for obj in objects]).reshape(-1, 1, 1, 3)
+    hi = np.array([obj.aabb_max for obj in objects]).reshape(-1, 1, 1, 3)
+    inside = np.repeat(validity[None], len(objects), axis=0)
+    for a in range(3):
+        coord = points[..., a]
+        inside &= coord >= lo[..., a]
+        inside &= coord <= hi[..., a]
+    return np.ascontiguousarray(inside.sum(axis=2, dtype=np.int64).T)
+
+
 def visible_areas(pointmaps: Sequence[Pointmap], objects: Sequence[ObjectAnnotation]) -> np.ndarray:
     """(V, O) counts of each view's valid pixels whose world point lies in each object box.
 
-    Box bounds are inclusive.
+    Pointmaps of different sizes are padded with invalid pixels into one
+    (V, N) grid for ``box_counts``.  Box bounds are inclusive.
     """
-    lo = np.array([obj.aabb_min for obj in objects]).reshape(-1, 3)
-    hi = np.array([obj.aabb_max for obj in objects]).reshape(-1, 3)
-    areas = np.zeros((len(pointmaps), len(objects)), dtype=np.int64)
-    for v, pm in enumerate(pointmaps):
-        pts = pm.valid_points()
-        inside = np.ones((len(pts), len(objects)), dtype=bool)
-        for a in range(3):
-            coord = pts[:, a, None]
-            inside &= (coord >= lo[:, a]) & (coord <= hi[:, a])
-        areas[v] = inside.sum(axis=0)
-    return areas
+    sizes = [pm.height * pm.width for pm in pointmaps]
+    points = np.zeros((len(pointmaps), max(sizes, default=0), 3))
+    validity = np.zeros(points.shape[:2], dtype=bool)
+    for v, (pm, size) in enumerate(zip(pointmaps, sizes)):
+        points[v, :size] = pm.points.reshape(-1, 3)
+        validity[v, :size] = pm.validity.ravel()
+    return box_counts(points, validity, objects)
 
 
 def visibility_pairs(
@@ -247,63 +296,48 @@ def visibility_pairs(
     return {(int(v), int(o)) for v, o in zip(views, objs)}
 
 
-def _voxel_keys(pointmaps: Sequence[Pointmap], voxel_size: float) -> list[np.ndarray]:
-    """Per view, the sorted unique int64 keys of the voxels its valid points occupy.
-
-    Voxel coordinates are packed relative to the minimum over all views, so
-    keys compare across the views of one call only.
-    """
-    with np.errstate(over="ignore"):  # an overflow to inf is caught below
-        cells = [np.floor(pm.valid_points() / voxel_size) for pm in pointmaps]
-    occupied = [c for c in cells if len(c)]
-    if not occupied:
-        return [np.empty(0, dtype=np.int64) for _ in pointmaps]
-    lo = np.min([c.min(axis=0) for c in occupied], axis=0)
-    hi = np.max([c.max(axis=0) for c in occupied], axis=0)
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise RangeError(f"voxel coordinates overflow at voxel size {voxel_size}")
-    sizes = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
-    if math.prod(sizes) > np.iinfo(np.int64).max:
-        raise RangeError(f"voxel grid {sizes} at voxel size {voxel_size} overflows int64 keys")
-    keys = []
-    for c in cells:
-        offset = (c - lo).astype(np.int64)
-        keys.append(np.unique((offset[:, 0] * sizes[1] + offset[:, 1]) * sizes[2] + offset[:, 2]))
-    return keys
-
-
 def max_coverage_sample(
     pointmaps: Sequence[Pointmap], budget: int, voxel_size: float
 ) -> list[int]:
     """Greedy view selection maximizing newly covered voxels.
 
-    Ties break toward the lower view index; once no view adds coverage,
-    the remaining budget is filled by ascending index.
+    Every view's occupied voxels form one (V, K) boolean matrix, with keys
+    packed relative to the minimum voxel over all views; each greedy round
+    scores all views against the voxels not yet covered.  Ties break
+    toward the lower view index; once no view adds coverage, the remaining
+    budget is filled by ascending index.
     """
     n_views = len(pointmaps)
     if not (1 <= budget <= n_views):
         raise ContractError(f"budget {budget} outside [1, {n_views}]")
     if voxel_size <= 0:
         raise ContractError("voxel_size must be positive")
-    voxels = _voxel_keys(pointmaps, voxel_size)
-    covered = np.empty(0, dtype=np.int64)
+    points = [pm.valid_points() for pm in pointmaps]
+    # (3, n): one contiguous row per axis, so the reductions below are fast.
+    with np.errstate(over="ignore"):  # an overflow to inf is caught below
+        cells = np.floor(np.concatenate(points).T.copy() / voxel_size)
+    occupied = np.zeros((n_views, 0), dtype=bool)
+    if cells.size:
+        lo, hi = cells.min(axis=1), cells.max(axis=1)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise RangeError(f"voxel coordinates overflow at voxel size {voxel_size}")
+        sizes = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+        if math.prod(sizes) > np.iinfo(np.int64).max:
+            raise RangeError(f"voxel grid {sizes} at voxel size {voxel_size} overflows int64 keys")
+        offset = (cells - lo[:, None]).astype(np.int64)
+        keys = (offset[0] * sizes[1] + offset[1]) * sizes[2] + offset[2]
+        voxels, voxel_of_point = np.unique(keys, return_inverse=True)
+        occupied = np.zeros((n_views, len(voxels)), dtype=bool)
+        occupied[np.repeat(np.arange(n_views), [len(p) for p in points]), voxel_of_point] = True
+    uncovered = np.ones(occupied.shape[1], dtype=bool)
+    available = np.ones(n_views, dtype=bool)
     chosen: list[int] = []
-    remaining = list(range(n_views))
     while len(chosen) < budget:
-        best_gain = -1
-        best_view = None
-        for v in remaining:
-            gain = int(np.isin(voxels[v], covered, assume_unique=True, invert=True).sum())
-            if gain > best_gain:
-                best_gain = gain
-                best_view = v
-        if best_gain <= 0:
+        gains = np.where(available, (occupied & uncovered).sum(axis=1), -1)
+        best = int(np.argmax(gains))
+        if gains[best] <= 0:
             break
-        chosen.append(best_view)
-        covered = np.union1d(covered, voxels[best_view])
-        remaining.remove(best_view)
-    for v in remaining:
-        if len(chosen) >= budget:
-            break
-        chosen.append(v)
-    return chosen
+        chosen.append(best)
+        available[best] = False
+        uncovered &= ~occupied[best]
+    return chosen + np.flatnonzero(available)[: budget - len(chosen)].tolist()

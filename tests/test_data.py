@@ -37,8 +37,8 @@ def render_depth_consistency(scene):
     AABB surface; returns the worst offender in meters.
     """
     worst = 0.0
-    for view in scene.views:
-        pts = view.pointmap().valid_points()
+    for pm in scene.pointmaps():
+        pts = pm.valid_points()
         if len(pts) == 0:
             continue
         best = np.abs(pts[:, 2])  # floor plane z=0
@@ -285,6 +285,27 @@ class TestGenerateScene:
         assert str(info.value).endswith(f"the last left unobserved: {last_object}")
 
 
+class TestGenerationVisibility:
+    def test_counts_equal_visible_areas_of_the_scene(self, monkeypatch):
+        # _generate_once counts straight from its batch arrays; the last
+        # count of a returned scene must equal counting its pointmaps.
+        calls, box_counts = [], D.box_counts
+
+        def recording_box_counts(*args):
+            calls.append(box_counts(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(D, "box_counts", recording_box_counts)
+        cases = [(D.SceneSpec(scene_type="library"), 2), (small_spec(object_count=(0, 0)), 5),
+                 (small_spec(view_count=5, image_size=17), 3)]
+        cases += [(small_spec(scene_type=t), seed) for t in D.SCENE_TYPES for seed in (0, 1)]
+        for spec, seed in cases:
+            scene = D.generate_scene(spec, seed)
+            expected = visible_areas(scene.pointmaps(), scene.objects)
+            assert calls[-1].dtype == expected.dtype and np.array_equal(calls[-1], expected)
+        assert len(calls) > len(cases)  # library seed 2 rejects its first layout
+
+
 class TestGenerationPinned:
     @pytest.mark.parametrize("overrides, seed, digest", PINNED_SCENES)
     def test_scene_bytes_pinned(self, overrides, seed, digest):
@@ -334,7 +355,8 @@ class TestRenderConsistency:
             np.array([p.translation for p in poses]), np.array([p.rotation for p in poses]),
             intr, image_size, [(box_lo, box_hi)], [(1.0, 0.0, 0.0)], 3.0,
         )
-        return [back_project(depth, intr, pose) for depth, pose in zip(depths, poses)]
+        points, validity = back_project(depths, [intr] * n_views, poses)
+        return [Pointmap(points=p, validity=m) for p, m in zip(points, validity)]
 
     def test_centered_box_visible_from_every_ring_view(self):
         lo, hi = np.array([-0.5, -0.5, 0.0]), np.array([0.5, 0.5, 0.6])
@@ -344,8 +366,8 @@ class TestRenderConsistency:
 
     def test_floor_pixels_back_project_to_zero_height(self):
         scene = D.generate_scene(small_spec(object_count=(0, 0)), seed=8)
-        for view in scene.views:
-            pts = view.pointmap().valid_points()
+        for pm in scene.pointmaps():
+            pts = pm.valid_points()
             assert np.abs(pts[:, 2]).max() <= 1e-9
 
     def test_box_top_pixels_on_max_z_plane(self):
@@ -585,14 +607,71 @@ class TestViewValidation:
         with pytest.raises(DegenerateInputError):
             D.View(image=image, depth=depth, intrinsics=intr, pose=pose)
 
-    def test_nan_depth_raster_rejected_on_load(self, tmp_path):
-        scene = D.generate_scene(small_spec(), seed=15)
+
+def _replace_with_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+def _edit_meta(directory, prefix, edit):
+    """Rewrite the one meta.txt line that starts with ``prefix``."""
+    meta = directory / "meta.txt"
+    lines = meta.read_text().splitlines()
+    (hit,) = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+    lines[hit] = edit(lines[hit])
+    meta.write_text("\n".join(lines) + "\n")
+
+
+def _edit_raster(directory, name, edit):
+    path = directory / name
+    D._write_raster(path, edit(D._read_raster(path)))
+
+
+def _with_nan(depth):
+    depth[3, 3] = np.nan
+    return depth
+
+
+def _invert_box(line):
+    return _edit_field(line, 2, lambda box: " ".join(box.split()[3:] + box.split()[:3]))
+
+
+# name -> edit of a saved scene directory that no valid scene could hold
+MALFORMED_DIRECTORIES = {
+    "raster_missing": lambda d: (d / "view_001_depth.upmv").unlink(),
+    "raster_is_directory": lambda d: _replace_with_directory(d / "view_001_image.upmv"),
+    "meta_not_utf8": lambda d: (d / "meta.txt").write_bytes(
+        (d / "meta.txt").read_bytes().replace(b"scene_caption=", b"scene_caption=\xff\xfe")),
+    "meta_is_directory": lambda d: _replace_with_directory(d / "meta.txt"),
+    "image_raster_wrong_shape": lambda d: _edit_raster(d, "view_002_image.upmv", lambda a: a[:, :-1]),
+    "image_raster_wrong_rank": lambda d: _edit_raster(d, "view_002_image.upmv", lambda a: a[..., 0]),
+    "depth_raster_wrong_rank": lambda d: _edit_raster(d, "view_002_depth.upmv", lambda a: a[None]),
+    "depth_raster_nan": lambda d: _edit_raster(d, "view_002_depth.upmv", _with_nan),
+    "depth_raster_negative": lambda d: _edit_raster(d, "view_002_depth.upmv", lambda a: -a),
+    "view_size_differs": lambda d: [_edit_raster(d, f"view_003_{kind}.upmv", lambda a: a[:16, :16])
+                                    for kind in ("image", "depth")],
+    "object_box_inverted": lambda d: _edit_meta(d, "object=0\t", _invert_box),
+    "object_duplicated": lambda d: _edit_meta(d, "object=1\t", lambda line: line + "\n" + line),
+}
+
+
+class TestMalformedSceneDirectory:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DIRECTORIES))
+    def test_raises_format_error(self, tmp_path, case):
+        scene = D.generate_scene(small_spec(object_count=(2, 3)), seed=15)
         D.save_scene(scene, tmp_path / "scene")
-        depth = scene.views[2].depth.copy()
-        depth[3, 3] = np.nan
-        D._write_raster(tmp_path / "scene" / "view_002_depth.upmv", depth)
-        with pytest.raises(DegenerateInputError):
+        MALFORMED_DIRECTORIES[case](tmp_path / "scene")
+        with pytest.raises(FormatError, match="scene"):
             D.load_scene(tmp_path / "scene")
+
+
+class TestSceneValidation:
+    def test_views_of_different_sizes_rejected(self):
+        scene = D.generate_scene(small_spec(), seed=17)
+        small = D.generate_scene(small_spec(image_size=16), seed=17).views[0]
+        with pytest.raises(ContractError, match="image size"):
+            D.Scene(scene.scene_id, scene.views[:-1] + [small], scene.objects, scene.scene_type,
+                    scene.scene_caption, scene.view_captions)
 
 
 class TestSaveSceneTexts:

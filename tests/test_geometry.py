@@ -1,6 +1,7 @@
 """Tests for pointmap geometry: back-projection, Chamfer, ranks, coverage."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,27 @@ def cloud_map(points):
     """Wrap an (n, 3) cloud as an n x 1 pointmap."""
     pts = np.asarray(points, float).reshape(-1, 1, 3)
     return G.Pointmap(points=pts, validity=np.ones(pts.shape[:2], bool))
+
+
+def oracle_back_project(depth, intr, pose):
+    """One view's back-projection, one view at a time: the oracle of the batched ``back_project``."""
+    depth = np.asarray(depth, dtype=np.float64)
+    h, w = depth.shape
+    u = np.arange(w, dtype=np.float64)[None, :]
+    v = np.arange(h, dtype=np.float64)[:, None]
+    x_cam = (u - intr.cx) * depth / intr.fx
+    y_cam = (v - intr.cy) * depth / intr.fy
+    cam = np.stack([x_cam, y_cam, depth], axis=-1)
+    world = cam @ pose.rotation.T + pose.translation
+    validity = depth > 0
+    world[~validity] = 0.0
+    return G.Pointmap(points=world, validity=validity)
+
+
+def back_project_one(depth, intr, pose):
+    """Back-project a single view through the batched ``back_project``."""
+    points, validity = G.back_project(np.asarray(depth)[None], [intr], [pose])
+    return G.Pointmap(points=points[0], validity=validity[0])
 
 
 def project(points_world, intr, pose):
@@ -98,7 +120,7 @@ class TestBackProject:
         intr = G.CameraIntrinsics(100, 100, 50, 50)
         depth = np.zeros((101, 101))
         depth[50, 50] = 2.0
-        pm = G.back_project(depth, intr, identity_pose())
+        pm = back_project_one(depth, intr, identity_pose())
         np.testing.assert_allclose(pm.points[50, 50], [0.0, 0.0, 2.0])
         assert pm.validity[50, 50]
         assert not pm.validity[0, 0]
@@ -108,7 +130,7 @@ class TestBackProject:
         pose = G.CameraPose(rotation=np.eye(3), translation=np.array([1.0, 0.0, 0.0]))
         depth = np.zeros((101, 101))
         depth[50, 50] = 2.0
-        pm = G.back_project(depth, intr, pose)
+        pm = back_project_one(depth, intr, pose)
         np.testing.assert_allclose(pm.points[50, 50], [1.0, 0.0, 2.0])
 
     def test_round_trip_through_projection(self):
@@ -117,7 +139,7 @@ class TestBackProject:
         pose = G.CameraPose(rotation=random_rotation(rng), translation=rng.normal(size=3))
         depth = rng.uniform(0.5, 4.0, size=(32, 32))
         depth[rng.random((32, 32)) < 0.3] = 0.0
-        pm = G.back_project(depth, intr, pose)
+        pm = back_project_one(depth, intr, pose)
         vs, us = np.nonzero(pm.validity)
         uvz = project(pm.points[vs, us], intr, pose)
         np.testing.assert_allclose(uvz[:, 0], us, atol=1e-9)
@@ -125,12 +147,33 @@ class TestBackProject:
         np.testing.assert_allclose(uvz[:, 2], depth[vs, us], atol=1e-9)
 
     def test_rejects_bad_shapes(self):
+        intr = G.CameraIntrinsics(1, 1, 0, 0)
         with pytest.raises(ShapeError):
-            G.back_project(np.zeros((2, 2, 2)), G.CameraIntrinsics(1, 1, 0, 0), identity_pose())
+            G.back_project(np.zeros((2, 2)), [intr], [identity_pose()])
+        with pytest.raises(ShapeError):
+            G.back_project(np.zeros((2, 2, 2)), [intr], [identity_pose()])
 
     def test_rejects_negative_depth(self):
+        intr = G.CameraIntrinsics(1, 1, 0, 0)
         with pytest.raises(ContractError):
-            G.back_project(np.full((2, 2), -1.0), G.CameraIntrinsics(1, 1, 0, 0), identity_pose())
+            G.back_project(np.full((1, 2, 2), -1.0), [intr], [identity_pose()])
+
+    @pytest.mark.parametrize("views, h, w", [(5, 32, 32), (1, 32, 32), (3, 17, 23), (2, 1, 1)])
+    def test_batch_bytes_equal_oracle(self, views, h, w):
+        # Per-view intrinsics and poses, with zero-depth pixels in every view.
+        rng = np.random.default_rng(h * w + views)
+        intrinsics = [G.CameraIntrinsics(*rng.uniform(10.0, 50.0, size=2),
+                                         *rng.uniform(-5.0, 20.0, size=2)) for _ in range(views)]
+        poses = [G.CameraPose(rotation=random_rotation(rng), translation=rng.normal(size=3))
+                 for _ in range(views)]
+        depths = rng.uniform(0.2, 6.0, size=(views, h, w))
+        depths[rng.random(depths.shape) < 0.3] = 0.0
+        points, validity = G.back_project(depths, intrinsics, poses)
+        assert points.shape == (views, h, w, 3) and validity.shape == (views, h, w)
+        for v in range(views):
+            oracle = oracle_back_project(depths[v], intrinsics[v], poses[v])
+            assert points[v].tobytes() == oracle.points.tobytes()
+            assert np.array_equal(validity[v], oracle.validity)
 
 
 class TestChamferDistance:
@@ -264,6 +307,21 @@ class TestPairwiseChamfer:
         assert np.all(np.diag(cd) == 0.0)
         for v, u in itertools.combinations(range(len(maps)), 2):
             assert cd[v, u] == chamfer(maps[v], maps[u], subsample=32, seed=4)
+
+    def test_unequal_sets_with_duplicates_and_near_ties_match_brute(self):
+        # Lattice points give exact ties, repeated points duplicates, and
+        # a 1e-12 jitter near-ties; each set has its own size.
+        rng = np.random.default_rng(44)
+        for _ in range(10):
+            sets = []
+            for _ in range(int(rng.integers(2, 7))):
+                pts = rng.integers(-2, 3, size=(rng.integers(1, 40), 3)) / 2.0
+                pts = np.vstack([pts, pts[: rng.integers(0, len(pts) + 1)]])
+                pts[rng.random(len(pts)) < 0.2] += 1e-12 * rng.normal(size=3)
+                sets.append(rng.permutation(pts))
+            cd = G.pairwise_chamfer([cloud_map(p) for p in sets], subsample=None)
+            for v, u in itertools.permutations(range(len(sets)), 2):
+                assert cd[v, u] == brute_path_chamfer(sets[v], sets[u])
 
     def test_empty_view_rejected(self):
         empty = G.Pointmap(points=np.zeros((2, 2, 3)), validity=np.zeros((2, 2), bool))
@@ -407,7 +465,67 @@ def set_based_coverage_sample(maps, budget, voxel):
     return chosen + remaining[: budget - len(chosen)]
 
 
+def oracle_max_coverage_sample(maps, budget, voxel):
+    """Greedy max coverage with per-view sorted voxel keys and an ``np.isin`` loop over views.
+
+    The oracle of ``max_coverage_sample``'s occupancy matrix: the same key
+    packing and the same overflow checks, one view at a time.
+    """
+    with np.errstate(over="ignore"):
+        cells = [np.floor(pm.valid_points() / voxel) for pm in maps]
+    occupied = [c for c in cells if len(c)]
+    voxels = [np.empty(0, dtype=np.int64) for _ in maps]
+    if occupied:
+        lo = np.min([c.min(axis=0) for c in occupied], axis=0)
+        hi = np.max([c.max(axis=0) for c in occupied], axis=0)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise RangeError("voxel coordinates overflow")
+        sizes = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+        if math.prod(sizes) > np.iinfo(np.int64).max:
+            raise RangeError("voxel grid overflows int64 keys")
+        voxels = []
+        for c in cells:
+            offset = (c - lo).astype(np.int64)
+            voxels.append(np.unique((offset[:, 0] * sizes[1] + offset[:, 1]) * sizes[2] + offset[:, 2]))
+    covered = np.empty(0, dtype=np.int64)
+    chosen, remaining = [], list(range(len(maps)))
+    while len(chosen) < budget:
+        best_gain, best_view = -1, None
+        for v in remaining:
+            gain = int(np.isin(voxels[v], covered, assume_unique=True, invert=True).sum())
+            if gain > best_gain:
+                best_gain, best_view = gain, v
+        if best_gain <= 0:
+            break
+        chosen.append(best_view)
+        covered = np.union1d(covered, voxels[best_view])
+        remaining.remove(best_view)
+    return chosen + remaining[: budget - len(chosen)]
+
+
 class TestMaxCoverage:
+    def test_matches_isin_oracle_at_every_budget(self):
+        rng = np.random.default_rng(43)
+        empty = G.Pointmap(points=np.zeros((2, 3, 3)), validity=np.zeros((2, 3), bool))
+        tie_a, tie_b = cloud_map(np.zeros((3, 3))), cloud_map(np.full((6, 3), 4.0))
+        saturating = cloud_map(rng.uniform(-2, 2, size=(400, 3)))
+        for trial in range(40):
+            maps = [cloud_map(rng.uniform(-2, 2, size=(rng.integers(1, 50), 3)))
+                    for _ in range(rng.integers(1, 8))]
+            if trial % 4 == 1:
+                maps.insert(int(rng.integers(0, len(maps) + 1)), empty)
+            if trial % 4 == 2:
+                maps = [tie_a, tie_b, tie_a, tie_b] + maps
+            if trial % 4 == 3:
+                maps.insert(int(rng.integers(0, len(maps) + 1)), saturating)
+            voxel = float(rng.choice([0.25, 0.7, 1.5, 5.0]))
+            for budget in range(1, len(maps) + 1):
+                expected = oracle_max_coverage_sample(maps, budget, voxel)
+                assert G.max_coverage_sample(maps, budget, voxel) == expected
+        all_empty = [empty, empty, empty]
+        assert G.max_coverage_sample(all_empty, 2, 1.0) == [0, 1]
+        assert oracle_max_coverage_sample(all_empty, 2, 1.0) == [0, 1]
+
     def test_matches_set_based_reference(self):
         rng = np.random.default_rng(37)
         empty = G.Pointmap(points=np.zeros((1, 1, 3)), validity=np.zeros((1, 1), bool))
