@@ -26,7 +26,6 @@ from .geometry import (
     CameraIntrinsics,
     CameraPose,
     ObjectAnnotation,
-    Pointmap,
     back_project,
     box_counts,
 )
@@ -152,6 +151,8 @@ class View:
             raise ContractError(f"image must be HxWx3, got {self.image.shape}")
         if self.depth.shape != self.image.shape[:2]:
             raise ContractError("depth is not pixel-aligned with the image")
+        if self.depth.size == 0:
+            raise ContractError(f"rasters need a nonzero height and width, got {self.depth.shape}")
         if not (np.isfinite(self.image).all() and np.isfinite(self.depth).all()):
             raise DegenerateInputError("image and depth values must be finite")
         if np.any(self.depth < 0):
@@ -176,18 +177,18 @@ class Scene:
         if len(sizes) > 1:
             raise ContractError(f"views differ in image size: {sizes}")
 
-    def pointmaps(self) -> list[Pointmap]:
-        """Every view's pointmap, back-projected in one batched pass.
+    def pointmaps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every view's pointmap as ``back_project`` returns it, in one batched pass.
 
-        Recomputed on each call by design: keeping them would hold every
-        view's points for as long as the scene lives (about 16 MB for the
-        640 views of a default 40-scene evaluation).
+        Points (V, H, W, 3) and validity (V, H, W).  Recomputed on each call
+        by design: keeping them would hold every view's points for as long
+        as the scene lives (about 16 MB for the 640 views of a default
+        40-scene evaluation).
         """
-        points, validity = back_project(
+        return back_project(
             np.array([v.depth for v in self.views]),
             [v.intrinsics for v in self.views], [v.pose for v in self.views],
         )
-        return [Pointmap(points=p, validity=m) for p, m in zip(points, validity)]
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +410,7 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> tuple[Scene | No
     ]
 
     points, validity = back_project(depths, [intr] * spec.view_count, poses)
-    areas = box_counts(points.reshape(spec.view_count, n * n, 3),
-                       validity.reshape(spec.view_count, n * n), objects)
+    areas = box_counts(points, validity, objects)
     unobserved = [
         _noun(entry.color_name, entry.category)
         for (entry, _, _), best in zip(placed, areas.max(axis=0)) if best < spec.min_points

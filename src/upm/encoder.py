@@ -24,7 +24,6 @@ from . import engine as E
 from .atomic import atomic_write
 from .engine import Tensor
 from .errors import ConfigError, ContractError, DegenerateInputError, FormatError, ShapeError
-from .geometry import Pointmap
 
 CHECKPOINT_MAGIC = b"UPM1"
 
@@ -208,12 +207,12 @@ def init_encoder_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
 # patchification
 
 
-def patchify(image: np.ndarray, pointmap: Pointmap, patch_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split a view into non-overlapping patches, raster order.
+def patchify(image: np.ndarray, points: np.ndarray, patch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split a view's image and world points, each (H, W, 3), into patches, raster order.
 
     Returns (image patches, pointmap patches), each M x (p*p*3) with the
-    pixel channels flattened last.  Invalid pointmap pixels contribute
-    zeros to their patch.
+    pixel channels flattened last.  The points are taken as they are:
+    ``back_project`` already writes invalid pixels as +0.0.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[2] != 3:
@@ -221,11 +220,11 @@ def patchify(image: np.ndarray, pointmap: Pointmap, patch_size: int) -> tuple[np
     h, w = image.shape[:2]
     if h != w:
         raise ShapeError(f"expected a square view, got {h}x{w}")
-    if (pointmap.height, pointmap.width) != (h, w):
+    points = np.asarray(points, dtype=np.float64)
+    if points.shape != image.shape:
         raise ShapeError("pointmap is not pixel-aligned with the image")
     if h % patch_size != 0:
         raise ShapeError(f"view size {h} not divisible by patch size {patch_size}")
-    points = pointmap.points * pointmap.validity[:, :, None]
     return _to_patches(image, patch_size), _to_patches(points, patch_size)
 
 
@@ -282,12 +281,12 @@ def _transformer_block(x: Tensor, blk: BlockParams, num_heads: int) -> Tensor:
 
 
 def encode_views(
-    views: Sequence[tuple[np.ndarray, Pointmap]],
+    views: Sequence[tuple[np.ndarray, np.ndarray]],
     params: EncoderParams,
     config: EncoderConfig,
     modality: str = MODALITY_BOTH,
 ) -> Tensor:
-    """Encode N (image, pointmap) pairs to an (N, d) tensor of unit-norm rows.
+    """Encode N (image, points) pairs, each (H, W, 3), to an (N, d) tensor of unit-norm rows.
 
     All views run through one stacked graph over (N, M + 1, d) tokens;
     row i has the bits it would have if view i were encoded alone.
@@ -296,7 +295,7 @@ def encode_views(
         raise ContractError(f"unknown modality {modality!r}")
     if len(views) == 0:
         raise DegenerateInputError("cannot encode an empty view list")
-    patches = [patchify(image, pointmap, config.patch_size) for image, pointmap in views]
+    patches = [patchify(image, points, config.patch_size) for image, points in views]
     image_patches = np.stack([ip for ip, _ in patches])
     point_patches = np.stack([pp for _, pp in patches])
     if modality == MODALITY_IMAGE_ONLY:

@@ -21,7 +21,7 @@ from . import engine as E
 from .data import Scene
 from .encoder import EncoderConfig, EncoderParams, encode_texts, encode_views
 from .errors import ContractError, DegenerateInputError, FormatError
-from .geometry import DEFAULT_MIN_POINTS, max_coverage_sample, visible_areas
+from .geometry import DEFAULT_MIN_POINTS, box_counts, max_coverage_sample
 from .probe import ProbeConfig, ProbeOutcome, linear_probe
 
 logger = logging.getLogger(__name__)
@@ -72,7 +72,8 @@ def embed_scene_views(
     design: holding them for every evaluated scene would cost more memory
     than back-projecting again saves.
     """
-    pairs = list(zip([v.image for v in scene.views], scene.pointmaps()))
+    points, _ = scene.pointmaps()
+    pairs = list(zip([v.image for v in scene.views], points))
     with E.no_grad():
         return encode_views(pairs, params, config, modality=modality).array
 
@@ -129,7 +130,7 @@ def build_grounding_instances(
     """
     instances = []
     for scene in scenes:
-        scene_areas = visible_areas(scene.pointmaps(), scene.objects)
+        scene_areas = box_counts(*scene.pointmaps(), scene.objects)
         for obj, areas in zip(scene.objects, scene_areas.T):
             visible = frozenset(int(v) for v in np.nonzero(areas >= min_points)[0])
             if not visible:
@@ -280,7 +281,7 @@ def retrieval_views_curve(
     for scene in scenes:
         views = embed_scene_views(scene, params, config)
         below = [budget for budget in budgets if budget < len(views)]
-        picks = max_coverage_sample(scene.pointmaps(), max(below), voxel_size) if below else []
+        picks = max_coverage_sample(*scene.pointmaps(), max(below), voxel_size) if below else []
         scene_views.append((views, picks))
     curve = []
     for budget in budgets:

@@ -1,8 +1,10 @@
 """Coordinate-frame and point-set machinery.
 
-Pointmaps store one world-frame 3D coordinate per pixel, pixel-aligned
-with the RGB image they came from.  Everything here is a pure function
-over immutable numpy inputs; nothing touches the autodiff engine.
+A scene's pointmaps are the pair ``back_project`` returns: world points
+(V, H, W, 3), pixel-aligned with the RGB images they came from, and
+validity (V, H, W).  View v's valid points are ``points[v][validity[v]]``,
+in raster order.  Everything here is a pure function over immutable numpy
+inputs; nothing touches the autodiff engine.
 
 Each per-view step makes one array pass over all of a scene's views, and
 each is bitwise equal to its one-view-at-a-time form, kept in the tests
@@ -11,7 +13,7 @@ as its oracle:
 - ``back_project`` lifts a (V, H, W) depth stack to (V, H, W, 3) points
   with one stacked rotation product (oracle: ``oracle_back_project``);
 - ``box_counts`` counts valid pixels inside object boxes on the
-  (V, H·W) pixel grid; ``visible_areas`` pads ragged pointmaps into it;
+  (V, H·W) pixel grid;
 - ``max_coverage_sample`` builds one (V, K) voxel-occupancy matrix and
   scores every view per greedy round (oracle:
   ``oracle_max_coverage_sample``, an ``np.isin`` loop over views);
@@ -27,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, RangeError, ShapeError
+from .errors import ContractError, DegenerateInputError, NumericError, RangeError, ShapeError
 
 DEFAULT_MIN_POINTS = 16
 DEFAULT_CHAMFER_SUBSAMPLE = 512
@@ -44,6 +46,8 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.fx, self.fy, self.cx, self.cy)):
+            raise ContractError("intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ContractError("focal lengths must be positive")
 
@@ -60,42 +64,14 @@ class CameraPose:
         t = np.ascontiguousarray(np.asarray(self.translation, dtype=np.float64))
         if r.shape != (3, 3) or t.shape != (3,):
             raise ShapeError(f"pose expects 3x3 rotation and 3-vector, got {r.shape}, {t.shape}")
+        if not (np.isfinite(r).all() and np.isfinite(t).all()):
+            raise ContractError("pose must be finite")
         if np.abs(r @ r.T - np.eye(3)).max() > 1e-9:
             raise ContractError("rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise ContractError("rotation determinant must be +1")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-
-
-@dataclass
-class Pointmap:
-    """Per-pixel world coordinates with a validity mask."""
-
-    points: np.ndarray
-    validity: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
-        self.validity = np.ascontiguousarray(np.asarray(self.validity, dtype=bool))
-        if self.points.ndim != 3 or self.points.shape[2] != 3:
-            raise ShapeError(f"points must be HxWx3, got {self.points.shape}")
-        if self.validity.shape != self.points.shape[:2]:
-            raise ShapeError("validity mask does not match points")
-        if not np.isfinite(self.points[self.validity]).all():
-            raise ContractError("valid pixels must hold finite coordinates")
-
-    @property
-    def height(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.points.shape[1]
-
-    def valid_points(self) -> np.ndarray:
-        """Valid world points as an (n, 3) array, raster order."""
-        return self.points[self.validity]
 
 
 @dataclass
@@ -128,10 +104,11 @@ def back_project(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lift V depth maps to world points (V, H, W, 3) and validity (V, H, W).
 
-    Zero depth marks invalid pixels, whose points are zero.  Each view is
+    Zero depth marks invalid pixels, whose points are +0.0.  Each view is
     bitwise equal to lifting it alone: the per-pixel float ops are the
     same, and the rotation is one stacked product, a BLAS call per image
-    row as in the one-view form.
+    row as in the one-view form.  A valid point that overflows to a
+    non-finite coordinate raises ``NumericError``.
     """
     depths = np.asarray(depths, dtype=np.float64)
     if depths.ndim != 3:
@@ -147,12 +124,15 @@ def back_project(
     _, h, w = depths.shape
     u = np.arange(w, dtype=np.float64)[None, :]
     v = np.arange(h, dtype=np.float64)[:, None]
-    cam = np.stack([(u - cx) * depths / fx, (v - cy) * depths / fy, depths], axis=-1)
     rotations_t = np.array([p.rotation for p in poses]).reshape(-1, 3, 3).transpose(0, 2, 1)
     translations = np.array([p.translation for p in poses]).reshape(-1, 1, 1, 3)
-    world = np.matmul(cam, rotations_t[:, None]) + translations
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite point is caught below
+        cam = np.stack([(u - cx) * depths / fx, (v - cy) * depths / fy, depths], axis=-1)
+        world = np.matmul(cam, rotations_t[:, None]) + translations
     validity = depths > 0
     world[~validity] = 0.0
+    if not np.isfinite(world).all():
+        raise NumericError("back-projected points overflow to non-finite coordinates")
     return world, validity
 
 
@@ -221,7 +201,8 @@ def _subsample(points: np.ndarray, count: int | None, seed: int) -> np.ndarray:
 
 
 def pairwise_chamfer(
-    pointmaps: Sequence[Pointmap],
+    points: np.ndarray,
+    validity: np.ndarray,
     subsample: int | None = DEFAULT_CHAMFER_SUBSAMPLE,
     seed: int = DEFAULT_CHAMFER_SEED,
 ) -> np.ndarray:
@@ -233,7 +214,7 @@ def pairwise_chamfer(
     v; the diagonal is zero.  Nearest neighbors come from a KD-tree and
     agree bitwise with an exhaustive O(n^2) scan.
     """
-    means = _mean_min_sq_dists([_subsample(pm.valid_points(), subsample, seed) for pm in pointmaps])
+    means = _mean_min_sq_dists([_subsample(p[m], subsample, seed) for p, m in zip(points, validity)])
     return means + means.T
 
 
@@ -255,10 +236,12 @@ def box_counts(points: np.ndarray, validity: np.ndarray,
                objects: Sequence[ObjectAnnotation]) -> np.ndarray:
     """(V, O) counts of valid pixels whose world point lies in each object box.
 
-    ``points`` (V, N, 3) and ``validity`` (V, N) hold each view's pixels in
-    raster order; invalid pixels are never counted, whatever their
+    Takes points (V, H, W, 3) and validity (V, H, W), and counts on the
+    (V, H·W) pixel grid; invalid pixels are never counted, whatever their
     coordinates.  Box bounds are inclusive.
     """
+    points = points.reshape(len(points), -1, 3)
+    validity = validity.reshape(len(validity), -1)
     lo = np.array([obj.aabb_min for obj in objects]).reshape(-1, 1, 1, 3)
     hi = np.array([obj.aabb_max for obj in objects]).reshape(-1, 1, 1, 3)
     inside = np.repeat(validity[None], len(objects), axis=0)
@@ -269,35 +252,21 @@ def box_counts(points: np.ndarray, validity: np.ndarray,
     return np.ascontiguousarray(inside.sum(axis=2, dtype=np.int64).T)
 
 
-def visible_areas(pointmaps: Sequence[Pointmap], objects: Sequence[ObjectAnnotation]) -> np.ndarray:
-    """(V, O) counts of each view's valid pixels whose world point lies in each object box.
-
-    Pointmaps of different sizes are padded with invalid pixels into one
-    (V, N) grid for ``box_counts``.  Box bounds are inclusive.
-    """
-    sizes = [pm.height * pm.width for pm in pointmaps]
-    points = np.zeros((len(pointmaps), max(sizes, default=0), 3))
-    validity = np.zeros(points.shape[:2], dtype=bool)
-    for v, (pm, size) in enumerate(zip(pointmaps, sizes)):
-        points[v, :size] = pm.points.reshape(-1, 3)
-        validity[v, :size] = pm.validity.ravel()
-    return box_counts(points, validity, objects)
-
-
 def visibility_pairs(
-    pointmaps: Sequence[Pointmap],
+    points: np.ndarray,
+    validity: np.ndarray,
     objects: Sequence[ObjectAnnotation],
     min_points: int = DEFAULT_MIN_POINTS,
 ) -> set[tuple[int, int]]:
     """All (view index, object index) pairs where the view observes the object."""
     if min_points < 1:
         raise ContractError("min_points must be at least 1")
-    views, objs = np.nonzero(visible_areas(pointmaps, objects) >= min_points)
+    views, objs = np.nonzero(box_counts(points, validity, objects) >= min_points)
     return {(int(v), int(o)) for v, o in zip(views, objs)}
 
 
 def max_coverage_sample(
-    pointmaps: Sequence[Pointmap], budget: int, voxel_size: float
+    points: np.ndarray, validity: np.ndarray, budget: int, voxel_size: float
 ) -> list[int]:
     """Greedy view selection maximizing newly covered voxels.
 
@@ -307,15 +276,14 @@ def max_coverage_sample(
     toward the lower view index; once no view adds coverage, the remaining
     budget is filled by ascending index.
     """
-    n_views = len(pointmaps)
+    n_views = len(points)
     if not (1 <= budget <= n_views):
         raise ContractError(f"budget {budget} outside [1, {n_views}]")
     if voxel_size <= 0:
         raise ContractError("voxel_size must be positive")
-    points = [pm.valid_points() for pm in pointmaps]
     # (3, n): one contiguous row per axis, so the reductions below are fast.
     with np.errstate(over="ignore"):  # an overflow to inf is caught below
-        cells = np.floor(np.concatenate(points).T.copy() / voxel_size)
+        cells = np.floor(points[validity].T.copy() / voxel_size)
     occupied = np.zeros((n_views, 0), dtype=bool)
     if cells.size:
         lo, hi = cells.min(axis=1), cells.max(axis=1)
@@ -328,7 +296,8 @@ def max_coverage_sample(
         keys = (offset[0] * sizes[1] + offset[1]) * sizes[2] + offset[2]
         voxels, voxel_of_point = np.unique(keys, return_inverse=True)
         occupied = np.zeros((n_views, len(voxels)), dtype=bool)
-        occupied[np.repeat(np.arange(n_views), [len(p) for p in points]), voxel_of_point] = True
+        per_view = validity.reshape(n_views, -1).sum(axis=1)
+        occupied[np.repeat(np.arange(n_views), per_view), voxel_of_point] = True
     uncovered = np.ones(occupied.shape[1], dtype=bool)
     available = np.ones(n_views, dtype=bool)
     chosen: list[int] = []

@@ -19,7 +19,6 @@ from .errors import ContractError, DegenerateInputError
 from .geometry import (
     DEFAULT_CHAMFER_SEED,
     DEFAULT_CHAMFER_SUBSAMPLE,
-    Pointmap,
     _ranks_by_distance,
     pairwise_chamfer,
 )
@@ -88,7 +87,8 @@ def soft_targets(ranks: Sequence[int], cfg: GeoAlignConfig) -> np.ndarray:
 
 
 def geo_targets(
-    pointmaps: Sequence[Pointmap],
+    points: np.ndarray,
+    validity: np.ndarray,
     cfg: GeoAlignConfig,
     subsample: int | None = DEFAULT_CHAMFER_SUBSAMPLE,
     seed: int = DEFAULT_CHAMFER_SEED,
@@ -98,10 +98,10 @@ def geo_targets(
     Row v holds the target distribution over candidates [0..V-1] \\ {v} in
     ascending view order.  Chamfer ties rank toward the lower view index.
     """
-    n_views = len(pointmaps)
+    n_views = len(points)
     if n_views < 2:
         raise DegenerateInputError("geometric targets need at least two views")
-    cd = pairwise_chamfer(pointmaps, subsample=subsample, seed=seed)
+    cd = pairwise_chamfer(points, validity, subsample=subsample, seed=seed)
     targets = np.zeros((n_views, n_views - 1))
     for v in range(n_views):
         rank_of = _ranks_by_distance(cd[v], v)

@@ -26,7 +26,7 @@ from .data import Scene, load_manifest, load_scene
 from .encoder import EncoderConfig, EncoderParams, encode_texts, encode_views, init_encoder_params, pool_scene, save_checkpoint
 from .engine import Tensor
 from .errors import ConfigError, ContractError, NumericError
-from .geometry import DEFAULT_MIN_POINTS, Pointmap, max_coverage_sample, visibility_pairs
+from .geometry import DEFAULT_MIN_POINTS, max_coverage_sample, visibility_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -186,8 +186,14 @@ def clip_gradients(named_params, max_norm: float) -> float:
 
 @dataclass
 class PreparedScene:
+    """One scene's frozen training inputs, over the views max coverage chose.
+
+    ``views`` holds (image (H, W, 3), points (H, W, 3)) pairs, with invalid
+    pixels at +0.0 as ``back_project`` writes them.
+    """
+
     scene_id: str
-    views: list[tuple[np.ndarray, Pointmap]]
+    views: list[tuple[np.ndarray, np.ndarray]]
     geo_targets: np.ndarray | None
     pairs: list[tuple[int, int]]
     object_texts: list[str]
@@ -197,7 +203,7 @@ class PreparedScene:
 
 def prepare_scene(scene: Scene, cfg: TrainConfig) -> PreparedScene:
     """Select views by max coverage and freeze the geometric targets."""
-    pointmaps = scene.pointmaps()
+    points, validity = scene.pointmaps()
     budget = cfg.views_per_scene
     if budget > len(scene.views):
         logger.warning(
@@ -205,15 +211,15 @@ def prepare_scene(scene: Scene, cfg: TrainConfig) -> PreparedScene:
             scene.scene_id, len(scene.views), budget,
         )
         budget = len(scene.views)
-    chosen = max_coverage_sample(pointmaps, budget, cfg.voxel_size)
-    views = [(scene.views[i].image, pointmaps[i]) for i in chosen]
-    selected_maps = [pointmaps[i] for i in chosen]
+    chosen = max_coverage_sample(points, validity, budget, cfg.voxel_size)
+    points, validity = points[chosen], validity[chosen]
+    views = [(scene.views[i].image, p) for i, p in zip(chosen, points)]
     targets = None
     if len(chosen) >= 2:
         targets = obj.geo_targets(
-            selected_maps, cfg.geo, subsample=cfg.chamfer_subsample, seed=cfg.seed
+            points, validity, cfg.geo, subsample=cfg.chamfer_subsample, seed=cfg.seed
         )
-    pairs = sorted(visibility_pairs(selected_maps, scene.objects, min_points=cfg.min_points))
+    pairs = sorted(visibility_pairs(points, validity, scene.objects, min_points=cfg.min_points))
     return PreparedScene(
         scene_id=scene.scene_id,
         views=views,

@@ -15,10 +15,9 @@ from upm.geometry import (
     CameraIntrinsics,
     CameraPose,
     ObjectAnnotation,
-    Pointmap,
     back_project,
+    box_counts,
     pairwise_chamfer,
-    visible_areas,
 )
 
 
@@ -37,8 +36,8 @@ def render_depth_consistency(scene):
     AABB surface; returns the worst offender in meters.
     """
     worst = 0.0
-    for pm in scene.pointmaps():
-        pts = pm.valid_points()
+    for pts, valid in zip(*scene.pointmaps()):
+        pts = pts[valid]
         if len(pts) == 0:
             continue
         best = np.abs(pts[:, 2])  # floor plane z=0
@@ -221,9 +220,8 @@ class TestGenerateScene:
         for seed in range(5):
             for scene_type in ("office", "kitchen"):
                 scene = D.generate_scene(small_spec(scene_type=scene_type), seed=seed)
-                pms = scene.pointmaps()
-                for obj in scene.objects:
-                    best = visible_areas(pms, [obj]).max()
+                areas = box_counts(*scene.pointmaps(), scene.objects)
+                for obj, best in zip(scene.objects, areas.max(axis=0)):
                     assert best >= D.DEFAULT_MIN_POINTS, (scene_type, seed, obj.category)
 
     def test_referring_texts_unique_per_object(self):
@@ -234,11 +232,11 @@ class TestGenerateScene:
     def test_view_captions_match_visibility(self):
         spec = small_spec()
         scene = D.generate_scene(spec, seed=6)
-        pms = scene.pointmaps()
+        areas = box_counts(*scene.pointmaps(), scene.objects)
         for vi, caption in enumerate(scene.view_captions):
-            for obj in scene.objects:
+            for oi, obj in enumerate(scene.objects):
                 noun = obj.referring_text.split(" near ")[0].removeprefix("the ")
-                if visible_areas([pms[vi]], [obj])[0, 0] >= spec.min_points:
+                if areas[vi, oi] >= spec.min_points:
                     assert noun in caption
                 else:
                     assert noun not in caption
@@ -285,10 +283,21 @@ class TestGenerateScene:
         assert str(info.value).endswith(f"the last left unobserved: {last_object}")
 
 
+def oracle_box_counts(points, validity, objects):
+    """(V, O) box counts, one view and one object at a time over the view's valid points."""
+    counts = np.zeros((len(points), len(objects)), dtype=np.int64)
+    for v, (pts, valid) in enumerate(zip(points, validity)):
+        for o, obj in enumerate(objects):
+            inside = (pts[valid] >= obj.aabb_min) & (pts[valid] <= obj.aabb_max)
+            counts[v, o] = inside.all(axis=1).sum()
+    return counts
+
+
 class TestGenerationVisibility:
     def test_counts_equal_visible_areas_of_the_scene(self, monkeypatch):
         # _generate_once counts straight from its batch arrays; the last
-        # count of a returned scene must equal counting its pointmaps.
+        # count of a returned scene must equal counting each view's valid
+        # points one view at a time.
         calls, box_counts = [], D.box_counts
 
         def recording_box_counts(*args):
@@ -301,7 +310,7 @@ class TestGenerationVisibility:
         cases += [(small_spec(scene_type=t), seed) for t in D.SCENE_TYPES for seed in (0, 1)]
         for spec, seed in cases:
             scene = D.generate_scene(spec, seed)
-            expected = visible_areas(scene.pointmaps(), scene.objects)
+            expected = oracle_box_counts(*scene.pointmaps(), scene.objects)
             assert calls[-1].dtype == expected.dtype and np.array_equal(calls[-1], expected)
         assert len(calls) > len(cases)  # library seed 2 rejects its first layout
 
@@ -355,26 +364,23 @@ class TestRenderConsistency:
             np.array([p.translation for p in poses]), np.array([p.rotation for p in poses]),
             intr, image_size, [(box_lo, box_hi)], [(1.0, 0.0, 0.0)], 3.0,
         )
-        points, validity = back_project(depths, [intr] * n_views, poses)
-        return [Pointmap(points=p, validity=m) for p, m in zip(points, validity)]
+        return back_project(depths, [intr] * n_views, poses)
 
     def test_centered_box_visible_from_every_ring_view(self):
         lo, hi = np.array([-0.5, -0.5, 0.0]), np.array([0.5, 0.5, 0.6])
         obj = ObjectAnnotation(0, lo, hi, "the box", "box")
-        for pm in self.ring_pointmaps(lo, hi):
-            assert visible_areas([pm], [obj])[0, 0] > 0
+        assert (box_counts(*self.ring_pointmaps(lo, hi), [obj]) > 0).all()
 
     def test_floor_pixels_back_project_to_zero_height(self):
         scene = D.generate_scene(small_spec(object_count=(0, 0)), seed=8)
-        for pm in scene.pointmaps():
-            pts = pm.valid_points()
-            assert np.abs(pts[:, 2]).max() <= 1e-9
+        points, validity = scene.pointmaps()
+        assert np.abs(points[validity][:, 2]).max() <= 1e-9
 
     def test_box_top_pixels_on_max_z_plane(self):
         lo, hi = np.array([-0.5, -0.5, 0.0]), np.array([0.5, 0.5, 0.6])
         found = 0
-        for pm in self.ring_pointmaps(lo, hi):
-            pts = pm.valid_points()
+        for pts, valid in zip(*self.ring_pointmaps(lo, hi)):
+            pts = pts[valid]
             interior = (
                 np.logical_and(pts[:, :2] > lo[:2] + 1e-6, pts[:, :2] < hi[:2] - 1e-6).all(axis=1)
                 & (pts[:, 2] > 1e-6)
@@ -388,18 +394,12 @@ class TestRenderConsistency:
     def test_cross_view_box_top_overlap(self):
         lo, hi = np.array([-0.5, -0.5, 0.0]), np.array([0.5, 0.5, 0.6])
         top_slab = ObjectAnnotation(0, [-0.5, -0.5, 0.59], [0.5, 0.5, 0.61], "t", "box")
-        pms = self.ring_pointmaps(lo, hi)
-
-        def clipped(pm):
-            pts = pm.valid_points()
-            inside = np.logical_and(
-                pts >= top_slab.aabb_min, pts <= top_slab.aabb_max
-            ).all(axis=1)
-            kept = pts[inside]
-            return Pointmap(points=kept.reshape(-1, 1, 3), validity=np.ones((len(kept), 1), bool))
-
+        points, validity = self.ring_pointmaps(lo, hi)
+        points, validity = points[[0, 1, 4]], validity[[0, 1, 4]]
+        # Keep only the pixels inside the top slab.
+        validity &= ((points >= top_slab.aabb_min) & (points <= top_slab.aabb_max)).all(axis=-1)
         voxel_tolerance = 0.2**2
-        cd = pairwise_chamfer([clipped(pms[0]), clipped(pms[1]), clipped(pms[4])], subsample=None)
+        cd = pairwise_chamfer(points, validity, subsample=None)
         assert cd[0, 1] < voxel_tolerance
         assert cd[0, 2] < voxel_tolerance
 
@@ -538,6 +538,12 @@ def _edit_first_number(text, replacement):
     return " ".join([replacement] + text.split()[1:])
 
 
+def _set_number(text, index, replacement):
+    numbers = text.split()
+    numbers[index] = replacement
+    return " ".join(numbers)
+
+
 # name -> (prefix of the meta.txt line to edit, edit of that line; None deletes it)
 MALFORMED_RECORDS = {
     "view_missing_field": ("view=0\t", lambda line: line.rsplit("\t", 1)[0]),
@@ -607,6 +613,13 @@ class TestViewValidation:
         with pytest.raises(DegenerateInputError):
             D.View(image=image, depth=depth, intrinsics=intr, pose=pose)
 
+    @pytest.mark.parametrize("height, width", [(0, 4), (4, 0), (0, 0)])
+    def test_empty_raster_rejected(self, height, width):
+        image, depth, intr, pose = self.view_arrays()
+        with pytest.raises(ContractError, match="nonzero height and width"):
+            D.View(image=image[:height, :width], depth=depth[:height, :width], intrinsics=intr,
+                   pose=pose)
+
 
 def _replace_with_directory(path):
     path.unlink()
@@ -652,6 +665,14 @@ MALFORMED_DIRECTORIES = {
                                     for kind in ("image", "depth")],
     "object_box_inverted": lambda d: _edit_meta(d, "object=0\t", _invert_box),
     "object_duplicated": lambda d: _edit_meta(d, "object=1\t", lambda line: line + "\n" + line),
+    # view 0's translation x, and its cx
+    "pose_nan": lambda d: _edit_meta(
+        d, "view=0\t", lambda line: _edit_field(line, 2, lambda f: _set_number(f, 9, "nan"))),
+    "intrinsics_inf": lambda d: _edit_meta(
+        d, "view=0\t", lambda line: _edit_field(line, 1, lambda f: _set_number(f, 2, "inf"))),
+    # every view's rasters, so that all views still share one size
+    "raster_empty": lambda d: [_edit_raster(d, path.name, lambda a: a[:0])
+                               for path in d.glob("view_*.upmv")],
 }
 
 

@@ -9,7 +9,6 @@ from upm import encoder as enc
 from upm import engine as E
 from upm.encoder import EncoderConfig
 from upm.errors import ConfigError, DegenerateInputError, FormatError, ShapeError
-from upm.geometry import Pointmap
 
 
 def tiny_config(**overrides):
@@ -54,8 +53,7 @@ def random_view(rng, config, invalid_fraction=0.2):
     image = rng.uniform(0.0, 1.0, size=(size, size, 3))
     points = rng.normal(size=(size, size, 3))
     validity = rng.random((size, size)) > invalid_fraction
-    points = points * validity[:, :, None]
-    return image, Pointmap(points=points, validity=validity)
+    return image, points * validity[:, :, None]
 
 
 class TestConfig:
@@ -90,16 +88,14 @@ class TestPatchify:
     def test_single_patch_collects_everything(self):
         rng = np.random.default_rng(0)
         image = rng.uniform(size=(4, 4, 3))
-        pm = Pointmap(points=rng.normal(size=(4, 4, 3)), validity=np.ones((4, 4), bool))
-        ip, pp = enc.patchify(image, pm, patch_size=4)
+        ip, pp = enc.patchify(image, rng.normal(size=(4, 4, 3)), patch_size=4)
         assert ip.shape == (1, 48) and pp.shape == (1, 48)
         np.testing.assert_array_equal(ip[0], image.reshape(-1))
 
     def test_raster_order(self):
         image = np.zeros((8, 8, 3))
         image[:4, :4] = 1.0  # top-left block
-        pm = Pointmap(points=np.zeros((8, 8, 3)), validity=np.ones((8, 8), bool))
-        ip, _ = enc.patchify(image, pm, patch_size=4)
+        ip, _ = enc.patchify(image, np.zeros((8, 8, 3)), patch_size=4)
         assert ip.shape == (4, 48)
         np.testing.assert_array_equal(ip[0], np.ones(48))
         np.testing.assert_array_equal(ip[1:], np.zeros((3, 48)))
@@ -107,21 +103,14 @@ class TestPatchify:
     def test_round_trip(self):
         rng = np.random.default_rng(1)
         image = rng.uniform(size=(8, 8, 3))
-        pm = Pointmap(points=rng.normal(size=(8, 8, 3)), validity=np.ones((8, 8), bool))
-        ip, _ = enc.patchify(image, pm, patch_size=4)
+        points = rng.normal(size=(8, 8, 3))
+        ip, pp = enc.patchify(image, points, patch_size=4)
         np.testing.assert_array_equal(unpatchify(ip, 8, 4), image)
-
-    def test_invalid_pixels_zeroed(self):
-        rng = np.random.default_rng(2)
-        junk = rng.normal(size=(4, 4, 3))  # invalid entries may hold junk
-        pm = Pointmap(points=junk, validity=np.zeros((4, 4), bool))
-        _, pp = enc.patchify(np.zeros((4, 4, 3)), pm, patch_size=4)
-        np.testing.assert_array_equal(pp, np.zeros((1, 48)))
+        np.testing.assert_array_equal(unpatchify(pp, 8, 4), points)
 
     def test_misaligned_shapes_rejected(self):
-        pm = Pointmap(points=np.zeros((4, 4, 3)), validity=np.ones((4, 4), bool))
         with pytest.raises(ShapeError):
-            enc.patchify(np.zeros((8, 8, 3)), pm, patch_size=4)
+            enc.patchify(np.zeros((8, 8, 3)), np.zeros((4, 4, 3)), patch_size=4)
 
 
 class TestEmbedView:
@@ -263,13 +252,13 @@ class TestEncodeViews:
             enc.encode_views([], params, config)
 
 
-def oracle_encode_view(image, pointmap, params, config, modality="both"):
+def oracle_encode_view(image, points, params, config, modality="both"):
     """The per-view encoder: one graph per view, one op chain per head.
 
     Batched ``encode_views`` must match it byte for byte, in embeddings
     and in every gradient that reaches the parameters.
     """
-    image_patches, point_patches = enc.patchify(image, pointmap, config.patch_size)
+    image_patches, point_patches = enc.patchify(image, points, config.patch_size)
     if modality == "image-only":
         point_patches = np.zeros_like(point_patches)
     elif modality == "pointmap-only":
@@ -330,7 +319,7 @@ def batched(views, params, config, modality):
 
 
 def per_view(views, params, config, modality):
-    return E.concat([oracle_encode_view(img, pm, params, config, modality) for img, pm in views])
+    return E.concat([oracle_encode_view(img, pts, params, config, modality) for img, pts in views])
 
 
 class TestBatchedEqualsPerView:
@@ -377,8 +366,8 @@ class TestBatchedEqualsPerView:
         with E.no_grad():
             rows = enc.encode_views(views, params, config)
         assert not rows.requires_grad
-        for row, (img, pm) in zip(rows.array, views):
-            assert row.tobytes() == oracle_encode_view(img, pm, params, config).array[0].tobytes()
+        for row, (img, pts) in zip(rows.array, views):
+            assert row.tobytes() == oracle_encode_view(img, pts, params, config).array[0].tobytes()
 
 
 class TestPoolScene:

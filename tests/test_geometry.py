@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,18 +13,35 @@ import pytest
 from scipy.spatial import cKDTree
 
 from upm import geometry as G
-from upm.errors import ContractError, DegenerateInputError, RangeError, ShapeError
+from upm.errors import (
+    ContractError,
+    DegenerateInputError,
+    NumericError,
+    RangeError,
+    ShapeError,
+    UpmError,
+)
 from upm.objectives import GeoAlignConfig, geo_targets
 
 
-def single_point_map(xyz):
-    return G.Pointmap(points=np.asarray(xyz, float).reshape(1, 1, 3), validity=np.ones((1, 1), bool))
+def stack(clouds):
+    """Pointmaps of ragged (n, 3) clouds, each cloud an n x 1 view.
+
+    Returns points (V, N, 1, 3) and validity (V, N, 1).  Views are padded to
+    the largest cloud, and to at least one pixel, with invalid pixels at the
+    origin.
+    """
+    clouds = [np.asarray(c, float).reshape(-1, 3) for c in clouds]
+    n = max([1] + [len(c) for c in clouds])
+    points = np.zeros((len(clouds), n, 1, 3))
+    validity = np.zeros((len(clouds), n, 1), bool)
+    for v, cloud in enumerate(clouds):
+        points[v, : len(cloud), 0] = cloud
+        validity[v, : len(cloud)] = True
+    return points, validity
 
 
-def cloud_map(points):
-    """Wrap an (n, 3) cloud as an n x 1 pointmap."""
-    pts = np.asarray(points, float).reshape(-1, 1, 3)
-    return G.Pointmap(points=pts, validity=np.ones(pts.shape[:2], bool))
+EMPTY = np.empty((0, 3))
 
 
 def oracle_back_project(depth, intr, pose):
@@ -38,13 +56,13 @@ def oracle_back_project(depth, intr, pose):
     world = cam @ pose.rotation.T + pose.translation
     validity = depth > 0
     world[~validity] = 0.0
-    return G.Pointmap(points=world, validity=validity)
+    return world, validity
 
 
 def back_project_one(depth, intr, pose):
     """Back-project a single view through the batched ``back_project``."""
     points, validity = G.back_project(np.asarray(depth)[None], [intr], [pose])
-    return G.Pointmap(points=points[0], validity=validity[0])
+    return points[0], validity[0]
 
 
 def project(points_world, intr, pose):
@@ -58,12 +76,8 @@ def project(points_world, intr, pose):
 
 
 def chamfer(a, b, subsample=None, seed=G.DEFAULT_CHAMFER_SEED):
-    """The Chamfer distance of one pair of pointmaps, read from the pairwise matrix."""
-    return G.pairwise_chamfer([a, b], subsample, seed)[0, 1]
-
-
-def chamfer_points(pts_a, pts_b):
-    return chamfer(cloud_map(pts_a), cloud_map(pts_b))
+    """The Chamfer distance of one pair of clouds, read from the pairwise matrix."""
+    return G.pairwise_chamfer(*stack([a, b]), subsample, seed)[0, 1]
 
 
 def brute_chamfer(a, b):
@@ -80,9 +94,9 @@ def brute_path_chamfer(a, b):
     return float(np.mean(G._min_sq_dists_brute(a, b)) + np.mean(G._min_sq_dists_brute(b, a)))
 
 
-def proximity_ranks(maps, anchor):
+def proximity_ranks(clouds, anchor):
     """Every other view's 0-based rank by Chamfer distance to the anchor, as geo_targets ranks."""
-    return G._ranks_by_distance(G.pairwise_chamfer(maps)[anchor], anchor)
+    return G._ranks_by_distance(G.pairwise_chamfer(*stack(clouds))[anchor], anchor)
 
 
 def identity_pose():
@@ -100,6 +114,22 @@ class TestCameraTypes:
     def test_intrinsics_reject_nonpositive_focal(self):
         with pytest.raises(ContractError):
             G.CameraIntrinsics(fx=0.0, fy=1.0, cx=0.0, cy=0.0)
+
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_intrinsics_reject_non_finite(self, field, bad):
+        values = {"fx": 10.0, "fy": 10.0, "cx": 4.0, "cy": 4.0, field: bad}
+        with pytest.raises(ContractError, match="finite"):
+            G.CameraIntrinsics(**values)
+
+    @pytest.mark.parametrize("part, index", [("rotation", (0, 0)), ("rotation", (2, 1)),
+                                             ("translation", (0,)), ("translation", (2,))])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pose_rejects_non_finite(self, part, index, bad):
+        arrays = {"rotation": np.eye(3), "translation": np.zeros(3)}
+        arrays[part][index] = bad
+        with pytest.raises(ContractError, match="finite"):
+            G.CameraPose(**arrays)
 
     def test_pose_rejects_non_orthonormal(self):
         with pytest.raises(ContractError):
@@ -120,18 +150,18 @@ class TestBackProject:
         intr = G.CameraIntrinsics(100, 100, 50, 50)
         depth = np.zeros((101, 101))
         depth[50, 50] = 2.0
-        pm = back_project_one(depth, intr, identity_pose())
-        np.testing.assert_allclose(pm.points[50, 50], [0.0, 0.0, 2.0])
-        assert pm.validity[50, 50]
-        assert not pm.validity[0, 0]
+        points, validity = back_project_one(depth, intr, identity_pose())
+        np.testing.assert_allclose(points[50, 50], [0.0, 0.0, 2.0])
+        assert validity[50, 50]
+        assert not validity[0, 0]
 
     def test_pure_translation(self):
         intr = G.CameraIntrinsics(100, 100, 50, 50)
         pose = G.CameraPose(rotation=np.eye(3), translation=np.array([1.0, 0.0, 0.0]))
         depth = np.zeros((101, 101))
         depth[50, 50] = 2.0
-        pm = back_project_one(depth, intr, pose)
-        np.testing.assert_allclose(pm.points[50, 50], [1.0, 0.0, 2.0])
+        points, _ = back_project_one(depth, intr, pose)
+        np.testing.assert_allclose(points[50, 50], [1.0, 0.0, 2.0])
 
     def test_round_trip_through_projection(self):
         rng = np.random.default_rng(19)
@@ -139,9 +169,9 @@ class TestBackProject:
         pose = G.CameraPose(rotation=random_rotation(rng), translation=rng.normal(size=3))
         depth = rng.uniform(0.5, 4.0, size=(32, 32))
         depth[rng.random((32, 32)) < 0.3] = 0.0
-        pm = back_project_one(depth, intr, pose)
-        vs, us = np.nonzero(pm.validity)
-        uvz = project(pm.points[vs, us], intr, pose)
+        points, validity = back_project_one(depth, intr, pose)
+        vs, us = np.nonzero(validity)
+        uvz = project(points[vs, us], intr, pose)
         np.testing.assert_allclose(uvz[:, 0], us, atol=1e-9)
         np.testing.assert_allclose(uvz[:, 1], vs, atol=1e-9)
         np.testing.assert_allclose(uvz[:, 2], depth[vs, us], atol=1e-9)
@@ -158,6 +188,33 @@ class TestBackProject:
         with pytest.raises(ContractError):
             G.back_project(np.full((1, 2, 2), -1.0), [intr], [identity_pose()])
 
+    def test_invalid_pixels_are_positive_zero(self):
+        # The encoder patchifies the points as they are, so every zero-depth
+        # pixel must hold +0.0 bytes, although the camera would put it at t.
+        rng = np.random.default_rng(45)
+        intr = G.CameraIntrinsics(20.0, 24.0, 7.5, 8.5)
+        poses = [G.CameraPose(rotation=random_rotation(rng),
+                              translation=rng.uniform(1.0, 3.0, size=3)) for _ in range(3)]
+        depths = rng.uniform(0.2, 6.0, size=(3, 16, 16))
+        depths[rng.random(depths.shape) < 0.3] = 0.0
+        points, validity = G.back_project(depths, [intr] * 3, poses)
+        invalid = ~validity
+        assert invalid.any(axis=(1, 2)).all()
+        assert points[invalid].tobytes() == bytes(points[invalid].nbytes)
+
+    def test_overflow_raises_typed_error_without_warning(self):
+        # A finite depth and a valid camera whose points overflow float64.
+        intr = G.CameraIntrinsics(1.0, 1.0, -10.0, -10.0)
+        pose = G.CameraPose(rotation=random_rotation(np.random.default_rng(46)),
+                            translation=np.ones(3))
+        depths = np.zeros((2, 3, 3))
+        depths[1, 2, 1] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite") as info:
+                G.back_project(depths, [intr, intr], [pose, pose])
+        assert isinstance(info.value, UpmError)
+
     @pytest.mark.parametrize("views, h, w", [(5, 32, 32), (1, 32, 32), (3, 17, 23), (2, 1, 1)])
     def test_batch_bytes_equal_oracle(self, views, h, w):
         # Per-view intrinsics and poses, with zero-depth pixels in every view.
@@ -171,47 +228,44 @@ class TestBackProject:
         points, validity = G.back_project(depths, intrinsics, poses)
         assert points.shape == (views, h, w, 3) and validity.shape == (views, h, w)
         for v in range(views):
-            oracle = oracle_back_project(depths[v], intrinsics[v], poses[v])
-            assert points[v].tobytes() == oracle.points.tobytes()
-            assert np.array_equal(validity[v], oracle.validity)
+            oracle_points, oracle_validity = oracle_back_project(depths[v], intrinsics[v], poses[v])
+            assert points[v].tobytes() == oracle_points.tobytes()
+            assert np.array_equal(validity[v], oracle_validity)
 
 
 class TestChamferDistance:
     def test_identity_is_zero(self):
         rng = np.random.default_rng(2)
-        pm = cloud_map(rng.normal(size=(20, 3)))
-        assert chamfer(pm, pm) == 0.0
+        pts = rng.normal(size=(20, 3))
+        assert chamfer(pts, pts) == 0.0
 
     def test_single_point_pair(self):
-        a = single_point_map([0, 0, 0])
-        b = single_point_map([1, 0, 0])
-        assert chamfer(a, b) == pytest.approx(2.0)
+        assert chamfer([[0, 0, 0]], [[1, 0, 0]]) == pytest.approx(2.0)
 
     def test_two_against_one(self):
-        a = cloud_map([[0, 0, 0], [2, 0, 0]])
-        b = cloud_map([[1, 0, 0]])
+        a = [[0, 0, 0], [2, 0, 0]]
+        b = [[1, 0, 0]]
         # (1 + 1)/2 forward, plus 1 backward.
-        assert chamfer(a, b) == pytest.approx(brute_chamfer(a.valid_points(), b.valid_points()))
+        assert chamfer(a, b) == pytest.approx(brute_chamfer(a, b))
         assert chamfer(a, b) == pytest.approx(2.0)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            a = cloud_map(rng.normal(size=(rng.integers(1, 30), 3)))
-            b = cloud_map(rng.normal(size=(rng.integers(1, 30), 3)))
-            expected = brute_chamfer(a.valid_points(), b.valid_points())
-            assert chamfer(a, b) == pytest.approx(expected, abs=1e-12)
+            a = rng.normal(size=(rng.integers(1, 30), 3))
+            b = rng.normal(size=(rng.integers(1, 30), 3))
+            assert chamfer(a, b) == pytest.approx(brute_chamfer(a, b), abs=1e-12)
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(5)
-        a = cloud_map(rng.normal(size=(17, 3)))
-        b = cloud_map(rng.normal(size=(23, 3)))
+        a = rng.normal(size=(17, 3))
+        b = rng.normal(size=(23, 3))
         assert chamfer(a, b) == chamfer(b, a)
 
     def test_symmetry_exact_under_subsampling(self):
         rng = np.random.default_rng(6)
-        a = cloud_map(rng.normal(size=(60, 3)))
-        b = cloud_map(rng.normal(size=(45, 3)))
+        a = rng.normal(size=(60, 3))
+        b = rng.normal(size=(45, 3))
         fwd = chamfer(a, b, subsample=16, seed=9)
         rev = chamfer(b, a, subsample=16, seed=9)
         assert fwd == rev
@@ -220,9 +274,9 @@ class TestChamferDistance:
         rng = np.random.default_rng(7)
         pts_a = rng.normal(size=(12, 3))
         pts_b = rng.normal(size=(9, 3))
-        base = chamfer_points(pts_a, pts_b)
+        base = chamfer(pts_a, pts_b)
         for _ in range(5):
-            shuffled = chamfer_points(rng.permutation(pts_a), rng.permutation(pts_b))
+            shuffled = chamfer(rng.permutation(pts_a), rng.permutation(pts_b))
             assert shuffled == pytest.approx(base, abs=1e-12)
 
     def test_rigid_motion_invariance(self):
@@ -231,32 +285,31 @@ class TestChamferDistance:
         pts_b = rng.normal(size=(11, 3))
         r = random_rotation(rng)
         t = rng.normal(size=3)
-        base = chamfer_points(pts_a, pts_b)
-        moved = chamfer_points(pts_a @ r.T + t, pts_b @ r.T + t)
+        base = chamfer(pts_a, pts_b)
+        moved = chamfer(pts_a @ r.T + t, pts_b @ r.T + t)
         assert abs(base - moved) <= 1e-9
 
     def test_nonnegative(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            a = cloud_map(rng.normal(size=(rng.integers(1, 15), 3)))
-            b = cloud_map(rng.normal(size=(rng.integers(1, 15), 3)))
+            a = rng.normal(size=(rng.integers(1, 15), 3))
+            b = rng.normal(size=(rng.integers(1, 15), 3))
             assert chamfer(a, b) >= 0.0
 
     def test_empty_set_rejected(self):
-        empty = G.Pointmap(points=np.zeros((2, 2, 3)), validity=np.zeros((2, 2), bool))
         with pytest.raises(DegenerateInputError):
-            chamfer(empty, single_point_map([0, 0, 0]))
+            chamfer(EMPTY, [[0, 0, 0]])
 
     def test_grid_agrees_bitwise_with_brute(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             pts_a = rng.uniform(-3, 3, size=(rng.integers(1, 120), 3))
             pts_b = rng.uniform(-3, 3, size=(rng.integers(1, 120), 3))
-            assert chamfer_points(pts_a, pts_b) == brute_path_chamfer(pts_a, pts_b)
+            assert chamfer(pts_a, pts_b) == brute_path_chamfer(pts_a, pts_b)
 
     def test_grid_handles_identical_points(self):
         pts = np.zeros((5, 3))
-        assert chamfer_points(pts, pts) == brute_path_chamfer(pts, pts) == 0.0
+        assert chamfer(pts, pts) == brute_path_chamfer(pts, pts) == 0.0
 
 
 class TestKdTreeNearest:
@@ -265,7 +318,7 @@ class TestKdTreeNearest:
     def assert_bitwise(self, queries, targets):
         kd = G._min_sq_dists(queries, targets, cKDTree(targets))
         assert np.array_equal(kd, G._min_sq_dists_brute(queries, targets))
-        assert chamfer_points(queries, targets) == brute_path_chamfer(queries, targets)
+        assert chamfer(queries, targets) == brute_path_chamfer(queries, targets)
 
     def test_integer_lattice_ties(self):
         # Half-integer queries sit equidistant from up to eight lattice points.
@@ -300,13 +353,13 @@ class TestKdTreeNearest:
 class TestPairwiseChamfer:
     def test_symmetric_and_equal_to_each_pair(self):
         rng = np.random.default_rng(35)
-        maps = [cloud_map(rng.normal(size=(rng.integers(1, 90), 3))) for _ in range(6)]
-        maps.append(cloud_map(rng.integers(-2, 3, size=(40, 3)).astype(float)))
-        cd = G.pairwise_chamfer(maps, subsample=32, seed=4)
+        clouds = [rng.normal(size=(rng.integers(1, 90), 3)) for _ in range(6)]
+        clouds.append(rng.integers(-2, 3, size=(40, 3)).astype(float))
+        cd = G.pairwise_chamfer(*stack(clouds), subsample=32, seed=4)
         assert np.array_equal(cd, cd.T)
         assert np.all(np.diag(cd) == 0.0)
-        for v, u in itertools.combinations(range(len(maps)), 2):
-            assert cd[v, u] == chamfer(maps[v], maps[u], subsample=32, seed=4)
+        for v, u in itertools.combinations(range(len(clouds)), 2):
+            assert cd[v, u] == chamfer(clouds[v], clouds[u], subsample=32, seed=4)
 
     def test_unequal_sets_with_duplicates_and_near_ties_match_brute(self):
         # Lattice points give exact ties, repeated points duplicates, and
@@ -319,14 +372,13 @@ class TestPairwiseChamfer:
                 pts = np.vstack([pts, pts[: rng.integers(0, len(pts) + 1)]])
                 pts[rng.random(len(pts)) < 0.2] += 1e-12 * rng.normal(size=3)
                 sets.append(rng.permutation(pts))
-            cd = G.pairwise_chamfer([cloud_map(p) for p in sets], subsample=None)
+            cd = G.pairwise_chamfer(*stack(sets), subsample=None)
             for v, u in itertools.permutations(range(len(sets)), 2):
                 assert cd[v, u] == brute_path_chamfer(sets[v], sets[u])
 
     def test_empty_view_rejected(self):
-        empty = G.Pointmap(points=np.zeros((2, 2, 3)), validity=np.zeros((2, 2), bool))
         with pytest.raises(DegenerateInputError):
-            G.pairwise_chamfer([single_point_map([0, 0, 0]), empty])
+            G.pairwise_chamfer(*stack([[[0, 0, 0]], EMPTY]))
 
     def test_scipy_spatial_imported_lazily(self):
         code = "import sys, upm.evaluation, upm.trainer; print('scipy.spatial' in sys.modules)"
@@ -338,122 +390,115 @@ class TestPairwiseChamfer:
 
 class TestProximityRanks:
     def test_two_views(self):
-        maps = [single_point_map([0, 0, 0]), single_point_map([3, 0, 0])]
-        assert proximity_ranks(maps, anchor=0) == {1: 0}
+        assert proximity_ranks([[[0, 0, 0]], [[3, 0, 0]]], anchor=0) == {1: 0}
 
     def test_collinear_points(self):
-        maps = [single_point_map([x, 0, 0]) for x in (0.0, 1.0, 5.0)]
-        assert proximity_ranks(maps, anchor=0) == {1: 0, 2: 1}
+        clouds = [[[x, 0, 0]] for x in (0.0, 1.0, 5.0)]
+        assert proximity_ranks(clouds, anchor=0) == {1: 0, 2: 1}
 
     def test_tie_breaks_to_lower_index(self):
-        maps = [
-            single_point_map([0, 0, 0]),
-            single_point_map([1, 0, 0]),
-            single_point_map([-1, 0, 0]),
-        ]
-        ranks = proximity_ranks(maps, anchor=0)
+        ranks = proximity_ranks([[[0, 0, 0]], [[1, 0, 0]], [[-1, 0, 0]]], anchor=0)
         assert ranks[1] == 0 and ranks[2] == 1
 
     def test_ranks_are_a_bijection(self):
         rng = np.random.default_rng(13)
-        maps = [cloud_map(rng.normal(size=(8, 3))) for _ in range(6)]
+        clouds = [rng.normal(size=(8, 3)) for _ in range(6)]
         for anchor in range(6):
-            ranks = proximity_ranks(maps, anchor)
+            ranks = proximity_ranks(clouds, anchor)
             assert sorted(ranks.keys()) == [u for u in range(6) if u != anchor]
             assert sorted(ranks.values()) == list(range(5))
 
     def test_single_view_rejected(self):
         # geo_targets ranks the views of a scene, and there are none to rank.
         with pytest.raises(DegenerateInputError):
-            geo_targets([single_point_map([0, 0, 0])], GeoAlignConfig())
+            geo_targets(*stack([[[0, 0, 0]]]), GeoAlignConfig())
 
 
 class TestVisibility:
     def box(self):
         return G.ObjectAnnotation(0, [-1, -1, -1], [1, 1, 1], "the box", "box")
 
+    def pairs(self, clouds, min_points):
+        return G.visibility_pairs(*stack(clouds), [self.box()], min_points=min_points)
+
     def test_fully_inside(self):
-        pm = cloud_map(np.zeros((5, 3)))
-        assert G.visibility_pairs([pm], [self.box()], min_points=1) == {(0, 0)}
+        assert self.pairs([np.zeros((5, 3))], min_points=1) == {(0, 0)}
 
     def test_fully_outside(self):
-        pm = cloud_map(np.full((5, 3), 10.0))
-        assert G.visibility_pairs([pm], [self.box()], min_points=1) == set()
+        assert self.pairs([np.full((5, 3), 10.0)], min_points=1) == set()
 
     def test_threshold_boundary(self):
         inside = np.zeros((4, 3))
         outside = np.full((6, 3), 9.0)
-        pm = cloud_map(np.vstack([inside, outside]))
-        assert G.visibility_pairs([pm], [self.box()], min_points=5) == set()
-        assert G.visibility_pairs([pm], [self.box()], min_points=4) == {(0, 0)}
+        cloud = np.vstack([inside, outside])
+        assert self.pairs([cloud], min_points=5) == set()
+        assert self.pairs([cloud], min_points=4) == {(0, 0)}
 
     def test_inclusive_bounds(self):
-        pm = cloud_map([[1.0, 1.0, 1.0]])
-        assert G.visibility_pairs([pm], [self.box()], min_points=1) == {(0, 0)}
+        assert self.pairs([[[1.0, 1.0, 1.0]]], min_points=1) == {(0, 0)}
 
     def test_min_points_validation(self):
         with pytest.raises(ContractError):
-            G.visibility_pairs([], [], min_points=0)
+            G.visibility_pairs(*stack([]), [], min_points=0)
 
 
 class TestVisibleArea:
     def test_disjoint_is_zero(self):
-        pm = cloud_map(np.full((7, 3), 5.0))
         obj = G.ObjectAnnotation(0, [-1, -1, -1], [1, 1, 1], "t", "c")
-        assert G.visible_areas([pm], [obj])[0, 0] == 0
+        assert G.box_counts(*stack([np.full((7, 3), 5.0)]), [obj])[0, 0] == 0
 
     def test_all_points_inside(self):
-        pts = np.zeros((3, 4, 3))
-        pm = G.Pointmap(points=pts, validity=np.ones((3, 4), bool))
+        points = np.zeros((1, 3, 4, 3))
         obj = G.ObjectAnnotation(0, [-1, -1, -1], [1, 1, 1], "t", "c")
-        assert G.visible_areas([pm], [obj])[0, 0] == 12
+        assert G.box_counts(points, np.ones((1, 3, 4), bool), [obj])[0, 0] == 12
 
     def test_half_plane_exact_count(self):
         xs = np.linspace(-2, 2, 9)
         pts = np.stack([xs, np.zeros(9), np.zeros(9)], axis=-1)
-        pm = cloud_map(pts)
         obj = G.ObjectAnnotation(0, [0, -1, -1], [3, 1, 1], "t", "c")
         expected = int(np.sum(xs >= 0))
-        assert G.visible_areas([pm], [obj])[0, 0] == expected
+        assert G.box_counts(*stack([pts]), [obj])[0, 0] == expected
 
 
 class TestVisibleAreas:
     def test_matches_elementwise_count(self):
+        # Ragged views and an empty one, padded with invalid pixels at the
+        # origin, which some boxes contain.
         rng = np.random.default_rng(36)
-        maps = [cloud_map(rng.integers(-3, 4, size=(rng.integers(1, 60), 3)).astype(float))
-                for _ in range(5)]
-        maps.append(G.Pointmap(points=np.zeros((2, 2, 3)), validity=np.zeros((2, 2), bool)))
+        clouds = [rng.integers(-3, 4, size=(rng.integers(1, 60), 3)).astype(float)
+                  for _ in range(5)]
+        clouds.append(EMPTY)
         objects = []
         for i in range(4):
             lo = rng.integers(-3, 2, size=3).astype(float)
             objects.append(G.ObjectAnnotation(i, lo, lo + rng.integers(0, 3, size=3), "t", "c"))
-        areas = G.visible_areas(maps, objects)
+        areas = G.box_counts(*stack(clouds), objects)
         assert areas.shape == (6, 4) and areas.dtype == np.int64
-        for v, pm in enumerate(maps):
+        for v, cloud in enumerate(clouds):
             for o, obj in enumerate(objects):
                 expected = sum(
                     all(obj.aabb_min[k] <= p[k] <= obj.aabb_max[k] for k in range(3))
-                    for p in pm.valid_points()
+                    for p in cloud
                 )
                 assert areas[v, o] == expected
 
     def test_no_objects(self):
-        assert G.visible_areas([single_point_map([0, 0, 0])], []).shape == (1, 0)
+        assert G.box_counts(*stack([[[0, 0, 0]]]), []).shape == (1, 0)
 
 
-def voxel_set(pm, voxel):
-    return set(map(tuple, np.floor(pm.valid_points() / voxel).astype(np.int64)))
+def voxel_set(cloud, voxel):
+    return set(map(tuple, np.floor(np.asarray(cloud) / voxel).astype(np.int64)))
 
 
-def coverage(maps, views, voxel):
+def coverage(clouds, views, voxel):
     """Voxel count covered by a view subset, over Python sets of voxel tuples."""
-    return len(set().union(*(voxel_set(maps[v], voxel) for v in views)))
+    return len(set().union(*(voxel_set(clouds[v], voxel) for v in views)))
 
 
-def set_based_coverage_sample(maps, budget, voxel):
+def set_based_coverage_sample(clouds, budget, voxel):
     """Greedy max coverage over Python sets of voxel tuples, the reference selection."""
-    voxels = [voxel_set(pm, voxel) for pm in maps]
-    covered, chosen, remaining = set(), [], list(range(len(maps)))
+    voxels = [voxel_set(cloud, voxel) for cloud in clouds]
+    covered, chosen, remaining = set(), [], list(range(len(clouds)))
     while len(chosen) < budget:
         gains = [len(voxels[v] - covered) for v in remaining]
         if max(gains) <= 0:
@@ -465,16 +510,16 @@ def set_based_coverage_sample(maps, budget, voxel):
     return chosen + remaining[: budget - len(chosen)]
 
 
-def oracle_max_coverage_sample(maps, budget, voxel):
+def oracle_max_coverage_sample(clouds, budget, voxel):
     """Greedy max coverage with per-view sorted voxel keys and an ``np.isin`` loop over views.
 
     The oracle of ``max_coverage_sample``'s occupancy matrix: the same key
     packing and the same overflow checks, one view at a time.
     """
     with np.errstate(over="ignore"):
-        cells = [np.floor(pm.valid_points() / voxel) for pm in maps]
+        cells = [np.floor(np.asarray(cloud).reshape(-1, 3) / voxel) for cloud in clouds]
     occupied = [c for c in cells if len(c)]
-    voxels = [np.empty(0, dtype=np.int64) for _ in maps]
+    voxels = [np.empty(0, dtype=np.int64) for _ in clouds]
     if occupied:
         lo = np.min([c.min(axis=0) for c in occupied], axis=0)
         hi = np.max([c.max(axis=0) for c in occupied], axis=0)
@@ -488,7 +533,7 @@ def oracle_max_coverage_sample(maps, budget, voxel):
             offset = (c - lo).astype(np.int64)
             voxels.append(np.unique((offset[:, 0] * sizes[1] + offset[:, 1]) * sizes[2] + offset[:, 2]))
     covered = np.empty(0, dtype=np.int64)
-    chosen, remaining = [], list(range(len(maps)))
+    chosen, remaining = [], list(range(len(clouds)))
     while len(chosen) < budget:
         best_gain, best_view = -1, None
         for v in remaining:
@@ -503,117 +548,119 @@ def oracle_max_coverage_sample(maps, budget, voxel):
     return chosen + remaining[: budget - len(chosen)]
 
 
+def max_coverage(clouds, budget, voxel):
+    return G.max_coverage_sample(*stack(clouds), budget, voxel)
+
+
 class TestMaxCoverage:
     def test_matches_isin_oracle_at_every_budget(self):
         rng = np.random.default_rng(43)
-        empty = G.Pointmap(points=np.zeros((2, 3, 3)), validity=np.zeros((2, 3), bool))
-        tie_a, tie_b = cloud_map(np.zeros((3, 3))), cloud_map(np.full((6, 3), 4.0))
-        saturating = cloud_map(rng.uniform(-2, 2, size=(400, 3)))
+        tie_a, tie_b = np.zeros((3, 3)), np.full((6, 3), 4.0)
+        saturating = rng.uniform(-2, 2, size=(400, 3))
         for trial in range(40):
-            maps = [cloud_map(rng.uniform(-2, 2, size=(rng.integers(1, 50), 3)))
-                    for _ in range(rng.integers(1, 8))]
+            clouds = [rng.uniform(-2, 2, size=(rng.integers(1, 50), 3))
+                      for _ in range(rng.integers(1, 8))]
             if trial % 4 == 1:
-                maps.insert(int(rng.integers(0, len(maps) + 1)), empty)
+                clouds.insert(int(rng.integers(0, len(clouds) + 1)), EMPTY)
             if trial % 4 == 2:
-                maps = [tie_a, tie_b, tie_a, tie_b] + maps
+                clouds = [tie_a, tie_b, tie_a, tie_b] + clouds
             if trial % 4 == 3:
-                maps.insert(int(rng.integers(0, len(maps) + 1)), saturating)
+                clouds.insert(int(rng.integers(0, len(clouds) + 1)), saturating)
             voxel = float(rng.choice([0.25, 0.7, 1.5, 5.0]))
-            for budget in range(1, len(maps) + 1):
-                expected = oracle_max_coverage_sample(maps, budget, voxel)
-                assert G.max_coverage_sample(maps, budget, voxel) == expected
-        all_empty = [empty, empty, empty]
-        assert G.max_coverage_sample(all_empty, 2, 1.0) == [0, 1]
+            for budget in range(1, len(clouds) + 1):
+                expected = oracle_max_coverage_sample(clouds, budget, voxel)
+                assert max_coverage(clouds, budget, voxel) == expected
+        all_empty = [EMPTY, EMPTY, EMPTY]
+        assert max_coverage(all_empty, 2, 1.0) == [0, 1]
         assert oracle_max_coverage_sample(all_empty, 2, 1.0) == [0, 1]
 
     def test_matches_set_based_reference(self):
         rng = np.random.default_rng(37)
-        empty = G.Pointmap(points=np.zeros((1, 1, 3)), validity=np.zeros((1, 1), bool))
         for _ in range(30):
-            maps = [cloud_map(rng.uniform(-2, 2, size=(rng.integers(1, 40), 3)))
-                    for _ in range(rng.integers(1, 7))]
+            clouds = [rng.uniform(-2, 2, size=(rng.integers(1, 40), 3))
+                      for _ in range(rng.integers(1, 7))]
             if rng.random() < 0.3:
-                maps.insert(int(rng.integers(0, len(maps) + 1)), empty)
+                clouds.insert(int(rng.integers(0, len(clouds) + 1)), EMPTY)
             if rng.random() < 0.3:
-                maps.append(maps[0])
+                clouds.append(clouds[0])
             voxel = float(rng.choice([0.3, 0.8, 2.0]))
-            for budget in range(1, len(maps) + 1):
-                expected = set_based_coverage_sample(maps, budget, voxel)
-                assert G.max_coverage_sample(maps, budget, voxel) == expected
+            for budget in range(1, len(clouds) + 1):
+                expected = set_based_coverage_sample(clouds, budget, voxel)
+                assert max_coverage(clouds, budget, voxel) == expected
 
     def test_key_overflow_raises(self):
-        wide = cloud_map([[0.0, 0.0, 0.0], [1e7, 1e7, 1e7]])
+        wide = [[0.0, 0.0, 0.0], [1e7, 1e7, 1e7]]
         with pytest.raises(RangeError):
-            G.max_coverage_sample([wide], budget=1, voxel_size=1e-1)
+            max_coverage([wide], 1, 1e-1)
         with pytest.raises(RangeError):
-            G.max_coverage_sample([cloud_map([[1e300, 0.0, 0.0]])], budget=1, voxel_size=1e-10)
+            max_coverage([[[1e300, 0.0, 0.0]]], 1, 1e-10)
 
     def test_full_budget_returns_all_views(self):
         rng = np.random.default_rng(21)
-        maps = [cloud_map(rng.normal(size=(10, 3))) for _ in range(4)]
-        chosen = G.max_coverage_sample(maps, budget=4, voxel_size=0.5)
+        clouds = [rng.normal(size=(10, 3)) for _ in range(4)]
+        chosen = max_coverage(clouds, 4, 0.5)
         assert sorted(chosen) == [0, 1, 2, 3]
 
     def test_duplicate_views_deprioritized(self):
-        shared = cloud_map(np.zeros((5, 3)))
-        duplicate = cloud_map(np.zeros((5, 3)))
-        disjoint = cloud_map(np.full((5, 3), 10.0))
-        chosen = G.max_coverage_sample([shared, duplicate, disjoint], budget=2, voxel_size=1.0)
+        shared = np.zeros((5, 3))
+        duplicate = np.zeros((5, 3))
+        disjoint = np.full((5, 3), 10.0)
+        chosen = max_coverage([shared, duplicate, disjoint], 2, 1.0)
         assert chosen == [0, 2]
 
     def test_beats_every_fixed_triple(self):
         # Frozen instance where the exhaustive enumeration confirms greedy
         # attains the optimum, so it dominates every fixed triple.
         rng = np.random.default_rng(1)
-        maps = [cloud_map(rng.uniform(-2, 2, size=(30, 3))) for _ in range(6)]
+        clouds = [rng.uniform(-2, 2, size=(30, 3)) for _ in range(6)]
         voxel = 0.8
-        chosen = G.max_coverage_sample(maps, budget=3, voxel_size=voxel)
-        greedy_cover = coverage(maps, chosen, voxel)
+        chosen = max_coverage(clouds, 3, voxel)
+        greedy_cover = coverage(clouds, chosen, voxel)
         for triple in itertools.combinations(range(6), 3):
-            assert greedy_cover >= coverage(maps, triple, voxel)
+            assert greedy_cover >= coverage(clouds, triple, voxel)
 
     def test_greedy_approximation_guarantee(self):
         # On arbitrary instances greedy is within (1 - 1/e) of the best
         # enumerated triple, and its first pick is the best single view.
         for seed in (3, 4, 23):
             rng = np.random.default_rng(seed)
-            maps = [cloud_map(rng.uniform(-2, 2, size=(30, 3))) for _ in range(6)]
+            clouds = [rng.uniform(-2, 2, size=(30, 3)) for _ in range(6)]
             voxel = 0.8
-            chosen = G.max_coverage_sample(maps, budget=3, voxel_size=voxel)
-            greedy_cover = coverage(maps, chosen, voxel)
+            chosen = max_coverage(clouds, 3, voxel)
+            greedy_cover = coverage(clouds, chosen, voxel)
             best_triple = max(
-                coverage(maps, t, voxel) for t in itertools.combinations(range(6), 3)
+                coverage(clouds, t, voxel) for t in itertools.combinations(range(6), 3)
             )
             assert greedy_cover >= (1 - 1 / np.e) * best_triple
-            first = G.max_coverage_sample(maps, budget=1, voxel_size=voxel)[0]
-            assert coverage(maps, [first], voxel) == max(
-                coverage(maps, [v], voxel) for v in range(6)
+            first = max_coverage(clouds, 1, voxel)[0]
+            assert coverage(clouds, [first], voxel) == max(
+                coverage(clouds, [v], voxel) for v in range(6)
             )
 
     def test_coverage_monotone_in_budget(self):
         rng = np.random.default_rng(29)
-        maps = [cloud_map(rng.uniform(-2, 2, size=(20, 3))) for _ in range(5)]
+        clouds = [rng.uniform(-2, 2, size=(20, 3)) for _ in range(5)]
         covers = [
-            coverage(maps, G.max_coverage_sample(maps, k, 0.5), 0.5) for k in range(1, 6)
+            coverage(clouds, max_coverage(clouds, k, 0.5), 0.5) for k in range(1, 6)
         ]
         assert all(b >= a for a, b in zip(covers, covers[1:]))
 
     def test_smaller_budget_picks_are_a_prefix(self):
         # retrieval_views_curve reads every budget's picks off one run at the largest.
         rng = np.random.default_rng(41)
-        spread = [cloud_map(rng.uniform(-2, 2, size=(25, 3))) for _ in range(7)]
+        spread = [rng.uniform(-2, 2, size=(25, 3)) for _ in range(7)]
         # Coverage saturates after views 0 and 2, so the rest fill by ascending index.
-        a, b = cloud_map(np.zeros((4, 3))), cloud_map(np.full((4, 3), 5.0))
+        a, b = np.zeros((4, 3)), np.full((4, 3), 5.0)
         saturating = [a, a, b, b, a]
-        assert G.max_coverage_sample(saturating, 5, 0.5) == [0, 2, 1, 3, 4]
-        for maps in (spread, saturating):
-            largest = G.max_coverage_sample(maps, len(maps), 0.5)
-            for budget in range(1, len(maps) + 1):
-                assert G.max_coverage_sample(maps, budget, 0.5) == largest[:budget]
+        assert max_coverage(saturating, 5, 0.5) == [0, 2, 1, 3, 4]
+        for clouds in (spread, saturating):
+            largest = max_coverage(clouds, len(clouds), 0.5)
+            for budget in range(1, len(clouds) + 1):
+                assert max_coverage(clouds, budget, 0.5) == largest[:budget]
 
     def test_budget_validation(self):
-        maps = [single_point_map([0, 0, 0])]
+        clouds = [[[0, 0, 0]]]
         with pytest.raises(ContractError):
-            G.max_coverage_sample(maps, budget=2, voxel_size=1.0)
+            max_coverage(clouds, 2, 1.0)
         with pytest.raises(ContractError):
-            G.max_coverage_sample(maps, budget=1, voxel_size=0.0)
+            max_coverage(clouds, 1, 0.0)

@@ -9,11 +9,12 @@ from upm import engine as E
 from upm import objectives as obj
 from upm.engine import Tensor
 from upm.errors import ContractError, DegenerateInputError, ShapeError
-from upm.geometry import Pointmap
 
 
-def single_point_map(xyz):
-    return Pointmap(points=np.asarray(xyz, float).reshape(1, 1, 3), validity=np.ones((1, 1), bool))
+def point_maps(xyzs):
+    """One single-pixel view per point: points (V, 1, 1, 3) and validity (V, 1, 1), all valid."""
+    points = np.asarray(xyzs, float).reshape(-1, 1, 1, 3)
+    return points, np.ones(points.shape[:3], bool)
 
 
 def unit_rows(rng, n, d):
@@ -76,7 +77,7 @@ def random_targets(rng, n_views):
 
 def geo_loss(h, maps, cfg, temperature):
     """One scene's geometric loss from its pointmaps: targets as in prepare_scene, loss as in batch_loss."""
-    return obj.geo_loss_from_targets(h, obj.geo_targets(maps, cfg), temperature)
+    return obj.geo_loss_from_targets(h, obj.geo_targets(*maps, cfg), temperature)
 
 
 def geo_graph(xent, base, targets, tau):
@@ -163,14 +164,14 @@ class TestGeoLoss:
     def test_two_views_is_zero(self):
         rng = np.random.default_rng(3)
         h = Tensor(unit_rows(rng, 2, 8))
-        maps = [single_point_map([0, 0, 0]), single_point_map([1, 0, 0])]
+        maps = point_maps([[0, 0, 0], [1, 0, 0]])
         loss = geo_loss(h, maps, obj.GeoAlignConfig(), obj.Temperature())
         assert loss.item() == pytest.approx(0.0, abs=1e-15)
 
     def test_alpha_one_equals_one_hot_cross_entropy(self):
         rng = np.random.default_rng(4)
         h = Tensor(unit_rows(rng, 3, 8), requires_grad=True)
-        maps = [single_point_map([x, 0, 0]) for x in (0.0, 1.0, 5.0)]
+        maps = point_maps([[x, 0, 0] for x in (0.0, 1.0, 5.0)])
         temp = obj.Temperature(0.5)
         cfg = obj.GeoAlignConfig(alpha=1.0, tau_r=0.35)
         loss = geo_loss(h, maps, cfg, temp).item()
@@ -192,7 +193,7 @@ class TestGeoLoss:
         row = np.zeros((1, 8))
         row[0, 0] = 1.0
         h = Tensor(np.repeat(row, 3, axis=0))
-        maps = [single_point_map([x, 0, 0]) for x in (0.0, 1.0, 5.0)]
+        maps = point_maps([[x, 0, 0] for x in (0.0, 1.0, 5.0)])
         cfg = obj.GeoAlignConfig(alpha=0.0, tau_r=0.35)
         loss = geo_loss(h, maps, cfg, obj.Temperature(1.0))
         assert loss.item() == pytest.approx(3.0 * math.log(2.0), abs=1e-12)
@@ -200,10 +201,10 @@ class TestGeoLoss:
     def test_gradient_through_embeddings_and_temperature(self):
         rng = np.random.default_rng(5)
         base = unit_rows(rng, 4, 6)
-        maps = [single_point_map(rng.normal(size=3)) for _ in range(4)]
+        maps = point_maps([rng.normal(size=3) for _ in range(4)])
         cfg = obj.GeoAlignConfig()
         temp = obj.Temperature(0.3)
-        targets = obj.geo_targets(maps, cfg)
+        targets = obj.geo_targets(*maps, cfg)
 
         h = Tensor(base.copy(), requires_grad=True)
         assert E.finite_diff_check(
@@ -412,10 +413,10 @@ class TestTotalLoss:
         rng = np.random.default_rng(11)
         base_h = unit_rows(rng, 4, 6)
         base_t = unit_rows(rng, 4, 6)
-        maps = [single_point_map(rng.normal(size=3)) for _ in range(4)]
+        maps = point_maps([rng.normal(size=3) for _ in range(4)])
         cfg = obj.GeoAlignConfig()
         temp = obj.Temperature(0.3)
-        targets = obj.geo_targets(maps, cfg)
+        targets = obj.geo_targets(*maps, cfg)
         pairs = [(0, 0), (1, 2), (3, 1)]
 
         def build(h):
