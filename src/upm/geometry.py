@@ -89,6 +89,8 @@ class ObjectAnnotation:
         self.aabb_max = np.asarray(self.aabb_max, dtype=np.float64)
         if self.aabb_min.shape != (3,) or self.aabb_max.shape != (3,):
             raise ShapeError("AABB corners must be 3-vectors")
+        if not (np.isfinite(self.aabb_min).all() and np.isfinite(self.aabb_max).all()):
+            raise ContractError("AABB corners must be finite")
         if np.any(self.aabb_min > self.aabb_max):
             raise ContractError("AABB min corner exceeds max corner")
 

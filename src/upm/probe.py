@@ -11,6 +11,11 @@ minimized alone, because each per-problem step is the float operation the
 one-problem iteration makes; row dot products go through BLAS ``ddot``,
 as ``a @ b`` of two vectors does.
 
+A problem stops when its gradient norm falls to ``grad_tol``, when a
+strong-Wolfe step improves f by no more than ``OBJECTIVE_TOL * max(1, |f|)``
+(L-BFGS-B's ``factr = 1e4``; Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput.
+1995), or at ``max_iterations``.
+
 The regularization strength is selected on a held-out fold over a
 96-point log-spaced grid.  The whole grid is fitted in one batched run,
 then the chosen strength is refit on the full few-shot training set.
@@ -74,6 +79,9 @@ class LbfgsResult:
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 LINE_SEARCH_EVALS = 30
+
+# Relative objective tolerance: L-BFGS-B's factr = 1e4 times machine epsilon.
+OBJECTIVE_TOL = 1e4 * np.finfo(float).eps
 
 _BRACKET, _ZOOM, _AT_LO = 0, 1, 2
 
@@ -209,7 +217,7 @@ def lbfgs_minimize_batch(
     max_iterations: int = 1000,
     history: int = 10,
     grad_tol: float = 1e-9,
-    objective_tol: float = 0.0,
+    objective_tol: float = OBJECTIVE_TOL,
 ) -> list[LbfgsResult]:
     """Minimize K independent problems, one per row of x0 (K, P).
 
@@ -356,14 +364,15 @@ def lbfgs_minimize(
     max_iterations: int = 1000,
     history: int = 10,
     grad_tol: float = 1e-9,
-    objective_tol: float = 0.0,
+    objective_tol: float = OBJECTIVE_TOL,
 ) -> LbfgsResult:
     """Minimize fun_grad (returning (f, grad)) from x0.
 
     The objective history records f at every accepted iterate and is
-    strictly decreasing: iteration stops once a Wolfe step no longer
-    strictly improves f (beyond ``objective_tol`` relative), or the
-    gradient norm falls under ``grad_tol``.
+    strictly decreasing.  Iteration stops converged once the gradient norm
+    falls to ``grad_tol`` or a Wolfe step improves f by no more than
+    ``objective_tol * max(1, |f|)`` (default ``OBJECTIVE_TOL``, L-BFGS-B's
+    ``factr = 1e4``), and unconverged after ``max_iterations``.
     """
 
     def stacked(xs, rows):
@@ -481,7 +490,9 @@ def linear_probe(
 
     The holdout fold takes ``holdout_fraction`` of the few-shot training
     set (at least one example); the best grid point by holdout accuracy
-    (lowest reg on ties) is refit on the full training set.  One WARNING
+    (lowest reg on ties) is refit on the full training set.  Every fit
+    stops at gradient norm 1e-9 or once a step improves f by at most
+    ``OBJECTIVE_TOL`` relative (L-BFGS-B's ``factr = 1e4``).  One WARNING
     reports how many grid fits stopped at ``max_iterations`` without
     converging and whether the refit converged, when any fit did not.
     """

@@ -664,6 +664,11 @@ MALFORMED_DIRECTORIES = {
     "view_size_differs": lambda d: [_edit_raster(d, f"view_003_{kind}.upmv", lambda a: a[:16, :16])
                                     for kind in ("image", "depth")],
     "object_box_inverted": lambda d: _edit_meta(d, "object=0\t", _invert_box),
+    # object 0's min x, and its max x, which no min corner exceeds
+    "object_box_nan": lambda d: _edit_meta(
+        d, "object=0\t", lambda line: _edit_field(line, 2, lambda f: _set_number(f, 0, "nan"))),
+    "object_box_inf": lambda d: _edit_meta(
+        d, "object=0\t", lambda line: _edit_field(line, 2, lambda f: _set_number(f, 3, "inf"))),
     "object_duplicated": lambda d: _edit_meta(d, "object=1\t", lambda line: line + "\n" + line),
     # view 0's translation x, and its cx
     "pose_nan": lambda d: _edit_meta(

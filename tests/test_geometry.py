@@ -143,6 +143,10 @@ class TestCameraTypes:
     def test_aabb_ordering(self):
         with pytest.raises(ContractError):
             G.ObjectAnnotation(0, [1, 0, 0], [0, 1, 1], "t", "c")
+        for lo, hi in (([np.nan, 0, 0], [1, 1, 1]), ([0, 0, 0], [np.inf, 1, 1]),
+                       ([-np.inf, 0, 0], [1, 1, 1])):
+            with pytest.raises(ContractError, match="finite"):
+                G.ObjectAnnotation(0, lo, hi, "t", "c")
 
 
 class TestBackProject:

@@ -10,6 +10,7 @@ from upm import probe
 from upm.errors import ConfigError, ContractError
 from upm.probe import (
     GRID_STEPS,
+    OBJECTIVE_TOL,
     LbfgsResult,
     ProbeConfig,
     ProbeOutcome,
@@ -73,7 +74,7 @@ def oracle_strong_wolfe(fun_grad, x, direction, f0, g0, c1=1e-4, c2=0.9, max_eva
 
 
 def oracle_lbfgs_minimize(fun_grad, x0, max_iterations=1000, history=10, grad_tol=1e-9,
-                          objective_tol=0.0):
+                          objective_tol=OBJECTIVE_TOL):
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = fun_grad(x)
     objective_history = [float(f)]
@@ -145,10 +146,11 @@ def oracle_logistic_loss_grad(flat, features, labels, n_classes, reg):
     return loss, np.concatenate([grad_w.ravel(), grad_b])
 
 
-def oracle_fit(features, labels, n_classes, reg):
+def oracle_fit(features, labels, n_classes, reg, max_iterations=1000):
     x0 = np.zeros(features.shape[1] * n_classes + n_classes)
     return oracle_lbfgs_minimize(
-        lambda x: oracle_logistic_loss_grad(x, features, labels, n_classes, reg), x0)
+        lambda x: oracle_logistic_loss_grad(x, features, labels, n_classes, reg), x0,
+        max_iterations=max_iterations)
 
 
 def assert_bitwise_equal(result, expected):
@@ -164,6 +166,22 @@ def separable_toy(rng, n_per_class=20, gap=3.0):
     features = np.vstack([a, b])
     labels = np.array([0] * n_per_class + [1] * n_per_class)
     return features, labels
+
+
+def pinned_probe_problem():
+    """32 examples of 4 classes in 64 dimensions, 6 of the training labels flipped."""
+    rng = np.random.default_rng(4)
+    labels = np.repeat(np.arange(4), 8)
+    centers = rng.normal(size=(4, 64))
+    features = 0.3 * centers[labels] + rng.normal(size=(32, 64))
+    noisy = labels.copy()
+    flipped = rng.choice(32, size=6, replace=False)
+    noisy[flipped] = rng.integers(0, 4, size=6)
+    return features, labels, noisy
+
+
+def few_shot_rows(labels, shots):
+    return np.concatenate([np.flatnonzero(labels == c)[:shots] for c in range(4)])
 
 
 def gradient_descent_1000(features, labels, n_classes, reg, lr=0.5):
@@ -192,9 +210,11 @@ class TestLbfgs:
         assert all(later < earlier for earlier, later in zip(history, history[1:]))
 
     def test_beats_plain_gradient_descent(self):
+        # Without the objective tolerance the fit runs to the gradient test.
         rng = np.random.default_rng(2)
         features, labels = separable_toy(rng, gap=1.0)
-        _, _, result = fit_logistic(features, labels, 2, reg=1e-2)
+        result = lbfgs_minimize(lambda x: logistic_loss_grad(x, features, labels, 2, 1e-2),
+                                np.zeros(2 * 2 + 2), objective_tol=0.0)
         gd_loss = gradient_descent_1000(features, labels, 2, reg=1e-2)
         assert result.objective_history[-1] <= gd_loss
 
@@ -292,13 +312,7 @@ class TestLinearProbe:
         # Outcomes, and the fitted x of every grid point and of the refit, as
         # produced by fitting the grid points one at a time.  Noisy training
         # labels make the 4-shot holdout pick a point inside the grid.
-        rng = np.random.default_rng(4)
-        labels = np.repeat(np.arange(4), 8)
-        centers = rng.normal(size=(4, 64))
-        features = 0.3 * centers[labels] + rng.normal(size=(32, 64))
-        noisy = labels.copy()
-        flipped = rng.choice(32, size=6, replace=False)
-        noisy[flipped] = rng.integers(0, 4, size=6)
+        features, labels, noisy = pinned_probe_problem()
         sweeps, refits = [], []
 
         def record_sweep(*args, **kwargs):
@@ -313,14 +327,14 @@ class TestLinearProbe:
         monkeypatch.setattr(probe, "fit_logistic", record_refit)
         expected = {
             4: (ProbeOutcome(0.65625, 2.7676123707542306, 0.3333333333333333),
-                "8209d34e763c73becd87da1da2fa24b2aca28512db94b6184a4085a4192141eb",
-                "b218bb5cd7231bf07ca4113483ac81471b9a579a9fd83626bcf6a96c657d484f"),
+                "c7e464a73bdfcf03a1f1cb75bc038623e79d026d345835f1fb76b6864c66e168",
+                "46333fd4caecae1fbecadd20ed0234bdb039970e034debc579e8114beb5660d0"),
             8: (ProbeOutcome(0.84375, 1e-06, 0.3333333333333333),
-                "5a4f442dfdf11e50f37a2bfd76758d943c2f37b1bc25588c1ab50225016175cc",
-                "1a43dba0a36b647c0414939e477706d20922aaa91ca881b61114bd337bd4d9de"),
+                "70e89f583a601f040abace012ef83b8a0d9e037c156c02fa04050c4ac567ea36",
+                "f8fdde610304d14c60095623820f46fc9833895e6e0d68823358f9ad58991de3"),
         }
         for shots, (outcome, sweep_digest, refit_digest) in expected.items():
-            train = np.concatenate([np.flatnonzero(labels == c)[:shots] for c in range(4)])
+            train = few_shot_rows(labels, shots)
             cfg = ProbeConfig(shots=shots, seed=shots)
             assert linear_probe(features[train], noisy[train], features, labels, cfg) == outcome
             sweep = hashlib.sha256()
@@ -329,6 +343,38 @@ class TestLinearProbe:
             assert len(sweeps[-1]) == GRID_STEPS
             assert sweep.hexdigest() == sweep_digest
             assert hashlib.sha256(refits[-1][2].x.tobytes()).hexdigest() == refit_digest
+
+    def test_objective_tolerance_keeps_predictions(self, monkeypatch):
+        # The sweep linear_probe fits, against the same sweep run to the
+        # gradient test alone (objective_tol=0.0).  Objectives are compared on
+        # the stopping test's own scale, max(1, |f|): the low-reg fits end
+        # at f of order 1e-5, where the plain relative gap reaches 1e-6.
+        features, labels, noisy = pinned_probe_problem()
+        sweeps = []
+
+        def record_sweep(*args, **kwargs):
+            sweeps.append((args, fit_logistic_grid(*args, **kwargs)))
+            return sweeps[-1][1]
+
+        monkeypatch.setattr(probe, "fit_logistic_grid", record_sweep)
+        for shots in (4, 8):
+            train = few_shot_rows(labels, shots)
+            linear_probe(features[train], noisy[train], features, labels,
+                         ProbeConfig(shots=shots, seed=shots))
+            (fit_x, fit_y, n_classes, regs), default = sweeps[-1]
+            regs = np.asarray(regs)
+            strict = lbfgs_minimize_batch(
+                lambda xs, rows: logistic_loss_grad(xs, fit_x, fit_y, n_classes, regs[rows]),
+                np.zeros((len(regs), 64 * n_classes + n_classes)), objective_tol=0.0)
+            assert len(default) == len(strict) == GRID_STEPS
+            assert sum(r.iterations for r in default) < sum(r.iterations for r in strict)
+            for loose, tight in zip(default, strict):
+                w, b = probe._unflatten(loose.x, 64, n_classes)
+                w_tight, b_tight = probe._unflatten(tight.x, 64, n_classes)
+                np.testing.assert_array_equal(predict_logistic(w, b, features),
+                                              predict_logistic(w_tight, b_tight, features))
+                f, f_tight = loose.objective_history[-1], tight.objective_history[-1]
+                assert abs(f - f_tight) <= 1e-9 * max(1.0, abs(f_tight))
 
     def test_unconverged_fits_logged_once(self, caplog):
         rng = np.random.default_rng(7)
@@ -376,11 +422,13 @@ class TestBatchedLbfgs:
         features = rng.normal(size=(26, 64))
         labels = rng.integers(0, 4, size=26)
         regs = default_reg_grid()
-        results = fit_logistic_grid(features, labels, 4, regs)
+        # Every point converges within 48 iterations; at 40 some run to the cap.
+        results = fit_logistic_grid(features, labels, 4, regs, max_iterations=40)
         assert len(results) == GRID_STEPS
+        assert any(r.converged for r in results)
         assert not all(r.converged for r in results)  # some points run to max_iterations
         for result, reg in zip(results, regs):
-            assert_bitwise_equal(result, oracle_fit(features, labels, 4, reg))
+            assert_bitwise_equal(result, oracle_fit(features, labels, 4, reg, max_iterations=40))
 
     def test_separable_toy_matches_oracle(self):
         features, labels = separable_toy(np.random.default_rng(9))
