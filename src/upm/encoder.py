@@ -7,12 +7,15 @@ output class token, L2-normalized, is the view embedding: a batch of N
 views encodes to one unit-norm (N, d) tensor, one row per view, and a
 scene embedding mean-pools a scene's rows.  A deterministic hashing text
 encoder stands in for a pretrained text tower so the alignment losses can
-be exercised end to end.
+be exercised end to end: each token hashes to a row of a learned table,
+a text is the mean of its tokens' rows (an embedding bag; an empty text
+reads the reserved row 0), and a linear layer projects it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 import struct
 from dataclasses import dataclass, field
@@ -339,15 +342,17 @@ def token_ids(text: str, config: EncoderConfig) -> list[int]:
 
 
 def encode_texts(texts: Sequence[str], params: EncoderParams, config: EncoderConfig) -> Tensor:
-    """Encode a batch of strings to unit-norm rows of an (n, d) tensor."""
+    """Encode a batch of strings to unit-norm rows of an (n, d) tensor.
+
+    Each text is the mean of its token ids' table rows (one
+    ``embedding_bag`` over the batch's flat ids), then a linear projection.
+    """
     if len(texts) == 0:
         raise DegenerateInputError("cannot encode an empty text batch")
-    selection = np.zeros((len(texts), config.text_vocab_size))
-    for row, text in enumerate(texts):
-        ids = token_ids(text, config)
-        for tid in ids:
-            selection[row, tid] += 1.0 / len(ids)
-    pooled = E.matmul(Tensor(selection), params.text_table)
+    bags = [token_ids(text, config) for text in texts]
+    offsets = np.cumsum([0] + [len(bag) for bag in bags[:-1]])
+    ids = np.fromiter(itertools.chain.from_iterable(bags), dtype=np.int64)
+    pooled = E.embedding_bag(params.text_table, ids, offsets)
     projected = E.add(E.matmul(pooled, params.text_weight), params.text_bias)
     return E.normalize_rows(projected)
 

@@ -7,18 +7,24 @@ All storage is float64 and row-major; slicing copies, it never aliases.
 
 Operands may carry a leading stack axis: ``matmul`` takes an (N, T, k)
 left operand against a (k, p) weight, and ``attention`` runs on (N, T, d)
-activations.  A stack of N items gives every item the same bits as
-running it alone.  Each item's product is its own BLAS call (a stacked
-``np.matmul``, never one flattened (N*T, k) product), and every gradient
-that reduces over the stack first reduces within each item, then adds the
-N item results in stack order.  That is the order in which per-item
-graphs accumulated into a shared parameter; one reduction over both axes
-at once would re-associate the sum and change bits.
+activations.  Forward rows stay bitwise per item: each item's product is
+its own BLAS call (a stacked ``np.matmul``, never one flattened (N*T, k)
+product), so an item has the bits it would have alone and a permuted
+stack permutes the rows.  A stacked weight's gradient is one GEMM over
+the flattened stack, ``a.reshape(-1, k).T @ g.reshape(-1, p)``: it sums
+over items and rows in BLAS order, so it agrees with the sum of per-item
+gradients to rounding, not bit for bit.  The other stack reductions
+(``_unbroadcast`` for biases, ``layer_norm``'s gamma and beta) still
+reduce within each item first, then add the N item results in stack
+order.
 
 No gradient is computed for an operand that does not require one: every
 backward rule tests ``requires_grad`` before it forms an operand's
-gradient, so constant inputs (patch stacks, text selection matrices)
-cost nothing in ``backward``.
+gradient, so constant inputs (patch stacks) cost nothing in ``backward``.
+
+``embedding_bag`` pools table rows by integer id, so a bag-of-tokens text
+never becomes a dense (n, vocab) selection matrix; its backward adds into
+the touched rows of the table's gradient only.
 
 ``off_diagonal_soft_xent`` replaces a per-row chain of ``narrow``,
 ``concat``, ``log_softmax``, ``mul``, ``reduce_sum``, ``neg`` and ``add``
@@ -230,26 +236,63 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(m, k) @ (k, p), or a stack (N, m, k) @ (k, p) with one product per item."""
+    """(m, k) @ (k, p), or a stack (N, m, k) @ (k, p) with one product per item.
+
+    The forward and the left operand's gradient are per item, so every
+    output row has the bits of its item's lone product.  The weight's
+    gradient is one (k, N*m) @ (N*m, p) product over the flattened stack.
+    """
     if a.array.ndim not in (2, 3) or b.array.ndim != 2:
         raise ShapeError(f"matmul expects a 2-D or 3-D left and a 2-D right operand, "
                          f"got {a.shape} and {b.shape}")
-    if a.array.shape[-1] != b.array.shape[0]:
+    k, p = b.array.shape
+    if a.array.shape[-1] != k:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     out = a.array @ b.array
 
     def bwd(g):
         if a.requires_grad:
             _accumulate(a, g @ b.array.T)
-        if not b.requires_grad:
-            return
-        if a.array.ndim == 2:
-            _accumulate(b, a.array.T @ g)
-        else:
-            per_item = np.matmul(a.array.transpose(0, 2, 1), g)
-            _accumulate(b, per_item.sum(axis=0))  # added in stack order
+        if b.requires_grad:
+            _accumulate(b, a.array.reshape(-1, k).T @ g.reshape(-1, p))
 
     return _make(out, (a, b), bwd)
+
+
+def embedding_bag(table: Tensor, ids, offsets) -> Tensor:
+    """Mean of each bag's rows of a (V, d) ``table``, as an (n, d) tensor.
+
+    ``ids`` is the flat int sequence of every bag's row ids; bag b holds
+    ``ids[offsets[b]:offsets[b + 1]]`` (the last bag runs to the end).
+    ``offsets`` starts at 0 and strictly increases, so no bag is empty.
+    A repeated id counts once per occurrence.  The backward adds each
+    bag's gradient, divided by its length, into the rows it read, with
+    ``np.add.at``; the table's other gradient rows stay zero.
+    """
+    if table.array.ndim != 2:
+        raise ShapeError(f"embedding_bag expects a 2-D table, got {table.shape}")
+    ids = np.asarray(ids)
+    offsets = np.asarray(offsets)
+    for name, arr in (("ids", ids), ("offsets", offsets)):
+        if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
+            raise ContractError(f"embedding_bag {name} must be a 1-D integer array, "
+                                f"got {arr.dtype} of shape {arr.shape}")
+    vocab = table.array.shape[0]
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
+        raise ShapeError(f"embedding_bag ids outside [0, {vocab})")
+    if (offsets.size == 0 or offsets[0] != 0 or np.any(np.diff(offsets) <= 0)
+            or offsets[-1] >= ids.size):
+        raise ContractError("embedding_bag offsets must start at 0 and strictly increase "
+                            f"below {ids.size}, giving no empty bag")
+    counts = np.diff(offsets, append=ids.size)[:, None]
+    out = np.add.reduceat(table.array[ids], offsets, axis=0) / counts
+
+    def bwd(g):
+        if table.grad is None:
+            table.grad = np.zeros_like(table.array)
+        np.add.at(table.grad, ids, np.repeat(g / counts, counts[:, 0], axis=0))
+
+    return _make(out, (table,), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:

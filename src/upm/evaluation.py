@@ -20,7 +20,7 @@ import numpy as np
 from . import engine as E
 from .data import Scene
 from .encoder import EncoderConfig, EncoderParams, encode_texts, encode_views
-from .errors import ContractError, DegenerateInputError, FormatError
+from .errors import ContractError, DegenerateInputError, FormatError, NumericError
 from .geometry import DEFAULT_MIN_POINTS, box_counts, max_coverage_sample
 from .probe import ProbeConfig, ProbeOutcome, linear_probe
 
@@ -39,6 +39,8 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity between rows of a and rows of b."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NumericError("cosine similarity of a non-finite row")
     a_norm = np.linalg.norm(a, axis=-1, keepdims=True)
     b_norm = np.linalg.norm(b, axis=-1, keepdims=True)
     if np.any(a_norm == 0) or np.any(b_norm == 0):
@@ -79,6 +81,8 @@ def embed_scene_views(
 
 
 def scene_embedding_from_views(view_embeddings: np.ndarray) -> np.ndarray:
+    if not np.isfinite(view_embeddings).all():
+        raise NumericError("scene embedding from a non-finite view row")
     mean = view_embeddings.mean(axis=0)
     norm = np.linalg.norm(mean)
     if norm < 1e-12:
@@ -298,6 +302,8 @@ def retrieval_views_curve(
 
 
 def classify_from_similarities(similarities: np.ndarray, labels: np.ndarray) -> float:
+    if len(similarities) == 0:
+        raise DegenerateInputError("zero-shot accuracy over zero scenes")
     predictions = similarities.argmax(axis=1)
     return float(np.mean(predictions == np.asarray(labels)))
 

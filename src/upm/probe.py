@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DegenerateInputError, NumericError, ShapeError
 
 logger = logging.getLogger(__name__)
 
@@ -495,9 +495,30 @@ def linear_probe(
     ``OBJECTIVE_TOL`` relative (L-BFGS-B's ``factr = 1e4``).  One WARNING
     reports how many grid fits stopped at ``max_iterations`` without
     converging and whether the refit converged, when any fit did not.
+
+    Raises ``ShapeError`` when features and labels disagree in rows or the
+    two feature sets in width, ``DegenerateInputError`` for an empty set,
+    ``ContractError`` for a negative label and ``NumericError`` for a
+    non-finite feature.
     """
+    train_features = np.asarray(train_features)
+    test_features = np.asarray(test_features)
     train_labels = np.asarray(train_labels)
     test_labels = np.asarray(test_labels)
+    for name, features, labels in (("train", train_features, train_labels),
+                                   ("test", test_features, test_labels)):
+        if features.ndim != 2 or labels.ndim != 1 or len(features) != len(labels):
+            raise ShapeError(f"{name} features {features.shape} do not match "
+                             f"labels {labels.shape} row for row")
+        if len(labels) == 0:
+            raise DegenerateInputError(f"empty probe {name} set")
+        if labels.min() < 0:
+            raise ContractError(f"negative class label in the probe {name} set")
+        if not np.isfinite(features).all():
+            raise NumericError(f"non-finite probe {name} features")
+    if train_features.shape[1] != test_features.shape[1]:
+        raise ShapeError(f"train features have width {train_features.shape[1]}, "
+                         f"test features {test_features.shape[1]}")
     n_classes = int(max(train_labels.max(), test_labels.max())) + 1
     present = np.unique(train_labels)
     if len(present) != n_classes:

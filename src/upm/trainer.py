@@ -23,7 +23,8 @@ import numpy as np
 from . import engine as E
 from . import objectives as obj
 from .data import Scene, load_manifest, load_scene
-from .encoder import EncoderConfig, EncoderParams, encode_texts, encode_views, init_encoder_params, pool_scene, save_checkpoint
+from .encoder import (MODALITIES, EncoderConfig, EncoderParams, encode_texts, encode_views,
+                      init_encoder_params, pool_scene, save_checkpoint)
 from .engine import Tensor
 from .errors import ConfigError, ContractError, NumericError
 from .geometry import DEFAULT_MIN_POINTS, max_coverage_sample, visibility_pairs
@@ -62,8 +63,22 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:  # AdamW divides by 1 - beta**t
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if not (math.isfinite(self.weight_geo) and self.weight_geo >= 0):
+            raise ConfigError(f"weight_geo must be finite and nonnegative, got {self.weight_geo}")
+        if self.modality not in MODALITIES:
+            raise ConfigError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
+        if self.chamfer_subsample < 1 or self.min_points < 1:
+            raise ConfigError(f"chamfer_subsample and min_points must be at least 1, got "
+                              f"{self.chamfer_subsample} and {self.min_points}")
+        if not self.voxel_size > 0:
+            raise ConfigError(f"voxel_size must be positive, got {self.voxel_size}")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigError("warmup fraction must lie in [0, 1)")
         if self.scenes_per_batch < 1 or self.views_per_scene < 1:
@@ -333,6 +348,8 @@ def train(
     base = manifest_path.parent
     train_scenes = [prepare_scene(load_scene(base / name), cfg) for name in splits["train"]]
     val_scenes = [prepare_scene(load_scene(base / name), cfg) for name in splits["val"]]
+    logger.info("loaded and prepared %d train and %d val scenes from %s",
+                len(train_scenes), len(val_scenes), manifest_path)
 
     params = init_encoder_params(enc_cfg, seed=cfg.seed)
     temperature = obj.Temperature(cfg.initial_tau)
@@ -346,6 +363,10 @@ def train(
     telemetry_path = out_dir / "telemetry.tsv"
     checkpoint_path = out_dir / "checkpoint.upm"
     best_path = out_dir / "checkpoint_best.upm"
+
+    def write_checkpoint(path: Path) -> None:
+        save_checkpoint(path, params, enc_cfg, extras=[(TEMPERATURE_KEY, temperature.log_tau)])
+        logger.info("wrote checkpoint %s", path)
 
     best_val = math.inf
     initial_total = None
@@ -385,20 +406,20 @@ def train(
                 telemetry.write(f"{step}\t{grad_norm!r}\t{lr!r}\t{temperature.value!r}\n")
                 step += 1
 
+            logger.info("epoch %d/%d: mean total loss %r over %d steps",
+                        epoch + 1, cfg.epochs, float(np.mean(epoch_totals)), len(epoch_totals))
             if val_scenes:
                 val_total = evaluate_loss(val_scenes, params, enc_cfg, temperature, cfg)
+                logger.info("epoch %d/%d: validation total %r", epoch + 1, cfg.epochs, val_total)
                 if val_total < best_val:
                     best_val = val_total
-                    save_checkpoint(best_path, params, enc_cfg,
-                                    extras=[(TEMPERATURE_KEY, temperature.log_tau)])
+                    write_checkpoint(best_path)
             if epoch == cfg.epochs - 1:
                 final_epoch_totals = epoch_totals
 
-    save_checkpoint(checkpoint_path, params, enc_cfg,
-                    extras=[(TEMPERATURE_KEY, temperature.log_tau)])
+    write_checkpoint(checkpoint_path)
     if not val_scenes:
-        save_checkpoint(best_path, params, enc_cfg,
-                        extras=[(TEMPERATURE_KEY, temperature.log_tau)])
+        write_checkpoint(best_path)
     return TrainResult(
         checkpoint_path=checkpoint_path,
         best_checkpoint_path=best_path,

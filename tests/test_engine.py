@@ -214,6 +214,8 @@ class TestRegisteredOpGradients:
             ("softmax", lambda t, w: E.mul(softmax(t, axis=-1), w)),
             ("log_softmax", lambda t, w: E.mul(E.log_softmax(t, axis=-1), w)),
             ("normalize_rows", lambda t, w: E.mul(E.normalize_rows(t), w)),
+            ("embedding_bag",
+             lambda t, w: E.mul(E.embedding_bag(t, [2, 0, 2, 1, 1], [0, 1, 3]), w)),
         ],
     )
     def test_gradient(self, name, builder):
@@ -345,11 +347,8 @@ class TestConstantOperands:
         probe = rng.normal(size=left_shape[:-1] + (3,))
         E.backward(E.reduce_sum(E.mul(E.matmul(a, w), E.Tensor(probe))))
         assert a.grad is None
-        # The weight gradient as matmul has always formed it.
-        if len(left_shape) == 2:
-            expected = np.zeros((4, 3)) + a.array.T @ probe
-        else:
-            expected = np.zeros((4, 3)) + np.matmul(a.array.transpose(0, 2, 1), probe).sum(axis=0)
+        # The weight gradient is one GEMM over the flattened stack.
+        expected = np.zeros((4, 3)) + a.array.reshape(-1, 4).T @ probe.reshape(-1, 3)
         assert w.grad.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
@@ -383,6 +382,46 @@ class TestConstantOperands:
                     assert operand.grad.tobytes() == ref.grad.tobytes(), (name, tracked)
                 else:
                     assert operand.grad is None, (name, tracked)
+
+
+class TestEmbeddingBag:
+    def setup_method(self):
+        self.table = E.Tensor(np.random.default_rng(81).normal(size=(6, 3)), requires_grad=True)
+
+    def test_rows_are_bag_means(self):
+        out = E.embedding_bag(self.table, [4, 4, 1, 0, 2, 5, 2], [0, 3, 4]).array
+        rows = self.table.array
+        np.testing.assert_allclose(out[0], (2 * rows[4] + rows[1]) / 3, rtol=0, atol=1e-15)
+        assert out[1].tobytes() == rows[0].tobytes()
+        np.testing.assert_allclose(out[2], (rows[2] + rows[5] + rows[2]) / 3, rtol=0, atol=1e-15)
+
+    def test_only_touched_rows_get_gradient(self):
+        g = np.random.default_rng(82).normal(size=(2, 3))
+        out = E.embedding_bag(self.table, [4, 1, 4, 1, 1], [0, 2])
+        E.backward(E.reduce_sum(E.mul(out, E.Tensor(g))))
+        grad = self.table.grad
+        assert not grad[[0, 2, 3, 5]].any()
+        np.testing.assert_allclose(grad[4], g[0] / 2 + g[1] / 3, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(grad[1], g[0] / 2 + 2 * g[1] / 3, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "ids,offsets,error",
+        [
+            ([0, 6], [0, 1], ShapeError),
+            ([-1, 2], [0, 1], ShapeError),
+            ([0, 1], [1], ContractError),
+            ([0, 1, 2], [0, 2, 1], ContractError),
+            ([0, 1, 2], [0, 1, 1], ContractError),
+            ([0, 1], [0, 2], ContractError),
+            ([0, 1], np.zeros(0, dtype=int), ContractError),
+            (np.zeros(0, dtype=int), [0], ContractError),
+            ([0.0, 1.0], [0], ContractError),
+            ([[0, 1]], [0], ContractError),
+        ],
+    )
+    def test_rejects_bad_ids_and_offsets(self, ids, offsets, error):
+        with pytest.raises(error):
+            E.embedding_bag(self.table, ids, offsets)
 
 
 class TestFiniteDiffCheck:

@@ -8,7 +8,7 @@ import pytest
 from upm import data as D
 from upm import evaluation as ev
 from upm.encoder import load_checkpoint
-from upm.errors import ContractError, DegenerateInputError, FormatError
+from upm.errors import ContractError, DegenerateInputError, FormatError, NumericError
 from upm.probe import ProbeConfig, ProbeOutcome
 from tests.conftest import TINY_ENCODER
 
@@ -203,6 +203,22 @@ class TestZeroShot:
         for a, b in ((np.zeros((1, 3)), rows), (rows, np.vstack([rows, np.zeros(3)]))):
             with pytest.raises(DegenerateInputError):
                 ev.cosine_similarity(a, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda rows: ev.cosine_similarity(rows, np.eye(3)),
+        lambda rows: ev.cosine_similarity(np.eye(3), rows),
+        lambda rows: ev.scene_embedding_from_views(rows),
+    ], ids=["cosine_left", "cosine_right", "scene_embedding"])
+    def test_non_finite_row_rejected(self, call, bad):
+        rows = np.eye(3)
+        rows[1, 2] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            call(rows)
+
+    def test_zero_scenes_rejected(self):
+        with pytest.raises(DegenerateInputError, match="zero scenes"):
+            ev.classify_from_similarities(np.zeros((0, 3)), np.zeros(0, dtype=int))
 
     def test_random_null_model(self):
         rng = np.random.default_rng(5)

@@ -8,8 +8,6 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
-
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SRC = PYPROJECT.parent / "src"
 
@@ -17,6 +15,7 @@ SRC = PYPROJECT.parent / "src"
 def test_console_scripts_resolve():
     # An entry whose module or function is missing installs a script that
     # fails on its first import.
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
     scripts = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"].get("scripts", {})
     for name, target in scripts.items():
         module, _, attr = target.partition(":")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from upm import probe
-from upm.errors import ConfigError, ContractError
+from upm.errors import ConfigError, ContractError, DegenerateInputError, NumericError, ShapeError
 from upm.probe import (
     GRID_STEPS,
     OBJECTIVE_TOL,
@@ -307,6 +307,43 @@ class TestLinearProbe:
         test_labels = np.array([0, 1, 1, 0])
         with pytest.raises(ConfigError, match="missing"):
             linear_probe(features, labels, features, test_labels, ProbeConfig())
+
+    @pytest.mark.parametrize("case,error", [
+        ("empty_train", DegenerateInputError),
+        ("empty_test", DegenerateInputError),
+        ("train_rows_mismatch", ShapeError),
+        ("test_rows_mismatch", ShapeError),
+        ("width_mismatch", ShapeError),
+        ("negative_train_label", ContractError),
+        ("negative_test_label", ContractError),
+        ("nan_train_features", NumericError),
+        ("inf_test_features", NumericError),
+    ])
+    def test_malformed_inputs_raise_typed_errors(self, case, error):
+        rng = np.random.default_rng(7)
+        features, labels = separable_toy(rng)
+        args = {"train_features": features, "train_labels": labels,
+                "test_features": features.copy(), "test_labels": labels.copy()}
+        if case == "empty_train":
+            args.update(train_features=features[:0], train_labels=labels[:0])
+        elif case == "empty_test":
+            args.update(test_features=features[:0], test_labels=labels[:0])
+        elif case == "train_rows_mismatch":
+            args["train_labels"] = labels[:-1]
+        elif case == "test_rows_mismatch":
+            args["test_features"] = features[:-1]
+        elif case == "width_mismatch":
+            args["test_features"] = features[:, :-1]
+        elif case == "negative_train_label":
+            args["train_labels"] = np.where(labels == 1, -1, labels)
+        elif case == "negative_test_label":
+            args["test_labels"][0] = -1
+        elif case == "nan_train_features":
+            args["train_features"] = np.full_like(features, np.nan)
+        elif case == "inf_test_features":
+            args["test_features"][3, 0] = np.inf
+        with pytest.raises(error):
+            linear_probe(cfg=ProbeConfig(shots=20), **args)
 
     def test_outcomes_pinned(self, monkeypatch):
         # Outcomes, and the fitted x of every grid point and of the refit, as

@@ -1,6 +1,7 @@
 """Tests for the optimizer, schedule, and training loop."""
 
 import hashlib
+import logging
 import math
 
 import numpy as np
@@ -167,6 +168,18 @@ class TestTrainConfig:
             TrainConfig(views_per_scene=1)
         assert TrainConfig(views_per_scene=1, use_geo=False).views_per_scene == 1
 
+    @pytest.mark.parametrize("name,value", [
+        ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan), ("beta2", 1.0), ("beta2", -1e-3),
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("weight_decay", -0.01),
+        ("weight_geo", math.nan), ("weight_geo", math.inf), ("weight_geo", -1.0),
+        ("modality", "depth-only"),
+        ("chamfer_subsample", 0), ("voxel_size", 0.0), ("voxel_size", -0.25), ("min_points", 0),
+    ])
+    def test_out_of_range_field_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig(**{name: value})
+
     def test_paper_preset(self):
         cfg = paper_train_config()
         assert cfg.epochs == 80
@@ -273,6 +286,23 @@ class TestTrainLoop:
             assert (step, lr, tau) == (metric[0], metric[1], metric[7])
             assert math.isfinite(float(grad_norm)) and float(grad_norm) > 0.0
 
+    def test_phase_boundaries_logged(self, tiny_dataset, tmp_path, caplog):
+        cfg = TrainConfig(epochs=2, scenes_per_batch=4, views_per_scene=3, seed=3,
+                          chamfer_subsample=64)
+        with caplog.at_level(logging.INFO, logger="upm.trainer"):
+            result = train(tiny_dataset, cfg, TINY_ENCODER, tmp_path / "run")
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "upm.trainer" and r.levelno == logging.INFO]
+        assert messages[0].startswith("loaded and prepared 10 train and 1 val scenes from ")
+        epochs = [m for m in messages if "mean total loss" in m]
+        assert [m.split(":")[0] for m in epochs] == ["epoch 1/2", "epoch 2/2"]
+        assert all(m.endswith("over 3 steps") for m in epochs)
+        assert len([m for m in messages if "validation total" in m]) == 2
+        written = [m.removeprefix("wrote checkpoint ") for m in messages if m.startswith("wrote")]
+        assert written[-1] == str(result.checkpoint_path)
+        assert str(result.best_checkpoint_path) in written
+        assert epochs[-1] == f"epoch 2/2: mean total loss {result.final_total!r} over 3 steps"
+
     def test_checkpoint_carries_temperature(self, tiny_run):
         _, _, extras = load_checkpoint(tiny_run.checkpoint_path)
         assert TEMPERATURE_KEY in extras
@@ -286,7 +316,8 @@ class TestTrainLoop:
 
     def test_default_config_run_pinned(self, tmp_path):
         # metrics.tsv and both checkpoints of a short default-config run, as
-        # produced by the per-view encoder (one autodiff graph per view).
+        # produced by the embedding-bag text tower and one-GEMM stacked
+        # weight gradients.
         root = tmp_path / "data"
         ids = []
         for i in range(10):
@@ -301,4 +332,4 @@ class TestTrainLoop:
         h = hashlib.sha256()
         for path in (result.metrics_path, result.checkpoint_path, result.best_checkpoint_path):
             h.update(path.read_bytes())
-        assert h.hexdigest() == "53d73dd086b04f31a282e12553c687c543e828d581592d16774a686afd87ec06"
+        assert h.hexdigest() == "b5a036e376b5ddd4007fa46c498f5f05a8e27b3d1f84b068b96b345e1b98525e"
