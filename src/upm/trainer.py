@@ -51,7 +51,7 @@ class TrainConfig:
     geo: obj.GeoAlignConfig = field(default_factory=obj.GeoAlignConfig)
     grad_clip: float = 1.0
     initial_tau: float = 0.07
-    chamfer_subsample: int = 512
+    chamfer_subsample: int | None = 512
     voxel_size: float = 0.25
     min_points: int = DEFAULT_MIN_POINTS
     modality: str = "both"
@@ -74,9 +74,10 @@ class TrainConfig:
             raise ConfigError(f"weight_geo must be finite and nonnegative, got {self.weight_geo}")
         if self.modality not in MODALITIES:
             raise ConfigError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
-        if self.chamfer_subsample < 1 or self.min_points < 1:
-            raise ConfigError(f"chamfer_subsample and min_points must be at least 1, got "
-                              f"{self.chamfer_subsample} and {self.min_points}")
+        if self.chamfer_subsample is not None and self.chamfer_subsample < 1:  # None: every point
+            raise ConfigError(f"chamfer_subsample must be at least 1 or None, got {self.chamfer_subsample}")
+        if self.min_points < 1:
+            raise ConfigError(f"min_points must be at least 1, got {self.min_points}")
         if not self.voxel_size > 0:
             raise ConfigError(f"voxel_size must be positive, got {self.voxel_size}")
         if not 0.0 <= self.warmup_fraction < 1.0:

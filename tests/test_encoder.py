@@ -351,8 +351,11 @@ class TestBatchedEqualsPerView:
         views = [random_view(rng, config) for _ in range(n_views)]
         got = encoded(batched, views, config, modality)
         want = encoded(per_view, views, config, modality)
-        # A one-view stack's GEMM is the lone view's product: same bytes.
-        assert_matches_oracle(got, want, rtol=0.0 if n_views == 1 else GRAD_RTOL)
+        # A one-view stack's GEMM is the lone view's product, and with no
+        # blocks every stacked-weight gradient still sums in the oracle's
+        # order: both keep byte-equal gradients.
+        exact = n_views == 1 or num_blocks == 0
+        assert_matches_oracle(got, want, rtol=0.0 if exact else GRAD_RTOL)
         text_only = {"text.table", "text.weight", "text.bias"}
         assert all(want[1][name] is not None for name in want[1] if name not in text_only)
 

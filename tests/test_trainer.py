@@ -180,6 +180,9 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=name):
             TrainConfig(**{name: value})
 
+    def test_chamfer_subsample_none_keeps_every_point(self):
+        assert TrainConfig(chamfer_subsample=None).chamfer_subsample is None
+
     def test_paper_preset(self):
         cfg = paper_train_config()
         assert cfg.epochs == 80
