@@ -464,11 +464,13 @@ def _read_raster(path: Path) -> np.ndarray:
     if len(blob) < header_end:
         raise FormatError(f"truncated raster header in {path}")
     dims = struct.unpack(f"<{rank}I", blob[5:header_end])
-    count = int(np.prod(dims)) if dims else 1
     payload = blob[header_end:]
-    if len(payload) != count * 8:
+    if len(payload) != 8 * math.prod(dims):
         raise FormatError(f"truncated raster payload in {path}")
-    return np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+    try:
+        return np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+    except ValueError as exc:  # a rank beyond numpy's limit
+        raise FormatError(f"raster shape {dims} in {path}: {exc}") from exc
 
 
 def _floats(values) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import re
 import struct
 from dataclasses import dataclass, field
@@ -312,13 +313,16 @@ def encode_views(
     return E.normalize_rows(E.reshape(E.narrow(x, 1, 0, 1), (len(views), config.embed_dim)))
 
 
-def pool_scene(view_embeddings: Tensor) -> Tensor:
-    """Mean of a scene's (V, d) view embeddings, re-normalized to a unit (1, d) row."""
-    n_views = view_embeddings.shape[0]
-    if n_views == 0:
+def pool_scene(view_embeddings: Tensor, counts: Sequence[int]) -> Tensor:
+    """Each scene's mean view embedding, re-normalized: an (S, d) tensor of unit rows.
+
+    Scene s owns ``counts[s]`` consecutive rows of the (N, d) embeddings;
+    one (S, N) averaging matmul pools every scene.
+    """
+    if not counts or min(counts) < 1:
         raise DegenerateInputError("cannot pool an empty scene")
-    weights = Tensor(np.full((1, n_views), 1.0 / n_views))
-    return E.normalize_rows(E.matmul(weights, view_embeddings))
+    weights = np.repeat(np.diag(1.0 / np.asarray(counts, float)), counts, axis=1)
+    return E.normalize_rows(E.matmul(Tensor(weights), view_embeddings))
 
 
 # ---------------------------------------------------------------------------
@@ -421,33 +425,42 @@ def save_checkpoint(path, params: EncoderParams, config: EncoderConfig, extras=N
             fh.write(arr.astype("<f8").tobytes())
 
 
-def _read_exact(fh, count: int, path) -> bytes:
-    blob = fh.read(count)
-    if len(blob) != count:
-        raise FormatError(f"truncated checkpoint file: {path}")
-    return blob
-
-
 def load_checkpoint(path) -> tuple[EncoderParams, EncoderConfig, dict[str, Tensor]]:
-    """Read a ``UPM1`` container back into parameters + config + extras."""
+    """Read a ``UPM1`` container back into parameters + config + extras, checking every length."""
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, path) != CHECKPOINT_MAGIC:
-            raise FormatError(f"bad magic bytes in checkpoint: {path}")
-        (record_len,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        config = _parse_config_record(_read_exact(fh, record_len, path))
-        (n_entries,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(n_entries):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, path))
-            try:
-                name = _read_exact(fh, name_len, path).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"checkpoint tensor name is not UTF-8: {path}") from exc
-            (rank,) = struct.unpack("<B", _read_exact(fh, 1, path))
-            dims = [struct.unpack("<I", _read_exact(fh, 4, path))[0] for _ in range(rank)]
-            count = int(np.prod(dims)) if dims else 1
-            payload = _read_exact(fh, count * 8, path)
+        blob = fh.read()
+    pos = 0
+
+    def take(count: int) -> bytes:
+        nonlocal pos
+        if count > len(blob) - pos:
+            raise FormatError(f"truncated checkpoint file: {path}")
+        pos += count
+        return blob[pos - count : pos]
+
+    if take(4) != CHECKPOINT_MAGIC:
+        raise FormatError(f"bad magic bytes in checkpoint: {path}")
+    (record_len,) = struct.unpack("<I", take(4))
+    config = _parse_config_record(take(record_len))
+    (n_entries,) = struct.unpack("<I", take(4))
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(n_entries):
+        (name_len,) = struct.unpack("<H", take(2))
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"checkpoint tensor name is not UTF-8: {path}") from exc
+        if name in tensors:
+            raise FormatError(f"checkpoint tensor {name} appears twice: {path}")
+        rank = take(1)[0]
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        payload = take(8 * math.prod(dims))
+        try:
             tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        except ValueError as exc:  # a rank beyond numpy's limit
+            raise FormatError(f"checkpoint tensor {name} has shape {dims}: {path}") from exc
+    if pos != len(blob):
+        raise FormatError(f"{len(blob) - pos} trailing bytes in checkpoint: {path}")
 
     params = init_encoder_params(config, seed=0)
     extras: dict[str, Tensor] = {}

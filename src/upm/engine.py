@@ -26,11 +26,9 @@ gradient, so constant inputs (patch stacks) cost nothing in ``backward``.
 never becomes a dense (n, vocab) selection matrix; its backward adds into
 the touched rows of the table's gradient only.
 
-``off_diagonal_soft_xent`` replaces a per-row chain of ``narrow``,
-``concat``, ``log_softmax``, ``mul``, ``reduce_sum``, ``neg`` and ``add``
-with the same bits.  It works on all rows at once, but every reduction
-stays within a row, and the negated row sums are added onto a zero
-scalar one by one in row order, as the chain's ``add`` nodes did.
+``log_softmax`` takes an optional boolean ``mask``, so a batch's losses
+are each one op over the whole batch: a (N, N) or (N, O) logits matrix
+normalizes each row or column over the entries of its own scene only.
 """
 
 from __future__ import annotations
@@ -87,9 +85,6 @@ class Tensor:
         if self.array.size != 1:
             raise ContractError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.array.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.array.copy())
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -373,54 +368,28 @@ def reduce_sum(a: Tensor) -> Tensor:
 # normalization and attention nonlinearities
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.array - x.array.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-    soft = np.exp(out)
+def log_softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
+    """Log-probabilities along ``axis`` over the entries a boolean ``mask`` of x's shape keeps.
+
+    Entries outside the mask read 0 and pass no gradient, so a slice with
+    nothing kept is all 0.  Without a mask, the plain formula's float ops.
+    """
+    if mask is not None and np.shape(mask) != x.array.shape:
+        raise ShapeError(f"log_softmax mask of shape {np.shape(mask)} does not match {x.shape}")
+    keep = True if mask is None else mask
+    peak = x.array.max(axis=axis, keepdims=True, where=keep, initial=-np.inf)
+    # Outside the mask, and in a slice with nothing kept, exp(shifted) is 0.
+    shifted = np.where(keep, x.array - np.where(np.isneginf(peak), 0.0, peak), -np.inf)
+    total = np.exp(shifted).sum(axis=axis, keepdims=True)
+    log_probs = shifted - np.log(total, out=np.zeros_like(total), where=total > 0)
+    soft = np.exp(log_probs)
+    out = np.where(keep, log_probs, 0.0)
 
     def bwd(g):
+        g = np.where(keep, g, 0.0)
         _accumulate(x, g - soft * g.sum(axis=axis, keepdims=True))
 
     return _make(out, (x,), bwd)
-
-
-def off_diagonal_soft_xent(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Soft-label cross-entropy of each row's off-diagonal entries, summed over rows.
-
-    Row v of the (V, V) ``logits`` scores its V-1 candidates, every column
-    but v in ascending order, against row v of the (V, V-1) ``targets``:
-    the (1,) result is the sum over v of -sum_j targets[v, j] *
-    log_softmax(candidates of v)[j], accumulated in row order.  The
-    diagonal gets a zero gradient; ``targets`` gets none.
-    """
-    shape = logits.array.shape
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ShapeError(f"off_diagonal_soft_xent expects square logits, got {logits.shape}")
-    n = shape[0]
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != (n, n - 1):
-        raise ShapeError(f"targets of shape {targets.shape} do not match {n} rows")
-    if n < 2:
-        raise DegenerateInputError("off-diagonal cross-entropy needs at least two rows")
-    off_diagonal = ~np.eye(n, dtype=bool)
-    candidates = logits.array[off_diagonal].reshape(n, n - 1)
-    shifted = candidates - candidates.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    row_sums = (targets * log_probs).sum(axis=1)
-    out = np.zeros(1)
-    for row_sum in row_sums:
-        out = out + -row_sum
-
-    def bwd(g):
-        # Each row's reduce_sum/neg/add chain handed its weighted log-probs -g.
-        g_log_probs = targets * -g[0]
-        soft = np.exp(log_probs)
-        full = np.zeros((n, n))
-        full[off_diagonal] = (g_log_probs - soft * g_log_probs.sum(axis=1, keepdims=True)).ravel()
-        _accumulate(logits, full)
-
-    return _make(out, (logits,), bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import engine as E
+from .atomic import atomic_write
 from .data import Scene
 from .encoder import EncoderConfig, EncoderParams, encode_texts, encode_views
 from .errors import ContractError, DegenerateInputError, FormatError, NumericError
@@ -28,11 +29,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_RECALL_NS = (1, 5, 10)
 DEFAULT_PROMPT = "This room is a {}."
-EXTRA_PROMPTS = (
-    "The room type is {}.",
-    "The scene is a {}.",
-    "This indoor scene is a {}.",
-)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -398,13 +394,12 @@ def _fmt(value) -> str:
 
 
 def emit_report(report: EvalReport, out_dir) -> dict[str, Path]:
-    """Write the per-task TSV tables, plot series, and key=value summary."""
+    """Write the per-task TSV tables, plot series, and key=value summary, each atomically."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
+    texts: dict[str, str] = {}  # file name -> contents
     summary: list[tuple[str, object]] = []
 
-    grounding_path = out_dir / "grounding.tsv"
     lines = ["protocol\tcount\tr_at_1\tr_at_5\tr_at_10\tvisible_set_accuracy"]
     for name, result in (("standard", report.grounding), ("unique", report.grounding_unique)):
         if result is None:
@@ -418,10 +413,8 @@ def emit_report(report: EvalReport, out_dir) -> dict[str, Path]:
         for n, value in sorted(result.recall_at.items()):
             summary.append((f"grounding.{name}.r_at_{n}", value))
         summary.append((f"grounding.{name}.visible_set_accuracy", result.visible_set_accuracy))
-    grounding_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written["grounding"] = grounding_path
+    texts["grounding.tsv"] = "\n".join(lines) + "\n"
 
-    retrieval_path = out_dir / "retrieval.tsv"
     lines = ["n_utterances\tcount\tr_at_1\tr_at_5"]
     for n, result in sorted(report.retrieval.items()):
         lines.append(
@@ -430,10 +423,8 @@ def emit_report(report: EvalReport, out_dir) -> dict[str, Path]:
         )
         summary.append((f"retrieval.n{n}.r_at_1", result.recall_at.get(1, 0.0)))
         summary.append((f"retrieval.n{n}.r_at_5", result.recall_at.get(5, 0.0)))
-    retrieval_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written["retrieval"] = retrieval_path
+    texts["retrieval.tsv"] = "\n".join(lines) + "\n"
 
-    classify_path = out_dir / "classification.tsv"
     lines = ["protocol\taccuracy\tchosen_reg"]
     if report.zero_shot_accuracy is not None:
         lines.append(f"zero_shot\t{_fmt(report.zero_shot_accuracy)}\t-")
@@ -441,19 +432,17 @@ def emit_report(report: EvalReport, out_dir) -> dict[str, Path]:
     for shots, outcome in sorted(report.probe_outcomes.items()):
         lines.append(f"probe_{shots}shot\t{_fmt(outcome.test_accuracy)}\t{_fmt(outcome.chosen_reg)}")
         summary.append((f"classification.probe_{shots}shot", outcome.test_accuracy))
-    classify_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written["classification"] = classify_path
+    texts["classification.tsv"] = "\n".join(lines) + "\n"
 
-    curve_path = out_dir / "plot_views_vs_r1.tsv"
     lines = ["x\ty"] + [f"{x}\t{_fmt(y)}" for x, y in report.views_curve]
-    curve_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written["plot_views_vs_r1"] = curve_path
+    texts["plot_views_vs_r1.tsv"] = "\n".join(lines) + "\n"
+    texts["summary.txt"] = "".join(f"{key}={_fmt(value)}\n" for key, value in summary)
 
-    summary_path = out_dir / "summary.txt"
-    summary_path.write_text(
-        "".join(f"{key}={_fmt(value)}\n" for key, value in summary), encoding="utf-8"
-    )
-    written["summary"] = summary_path
+    written: dict[str, Path] = {}
+    for name, text in texts.items():
+        written[Path(name).stem] = path = out_dir / name
+        with atomic_write(path) as fh:
+            fh.write(text.encode("utf-8"))
     return written
 
 

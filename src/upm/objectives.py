@@ -4,6 +4,9 @@ Four losses share one learnable temperature: a rank-aware cross-view
 geometric alignment over Chamfer-proximity targets, a grounded
 view-to-object-text alignment over visible pairs, and symmetric InfoNCE
 at the view-caption and scene-caption levels.
+Each loss is one graph over a batch's (N, d) views, scene after scene;
+the geometric and grounded losses mask their log-softmax to each scene's
+block of the logits (``same_scene``).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from . import engine as E
 from .engine import Tensor
-from .errors import ContractError, DegenerateInputError
+from .errors import ContractError, DegenerateInputError, ShapeError
 from .geometry import (
     DEFAULT_CHAMFER_SEED,
     DEFAULT_CHAMFER_SUBSAMPLE,
@@ -38,8 +41,8 @@ class GeoAlignConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ContractError("alpha must lie in [0, 1]")
-        if self.tau_r <= 0.0:
-            raise ContractError("tau_r must be positive")
+        if not self.tau_r > 0.0:  # NaN too: it would make every soft target NaN
+            raise ContractError(f"tau_r must be positive, got {self.tau_r}")
 
 
 class Temperature:
@@ -113,18 +116,37 @@ def geo_targets(
 # losses
 
 
+def same_scene(row_counts: Sequence[int], col_counts: Sequence[int]) -> np.ndarray:
+    """True where row and column belong to the same scene; scene s owns
+    ``row_counts[s]`` consecutive rows and ``col_counts[s]`` consecutive columns."""
+    rows = np.repeat(np.arange(len(row_counts)), row_counts)
+    cols = np.repeat(np.arange(len(col_counts)), col_counts)
+    return rows[:, None] == cols[None, :]
+
+
 def geo_loss_from_targets(
-    view_embeddings: Tensor, targets: np.ndarray, temperature: Temperature
+    view_embeddings: Tensor, targets: Sequence[np.ndarray], temperature: Temperature
 ) -> Tensor:
-    """Soft-label cross-entropy of a scene's (V, d) view similarities against targets."""
+    """Soft-label cross-entropy of each view's similarities to its scene's other views, summed.
+
+    ``targets`` holds each scene's (V, V-1) targets, in the order the (N, d)
+    embeddings hold the scenes' views.  One row-wise log-softmax, masked to
+    each scene's off-diagonal block, meets those targets placed in the same
+    blocks of an (N, N) matrix.
+    """
+    counts = [len(t) for t in targets]
+    if not counts or min(counts) < 2:
+        raise DegenerateInputError("geometric loss needs at least two views per scene")
+    if any(np.shape(t) != (c, c - 1) for c, t in zip(counts, targets)):
+        raise ShapeError(f"targets of shapes {[np.shape(t) for t in targets]} are not (V, V-1)")
+    mask = same_scene(counts, counts)
+    np.fill_diagonal(mask, False)
+    target_matrix = np.zeros(mask.shape)
+    target_matrix[mask] = np.concatenate([np.ravel(t) for t in targets])  # row-major, as each block
     h = view_embeddings
-    n_views = h.shape[0]
-    if n_views < 2:
-        raise DegenerateInputError("geometric loss needs at least two views")
-    if targets.shape != (n_views, n_views - 1):
-        raise ContractError(f"targets shape {targets.shape} does not match {n_views} views")
     logits = E.mul(E.matmul(h, E.transpose(h)), temperature.inverse())
-    return E.off_diagonal_soft_xent(logits, targets)
+    log_probs = E.log_softmax(logits, axis=1, mask=mask)  # ShapeError unless the counts cover h
+    return E.scale(E.reduce_sum(E.mul(Tensor(target_matrix), log_probs)), -1.0)
 
 
 def ground_loss(
@@ -132,24 +154,27 @@ def ground_loss(
     object_text_embeddings: Tensor,
     pairs: Sequence[tuple[int, int]],
     temperature: Temperature,
+    mask: np.ndarray,
 ) -> Tensor:
-    """Symmetric InfoNCE over all visible (view, object) pairs in a scene."""
+    """Symmetric InfoNCE over all visible (view, object) pairs of a batch, each weighed the same.
+
+    The (N, O) logits are normalized over objects per view and over views
+    per object, within the boolean ``mask`` (``same_scene`` for a batch).
+    """
     pair_list = sorted(set(pairs))
     if not pair_list:
         raise DegenerateInputError("ground loss needs at least one visible (view, object) pair")
     h, t = view_embeddings, object_text_embeddings
-    n_views, n_objects = h.shape[0], t.shape[0]
-    for v, o in pair_list:
-        if not (0 <= v < n_views and 0 <= o < n_objects):
-            raise ContractError(f"pair ({v}, {o}) outside {n_views} views x {n_objects} objects")
     logits = E.mul(E.matmul(h, E.transpose(t)), temperature.inverse())
-    over_objects = E.log_softmax(logits, axis=1)
-    over_views = E.log_softmax(logits, axis=0)
-    indicator = np.zeros((n_views, n_objects))
+    over_objects = E.log_softmax(logits, axis=1, mask=mask)  # checks the mask's shape
+    over_views = E.log_softmax(logits, axis=0, mask=mask)
+    indicator = np.zeros(logits.shape)
     for v, o in pair_list:
+        if not (0 <= v < logits.shape[0] and 0 <= o < logits.shape[1] and mask[v, o]):
+            raise ContractError(f"pair ({v}, {o}) outside the {logits.shape} logits or the mask")
         indicator[v, o] = 1.0
     picked = E.mul(Tensor(indicator), E.add(over_objects, over_views))
-    return E.scale(E.neg(E.reduce_sum(picked)), 1.0 / (2.0 * len(pair_list)))
+    return E.scale(E.reduce_sum(picked), -1.0 / (2.0 * len(pair_list)))
 
 
 def _paired_infonce(a: Tensor, b: Tensor, temperature: Temperature, what: str) -> Tensor:
@@ -163,7 +188,7 @@ def _paired_infonce(a: Tensor, b: Tensor, temperature: Temperature, what: str) -
     over_rows = E.log_softmax(logits, axis=0)
     eye = Tensor(np.eye(n))
     picked = E.mul(eye, E.add(over_cols, over_rows))
-    return E.scale(E.neg(E.reduce_sum(picked)), 1.0 / (2.0 * n))
+    return E.scale(E.reduce_sum(picked), -1.0 / (2.0 * n))
 
 
 def view_loss(

@@ -6,9 +6,10 @@ selected views, assembles the four losses on one graph, and applies a
 clipped AdamW update.  Everything is deterministic given (seed, config,
 dataset).
 
-Every scene of a batch enters all four losses, except in one place: in
-``batch_loss``, a scene whose selected views observe no object has no
-(view, object) pair, so it contributes zero to the grounded loss.
+``batch_loss`` builds each loss once over the batch's (N, d) views, with
+no graph node per scene.  Every scene enters all four losses, except that
+a scene whose selected views observe no object has no (view, object)
+pair, so it contributes nothing to the grounded loss.
 """
 
 from __future__ import annotations
@@ -70,6 +71,11 @@ class TrainConfig:
                 raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if not self.weight_decay >= 0:
             raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if not self.grad_clip >= 0:  # NaN or negative: clip_gradients would silently not clip
+            raise ConfigError(f"grad_clip must be nonnegative, got {self.grad_clip}")
+        if not obj.TAU_MIN <= self.initial_tau <= obj.TAU_MAX:
+            raise ConfigError(f"initial_tau must lie in [{obj.TAU_MIN}, {obj.TAU_MAX}], "
+                              f"got {self.initial_tau}")
         if not (math.isfinite(self.weight_geo) and self.weight_geo >= 0):
             raise ConfigError(f"weight_geo must be finite and nonnegative, got {self.weight_geo}")
         if self.modality not in MODALITIES:
@@ -258,37 +264,30 @@ def batch_loss(
     temperature: obj.Temperature,
     cfg: TrainConfig,
 ) -> obj.LossBreakdown:
-    """All four objectives over one batch; a scene without visible pairs skips the grounded one."""
+    """All four objectives over one batch, each one graph over the batch's (N, d) views."""
     zero = Tensor(np.zeros(1))
     views = encode_views(
         [view for scene in batch for view in scene.views], params, enc_cfg, modality=cfg.modality
     )
     counts = [len(scene.views) for scene in batch]
-    spans = list(zip(np.cumsum([0] + counts[:-1]).tolist(), counts))  # (start, count) per scene
-    # Each use takes a fresh narrow: a shared slice regroups row gradient sums, changing bits.
 
     l_geo = zero
     if cfg.use_geo:
-        for scene, span in zip(batch, spans):
-            scene_term = obj.geo_loss_from_targets(
-                E.narrow(views, 0, *span), scene.geo_targets, temperature)
-            l_geo = E.add(l_geo, scene_term)
+        l_geo = obj.geo_loss_from_targets(views, [s.geo_targets for s in batch], temperature)
 
     l_ground = zero
     if cfg.use_ground:
-        weighted = zero
-        total_pairs = 0
-        for scene, span in zip(batch, spans):
+        object_counts = [len(scene.object_texts) for scene in batch]
+        starts = zip(np.cumsum([0] + counts).tolist(), np.cumsum([0] + object_counts).tolist())
+        pairs = [(vs + v, os + o) for scene, (vs, os) in zip(batch, starts) for v, o in scene.pairs]
+        for scene in batch:
             if not scene.pairs:
                 logger.warning("ground loss: scene %s has no visible pairs", scene.scene_id)
-                continue
-            text_embeddings = encode_texts(scene.object_texts, params, enc_cfg)
-            scene_term = obj.ground_loss(
-                E.narrow(views, 0, *span), text_embeddings, scene.pairs, temperature)
-            weighted = E.add(weighted, E.scale(scene_term, float(len(scene.pairs))))
-            total_pairs += len(scene.pairs)
-        if total_pairs:
-            l_ground = E.scale(weighted, 1.0 / total_pairs)
+        if pairs:
+            text_embeddings = encode_texts(
+                [text for scene in batch for text in scene.object_texts], params, enc_cfg)
+            l_ground = obj.ground_loss(views, text_embeddings, pairs, temperature,
+                                       obj.same_scene(counts, object_counts))
 
     l_view = zero
     if cfg.use_view:
@@ -298,9 +297,8 @@ def batch_loss(
 
     l_scene = zero
     if cfg.use_scene:
-        pooled = E.concat([pool_scene(E.narrow(views, 0, *span)) for span in spans], axis=0)
         scene_caption_embeddings = encode_texts([s.scene_caption for s in batch], params, enc_cfg)
-        l_scene = obj.scene_loss(pooled, scene_caption_embeddings, temperature)
+        l_scene = obj.scene_loss(pool_scene(views, counts), scene_caption_embeddings, temperature)
 
     return obj.total_loss(l_geo, l_ground, l_view, l_scene, weight_geo=cfg.weight_geo)
 

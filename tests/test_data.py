@@ -10,6 +10,7 @@ import pytest
 from upm import atomic
 from upm import data as D
 from upm import encoder as enc
+from upm import evaluation as ev
 from upm.errors import ConfigError, ContractError, DegenerateInputError, FormatError, GenerationError
 from upm.geometry import (
     CameraIntrinsics,
@@ -504,6 +505,28 @@ class TestSceneIO:
         with pytest.raises(FormatError, match="view_000_depth"):
             D.load_scene(tmp_path / "scene")
 
+    def test_every_raster_truncation_and_byte_flip_fails_typed_or_loads_intact(self, tmp_path):
+        path = tmp_path / "raster.upmv"
+        D._write_raster(path, np.arange(12.0).reshape(2, 2, 3))
+        blob = path.read_bytes()
+        variants = [blob[:end] for end in range(len(blob))]
+        variants += [blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:] for i in range(len(blob))]
+        loaded = 0
+        for variant in variants:
+            path.write_bytes(variant)
+            try:
+                array = D._read_raster(path)
+            except FormatError:
+                continue
+            assert array.shape == (2, 2, 3)  # a flipped payload byte loads: no checksum
+            loaded += 1
+        assert loaded == 12 * 8
+        # Headers no single flip reaches: a count past 2**64 bytes, a rank past numpy's limit.
+        for header in (b"\x02" + (0x80000000).to_bytes(4, "little") * 2, b"\x41" + bytes(4 * 65)):
+            path.write_bytes(D.RASTER_MAGIC + header)
+            with pytest.raises(FormatError):
+                D._read_raster(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         scene = D.generate_scene(small_spec(), seed=12)
         D.save_scene(scene, tmp_path / "scene")
@@ -807,6 +830,12 @@ class TestAtomicWrites:
         D.write_manifest(path, [("train", "a")])
         self.assert_failed_write_keeps(
             monkeypatch, path, lambda: D.write_manifest(path, [("train", "b"), ("val", "c")]))
+
+    def test_report(self, tmp_path, monkeypatch):
+        ev.emit_report(ev.EvalReport(zero_shot_accuracy=0.25), tmp_path)
+        self.assert_failed_write_keeps(
+            monkeypatch, tmp_path / "summary.txt",
+            lambda: ev.emit_report(ev.EvalReport(zero_shot_accuracy=0.75), tmp_path))
 
     def test_success_replaces_and_leaves_no_temp(self, tmp_path):
         path = tmp_path / "file.bin"

@@ -301,7 +301,7 @@ def mixing_loss(rows, seed):
     for i in range(n):
         row = E.narrow(rows, 0, i, 1)
         total = E.add(total, E.reduce_sum(E.mul(row, E.Tensor(rng.normal(size=(1, d))))))
-    return E.add(total, E.reduce_sum(E.mul(enc.pool_scene(rows), E.Tensor(rng.normal(size=(1, d))))))
+    return E.add(total, E.reduce_sum(E.mul(enc.pool_scene(rows, [n]), E.Tensor(rng.normal(size=(1, d))))))
 
 
 # A stacked weight's gradient is one GEMM over the flattened stack, whose
@@ -391,24 +391,37 @@ class TestBatchedEqualsPerView:
 class TestPoolScene:
     def test_single_view_passthrough(self):
         row = E.Tensor(np.eye(1, 5))
-        pooled = enc.pool_scene(row)
+        pooled = enc.pool_scene(row, [1])
         np.testing.assert_allclose(pooled.array, row.array, atol=1e-12)
 
     def test_two_basis_vectors(self):
         e1 = np.eye(1, 4, 0)
         e2 = np.eye(1, 4, 1)
-        pooled = enc.pool_scene(E.Tensor(np.concatenate([e1, e2]))).array
+        pooled = enc.pool_scene(E.Tensor(np.concatenate([e1, e2])), [2]).array
         expected = (e1 + e2) / np.sqrt(2.0)
         np.testing.assert_allclose(pooled, expected, atol=1e-12)
+
+    def test_batch_pools_each_scene_over_its_own_rows(self):
+        rows = np.random.default_rng(33).normal(size=(9, 4))
+        counts = [2, 1, 6]
+        pooled = enc.pool_scene(E.Tensor(rows), counts)
+        assert pooled.shape == (3, 4)
+        for scene_rows, got in zip(np.split(rows, np.cumsum(counts)[:-1]), pooled.array):
+            mean = scene_rows.mean(axis=0)
+            np.testing.assert_allclose(got, mean / np.linalg.norm(mean), rtol=0, atol=1e-15)
+        with pytest.raises(ShapeError):
+            enc.pool_scene(E.Tensor(rows), [2, 1, 5])
 
     def test_antipodal_views_degenerate(self):
         e1 = np.eye(1, 4, 0)
         with pytest.raises(DegenerateInputError):
-            enc.pool_scene(E.Tensor(np.concatenate([e1, -e1])))
+            enc.pool_scene(E.Tensor(np.concatenate([e1, -e1])), [2])
 
     def test_empty_scene_rejected(self):
         with pytest.raises(DegenerateInputError):
-            enc.pool_scene(E.Tensor(np.zeros((0, 4))))
+            enc.pool_scene(E.Tensor(np.zeros((0, 4))), [0])
+        with pytest.raises(DegenerateInputError):
+            enc.pool_scene(E.Tensor(np.ones((2, 4))), [2, 0])
 
 
 def oracle_encode_texts(texts, params, config):
@@ -552,6 +565,67 @@ class TestCheckpoint:
     def test_zero_patch_size_record_rejected(self, tmp_path):
         path = self.edited(tmp_path, b"patch_size=4", b"patch_size=0")
         with pytest.raises(FormatError, match="patch_size must be positive"):
+            enc.load_checkpoint(path)
+
+    def tiny_checkpoint(self, path):
+        """The smallest encoder plus one extra tensor: 520 bytes."""
+        config = EncoderConfig(image_size=1, patch_size=1, embed_dim=1, num_blocks=0, num_heads=1,
+                               mlp_ratio=1, text_vocab_size=2, text_context_length=1)
+        extra = E.Tensor(np.array([0.5, -2.0]))
+        enc.save_checkpoint(path, enc.init_encoder_params(config, seed=0), config,
+                            extras=[("temperature.log_tau", extra)])
+        return {name: t.shape for name, t in enc.init_encoder_params(config).named_parameters()} | {
+            "temperature.log_tau": (2,)}
+
+    def test_every_truncation_and_byte_flip_fails_typed_or_loads_intact(self, tmp_path):
+        path = tmp_path / "model.upm"
+        saved = self.tiny_checkpoint(path)
+        blob = path.read_bytes()
+        assert len(blob) == 520
+        variants = [blob[:end] for end in range(len(blob))]
+        variants += [blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:] for i in range(len(blob))]
+        loaded = 0
+        for variant in variants:
+            path.write_bytes(variant)
+            try:
+                params, _, extras = enc.load_checkpoint(path)
+            except FormatError:
+                continue
+            # No checksum: a flipped payload byte loads, with every name and shape intact.
+            shapes = {name: t.shape for name, t in params.named_parameters()}
+            assert shapes | {name: t.shape for name, t in extras.items()} == saved
+            loaded += 1
+        assert 0 < loaded < len(blob)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.upm"
+        self.tiny_checkpoint(path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="1 trailing bytes"):
+            enc.load_checkpoint(path)
+
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        path = tmp_path / "model.upm"
+        config = tiny_config()
+        extra = E.Tensor(np.zeros(1))
+        enc.save_checkpoint(path, enc.init_encoder_params(config, seed=0), config,
+                            extras=[("extra", extra), ("extra", extra)])
+        with pytest.raises(FormatError, match="extra appears twice"):
+            enc.load_checkpoint(path)
+
+    def test_huge_or_unrepresentable_dims_rejected(self, tmp_path):
+        path = tmp_path / "model.upm"
+        self.tiny_checkpoint(path)
+        blob = path.read_bytes()
+        header = b"\x13\x00temperature.log_tau\x01" + (2).to_bytes(4, "little")
+        assert blob.count(header) == 1
+        huge = header[:-5] + b"\x02" + (0x80000000).to_bytes(4, "little") * 2
+        path.write_bytes(blob.replace(header, huge))
+        with pytest.raises(FormatError, match="truncated"):
+            enc.load_checkpoint(path)
+        past_numpy_rank = header[:-5] + b"\x41" + bytes(4 * 65)
+        path.write_bytes(blob.replace(header, past_numpy_rank))
+        with pytest.raises(FormatError, match="has shape"):
             enc.load_checkpoint(path)
 
     def test_truncated_file_rejected(self, tmp_path):

@@ -424,6 +424,64 @@ class TestEmbeddingBag:
             E.embedding_bag(self.table, ids, offsets)
 
 
+def plain_log_softmax(x, axis):
+    """The unmasked log-softmax forward and backward, as one formula each."""
+    shifted = x.array - x.array.max(axis=axis, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+    def bwd(g):
+        E._accumulate(x, g - np.exp(out) * g.sum(axis=axis, keepdims=True))
+
+    return E._make(out, (x,), bwd)
+
+
+class TestMaskedLogSoftmax:
+    """Row 2 keeps nothing, so it reads all 0; every other row keeps at least one entry."""
+
+    MASK = np.array([[1, 1, 0, 1, 1],
+                     [0, 1, 0, 0, 0],
+                     [0, 0, 0, 0, 0],
+                     [1, 1, 1, 1, 1]], dtype=bool)
+
+    def setup_method(self):
+        rng = np.random.default_rng(91)
+        self.x = E.Tensor(rng.normal(size=(4, 5)) * 3.0, requires_grad=True)
+        self.probe = E.Tensor(rng.normal(size=(4, 5)))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_finite_differences(self, axis):
+        def f(t):
+            return E.reduce_sum(E.mul(E.log_softmax(t, axis=axis, mask=self.MASK), self.probe))
+
+        assert E.finite_diff_check(f, self.x, h=1e-6) <= 1e-6
+
+    def test_kept_entries_normalize_and_the_rest_read_zero(self):
+        out = E.log_softmax(self.x, axis=1, mask=self.MASK)
+        E.backward(E.reduce_sum(E.mul(out, self.probe)))
+        assert np.all(out.array[~self.MASK] == 0.0)
+        assert np.all(self.x.grad[~self.MASK] == 0.0)
+        for i in (0, 1, 3):
+            keep = self.MASK[i]
+            kept = self.x.array[i, keep]
+            np.testing.assert_allclose(out.array[i, keep], kept - np.log(np.exp(kept).sum()),
+                                       rtol=0, atol=1e-13)
+        assert out.array[1, 1] == 0.0  # a lone kept entry has probability 1
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_unmasked_matches_plain_formula_bytewise(self, axis):
+        got = E.log_softmax(self.x, axis=axis)
+        E.backward(E.reduce_sum(E.mul(got, self.probe)))
+        got_grad, self.x.grad = self.x.grad, None
+        plain = plain_log_softmax(self.x, axis)
+        E.backward(E.reduce_sum(E.mul(plain, self.probe)))
+        assert got.array.tobytes() == plain.array.tobytes()
+        assert got_grad.tobytes() == self.x.grad.tobytes()
+
+    def test_mask_shape_checked(self):
+        with pytest.raises(ShapeError):
+            E.log_softmax(self.x, axis=1, mask=self.MASK[:, :4])
+
+
 class TestFiniteDiffCheck:
     def test_sum_is_exact(self):
         x = E.Tensor(np.arange(4.0), requires_grad=True)

@@ -185,6 +185,13 @@ class TestSceneRetrieval:
             ev.retrieval_views_curve(params, config, scenes, 2, budgets=[0])
 
 
+EXTRA_PROMPTS = (
+    "The room type is {}.",
+    "The scene is a {}.",
+    "This indoor scene is a {}.",
+)
+
+
 class TestZeroShot:
     def test_identity_similarities_are_perfect(self):
         sims = np.eye(4)
@@ -248,7 +255,7 @@ class TestZeroShot:
         names = list(D.SCENE_TYPES)
         single = ev.zero_shot_classify(params, config, test_scenes, names)
         ensemble = ev.zero_shot_classify(
-            params, config, test_scenes, names, template=[ev.DEFAULT_PROMPT, *ev.EXTRA_PROMPTS]
+            params, config, test_scenes, names, template=[ev.DEFAULT_PROMPT, *EXTRA_PROMPTS]
         )
         assert 0.0 <= single <= 1.0 and 0.0 <= ensemble <= 1.0
 

@@ -50,7 +50,7 @@ def paired_infonce_oracle(logits):
 
 
 def oracle_off_diagonal_soft_xent(logits, targets):
-    """The per-row graph the fused op replaces: one op chain per anchor view."""
+    """One scene's geometric cross-entropy as a per-row graph: one op chain per anchor view."""
     n_views = logits.shape[0]
     total = Tensor(np.zeros(1))
     for v in range(n_views):
@@ -67,6 +67,31 @@ def oracle_off_diagonal_soft_xent(logits, targets):
     return total
 
 
+def oracle_geo_loss(h, targets, temperature):
+    """The geometric loss scene by scene: a slice, its (V, V) logits and the per-row graph each."""
+    total = Tensor(np.zeros(1))
+    start = 0
+    for scene_targets in targets:
+        rows = E.narrow(h, 0, start, len(scene_targets))
+        logits = E.mul(E.matmul(rows, E.transpose(rows)), temperature.inverse())
+        total = E.add(total, oracle_off_diagonal_soft_xent(logits, scene_targets))
+        start += len(scene_targets)
+    return total
+
+
+def assert_close_to_oracle(value, oracle_value, grads, oracle_grads, rtol=1e-12):
+    """Values within rtol relative; gradients within rtol of the largest |grad| of them all."""
+    assert abs(value - oracle_value) <= rtol * abs(oracle_value)
+    largest = max(np.abs(g).max() for g in oracle_grads)
+    for g, o in zip(grads, oracle_grads):
+        assert np.abs(g - o).max() <= rtol * largest
+
+
+def one_scene(h, t):
+    """The grounded-loss mask of a one-scene batch: every view sees every object."""
+    return obj.same_scene([h.shape[0]], [t.shape[0]])
+
+
 def random_targets(rng, n_views):
     """Dirichlet rows, with a one-hot row (exact zeros) when there is room."""
     targets = rng.dirichlet(np.ones(n_views - 1), size=n_views)
@@ -77,18 +102,7 @@ def random_targets(rng, n_views):
 
 def geo_loss(h, maps, cfg, temperature):
     """One scene's geometric loss from its pointmaps: targets as in prepare_scene, loss as in batch_loss."""
-    return obj.geo_loss_from_targets(h, obj.geo_targets(*maps, cfg), temperature)
-
-
-def geo_graph(xent, base, targets, tau):
-    """Per-view rows -> stacked logits -> xent, backpropagated as in a train step."""
-    rows = [Tensor(base[i : i + 1].copy(), requires_grad=True) for i in range(len(base))]
-    temp = obj.Temperature(tau)
-    h = E.concat(rows, axis=0)
-    logits = E.mul(E.matmul(h, E.transpose(h)), temp.inverse())
-    loss = xent(logits, targets)
-    E.backward(E.add(E.scale(loss, obj.DEFAULT_GEO_WEIGHT), Tensor(np.ones(1))))
-    return loss, logits, rows, temp
+    return obj.geo_loss_from_targets(h, [obj.geo_targets(*maps, cfg)], temperature)
 
 
 class TestGeoAlignConfig:
@@ -97,6 +111,8 @@ class TestGeoAlignConfig:
             obj.GeoAlignConfig(alpha=1.5)
         with pytest.raises(ContractError):
             obj.GeoAlignConfig(tau_r=0.0)
+        with pytest.raises(ContractError, match="tau_r"):
+            obj.GeoAlignConfig(tau_r=math.nan)
 
 
 class TestTemperature:
@@ -208,89 +224,108 @@ class TestGeoLoss:
 
         h = Tensor(base.copy(), requires_grad=True)
         assert E.finite_diff_check(
-            lambda t: obj.geo_loss_from_targets(t, targets, temp), h, h=1e-6
+            lambda t: obj.geo_loss_from_targets(t, [targets], temp), h, h=1e-6
         ) <= 1e-5
         h2 = Tensor(base.copy())
         assert E.finite_diff_check(
-            lambda _: obj.geo_loss_from_targets(h2, targets, temp), temp.log_tau, h=1e-6
+            lambda _: obj.geo_loss_from_targets(h2, [targets], temp), temp.log_tau, h=1e-6
         ) <= 1e-5
 
 
+LAYOUTS = [(2,), (3, 5), (2, 8, 4, 12)]  # views per scene of a batch
+
+
 class TestFusedGeoLoss:
-    """The fused op is bitwise the per-row chain it replaced."""
+    """Every scene's geometric loss fused into one masked log-softmax over the batch."""
 
-    @pytest.mark.parametrize("n_views", range(2, 13))
-    def test_matches_per_row_oracle_bytewise(self, n_views):
-        rng = np.random.default_rng(100 + n_views)
-        for trial in range(3):
-            base = unit_rows(rng, n_views, 16)
-            if trial == 2:
-                base[-1] = base[0]  # tied logits
-            targets = random_targets(rng, n_views)
+    def batch(self, rng, counts, tie=False):
+        base = np.concatenate([unit_rows(rng, c, 16) for c in counts])
+        if tie:
+            base[-1] = base[-2]  # tied logits within the last scene
+        return base, [random_targets(rng, c) for c in counts]
+
+    @pytest.mark.parametrize("counts", LAYOUTS)
+    def test_matches_per_scene_oracle(self, counts, monkeypatch):
+        rng = np.random.default_rng(sum(counts))
+        for tie in (False, True):
+            base, targets = self.batch(rng, counts, tie)
             tau = float(rng.uniform(0.05, 1.0))
-            fused = geo_graph(E.off_diagonal_soft_xent, base, targets, tau)
-            oracle = geo_graph(oracle_off_diagonal_soft_xent, base, targets, tau)
-            (loss, logits, rows, temp), (o_loss, o_logits, o_rows, o_temp) = fused, oracle
-            assert loss.array.tobytes() == o_loss.array.tobytes()
-            assert logits.grad.tobytes() == o_logits.grad.tobytes()
-            for row, o_row in zip(rows, o_rows):
-                assert row.grad.tobytes() == o_row.grad.tobytes()
-            assert temp.log_tau.grad.tobytes() == o_temp.log_tau.grad.tobytes()
-            assert np.all(np.diag(logits.grad) == 0.0)
+            runs = []
+            for build in (obj.geo_loss_from_targets, oracle_geo_loss):
+                h = Tensor(base.copy(), requires_grad=True)
+                temp = obj.Temperature(tau)
+                logits = []
+                real = E.log_softmax
+                monkeypatch.setattr(E, "log_softmax",
+                                    lambda x, **kw: logits.append(x) or real(x, **kw))
+                loss = build(h, targets, temp)
+                monkeypatch.undo()
+                E.backward(E.add(E.scale(loss, obj.DEFAULT_GEO_WEIGHT), Tensor(np.ones(1))))
+                runs.append((loss, h, temp, logits))
+            (loss, h, temp, logits), (o_loss, o_h, o_temp, _) = runs
+            assert loss.shape == (1,)
+            assert_close_to_oracle(loss.item(), o_loss.item(), [h.grad, temp.log_tau.grad],
+                                   [o_h.grad, o_temp.log_tau.grad])
+            # Only each scene's off-diagonal block gets a gradient.
+            (all_logits,) = logits
+            in_block = obj.same_scene(counts, counts) & ~np.eye(sum(counts), dtype=bool)
+            assert np.all(all_logits.grad[~in_block] == 0.0)
+            assert np.all(np.diag(all_logits.grad) == 0.0)
 
-    @pytest.mark.parametrize("n_views", [3, 12])
-    def test_geo_loss_from_targets_matches_oracle_bytewise(self, n_views):
-        rng = np.random.default_rng(n_views)
-        base = unit_rows(rng, n_views, 16)
-        targets = random_targets(rng, n_views)
-        h = Tensor(base.copy(), requires_grad=True)
-        temp = obj.Temperature(0.3)
-        loss = obj.geo_loss_from_targets(h, targets, temp)
-        # The (V, d) embeddings, log_tau, and six nodes, whatever the view count.
-        assert len(E.trace_graph(loss)) == 8
-        E.backward(E.add(E.scale(loss, obj.DEFAULT_GEO_WEIGHT), Tensor(np.ones(1))))
-        o_loss, _, o_rows, o_temp = geo_graph(oracle_off_diagonal_soft_xent, base, targets, 0.3)
-        assert loss.array.tobytes() == o_loss.array.tobytes()
-        for row_grad, o_row in zip(h.grad, o_rows):
-            assert row_grad.tobytes() == o_row.grad[0].tobytes()
-        assert temp.log_tau.grad.tobytes() == o_temp.log_tau.grad.tobytes()
+    def test_graph_size_independent_of_scene_count(self):
+        rng = np.random.default_rng(15)
+        sizes = set()
+        for counts in LAYOUTS:
+            base, targets = self.batch(rng, counts)
+            loss = obj.geo_loss_from_targets(Tensor(base, requires_grad=True), targets,
+                                             obj.Temperature())
+            sizes.add(len(E.trace_graph(loss)))
+        # The (N, d) embeddings, log_tau and nine nodes, whatever the batch.
+        assert sizes == {11}
 
     def test_finite_differences(self):
         rng = np.random.default_rng(13)
-        for n_views in (2, 5, 9):
-            targets = random_targets(rng, n_views)
-            logits = Tensor(rng.normal(size=(n_views, n_views)), requires_grad=True)
+        for counts in LAYOUTS:
+            base, targets = self.batch(rng, counts)
+            temp = obj.Temperature(0.3)
+            h = Tensor(base, requires_grad=True)
             assert E.finite_diff_check(
-                lambda x: E.off_diagonal_soft_xent(x, targets), logits, h=1e-6
+                lambda x: obj.geo_loss_from_targets(x, targets, temp), h, h=1e-6
+            ) <= 1e-6
+            assert E.finite_diff_check(
+                lambda _: obj.geo_loss_from_targets(Tensor(base), targets, temp),
+                temp.log_tau, h=1e-6,
             ) <= 1e-6
 
     def test_value_matches_scalar_oracle(self):
         rng = np.random.default_rng(14)
-        logits = rng.normal(size=(5, 5))
-        targets = random_targets(rng, 5)
+        base, targets = self.batch(rng, (5, 3))
+        temp = obj.Temperature(0.5)
+        logits = base @ base.T / temp.value
         expected = 0.0
-        for v in range(5):
-            row = [logits[v, u] for u in range(5) if u != v]
-            z = sum(math.exp(x) for x in row)
-            expected -= sum(t * math.log(math.exp(x) / z) for t, x in zip(targets[v], row))
-        loss = E.off_diagonal_soft_xent(Tensor(logits), targets)
-        assert loss.shape == (1,)
-        assert loss.item() == pytest.approx(expected, abs=1e-12)
+        for start, scene_targets in ((0, targets[0]), (5, targets[1])):
+            views = range(start, start + len(scene_targets))
+            for v, row_targets in zip(views, scene_targets):
+                row = [logits[v, u] for u in views if u != v]
+                z = sum(math.exp(x) for x in row)
+                expected -= sum(t * math.log(math.exp(x) / z) for t, x in zip(row_targets, row))
+        loss = obj.geo_loss_from_targets(Tensor(base), targets, temp)
+        assert loss.item() == pytest.approx(expected, rel=1e-12)
 
     def test_shape_checks(self):
-        with pytest.raises(ShapeError):
-            E.off_diagonal_soft_xent(Tensor(np.zeros((3, 4))), np.zeros((3, 2)))
-        with pytest.raises(ShapeError):
-            E.off_diagonal_soft_xent(Tensor(np.zeros(3)), np.zeros((3, 2)))
-        with pytest.raises(ShapeError):
-            E.off_diagonal_soft_xent(Tensor(np.zeros((3, 3))), np.zeros((3, 3)))
+        rows = Tensor(np.ones((5, 4)))
+        temp = obj.Temperature()
+        for targets in ([np.zeros((5, 5))], [np.zeros((3, 2)), np.zeros((2, 2))],
+                        [np.zeros((3, 2))], [np.zeros((3, 2)), np.zeros((3, 2))]):
+            with pytest.raises(ShapeError):
+                obj.geo_loss_from_targets(rows, targets, temp)
         with pytest.raises(DegenerateInputError):
-            E.off_diagonal_soft_xent(Tensor(np.zeros((1, 1))), np.zeros((1, 0)))
+            obj.geo_loss_from_targets(rows, [], temp)
 
     @pytest.mark.parametrize("n_views", [0, 1])
     def test_fewer_than_two_views_rejected(self, n_views):
-        rows = Tensor(np.ones((n_views, 4)))
-        targets = np.zeros((n_views, max(n_views - 1, 0)))
+        rows = Tensor(np.ones((n_views + 3, 4)))
+        targets = [np.zeros((3, 2)), np.zeros((n_views, max(n_views - 1, 0)))]
         with pytest.raises(DegenerateInputError, match="at least two views"):
             obj.geo_loss_from_targets(rows, targets, obj.Temperature())
 
@@ -299,13 +334,13 @@ class TestGroundLoss:
     def test_singleton_denominators_give_zero(self):
         h = Tensor(np.ones((1, 4)) / 2.0)
         t = Tensor(np.ones((1, 4)) / 2.0)
-        loss = obj.ground_loss(h, t, [(0, 0)], obj.Temperature())
+        loss = obj.ground_loss(h, t, [(0, 0)], obj.Temperature(), one_scene(h, t))
         assert loss.item() == pytest.approx(0.0, abs=1e-15)
 
     def test_uniform_logits_one_pair(self):
         h = Tensor(np.zeros((2, 4)))
         t = Tensor(np.zeros((2, 4)))
-        loss = obj.ground_loss(h, t, [(0, 0)], obj.Temperature(1.0))
+        loss = obj.ground_loss(h, t, [(0, 0)], obj.Temperature(1.0), one_scene(h, t))
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_matches_scalar_oracle(self):
@@ -314,7 +349,7 @@ class TestGroundLoss:
         t = Tensor(unit_rows(rng, 2, 8))
         temp = obj.Temperature(0.7)
         pairs = [(0, 0), (1, 1), (2, 0)]
-        loss = obj.ground_loss(h, t, pairs, temp).item()
+        loss = obj.ground_loss(h, t, pairs, temp, one_scene(h, t)).item()
         logits = h.array @ t.array.T / temp.value
         assert loss == pytest.approx(ground_loss_oracle(logits, pairs), abs=1e-12)
 
@@ -322,13 +357,13 @@ class TestGroundLoss:
         h = Tensor(np.ones((2, 4)))
         t = Tensor(np.ones((1, 4)))
         with pytest.raises(DegenerateInputError, match="at least one visible"):
-            obj.ground_loss(h, t, [], obj.Temperature())
+            obj.ground_loss(h, t, [], obj.Temperature(), one_scene(h, t))
 
     def test_out_of_range_pair_rejected(self):
         h = Tensor(np.ones((2, 4)))
         t = Tensor(np.ones((1, 4)))
         with pytest.raises(ContractError):
-            obj.ground_loss(h, t, [(2, 0)], obj.Temperature())
+            obj.ground_loss(h, t, [(2, 0)], obj.Temperature(), one_scene(h, t))
 
     def test_nonnegative(self):
         rng = np.random.default_rng(7)
@@ -336,7 +371,37 @@ class TestGroundLoss:
             h = Tensor(unit_rows(rng, 4, 6))
             t = Tensor(unit_rows(rng, 3, 6))
             pairs = [(int(rng.integers(0, 4)), int(rng.integers(0, 3))) for _ in range(4)]
-            assert obj.ground_loss(h, t, pairs, obj.Temperature(0.2)).item() >= 0.0
+            assert obj.ground_loss(h, t, pairs, obj.Temperature(0.2), one_scene(h, t)).item() >= 0.0
+
+
+    def test_masked_batch_is_pair_weighted_mean_of_scenes(self):
+        # The middle scene has views but no objects, hence no pairs.
+        rng = np.random.default_rng(12)
+        view_counts, object_counts = (3, 4, 2), (2, 0, 3)
+        scene_pairs = [[(0, 0), (2, 1), (1, 1)], [], [(0, 2), (1, 0)]]
+        h, t = unit_rows(rng, 9, 8), unit_rows(rng, 5, 8)
+        temp = obj.Temperature(0.4)
+        view_starts, object_starts = (0, 3, 7), (0, 2, 2)
+        pairs = [(vs + v, os + o) for vs, os, ps in zip(view_starts, object_starts, scene_pairs)
+                 for v, o in ps]
+        mask = obj.same_scene(view_counts, object_counts)
+        loss = obj.ground_loss(Tensor(h), Tensor(t), pairs, temp, mask).item()
+        weighted = 0.0
+        for vs, vc, os, oc, ps in zip(view_starts, view_counts, object_starts, object_counts,
+                                      scene_pairs):
+            if ps:
+                h_s, t_s = Tensor(h[vs:vs + vc]), Tensor(t[os:os + oc])
+                scene = obj.ground_loss(h_s, t_s, ps, temp, one_scene(h_s, t_s))
+                weighted += len(ps) * scene.item()
+        assert loss == pytest.approx(weighted / len(pairs), rel=1e-12)
+
+    def test_pair_outside_mask_rejected(self):
+        mask = obj.same_scene((1, 1), (1, 1))
+        h, t = Tensor(np.eye(2, 4)), Tensor(np.eye(2, 4))
+        with pytest.raises(ContractError):
+            obj.ground_loss(h, t, [(0, 1)], obj.Temperature(), mask)
+        with pytest.raises(ShapeError):
+            obj.ground_loss(h, t, [(0, 0)], obj.Temperature(), mask[:, :1])
 
 
 class TestViewAndSceneLoss:
@@ -424,8 +489,8 @@ class TestTotalLoss:
             scenes = Tensor(base_h[:2])
             scene_caps = Tensor(base_t[:2])
             breakdown = obj.total_loss(
-                obj.geo_loss_from_targets(h, targets, temp),
-                obj.ground_loss(h, t, pairs, temp),
+                obj.geo_loss_from_targets(h, [targets], temp),
+                obj.ground_loss(h, t, pairs, temp, one_scene(h, t)),
                 obj.view_loss(h, t, temp),
                 obj.scene_loss(scenes, scene_caps, temp),
             )

@@ -1,5 +1,6 @@
 """Tests for the optimizer, schedule, and training loop."""
 
+import dataclasses
 import hashlib
 import logging
 import math
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 
 from upm import data as D
-from upm.encoder import EncoderConfig, init_encoder_params, load_checkpoint
+from upm import engine as E
+from upm import objectives as obj
+from upm.encoder import (EncoderConfig, encode_texts, encode_views, init_encoder_params,
+                         load_checkpoint, pool_scene)
 from upm.engine import Tensor, trace_graph
 from upm.errors import ConfigError, ContractError, NumericError
 from upm.objectives import Temperature
@@ -26,6 +30,7 @@ from upm.trainer import (
     train,
 )
 from tests.conftest import TINY_ENCODER, TINY_TRAIN
+from tests.test_objectives import oracle_off_diagonal_soft_xent
 
 
 class TestCosineLr:
@@ -175,6 +180,8 @@ class TestTrainConfig:
         ("weight_geo", math.nan), ("weight_geo", math.inf), ("weight_geo", -1.0),
         ("modality", "depth-only"),
         ("chamfer_subsample", 0), ("voxel_size", 0.0), ("voxel_size", -0.25), ("min_points", 0),
+        ("grad_clip", math.nan), ("grad_clip", -1.0),
+        ("initial_tau", math.nan), ("initial_tau", 5e-4), ("initial_tau", 101.0),
     ])
     def test_out_of_range_field_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
@@ -232,20 +239,128 @@ class TestPrepareScene:
         assert h.hexdigest() == "16420ee83bf5e69f732b24c4858e3e474d97765080049b176cbb7aeb98cbf587"
 
 
+def oracle_batch_loss(batch, params, enc_cfg, temperature, cfg):
+    """The four losses scene by scene, as batch_loss built them before its block masks.
+
+    Each scene takes a fresh narrow of the view rows per loss, its own (V, V)
+    geometric logits through the per-row graph, and its own text-tower call
+    and grounded loss when it has pairs, weighted by its pair count; each
+    scene pools on its own.
+    """
+    zero = Tensor(np.zeros(1))
+    views = encode_views(
+        [view for scene in batch for view in scene.views], params, enc_cfg, modality=cfg.modality
+    )
+    counts = [len(scene.views) for scene in batch]
+    spans = list(zip(np.cumsum([0] + counts[:-1]).tolist(), counts))
+
+    l_geo = zero
+    if cfg.use_geo:
+        for scene, span in zip(batch, spans):
+            h = E.narrow(views, 0, *span)
+            logits = E.mul(E.matmul(h, E.transpose(h)), temperature.inverse())
+            l_geo = E.add(l_geo, oracle_off_diagonal_soft_xent(logits, scene.geo_targets))
+
+    l_ground = zero
+    if cfg.use_ground:
+        weighted, total_pairs = zero, 0
+        for scene, span in zip(batch, spans):
+            if scene.pairs:
+                texts = encode_texts(scene.object_texts, params, enc_cfg)
+                rows = E.narrow(views, 0, *span)
+                term = obj.ground_loss(rows, texts, scene.pairs, temperature,
+                                       np.ones((span[1], len(scene.object_texts)), dtype=bool))
+                weighted = E.add(weighted, E.scale(term, float(len(scene.pairs))))
+                total_pairs += len(scene.pairs)
+        if total_pairs:
+            l_ground = E.scale(weighted, 1.0 / total_pairs)
+
+    captions = encode_texts([c for scene in batch for c in scene.view_captions], params, enc_cfg)
+    l_view = obj.view_loss(views, captions, temperature)
+    pooled = E.concat([pool_scene(E.narrow(views, 0, *span), [span[1]]) for span in spans])
+    scene_captions = encode_texts([s.scene_caption for s in batch], params, enc_cfg)
+    l_scene = obj.scene_loss(pooled, scene_captions, temperature)
+    return obj.total_loss(l_geo, l_ground, l_view, l_scene, weight_geo=cfg.weight_geo)
+
+
+def default_batch(first_seed):
+    cfg = TrainConfig()
+    scenes = [D.generate_scene(D.SceneSpec(scene_type=D.SCENE_TYPES[i]), seed=first_seed + i)
+              for i in range(cfg.scenes_per_batch)]
+    return [prepare_scene(scene, cfg) for scene in scenes], EncoderConfig(), cfg
+
+
+def pairless_batch():
+    """Small scenes: one with objects but its pairs dropped, and one with no objects at all."""
+    cfg = TrainConfig(views_per_scene=4, chamfer_subsample=64)
+    specs = [D.SceneSpec(scene_type=kind, view_count=6, image_size=24, object_count=count)
+             for kind, count in (("office", (2, 4)), ("kitchen", (2, 4)), ("bedroom", (2, 4)),
+                                 ("office", (0, 0)))]
+    batch = [prepare_scene(D.generate_scene(spec, seed=40 + i), cfg) for i, spec in enumerate(specs)]
+    batch[1] = dataclasses.replace(batch[1], pairs=[])
+    assert batch[0].pairs and batch[2].pairs and not batch[3].object_texts
+    return batch, TINY_ENCODER, cfg
+
+
 class TestBatchLoss:
-    def test_default_step_graph_is_small(self):
-        # 4 scenes x 8 views encode as one stacked graph to one (32, d) tensor
-        # that the losses read whole or by per-scene slice, and each scene's
-        # geometric loss is one fused op: 250 nodes.  One narrow node per view
-        # row, concatenated back by each consumer, would make 283.
-        cfg = TrainConfig()
-        scenes = [D.generate_scene(D.SceneSpec(scene_type=D.SCENE_TYPES[i]), seed=i)
-                  for i in range(cfg.scenes_per_batch)]
-        batch = [prepare_scene(scene, cfg) for scene in scenes]
+    @pytest.fixture(scope="class")
+    def default_batch_seed0(self):
+        return default_batch(0)
+
+    def test_default_step_graph_is_small(self, default_batch_seed0):
+        # 4 scenes x 8 views encode as one stacked graph to one (32, d) tensor,
+        # and each loss is one graph over it, whatever the scene count: the
+        # geometric and grounded losses mask their logits to each scene's
+        # block and the scenes pool in one matmul: 152 nodes.  One narrow per
+        # scene and use, with the per-scene losses added up, made 250.
+        batch, enc_cfg, cfg = default_batch_seed0
         assert sum(len(p.views) for p in batch) == 32
-        params = init_encoder_params(EncoderConfig(), seed=0)
-        breakdown = batch_loss(batch, params, EncoderConfig(), Temperature(cfg.initial_tau), cfg)
-        assert len(trace_graph(breakdown.total)) <= 250
+        params = init_encoder_params(enc_cfg, seed=0)
+        breakdown = batch_loss(batch, params, enc_cfg, Temperature(cfg.initial_tau), cfg)
+        assert len(trace_graph(breakdown.total)) <= 160
+
+    def test_graph_size_independent_of_scene_count(self, default_batch_seed0):
+        batch, enc_cfg, cfg = default_batch_seed0
+        params = init_encoder_params(enc_cfg, seed=0)
+        sizes = {len(trace_graph(batch_loss(batch[:n], params, enc_cfg, Temperature(), cfg).total))
+                 for n in (1, 2, 4)}
+        assert len(sizes) == 1
+
+    def assert_matches_oracle(self, batch, enc_cfg, cfg, seed, tau):
+        runs = []
+        for build in (batch_loss, oracle_batch_loss):
+            params = init_encoder_params(enc_cfg, seed=seed)
+            temperature = Temperature(tau)
+            breakdown = build(batch, params, enc_cfg, temperature, cfg)
+            E.backward(breakdown.total)
+            named = list(params.named_parameters()) + [(TEMPERATURE_KEY, temperature.log_tau)]
+            runs.append((breakdown.values(), {name: t.grad for name, t in named}))
+        (values, grads), (o_values, o_grads) = runs
+        for key, value in o_values.items():
+            assert abs(values[key] - value) <= 1e-12 * abs(value), key
+        # Relative to the step's largest |grad|: attn.bk's true gradient is 0.
+        largest = max(np.abs(g).max() for g in o_grads.values() if g is not None)
+        for name, o_grad in o_grads.items():
+            grad = grads[name]
+            if o_grad is None:
+                assert grad is None or not grad.any(), name
+            else:
+                assert np.abs(grad - o_grad).max() <= 1e-12 * largest, name
+
+    def test_default_batch_matches_per_scene_oracle(self, default_batch_seed0):
+        self.assert_matches_oracle(*default_batch_seed0, seed=0, tau=0.07)
+
+    def test_second_default_batch_matches_per_scene_oracle(self):
+        self.assert_matches_oracle(*default_batch(4), seed=1, tau=0.2)
+
+    def test_pairless_scenes_match_oracle_and_warn_once_each(self, caplog):
+        batch, enc_cfg, cfg = pairless_batch()
+        self.assert_matches_oracle(batch, enc_cfg, cfg, seed=2, tau=0.1)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="upm.trainer"):
+            batch_loss(batch, init_encoder_params(enc_cfg), enc_cfg, Temperature(), cfg)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"ground loss: scene {batch[i].scene_id} has no visible pairs" for i in (1, 3)]
 
 
 class TestTrainLoop:
@@ -319,8 +434,8 @@ class TestTrainLoop:
 
     def test_default_config_run_pinned(self, tmp_path):
         # metrics.tsv and both checkpoints of a short default-config run, as
-        # produced by the embedding-bag text tower and one-GEMM stacked
-        # weight gradients.
+        # produced by the embedding-bag text tower, one-GEMM stacked weight
+        # gradients and losses built once per batch under block masks.
         root = tmp_path / "data"
         ids = []
         for i in range(10):
@@ -335,4 +450,4 @@ class TestTrainLoop:
         h = hashlib.sha256()
         for path in (result.metrics_path, result.checkpoint_path, result.best_checkpoint_path):
             h.update(path.read_bytes())
-        assert h.hexdigest() == "b5a036e376b5ddd4007fa46c498f5f05a8e27b3d1f84b068b96b345e1b98525e"
+        assert h.hexdigest() == "ae65c523348071850c2b74b73186ca6aa6d36653de85bfb74b5ff75d39581687"
