@@ -553,6 +553,16 @@ def _store_once(records: dict, idx: int, value, key: str, meta_path: Path) -> No
     records[idx] = value
 
 
+def read_utf8(path: Path, what: str) -> str:
+    """The text of a UTF-8 file; ``FormatError`` if it is missing, a directory or not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise FormatError(f"missing {what} {path}") from exc
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise FormatError(f"unreadable {what} {path}: {exc}") from exc
+
+
 def load_scene(directory) -> Scene:
     """Read a scene directory written by :func:`save_scene`.
 
@@ -562,12 +572,7 @@ def load_scene(directory) -> Scene:
     """
     directory = Path(directory)
     meta_path = directory / "meta.txt"
-    try:
-        meta_text = meta_path.read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise FormatError(f"missing metadata file {meta_path}") from exc
-    except (IsADirectoryError, UnicodeDecodeError) as exc:
-        raise FormatError(f"unreadable metadata file {meta_path}: {exc}") from exc
+    meta_text = read_utf8(meta_path, "metadata file")
 
     scalars: dict[str, str] = {}
     cameras: dict[int, tuple[CameraIntrinsics, CameraPose]] = {}
@@ -680,11 +685,10 @@ def write_manifest(path, entries: list[tuple[str, str]]) -> None:
 
 
 def load_manifest(path) -> dict[str, list[str]]:
+    """Scene directories by split; a malformed manifest raises ``FormatError``."""
     path = Path(path)
-    if not path.exists():
-        raise FormatError(f"missing manifest {path}")
     splits: dict[str, list[str]] = {"train": [], "val": [], "test": []}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path, "manifest").splitlines(), start=1):
         if not raw.strip():
             continue
         try:

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import engine as E
 from .atomic import atomic_write
-from .data import Scene
-from .encoder import EncoderConfig, EncoderParams, encode_texts, encode_views
+from .data import Scene, read_utf8
+from .encoder import EncoderConfig, EncoderParams, encode_texts, encode_views, pool_scene
 from .errors import ContractError, DegenerateInputError, FormatError, NumericError
 from .geometry import DEFAULT_MIN_POINTS, box_counts, max_coverage_sample
 from .probe import ProbeConfig, ProbeOutcome, linear_probe
@@ -77,13 +77,11 @@ def embed_scene_views(
 
 
 def scene_embedding_from_views(view_embeddings: np.ndarray) -> np.ndarray:
+    """One scene's (V, d) view rows pooled by ``pool_scene``, as training pools them."""
     if not np.isfinite(view_embeddings).all():
         raise NumericError("scene embedding from a non-finite view row")
-    mean = view_embeddings.mean(axis=0)
-    norm = np.linalg.norm(mean)
-    if norm < 1e-12:
-        raise DegenerateInputError("scene embedding degenerates to zero")
-    return mean / norm
+    with E.no_grad():
+        return pool_scene(E.Tensor(view_embeddings), [len(view_embeddings)]).array[0]
 
 
 def embed_scenes(
@@ -447,9 +445,12 @@ def emit_report(report: EvalReport, out_dir) -> dict[str, Path]:
 
 
 def parse_summary(path) -> dict[str, float | None]:
-    """Read back a key=value summary with exact float round-trip."""
+    """Read back a key=value summary with exact float round-trip.
+
+    A missing, non-UTF-8 or malformed summary raises ``FormatError``.
+    """
     values: dict[str, float | None] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_utf8(Path(path), "summary").splitlines():
         if not line.strip():
             continue
         key, _, raw = line.partition("=")

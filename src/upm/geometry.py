@@ -221,17 +221,7 @@ def pairwise_chamfer(
 
 
 # ---------------------------------------------------------------------------
-# proximity ranks, visibility, coverage
-
-
-def _ranks_by_distance(distances: np.ndarray, anchor: int) -> dict[int, int]:
-    """0-based rank of every index but the anchor, by ascending distance.
-
-    Ties break toward the lower index.
-    """
-    candidates = [u for u in range(len(distances)) if u != anchor]
-    order = sorted(candidates, key=lambda u: (distances[u], u))
-    return {u: rank for rank, u in enumerate(order)}
+# visibility, coverage
 
 
 def box_counts(points: np.ndarray, validity: np.ndarray,

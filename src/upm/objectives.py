@@ -4,9 +4,10 @@ Four losses share one learnable temperature: a rank-aware cross-view
 geometric alignment over Chamfer-proximity targets, a grounded
 view-to-object-text alignment over visible pairs, and symmetric InfoNCE
 at the view-caption and scene-caption levels.
-Each loss is one graph over a batch's (N, d) views, scene after scene;
-the geometric and grounded losses mask their log-softmax to each scene's
-block of the logits (``same_scene``).
+Each loss is one graph over a batch's (N, d) views, and all four are the
+same cross-entropy of temperature-scaled similarities against a target
+matrix (``_masked_xent``); the geometric and grounded losses mask their
+log-softmax to each scene's block of the logits (``same_scene``).
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ import numpy as np
 from . import engine as E
 from .engine import Tensor
 from .errors import ContractError, DegenerateInputError, ShapeError
-from .geometry import (
-    DEFAULT_CHAMFER_SEED,
-    DEFAULT_CHAMFER_SUBSAMPLE,
-    _ranks_by_distance,
-    pairwise_chamfer,
-)
+from .geometry import DEFAULT_CHAMFER_SEED, DEFAULT_CHAMFER_SUBSAMPLE, pairwise_chamfer
 
 DEFAULT_GEO_WEIGHT = 0.1  # Eq. 8 weight on the geometric term
 TAU_MIN = 1e-3
@@ -70,21 +66,22 @@ class Temperature:
 # soft targets
 
 
-def soft_targets(ranks: Sequence[int], cfg: GeoAlignConfig) -> np.ndarray:
+def soft_targets(ranks: Sequence[int] | np.ndarray, cfg: GeoAlignConfig) -> np.ndarray:
     """Probability over candidates from their proximity ranks.
 
-    A softmax over -rank/tau_r is mixed with the one-hot nearest-neighbor
-    target: p = alpha * hard + (1 - alpha) * soft.
+    ``ranks`` holds one anchor's K ranks, or a stack (V, K) of them, one
+    anchor per row.  A softmax over -rank/tau_r is mixed with the one-hot
+    nearest-neighbor target: p = alpha * hard + (1 - alpha) * soft.
     """
     ranks = np.asarray(ranks, dtype=np.float64)
     if ranks.size == 0:
         raise DegenerateInputError("soft targets need at least one candidate")
-    if sorted(ranks.tolist()) != list(range(ranks.size)):
+    if (np.sort(ranks, axis=-1) != np.arange(ranks.shape[-1])).any():
         raise ContractError("ranks must be a permutation of 0..K-1")
     scores = -ranks / cfg.tau_r
-    scores -= scores.max()
+    scores -= scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
-    p_soft = e / e.sum()
+    p_soft = e / e.sum(axis=-1, keepdims=True)
     p_hard = (ranks == 0).astype(np.float64)
     return cfg.alpha * p_hard + (1.0 - cfg.alpha) * p_soft
 
@@ -99,17 +96,16 @@ def geo_targets(
     """Per-anchor soft targets over the other views, shape (V, V-1).
 
     Row v holds the target distribution over candidates [0..V-1] \\ {v} in
-    ascending view order.  Chamfer ties rank toward the lower view index.
+    ascending view order, ranked by ascending Chamfer distance to v; ties
+    rank toward the lower view index (a stable sort).
     """
     n_views = len(points)
     if n_views < 2:
         raise DegenerateInputError("geometric targets need at least two views")
     cd = pairwise_chamfer(points, validity, subsample=subsample, seed=seed)
-    targets = np.zeros((n_views, n_views - 1))
-    for v in range(n_views):
-        rank_of = _ranks_by_distance(cd[v], v)
-        targets[v] = soft_targets([rank_of[u] for u in range(n_views) if u != v], cfg)
-    return targets
+    off_diagonal = cd[~np.eye(n_views, dtype=bool)].reshape(n_views, n_views - 1)
+    ranks = np.argsort(np.argsort(off_diagonal, axis=1, kind="stable"), axis=1)
+    return soft_targets(ranks, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +118,20 @@ def same_scene(row_counts: Sequence[int], col_counts: Sequence[int]) -> np.ndarr
     rows = np.repeat(np.arange(len(row_counts)), row_counts)
     cols = np.repeat(np.arange(len(col_counts)), col_counts)
     return rows[:, None] == cols[None, :]
+
+
+def _masked_xent(a: Tensor, b: Tensor, targets: np.ndarray, temperature: Temperature,
+                 mask: np.ndarray | None, both_axes: bool, factor: float) -> Tensor:
+    """``factor`` times the sum of ``targets`` times the log-probabilities of a b^T / tau.
+
+    The log-softmax runs over each row, within ``mask`` (None keeps every
+    entry); with ``both_axes`` the one over each column is added to it.
+    """
+    logits = E.mul(E.matmul(a, E.transpose(b)), temperature.inverse())
+    log_probs = E.log_softmax(logits, axis=1, mask=mask)  # checks the mask's shape
+    if both_axes:
+        log_probs = E.add(log_probs, E.log_softmax(logits, axis=0, mask=mask))
+    return E.scale(E.reduce_sum(E.mul(Tensor(targets), log_probs)), factor)
 
 
 def geo_loss_from_targets(
@@ -143,10 +153,9 @@ def geo_loss_from_targets(
     np.fill_diagonal(mask, False)
     target_matrix = np.zeros(mask.shape)
     target_matrix[mask] = np.concatenate([np.ravel(t) for t in targets])  # row-major, as each block
-    h = view_embeddings
-    logits = E.mul(E.matmul(h, E.transpose(h)), temperature.inverse())
-    log_probs = E.log_softmax(logits, axis=1, mask=mask)  # ShapeError unless the counts cover h
-    return E.scale(E.reduce_sum(E.mul(Tensor(target_matrix), log_probs)), -1.0)
+    # ShapeError from the mask check unless the counts cover the embeddings.
+    return _masked_xent(view_embeddings, view_embeddings, target_matrix, temperature, mask,
+                        both_axes=False, factor=-1.0)
 
 
 def ground_loss(
@@ -164,17 +173,16 @@ def ground_loss(
     pair_list = sorted(set(pairs))
     if not pair_list:
         raise DegenerateInputError("ground loss needs at least one visible (view, object) pair")
-    h, t = view_embeddings, object_text_embeddings
-    logits = E.mul(E.matmul(h, E.transpose(t)), temperature.inverse())
-    over_objects = E.log_softmax(logits, axis=1, mask=mask)  # checks the mask's shape
-    over_views = E.log_softmax(logits, axis=0, mask=mask)
-    indicator = np.zeros(logits.shape)
+    shape = (view_embeddings.shape[0], object_text_embeddings.shape[0])
+    if np.shape(mask) != shape:
+        raise ShapeError(f"mask of shape {np.shape(mask)} does not match the {shape} logits")
+    indicator = np.zeros(shape)
     for v, o in pair_list:
-        if not (0 <= v < logits.shape[0] and 0 <= o < logits.shape[1] and mask[v, o]):
-            raise ContractError(f"pair ({v}, {o}) outside the {logits.shape} logits or the mask")
+        if not (0 <= v < shape[0] and 0 <= o < shape[1] and mask[v, o]):
+            raise ContractError(f"pair ({v}, {o}) outside the {shape} logits or the mask")
         indicator[v, o] = 1.0
-    picked = E.mul(Tensor(indicator), E.add(over_objects, over_views))
-    return E.scale(E.reduce_sum(picked), -1.0 / (2.0 * len(pair_list)))
+    return _masked_xent(view_embeddings, object_text_embeddings, indicator, temperature, mask,
+                        both_axes=True, factor=-1.0 / (2.0 * len(pair_list)))
 
 
 def _paired_infonce(a: Tensor, b: Tensor, temperature: Temperature, what: str) -> Tensor:
@@ -183,12 +191,7 @@ def _paired_infonce(a: Tensor, b: Tensor, temperature: Temperature, what: str) -
     if a.shape[0] != b.shape[0]:
         raise ContractError(f"{what} loss: {a.shape[0]} embeddings vs {b.shape[0]} captions")
     n = a.shape[0]
-    logits = E.mul(E.matmul(a, E.transpose(b)), temperature.inverse())
-    over_cols = E.log_softmax(logits, axis=1)
-    over_rows = E.log_softmax(logits, axis=0)
-    eye = Tensor(np.eye(n))
-    picked = E.mul(eye, E.add(over_cols, over_rows))
-    return E.scale(E.reduce_sum(picked), -1.0 / (2.0 * n))
+    return _masked_xent(a, b, np.eye(n), temperature, None, both_axes=True, factor=-1.0 / (2.0 * n))
 
 
 def view_loss(

@@ -880,3 +880,13 @@ class TestManifest:
         path.write_text("training\ta\n")
         with pytest.raises(FormatError, match="unknown split"):
             D.load_manifest(path)
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "non_utf8"])
+    def test_unreadable_manifest_rejected(self, tmp_path, case):
+        path = tmp_path / "manifest.tsv"
+        if case == "directory":
+            path.mkdir()
+        elif case == "non_utf8":
+            path.write_bytes(b"train\ta\xff\n")
+        with pytest.raises(FormatError, match="manifest"):
+            D.load_manifest(path)

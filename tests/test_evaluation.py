@@ -223,6 +223,10 @@ class TestZeroShot:
         with pytest.raises(NumericError, match="non-finite"):
             call(rows)
 
+    def test_scene_embedding_of_no_views_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            ev.scene_embedding_from_views(np.zeros((0, 3)))
+
     def test_zero_scenes_rejected(self):
         with pytest.raises(DegenerateInputError, match="zero scenes"):
             ev.classify_from_similarities(np.zeros((0, 3)), np.zeros(0, dtype=int))
@@ -327,6 +331,16 @@ class TestEmitReport:
     def test_malformed_summary_line_rejected(self, tmp_path, line):
         path = tmp_path / "summary.txt"
         path.write_text(f"classification.zero_shot=0.25\n{line}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="summary"):
+            ev.parse_summary(path)
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "non_utf8"])
+    def test_unreadable_summary_rejected(self, tmp_path, case):
+        path = tmp_path / "summary.txt"
+        if case == "directory":
+            path.mkdir()
+        elif case == "non_utf8":
+            path.write_bytes(b"classification.zero_shot=0.25\xff\n")
         with pytest.raises(FormatError, match="summary"):
             ev.parse_summary(path)
 

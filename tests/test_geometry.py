@@ -21,7 +21,7 @@ from upm.errors import (
     ShapeError,
     UpmError,
 )
-from upm.objectives import GeoAlignConfig, geo_targets
+from upm.objectives import GeoAlignConfig, geo_targets, soft_targets
 
 
 def stack(clouds):
@@ -95,8 +95,11 @@ def brute_path_chamfer(a, b):
 
 
 def proximity_ranks(clouds, anchor):
-    """Every other view's 0-based rank by Chamfer distance to the anchor, as geo_targets ranks."""
-    return G._ranks_by_distance(G.pairwise_chamfer(*stack(clouds))[anchor], anchor)
+    """Every other view's 0-based rank by Chamfer distance to the anchor, ties to the
+    lower index: the oracle for geo_targets' ranking."""
+    distances = G.pairwise_chamfer(*stack(clouds))[anchor]
+    order = sorted((u for u in range(len(clouds)) if u != anchor), key=lambda u: (distances[u], u))
+    return {u: rank for rank, u in enumerate(order)}
 
 
 def identity_pose():
@@ -411,6 +414,18 @@ class TestProximityRanks:
             ranks = proximity_ranks(clouds, anchor)
             assert sorted(ranks.keys()) == [u for u in range(6) if u != anchor]
             assert sorted(ranks.values()) == list(range(5))
+
+    def test_geo_targets_rank_as_the_oracle(self):
+        # Repeated clouds tie exactly, so the tie-break is exercised too.
+        rng = np.random.default_rng(14)
+        distinct = [rng.normal(size=(int(rng.integers(1, 9)), 3)) for _ in range(5)]
+        clouds = distinct + [distinct[1], distinct[3], distinct[1]]
+        cfg = GeoAlignConfig()
+        targets = geo_targets(*stack(clouds), cfg)
+        for anchor in range(len(clouds)):
+            ranks = proximity_ranks(clouds, anchor)
+            expected = soft_targets([ranks[u] for u in sorted(ranks)], cfg)
+            assert targets[anchor].tobytes() == expected.tobytes()
 
     def test_single_view_rejected(self):
         # geo_targets ranks the views of a scene, and there are none to rank.

@@ -467,6 +467,39 @@ class TestBatchedLbfgs:
         for result, reg in zip(results, regs):
             assert_bitwise_equal(result, oracle_fit(features, labels, 4, reg, max_iterations=40))
 
+    def test_empty_batch_makes_no_call(self):
+        def never(xs, rows):
+            raise AssertionError("fun_grad called for an empty batch")
+
+        assert lbfgs_minimize_batch(never, np.zeros((0, 3))) == []
+
+    def test_stopped_problems_are_not_evaluated(self):
+        # Each problem passes through fun_grad exactly as often as the oracle
+        # calls its own objective, rows in ascending order, so no problem is
+        # evaluated again once it has stopped.
+        rng = np.random.default_rng(0)
+        features = rng.normal(size=(26, 64))
+        labels = rng.integers(0, 4, size=26)
+        regs = default_reg_grid()
+        rows_seen = np.zeros(len(regs), dtype=np.int64)
+
+        def counted(xs, rows):
+            assert np.all(np.diff(rows) > 0)
+            rows_seen[rows] += 1
+            return logistic_loss_grad(xs, features, labels, 4, regs[rows])
+
+        results = lbfgs_minimize_batch(counted, np.zeros((len(regs), 64 * 4 + 4)), max_iterations=40)
+        assert any(r.converged for r in results) and not all(r.converged for r in results)
+        for row, reg in enumerate(regs):
+            calls = []
+
+            def alone(x, reg=reg):
+                calls.append(x)
+                return oracle_logistic_loss_grad(x, features, labels, 4, reg)
+
+            oracle_lbfgs_minimize(alone, np.zeros(64 * 4 + 4), max_iterations=40)
+            assert rows_seen[row] == len(calls)
+
     def test_separable_toy_matches_oracle(self):
         features, labels = separable_toy(np.random.default_rng(9))
         regs = default_reg_grid()
