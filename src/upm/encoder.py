@@ -14,13 +14,14 @@ reads the reserved row 0), and a linear layer projects it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
 import re
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -159,23 +160,28 @@ class EncoderParams:
         yield "text.bias", self.text_bias
 
 
-def _param(rng, shape, std=0.02) -> Tensor:
-    return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
-
-
 def init_encoder_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
     """Seeded initialization; the pointmap patch embedding copies the image one."""
     rng = np.random.default_rng(seed)
+    return _build_params(config, lambda shape: rng.normal(0.0, 0.02, size=shape))
+
+
+def _build_params(config: EncoderConfig, draw: Callable[[tuple[int, ...]], np.ndarray]) -> EncoderParams:
+    """The parameter layout: ``draw(shape)`` makes each random array, in a fixed order."""
     d = config.embed_dim
-    phi_i_weight = _param(rng, (config.patch_dim, d))
+
+    def param(shape) -> Tensor:
+        return Tensor(draw(shape), requires_grad=True)
+
+    phi_i_weight = param((config.patch_dim, d))
     phi_i_bias = Tensor(np.zeros(d), requires_grad=True)
     params = EncoderParams(
         phi_i_weight=phi_i_weight,
         phi_i_bias=phi_i_bias,
         phi_p_weight=Tensor(phi_i_weight.array.copy(), requires_grad=True),
         phi_p_bias=Tensor(phi_i_bias.array.copy(), requires_grad=True),
-        pos_embedding=_param(rng, (config.num_patches, d)),
-        cls_token=_param(rng, (1, d)),
+        pos_embedding=param((config.num_patches, d)),
+        cls_token=param((1, d)),
     )
     hidden = d * config.mlp_ratio
     for _ in range(config.num_blocks):
@@ -183,26 +189,26 @@ def init_encoder_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
             BlockParams(
                 ln1_gamma=Tensor(np.ones(d), requires_grad=True),
                 ln1_beta=Tensor(np.zeros(d), requires_grad=True),
-                wq=_param(rng, (d, d)),
+                wq=param((d, d)),
                 bq=Tensor(np.zeros(d), requires_grad=True),
-                wk=_param(rng, (d, d)),
+                wk=param((d, d)),
                 bk=Tensor(np.zeros(d), requires_grad=True),
-                wv=_param(rng, (d, d)),
+                wv=param((d, d)),
                 bv=Tensor(np.zeros(d), requires_grad=True),
-                wo=_param(rng, (d, d)),
+                wo=param((d, d)),
                 bo=Tensor(np.zeros(d), requires_grad=True),
                 ln2_gamma=Tensor(np.ones(d), requires_grad=True),
                 ln2_beta=Tensor(np.zeros(d), requires_grad=True),
-                w_up=_param(rng, (d, hidden)),
+                w_up=param((d, hidden)),
                 b_up=Tensor(np.zeros(hidden), requires_grad=True),
-                w_down=_param(rng, (hidden, d)),
+                w_down=param((hidden, d)),
                 b_down=Tensor(np.zeros(d), requires_grad=True),
             )
         )
     params.final_gamma = Tensor(np.ones(d), requires_grad=True)
     params.final_beta = Tensor(np.zeros(d), requires_grad=True)
-    params.text_table = _param(rng, (config.text_vocab_size, d))
-    params.text_weight = _param(rng, (d, d))
+    params.text_table = param((config.text_vocab_size, d))
+    params.text_weight = param((d, d))
     params.text_bias = Tensor(np.zeros(d), requires_grad=True)
     return params
 
@@ -333,7 +339,9 @@ def tokenize(text: str, context_length: int) -> list[str]:
     return _TOKEN_RE.findall(text.lower())[:context_length]
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _token_id(token: str, vocab_size: int) -> int:
+    """A token's table row from the md5 of its UTF-8 bytes, never the reserved row 0."""
     digest = hashlib.md5(token.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little") % (vocab_size - 1) + 1
 
@@ -462,7 +470,7 @@ def load_checkpoint(path) -> tuple[EncoderParams, EncoderConfig, dict[str, Tenso
     if pos != len(blob):
         raise FormatError(f"{len(blob) - pos} trailing bytes in checkpoint: {path}")
 
-    params = init_encoder_params(config, seed=0)
+    params = _build_params(config, np.empty)  # every array is replaced below
     extras: dict[str, Tensor] = {}
     expected = dict(params.named_parameters())
     for name, arr in tensors.items():

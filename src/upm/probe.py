@@ -11,10 +11,12 @@ minimized alone, because each per-problem step is the float operation the
 one-problem iteration makes; row dot products go through BLAS ``ddot``,
 as ``a @ b`` of two vectors does.
 
-A problem stops when its gradient norm falls to ``grad_tol``, when a
-strong-Wolfe step improves f by no more than ``OBJECTIVE_TOL * max(1, |f|)``
-(L-BFGS-B's ``factr = 1e4``; Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput.
-1995), or at ``max_iterations``.
+A problem stops converged when its largest gradient component falls to
+``GRADIENT_TOL`` (``max_i |g_i| <= 1e-5``, L-BFGS-B's ``pgtol`` and
+scipy's default ``gtol``) or when a strong-Wolfe step improves f by no
+more than ``OBJECTIVE_TOL * max(1, |f|)`` (L-BFGS-B's ``factr = 1e4``),
+both after Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 1995; it stops
+unconverged at ``max_iterations``.
 
 The regularization strength is selected on a held-out fold over a
 96-point log-spaced grid.  The whole grid is fitted in one batched run,
@@ -82,6 +84,8 @@ LINE_SEARCH_EVALS = 30
 
 # Relative objective tolerance: L-BFGS-B's factr = 1e4 times machine epsilon.
 OBJECTIVE_TOL = 1e4 * np.finfo(float).eps
+# Tolerance on the gradient's largest absolute component: L-BFGS-B's pgtol.
+GRADIENT_TOL = 1e-5
 
 _BRACKET, _ZOOM, _AT_LO = 0, 1, 2
 
@@ -176,7 +180,7 @@ def lbfgs_minimize_batch(
     x0: np.ndarray,
     max_iterations: int = 1000,
     history: int = 10,
-    grad_tol: float = 1e-9,
+    grad_tol: float = GRADIENT_TOL,
     objective_tol: float = OBJECTIVE_TOL,
 ) -> list[LbfgsResult]:
     """Minimize K independent problems, one per row of x0 (K, P), in lockstep.
@@ -220,7 +224,7 @@ def lbfgs_minimize_batch(
     def start_iteration(rows: np.ndarray) -> None:
         """Gradient test, then the two-loop direction and a new line search."""
         g_rows = g[rows]
-        small = np.sqrt(_rowdot(g_rows, g_rows)) <= grad_tol
+        small = np.abs(g_rows).max(axis=1, initial=0.0) <= grad_tol
         if small.any():
             stop(rows[small], True, it[rows[small]] - 1)
             rows, g_rows = rows[~small], g_rows[~small]
@@ -309,16 +313,18 @@ def lbfgs_minimize(
     x0: np.ndarray,
     max_iterations: int = 1000,
     history: int = 10,
-    grad_tol: float = 1e-9,
+    grad_tol: float = GRADIENT_TOL,
     objective_tol: float = OBJECTIVE_TOL,
 ) -> LbfgsResult:
     """Minimize fun_grad (returning (f, grad)) from x0.
 
     The objective history records f at every accepted iterate and is
-    strictly decreasing.  Iteration stops converged once the gradient norm
-    falls to ``grad_tol`` or a Wolfe step improves f by no more than
-    ``objective_tol * max(1, |f|)`` (default ``OBJECTIVE_TOL``, L-BFGS-B's
-    ``factr = 1e4``), and unconverged after ``max_iterations``.
+    strictly decreasing.  Iteration stops converged once the gradient's
+    infinity norm ``max_i |g_i|`` falls to ``grad_tol`` (default
+    ``GRADIENT_TOL = 1e-5``, L-BFGS-B's ``pgtol``) or a Wolfe step improves
+    f by no more than ``objective_tol * max(1, |f|)`` (default
+    ``OBJECTIVE_TOL``, L-BFGS-B's ``factr = 1e4``), and unconverged after
+    ``max_iterations``.
     """
 
     def stacked(xs, rows):
@@ -437,10 +443,11 @@ def linear_probe(
     The holdout fold takes ``holdout_fraction`` of the few-shot training
     set (at least one example); the best grid point by holdout accuracy
     (lowest reg on ties) is refit on the full training set.  Every fit
-    stops at gradient norm 1e-9 or once a step improves f by at most
-    ``OBJECTIVE_TOL`` relative (L-BFGS-B's ``factr = 1e4``).  One WARNING
-    reports how many grid fits stopped at ``max_iterations`` without
-    converging and whether the refit converged, when any fit did not.
+    stops once ``max_i |g_i| <= GRADIENT_TOL`` (1e-5, L-BFGS-B's ``pgtol``)
+    or once a step improves f by at most ``OBJECTIVE_TOL`` relative
+    (L-BFGS-B's ``factr = 1e4``).  One WARNING reports how many grid fits
+    stopped at ``max_iterations`` without converging and whether the refit
+    converged, when any fit did not.
 
     Raises ``ShapeError`` when features and labels disagree in rows or the
     two feature sets in width, ``DegenerateInputError`` for an empty set,

@@ -1,5 +1,6 @@
 """Tests for the early-fusion view encoder, text encoder, and checkpoints."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -482,6 +483,17 @@ class TestTextEncoder:
         texts = [" ".join(rng.choice(words, size=rng.integers(1, 6))) for _ in range(20)]
         out = enc.encode_texts(texts, params, config).array
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-9)
+
+    def test_token_ids_equal_uncached_md5(self):
+        # Memoized ids are the hash formula's, on every call.
+        config = tiny_config(text_vocab_size=97)
+        texts = ["", "The RED-chair, near table.", "chair chair 42", "...", "Été café naïve",
+                 "x" * 40 + " 0"]
+        for text in texts * 2:
+            tokens = enc.tokenize(text, config.text_context_length)
+            expected = [int.from_bytes(hashlib.md5(t.encode("utf-8")).digest()[:8], "little") % 96 + 1
+                        for t in tokens]
+            assert enc.token_ids(text, config) == (expected or [0])
 
     def test_truncation(self):
         config = tiny_config(text_context_length=3)

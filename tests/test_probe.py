@@ -9,6 +9,7 @@ import pytest
 from upm import probe
 from upm.errors import ConfigError, ContractError, DegenerateInputError, NumericError, ShapeError
 from upm.probe import (
+    GRADIENT_TOL,
     GRID_STEPS,
     OBJECTIVE_TOL,
     LbfgsResult,
@@ -73,7 +74,7 @@ def oracle_strong_wolfe(fun_grad, x, direction, f0, g0, c1=1e-4, c2=0.9, max_eva
     return alpha_prev, f, g  # out of doublings: the last evaluated step
 
 
-def oracle_lbfgs_minimize(fun_grad, x0, max_iterations=1000, history=10, grad_tol=1e-9,
+def oracle_lbfgs_minimize(fun_grad, x0, max_iterations=1000, history=10, grad_tol=GRADIENT_TOL,
                           objective_tol=OBJECTIVE_TOL):
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = fun_grad(x)
@@ -83,7 +84,7 @@ def oracle_lbfgs_minimize(fun_grad, x0, max_iterations=1000, history=10, grad_to
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
-        if np.linalg.norm(g) <= grad_tol:
+        if np.abs(g).max() <= grad_tol:
             converged = True
             iterations -= 1
             break
@@ -210,13 +211,30 @@ class TestLbfgs:
         assert all(later < earlier for earlier, later in zip(history, history[1:]))
 
     def test_beats_plain_gradient_descent(self):
-        # Without the objective tolerance the fit runs to the gradient test.
+        # Without the objective tolerance, and with a gradient tolerance far
+        # below GRADIENT_TOL, the fit runs to the gradient test.
         rng = np.random.default_rng(2)
         features, labels = separable_toy(rng, gap=1.0)
         result = lbfgs_minimize(lambda x: logistic_loss_grad(x, features, labels, 2, 1e-2),
-                                np.zeros(2 * 2 + 2), objective_tol=0.0)
+                                np.zeros(2 * 2 + 2), grad_tol=1e-9, objective_tol=0.0)
         gd_loss = gradient_descent_1000(features, labels, 2, reg=1e-2)
         assert result.objective_history[-1] <= gd_loss
+
+    def test_gradient_test_uses_infinity_norm(self):
+        # At x0 = c * ones(4) the gradient of x @ x / 2 is x0: max |g_i| = c
+        # and ||g||_2 = 2c.  At c = GRADIENT_TOL the fit stops before a step;
+        # one ulp above it takes the exact Newton step to 0 and then stops.
+        quadratic = lambda x: (0.5 * x @ x, x.copy())
+        at_tol = np.full(4, GRADIENT_TOL)
+        assert np.linalg.norm(at_tol) > GRADIENT_TOL
+        above = np.full(4, np.nextafter(GRADIENT_TOL, 1.0))
+        for minimize in (lbfgs_minimize, oracle_lbfgs_minimize):
+            stopped = minimize(quadratic, at_tol)
+            assert stopped.converged and stopped.iterations == 0
+            assert stopped.x.tobytes() == at_tol.tobytes()
+            stepped = minimize(quadratic, above)
+            assert stepped.converged and stepped.iterations == 1
+            assert stepped.objective_history == [quadratic(above)[0], 0.0]
 
     def test_requires_descent_direction(self):
         fg = lambda x: (float(x @ x), 2 * x)
@@ -348,7 +366,8 @@ class TestLinearProbe:
     def test_outcomes_pinned(self, monkeypatch):
         # Outcomes, and the fitted x of every grid point and of the refit, as
         # produced by fitting the grid points one at a time.  Noisy training
-        # labels make the 4-shot holdout pick a point inside the grid.
+        # labels leave every 4-shot grid point 1 of 3 holdout examples right,
+        # so the lowest-reg tie-break decides.
         features, labels, noisy = pinned_probe_problem()
         sweeps, refits = [], []
 
@@ -363,12 +382,12 @@ class TestLinearProbe:
         monkeypatch.setattr(probe, "fit_logistic_grid", record_sweep)
         monkeypatch.setattr(probe, "fit_logistic", record_refit)
         expected = {
-            4: (ProbeOutcome(0.65625, 2.7676123707542306, 0.3333333333333333),
-                "c7e464a73bdfcf03a1f1cb75bc038623e79d026d345835f1fb76b6864c66e168",
-                "46333fd4caecae1fbecadd20ed0234bdb039970e034debc579e8114beb5660d0"),
+            4: (ProbeOutcome(0.65625, 1e-06, 0.3333333333333333),
+                "c1090f7e98c6cb71eed0846701e3b42ed766dcb9628a1266281f9490f035ca46",
+                "c12212fb6c83a9b6f6501bc7828b8bc1c0f9ab4d29d00cd182558887355fb2fb"),
             8: (ProbeOutcome(0.84375, 1e-06, 0.3333333333333333),
-                "70e89f583a601f040abace012ef83b8a0d9e037c156c02fa04050c4ac567ea36",
-                "f8fdde610304d14c60095623820f46fc9833895e6e0d68823358f9ad58991de3"),
+                "c3b3a01eeddbe60814e8d2e04fdecd7681bbe929af19452d7e29b6e26d4096a1",
+                "bd4068b191c34b6a8bb4dab2fd1dff498264f8ab7e5fc0800070e9913c5d06b0"),
         }
         for shots, (outcome, sweep_digest, refit_digest) in expected.items():
             train = few_shot_rows(labels, shots)
@@ -412,6 +431,43 @@ class TestLinearProbe:
                                               predict_logistic(w_tight, b_tight, features))
                 f, f_tight = loose.objective_history[-1], tight.objective_history[-1]
                 assert abs(f - f_tight) <= 1e-9 * max(1.0, abs(f_tight))
+
+    def pinned_probe_fits(self, monkeypatch):
+        """linear_probe on the pinned problem at 4 and 8 shots: every fit it made."""
+        features, labels, noisy = pinned_probe_problem()
+        fits = []
+
+        def record_sweep(*args, **kwargs):
+            sweep = fit_logistic_grid(*args, **kwargs)
+            fits.extend(sweep)
+            return sweep
+
+        def record_refit(*args, **kwargs):
+            refit = fit_logistic(*args, **kwargs)
+            fits.append(refit[2])
+            return refit
+
+        monkeypatch.setattr(probe, "fit_logistic_grid", record_sweep)
+        monkeypatch.setattr(probe, "fit_logistic", record_refit)
+        for shots in (4, 8):
+            train = few_shot_rows(labels, shots)
+            linear_probe(features[train], noisy[train], features, labels,
+                         ProbeConfig(shots=shots, seed=shots))
+        return fits
+
+    def test_pinned_fits_converge_without_warning(self, monkeypatch, caplog):
+        with caplog.at_level(logging.WARNING, logger="upm.probe"):
+            fits = self.pinned_probe_fits(monkeypatch)
+        assert len(fits) == 2 * (GRID_STEPS + 1)
+        assert all(fit.converged for fit in fits)
+        assert max(fit.iterations for fit in fits) < ProbeConfig().max_iterations
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+
+    def test_pinned_iteration_budget(self, monkeypatch):
+        # The two calls take 4,179 L-BFGS iterations; under the gradient test
+        # ||g||_2 <= 1e-9 they took 6,461, and a fit at the cap adds up to 1,000.
+        fits = self.pinned_probe_fits(monkeypatch)
+        assert sum(fit.iterations for fit in fits) <= 4400
 
     def test_unconverged_fits_logged_once(self, caplog):
         rng = np.random.default_rng(7)
@@ -459,7 +515,7 @@ class TestBatchedLbfgs:
         features = rng.normal(size=(26, 64))
         labels = rng.integers(0, 4, size=26)
         regs = default_reg_grid()
-        # Every point converges within 48 iterations; at 40 some run to the cap.
+        # Every point converges within 46 iterations; at 40 some run to the cap.
         results = fit_logistic_grid(features, labels, 4, regs, max_iterations=40)
         assert len(results) == GRID_STEPS
         assert any(r.converged for r in results)
