@@ -295,6 +295,15 @@ def retrieval_views_curve(
 # scene type classification
 
 
+def class_labels(scenes: Sequence[Scene], class_names: Sequence[str]) -> np.ndarray:
+    """Each scene's index in class_names; ContractError names a type not among them."""
+    names = list(class_names)
+    unknown = sorted({s.scene_type for s in scenes} - set(names))
+    if unknown:
+        raise ContractError(f"scene types {unknown} are not among the class names {names}")
+    return np.array([names.index(s.scene_type) for s in scenes], dtype=np.int64)
+
+
 def classify_from_similarities(similarities: np.ndarray, labels: np.ndarray) -> float:
     if len(similarities) == 0:
         raise DegenerateInputError("zero-shot accuracy over zero scenes")
@@ -328,7 +337,7 @@ def zero_shot_classify(
         class_rows.append(mean / norm)
     class_matrix = np.stack(class_rows)
 
-    labels = np.array([class_names.index(s.scene_type) for s in scenes])
+    labels = class_labels(scenes, class_names)
     similarities = cosine_similarity(embed_scenes(scenes, params, config), class_matrix)
     return classify_from_similarities(similarities, labels)
 
@@ -340,7 +349,7 @@ def probe_features(
     class_names: Sequence[str],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scene embeddings and integer labels for linear probing."""
-    labels = np.array([class_names.index(s.scene_type) for s in scenes])
+    labels = class_labels(scenes, class_names)
     return embed_scenes(scenes, params, config), labels
 
 

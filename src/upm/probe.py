@@ -1,22 +1,28 @@
-"""Few-shot linear probing: multinomial logistic regression under L-BFGS.
+"""Few-shot linear probing: multinomial logistic regression by Newton's method.
 
-The optimizer is a standard limited-memory BFGS with two-loop recursion
-and a strong-Wolfe line search (doubling bracket, then bisection zoom).
-It minimizes a stack of independent problems together: every problem
-keeps its own history ring, line-search state, iteration count and
-stopping test, and all of them run in lockstep until each has stopped.
-Each round makes one batched objective call at every running problem's
-next trial point.  A problem's iterates are bitwise those it reaches when
-minimized alone, because each per-problem step is the float operation the
-one-problem iteration makes; row dot products go through BLAS ``ddot``,
-as ``a @ b`` of two vectors does.
+The probe minimizes mean cross-entropy plus ``(reg/2)||W||^2`` over weights
+W (dim, C) and an unregularized bias b (C,).  With fewer rows than feature
+dimensions, the optimal W lies in the span of the training rows (the
+representer theorem; kernel logistic regression, Zhu & Hastie, JCGS 2005).
+A thin SVD of the rows, F = U S V^T of rank r, gives W = V B with
+``||W|| = ||B||``, so Newton's method works on the (r + 1) * C unknowns of
+B (r, C) and b whatever the feature width, as LIBLINEAR's logistic
+regression does in the primal (Lin, Weng & Keerthi, JMLR 2008).  Softmax
+leaves a shift shared by all biases free, so the last class's bias stays
+at 0.
 
-A problem stops converged when its largest gradient component falls to
-``GRADIENT_TOL`` (``max_i |g_i| <= 1e-5``, L-BFGS-B's ``pgtol`` and
-scipy's default ``gtol``) or when a strong-Wolfe step improves f by no
-more than ``OBJECTIVE_TOL * max(1, |f|)`` (L-BFGS-B's ``factr = 1e4``),
-both after Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 1995; it stops
-unconverged at ``max_iterations``.
+A stack of regularization strengths is fitted in lockstep: each round
+builds the Hessian of every fit still running, class pair by class pair,
+solves the Newton systems in batched ``np.linalg.solve`` calls of
+``SOLVE_CHUNK`` fits, and runs an Armijo backtracking line search
+(halving the step until f falls by ``ARMIJO_C1`` of the predicted
+decrease).  f and the gradient come from :func:`logistic_loss_grad` at the
+full (W, b).  A fit stops converged when its largest gradient component
+falls to ``GRADIENT_TOL`` (``max_i |g_i| <= 1e-5``, L-BFGS-B's ``pgtol``
+and scipy's default ``gtol``) or when a step improves f by no more than
+``OBJECTIVE_TOL * max(1, |f|)`` (L-BFGS-B's ``factr = 1e4``), both after
+Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 1995; it stops unconverged
+after ``max_iterations`` Newton steps.
 
 The regularization strength is selected on a held-out fold over a
 96-point log-spaced grid.  The whole grid is fitted in one batched run,
@@ -27,7 +33,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -36,6 +41,18 @@ from .errors import ConfigError, ContractError, DegenerateInputError, NumericErr
 logger = logging.getLogger(__name__)
 
 GRID_STEPS = 96
+
+# Relative objective tolerance: L-BFGS-B's factr = 1e4 times machine epsilon.
+OBJECTIVE_TOL = 1e4 * np.finfo(float).eps
+# Tolerance on the gradient's largest absolute component: L-BFGS-B's pgtol.
+GRADIENT_TOL = 1e-5
+# Armijo sufficient-decrease constant, and the step halvings allowed per Newton step.
+ARMIJO_C1 = 1e-4
+MAX_HALVINGS = 30
+# Fits whose Newton systems are built and solved in one batch.  np.linalg.solve
+# copies its stack, so this bounds the Hessians to 2 x 16 x P^2 doubles: 3.0 MB
+# at 8 shots (P = 108), against 18 MB for the whole 96-point grid at once.
+SOLVE_CHUNK = 16
 
 
 def default_reg_grid() -> np.ndarray:
@@ -47,7 +64,6 @@ class ProbeConfig:
     shots: int = 5
     reg_grid: tuple[float, ...] = field(default_factory=lambda: tuple(default_reg_grid()))
     max_iterations: int = 1000
-    history: int = 10
     holdout_fraction: float = 0.2
     seed: int = 0
 
@@ -57,283 +73,12 @@ class ProbeConfig:
         grid = np.asarray(self.reg_grid)
         if grid.ndim != 1 or len(grid) < 1 or np.any(np.diff(grid) <= 0):
             raise ConfigError("regularization grid must be strictly increasing")
+        if not grid[0] > 0:
+            raise ConfigError("regularization strengths must be positive")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
-        if self.history < 1:
-            raise ConfigError("history must be at least 1")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise ConfigError("holdout_fraction must lie in [0, 1)")
-
-
-# ---------------------------------------------------------------------------
-# L-BFGS
-
-
-@dataclass
-class LbfgsResult:
-    x: np.ndarray
-    objective_history: list[float]
-    iterations: int
-    converged: bool
-
-
-# Strong-Wolfe constants, and the evaluations allowed per phase (bracket, zoom).
-WOLFE_C1 = 1e-4
-WOLFE_C2 = 0.9
-LINE_SEARCH_EVALS = 30
-
-# Relative objective tolerance: L-BFGS-B's factr = 1e4 times machine epsilon.
-OBJECTIVE_TOL = 1e4 * np.finfo(float).eps
-# Tolerance on the gradient's largest absolute component: L-BFGS-B's pgtol.
-GRADIENT_TOL = 1e-5
-
-_BRACKET, _ZOOM, _AT_LO = 0, 1, 2
-
-
-class _LineSearch:
-    """One problem's strong-Wolfe line search, advanced one evaluation at a time.
-
-    ``alpha`` is the step to evaluate next.  :meth:`update` takes the
-    objective and the slope there, and returns True once ``alpha`` is the
-    accepted step.  The phases are a doubling bracket, a bisection zoom,
-    and, when the zoom runs out, one evaluation at its low end.
-    """
-
-    __slots__ = ("f0", "dphi0", "alpha", "phase", "evals", "alpha_prev", "f_prev", "lo", "f_lo", "hi")
-
-    def __init__(self, f0: float, dphi0: float):
-        if dphi0 >= 0:
-            raise ContractError("line search requires a descent direction")
-        self.f0, self.dphi0 = f0, dphi0
-        self.alpha, self.phase, self.evals = 1.0, _BRACKET, 0
-        self.alpha_prev, self.f_prev = 0.0, f0
-
-    def _zoom(self, lo: float, f_lo: float, hi: float) -> bool:
-        self.phase, self.evals = _ZOOM, 0
-        self.lo, self.f_lo, self.hi = lo, f_lo, hi
-        self.alpha = 0.5 * (lo + hi)
-        return False
-
-    def update(self, f: float, dphi: float) -> bool:
-        if self.phase == _AT_LO:
-            return True
-        alpha = self.alpha
-        sufficient = not f > self.f0 + WOLFE_C1 * alpha * self.dphi0
-        curvature = abs(dphi) <= -WOLFE_C2 * self.dphi0
-        if self.phase == _BRACKET:
-            if not sufficient or (self.evals > 0 and f >= self.f_prev):
-                return self._zoom(self.alpha_prev, self.f_prev, alpha)
-            if curvature:
-                return True
-            if dphi >= 0:
-                return self._zoom(alpha, f, self.alpha_prev)
-            self.alpha_prev, self.f_prev = alpha, f
-            self.evals += 1
-            if self.evals == LINE_SEARCH_EVALS:
-                return True  # out of doublings: the last evaluated step
-            self.alpha = alpha * 2.0
-            return False
-        if not sufficient or f >= self.f_lo:
-            self.hi = alpha
-        else:
-            if curvature:
-                return True
-            if dphi * (self.hi - self.lo) >= 0:
-                self.hi = self.lo
-            self.lo, self.f_lo = alpha, f
-        self.evals += 1
-        if abs(self.hi - self.lo) < 1e-16 or self.evals == LINE_SEARCH_EVALS:
-            self.phase, self.alpha = _AT_LO, self.lo
-        else:
-            self.alpha = 0.5 * (self.lo + self.hi)
-        return False
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[k] @ b[k]`` for every row k, each one BLAS ``ddot``."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _two_loop(q: np.ndarray, window: np.ndarray, rho: np.ndarray, valid: list) -> None:
-    """Overwrite q (n, P) with H @ q by the two-loop recursion.
-
-    ``window`` (depth, n, 2, P) holds each row's pairs (s, y), newest
-    first, and ``rho`` (depth, n) their 1 / (s @ y).  Rows skip pair j
-    where ``valid[j]`` (n, 1, 1) is False.
-    """
-    levels = list(zip(window[:, :, 0, None, :], window[:, :, 1, None, :],
-                      rho[:, :, None, None], np.empty(rho.shape + (1, 1)), valid))
-    q_row, q_col = q[:, None, :], q[:, :, None]
-    for s, y, rho_j, a, valid_j in levels:
-        np.multiply(rho_j, np.matmul(s, q_col), out=a)
-        np.subtract(q_row, a * y, out=q_row, where=valid_j)
-    s, y, _, _, valid_j = levels[0]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.matmul(s, y.transpose(0, 2, 1)) / np.matmul(y, y.transpose(0, 2, 1))
-    np.multiply(q_row, scale, out=q_row, where=valid_j)
-    for s, y, rho_j, a, valid_j in reversed(levels):
-        np.add(q_row, (a - rho_j * np.matmul(y, q_col)) * s, out=q_row, where=valid_j)
-
-
-def lbfgs_minimize_batch(
-    fun_grad: Callable,
-    x0: np.ndarray,
-    max_iterations: int = 1000,
-    history: int = 10,
-    grad_tol: float = GRADIENT_TOL,
-    objective_tol: float = OBJECTIVE_TOL,
-) -> list[LbfgsResult]:
-    """Minimize K independent problems, one per row of x0 (K, P), in lockstep.
-
-    ``fun_grad(xs, rows)`` returns the objectives (M,) and gradients
-    (M, P) of problems ``rows`` (indices into x0) at the points xs (M, P).
-    One call at x0 starts every problem; each round then makes one call
-    at the next trial point of every problem still running, in ascending
-    row order.  Each problem runs :func:`lbfgs_minimize`'s iteration and
-    stopping tests on its own, and its result is bitwise the one it gets
-    alone.  The curvature pairs take K x history x 2 x P x 8 bytes: 4.0 MB
-    for the 96-point grid on 64-d, 4-class features, about 47 MB on
-    768-d ones.
-    """
-    if history < 1:
-        raise ConfigError("history must be at least 1")
-    x = np.array(x0, dtype=np.float64)
-    k, p = x.shape
-    if not k:
-        return []
-    f, g = fun_grad(x, np.arange(k))
-    f = np.array(f, dtype=np.float64)
-    g = np.array(g, dtype=np.float64)
-    objective_history = [[f_i] for f_i in f.tolist()]
-    d = np.zeros((k, p))
-    it = np.ones(k, dtype=np.int64)  # the iteration each problem is in
-    iterations = np.zeros(k, dtype=np.int64)
-    converged = np.zeros(k, dtype=bool)
-    running = np.ones(k, dtype=bool)
-    searches: list[_LineSearch | None] = [None] * k
-    # Each problem's curvature pairs (s, y): its pair i sits in slot i % history.
-    ring = np.zeros((k, history, 2, p))
-    rho_ring = np.zeros((k, history))
-    pairs = np.zeros(k, dtype=np.int64)
-
-    def stop(rows: np.ndarray, is_converged: bool, completed: np.ndarray) -> None:
-        running[rows] = False
-        iterations[rows] = completed
-        converged[rows] = is_converged
-
-    def start_iteration(rows: np.ndarray) -> None:
-        """Gradient test, then the two-loop direction and a new line search."""
-        g_rows = g[rows]
-        small = np.abs(g_rows).max(axis=1, initial=0.0) <= grad_tol
-        if small.any():
-            stop(rows[small], True, it[rows[small]] - 1)
-            rows, g_rows = rows[~small], g_rows[~small]
-        if not len(rows):
-            return
-        q = g_rows.copy()
-        stored = np.minimum(pairs[rows], history)
-        depth = int(stored.max())
-        if depth:
-            # Ring slots of each row's pairs, newest first.
-            slots = (pairs[rows] - 1 - np.arange(depth)[:, None]) % history
-            valid = [True] * depth if stored.min() == depth else list(
-                (np.arange(depth)[:, None] < stored)[:, :, None, None])
-            _two_loop(q, ring[rows, slots], rho_ring[rows, slots], valid)
-        d_rows = -q
-        dphi0 = _rowdot(g_rows, d_rows)
-        restart = dphi0 >= 0  # not a descent direction: steepest descent instead
-        if restart.any():
-            d_rows[restart] = -g_rows[restart]
-            dphi0[restart] = _rowdot(g_rows[restart], d_rows[restart])
-        d[rows] = d_rows
-        for r, f0, slope in zip(rows.tolist(), f[rows].tolist(), dphi0.tolist()):
-            searches[r] = _LineSearch(f0, slope)
-
-    def finish_iteration(rows: np.ndarray, alpha: np.ndarray, f_new: np.ndarray,
-                         g_new: np.ndarray) -> None:
-        """Take the accepted steps of rows, then start their next iteration."""
-        step = alpha[:, None] * d[rows]
-        y = g_new - g[rows]
-        sy = _rowdot(step, y)
-        kept = sy > 1e-12
-        if kept.any():
-            at = rows[kept]
-            slot = pairs[at] % history
-            ring[at, slot, 0] = step[kept]
-            ring[at, slot, 1] = y[kept]
-            rho_ring[at, slot] = 1.0 / sy[kept]
-            pairs[at] += 1
-        x[rows] = x[rows] + step
-        f[rows] = f_new
-        g[rows] = g_new
-        for r, f_r in zip(rows.tolist(), f_new.tolist()):
-            objective_history[r].append(f_r)
-        it_rows = it[rows]
-        last = it_rows >= max_iterations
-        if last.any():
-            stop(rows[last], False, it_rows[last])
-            rows = rows[~last]
-        it[rows] += 1
-        start_iteration(rows)
-
-    if max_iterations >= 1:
-        start_iteration(np.arange(k))
-    else:
-        stop(np.arange(k), False, 0)
-    while running.any():
-        rows = np.flatnonzero(running)
-        alpha = np.array([searches[r].alpha for r in rows.tolist()])
-        d_rows = d[rows]
-        f_new, g_new = fun_grad(x[rows] + alpha[:, None] * d_rows, rows)
-        f_new = np.asarray(f_new, dtype=np.float64)
-        g_new = np.asarray(g_new, dtype=np.float64)
-        dphi = _rowdot(g_new, d_rows)
-        accepted, stalled = [], []
-        for i, (r, f_r, dphi_r) in enumerate(zip(rows.tolist(), f_new.tolist(), dphi.tolist())):
-            search = searches[r]
-            if search.update(f_r, dphi_r):
-                f0 = search.f0
-                improved = f_r < f0 - objective_tol * max(1.0, abs(f0))
-                (accepted if improved else stalled).append(i)
-        if stalled:
-            done = rows[stalled]
-            stop(done, True, it[done] - 1)
-        if accepted:
-            finish_iteration(rows[accepted], alpha[accepted], f_new[accepted], g_new[accepted])
-
-    return [
-        LbfgsResult(x=x[i], objective_history=objective_history[i],
-                    iterations=int(iterations[i]), converged=bool(converged[i]))
-        for i in range(k)
-    ]
-
-
-def lbfgs_minimize(
-    fun_grad: Callable,
-    x0: np.ndarray,
-    max_iterations: int = 1000,
-    history: int = 10,
-    grad_tol: float = GRADIENT_TOL,
-    objective_tol: float = OBJECTIVE_TOL,
-) -> LbfgsResult:
-    """Minimize fun_grad (returning (f, grad)) from x0.
-
-    The objective history records f at every accepted iterate and is
-    strictly decreasing.  Iteration stops converged once the gradient's
-    infinity norm ``max_i |g_i|`` falls to ``grad_tol`` (default
-    ``GRADIENT_TOL = 1e-5``, L-BFGS-B's ``pgtol``) or a Wolfe step improves
-    f by no more than ``objective_tol * max(1, |f|)`` (default
-    ``OBJECTIVE_TOL``, L-BFGS-B's ``factr = 1e4``), and unconverged after
-    ``max_iterations``.
-    """
-
-    def stacked(xs, rows):
-        f, g = fun_grad(xs[0])
-        return np.array([f], dtype=np.float64), np.asarray(g, dtype=np.float64)[None]
-
-    (result,) = lbfgs_minimize_batch(stacked, np.asarray(x0, dtype=np.float64)[None],
-                                     max_iterations, history, grad_tol, objective_tol)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -372,29 +117,61 @@ def logistic_loss_grad(flat: np.ndarray, features: np.ndarray, labels: np.ndarra
     return loss, grad
 
 
-def _unflatten(x: np.ndarray, dim: int, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    return x[: dim * n_classes].reshape(dim, n_classes), x[dim * n_classes :]
+def _row_span(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V (dim, r), orthonormal columns spanning the rows of features, and
+    each row's coordinates with a bias column, Z = [U S, 1] (n, r + 1)."""
+    u, s, vt = np.linalg.svd(features, full_matrices=False)
+    rank = int(np.sum(s > s.max(initial=0.0) * max(features.shape) * np.finfo(float).eps))
+    return vt[:rank].T, np.hstack([u[:, :rank] * s[:rank], np.ones((len(features), 1))])
 
 
-def fit_logistic(
-    features: np.ndarray,
-    labels: np.ndarray,
-    n_classes: int,
-    reg: float,
-    max_iterations: int = 1000,
-    history: int = 10,
-) -> tuple[np.ndarray, np.ndarray, LbfgsResult]:
-    """Train W, b by L-BFGS from zero initialization."""
-    dim = features.shape[1]
-    x0 = np.zeros(dim * n_classes + n_classes)
-    result = lbfgs_minimize(
-        lambda x: logistic_loss_grad(x, features, labels, n_classes, reg),
-        x0,
-        max_iterations=max_iterations,
-        history=history,
-    )
-    w, b = _unflatten(result.x, dim, n_classes)
-    return w, b, result
+def _primal(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Flat (W, b) vectors (K, dim * C + C) of span coordinates theta (K, C, r + 1),
+    where theta[k, c] holds B's column c and then b_c."""
+    r = v.shape[1]
+    w = np.matmul(v, theta[:, :, :r].transpose(0, 2, 1))
+    return np.concatenate([w.reshape(len(theta), -1), theta[:, :, r]], axis=1)
+
+
+def _span_gradient(v: np.ndarray, grad: np.ndarray, n_classes: int) -> np.ndarray:
+    """The gradients (K, dim * C + C) of :func:`logistic_loss_grad` in theta's layout, flat."""
+    k, dim = len(grad), v.shape[0]
+    grad_w = grad[:, : dim * n_classes].reshape(k, dim, n_classes)
+    grad_b = grad[:, dim * n_classes :, None]
+    return np.concatenate([np.matmul(v.T, grad_w).transpose(0, 2, 1), grad_b], axis=2).reshape(k, -1)
+
+
+def _span_hessian(z: np.ndarray, theta: np.ndarray, regs: np.ndarray) -> np.ndarray:
+    """The objective's Hessians (K, P, P) in theta, P = C (r + 1).
+
+    Block (c, c') is Z^T diag(p_c (delta_cc' - p_c') / n) Z, one GEMM per
+    class pair, plus reg on the diagonal of B's entries.
+    """
+    k, n_classes, q = theta.shape
+    logits = np.matmul(z, theta.transpose(0, 2, 1))
+    probs = np.exp(logits - logits.max(axis=2, keepdims=True))
+    probs /= probs.sum(axis=2, keepdims=True)
+    hess = np.empty((k, n_classes, q, n_classes, q))
+    for a in range(n_classes):
+        for c in range(a, n_classes):
+            weight = probs[:, :, a] * ((a == c) - probs[:, :, c]) / len(z)
+            hess[:, a, :, c] = hess[:, c, :, a] = np.matmul(z.T * weight[:, None, :], z)
+    hess = hess.reshape(k, n_classes * q, n_classes * q)
+    coords = (np.arange(n_classes)[:, None] * q + np.arange(q - 1)).ravel()
+    hess[:, coords, coords] += regs[:, None]
+    return hess
+
+
+@dataclass
+class LogisticFits:
+    """K fits of one problem: weights (K, dim, C), biases (K, C), final
+    objectives (K,), Newton steps taken (K,) and convergence flags (K,)."""
+
+    w: np.ndarray
+    b: np.ndarray
+    objective: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
 
 
 def fit_logistic_grid(
@@ -403,21 +180,62 @@ def fit_logistic_grid(
     n_classes: int,
     regs,
     max_iterations: int = 1000,
-    history: int = 10,
-) -> list[LbfgsResult]:
-    """One :func:`fit_logistic` per regularization strength, in one batched L-BFGS."""
+) -> LogisticFits:
+    """Fit W, b from zero at every regularization strength, by Newton's method in lockstep."""
     regs = np.asarray(regs, dtype=np.float64)
-    x0 = np.zeros((len(regs), features.shape[1] * n_classes + n_classes))
-    return lbfgs_minimize_batch(
-        lambda xs, rows: logistic_loss_grad(xs, features, labels, n_classes, regs[rows]),
-        x0,
-        max_iterations=max_iterations,
-        history=history,
-    )
+    k, dim = len(regs), features.shape[1]
+    v, z = _row_span(features)
+    q = z.shape[1]
+    theta = np.zeros((k, n_classes, q))
+
+    def evaluate(theta_rows: np.ndarray, rows: np.ndarray):
+        return logistic_loss_grad(_primal(v, theta_rows), features, labels, n_classes, regs[rows])
+
+    f, g = evaluate(theta, np.arange(k))
+    iterations = np.zeros(k, dtype=np.int64)
+    converged = np.zeros(k, dtype=bool)
+    for it in range(max_iterations + 1):
+        converged |= np.abs(g).max(axis=1) <= GRADIENT_TOL
+        rows = np.flatnonzero(~converged)
+        if it == max_iterations or not len(rows):
+            break
+        # The last unknown, the last class's bias, stays at 0.
+        grad = _span_gradient(v, g[rows], n_classes)[:, :-1]
+        step = np.zeros((len(rows), n_classes * q))
+        for lo in range(0, len(rows), SOLVE_CHUNK):
+            part = slice(lo, lo + SOLVE_CHUNK)
+            hess = _span_hessian(z, theta[rows[part]], regs[rows[part]])[:, :-1, :-1]
+            step[part, :-1] = -np.linalg.solve(hess, grad[part, :, None])[:, :, 0]
+        slope = np.sum(grad * step[:, :-1], axis=1)
+        step = step.reshape(-1, n_classes, q)
+        t = np.ones(len(rows))
+        f_new, g_new = np.full(len(rows), np.inf), np.empty((len(rows), g.shape[1]))
+        pending = np.arange(len(rows))
+        for _ in range(MAX_HALVINGS):
+            f_t, g_t = evaluate(theta[rows[pending]] + t[pending, None, None] * step[pending],
+                                rows[pending])
+            ok = f_t <= f[rows[pending]] + ARMIJO_C1 * t[pending] * slope[pending]
+            f_new[pending[ok]], g_new[pending[ok]] = f_t[ok], g_t[ok]
+            pending = pending[~ok]
+            if not len(pending):
+                break
+            t[pending] *= 0.5
+        # A step that improves f too little, or none that passes, ends the fit.
+        improved = f_new < f[rows] - OBJECTIVE_TOL * np.maximum(1.0, np.abs(f[rows]))
+        converged[rows[~improved]] = True
+        moved = rows[improved]
+        theta[moved] += t[improved, None, None] * step[improved]
+        f[moved], g[moved] = f_new[improved], g_new[improved]
+        iterations[moved] += 1
+    x = _primal(v, theta)
+    return LogisticFits(w=x[:, : dim * n_classes].reshape(k, dim, n_classes),
+                        b=x[:, dim * n_classes :], objective=f, iterations=iterations,
+                        converged=converged)
 
 
 def predict_logistic(w: np.ndarray, b: np.ndarray, features: np.ndarray) -> np.ndarray:
-    return np.argmax(features @ w + b, axis=1)
+    """Class predictions of one fit (W (dim, C), b (C,)), or of a stack ((K, dim, C), (K, C))."""
+    return np.argmax(features @ w + b[..., None, :], axis=-1)
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -442,17 +260,21 @@ def linear_probe(
 
     The holdout fold takes ``holdout_fraction`` of the few-shot training
     set (at least one example); the best grid point by holdout accuracy
-    (lowest reg on ties) is refit on the full training set.  Every fit
-    stops once ``max_i |g_i| <= GRADIENT_TOL`` (1e-5, L-BFGS-B's ``pgtol``)
-    or once a step improves f by at most ``OBJECTIVE_TOL`` relative
-    (L-BFGS-B's ``factr = 1e4``).  One WARNING reports how many grid fits
-    stopped at ``max_iterations`` without converging and whether the refit
-    converged, when any fit did not.
+    (lowest reg on ties) is refit on the full training set.  Both are
+    :func:`fit_logistic_grid` calls, the refit on a one-point grid: Newton
+    steps in the span of the fit rows, each fit stopping once
+    ``max_i |g_i| <= GRADIENT_TOL`` (1e-5, L-BFGS-B's ``pgtol``) or once a
+    step improves f by at most ``OBJECTIVE_TOL`` relative (L-BFGS-B's
+    ``factr = 1e4``).  One INFO line gives the grid size, the most Newton
+    steps any fit took, the chosen reg and its holdout accuracy.  One
+    WARNING reports how many grid fits stopped at ``max_iterations``
+    without converging and whether the refit converged, when any fit did
+    not.
 
     Raises ``ShapeError`` when features and labels disagree in rows or the
     two feature sets in width, ``DegenerateInputError`` for an empty set,
-    ``ContractError`` for a negative label and ``NumericError`` for a
-    non-finite feature.
+    ``ContractError`` for a label that is not a non-negative integer and
+    ``NumericError`` for a non-finite feature.
     """
     train_features = np.asarray(train_features)
     test_features = np.asarray(test_features)
@@ -465,6 +287,8 @@ def linear_probe(
                              f"labels {labels.shape} row for row")
         if len(labels) == 0:
             raise DegenerateInputError(f"empty probe {name} set")
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ContractError(f"probe {name} labels have dtype {labels.dtype}, not an integer type")
         if labels.min() < 0:
             raise ContractError(f"negative class label in the probe {name} set")
         if not np.isfinite(features).all():
@@ -488,29 +312,27 @@ def linear_probe(
         fit_idx = order
     score_idx = holdout_idx if len(holdout_idx) else np.arange(n)
 
-    fits = fit_logistic_grid(
-        train_features[fit_idx], train_labels[fit_idx], n_classes, cfg.reg_grid,
-        max_iterations=cfg.max_iterations, history=cfg.history,
+    sweep = fit_logistic_grid(train_features[fit_idx], train_labels[fit_idx], n_classes,
+                              cfg.reg_grid, cfg.max_iterations)
+    predictions = predict_logistic(sweep.w, sweep.b, train_features[score_idx])
+    scores = np.mean(predictions == train_labels[score_idx], axis=1)
+    best = int(np.argmax(scores))  # the first, lowest-reg, of tied points
+    chosen_reg = float(cfg.reg_grid[best])
+    refit = fit_logistic_grid(train_features, train_labels, n_classes, [chosen_reg],
+                              cfg.max_iterations)
+    logger.info(
+        "linear probe: %d grid fits and a refit, at most %d Newton steps each; "
+        "reg %g chosen at holdout accuracy %g",
+        len(scores), max(sweep.iterations.max(), refit.iterations[0]), chosen_reg, scores[best],
     )
-    best = (-1.0, 0)
-    for gi, fit in enumerate(fits):
-        w, b = _unflatten(fit.x, train_features.shape[1], n_classes)
-        score = accuracy(predict_logistic(w, b, train_features[score_idx]), train_labels[score_idx])
-        if score > best[0]:
-            best = (score, gi)
-
-    chosen_reg = float(cfg.reg_grid[best[1]])
-    w, b, refit = fit_logistic(
-        train_features, train_labels, n_classes, chosen_reg,
-        max_iterations=cfg.max_iterations, history=cfg.history,
-    )
-    unconverged = sum(not fit.converged for fit in fits)
-    if unconverged or not refit.converged:
+    unconverged = int(np.sum(~sweep.converged))
+    if unconverged or not refit.converged[0]:
         logger.warning(
             "linear probe: %d of %d grid fits stopped at max_iterations=%d without "
             "converging; the refit at reg %g %s",
-            unconverged, len(fits), cfg.max_iterations, chosen_reg,
-            "converged" if refit.converged else "did not converge",
+            unconverged, len(scores), cfg.max_iterations, chosen_reg,
+            "converged" if refit.converged[0] else "did not converge",
         )
-    test_acc = accuracy(predict_logistic(w, b, test_features), test_labels)
-    return ProbeOutcome(test_accuracy=test_acc, chosen_reg=chosen_reg, holdout_accuracy=best[0])
+    test_acc = accuracy(predict_logistic(refit.w[0], refit.b[0], test_features), test_labels)
+    return ProbeOutcome(test_accuracy=test_acc, chosen_reg=chosen_reg,
+                        holdout_accuracy=float(scores[best]))

@@ -264,6 +264,26 @@ class TestZeroShot:
         assert 0.0 <= single <= 1.0 and 0.0 <= ensemble <= 1.0
 
 
+class TestClassLabels:
+    def test_labels_index_class_names(self, test_scenes):
+        names = list(D.SCENE_TYPES)
+        labels = ev.class_labels(test_scenes, names)
+        assert labels.dtype == np.int64
+        assert [names[i] for i in labels] == [s.scene_type for s in test_scenes]
+
+    def test_unknown_scene_type_rejected(self, trained, test_scenes):
+        params, config = trained
+        unknown = test_scenes[0].scene_type
+        names = [t for t in D.SCENE_TYPES if t != unknown]
+        cfg = ProbeConfig(shots=1, reg_grid=(1.0,))
+        for call in (lambda: ev.class_labels(test_scenes, names),
+                     lambda: ev.zero_shot_classify(params, config, test_scenes, names),
+                     lambda: ev.probe_features(params, config, test_scenes, names),
+                     lambda: ev.few_shot_probe(params, config, test_scenes, test_scenes, names, cfg)):
+            with pytest.raises(ContractError, match=repr(unknown)):
+                call()
+
+
 class TestFewShotProbe:
     def test_probe_on_trained_embeddings(self, trained, tiny_dataset):
         from upm.data import load_split_scenes

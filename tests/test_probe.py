@@ -1,4 +1,4 @@
-"""Tests for the L-BFGS optimizer and the linear probe."""
+"""Tests for the Newton logistic-regression solver and the linear probe."""
 
 import hashlib
 import logging
@@ -11,17 +11,11 @@ from upm.errors import ConfigError, ContractError, DegenerateInputError, Numeric
 from upm.probe import (
     GRADIENT_TOL,
     GRID_STEPS,
-    OBJECTIVE_TOL,
-    LbfgsResult,
     ProbeConfig,
     ProbeOutcome,
-    _LineSearch,
     accuracy,
     default_reg_grid,
-    fit_logistic,
     fit_logistic_grid,
-    lbfgs_minimize,
-    lbfgs_minimize_batch,
     linear_probe,
     logistic_loss_grad,
     predict_logistic,
@@ -29,105 +23,7 @@ from upm.probe import (
 
 
 # ---------------------------------------------------------------------------
-# oracle: the one-problem L-BFGS and logistic loss the batched code must match
-
-
-def oracle_strong_wolfe(fun_grad, x, direction, f0, g0, c1=1e-4, c2=0.9, max_evals=30):
-    """Line search satisfying the strong Wolfe conditions (bracket + zoom)."""
-    dphi0 = float(g0 @ direction)
-    if dphi0 >= 0:
-        raise ContractError("line search requires a descent direction")
-
-    def phi(alpha):
-        f, g = fun_grad(x + alpha * direction)
-        return f, g, float(g @ direction)
-
-    def zoom(lo, f_lo, dphi_lo, hi, f_hi):
-        for _ in range(max_evals):
-            alpha = 0.5 * (lo + hi)
-            f, g, dphi = phi(alpha)
-            if f > f0 + c1 * alpha * dphi0 or f >= f_lo:
-                hi, f_hi = alpha, f
-            else:
-                if abs(dphi) <= -c2 * dphi0:
-                    return alpha, f, g
-                if dphi * (hi - lo) >= 0:
-                    hi, f_hi = lo, f_lo
-                lo, f_lo, dphi_lo = alpha, f, dphi
-            if abs(hi - lo) < 1e-16:
-                break
-        f, g, _ = phi(lo)
-        return lo, f, g
-
-    alpha_prev, f_prev, dphi_prev = 0.0, f0, dphi0
-    alpha = 1.0
-    for i in range(max_evals):
-        f, g, dphi = phi(alpha)
-        if f > f0 + c1 * alpha * dphi0 or (i > 0 and f >= f_prev):
-            return zoom(alpha_prev, f_prev, dphi_prev, alpha, f)
-        if abs(dphi) <= -c2 * dphi0:
-            return alpha, f, g
-        if dphi >= 0:
-            return zoom(alpha, f, dphi, alpha_prev, f_prev)
-        alpha_prev, f_prev, dphi_prev = alpha, f, dphi
-        alpha *= 2.0
-    return alpha_prev, f, g  # out of doublings: the last evaluated step
-
-
-def oracle_lbfgs_minimize(fun_grad, x0, max_iterations=1000, history=10, grad_tol=GRADIENT_TOL,
-                          objective_tol=OBJECTIVE_TOL):
-    x = np.asarray(x0, dtype=np.float64).copy()
-    f, g = fun_grad(x)
-    objective_history = [float(f)]
-    s_list, y_list, rho_list = [], [], []
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, max_iterations + 1):
-        if np.abs(g).max() <= grad_tol:
-            converged = True
-            iterations -= 1
-            break
-
-        q = g.copy()
-        alphas = []
-        for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
-            a = rho * (s @ q)
-            alphas.append(a)
-            q -= a * y
-        if y_list:
-            last_s, last_y = s_list[-1], y_list[-1]
-            q *= (last_s @ last_y) / (last_y @ last_y)
-        for s, y, rho, a in zip(s_list, y_list, rho_list, reversed(alphas)):
-            b = rho * (y @ q)
-            q += (a - b) * s
-        direction = -q
-
-        if float(g @ direction) >= 0:
-            direction = -g
-
-        alpha, f_new, g_new = oracle_strong_wolfe(fun_grad, x, direction, f, g)
-        if not f_new < f - objective_tol * max(1.0, abs(f)):
-            converged = True
-            iterations -= 1
-            break
-        step = alpha * direction
-        y_vec = g_new - g
-        sy = float(step @ y_vec)
-        if sy > 1e-12:
-            s_list.append(step)
-            y_list.append(y_vec)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > history:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
-        x = x + step
-        f, g = f_new, g_new
-        objective_history.append(float(f))
-
-    return LbfgsResult(x=x, objective_history=objective_history, iterations=iterations,
-                       converged=converged)
+# oracle: the one-problem logistic loss the stacked loss must match
 
 
 def oracle_logistic_loss_grad(flat, features, labels, n_classes, reg):
@@ -145,20 +41,6 @@ def oracle_logistic_loss_grad(flat, features, labels, n_classes, reg):
     grad_w = features.T @ probs + reg * w
     grad_b = probs.sum(axis=0)
     return loss, np.concatenate([grad_w.ravel(), grad_b])
-
-
-def oracle_fit(features, labels, n_classes, reg, max_iterations=1000):
-    x0 = np.zeros(features.shape[1] * n_classes + n_classes)
-    return oracle_lbfgs_minimize(
-        lambda x: oracle_logistic_loss_grad(x, features, labels, n_classes, reg), x0,
-        max_iterations=max_iterations)
-
-
-def assert_bitwise_equal(result, expected):
-    assert result.x.tobytes() == expected.x.tobytes()
-    assert result.objective_history == expected.objective_history
-    assert type(result.iterations) is int and result.iterations == expected.iterations
-    assert result.converged == expected.converged
 
 
 def separable_toy(rng, n_per_class=20, gap=3.0):
@@ -195,66 +77,29 @@ def gradient_descent_1000(features, labels, n_classes, reg, lr=0.5):
     return loss
 
 
-class TestLbfgs:
-    def test_quadratic_solution(self):
-        a = np.diag([1.0, 10.0, 100.0])
-        b = np.array([1.0, -2.0, 3.0])
-        result = lbfgs_minimize(lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b), np.zeros(3))
-        np.testing.assert_allclose(result.x, np.linalg.solve(a, b), atol=1e-5)
+def random_problem():
+    """26 examples of 4 classes in 64 dimensions, the size of an 8-shot fit fold."""
+    rng = np.random.default_rng(0)
+    return rng.normal(size=(26, 64)), rng.integers(0, 4, size=26)
 
-    def test_objective_strictly_decreases(self):
-        rng = np.random.default_rng(1)
-        features, labels = separable_toy(rng)
-        _, _, result = fit_logistic(features, labels, 2, reg=1e-3)
-        history = result.objective_history
-        assert len(history) >= 2
-        assert all(later < earlier for earlier, later in zip(history, history[1:]))
 
-    def test_beats_plain_gradient_descent(self):
-        # Without the objective tolerance, and with a gradient tolerance far
-        # below GRADIENT_TOL, the fit runs to the gradient test.
-        rng = np.random.default_rng(2)
-        features, labels = separable_toy(rng, gap=1.0)
-        result = lbfgs_minimize(lambda x: logistic_loss_grad(x, features, labels, 2, 1e-2),
-                                np.zeros(2 * 2 + 2), grad_tol=1e-9, objective_tol=0.0)
-        gd_loss = gradient_descent_1000(features, labels, 2, reg=1e-2)
-        assert result.objective_history[-1] <= gd_loss
+def record_fits(monkeypatch):
+    """The (args, LogisticFits) of every fit_logistic_grid call linear_probe makes."""
+    calls = []
 
-    def test_gradient_test_uses_infinity_norm(self):
-        # At x0 = c * ones(4) the gradient of x @ x / 2 is x0: max |g_i| = c
-        # and ||g||_2 = 2c.  At c = GRADIENT_TOL the fit stops before a step;
-        # one ulp above it takes the exact Newton step to 0 and then stops.
-        quadratic = lambda x: (0.5 * x @ x, x.copy())
-        at_tol = np.full(4, GRADIENT_TOL)
-        assert np.linalg.norm(at_tol) > GRADIENT_TOL
-        above = np.full(4, np.nextafter(GRADIENT_TOL, 1.0))
-        for minimize in (lbfgs_minimize, oracle_lbfgs_minimize):
-            stopped = minimize(quadratic, at_tol)
-            assert stopped.converged and stopped.iterations == 0
-            assert stopped.x.tobytes() == at_tol.tobytes()
-            stepped = minimize(quadratic, above)
-            assert stepped.converged and stepped.iterations == 1
-            assert stepped.objective_history == [quadratic(above)[0], 0.0]
+    def recorded(*args, **kwargs):
+        calls.append((args, fit_logistic_grid(*args, **kwargs)))
+        return calls[-1][1]
 
-    def test_requires_descent_direction(self):
-        fg = lambda x: (float(x @ x), 2 * x)
-        x = np.array([1.0])
-        with pytest.raises(ContractError):
-            oracle_strong_wolfe(fg, x, np.array([1.0]), float(x @ x), 2 * x)
-        with pytest.raises(ContractError):
-            _LineSearch(float(x @ x), float(2 * x @ np.array([1.0])))
-        # A zero gradient that the gradient test lets through leaves no descent direction.
-        with pytest.raises(ContractError):
-            lbfgs_minimize(lambda x: (0.0, np.zeros(1)), np.zeros(1), grad_tol=-1.0)
+    monkeypatch.setattr(probe, "fit_logistic_grid", recorded)
+    return calls
 
-    def test_bracket_exhaustion_returns_last_evaluated_step(self):
-        # The slope never flattens, so every doubling passes until the bracket runs out.
-        fun = lambda x: (-x[0], np.array([-1.0]))
-        for minimize in (lbfgs_minimize, oracle_lbfgs_minimize):
-            result = minimize(fun, np.zeros(1), max_iterations=1)
-            assert result.x[0] == 2.0**29
-            assert result.objective_history[-1] == fun(result.x)[0]
 
+def fits_digest(fits):
+    return hashlib.sha256(fits.w.tobytes() + fits.b.tobytes()).hexdigest()
+
+
+class TestNewton:
     def test_gradient_of_logistic_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         features = rng.normal(size=(12, 3))
@@ -270,6 +115,158 @@ class TestLbfgs:
             f_minus, _ = logistic_loss_grad(probe, features, labels, 3, reg=0.05)
             assert grad[i] == pytest.approx((f_plus - f_minus) / (2 * h), abs=1e-6)
 
+    def test_loss_rows_match_lone_rows(self):
+        rng = np.random.default_rng(7)
+        features = rng.normal(size=(26, 64))
+        labels = rng.integers(0, 4, size=26)
+        regs = default_reg_grid()[::8]
+        xs = rng.normal(size=(len(regs), 64 * 4 + 4))
+        losses, grads = logistic_loss_grad(xs, features, labels, 4, regs)
+        for x, reg, loss, grad in zip(xs, regs, losses, grads):
+            expected_loss, expected_grad = oracle_logistic_loss_grad(x, features, labels, 4, reg)
+            assert loss == expected_loss
+            assert grad.tobytes() == expected_grad.tobytes()
+            lone_loss, lone_grad = logistic_loss_grad(x, features, labels, 4, reg)
+            assert lone_loss == expected_loss
+            assert lone_grad.tobytes() == expected_grad.tobytes()
+
+    def test_hessian_matches_finite_differences(self):
+        # Central differences of logistic_loss_grad's gradient, taken in the
+        # span coordinates, against every column of the Newton Hessian.  With
+        # 5 rows in 8 dimensions the span has rank 5.
+        rng = np.random.default_rng(8)
+        features = rng.normal(size=(5, 8))
+        labels = np.array([0, 1, 2, 0, 1])
+        regs = np.array([0.05, 3.0])
+        v, z = probe._row_span(features)
+        assert v.shape == (8, 5) and z.shape == (5, 6)
+        np.testing.assert_allclose(v.T @ v, np.eye(5), atol=1e-12)
+        theta = rng.normal(size=(2, 3, 6))
+
+        def span_gradient(theta):
+            _, grad = logistic_loss_grad(probe._primal(v, theta), features, labels, 3, regs)
+            return probe._span_gradient(v, grad, 3)
+
+        hess = probe._span_hessian(z, theta, regs)
+        assert hess.shape == (2, 18, 18)
+        np.testing.assert_allclose(hess, hess.transpose(0, 2, 1), rtol=0, atol=1e-15)
+        h = 1e-6
+        for j in range(18):
+            step = np.zeros(18)
+            step[j] = h
+            step = step.reshape(3, 6)
+            column = (span_gradient(theta + step) - span_gradient(theta - step)) / (2 * h)
+            np.testing.assert_allclose(hess[:, :, j], column, rtol=0, atol=1e-8)
+
+    def test_default_grid_matches_tight_reference(self, monkeypatch):
+        # Every fifth grid point on the pinned 8-shot problem, against scipy's
+        # L-BFGS-B run to max|g| <= 1e-12 on the full (W, b).  Predictions on
+        # all 32 rows agree.  At GRADIENT_TOL the low-reg fits stop with f up
+        # to 1.5e-5 above the optimum (relative to max(1, |f|)), so the bound
+        # is 3e-5; run to max|g| <= 1e-9 every fit lies within 1.3e-12 of it,
+        # so the bound is 1e-11.  No fit ends below the reference.
+        from scipy.optimize import minimize
+
+        features, labels, noisy = pinned_probe_problem()
+        train = few_shot_rows(labels, 8)
+        x, y = features[train], noisy[train]
+        regs = default_reg_grid()[::5]
+        reference = [
+            minimize(lambda p, reg=reg: logistic_loss_grad(p, x, y, 4, reg), np.zeros(64 * 4 + 4),
+                     jac=True, method="L-BFGS-B",
+                     options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 10_000})
+            for reg in regs
+        ]
+        f_ref = np.array([r.fun for r in reference])
+        scale = np.maximum(1.0, np.abs(f_ref))
+        predicted = np.array([predict_logistic(r.x[:256].reshape(64, 4), r.x[256:], features)
+                              for r in reference])
+        default = fit_logistic_grid(x, y, 4, regs)
+        monkeypatch.setattr(probe, "GRADIENT_TOL", 1e-9)
+        tight = fit_logistic_grid(x, y, 4, regs)
+        for fits, bound in ((default, 3e-5), (tight, 1e-11)):
+            assert fits.converged.all()
+            np.testing.assert_array_equal(predict_logistic(fits.w, fits.b, features), predicted)
+            gap = (fits.objective - f_ref) / scale
+            assert gap.min() >= -1e-12
+            assert gap.max() <= bound
+        # Quadratic convergence: the tighter test costs a few more steps, not many.
+        assert tight.iterations.max() <= default.iterations.max() + 6
+
+    def test_stacked_fits_equal_lone_fits(self):
+        # The refit is a one-point grid, so a grid point's fit must not depend
+        # on the other points it runs beside.
+        features, labels = random_problem()
+        regs = default_reg_grid()
+        stacked = fit_logistic_grid(features, labels, 4, regs)
+        for i in range(0, GRID_STEPS, 19):
+            lone = fit_logistic_grid(features, labels, 4, regs[i:i + 1])
+            assert lone.w.tobytes() == stacked.w[i:i + 1].tobytes()
+            assert lone.b.tobytes() == stacked.b[i:i + 1].tobytes()
+            assert lone.objective[0] == stacked.objective[i]
+            assert lone.iterations[0] == stacked.iterations[i]
+
+    def test_objective_strictly_decreases(self):
+        features, labels = separable_toy(np.random.default_rng(1))
+        full = fit_logistic_grid(features, labels, 2, [1e-3])
+        objectives = [fit_logistic_grid(features, labels, 2, [1e-3], max_iterations=cap).objective[0]
+                      for cap in range(full.iterations[0] + 1)]
+        assert len(objectives) >= 3
+        assert all(later < earlier for earlier, later in zip(objectives, objectives[1:]))
+        assert objectives[-1] == full.objective[0]
+        flat = np.concatenate([full.w[0].ravel(), full.b[0]])
+        assert logistic_loss_grad(flat, features, labels, 2, 1e-3)[0] == full.objective[0]
+
+    def test_beats_plain_gradient_descent(self):
+        # Fewer than 10 Newton steps reach the objective that 1,000 plain
+        # gradient steps reach, to rounding.
+        rng = np.random.default_rng(2)
+        features, labels = separable_toy(rng, gap=1.0)
+        fits = fit_logistic_grid(features, labels, 2, [1e-2])
+        assert fits.converged[0] and fits.iterations[0] < 10
+        gd_loss = gradient_descent_1000(features, labels, 2, reg=1e-2)
+        assert fits.objective[0] <= gd_loss * (1 + 1e-14)
+
+    def test_gradient_test_uses_infinity_norm(self):
+        # Two rows, 0 and c * ones(4), of two classes: at zero the gradient's W
+        # part is +-c / 4 in every entry and its bias part 0, so max |g_i| = c / 4
+        # and ||g||_2 = 2c / 4.  At c / 4 = GRADIENT_TOL the fit stops before a
+        # step; one ulp above it takes a step.
+        labels = np.array([0, 1])
+        for tol, steps in ((GRADIENT_TOL, 0), (np.nextafter(GRADIENT_TOL, 1.0), 1)):
+            features = np.vstack([np.zeros(4), np.full(4, 4 * tol)])
+            _, grad = logistic_loss_grad(np.zeros(4 * 2 + 2), features, labels, 2, 1.0)
+            assert np.abs(grad).max() == tol and np.linalg.norm(grad) > GRADIENT_TOL
+            fits = fit_logistic_grid(features, labels, 2, [1.0])
+            assert fits.converged[0] and fits.iterations[0] == steps
+
+    def test_iteration_limits(self):
+        # A cap leaves the fits that need more steps unconverged at the cap,
+        # and the others bitwise as they are without it.
+        features, labels = random_problem()
+        regs = default_reg_grid()
+        full = fit_logistic_grid(features, labels, 4, regs)
+        for cap in (0, 1, 4):
+            capped = fit_logistic_grid(features, labels, 4, regs, max_iterations=cap)
+            np.testing.assert_array_equal(capped.iterations, np.minimum(full.iterations, cap))
+            done = full.iterations <= cap
+            np.testing.assert_array_equal(capped.converged, done)
+            assert capped.w[done].tobytes() == full.w[done].tobytes()
+        assert not capped.converged.all() and capped.converged.any()
+        assert not fit_logistic_grid(features, labels, 4, regs, max_iterations=0).w.any()
+
+    @pytest.mark.parametrize("absent", [0, 3])
+    def test_class_absent_from_fit_rows(self, absent):
+        # An absent class's bias has no finite optimum: it falls until the
+        # gradient test stops the fit.  Class 3's bias is the one Newton holds
+        # at 0, so then the other three rise together.
+        features, _, noisy = pinned_probe_problem()
+        keep = noisy != absent
+        fits = fit_logistic_grid(features[keep], noisy[keep], 4, default_reg_grid())
+        assert fits.converged.all() and fits.iterations.max() <= 12
+        assert np.isfinite(fits.w).all() and np.isfinite(fits.b).all()
+        assert absent not in predict_logistic(fits.w, fits.b, features)
+
 
 class TestProbeConfig:
     def test_default_grid(self):
@@ -284,11 +281,11 @@ class TestProbeConfig:
             ProbeConfig(shots=0)
         with pytest.raises(ConfigError):
             ProbeConfig(reg_grid=(1.0, 1.0))
-        for bad in ({"history": 0}, {"max_iterations": 0}, {"holdout_fraction": -1.0},
-                    {"holdout_fraction": 1.0}):
+        for bad in ({"reg_grid": (0.0, 1.0)}, {"reg_grid": (-1.0, 1.0)}, {"max_iterations": 0},
+                    {"holdout_fraction": -1.0}, {"holdout_fraction": 1.0}):
             with pytest.raises(ConfigError):
                 ProbeConfig(**bad)
-        ProbeConfig(history=1, max_iterations=1, holdout_fraction=0.0)
+        ProbeConfig(reg_grid=(1e-300,), max_iterations=1, holdout_fraction=0.0)
 
 
 class TestLinearProbe:
@@ -306,9 +303,9 @@ class TestLinearProbe:
         keep[-5:] = True
         features, labels = features[keep], labels[keep]
         majority = int(np.bincount(labels).argmax())
-        w, b, _ = fit_logistic(features, labels, 2, reg=1e6)
-        assert np.abs(w).max() <= 1e-4
-        predictions = predict_logistic(w, b, features)
+        fits = fit_logistic_grid(features, labels, 2, [1e6])
+        assert np.abs(fits.w).max() <= 1e-4
+        predictions = predict_logistic(fits.w[0], fits.b[0], features)
         assert set(predictions.tolist()) == {majority}
 
     def test_deterministic(self):
@@ -334,6 +331,8 @@ class TestLinearProbe:
         ("width_mismatch", ShapeError),
         ("negative_train_label", ContractError),
         ("negative_test_label", ContractError),
+        ("float_train_labels", ContractError),
+        ("fractional_test_label", ContractError),
         ("nan_train_features", NumericError),
         ("inf_test_features", NumericError),
     ])
@@ -356,6 +355,11 @@ class TestLinearProbe:
             args["train_labels"] = np.where(labels == 1, -1, labels)
         elif case == "negative_test_label":
             args["test_labels"][0] = -1
+        elif case == "float_train_labels":
+            args["train_labels"] = labels.astype(np.float64)
+        elif case == "fractional_test_label":
+            args["test_labels"] = labels.astype(np.float64)
+            args["test_labels"][0] = 1.5
         elif case == "nan_train_features":
             args["train_features"] = np.full_like(features, np.nan)
         elif case == "inf_test_features":
@@ -364,119 +368,111 @@ class TestLinearProbe:
             linear_probe(cfg=ProbeConfig(shots=20), **args)
 
     def test_outcomes_pinned(self, monkeypatch):
-        # Outcomes, and the fitted x of every grid point and of the refit, as
-        # produced by fitting the grid points one at a time, per (shots, seed).
-        # At 4 and 8 shots the lowest reg already gets 1 of 3 holdout examples
-        # right, as well as any grid point does, so the lowest-reg tie-break
-        # picks it.  At 5 shots and seed 10 the holdout picks a point inside
-        # the grid: regs 51-54 get 2 of 4 right, the lowest reg 0 and the
-        # highest 1.
+        # Outcomes, and digests of the fitted (W, b) of every grid point and
+        # of the refit, per (shots, seed).  At 8 shots every grid point gets
+        # 2 of 6 holdout examples right, so the lowest-reg tie-break picks the
+        # lowest reg.  The other two pick a point inside the grid: at 4 shots
+        # regs 0-50 get none of 3 right and regs 51-95 one; at 5 shots, seed
+        # 10, regs 51-54 get 2 of 4 right, the lowest reg 0 and the highest 1.
         features, labels, noisy = pinned_probe_problem()
-        sweeps, refits = [], []
-
-        def record_sweep(*args, **kwargs):
-            sweeps.append(fit_logistic_grid(*args, **kwargs))
-            return sweeps[-1]
-
-        def record_refit(*args, **kwargs):
-            refits.append(fit_logistic(*args, **kwargs))
-            return refits[-1]
-
-        monkeypatch.setattr(probe, "fit_logistic_grid", record_sweep)
-        monkeypatch.setattr(probe, "fit_logistic", record_refit)
+        calls = record_fits(monkeypatch)
         expected = {
-            (4, 4): (ProbeOutcome(0.65625, 1e-06, 0.3333333333333333),
-                     "c1090f7e98c6cb71eed0846701e3b42ed766dcb9628a1266281f9490f035ca46",
-                     "c12212fb6c83a9b6f6501bc7828b8bc1c0f9ab4d29d00cd182558887355fb2fb"),
+            (4, 4): (ProbeOutcome(0.65625, 2.7676123707542306, 0.3333333333333333),
+                     "ffa4e12b76f3fb114d1d56d41891bcdc359b732ae2c0ba9cf0506c09c6ea8558", "bb65c70b5e70bc5e7f0742890b3ce0ead1c4dd30f389b3c3a091b1e06698dd22"),
             (8, 8): (ProbeOutcome(0.84375, 1e-06, 0.3333333333333333),
-                     "c3b3a01eeddbe60814e8d2e04fdecd7681bbe929af19452d7e29b6e26d4096a1",
-                     "bd4068b191c34b6a8bb4dab2fd1dff498264f8ab7e5fc0800070e9913c5d06b0"),
+                     "042698230b2544cf87d4b8f78e21342ac182b9216d07d0acf9569ff204cb6801", "237334582130252182e8341bca108966f353e98e428d7d2400b2cb965ed92070"),
             (5, 10): (ProbeOutcome(0.75, 2.7676123707542306, 0.5),
-                      "b507b2cdcf21462dc9e4249c257c854afe72ba6687ff1702fce8a5abcf0dad5f",
-                      "89cdc9b61e7c359ced6d9c14d77d0c6e1b6551e09b2694f455073e6606d32f75"),
+                      "1740177bc72230c23887dc748a6bf36d4d3930733df378e339a2d5fa80c34c1d", "716f7be83c187cdc526c590d8d4cad7737eab821de11e85830dd57313467df0b"),
         }
         for (shots, seed), (outcome, sweep_digest, refit_digest) in expected.items():
             train = few_shot_rows(labels, shots)
             cfg = ProbeConfig(shots=shots, seed=seed)
             assert linear_probe(features[train], noisy[train], features, labels, cfg) == outcome
-            sweep = hashlib.sha256()
-            for result in sweeps[-1]:
-                sweep.update(result.x.tobytes())
-            assert len(sweeps[-1]) == GRID_STEPS
-            assert sweep.hexdigest() == sweep_digest
-            assert hashlib.sha256(refits[-1][2].x.tobytes()).hexdigest() == refit_digest
+            (_, sweep), (_, refit) = calls[-2:]
+            assert len(sweep.objective) == GRID_STEPS and len(refit.objective) == 1
+            assert fits_digest(sweep) == sweep_digest
+            assert fits_digest(refit) == refit_digest
 
     def test_objective_tolerance_keeps_predictions(self, monkeypatch):
-        # The sweep linear_probe fits, against the same sweep run to the
-        # gradient test alone (objective_tol=0.0).  Both sides stop at
-        # GRADIENT_TOL, so this isolates the objective tolerance; predictions
-        # of fits run to a much tighter gradient test can differ (15 of the
-        # 96 at 4 shots against ||g||_2 <= 1e-9).  Objectives are compared
-        # on the stopping test's own scale, max(1, |f|): the low-reg fits end
-        # at f of order 1e-5, where the plain relative gap reaches 1e-6.
+        # The sweep linear_probe fits, against the same sweep with the
+        # gradient test switched off, so that the objective tolerance alone
+        # stops each fit.  It does, before the cap and no earlier than the
+        # gradient test, and no prediction on the 32 rows changes.  Objectives
+        # are compared on the stopping test's own scale, max(1, |f|): the
+        # gradient test leaves the low-reg fits up to 1.5e-5 above the
+        # optimum.
         features, labels, noisy = pinned_probe_problem()
-        sweeps = []
-
-        def record_sweep(*args, **kwargs):
-            sweeps.append((args, fit_logistic_grid(*args, **kwargs)))
-            return sweeps[-1][1]
-
-        monkeypatch.setattr(probe, "fit_logistic_grid", record_sweep)
+        calls = record_fits(monkeypatch)
         for shots in (4, 8):
             train = few_shot_rows(labels, shots)
             linear_probe(features[train], noisy[train], features, labels,
                          ProbeConfig(shots=shots, seed=shots))
-            (fit_x, fit_y, n_classes, regs), default = sweeps[-1]
-            regs = np.asarray(regs)
-            strict = lbfgs_minimize_batch(
-                lambda xs, rows: logistic_loss_grad(xs, fit_x, fit_y, n_classes, regs[rows]),
-                np.zeros((len(regs), 64 * n_classes + n_classes)),
-                grad_tol=GRADIENT_TOL, objective_tol=0.0)
-            assert len(default) == len(strict) == GRID_STEPS
-            assert sum(r.iterations for r in default) < sum(r.iterations for r in strict)
-            for loose, tight in zip(default, strict):
-                w, b = probe._unflatten(loose.x, 64, n_classes)
-                w_tight, b_tight = probe._unflatten(tight.x, 64, n_classes)
-                np.testing.assert_array_equal(predict_logistic(w, b, features),
-                                              predict_logistic(w_tight, b_tight, features))
-                f, f_tight = loose.objective_history[-1], tight.objective_history[-1]
-                assert abs(f - f_tight) <= 1e-9 * max(1.0, abs(f_tight))
+            args, default = calls[-2]
+            with monkeypatch.context() as patched:
+                patched.setattr(probe, "GRADIENT_TOL", -1.0)
+                strict = fit_logistic_grid(*args)
+            assert len(default.objective) == len(strict.objective) == GRID_STEPS
+            assert strict.converged.all()
+            assert strict.iterations.max() < ProbeConfig().max_iterations
+            assert np.all(strict.iterations >= default.iterations)
+            assert strict.iterations.sum() > default.iterations.sum()
+            np.testing.assert_array_equal(predict_logistic(default.w, default.b, features),
+                                          predict_logistic(strict.w, strict.b, features))
+            scale = np.maximum(1.0, np.abs(strict.objective))
+            assert np.all(strict.objective <= default.objective)
+            assert np.all(default.objective - strict.objective <= 3e-5 * scale)
 
     def test_pinned_fits_converge_within_budget(self, monkeypatch, caplog):
         # Every fit linear_probe makes on the pinned problem at 4 and 8 shots
-        # converges before the cap, with no WARNING.  Together they take 4,179
-        # L-BFGS iterations; a fit that runs to the cap instead adds up to
-        # 1,000, so the bound catches a stopping rule that lets fits run on.
+        # converges before the cap, with no WARNING.  Together they take 912
+        # Newton steps, at most 9 per fit; a fit that runs to the cap instead
+        # adds up to 1,000, so the bound catches a stopping rule that lets fits
+        # run on.
         features, labels, noisy = pinned_probe_problem()
-        fits = []
-
-        def record_sweep(*args, **kwargs):
-            sweep = fit_logistic_grid(*args, **kwargs)
-            fits.extend(sweep)
-            return sweep
-
-        def record_refit(*args, **kwargs):
-            refit = fit_logistic(*args, **kwargs)
-            fits.append(refit[2])
-            return refit
-
-        monkeypatch.setattr(probe, "fit_logistic_grid", record_sweep)
-        monkeypatch.setattr(probe, "fit_logistic", record_refit)
+        calls = record_fits(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="upm.probe"):
             for shots in (4, 8):
                 train = few_shot_rows(labels, shots)
                 linear_probe(features[train], noisy[train], features, labels,
                              ProbeConfig(shots=shots, seed=shots))
-        assert len(fits) == 2 * (GRID_STEPS + 1)
-        assert all(fit.converged for fit in fits)
-        assert max(fit.iterations for fit in fits) < ProbeConfig().max_iterations
+        iterations = np.concatenate([fits.iterations for _, fits in calls])
+        assert len(iterations) == 2 * (GRID_STEPS + 1)
+        assert all(fits.converged.all() for _, fits in calls)
         assert not [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert sum(fit.iterations for fit in fits) <= 4400
+        assert iterations.max() <= 12
+        assert iterations.sum() <= 1000
+
+    def test_one_shot_holdout_empties_a_class(self, monkeypatch, caplog):
+        # At 1 shot the holdout takes one class's only example, so the grid
+        # is fitted with that class absent; every fit still converges.
+        features, labels, _ = pinned_probe_problem()
+        train = few_shot_rows(labels, 1)
+        calls = record_fits(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="upm.probe"):
+            outcome = linear_probe(features[train], labels[train], features, labels,
+                                   ProbeConfig(shots=1))
+        (sweep_args, sweep), (_, refit) = calls
+        assert len(sweep_args[1]) == 3 and len(np.unique(sweep_args[1])) == 3
+        for fits in (sweep, refit):
+            assert fits.converged.all() and fits.iterations.max() <= 12
+            assert np.isfinite(fits.w).all() and np.isfinite(fits.b).all()
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert 0.0 <= outcome.test_accuracy <= 1.0
+
+    def test_info_line_per_call(self, caplog):
+        features, labels, noisy = pinned_probe_problem()
+        train = few_shot_rows(labels, 5)
+        with caplog.at_level(logging.INFO, logger="upm.probe"):
+            linear_probe(features[train], noisy[train], features, labels,
+                         ProbeConfig(shots=5, seed=10))
+        infos = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert infos == ["linear probe: 96 grid fits and a refit, at most 9 Newton steps each; "
+                         "reg 2.76761 chosen at holdout accuracy 0.5"]
 
     def test_unconverged_fits_logged_once(self, caplog):
         rng = np.random.default_rng(7)
         features, labels = separable_toy(rng, n_per_class=4, gap=1.0)
-        regs = (1e-3, 1.0, 1e3)
+        regs = (1e-3, 1e-2, 1e-1)  # 8, 7 and 5 Newton steps uncapped
         capped = ProbeConfig(shots=4, reg_grid=regs, max_iterations=1)
         with caplog.at_level(logging.WARNING, logger="upm.probe"):
             outcome = linear_probe(features, labels, features, labels, capped)
@@ -494,103 +490,3 @@ class TestLinearProbe:
 
     def test_accuracy_helper(self):
         assert accuracy(np.array([1, 0, 1]), np.array([1, 1, 1])) == pytest.approx(2 / 3)
-
-
-class TestBatchedLbfgs:
-    """The batched sweep against the one-problem oracle, grid point by grid point."""
-
-    def test_loss_rows_match_lone_rows(self):
-        rng = np.random.default_rng(7)
-        features = rng.normal(size=(26, 64))
-        labels = rng.integers(0, 4, size=26)
-        regs = default_reg_grid()[::8]
-        xs = rng.normal(size=(len(regs), 64 * 4 + 4))
-        losses, grads = logistic_loss_grad(xs, features, labels, 4, regs)
-        for x, reg, loss, grad in zip(xs, regs, losses, grads):
-            expected_loss, expected_grad = oracle_logistic_loss_grad(x, features, labels, 4, reg)
-            assert loss == expected_loss
-            assert grad.tobytes() == expected_grad.tobytes()
-            lone_loss, lone_grad = logistic_loss_grad(x, features, labels, 4, reg)
-            assert lone_loss == expected_loss
-            assert lone_grad.tobytes() == expected_grad.tobytes()
-
-    def test_default_grid_matches_oracle(self):
-        rng = np.random.default_rng(0)
-        features = rng.normal(size=(26, 64))
-        labels = rng.integers(0, 4, size=26)
-        regs = default_reg_grid()
-        # Every point converges within 46 iterations; at 40 some run to the cap.
-        results = fit_logistic_grid(features, labels, 4, regs, max_iterations=40)
-        assert len(results) == GRID_STEPS
-        assert any(r.converged for r in results)
-        assert not all(r.converged for r in results)  # some points run to max_iterations
-        for result, reg in zip(results, regs):
-            assert_bitwise_equal(result, oracle_fit(features, labels, 4, reg, max_iterations=40))
-
-    def test_empty_batch_makes_no_call(self):
-        def never(xs, rows):
-            raise AssertionError("fun_grad called for an empty batch")
-
-        assert lbfgs_minimize_batch(never, np.zeros((0, 3))) == []
-
-    def test_stopped_problems_are_not_evaluated(self):
-        # Each problem passes through fun_grad exactly as often as the oracle
-        # calls its own objective, rows in ascending order, so no problem is
-        # evaluated again once it has stopped.
-        rng = np.random.default_rng(0)
-        features = rng.normal(size=(26, 64))
-        labels = rng.integers(0, 4, size=26)
-        regs = default_reg_grid()
-        rows_seen = np.zeros(len(regs), dtype=np.int64)
-
-        def counted(xs, rows):
-            assert np.all(np.diff(rows) > 0)
-            rows_seen[rows] += 1
-            return logistic_loss_grad(xs, features, labels, 4, regs[rows])
-
-        results = lbfgs_minimize_batch(counted, np.zeros((len(regs), 64 * 4 + 4)), max_iterations=40)
-        assert any(r.converged for r in results) and not all(r.converged for r in results)
-        for row, reg in enumerate(regs):
-            calls = []
-
-            def alone(x, reg=reg):
-                calls.append(x)
-                return oracle_logistic_loss_grad(x, features, labels, 4, reg)
-
-            oracle_lbfgs_minimize(alone, np.zeros(64 * 4 + 4), max_iterations=40)
-            assert rows_seen[row] == len(calls)
-
-    def test_separable_toy_matches_oracle(self):
-        features, labels = separable_toy(np.random.default_rng(9))
-        regs = default_reg_grid()
-        for result, reg in zip(fit_logistic_grid(features, labels, 2, regs), regs):
-            assert_bitwise_equal(result, oracle_fit(features, labels, 2, reg))
-
-    def test_quadratics_match_oracle(self):
-        curvature = np.array([1.0, 10.0, 100.0])
-        b = np.array([1.0, -2.0, 3.0])
-        scales = np.array([1.0, 0.5, 3.0, 1e-3])
-
-        def stacked(xs, rows):
-            ax = xs * (curvature * scales[rows, None])
-            return 0.5 * (xs * ax).sum(axis=1) - (xs * b).sum(axis=1), ax - b
-
-        results = lbfgs_minimize_batch(stacked, np.zeros((len(scales), 3)))
-        for row, result in enumerate(results):
-            def alone(x, row=row):
-                f, g = stacked(x[None], np.array([row]))
-                return f[0], g[0]
-
-            assert_bitwise_equal(result, oracle_lbfgs_minimize(alone, np.zeros(3)))
-        a = np.diag(curvature)
-        quadratic = lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b)
-        assert_bitwise_equal(lbfgs_minimize(quadratic, np.zeros(3)),
-                             oracle_lbfgs_minimize(quadratic, np.zeros(3)))
-
-    def test_iteration_limits(self):
-        quadratic = lambda x: (0.5 * x @ x, x.copy())
-        for limit in (0, 1):
-            result = lbfgs_minimize(quadratic, np.ones(2), max_iterations=limit)
-            assert_bitwise_equal(result, oracle_lbfgs_minimize(quadratic, np.ones(2), max_iterations=limit))
-        with pytest.raises(ConfigError):
-            lbfgs_minimize(quadratic, np.ones(2), history=0)
