@@ -273,20 +273,27 @@ def embed_views(image_patches: np.ndarray, point_patches: np.ndarray, params: En
     return E.concat([E.broadcast_to(params.cls_token, (n, 1, d)), fused], axis=1)
 
 
-def _attention(x: Tensor, blk: BlockParams, num_heads: int) -> Tensor:
-    q = E.add(E.matmul(x, blk.wq), blk.bq)
-    k = E.add(E.matmul(x, blk.wk), blk.bk)
-    v = E.add(E.matmul(x, blk.wv), blk.bv)
-    return E.add(E.matmul(E.attention(q, k, v, num_heads), blk.wo), blk.bo)
-
-
 def _mlp(x: Tensor, blk: BlockParams) -> Tensor:
     hidden = E.gelu(E.add(E.matmul(x, blk.w_up), blk.b_up))
     return E.add(E.matmul(hidden, blk.w_down), blk.b_down)
 
 
-def _transformer_block(x: Tensor, blk: BlockParams, num_heads: int) -> Tensor:
-    x = E.add(x, _attention(E.layer_norm(x, blk.ln1_gamma, blk.ln1_beta), blk, num_heads))
+def _transformer_block(x: Tensor, blk: BlockParams, num_heads: int, class_token_only: bool) -> Tensor:
+    """One pre-norm block over (N, T, d) tokens.
+
+    Keys and values always read every token.  With ``class_token_only``
+    the queries, the residual and the MLP run on the class-token row
+    alone and the block returns (N, 1, d), for a last block whose other
+    rows nothing reads.
+    """
+    h = E.layer_norm(x, blk.ln1_gamma, blk.ln1_beta)
+    queries = h
+    if class_token_only:
+        x, queries = E.narrow(x, 1, 0, 1), E.narrow(h, 1, 0, 1)
+    q = E.add(E.matmul(queries, blk.wq), blk.bq)
+    k = E.add(E.matmul(h, blk.wk), blk.bk)
+    v = E.add(E.matmul(h, blk.wv), blk.bv)
+    x = E.add(x, E.add(E.matmul(E.attention(q, k, v, num_heads), blk.wo), blk.bo))
     return E.add(x, _mlp(E.layer_norm(x, blk.ln2_gamma, blk.ln2_beta), blk))
 
 
@@ -299,7 +306,10 @@ def encode_views(
     """Encode N (image, points) pairs, each (H, W, 3), to an (N, d) tensor of unit-norm rows.
 
     All views run through one stacked graph over (N, M + 1, d) tokens;
-    row i has the bits it would have if view i were encoded alone.
+    row i has the bits it would have if view i were encoded alone.  Only
+    the class token is kept: the last block runs its queries, residual and
+    MLP on that row alone (keys and values still read every token), and
+    with no blocks the row is taken straight from the embedded tokens.
     """
     if modality not in MODALITIES:
         raise ContractError(f"unknown modality {modality!r}")
@@ -313,10 +323,14 @@ def encode_views(
     elif modality == MODALITY_POINTMAP_ONLY:
         image_patches = np.zeros_like(image_patches)
     x = embed_views(image_patches, point_patches, params)
-    for blk in params.blocks:
-        x = _transformer_block(x, blk, config.num_heads)
+    for blk in params.blocks[:-1]:
+        x = _transformer_block(x, blk, config.num_heads, class_token_only=False)
+    if params.blocks:
+        x = _transformer_block(x, params.blocks[-1], config.num_heads, class_token_only=True)
+    else:
+        x = E.narrow(x, 1, 0, 1)
     x = E.layer_norm(x, params.final_gamma, params.final_beta)
-    return E.normalize_rows(E.reshape(E.narrow(x, 1, 0, 1), (len(views), config.embed_dim)))
+    return E.normalize_rows(E.reshape(x, (len(views), config.embed_dim)))
 
 
 def pool_scene(view_embeddings: Tensor, counts: Sequence[int]) -> Tensor:

@@ -6,17 +6,17 @@ tensors records its parents and a local backward rule on the output.
 All storage is float64 and row-major; slicing copies, it never aliases.
 
 Operands may carry a leading stack axis: ``matmul`` takes an (N, T, k)
-left operand against a (k, p) weight, and ``attention`` runs on (N, T, d)
-activations.  Forward rows stay bitwise per item: each item's product is
-its own BLAS call (a stacked ``np.matmul``, never one flattened (N*T, k)
-product), so an item has the bits it would have alone and a permuted
-stack permutes the rows.  A stacked weight's gradient is one GEMM over
-the flattened stack, ``a.reshape(-1, k).T @ g.reshape(-1, p)``: it sums
-over items and rows in BLAS order, so it agrees with the sum of per-item
-gradients to rounding, not bit for bit.  The other stack reductions
-(``_unbroadcast`` for biases, ``layer_norm``'s gamma and beta) still
-reduce within each item first, then add the N item results in stack
-order.
+left operand against a (k, p) weight, and ``attention`` runs (N, Tq, d)
+queries against (N, T, d) keys and values.  Forward rows stay bitwise per
+item: each item's product is its own BLAS call (a stacked ``np.matmul``,
+never one flattened (N*T, k) product), so an item has the bits it would
+have alone and a permuted stack permutes the rows.  A stacked weight's
+gradient is one GEMM over the flattened stack,
+``a.reshape(-1, k).T @ g.reshape(-1, p)``: it sums over items and rows
+in BLAS order, so it agrees with the sum of per-item gradients to
+rounding, not bit for bit.  The other stack reductions (``_unbroadcast``
+for biases, ``layer_norm``'s gamma and beta) still reduce within each
+item first, then add the N item results in stack order.
 
 No gradient is computed for an operand that does not require one: every
 backward rule tests ``requires_grad`` before it forms an operand's
@@ -432,28 +432,33 @@ def normalize_rows(x: Tensor) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over (N, T, d) q, k and v.
+    """Multi-head scaled dot-product attention of (N, Tq, d) queries over (N, T, d) k and v.
 
-    Each head sees a contiguous (T, d / num_heads) copy of its columns,
-    and the head outputs are merged back in head order: the same products,
-    in the same operand layouts, as the per-head op chain of the per-view
-    oracle in the encoder tests.
+    The output is (N, Tq, d), and each query row attends over all T key
+    rows, so passing only the query rows a caller keeps gives those rows
+    of the full output, to rounding.  Each head sees a contiguous
+    (rows, d / num_heads) copy of its columns, and the head outputs are
+    merged back in head order: the same products, in the same operand
+    layouts, as the per-head op chain of the per-view oracle in the
+    encoder tests.
     """
-    shape = q.array.shape
-    if len(shape) != 3 or k.array.shape != shape or v.array.shape != shape:
-        raise ShapeError(f"attention expects equal (N, T, d) q, k, v; got "
+    if q.array.ndim != 3 or k.array.ndim != 3:
+        raise ShapeError(f"attention expects 3-D q, k, v; got {q.shape}, {k.shape}, {v.shape}")
+    n, _, d = q.array.shape
+    if k.array.shape[::2] != (n, d) or v.array.shape != k.array.shape:
+        raise ShapeError(f"attention expects (N, Tq, d) q against equal (N, T, d) k, v; got "
                          f"{q.shape}, {k.shape}, {v.shape}")
-    n, t, d = shape
     if num_heads < 1 or d % num_heads != 0:
         raise ShapeError(f"width {d} does not split into {num_heads} heads")
     head_dim = d // num_heads
     factor = 1.0 / math.sqrt(head_dim)
 
-    def split(x):  # (N, T, d) -> contiguous (N, H, T, head_dim)
-        return np.ascontiguousarray(x.reshape(n, t, num_heads, head_dim).transpose(0, 2, 1, 3))
+    def split(x):  # (N, T, d) -> contiguous (N, H, T, head_dim), T the operand's own
+        return np.ascontiguousarray(
+            x.reshape(n, x.shape[1], num_heads, head_dim).transpose(0, 2, 1, 3))
 
     def merge(x):  # (N, H, T, head_dim) -> (N, T, d)
-        return x.transpose(0, 2, 1, 3).reshape(n, t, d)
+        return x.transpose(0, 2, 1, 3).reshape(n, x.shape[2], d)
 
     qh, kh, vh = split(q.array), split(k.array), split(v.array)
     kt = np.ascontiguousarray(kh.transpose(0, 1, 3, 2))

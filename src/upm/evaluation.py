@@ -321,10 +321,12 @@ def zero_shot_classify(
     """Accuracy of matching scene embeddings to prompted class texts.
 
     With several templates the class text embeddings are averaged and
-    re-normalized before matching.
+    re-normalized before matching.  A scene type not among the class
+    names raises ``ContractError`` before any prompt is embedded.
     """
     if len(class_names) < 2:
         raise ContractError("zero-shot classification needs at least two classes")
+    labels = class_labels(scenes, class_names)
     templates = [template] if isinstance(template, str) else list(template)
     class_rows = []
     for name in class_names:
@@ -336,8 +338,6 @@ def zero_shot_classify(
             raise DegenerateInputError(f"class {name!r}: mean prompt embedding has zero norm")
         class_rows.append(mean / norm)
     class_matrix = np.stack(class_rows)
-
-    labels = class_labels(scenes, class_names)
     similarities = cosine_similarity(embed_scenes(scenes, params, config), class_matrix)
     return classify_from_similarities(similarities, labels)
 

@@ -253,11 +253,17 @@ class TestEncodeViews:
             enc.encode_views([], params, config)
 
 
-def oracle_encode_view(image, points, params, config, modality="both"):
+def oracle_encode_view(image, points, params, config, modality="both", pruned=True):
     """The per-view encoder: one graph per view, one op chain per head.
 
-    Batched ``encode_views`` must match it byte for byte, in embeddings
-    and in every gradient that reaches the parameters.
+    Pruned, it keeps only the class-token row where ``encode_views`` does:
+    the last block's queries, residual and MLP run on that row alone, and
+    with no blocks the row is taken before the final layer norm.  Batched
+    ``encode_views`` must match it byte for byte in embeddings, and in
+    every gradient that reaches the parameters up to ``GRAD_RTOL``.
+    Unpruned, it is the full-block oracle: every block runs on every
+    token and the class token is taken last, so the pruned encoder's rows
+    and gradients agree with it to rounding only.
     """
     image_patches, point_patches = enc.patchify(image, points, config.patch_size)
     if modality == "image-only":
@@ -270,10 +276,15 @@ def oracle_encode_view(image, points, params, config, modality="both"):
     )
     z_points = E.add(E.matmul(E.Tensor(point_patches), params.phi_p_weight), params.phi_p_bias)
     x = E.concat([params.cls_token, E.add(z_image, z_points)], axis=0)
+    if pruned and not params.blocks:
+        x = E.narrow(x, 0, 0, 1)
     head_dim = config.embed_dim // config.num_heads
-    for blk in params.blocks:
+    for i, blk in enumerate(params.blocks):
         h = E.layer_norm(x, blk.ln1_gamma, blk.ln1_beta)
-        q = E.add(E.matmul(h, blk.wq), blk.bq)
+        queries = h
+        if pruned and i == len(params.blocks) - 1:
+            x, queries = E.narrow(x, 0, 0, 1), E.narrow(h, 0, 0, 1)
+        q = E.add(E.matmul(queries, blk.wq), blk.bq)
         k = E.add(E.matmul(h, blk.wk), blk.bk)
         v = E.add(E.matmul(h, blk.wv), blk.bv)
         heads = []
@@ -387,6 +398,53 @@ class TestBatchedEqualsPerView:
         assert not rows.requires_grad
         for row, (img, pts) in zip(rows.array, views):
             assert row.tobytes() == oracle_encode_view(img, pts, params, config).array[0].tobytes()
+
+
+def full_block(views, params, config, modality):
+    return E.concat([oracle_encode_view(img, pts, params, config, modality, pruned=False)
+                     for img, pts in views])
+
+
+class TestClassTokenPruning:
+    """The last block runs its queries, residual and MLP on the class-token row only."""
+
+    @pytest.mark.parametrize("config,n_views", [
+        (tiny_config(), 5),
+        (tiny_config(num_blocks=1, num_heads=4), 3),
+        (EncoderConfig(), 8),
+    ])
+    def test_matches_full_block_oracle(self, config, n_views):
+        rng = np.random.default_rng(400 + n_views)
+        views = [random_view(rng, config) for _ in range(n_views)]
+        got_rows, got_grads = encoded(batched, views, config, seed=n_views)
+        want_rows, want_grads = encoded(full_block, views, config, seed=n_views)
+        got, want = (np.frombuffer(b"".join(rows)) for rows in (got_rows, want_rows))
+        assert np.abs(got - want).max() <= 1e-12
+        # Relative to the largest |grad| over all parameters: the key biases'
+        # true gradient is 0, so theirs are rounding noise around it.
+        largest = max(np.abs(g).max() for g in want_grads.values() if g is not None)
+        for name, expected in want_grads.items():
+            if expected is None:
+                assert got_grads[name] is None, name
+            else:
+                assert np.abs(got_grads[name] - expected).max() <= 1e-12 * largest, name
+
+    def test_last_block_mlp_sees_class_token_rows_only(self, monkeypatch):
+        config = tiny_config(num_blocks=3)
+        shapes = []
+        gelu = E.gelu
+
+        def recording_gelu(a):
+            shapes.append(a.shape)
+            return gelu(a)
+
+        monkeypatch.setattr(E, "gelu", recording_gelu)
+        rng = np.random.default_rng(410)
+        params = enc.init_encoder_params(config, seed=41)
+        enc.encode_views([random_view(rng, config) for _ in range(4)], params, config)
+        hidden = config.embed_dim * config.mlp_ratio
+        tokens = config.num_patches + 1
+        assert shapes == [(4, tokens, hidden), (4, tokens, hidden), (4, 1, hidden)]
 
 
 class TestPoolScene:

@@ -326,6 +326,32 @@ class TestStackedOpGradients:
             E.attention(x, x, x, num_heads=3)
         with pytest.raises(ShapeError):
             E.attention(x, x, E.Tensor(np.ones((2, 3, 8))), num_heads=2)
+        # q may differ from k in rows only, and v must equal k.
+        for q_shape in [(3, 1, 4), (2, 1, 6), (2, 4)]:
+            with pytest.raises(ShapeError):
+                E.attention(E.Tensor(np.ones(q_shape)), x, x, num_heads=2)
+        q = E.Tensor(np.ones((2, 1, 4)))
+        for v_shape in [(2, 5, 4), (3, 3, 4), (2, 3, 6)]:
+            with pytest.raises(ShapeError):
+                E.attention(q, x, E.Tensor(np.ones(v_shape)), num_heads=2)
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_attention_one_query_row(self, which):
+        qkv = [self.stacked(2, 1, 6), self.stacked(2, 5, 6), self.stacked(2, 5, 6)]
+        probe = self.stacked(2, 1, 6, grad=False)
+
+        def f(t):
+            args = list(qkv)
+            args[which] = t
+            return E.reduce_sum(E.mul(E.attention(*args, num_heads=3), probe))
+
+        assert E.finite_diff_check(f, qkv[which]) <= 1e-6
+
+    def test_attention_query_rows_are_rows_of_the_full_output(self):
+        q, k, v = (self.stacked(3, 5, 6, grad=False) for _ in range(3))
+        full = E.attention(q, k, v, num_heads=2).array
+        first = E.attention(E.narrow(q, 1, 0, 1), k, v, num_heads=2).array
+        np.testing.assert_allclose(first, full[:, :1], rtol=0, atol=1e-15)
 
     def test_broadcast_to(self):
         row = self.stacked(1, 4)

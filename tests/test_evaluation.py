@@ -247,12 +247,24 @@ class TestZeroShot:
             ev.zero_shot_classify(params, config, test_scenes, ["bedroom"])
 
     def test_zero_mean_prompt_embedding_rejected(self, trained, test_scenes, monkeypatch):
-        # Two prompts with opposite embeddings average to a zero vector.
+        # Two prompts with opposite embeddings average to a zero vector.  The
+        # class names cover every scene type, so only the zero norm can raise.
         params, config = trained
         monkeypatch.setattr(ev, "embed_texts", lambda prompts, *_: np.array([[1.0, 0.0], [-1.0, 0.0]]))
         with pytest.raises(DegenerateInputError, match="zero norm"):
-            ev.zero_shot_classify(params, config, test_scenes, ["bedroom", "kitchen"],
+            ev.zero_shot_classify(params, config, test_scenes, list(D.SCENE_TYPES),
                                   template=["a {}", "the {}"])
+
+    def test_unknown_scene_type_rejected_before_prompts_are_embedded(self, trained, test_scenes,
+                                                                       monkeypatch):
+        params, config = trained
+        calls = []
+        monkeypatch.setattr(ev, "embed_texts", lambda *args: calls.append(args))
+        unknown = test_scenes[0].scene_type
+        names = [t for t in D.SCENE_TYPES if t != unknown]
+        with pytest.raises(ContractError, match=repr(unknown)):
+            ev.zero_shot_classify(params, config, test_scenes, names)
+        assert calls == []
 
     def test_end_to_end_with_prompt_ensemble(self, trained, test_scenes):
         params, config = trained

@@ -311,8 +311,10 @@ class TestBatchLoss:
         # 4 scenes x 8 views encode as one stacked graph to one (32, d) tensor,
         # and each loss is one graph over it, whatever the scene count: the
         # geometric and grounded losses mask their logits to each scene's
-        # block and the scenes pool in one matmul: 152 nodes.  One narrow per
-        # scene and use, with the per-scene losses added up, made 250.
+        # block and the scenes pool in one matmul.  The last encoder block
+        # narrows its input and its first layer norm to the class-token row,
+        # and the encoder's trailing narrow is gone: 153 nodes.  One narrow
+        # per scene and use, with the per-scene losses added up, made 250.
         batch, enc_cfg, cfg = default_batch_seed0
         assert sum(len(p.views) for p in batch) == 32
         params = init_encoder_params(enc_cfg, seed=0)
@@ -435,7 +437,8 @@ class TestTrainLoop:
     def test_default_config_run_pinned(self, tmp_path):
         # metrics.tsv and both checkpoints of a short default-config run, as
         # produced by the embedding-bag text tower, one-GEMM stacked weight
-        # gradients and losses built once per batch under block masks.
+        # gradients, losses built once per batch under block masks and a last
+        # encoder block that runs on the class-token row only.
         root = tmp_path / "data"
         ids = []
         for i in range(10):
@@ -450,4 +453,4 @@ class TestTrainLoop:
         h = hashlib.sha256()
         for path in (result.metrics_path, result.checkpoint_path, result.best_checkpoint_path):
             h.update(path.read_bytes())
-        assert h.hexdigest() == "ae65c523348071850c2b74b73186ca6aa6d36653de85bfb74b5ff75d39581687"
+        assert h.hexdigest() == "9ae534a6d79c8932b0efc28e2594ee675637730344442cabc0718636a824830b"
