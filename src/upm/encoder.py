@@ -264,18 +264,18 @@ def embed_views(image_patches: np.ndarray, point_patches: np.ndarray, params: En
             f"{params.pos_embedding.shape[0]} rows"
         )
     z_image = E.add(
-        E.add(E.matmul(Tensor(image_patches), params.phi_i_weight), params.phi_i_bias),
+        E.linear(Tensor(image_patches), params.phi_i_weight, params.phi_i_bias),
         params.pos_embedding,
     )
-    z_points = E.add(E.matmul(Tensor(point_patches), params.phi_p_weight), params.phi_p_bias)
+    z_points = E.linear(Tensor(point_patches), params.phi_p_weight, params.phi_p_bias)
     fused = E.add(z_image, z_points)
     n, _, d = fused.shape
     return E.concat([E.broadcast_to(params.cls_token, (n, 1, d)), fused], axis=1)
 
 
 def _mlp(x: Tensor, blk: BlockParams) -> Tensor:
-    hidden = E.gelu(E.add(E.matmul(x, blk.w_up), blk.b_up))
-    return E.add(E.matmul(hidden, blk.w_down), blk.b_down)
+    hidden = E.gelu(E.linear(x, blk.w_up, blk.b_up))
+    return E.linear(hidden, blk.w_down, blk.b_down)
 
 
 def _transformer_block(x: Tensor, blk: BlockParams, num_heads: int, class_token_only: bool) -> Tensor:
@@ -290,10 +290,10 @@ def _transformer_block(x: Tensor, blk: BlockParams, num_heads: int, class_token_
     queries = h
     if class_token_only:
         x, queries = E.narrow(x, 1, 0, 1), E.narrow(h, 1, 0, 1)
-    q = E.add(E.matmul(queries, blk.wq), blk.bq)
-    k = E.add(E.matmul(h, blk.wk), blk.bk)
-    v = E.add(E.matmul(h, blk.wv), blk.bv)
-    x = E.add(x, E.add(E.matmul(E.attention(q, k, v, num_heads), blk.wo), blk.bo))
+    q = E.linear(queries, blk.wq, blk.bq)
+    k = E.linear(h, blk.wk, blk.bk)
+    v = E.linear(h, blk.wv, blk.bv)
+    x = E.add(x, E.linear(E.attention(q, k, v, num_heads), blk.wo, blk.bo))
     return E.add(x, _mlp(E.layer_norm(x, blk.ln2_gamma, blk.ln2_beta), blk))
 
 
@@ -379,8 +379,7 @@ def encode_texts(texts: Sequence[str], params: EncoderParams, config: EncoderCon
     offsets = np.cumsum([0] + [len(bag) for bag in bags[:-1]])
     ids = np.fromiter(itertools.chain.from_iterable(bags), dtype=np.int64)
     pooled = E.embedding_bag(params.text_table, ids, offsets)
-    projected = E.add(E.matmul(pooled, params.text_weight), params.text_bias)
-    return E.normalize_rows(projected)
+    return E.normalize_rows(E.linear(pooled, params.text_weight, params.text_bias))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,13 @@ rounding, not bit for bit.  The other stack reductions (``_unbroadcast``
 for biases, ``layer_norm``'s gamma and beta) still reduce within each
 item first, then add the N item results in stack order.
 
+``linear(a, w, b)`` is ``add(matmul(a, w), b)`` as one graph node, with
+the chain's bytes forward and in every gradient; its backward is
+``matmul``'s.  The forward kernels (``linear``, ``layer_norm``, ``gelu``,
+``attention``) reuse their temporaries in place: the same float ops in the
+same order as the plain expressions, so the same bits, with fewer passes
+over memory.
+
 No gradient is computed for an operand that does not require one: every
 backward rule tests ``requires_grad`` before it forms an operand's
 gradient, so constant inputs (patch stacks) cost nothing in ``backward``.
@@ -216,7 +223,10 @@ def exp(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     x = a.array
-    cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
+    cdf = x * _INV_SQRT2
+    _erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = x * cdf
 
     def bwd(g):
@@ -230,6 +240,14 @@ def gelu(a: Tensor) -> Tensor:
 # linear algebra and shape manipulation
 
 
+def _check_matmul(a: Tensor, b: Tensor) -> None:
+    if a.array.ndim not in (2, 3) or b.array.ndim != 2:
+        raise ShapeError(f"matmul expects a 2-D or 3-D left and a 2-D right operand, "
+                         f"got {a.shape} and {b.shape}")
+    if a.array.shape[-1] != b.array.shape[0]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """(m, k) @ (k, p), or a stack (N, m, k) @ (k, p) with one product per item.
 
@@ -237,21 +255,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     output row has the bits of its item's lone product.  The weight's
     gradient is one (k, N*m) @ (N*m, p) product over the flattened stack.
     """
-    if a.array.ndim not in (2, 3) or b.array.ndim != 2:
-        raise ShapeError(f"matmul expects a 2-D or 3-D left and a 2-D right operand, "
-                         f"got {a.shape} and {b.shape}")
-    k, p = b.array.shape
-    if a.array.shape[-1] != k:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out = a.array @ b.array
+    _check_matmul(a, b)
+    return _make(a.array @ b.array, (a, b), lambda g: _matmul_backward(a, b, g))
+
+
+def _matmul_backward(a: Tensor, w: Tensor, g: np.ndarray) -> None:
+    """Per-item ``g @ w.T`` into a; one flat GEMM over the stack into w."""
+    k, p = w.array.shape
+    if a.requires_grad:
+        _accumulate(a, g @ w.array.T)
+    if w.requires_grad:
+        _accumulate(w, a.array.reshape(-1, k).T @ g.reshape(-1, p))
+
+
+def linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``a @ w + b`` as one node: ``matmul``'s operands and a (p,) bias ``b``.
+
+    Bytes equal ``add(matmul(a, w), b)`` forward and in every gradient.
+    The bias gradient is ``add``'s ``_unbroadcast`` of g.  The matmul
+    backward gets ``g + 0.0``, the bytes ``add`` passed it: a zeroed
+    gradient plus g, which turns -0.0 into +0.0.
+    """
+    _check_matmul(a, w)
+    if b.array.shape != w.array.shape[1:]:
+        raise ShapeError(f"linear bias of shape {b.shape} does not match weight {w.shape}")
+    out = a.array @ w.array
+    out += b.array
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.array.T)
         if b.requires_grad:
-            _accumulate(b, a.array.reshape(-1, k).T @ g.reshape(-1, p))
+            _accumulate(b, _unbroadcast(g, b.array.shape))
+        if a.requires_grad or w.requires_grad:
+            _matmul_backward(a, w, g + 0.0)
 
-    return _make(out, (a, b), bwd)
+    return _make(out, (a, w, b), bwd)
 
 
 def embedding_bag(table: Tensor, ids, offsets) -> Tensor:
@@ -396,11 +433,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if eps <= 0:
         raise ContractError("layer_norm eps must be positive")
-    mean = x.array.mean(axis=-1, keepdims=True)
-    var = x.array.var(axis=-1, keepdims=True)
+    xhat = x.array - x.array.mean(axis=-1, keepdims=True)
+    # np.var's own steps on the centred array: the sum of squares over n.
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / x.array.shape[-1]
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.array - mean) * inv_std
-    out = gamma.array * xhat + beta.array
+    xhat *= inv_std
+    out = gamma.array * xhat
+    out += beta.array
     lead = x.array.ndim - 1
 
     def bwd(g):
@@ -462,9 +501,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
 
     qh, kh, vh = split(q.array), split(k.array), split(v.array)
     kt = np.ascontiguousarray(kh.transpose(0, 1, 3, 2))
-    scores = (qh @ kt) * factor
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
+    probs = qh @ kt  # the scores, turned into probabilities in place
+    probs *= factor
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     out = merge(probs @ vh)
 
     def bwd(g):

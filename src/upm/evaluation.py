@@ -6,6 +6,12 @@ ties break toward the lower index.  Grounding and retrieval share one
 Recall@N, and retrieval, zero-shot classification and the probe share
 one scene embedding, ``embed_scenes``.  Embedding extraction runs outside
 the autodiff graph.
+
+A protocol call encodes only the scenes it reads (the probe encodes only
+the training scenes it samples) and each of them once, in one
+``embed_scene_views`` call per scene.  Nothing is cached across calls:
+parameters change in place during training and a ``Scene`` is mutable, so
+a cache could return stale rows.
 """
 
 from __future__ import annotations
@@ -62,15 +68,21 @@ def _recall_at(
 
 
 def embed_scene_views(
-    scene: Scene, params: EncoderParams, config: EncoderConfig, modality: str = "both"
+    scene: Scene,
+    params: EncoderParams,
+    config: EncoderConfig,
+    modality: str = "both",
+    points: np.ndarray | None = None,
 ) -> np.ndarray:
     """All view embeddings of a scene as a (V, d) array, without gradients.
 
-    The pointmaps come from ``Scene.pointmaps``, recomputed on each call by
-    design: holding them for every evaluated scene would cost more memory
-    than back-projecting again saves.
+    ``points`` are the (V, H, W, 3) points of ``scene.pointmaps()``, from a
+    caller that already holds them.  Without them the call back-projects
+    again, by design: holding every evaluated scene's pointmaps would cost
+    more memory than back-projecting again saves.
     """
-    points, _ = scene.pointmaps()
+    if points is None:
+        points, _ = scene.pointmaps()
     pairs = list(zip([v.image for v in scene.views], points))
     with E.no_grad():
         return encode_views(pairs, params, config, modality=modality).array
@@ -263,11 +275,12 @@ def retrieval_views_curve(
 ) -> list[tuple[int, float]]:
     """R@1 of scene retrieval as the per-scene view budget varies.
 
-    Each scene and each caption is encoded once.  At each budget a scene
-    with more views than the budget is represented by the pooled rows of
-    its max-coverage views.  Greedy picks at a smaller budget are a prefix
-    of those at a larger one, so coverage runs once per scene, at the
-    largest budget below its view count.
+    Each scene is back-projected and encoded once, and each caption
+    encoded once.  At each budget a scene with more views than the budget
+    is represented by the pooled rows of its max-coverage views.  Greedy
+    picks at a smaller budget are a prefix of those at a larger one, so
+    coverage runs once per scene, at the largest budget below its view
+    count.
     """
     if min(budgets, default=1) < 1:
         raise ContractError(f"view budgets must be at least 1, got {list(budgets)}")
@@ -277,9 +290,10 @@ def retrieval_views_curve(
     caption_matrix = embed_texts(captions, params, config)
     scene_views = []
     for scene in scenes:
-        views = embed_scene_views(scene, params, config)
+        points, validity = scene.pointmaps()
+        views = embed_scene_views(scene, params, config, points=points)
         below = [budget for budget in budgets if budget < len(views)]
-        picks = max_coverage_sample(*scene.pointmaps(), max(below), voxel_size) if below else []
+        picks = max_coverage_sample(points, validity, max(below), voxel_size) if below else []
         scene_views.append((views, picks))
     curve = []
     for budget in budgets:
@@ -342,17 +356,6 @@ def zero_shot_classify(
     return classify_from_similarities(similarities, labels)
 
 
-def probe_features(
-    params: EncoderParams,
-    config: EncoderConfig,
-    scenes: Sequence[Scene],
-    class_names: Sequence[str],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scene embeddings and integer labels for linear probing."""
-    labels = class_labels(scenes, class_names)
-    return embed_scenes(scenes, params, config), labels
-
-
 def few_shot_probe(
     params: EncoderParams,
     config: EncoderConfig,
@@ -361,8 +364,16 @@ def few_shot_probe(
     class_names: Sequence[str],
     cfg: ProbeConfig,
 ) -> ProbeOutcome:
-    """Sample `shots` scenes per class, probe, and score the test scenes."""
-    features, labels = probe_features(params, config, train_scenes, class_names)
+    """Sample `shots` training scenes per class, probe, and score the test scenes.
+
+    Both label sets are checked, and the scenes drawn, before anything is
+    encoded, so an unknown scene type or a class with too few scenes
+    raises ``ContractError`` at no encoding cost.  Only the drawn training
+    scenes are encoded; each scene is encoded alone, so its row has the
+    bytes it has when every training scene is embedded.
+    """
+    labels = class_labels(train_scenes, class_names)
+    test_labels = class_labels(test_scenes, class_names)
     rng = np.random.default_rng(cfg.seed)
     chosen: list[int] = []
     for cls in range(len(class_names)):
@@ -373,8 +384,9 @@ def few_shot_probe(
             )
         chosen.extend(rng.choice(members, size=cfg.shots, replace=False).tolist())
     chosen = sorted(chosen)
-    test_features, test_labels = probe_features(params, config, test_scenes, class_names)
-    return linear_probe(features[chosen], labels[chosen], test_features, test_labels, cfg)
+    features = embed_scenes([train_scenes[i] for i in chosen], params, config)
+    test_features = embed_scenes(test_scenes, params, config)
+    return linear_probe(features, labels[chosen], test_features, test_labels, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from upm import engine as E
 from upm.errors import ContractError, DegenerateInputError, ShapeError
@@ -353,6 +354,31 @@ class TestStackedOpGradients:
         first = E.attention(E.narrow(q, 1, 0, 1), k, v, num_heads=2).array
         np.testing.assert_allclose(first, full[:, :1], rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_linear(self, which):
+        operands = [self.stacked(2, 5, 4, grad=False), self.stacked(4, 3, grad=False),
+                    self.stacked(3, grad=False)]
+        operands[which].requires_grad = True
+        probe = self.stacked(2, 5, 3, grad=False)
+
+        def f(t):
+            args = operands[:which] + [t] + operands[which + 1:]
+            out = E.linear(*args)
+            return E.reduce_sum(E.mul(E.mul(out, out), probe))
+
+        assert E.finite_diff_check(f, operands[which]) <= 1e-6
+
+    @pytest.mark.parametrize("shapes", [
+        [(5, 4), (3, 2), (2,)],     # inner dimensions disagree
+        [(5, 4), (4, 2), (3,)],     # bias longer than the output width
+        [(5, 4), (4, 2), (1, 2)],   # bias not a (p,) vector
+        [(5, 4), (1, 4, 2), (2,)],  # stacked weight
+        [(4,), (4, 2), (2,)],       # 1-D left operand
+    ])
+    def test_linear_rejects_bad_shapes(self, shapes):
+        with pytest.raises(ShapeError):
+            E.linear(*(E.Tensor(np.ones(shape)) for shape in shapes))
+
     def test_broadcast_to(self):
         row = self.stacked(1, 4)
         probe = self.stacked(3, 1, 4, grad=False)
@@ -377,6 +403,12 @@ class TestConstantOperands:
         expected = np.zeros((4, 3)) + a.array.reshape(-1, 4).T @ probe.reshape(-1, 3)
         assert w.grad.tobytes() == expected.tobytes()
 
+    # Fused ops and the op chains whose bytes they keep.
+    ORACLES = {
+        "linear": lambda a, w, b: E.add(E.matmul(a, w), b),
+        "linear_stacked": lambda a, w, b: E.add(E.matmul(a, w), b),
+    }
+
     @pytest.mark.parametrize(
         "name,shapes,build",
         [
@@ -388,22 +420,32 @@ class TestConstantOperands:
             ("concat", [(2, 4), (3, 4)], lambda a, b: E.concat([a, b], axis=0)),
             ("layer_norm", [(2, 3, 4), (4,), (4,)], lambda x, g, b: E.layer_norm(x, g, b)),
             ("attention", [(2, 3, 4)] * 3, lambda q, k, v: E.attention(q, k, v, 2)),
+            ("linear", [(5, 4), (4, 3), (3,)], lambda a, w, b: E.linear(a, w, b)),
+            ("linear_stacked", [(2, 5, 4), (4, 3), (3,)], lambda a, w, b: E.linear(a, w, b)),
         ],
     )
     def test_every_subset_of_tracked_operands(self, name, shapes, build):
+        # A fused op's forward and gradient bytes equal its op chain's, run
+        # with every operand tracked; every other op is its own reference.
+        oracle = self.ORACLES.get(name, build)
         rng = np.random.default_rng(72)
         values = [rng.normal(size=shape) for shape in shapes]
-        probe = E.Tensor(rng.normal(size=build(*map(E.Tensor, values)).shape))
+        probe = rng.normal(size=build(*map(E.Tensor, values)).shape)
+        probe[..., 0] = -0.0  # signed zeros in the output gradient
+        probe = E.Tensor(probe)
 
-        def run(tracked):
+        def run(tracked, op=build):
             operands = [E.Tensor(v.copy(), requires_grad=t) for v, t in zip(values, tracked)]
-            E.backward(E.reduce_sum(E.mul(build(*operands), probe)))
-            return operands
+            out = op(*operands)
+            E.backward(E.reduce_sum(E.mul(out, probe)))
+            return out, operands
 
-        reference = run([True] * len(shapes))
-        for mask in range(1, 2 ** len(shapes) - 1):
+        reference_out, reference = run([True] * len(shapes), oracle)
+        for mask in range(1, 2 ** len(shapes)):
             tracked = [bool(mask >> i & 1) for i in range(len(shapes))]
-            for operand, ref, t in zip(run(tracked), reference, tracked):
+            out, operands = run(tracked)
+            assert out.array.tobytes() == reference_out.array.tobytes(), (name, tracked)
+            for operand, ref, t in zip(operands, reference, tracked):
                 if t:
                     assert operand.grad.tobytes() == ref.grad.tobytes(), (name, tracked)
                 else:
@@ -542,3 +584,62 @@ class TestNormalizeRows:
     def test_zero_row_rejected(self):
         with pytest.raises(DegenerateInputError):
             E.normalize_rows(E.Tensor(np.zeros((2, 3))))
+
+
+# The forward expressions the engine's kernels had before they reused their
+# temporaries in place; the kernels must keep their bytes.
+
+def plain_layer_norm(x, gamma, beta, eps=1e-5):
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    return gamma * ((x - mean) * inv_std) + beta
+
+
+def plain_gelu(x):
+    return x * (0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
+
+
+def plain_attention(q, k, v, num_heads):
+    n, _, d = q.shape
+    head_dim = d // num_heads
+
+    def split(x):
+        return np.ascontiguousarray(
+            x.reshape(n, x.shape[1], num_heads, head_dim).transpose(0, 2, 1, 3))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    kt = np.ascontiguousarray(kh.transpose(0, 1, 3, 2))
+    scores = (qh @ kt) * (1.0 / math.sqrt(head_dim))
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    return (probs @ vh).transpose(0, 2, 1, 3).reshape(n, q.shape[1], d)
+
+
+class TestKernelsKeepPlainFormulaBytes:
+    @pytest.mark.parametrize("shape", [(4, 1, 7), (3, 5, 7), (2, 9, 64), (6, 1)])
+    def test_layer_norm(self, shape):
+        rng = np.random.default_rng(91)
+        x = rng.normal(size=shape) * rng.uniform(0.1, 50.0, size=shape[:-1] + (1,)) + 3.0
+        gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        out = E.layer_norm(E.Tensor(x), E.Tensor(gamma), E.Tensor(beta))
+        assert out.array.tobytes() == plain_layer_norm(x, gamma, beta).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 1, 7), (3, 5, 7), (2, 9, 256)])
+    def test_gelu(self, shape):
+        x = np.random.default_rng(92).normal(scale=4.0, size=shape)
+        x.flat[:3] = (-0.0, 40.0, -40.0)
+        assert E.gelu(E.Tensor(x)).array.tobytes() == plain_gelu(x).tobytes()
+
+    @pytest.mark.parametrize("q_rows,keys,width,heads", [
+        (1, 6, 5, 1),    # one query row against every key, odd width
+        (6, 6, 5, 1),
+        (1, 17, 64, 4),  # the default encoder's last block
+        (4, 4, 6, 2),    # odd head width
+    ])
+    def test_attention(self, q_rows, keys, width, heads):
+        rng = np.random.default_rng(93)
+        q = rng.normal(scale=3.0, size=(3, q_rows, width))
+        k, v = rng.normal(scale=3.0, size=(2, 3, keys, width))
+        out = E.attention(E.Tensor(q), E.Tensor(k), E.Tensor(v), heads)
+        assert out.array.tobytes() == plain_attention(q, k, v, heads).tobytes()

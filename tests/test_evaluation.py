@@ -26,6 +26,20 @@ def test_scenes(tiny_dataset):
     return load_split_scenes(tiny_dataset, "train")[:4]
 
 
+@pytest.fixture
+def encodes(monkeypatch):
+    """The id of every scene ``embed_scene_views`` encodes, in call order."""
+    ids = []
+    embed = ev.embed_scene_views
+
+    def spy(scene, *args, **kwargs):
+        ids.append(scene.scene_id)
+        return embed(scene, *args, **kwargs)
+
+    monkeypatch.setattr(ev, "embed_scene_views", spy)
+    return ids
+
+
 class TestGroundingMetrics:
     def test_single_view_is_always_correct(self):
         result = ev.grounding_metrics([np.array([0.3])], [0], [frozenset({0})], recall_ns=(1, 5))
@@ -171,6 +185,16 @@ class TestSceneRetrieval:
         assert [x for x, _ in curve] == [2, 4]
         assert all(0.0 <= y <= 1.0 for _, y in curve)
 
+    def test_views_curve_back_projects_and_encodes_each_scene_once(self, trained, test_scenes,
+                                                                   encodes, monkeypatch):
+        params, config = trained
+        back_projected = []
+        pointmaps = D.Scene.pointmaps
+        monkeypatch.setattr(D.Scene, "pointmaps",
+                            lambda scene: back_projected.append(scene.scene_id) or pointmaps(scene))
+        ev.retrieval_views_curve(params, config, test_scenes, 2, budgets=(2, 4))
+        assert back_projected == encodes == [s.scene_id for s in test_scenes]
+
     def test_views_curve_rejects_nonpositive_budget(self, trained, test_scenes):
         params, config = trained
         with pytest.raises(ContractError, match="at least 1"):
@@ -290,7 +314,6 @@ class TestClassLabels:
         cfg = ProbeConfig(shots=1, reg_grid=(1.0,))
         for call in (lambda: ev.class_labels(test_scenes, names),
                      lambda: ev.zero_shot_classify(params, config, test_scenes, names),
-                     lambda: ev.probe_features(params, config, test_scenes, names),
                      lambda: ev.few_shot_probe(params, config, test_scenes, test_scenes, names, cfg)):
             with pytest.raises(ContractError, match=repr(unknown)):
                 call()
@@ -316,6 +339,81 @@ class TestFewShotProbe:
             ev.few_shot_probe(
                 params, config, test_scenes, test_scenes, names, ProbeConfig(shots=50)
             )
+
+    @pytest.fixture
+    def probe_inputs(self, monkeypatch):
+        """The arrays each ``linear_probe`` call receives, as bytes."""
+        calls = []
+        probe = ev.linear_probe
+
+        def spy(*args):
+            calls.append([a.tobytes() for a in args[:4]])
+            return probe(*args)
+
+        monkeypatch.setattr(ev, "linear_probe", spy)
+        return calls
+
+    def test_encodes_only_the_sampled_training_scenes(self, trained, tiny_dataset, test_scenes,
+                                                      encodes):
+        params, config = trained
+        pool = all_scenes(tiny_dataset)  # three of each type
+        cfg = ProbeConfig(shots=2, reg_grid=(1.0,), seed=0)
+        ev.few_shot_probe(params, config, pool, test_scenes, list(D.SCENE_TYPES), cfg)
+        train_ids, test_ids = encodes[:8], encodes[8:]
+        assert test_ids == [s.scene_id for s in test_scenes]
+        order = [s.scene_id for s in pool]
+        assert sorted(train_ids, key=order.index) == train_ids and len(set(train_ids)) == 8
+        types = [pool[order.index(i)].scene_type for i in train_ids]
+        assert sorted(types) == sorted(list(D.SCENE_TYPES) * 2)
+
+    @pytest.mark.parametrize("shots", [1, 2, 3])
+    def test_outcome_equals_embed_everything_oracle(self, trained, tiny_dataset, test_scenes,
+                                                    probe_inputs, shots):
+        params, config = trained
+        pool = all_scenes(tiny_dataset)
+        names = list(D.SCENE_TYPES)
+        cfg = ProbeConfig(shots=shots, reg_grid=tuple(np.logspace(-4, 2, 8)), seed=shots)
+        got = ev.few_shot_probe(params, config, pool, test_scenes, names, cfg)
+        want = oracle_few_shot_probe(params, config, pool, test_scenes, names, cfg)
+        assert got == want
+        assert probe_inputs[0] == probe_inputs[1]
+
+    def test_rejects_before_any_encode(self, trained, tiny_dataset, encodes):
+        params, config = trained
+        pool = all_scenes(tiny_dataset)
+        names = list(D.SCENE_TYPES)
+        missing = names[0]
+        without = [s for s in pool if s.scene_type != missing]
+        calls = [
+            (pool, pool, names, 4, "need"),                       # 3 scenes per class
+            (pool, without, names[1:], 1, repr(missing)),         # unknown training type
+            (without, pool, names[1:], 1, repr(missing)),         # unknown test type
+        ]
+        for train_scenes, test, class_names, shots, message in calls:
+            with pytest.raises(ContractError, match=message):
+                ev.few_shot_probe(params, config, train_scenes, test, class_names,
+                                  ProbeConfig(shots=shots, reg_grid=(1.0,)))
+        assert encodes == []
+
+
+def all_scenes(manifest):
+    return [scene for split in ("train", "val", "test")
+            for scene in D.load_split_scenes(manifest, split)]
+
+
+def oracle_few_shot_probe(params, config, train_scenes, test_scenes, class_names, cfg):
+    """``few_shot_probe`` as it was: embed every training scene, then index the sampled rows."""
+    features = ev.embed_scenes(train_scenes, params, config)
+    labels = ev.class_labels(train_scenes, class_names)
+    rng = np.random.default_rng(cfg.seed)
+    chosen = []
+    for cls in range(len(class_names)):
+        members = np.nonzero(labels == cls)[0]
+        chosen.extend(rng.choice(members, size=cfg.shots, replace=False).tolist())
+    chosen = sorted(chosen)
+    test_features = ev.embed_scenes(test_scenes, params, config)
+    test_labels = ev.class_labels(test_scenes, class_names)
+    return ev.linear_probe(features[chosen], labels[chosen], test_features, test_labels, cfg)
 
 
 class TestEmitReport:
