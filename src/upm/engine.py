@@ -110,8 +110,9 @@ def _make(array: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` into ``t.grad``; callers skip operands without ``requires_grad``."""
     if t.grad is None:
-        t.grad = np.zeros_like(t.array)
-    t.grad += g
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.array))  # zeros + g's bytes, one pass
+    else:
+        t.grad += g
 
 
 def _sum_leading(g: np.ndarray, count: int) -> np.ndarray:

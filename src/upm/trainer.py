@@ -10,6 +10,13 @@ dataset).
 no graph node per scene.  Every scene enters all four losses, except that
 a scene whose selected views observe no object has no (view, object)
 pair, so it contributes nothing to the grounded loss.
+
+``adamw_step`` runs Adam's arithmetic on a matrix parameter's live rows
+only, the rows that have ever had a nonzero gradient, and gives every
+other row the decay-only update.  A row whose moments and gradient are
+zero gets exactly that update from the dense formula, so the parameters
+and moments keep the dense update's bytes while the text table, whose
+batches read a few dozen of its rows, costs a few dozen rows.
 """
 
 from __future__ import annotations
@@ -124,13 +131,23 @@ def cosine_lr(step: int, total_steps: int, base_lr: float, warmup_fraction: floa
 
 @dataclass
 class OptimizerState:
+    """AdamW's moments, its step count and each matrix parameter's live rows.
+
+    ``first_moment`` and ``second_moment`` are dense, full-shape arrays.
+    ``live_rows`` holds, for each parameter with two or more axes, a boolean
+    mask over its leading axis: the rows that have ever had a nonzero (or
+    non-finite) gradient.  A row outside the mask has zero moments and a
+    zero gradient, so ``adamw_step`` gives it the decay-only update.  The
+    mask holds no information the moments lack: rebuilt as "any moment of
+    the row is nonzero", it can only drop rows whose moments are zero, and
+    such a row updates to the same bytes either way, so resuming from saved
+    moments needs no record of it.
+    """
+
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
+    live_rows: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
-    # Two work arrays per parameter shape for adamw_step; they carry no state.
-    work_arrays: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False
-    )
 
 
 def adamw_step(
@@ -146,28 +163,37 @@ def adamw_step(
     """Decoupled-weight-decay Adam with bias correction, in place.
 
     Per parameter: m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g*g,
-    then p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay*p), with the
-    intermediates written into the state's work arrays.
+    then p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay*p).  A
+    missing gradient counts as zero.
+
+    A matrix parameter runs that arithmetic only on its live rows (see
+    ``OptimizerState``): it gathers their p, m, v and g, updates them and
+    scatters them back, and gives every other row p -= lr * (0.0 +
+    weight_decay*p), or nothing without decay.  Where m = v = g = 0 the
+    full update is exactly that: m_hat and v_hat are +0.0, so the Adam term
+    is 0.0/eps = +0.0, and adding it turns a -0.0 decay into +0.0 as the
+    ``0.0 +`` does.  The results are therefore the dense update's bytes; a
+    text table whose batches read a few of its rows costs a few rows.  Once
+    every row is live the update runs in place over the whole array.
+
+    Raises ``ContractError`` unless 0 <= beta1, beta2 < 1, eps > 0 and lr
+    is finite with its sign bit clear: outside those ranges the dense
+    update is not +0.0 on a zero row, or divides by zero.
     """
+    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0 and eps > 0.0
+            and math.isfinite(lr) and math.copysign(1.0, lr) > 0.0):
+        raise ContractError(f"AdamW needs 0 <= beta1, beta2 < 1, eps > 0 and a finite lr >= +0.0, "
+                            f"got beta1={beta1!r}, beta2={beta2!r}, eps={eps!r}, lr={lr!r}")
     state.step += 1
     t = state.step
     m_correction = 1.0 - beta1**t
     v_correction = 1.0 - beta2**t
-    for name, tensor in named_params:
-        grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.array)
+
+    def adam(name, p, m, v, grad, decay):
+        """AdamW's arithmetic on p, m and v in place, through two work arrays."""
         if not np.isfinite(grad).all():
             raise NumericError(f"non-finite gradient in parameter {name}")
-        m = state.first_moment.get(name)
-        if m is None:
-            m = state.first_moment[name] = np.zeros_like(tensor.array)
-        v = state.second_moment.get(name)
-        if v is None:
-            v = state.second_moment[name] = np.zeros_like(tensor.array)
-        buffers = state.work_arrays.get(tensor.array.shape)
-        if buffers is None:
-            buffers = state.work_arrays[tensor.array.shape] = (
-                np.empty_like(tensor.array), np.empty_like(tensor.array))
-        update, work = buffers
+        update, work = np.empty_like(p), np.empty_like(p)
         m *= beta1
         np.multiply(1.0 - beta1, grad, out=work)
         m += work
@@ -180,11 +206,39 @@ def adamw_step(
         np.sqrt(work, out=work)
         work += eps
         update /= work
-        if weight_decay and name not in no_decay:
-            np.multiply(weight_decay, tensor.array, out=work)
+        if decay:
+            np.multiply(decay, p, out=work)
             update += work
         update *= lr
-        tensor.array -= update
+        p -= update
+
+    for name, tensor in named_params:
+        p, grad = tensor.array, tensor.grad
+        m = state.first_moment.get(name)
+        if m is None:
+            m = state.first_moment[name] = np.zeros_like(p)
+        v = state.second_moment.get(name)
+        if v is None:
+            v = state.second_moment[name] = np.zeros_like(p)
+        decay = weight_decay if weight_decay and name not in no_decay else 0.0
+        live = state.live_rows.get(name)
+        if live is None and p.ndim >= 2:
+            live = state.live_rows[name] = np.zeros(p.shape[0], dtype=bool)
+        if live is not None and not live.all() and grad is not None:
+            live |= grad.any(axis=tuple(range(1, grad.ndim)))
+        if live is None or live.all():
+            adam(name, p, m, v, 0.0 if grad is None else grad, decay)
+            continue
+        rows = np.flatnonzero(live)
+        p_rows, m_rows, v_rows = p[rows], m[rows], v[rows]
+        adam(name, p_rows, m_rows, v_rows, 0.0 if grad is None else grad[rows], decay)
+        m[rows], v[rows] = m_rows, v_rows
+        if decay:  # the decay-only update on every row; the live rows are then overwritten
+            work = np.multiply(decay, p)
+            work += 0.0
+            work *= lr
+            p -= work
+        p[rows] = p_rows
 
 
 def clip_gradients(named_params, max_norm: float) -> float:
@@ -383,6 +437,9 @@ def train(
                 lr = cosine_lr(step, total_steps, cfg.learning_rate, cfg.warmup_fraction)
                 E.zero_grads(t for _, t in named)
                 breakdown = batch_loss(batch, params, enc_cfg, temperature, cfg)
+                values = breakdown.values()
+                if not math.isfinite(values["total"]):
+                    raise NumericError(f"non-finite training loss at step {step}")
                 E.backward(breakdown.total)
                 grad_norm = clip_gradients(named, cfg.grad_clip)
                 adamw_step(
@@ -391,9 +448,6 @@ def train(
                 )
                 temperature.clamp()
 
-                values = breakdown.values()
-                if not math.isfinite(values["total"]):
-                    raise NumericError(f"non-finite training loss at step {step}")
                 if initial_total is None:
                     initial_total = values["total"]
                 epoch_totals.append(values["total"])

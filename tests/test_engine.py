@@ -183,6 +183,24 @@ class TestBackward:
 
         assert run() == run()
 
+    @pytest.mark.parametrize("g", [
+        np.array([[-0.0, 0.0, -1.5], [-0.0, 2.0, -0.0]]),
+        np.array([[-0.0, 3.0, -2.5]]),
+        np.arange(6.0).reshape(3, 2).T * -1.0,
+    ], ids=["negative-zero", "broadcast", "transposed"])
+    def test_first_accumulation_is_zeros_plus_gradient(self, g):
+        # The first gradient is written in one pass; its bytes and layout
+        # must be those of a zero-filled array with g added into it.
+        x = E.Tensor(np.ones((2, 3)), requires_grad=True)
+        E._accumulate(x, g)
+        expected = np.zeros_like(x.array)
+        expected += g
+        assert x.grad.tobytes() == expected.tobytes()
+        assert x.grad.flags.c_contiguous and not np.shares_memory(x.grad, g)
+        E._accumulate(x, g)
+        expected += g
+        assert x.grad.tobytes() == expected.tobytes()
+
     def test_graph_is_topological(self):
         x = E.Tensor([1.0, 2.0], requires_grad=True)
         y = E.mul(x, x)

@@ -11,8 +11,9 @@ import pytest
 from upm import data as D
 from upm import engine as E
 from upm import objectives as obj
+from upm import trainer
 from upm.encoder import (EncoderConfig, encode_texts, encode_views, init_encoder_params,
-                         load_checkpoint, pool_scene)
+                         load_checkpoint, pool_scene, token_ids)
 from upm.engine import Tensor, trace_graph
 from upm.errors import ConfigError, ContractError, NumericError
 from upm.objectives import Temperature
@@ -115,8 +116,8 @@ class TestAdamw:
             adamw_step([("blocks.0.attn.wq", t)], OptimizerState(), lr=0.1)
 
     def test_seeded_sequence_matches_oracle_bytewise(self):
-        # Shapes repeat, so parameters share work arrays; one parameter never
-        # gets a gradient and one is excluded from decay.
+        # Shapes repeat; one parameter never gets a gradient and one is
+        # excluded from decay.
         rng = np.random.default_rng(17)
         shapes = {"a": (6, 4), "b": (6, 4), "c": (4,), "d": (1,), TEMPERATURE_KEY: (1,),
                   "never": (3, 2)}
@@ -139,6 +140,70 @@ class TestAdamw:
                 assert tensor.array.tobytes() == o_tensor.array.tobytes(), (step, name)
                 assert state.first_moment[name].tobytes() == o_state.first_moment[name].tobytes()
                 assert state.second_moment[name].tobytes() == o_state.second_moment[name].tobytes()
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_live_rows_match_oracle_bytewise(self, weight_decay):
+        # A (V, d) table and a (4, 2, 2) stack whose rows go live at
+        # different steps: row 3 only ever sees -0.0, so it stays dead; a
+        # step with no gradient still moves the live rows; the stack goes
+        # fully live at step 3 and then updates in place.  The table holds
+        # -0.0 and a tiny negative value, where a decay-only row must keep
+        # the dense update's `0.0 +` step.
+        rng = np.random.default_rng(29)
+        table = rng.normal(size=(9, 3))
+        table[5] = [-0.0, -5e-324, 0.0]
+        values = {"table": table, "stack": rng.normal(size=(4, 2, 2))}
+        table_rows = [[1], [1, 6], [], [6], [0, 1, 5, 6], [], [2]]
+        stack_rows = [[2], [], [0], [0, 1, 3], [1], None, [2]]
+        runs = []
+        for step_fn in (adamw_step, oracle_adamw_step):
+            named = [(name, Tensor(v.copy(), requires_grad=True)) for name, v in values.items()]
+            runs.append((named, OptimizerState(), step_fn))
+        for step, (t_rows, s_rows) in enumerate(zip(table_rows, stack_rows)):
+            grads = {}
+            if t_rows:
+                grads["table"] = np.zeros((9, 3))
+                grads["table"][t_rows] = rng.normal(size=(len(t_rows), 3))
+                grads["table"][3] = -0.0
+            if s_rows is not None:
+                grads["stack"] = np.zeros((4, 2, 2))
+                grads["stack"][s_rows] = rng.normal(size=(len(s_rows), 2, 2))
+            lr = float(rng.uniform(1e-3, 1e-1))
+            for named, state, step_fn in runs:
+                for name, tensor in named:
+                    tensor.grad = grads[name].copy() if name in grads else None
+                step_fn(named, state, lr, beta1=0.8, beta2=0.95, weight_decay=weight_decay)
+            (named, state, _), (o_named, o_state, _) = runs
+            for (name, tensor), (_, o_tensor) in zip(named, o_named):
+                assert tensor.array.tobytes() == o_tensor.array.tobytes(), (step, name)
+                assert state.first_moment[name].tobytes() == o_state.first_moment[name].tobytes()
+                assert state.second_moment[name].tobytes() == o_state.second_moment[name].tobytes()
+        assert np.flatnonzero(state.live_rows["table"]).tolist() == [0, 1, 2, 5, 6]
+        assert state.live_rows["stack"].all()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gradient_in_dead_row_aborts_with_name(self, bad):
+        t = Tensor(np.ones((5, 2)), requires_grad=True)
+        state = OptimizerState()
+        t.grad = np.zeros((5, 2))
+        t.grad[1] = 1.0
+        adamw_step([("text.table", t)], state, lr=0.1)
+        t.grad = np.zeros((5, 2))
+        t.grad[3, 1] = bad
+        with pytest.raises(NumericError, match="text.table"):
+            adamw_step([("text.table", t)], state, lr=0.1)
+
+    @pytest.mark.parametrize("name,value", [
+        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", math.nan),
+        ("eps", 0.0), ("eps", -1e-8), ("eps", math.nan),
+        ("lr", -1e-3), ("lr", -0.0), ("lr", math.nan), ("lr", math.inf),
+    ])
+    def test_out_of_range_hyperparameter_rejected(self, name, value):
+        t = self.one_param(1.0, grad=1.0)
+        kwargs = {"lr": 0.1, name: value}
+        with pytest.raises(ContractError, match=name):
+            adamw_step([("w", t)], OptimizerState(), **kwargs)
+        assert t.array[0] == 1.0
 
     def test_missing_grad_treated_as_zero(self):
         t = self.one_param(3.0)
@@ -428,6 +493,30 @@ class TestTrainLoop:
         _, _, extras = load_checkpoint(tiny_run.checkpoint_path)
         assert TEMPERATURE_KEY in extras
 
+    def test_non_finite_loss_raises_before_backward(self, tiny_dataset, tmp_path, monkeypatch):
+        real_batch_loss = trainer.batch_loss
+        real_init = trainer.init_encoder_params
+        created, backward_calls = [], []
+
+        def nan_loss(*args):
+            breakdown = real_batch_loss(*args)
+            return dataclasses.replace(breakdown, total=E.scale(breakdown.total, math.nan))
+
+        def init(*args, **kwargs):
+            created.append(real_init(*args, **kwargs))
+            return created[-1]
+
+        monkeypatch.setattr(trainer, "batch_loss", nan_loss)
+        monkeypatch.setattr(trainer, "init_encoder_params", init)
+        monkeypatch.setattr(E, "backward", backward_calls.append)
+        with pytest.raises(NumericError, match="non-finite training loss at step 0"):
+            train(tiny_dataset, TINY_TRAIN, TINY_ENCODER, tmp_path / "run")
+        assert backward_calls == []
+        fresh = real_init(TINY_ENCODER, seed=TINY_TRAIN.seed)
+        for (name, tensor), (_, initial) in zip(created[0].named_parameters(),
+                                                fresh.named_parameters()):
+            assert tensor.array.tobytes() == initial.array.tobytes(), name
+
     def test_rejects_undersized_manifest(self, tiny_dataset, tmp_path):
         cfg = TrainConfig(scenes_per_batch=1000)
         out_dir = tmp_path / "out"
@@ -455,3 +544,37 @@ class TestTrainLoop:
         for path in (result.metrics_path, result.checkpoint_path, result.best_checkpoint_path):
             h.update(path.read_bytes())
         assert h.hexdigest() == "9ae534a6d79c8932b0efc28e2594ee675637730344442cabc0718636a824830b"
+
+    def test_default_run_updates_only_the_text_rows_it_read(self, tmp_path, monkeypatch):
+        # AdamW's live rows of the text table are exactly the token ids of
+        # the texts encoded under gradient; every other matrix is live
+        # throughout after its first step, so it updates in place.
+        real_encode_texts = trainer.encode_texts
+        trained_texts, states = set(), []
+
+        def encode_texts(texts, params, enc_cfg):
+            if E._grad_enabled:
+                trained_texts.update(texts)
+            return real_encode_texts(texts, params, enc_cfg)
+
+        def adamw_step(named, state, *args, **kwargs):
+            states.append(state)
+            return real_adamw_step(named, state, *args, **kwargs)
+
+        real_adamw_step = trainer.adamw_step
+        monkeypatch.setattr(trainer, "encode_texts", encode_texts)
+        monkeypatch.setattr(trainer, "adamw_step", adamw_step)
+        root = tmp_path / "data"
+        ids = []
+        for i in range(10):
+            scene = D.generate_scene(D.SceneSpec(scene_type=D.SCENE_TYPES[i % 4]), seed=200 + i)
+            D.save_scene(scene, root / scene.scene_id)
+            ids.append(scene.scene_id)
+        D.write_manifest(root / "manifest.tsv", D.split_dataset(ids, seed=0))
+        enc_cfg = EncoderConfig()
+        train(root / "manifest.tsv", TrainConfig(epochs=2, seed=3), enc_cfg, tmp_path / "run")
+        read = {row for text in trained_texts for row in token_ids(text, enc_cfg)}
+        live = states[-1].live_rows
+        assert set(np.flatnonzero(live.pop("text.table")).tolist()) == read
+        assert 0 < len(read) < enc_cfg.text_vocab_size // 10
+        assert live and all(mask.all() for mask in live.values())
