@@ -18,12 +18,21 @@ rounding, not bit for bit.  The other stack reductions (``_unbroadcast``
 for biases, ``layer_norm``'s gamma and beta) still reduce within each
 item first, then add the N item results in stack order.
 
+Every ``.grad`` is built by ``_accumulate`` as zeros plus contributions,
+and the root's is ones, so no ``.grad`` ever holds -0.0: a sum is -0.0
+only when both terms are.  A backward rule hands ``_accumulate`` an array
+it allocated and references nowhere else as ``owned``; a first gradient
+of that kind becomes ``.grad`` itself, normalized in place, instead of
+being copied.  Rules never write into their upstream gradient or into the
+arrays their closures captured from the forward.
+
 ``linear(a, w, b)`` is ``add(matmul(a, w), b)`` as one graph node, with
 the chain's bytes forward and in every gradient; its backward is
 ``matmul``'s.  The forward kernels (``linear``, ``layer_norm``, ``gelu``,
-``attention``) reuse their temporaries in place: the same float ops in the
-same order as the plain expressions, so the same bits, with fewer passes
-over memory.
+``attention``) and the backward rules of ``layer_norm``, ``gelu``,
+``attention``, ``normalize_rows`` and ``log_softmax`` reuse their
+temporaries in place: the same float ops in the same order as the plain
+expressions, so the same bits, with fewer passes over memory.
 
 No gradient is computed for an operand that does not require one: every
 backward rule tests ``requires_grad`` before it forms an operand's
@@ -107,12 +116,24 @@ def _make(array: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``; callers skip operands without ``requires_grad``."""
-    if t.grad is None:
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.array))  # zeros + g's bytes, one pass
-    else:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``t.grad``; callers skip operands without ``requires_grad``.
+
+    A first gradient has the bytes of zeros plus ``g``: ``g + 0.0``, which
+    turns -0.0 into +0.0.  ``owned`` says the caller allocated ``g`` and
+    references it nowhere else; a C-contiguous float64 ``g`` of t's exact
+    shape is then normalized in place and adopted as ``t.grad``.  Any
+    other ``g`` (a view of a node's gradient, a broadcast or transposed
+    view, another dtype or shape) is copied.
+    """
+    if t.grad is not None:
         t.grad += g
+    elif (owned and g.dtype == np.float64 and g.shape == t.array.shape
+          and g.flags.c_contiguous):
+        g += 0.0
+        t.grad = g
+    else:
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.array))  # zeros + g's bytes, one pass
 
 
 def _sum_leading(g: np.ndarray, count: int) -> np.ndarray:
@@ -188,16 +209,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.array, a.array.shape))
+            _accumulate(a, _unbroadcast(g * b.array, a.array.shape), owned=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.array, b.array.shape))
+            _accumulate(b, _unbroadcast(g * a.array, b.array.shape), owned=True)
 
     return _make(out, (a, b), bwd)
 
 
 def neg(a: Tensor) -> Tensor:
     def bwd(g):
-        _accumulate(a, -g)
+        _accumulate(a, -g, owned=True)
 
     return _make(-a.array, (a,), bwd)
 
@@ -207,7 +228,7 @@ def scale(a: Tensor, factor: float) -> Tensor:
     factor = float(factor)
 
     def bwd(g):
-        _accumulate(a, g * factor)
+        _accumulate(a, g * factor, owned=True)
 
     return _make(a.array * factor, (a,), bwd)
 
@@ -216,7 +237,7 @@ def exp(a: Tensor) -> Tensor:
     out = np.exp(a.array)
 
     def bwd(g):
-        _accumulate(a, g * out)
+        _accumulate(a, g * out, owned=True)
 
     return _make(out, (a,), bwd)
 
@@ -230,9 +251,15 @@ def gelu(a: Tensor) -> Tensor:
     cdf *= 0.5
     out = x * cdf
 
-    def bwd(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        _accumulate(a, g * (cdf + x * pdf))
+    def bwd(g):  # g * (cdf + x * pdf), pdf = exp(-x*x/2) / sqrt(2 pi), in one array
+        grad = x * x
+        grad *= -0.5
+        np.exp(grad, out=grad)
+        grad *= _INV_SQRT_2PI
+        grad *= x
+        grad += cdf
+        grad *= g
+        _accumulate(a, grad, owned=True)
 
     return _make(out, (a,), bwd)
 
@@ -264,9 +291,9 @@ def _matmul_backward(a: Tensor, w: Tensor, g: np.ndarray) -> None:
     """Per-item ``g @ w.T`` into a; one flat GEMM over the stack into w."""
     k, p = w.array.shape
     if a.requires_grad:
-        _accumulate(a, g @ w.array.T)
+        _accumulate(a, g @ w.array.T, owned=True)
     if w.requires_grad:
-        _accumulate(w, a.array.reshape(-1, k).T @ g.reshape(-1, p))
+        _accumulate(w, a.array.reshape(-1, k).T @ g.reshape(-1, p), owned=True)
 
 
 def linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -274,8 +301,9 @@ def linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     Bytes equal ``add(matmul(a, w), b)`` forward and in every gradient.
     The bias gradient is ``add``'s ``_unbroadcast`` of g.  The matmul
-    backward gets ``g + 0.0``, the bytes ``add`` passed it: a zeroed
-    gradient plus g, which turns -0.0 into +0.0.
+    backward gets g itself: in the chain it got the add's operand
+    gradient, zeros plus g, and since no ``.grad`` holds -0.0 (see the
+    module doc) that is g byte for byte.
     """
     _check_matmul(a, w)
     if b.array.shape != w.array.shape[1:]:
@@ -287,7 +315,7 @@ def linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.array.shape))
         if a.requires_grad or w.requires_grad:
-            _matmul_backward(a, w, g + 0.0)
+            _matmul_backward(a, w, g)
 
     return _make(out, (a, w, b), bwd)
 
@@ -300,7 +328,10 @@ def embedding_bag(table: Tensor, ids, offsets) -> Tensor:
     ``offsets`` starts at 0 and strictly increases, so no bag is empty.
     A repeated id counts once per occurrence.  The backward adds each
     bag's gradient, divided by its length, into the rows it read, with
-    ``np.add.at``; the table's other gradient rows stay zero.
+    one ``np.add.at`` over the flattened table gradient: cell (i, c) of
+    the (len(ids), d) contributions goes to ``ids[i] * d + c``, in the
+    per-cell order of a row-wise ``np.add.at``.  The table's other
+    gradient rows stay zero.
     """
     if table.array.ndim != 2:
         raise ShapeError(f"embedding_bag expects a 2-D table, got {table.shape}")
@@ -323,7 +354,10 @@ def embedding_bag(table: Tensor, ids, offsets) -> Tensor:
     def bwd(g):
         if table.grad is None:
             table.grad = np.zeros_like(table.array)
-        np.add.at(table.grad, ids, np.repeat(g / counts, counts[:, 0], axis=0))
+        width = table.array.shape[1]
+        cells = ids.astype(np.intp)[:, None] * width + np.arange(width)
+        rows = np.repeat(g / counts, counts[:, 0], axis=0)
+        np.add.at(table.grad.reshape(-1), cells.ravel(), rows.ravel())
 
     return _make(out, (table,), bwd)
 
@@ -371,7 +405,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     def bwd(g):
         full = np.zeros_like(a.array)
         full[index] = g
-        _accumulate(a, full)
+        _accumulate(a, full, owned=True)
 
     return _make(out, (a,), bwd)
 
@@ -397,7 +431,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def reduce_sum(a: Tensor) -> Tensor:
     def bwd(g):
-        _accumulate(a, np.full_like(a.array, np.ravel(g)[0]))
+        _accumulate(a, np.full_like(a.array, np.ravel(g)[0]), owned=True)
 
     return _make(np.asarray(a.array.sum()), (a,), bwd)
 
@@ -425,7 +459,8 @@ def log_softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Te
 
     def bwd(g):
         g = np.where(keep, g, 0.0)
-        _accumulate(x, g - soft * g.sum(axis=axis, keepdims=True))
+        g -= soft * g.sum(axis=axis, keepdims=True)
+        _accumulate(x, g, owned=True)
 
     return _make(out, (x,), bwd)
 
@@ -444,13 +479,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     lead = x.array.ndim - 1
 
     def bwd(g):
-        if x.requires_grad:
-            g_xhat = g * gamma.array
-            term = g_xhat - g_xhat.mean(axis=-1, keepdims=True)
-            term -= xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, term * inv_std)
+        if x.requires_grad:  # (g_xhat - mean(g_xhat) - xhat * mean(g_xhat * xhat)) * inv_std
+            term = g * gamma.array  # g_xhat, then the input gradient
+            product = term * xhat
+            mean_term = term.mean(axis=-1, keepdims=True)
+            mean_product = product.mean(axis=-1, keepdims=True)
+            np.multiply(xhat, mean_product, out=product)
+            term -= mean_term
+            term -= product
+            term *= inv_std
+            _accumulate(x, term, owned=True)
         if gamma.requires_grad:
-            _accumulate(gamma, _sum_leading(g * xhat, lead))
+            _accumulate(gamma, _sum_leading(g * xhat, lead), owned=True)
         if beta.requires_grad:
             _accumulate(beta, _sum_leading(g, lead))
 
@@ -464,9 +504,13 @@ def normalize_rows(x: Tensor) -> Tensor:
         raise DegenerateInputError("cannot L2-normalize a (near-)zero vector")
     out = x.array / norms
 
-    def bwd(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        _accumulate(x, (g - out * inner) / norms)
+    def bwd(g):  # (g - out * inner) / norms, inner = sum(g * out), in one array
+        grad = g * out
+        inner = grad.sum(axis=-1, keepdims=True)
+        np.multiply(out, inner, out=grad)
+        np.subtract(g, grad, out=grad)
+        grad /= norms
+        _accumulate(x, grad, owned=True)
 
     return _make(out, (x,), bwd)
 
@@ -512,15 +556,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     def bwd(g):
         gh = split(g)
         if q.requires_grad or k.requires_grad:
-            g_probs = gh @ vh.transpose(0, 1, 3, 2)
-            inner = (g_probs * probs).sum(axis=-1, keepdims=True)
-            g_scores = probs * (g_probs - inner) * factor
+            g_scores = gh @ vh.transpose(0, 1, 3, 2)  # g_probs, then probs * (g_probs - inner) * factor
+            inner = (g_scores * probs).sum(axis=-1, keepdims=True)
+            g_scores -= inner
+            g_scores *= probs
+            g_scores *= factor
             if q.requires_grad:
-                _accumulate(q, merge(g_scores @ kt.transpose(0, 1, 3, 2)))
+                _accumulate(q, merge(g_scores @ kt.transpose(0, 1, 3, 2)), owned=True)
             if k.requires_grad:
-                _accumulate(k, merge((qh.transpose(0, 1, 3, 2) @ g_scores).transpose(0, 1, 3, 2)))
+                _accumulate(k, merge((qh.transpose(0, 1, 3, 2) @ g_scores).transpose(0, 1, 3, 2)),
+                            owned=True)
         if v.requires_grad:
-            _accumulate(v, merge(probs.transpose(0, 1, 3, 2) @ gh))
+            _accumulate(v, merge(probs.transpose(0, 1, 3, 2) @ gh), owned=True)
 
     return _make(out, (q, k, v), bwd)
 

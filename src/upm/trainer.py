@@ -99,6 +99,9 @@ class TrainConfig:
             raise ConfigError("batch and view counts must be positive")
         if self.use_geo and self.views_per_scene < 2:
             raise ConfigError("the geometric loss needs at least two views per scene")
+        if not (self.use_geo or self.use_ground or self.use_view or self.use_scene):
+            raise ConfigError("use_geo, use_ground, use_view and use_scene are all off: "
+                              "no objective would train")
 
 
 def paper_train_config() -> TrainConfig:

@@ -201,6 +201,33 @@ class TestBackward:
         expected += g
         assert x.grad.tobytes() == expected.tobytes()
 
+    def test_owned_gradient_is_adopted(self):
+        # A fresh C-contiguous float64 array of the exact shape becomes
+        # .grad itself, with the bytes of zeros plus g.
+        x = E.Tensor(np.ones((2, 3)), requires_grad=True)
+        g = np.array([[-0.0, 0.0, -1.5], [-0.0, 2.0, -0.0]])
+        expected = np.zeros_like(x.array) + g
+        E._accumulate(x, g, owned=True)
+        assert x.grad is g
+        assert x.grad.tobytes() == expected.tobytes()
+        assert not np.signbit(x.grad[x.grad == 0]).any()
+
+    @pytest.mark.parametrize("g", [
+        np.asfortranarray(np.array([[-0.0, 0.0, -1.5], [-0.0, 2.0, -0.0]])),
+        np.broadcast_to(np.array([-0.0, 3.0, -2.5]), (2, 3)),
+        np.array([[-0.0, 3.0, -2.5]]),
+        np.array([[-0.0, 0.5, -1.5], [-0.0, 2.0, 1e-30]], dtype=np.float32),
+    ], ids=["fortran-order", "broadcast-view", "wrong-shape", "float32"])
+    def test_owned_gradient_copied_unless_adoptable(self, g):
+        x = E.Tensor(np.ones((2, 3)), requires_grad=True)
+        before = g.tobytes()
+        expected = np.zeros_like(x.array)
+        expected += g
+        E._accumulate(x, g, owned=True)
+        assert not np.shares_memory(x.grad, g) and g.tobytes() == before
+        assert x.grad.dtype == np.float64 and x.grad.flags.c_contiguous
+        assert x.grad.tobytes() == expected.tobytes()
+
     def test_graph_is_topological(self):
         x = E.Tensor([1.0, 2.0], requires_grad=True)
         y = E.mul(x, x)
@@ -427,9 +454,7 @@ class TestConstantOperands:
         "linear_stacked": lambda a, w, b: E.add(E.matmul(a, w), b),
     }
 
-    @pytest.mark.parametrize(
-        "name,shapes,build",
-        [
+    CASES = [
             ("add", [(3, 4), (1, 4)], lambda a, b: E.add(a, b)),
             ("mul_broadcast", [(3, 4), (1,)], lambda a, b: E.mul(a, b)),
             ("mul", [(3, 4), (3, 4)], lambda a, b: E.mul(a, b)),
@@ -440,17 +465,22 @@ class TestConstantOperands:
             ("attention", [(2, 3, 4)] * 3, lambda q, k, v: E.attention(q, k, v, 2)),
             ("linear", [(5, 4), (4, 3), (3,)], lambda a, w, b: E.linear(a, w, b)),
             ("linear_stacked", [(2, 5, 4), (4, 3), (3,)], lambda a, w, b: E.linear(a, w, b)),
-        ],
-    )
-    def test_every_subset_of_tracked_operands(self, name, shapes, build):
-        # A fused op's forward and gradient bytes equal its op chain's, run
-        # with every operand tracked; every other op is its own reference.
-        oracle = self.ORACLES.get(name, build)
+    ]
+
+    @staticmethod
+    def inputs(shapes, build):
         rng = np.random.default_rng(72)
         values = [rng.normal(size=shape) for shape in shapes]
         probe = rng.normal(size=build(*map(E.Tensor, values)).shape)
         probe[..., 0] = -0.0  # signed zeros in the output gradient
-        probe = E.Tensor(probe)
+        return values, E.Tensor(probe)
+
+    @pytest.mark.parametrize("name,shapes,build", CASES)
+    def test_every_subset_of_tracked_operands(self, name, shapes, build):
+        # A fused op's forward and gradient bytes equal its op chain's, run
+        # with every operand tracked; every other op is its own reference.
+        oracle = self.ORACLES.get(name, build)
+        values, probe = self.inputs(shapes, build)
 
         def run(tracked, op=build):
             operands = [E.Tensor(v.copy(), requires_grad=t) for v, t in zip(values, tracked)]
@@ -468,6 +498,18 @@ class TestConstantOperands:
                     assert operand.grad.tobytes() == ref.grad.tobytes(), (name, tracked)
                 else:
                     assert operand.grad is None, (name, tracked)
+
+    @pytest.mark.parametrize("name,shapes,build", CASES)
+    def test_no_gradient_holds_negative_zero(self, name, shapes, build):
+        # The probe's -0.0 column reaches the op's output gradient, yet no
+        # traced .grad holds -0.0: each is zeros plus contributions.  This
+        # is why linear can pass g to the matmul backward uncopied.
+        values, probe = self.inputs(shapes, build)
+        root = E.reduce_sum(E.mul(build(*(E.Tensor(v, requires_grad=True) for v in values)),
+                                  probe))
+        E.backward(root)
+        for node in E.trace_graph(root):
+            assert not np.signbit(node.grad[node.grad == 0]).any(), (name, node)
 
 
 class TestEmbeddingBag:
@@ -489,6 +531,24 @@ class TestEmbeddingBag:
         assert not grad[[0, 2, 3, 5]].any()
         np.testing.assert_allclose(grad[4], g[0] / 2 + g[1] / 3, rtol=0, atol=1e-15)
         np.testing.assert_allclose(grad[1], g[0] / 2 + 2 * g[1] / 3, rtol=0, atol=1e-15)
+
+    def test_scatter_matches_row_wise_add_at(self):
+        # Two bag nodes on one table, as a step's text batches are: ids
+        # repeat within and across bags, some contributions are -0.0, and
+        # the second node adds onto the first's gradient.  Magnitudes span
+        # 16 decades, so any other per-cell order would change the sums.
+        rng = np.random.default_rng(83)
+        table = E.Tensor(rng.normal(size=(7, 5)), requires_grad=True)
+        expected = np.zeros_like(table.array)
+        for ids, offsets in (([4, 1, 4, 4, 6, 1, 0], [0, 3, 5]), ([1, 6, 6, 2, 4], [0, 1])):
+            out = E.embedding_bag(table, ids, offsets)
+            g = rng.normal(size=out.shape) * 10.0 ** rng.integers(-8, 8, size=out.shape)
+            g[0, 1::2] = -0.0
+            g[-1, 0] = -0.0
+            out._backward_fn(g)
+            counts = np.diff(offsets, append=len(ids))
+            np.add.at(expected, ids, np.repeat(g / counts[:, None], counts, axis=0))
+        assert table.grad.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "ids,offsets,error",
@@ -661,3 +721,159 @@ class TestKernelsKeepPlainFormulaBytes:
         k, v = rng.normal(scale=3.0, size=(2, 3, keys, width))
         out = E.attention(E.Tensor(q), E.Tensor(k), E.Tensor(v), heads)
         assert out.array.tobytes() == plain_attention(q, k, v, heads).tobytes()
+
+
+# The backward expressions the engine's rules had before they worked in
+# place.  Each recomputes the forward's captured arrays with the plain
+# formulas above and returns the contribution per operand, before
+# _accumulate adds it to zeros.
+
+def sum_leading(a, count):
+    for axis in reversed(range(count)):
+        a = a.sum(axis=axis)
+    return a
+
+
+def oracle_gelu_backward(x, g):
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    return (g * (cdf + x * pdf),)
+
+
+def oracle_layer_norm_backward(x, gamma, beta, g, eps=1e-5):
+    inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * inv_std
+    g_xhat = g * gamma
+    term = g_xhat - g_xhat.mean(axis=-1, keepdims=True)
+    term -= xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True)
+    lead = x.ndim - 1
+    return term * inv_std, sum_leading(g * xhat, lead), sum_leading(g, lead)
+
+
+def oracle_attention_backward(q, k, v, g, num_heads):
+    n, _, d = q.shape
+    head_dim = d // num_heads
+    factor = 1.0 / math.sqrt(head_dim)
+
+    def split(x):
+        return np.ascontiguousarray(
+            x.reshape(n, x.shape[1], num_heads, head_dim).transpose(0, 2, 1, 3))
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(n, x.shape[2], d)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    kt = np.ascontiguousarray(kh.transpose(0, 1, 3, 2))
+    scores = (qh @ kt) * factor
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    gh = split(g)
+    g_probs = gh @ vh.transpose(0, 1, 3, 2)
+    inner = (g_probs * probs).sum(axis=-1, keepdims=True)
+    g_scores = probs * (g_probs - inner) * factor
+    return (merge(g_scores @ kt.transpose(0, 1, 3, 2)),
+            merge((qh.transpose(0, 1, 3, 2) @ g_scores).transpose(0, 1, 3, 2)),
+            merge(probs.transpose(0, 1, 3, 2) @ gh))
+
+
+def oracle_normalize_rows_backward(x, g):
+    norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    out = x / norms
+    inner = (g * out).sum(axis=-1, keepdims=True)
+    return ((g - out * inner) / norms,)
+
+
+def oracle_log_softmax_backward(x, g, axis, mask):
+    keep = True if mask is None else mask
+    peak = x.max(axis=axis, keepdims=True, where=keep, initial=-np.inf)
+    shifted = np.where(keep, x - np.where(np.isneginf(peak), 0.0, peak), -np.inf)
+    total = np.exp(shifted).sum(axis=axis, keepdims=True)
+    soft = np.exp(shifted - np.log(total, out=np.zeros_like(total), where=total > 0))
+    g = np.where(keep, g, 0.0)
+    return (g - soft * g.sum(axis=axis, keepdims=True),)
+
+
+def upstream(rng, shape):
+    """An output gradient with -0.0 entries and +0.0 ones."""
+    g = rng.normal(size=shape)
+    g.flat[::3] = -0.0
+    g.flat[1::7] = 0.0
+    return g
+
+
+class TestBackwardRulesKeepPlainFormulaBytes:
+    """Every tracked operand's gradient equals the old expression's bytes.
+
+    The rule runs twice on the same upstream gradient: the second pass adds
+    onto the first and must read the same captured forward arrays, and
+    neither pass may write into the upstream gradient or the output.
+    """
+
+    @staticmethod
+    def check(op, values, oracle, g):
+        operands = [E.Tensor(v, requires_grad=True) for v in values]
+        out = op(*operands)
+        g_bytes, out_bytes = g.tobytes(), out.array.tobytes()
+        contributions = oracle(*values, g)
+        expected = [np.zeros_like(v) + c for v, c in zip(values, contributions)]
+        for _ in range(2):
+            out._backward_fn(g)
+            for operand, want in zip(operands, expected):
+                assert operand.grad.tobytes() == want.tobytes()
+            for want, c in zip(expected, contributions):
+                want += c
+        assert g.tobytes() == g_bytes and out.array.tobytes() == out_bytes
+
+    @pytest.mark.parametrize("shape", [(4, 1, 7), (3, 5, 7), (2, 9, 256)])
+    def test_gelu(self, shape):
+        rng = np.random.default_rng(101)
+        x = rng.normal(scale=4.0, size=shape)
+        x.flat[:3] = (-0.0, 40.0, -40.0)
+        self.check(E.gelu, [x], oracle_gelu_backward, upstream(rng, shape))
+
+    @pytest.mark.parametrize("shape", [(4, 1, 7), (3, 5, 7), (2, 9, 64), (6, 1), (5, 9)])
+    def test_layer_norm(self, shape):
+        rng = np.random.default_rng(102)
+        x = rng.normal(size=shape) * rng.uniform(0.1, 50.0, size=shape[:-1] + (1,)) + 3.0
+        gamma, beta = rng.normal(size=(2, shape[-1]))
+        self.check(E.layer_norm, [x, gamma, beta], oracle_layer_norm_backward,
+                   upstream(rng, shape))
+
+    @pytest.mark.parametrize("q_rows,keys,width,heads", [
+        (1, 6, 5, 1),
+        (6, 6, 5, 1),
+        (1, 17, 64, 4),
+        (4, 4, 6, 2),
+        (17, 17, 64, 4),
+    ])
+    def test_attention(self, q_rows, keys, width, heads):
+        rng = np.random.default_rng(103)
+        q = rng.normal(scale=3.0, size=(3, q_rows, width))
+        k, v = rng.normal(scale=3.0, size=(2, 3, keys, width))
+        self.check(lambda *qkv: E.attention(*qkv, heads), [q, k, v],
+                   lambda *args: oracle_attention_backward(*args, heads),
+                   upstream(rng, q.shape))
+
+    @pytest.mark.parametrize("shape", [(5, 7), (4, 1, 7), (3, 5, 6)])
+    def test_normalize_rows(self, shape):
+        rng = np.random.default_rng(104)
+        x = rng.normal(size=shape) * rng.uniform(0.1, 50.0, size=shape[:-1] + (1,))
+        self.check(E.normalize_rows, [x], oracle_normalize_rows_backward, upstream(rng, shape))
+
+    @pytest.mark.parametrize("shape,axis,masked", [
+        ((4, 5), 1, False), ((4, 5), 0, False), ((4, 1, 7), -1, False),
+        ((4, 5), 1, True), ((4, 5), 0, True), ((3, 1, 7), -1, True),
+    ])
+    def test_log_softmax(self, shape, axis, masked):
+        rng = np.random.default_rng(105)
+        x = rng.normal(scale=3.0, size=shape)
+        mask = None
+        if masked:  # one slice along axis keeps nothing, another a lone entry
+            mask = rng.random(shape) < 0.6
+            slices = np.moveaxis(mask, axis, -1)  # a view, one slice per last-axis row
+            slices[0] = False
+            slices[1] = False
+            slices[1, ..., 0] = True
+        self.check(lambda t: E.log_softmax(t, axis=axis, mask=mask), [x],
+                   lambda x, g: oracle_log_softmax_backward(x, g, axis, mask),
+                   upstream(rng, shape))

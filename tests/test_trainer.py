@@ -238,6 +238,15 @@ class TestTrainConfig:
             TrainConfig(views_per_scene=1)
         assert TrainConfig(views_per_scene=1, use_geo=False).views_per_scene == 1
 
+    def test_every_objective_off_rejected(self):
+        # With all four off the total is an untracked constant: backward
+        # touches no gradient and AdamW would only decay the weights.
+        off = dict(use_geo=False, use_ground=False, use_view=False, use_scene=False)
+        with pytest.raises(ConfigError, match="no objective"):
+            TrainConfig(**off)
+        for name in off:
+            assert getattr(TrainConfig(**{**off, name: True}), name)
+
     @pytest.mark.parametrize("name,value", [
         ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan), ("beta2", 1.0), ("beta2", -1e-3),
         ("learning_rate", math.nan), ("learning_rate", math.inf),
@@ -386,6 +395,30 @@ class TestBatchLoss:
         params = init_encoder_params(enc_cfg, seed=0)
         breakdown = batch_loss(batch, params, enc_cfg, Temperature(cfg.initial_tau), cfg)
         assert len(trace_graph(breakdown.total)) <= 140
+
+    def test_default_step_adopts_the_gradients_its_rules_allocate(self, default_batch_seed0,
+                                                                  monkeypatch):
+        # A backward rule hands _accumulate the arrays it allocated, and a
+        # first accumulation adopts them as .grad.  It still copies where g
+        # is a view of the node's own gradient (add, reshape, transpose,
+        # concat, broadcast_to, and the bias and beta sums over no axis) or
+        # not C-contiguous (attention's key gradient): 53 copies against 81
+        # adoptions in this step.
+        batch, enc_cfg, cfg = default_batch_seed0
+        params = init_encoder_params(enc_cfg, seed=0)
+        real_accumulate = E._accumulate
+        firsts = []
+
+        def accumulate(t, g, owned=False):
+            first = t.grad is None
+            real_accumulate(t, g, owned)
+            if first:
+                firsts.append(t.grad is g)
+
+        monkeypatch.setattr(E, "_accumulate", accumulate)
+        breakdown = batch_loss(batch, params, enc_cfg, Temperature(cfg.initial_tau), cfg)
+        E.backward(breakdown.total)
+        assert firsts.count(False) <= 54
 
     def test_graph_size_independent_of_scene_count(self, default_batch_seed0):
         batch, enc_cfg, cfg = default_batch_seed0
