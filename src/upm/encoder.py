@@ -2,7 +2,8 @@
 
 Each view is patchified twice (RGB and world-frame point coordinates),
 both patch sets are linearly embedded, and the token streams are fused by
-elementwise summation before a stack of pre-norm transformer blocks.  The
+elementwise summation before a stack of pre-norm transformer blocks, whose
+MLPs use CLIP's QuickGELU, x * sigmoid(1.702 x) (``engine.gelu``).  The
 output class token, L2-normalized, is the view embedding: a batch of N
 views encodes to one unit-norm (N, d) tensor, one row per view, and a
 scene embedding mean-pools a scene's rows.  A deterministic hashing text

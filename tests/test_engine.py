@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from upm import engine as E
 from upm.errors import ContractError, DegenerateInputError, ShapeError
@@ -664,8 +663,30 @@ class TestNormalizeRows:
             E.normalize_rows(E.Tensor(np.zeros((2, 3))))
 
 
-# The forward expressions the engine's kernels had before they reused their
-# temporaries in place; the kernels must keep their bytes.
+class TestQuickGelu:
+    def test_odd_part_is_identity(self):
+        # sigmoid(z) + sigmoid(-z) = 1, so gelu(x) - gelu(-x) = x.
+        x = np.random.default_rng(54).normal(scale=4.0, size=1000)
+        x[:4] = (1e-300, -1e-12, 40.0, -40.0)
+        diff = E.gelu(E.Tensor(x)).array - E.gelu(E.Tensor(-x)).array
+        np.testing.assert_allclose(diff, x, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+    def test_saturates_to_finite_values_at_the_extremes(self):
+        big = np.finfo(float).max
+        x = E.Tensor(np.array([1e300, big, -1e300, -big]), requires_grad=True)
+        with np.errstate(all="raise"):
+            out = E.gelu(x)
+            out._backward_fn(np.ones(4))  # a reduce_sum of the outputs would overflow
+        np.testing.assert_array_equal(out.array, [1e300, big, 0.0, 0.0])
+        np.testing.assert_array_equal(x.grad, [1.0, 1.0, 0.0, 0.0])
+
+    def test_negative_zero_maps_to_negative_zero(self):
+        out = E.gelu(E.Tensor(np.array([-0.0]))).array
+        assert out[0] == 0.0 and np.signbit(out[0])
+
+
+# The plain forward expressions of the engine's kernels, which compute
+# their temporaries in place; the kernels must keep their bytes.
 
 def plain_layer_norm(x, gamma, beta, eps=1e-5):
     mean = x.mean(axis=-1, keepdims=True)
@@ -675,7 +696,7 @@ def plain_layer_norm(x, gamma, beta, eps=1e-5):
 
 
 def plain_gelu(x):
-    return x * (0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
+    return x * (0.5 * (1.0 + np.tanh(x * 0.851)))
 
 
 def plain_attention(q, k, v, num_heads):
@@ -723,7 +744,7 @@ class TestKernelsKeepPlainFormulaBytes:
         assert out.array.tobytes() == plain_attention(q, k, v, heads).tobytes()
 
 
-# The backward expressions the engine's rules had before they worked in
+# The plain backward expressions of the engine's rules, which work in
 # place.  Each recomputes the forward's captured arrays with the plain
 # formulas above and returns the contribution per operand, before
 # _accumulate adds it to zeros.
@@ -735,9 +756,8 @@ def sum_leading(a, count):
 
 
 def oracle_gelu_backward(x, g):
-    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
-    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
-    return (g * (cdf + x * pdf),)
+    s = 0.5 * (1.0 + np.tanh(x * 0.851))
+    return (g * (s + (1.0 - s) * s * x * 1.702),)
 
 
 def oracle_layer_norm_backward(x, gamma, beta, g, eps=1e-5):

@@ -479,7 +479,8 @@ class TestFullReport:
     def test_outcomes_pinned(self, trained, tiny_dataset, tmp_path):
         # summary.txt and the views curve of a full report on the tiny run's
         # checkpoint, as produced when each protocol embedded its scenes itself
-        # and the curve re-ran scene_retrieval once per view budget.
+        # and the curve re-ran scene_retrieval once per view budget, with the
+        # encoder's QuickGELU.
         params, config = trained
         scenes = [scene for split in ("train", "val", "test")
                   for scene in D.load_split_scenes(tiny_dataset, split)]
@@ -497,4 +498,4 @@ class TestFullReport:
         )
         summary = ev.emit_report(report, tmp_path)["summary"].read_bytes()
         digest = hashlib.sha256(summary + repr(report.views_curve).encode()).hexdigest()
-        assert digest == "f563ef77b4f8732828510dadcd9e013159b90d99dd8977d7a7e688fe19488a64"
+        assert digest == "691021e579d31418aba754c5083d65fa323bf4ac2ae32c717cde05f7b72e3a84"

@@ -560,8 +560,8 @@ class TestTrainLoop:
     def test_default_config_run_pinned(self, tmp_path):
         # metrics.tsv and both checkpoints of a short default-config run, as
         # produced by the embedding-bag text tower, one-GEMM stacked weight
-        # gradients, losses built once per batch under block masks and a last
-        # encoder block that runs on the class-token row only.
+        # gradients, losses built once per batch under block masks, a last
+        # encoder block that runs on the class-token row only and QuickGELU.
         root = tmp_path / "data"
         ids = []
         for i in range(10):
@@ -576,7 +576,7 @@ class TestTrainLoop:
         h = hashlib.sha256()
         for path in (result.metrics_path, result.checkpoint_path, result.best_checkpoint_path):
             h.update(path.read_bytes())
-        assert h.hexdigest() == "9ae534a6d79c8932b0efc28e2594ee675637730344442cabc0718636a824830b"
+        assert h.hexdigest() == "43fb10b396b3dbec6bcbd42eab9123badd98e5a43a0a64333231d1cf2a55629b"
 
     def test_default_run_updates_only_the_text_rows_it_read(self, tmp_path, monkeypatch):
         # AdamW's live rows of the text table are exactly the token ids of
