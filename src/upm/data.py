@@ -7,14 +7,24 @@ Generation is a pure function of (spec, seed); every object is guaranteed
 to be visible from at least one view, by regeneration if needed.  All
 views of a layout are ray-cast in one batched pass, and each view is
 bitwise equal to casting it alone (``oracle_render_view`` in the tests).
+
+A scene directory holds two UPMV rasters per view, ``view_NNN_image.upmv``
+(H, W, 3) and ``view_NNN_depth.upmv`` (H, W), and one ``meta.json``
+object: ``scene_id``, ``scene_type`` and ``scene_caption`` strings, a
+``views`` list of records with ``intrinsics`` [fx, fy, cx, cy], a
+row-major ``rotation`` of 9 numbers, a ``translation`` of 3 and a
+``caption``, and an ``objects`` list of records with an integer
+``object_id``, ``category``, ``aabb_min`` and ``aabb_max`` of 3 numbers
+each, and ``referring_text``.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +43,6 @@ from .geometry import (
 logger = logging.getLogger(__name__)
 
 RASTER_MAGIC = b"UPMV"
-# Characters that would split a meta.txt record: its field separator, and
-# every line boundary of ``str.splitlines``.
-_RECORD_BREAKS = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 FLOOR_COLOR = (0.52, 0.48, 0.42)
 
 COLOR_TABLE = {
@@ -473,84 +480,74 @@ def _read_raster(path: Path) -> np.ndarray:
         raise FormatError(f"raster shape {dims} in {path}: {exc}") from exc
 
 
-def _floats(values) -> str:
-    return " ".join(repr(float(x)) for x in np.asarray(values).ravel())
-
-
-def _check_record_text(text: str, what: str) -> None:
-    bad = sorted({c for c in text if c in _RECORD_BREAKS})
-    if bad:
-        raise ContractError(f"{what} {text!r} contains {bad!r}, which meta.txt cannot hold")
-
-
 def save_scene(scene: Scene, directory) -> None:
-    """Write one scene directory: per-view binary rasters, then meta.txt.
+    """Write one scene directory: per-view binary rasters, then meta.json.
 
-    Every file is written atomically.  Texts that would break a meta.txt
-    record (a tab or a line break) are rejected before anything is written.
+    Every file is written atomically.  The metadata is encoded before
+    anything is written, so a scene it cannot hold leaves the directory
+    untouched.
     """
-    for what, text in [("scene id", scene.scene_id), ("scene type", scene.scene_type),
-                       ("scene caption", scene.scene_caption)]:
-        _check_record_text(text, what)
-    for caption in scene.view_captions:
-        _check_record_text(caption, "view caption")
-    for obj in scene.objects:
-        _check_record_text(obj.category, "object category")
-        _check_record_text(obj.referring_text, "referring text")
+    meta = {
+        "scene_id": scene.scene_id,
+        "scene_type": scene.scene_type,
+        "scene_caption": scene.scene_caption,
+        "views": [
+            {
+                "intrinsics": [float(x) for x in astuple(view.intrinsics)],
+                "rotation": view.pose.rotation.ravel().tolist(),
+                "translation": view.pose.translation.tolist(),
+                "caption": caption,
+            }
+            for view, caption in zip(scene.views, scene.view_captions)
+        ],
+        "objects": [
+            {
+                "object_id": int(obj.object_id),
+                "category": obj.category,
+                "aabb_min": obj.aabb_min.tolist(),
+                "aabb_max": obj.aabb_max.tolist(),
+                "referring_text": obj.referring_text,
+            }
+            for obj in scene.objects
+        ],
+    }
+    blob = json.dumps(meta, allow_nan=False).encode("ascii")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"scene_id={scene.scene_id}",
-        f"scene_type={scene.scene_type}",
-        f"scene_caption={scene.scene_caption}",
-        f"num_views={len(scene.views)}",
-        f"num_objects={len(scene.objects)}",
-    ]
-    for i, view in enumerate(scene.views):
-        intr = view.intrinsics
-        cam = _floats([intr.fx, intr.fy, intr.cx, intr.cy])
-        pose = _floats(view.pose.rotation) + " " + _floats(view.pose.translation)
-        lines.append(f"view={i}\t{cam}\t{pose}")
-        lines.append(f"view_caption={i}\t{scene.view_captions[i]}")
-    for obj in scene.objects:
-        box = _floats(obj.aabb_min) + " " + _floats(obj.aabb_max)
-        lines.append(f"object={obj.object_id}\t{obj.category}\t{box}\t{obj.referring_text}")
     for i, view in enumerate(scene.views):
         _write_raster(directory / f"view_{i:03d}_image.upmv", view.image)
         _write_raster(directory / f"view_{i:03d}_depth.upmv", view.depth)
-    with atomic_write(directory / "meta.txt") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+    with atomic_write(directory / "meta.json") as fh:
+        fh.write(blob)
 
 
-def _record_fields(value: str, count: int, key: str, meta_path: Path) -> list[str]:
-    fields = value.split("\t")
-    if len(fields) != count:
-        raise FormatError(f"{key} record has {len(fields)} tab-separated fields, "
-                          f"expected {count}, in {meta_path}")
-    return fields
+_SCENE_KEYS = {"scene_id", "scene_type", "scene_caption", "views", "objects"}
+_VIEW_KEYS = {"intrinsics", "rotation", "translation", "caption"}
+_OBJECT_KEYS = {"object_id", "category", "aabb_min", "aabb_max", "referring_text"}
 
 
-def _record_int(text: str, what: str, meta_path: Path) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise FormatError(f"{what} {text!r} is not an integer in {meta_path}") from exc
+def _records(value, keys: set[str], what: str) -> list[dict]:
+    """A JSON list of records that each hold exactly ``keys``."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} records are not a list")
+    for record in value:
+        if not (isinstance(record, dict) and record.keys() == keys):
+            raise ValueError(f"each {what} record must hold exactly the keys {sorted(keys)}")
+    return value
 
 
-def _record_floats(text: str, count: int, what: str, meta_path: Path) -> list[float]:
-    try:
-        values = [float(x) for x in text.split()]
-    except ValueError as exc:
-        raise FormatError(f"non-numeric {what} value in {text!r} in {meta_path}") from exc
-    if len(values) != count:
-        raise FormatError(f"{what} has {len(values)} values, expected {count}, in {meta_path}")
-    return values
+def _numbers(value, count: int, what: str) -> list[float]:
+    """A JSON list of exactly ``count`` numbers, booleans excluded."""
+    if not (isinstance(value, list) and len(value) == count
+            and all(type(x) in (int, float) for x in value)):
+        raise TypeError(f"{what} must be a list of {count} numbers")
+    return [float(x) for x in value]
 
 
-def _store_once(records: dict, idx: int, value, key: str, meta_path: Path) -> None:
-    if idx in records:
-        raise FormatError(f"duplicate {key}={idx} record in {meta_path}")
-    records[idx] = value
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string")
+    return value
 
 
 def read_utf8(path: Path, what: str) -> str:
@@ -567,89 +564,55 @@ def load_scene(directory) -> Scene:
     """Read a scene directory written by :func:`save_scene`.
 
     Any malformed directory raises :class:`FormatError`: a missing or
-    unreadable file, metadata that is not UTF-8 or breaks a record, and
-    rasters or records that no valid scene could hold.
+    unreadable file, a meta.json that is not UTF-8 JSON of the layout in
+    the module docstring, and rasters or records that no valid scene could
+    hold.  An unknown top-level metadata key is logged and ignored.
     """
     directory = Path(directory)
-    meta_path = directory / "meta.txt"
+    meta_path = directory / "meta.json"
     meta_text = read_utf8(meta_path, "metadata file")
-
-    scalars: dict[str, str] = {}
-    cameras: dict[int, tuple[CameraIntrinsics, CameraPose]] = {}
-    captions: dict[int, str] = {}
-    objects: dict[int, ObjectAnnotation] = {}
-    for raw in meta_text.splitlines():
-        if not raw.strip():
-            continue
-        key, _, value = raw.partition("=")
-        if key == "view":
-            idx_str, cam_str, pose_str = _record_fields(value, 3, key, meta_path)
-            idx = _record_int(idx_str, "view index", meta_path)
-            cam = _record_floats(cam_str, 4, "camera", meta_path)
-            pose_vals = _record_floats(pose_str, 12, "pose", meta_path)
-            try:
-                intr = CameraIntrinsics(*cam)
-                pose = CameraPose(
-                    rotation=np.array(pose_vals[:9]).reshape(3, 3),
-                    translation=np.array(pose_vals[9:12]),
-                )
-            except ContractError as exc:
-                raise FormatError(f"invalid camera for view {idx} in {meta_path}: {exc}") from exc
-            _store_once(cameras, idx, (intr, pose), key, meta_path)
-        elif key == "view_caption":
-            idx_str, text = _record_fields(value, 2, key, meta_path)
-            idx = _record_int(idx_str, "view caption index", meta_path)
-            _store_once(captions, idx, text, key, meta_path)
-        elif key == "object":
-            obj_id, category, box_str, text = _record_fields(value, 4, key, meta_path)
-            idx = _record_int(obj_id, "object id", meta_path)
-            box = _record_floats(box_str, 6, "box", meta_path)
-            try:
-                annotation = ObjectAnnotation(object_id=idx, aabb_min=np.array(box[:3]),
-                                              aabb_max=np.array(box[3:6]),
-                                              referring_text=text, category=category)
-            except ContractError as exc:
-                raise FormatError(f"invalid box for object {idx} in {meta_path}: {exc}") from exc
-            _store_once(objects, idx, annotation, key, meta_path)
-        elif key in ("scene_id", "scene_type", "scene_caption", "num_views", "num_objects"):
-            scalars[key] = value
-        else:
+    try:
+        meta = json.loads(meta_text)
+        if not isinstance(meta, dict):
+            raise TypeError("metadata is not a JSON object")
+        for key in sorted(meta.keys() - _SCENE_KEYS):
             logger.warning("ignoring unknown metadata key %r in %s", key, meta_path)
-
-    if "num_views" not in scalars:
-        raise FormatError(f"metadata missing required key 'num_views' in {meta_path}")
-    n_views = _record_int(scalars["num_views"], "num_views", meta_path)
-    if n_views < 2:
-        raise FormatError(f"num_views={n_views} in {meta_path}: a scene needs at least two views")
-    for key, records in (("view", cameras), ("view_caption", captions)):
-        stray = sorted(set(records) - set(range(n_views)))
-        if stray:
-            raise FormatError(f"{key} records for views {stray} outside num_views={n_views} "
-                              f"in {meta_path}")
+        scene_id, scene_type, scene_caption = (
+            _text(meta[key], key) for key in ("scene_id", "scene_type", "scene_caption"))
+        view_records = _records(meta["views"], _VIEW_KEYS, "view")
+        cameras = [
+            (CameraIntrinsics(*_numbers(r["intrinsics"], 4, "intrinsics")),
+             CameraPose(rotation=np.reshape(_numbers(r["rotation"], 9, "rotation"), (3, 3)),
+                        translation=_numbers(r["translation"], 3, "translation")))
+            for r in view_records
+        ]
+        view_captions = [_text(r["caption"], "view caption") for r in view_records]
+        objects = []
+        for r in _records(meta["objects"], _OBJECT_KEYS, "object"):
+            if type(r["object_id"]) is not int:
+                raise TypeError(f"object id {r['object_id']!r} is not an integer")
+            objects.append(ObjectAnnotation(
+                object_id=r["object_id"], aabb_min=_numbers(r["aabb_min"], 3, "aabb_min"),
+                aabb_max=_numbers(r["aabb_max"], 3, "aabb_max"),
+                referring_text=_text(r["referring_text"], "referring text"),
+                category=_text(r["category"], "category")))
+        if len({obj.object_id for obj in objects}) < len(objects):
+            raise ValueError("object ids are not distinct")
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError, ContractError) as exc:
+        raise FormatError(f"invalid metadata {meta_path}: {type(exc).__name__}: {exc}") from exc
 
     views = []
-    for i in range(n_views):
-        if i not in cameras:
-            raise FormatError(f"metadata missing camera record for view {i} in {meta_path}")
-        if i not in captions:
-            raise FormatError(f"metadata missing view_caption record for view {i} in {meta_path}")
+    for i, (intr, pose) in enumerate(cameras):
         image = _read_raster(directory / f"view_{i:03d}_image.upmv")
         depth = _read_raster(directory / f"view_{i:03d}_depth.upmv")
-        intr, pose = cameras[i]
         try:
             views.append(View(image=image, depth=depth, intrinsics=intr, pose=pose))
         except (ContractError, DegenerateInputError) as exc:
             raise FormatError(f"invalid rasters for view {i} in {directory}: {exc}") from exc
 
     try:
-        return Scene(
-            scene_id=scalars.get("scene_id", directory.name),
-            views=views,
-            objects=list(objects.values()),
-            scene_type=scalars.get("scene_type", ""),
-            scene_caption=scalars.get("scene_caption", ""),
-            view_captions=[captions[i] for i in range(n_views)],
-        )
+        return Scene(scene_id=scene_id, views=views, objects=objects, scene_type=scene_type,
+                     scene_caption=scene_caption, view_captions=view_captions)
     except ContractError as exc:
         raise FormatError(f"invalid scene in {directory}: {exc}") from exc
 

@@ -28,7 +28,7 @@ from .atomic import atomic_write
 from .data import Scene, read_utf8
 from .encoder import EncoderConfig, EncoderParams, encode_texts, encode_views, pool_scene
 from .errors import ContractError, DegenerateInputError, FormatError, NumericError
-from .geometry import DEFAULT_MIN_POINTS, box_counts, max_coverage_sample
+from .geometry import DEFAULT_MIN_POINTS, DEFAULT_VOXEL_SIZE, box_counts, max_coverage_sample
 from .probe import ProbeConfig, ProbeOutcome, linear_probe
 
 logger = logging.getLogger(__name__)
@@ -71,7 +71,6 @@ def embed_scene_views(
     scene: Scene,
     params: EncoderParams,
     config: EncoderConfig,
-    modality: str = "both",
     points: np.ndarray | None = None,
 ) -> np.ndarray:
     """All view embeddings of a scene as a (V, d) array, without gradients.
@@ -85,7 +84,7 @@ def embed_scene_views(
         points, _ = scene.pointmaps()
     pairs = list(zip([v.image for v in scene.views], points))
     with E.no_grad():
-        return encode_views(pairs, params, config, modality=modality).array
+        return encode_views(pairs, params, config).array
 
 
 def scene_embedding_from_views(view_embeddings: np.ndarray) -> np.ndarray:
@@ -185,7 +184,6 @@ def viewpoint_grounding(
     scenes: Sequence[Scene],
     instances: Sequence[GroundingInstance],
     recall_ns: Sequence[int] = DEFAULT_RECALL_NS,
-    modality: str = "both",
 ) -> RetrievalResult:
     """Rank each scene's views against the referring text embedding."""
     by_id = {scene.scene_id: scene for scene in scenes}
@@ -196,7 +194,7 @@ def viewpoint_grounding(
         if scene is None:
             raise ContractError(f"instance references unknown scene {inst.scene_id}")
         if inst.scene_id not in view_cache:
-            view_cache[inst.scene_id] = embed_scene_views(scene, params, config, modality)
+            view_cache[inst.scene_id] = embed_scene_views(scene, params, config)
         text = embed_texts([inst.referring_text], params, config)
         sims.append(cosine_similarity(view_cache[inst.scene_id], text)[:, 0])
         gts.append(inst.gt_view)
@@ -271,7 +269,6 @@ def retrieval_views_curve(
     scenes: Sequence[Scene],
     n_utterances: int,
     budgets: Sequence[int],
-    voxel_size: float = 0.25,
 ) -> list[tuple[int, float]]:
     """R@1 of scene retrieval as the per-scene view budget varies.
 
@@ -293,7 +290,8 @@ def retrieval_views_curve(
         points, validity = scene.pointmaps()
         views = embed_scene_views(scene, params, config, points=points)
         below = [budget for budget in budgets if budget < len(views)]
-        picks = max_coverage_sample(points, validity, max(below), voxel_size) if below else []
+        picks = (max_coverage_sample(points, validity, max(below), DEFAULT_VOXEL_SIZE)
+                 if below else [])
         scene_views.append((views, picks))
     curve = []
     for budget in budgets:
@@ -412,8 +410,18 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _recall_cells(result: RetrievalResult, recall_ns: Sequence[int]) -> str:
+    """Tab-joined table cells of R@N for each N; ``-`` where the result holds no R@N."""
+    return "\t".join(_fmt(result.recall_at[n]) if n in result.recall_at else "-"
+                     for n in recall_ns)
+
+
 def emit_report(report: EvalReport, out_dir) -> dict[str, Path]:
-    """Write the per-task TSV tables, plot series, and key=value summary, each atomically."""
+    """Write the per-task TSV tables, plot series, and key=value summary, each atomically.
+
+    A recall that a result did not compute is ``-`` in its table cell and
+    has no summary line.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     texts: dict[str, str] = {}  # file name -> contents
@@ -423,11 +431,8 @@ def emit_report(report: EvalReport, out_dir) -> dict[str, Path]:
     for name, result in (("standard", report.grounding), ("unique", report.grounding_unique)):
         if result is None:
             continue
-        lines.append(
-            f"{name}\t{result.count}"
-            f"\t{_fmt(result.recall_at.get(1, 0.0))}\t{_fmt(result.recall_at.get(5, 0.0))}"
-            f"\t{_fmt(result.recall_at.get(10, 0.0))}\t{_fmt(result.visible_set_accuracy)}"
-        )
+        lines.append(f"{name}\t{result.count}\t{_recall_cells(result, (1, 5, 10))}"
+                     f"\t{_fmt(result.visible_set_accuracy)}")
         summary.append((f"grounding.{name}.count", result.count))
         for n, value in sorted(result.recall_at.items()):
             summary.append((f"grounding.{name}.r_at_{n}", value))
@@ -436,12 +441,9 @@ def emit_report(report: EvalReport, out_dir) -> dict[str, Path]:
 
     lines = ["n_utterances\tcount\tr_at_1\tr_at_5"]
     for n, result in sorted(report.retrieval.items()):
-        lines.append(
-            f"{n}\t{result.count}\t{_fmt(result.recall_at.get(1, 0.0))}"
-            f"\t{_fmt(result.recall_at.get(5, 0.0))}"
-        )
-        summary.append((f"retrieval.n{n}.r_at_1", result.recall_at.get(1, 0.0)))
-        summary.append((f"retrieval.n{n}.r_at_5", result.recall_at.get(5, 0.0)))
+        lines.append(f"{n}\t{result.count}\t{_recall_cells(result, (1, 5))}")
+        for k, value in sorted(result.recall_at.items()):
+            summary.append((f"retrieval.n{n}.r_at_{k}", value))
     texts["retrieval.tsv"] = "\n".join(lines) + "\n"
 
     lines = ["protocol\taccuracy\tchosen_reg"]

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ContractError, DegenerateInputError, NumericError, RangeError, ShapeError
 
 DEFAULT_MIN_POINTS = 16
+DEFAULT_VOXEL_SIZE = 0.25
 DEFAULT_CHAMFER_SUBSAMPLE = 512
 DEFAULT_CHAMFER_SEED = 0
 

@@ -35,7 +35,7 @@ from .encoder import (MODALITIES, EncoderConfig, EncoderParams, encode_texts, en
                       init_encoder_params, pool_scene, save_checkpoint)
 from .engine import Tensor
 from .errors import ConfigError, ContractError, NumericError
-from .geometry import DEFAULT_MIN_POINTS, max_coverage_sample, visibility_pairs
+from .geometry import DEFAULT_MIN_POINTS, DEFAULT_VOXEL_SIZE, max_coverage_sample, visibility_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -60,7 +60,7 @@ class TrainConfig:
     grad_clip: float = 1.0
     initial_tau: float = 0.07
     chamfer_subsample: int | None = 512
-    voxel_size: float = 0.25
+    voxel_size: float = DEFAULT_VOXEL_SIZE
     min_points: int = DEFAULT_MIN_POINTS
     modality: str = "both"
     use_geo: bool = True

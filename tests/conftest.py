@@ -1,4 +1,4 @@
-"""Shared fixtures: a tiny on-disk dataset and a briefly trained model."""
+"""Shared fixtures: a tiny on-disk dataset and a briefly trained model; a file corrupter."""
 
 import pytest
 
@@ -24,6 +24,14 @@ TINY_TRAIN = TrainConfig(
     seed=0,
     chamfer_subsample=128,
 )
+
+
+def corruptions(blob: bytes, masks=(0xFF,)) -> tuple[list[bytes], list[bytes]]:
+    """Every proper prefix of ``blob``, and every copy with one byte XORed by one of ``masks``."""
+    truncated = [blob[:end] for end in range(len(blob))]
+    flipped = [blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1:]
+               for mask in masks for i in range(len(blob))]
+    return truncated, flipped
 
 
 @pytest.fixture(scope="session")

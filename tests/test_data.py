@@ -1,6 +1,7 @@
 """Tests for synthetic scene generation and the on-disk scene format."""
 
 import hashlib
+import json
 import logging
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from upm.geometry import (
     box_counts,
     pairwise_chamfer,
 )
+from tests.conftest import corruptions
 
 
 def aabb_surface_distance(points, lo, hi):
@@ -508,11 +510,9 @@ class TestSceneIO:
     def test_every_raster_truncation_and_byte_flip_fails_typed_or_loads_intact(self, tmp_path):
         path = tmp_path / "raster.upmv"
         D._write_raster(path, np.arange(12.0).reshape(2, 2, 3))
-        blob = path.read_bytes()
-        variants = [blob[:end] for end in range(len(blob))]
-        variants += [blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:] for i in range(len(blob))]
+        truncated, flipped = corruptions(path.read_bytes())
         loaded = 0
-        for variant in variants:
+        for variant in truncated + flipped:
             path.write_bytes(variant)
             try:
                 array = D._read_raster(path)
@@ -535,84 +535,104 @@ class TestSceneIO:
         with pytest.raises(FormatError, match="magic"):
             D.load_scene(tmp_path / "scene")
 
+    def test_every_meta_truncation_fails_and_byte_flip_fails_typed_or_loads(self, tmp_path):
+        scene = D.generate_scene(small_spec(view_count=2, object_count=(2, 2)), seed=13)
+        D.save_scene(scene, tmp_path / "scene")
+        meta = tmp_path / "scene" / "meta.json"
+        truncated, flipped = corruptions(meta.read_bytes(), masks=(0x01, 0x20, 0x80))
+        for variant in truncated:
+            meta.write_bytes(variant)
+            with pytest.raises(FormatError, match="meta.json"):
+                D.load_scene(tmp_path / "scene")
+        loaded = 0
+        for variant in flipped:
+            meta.write_bytes(variant)
+            try:
+                assert isinstance(D.load_scene(tmp_path / "scene"), D.Scene)
+            except FormatError:
+                continue
+            loaded += 1
+        # No checksum: a flipped digit or letter of a text loads.
+        assert 0 < loaded < len(flipped)
+
     def test_unknown_metadata_key_warns_and_loads(self, tmp_path, caplog):
         scene = D.generate_scene(small_spec(), seed=13)
         D.save_scene(scene, tmp_path / "scene")
-        meta = tmp_path / "scene" / "meta.txt"
-        meta.write_text(meta.read_text() + "future_field=hello\n")
+        _edit_meta(tmp_path / "scene", lambda meta: meta.update(future_field="hello"))
         with caplog.at_level(logging.WARNING):
             loaded = D.load_scene(tmp_path / "scene")
         assert scenes_equal(scene, loaded)
         assert any("unknown metadata key" in r.message for r in caplog.records)
 
+    def test_unencodable_scene_rejected_before_any_write(self, tmp_path):
+        scene = D.generate_scene(small_spec(), seed=13)
+        scene.objects[0].aabb_max[2] = np.inf  # arrays stay mutable after validation
+        with pytest.raises(ValueError, match="JSON compliant"):
+            D.save_scene(scene, tmp_path / "scene")
+        assert not (tmp_path / "scene").exists()
+
     def test_missing_metadata_rejected(self, tmp_path):
-        with pytest.raises(FormatError, match="meta.txt"):
+        with pytest.raises(FormatError, match="meta.json"):
             D.load_scene(tmp_path / "nowhere")
 
 
-def _edit_field(line, index, edit):
-    key, _, value = line.partition("=")
-    fields = value.split("\t")
-    fields[index] = edit(fields[index])
-    return key + "=" + "\t".join(fields)
+def _edit_meta(directory, edit):
+    """Rewrite meta.json after ``edit`` changes its parsed object in place."""
+    path = directory / "meta.json"
+    meta = json.loads(path.read_text())
+    edit(meta)
+    path.write_text(json.dumps(meta))
 
 
-def _edit_first_number(text, replacement):
-    return " ".join([replacement] + text.split()[1:])
+def _replace(keys, value):
+    """An edit that sets the item at ``keys``: to ``value(item)`` if callable, deleted if None."""
+
+    def edit(meta):
+        *parents, last = keys
+        for key in parents:
+            meta = meta[key]
+        if value is None:
+            del meta[last]
+        else:
+            meta[last] = value(meta[last]) if callable(value) else value
+
+    return edit
 
 
-def _set_number(text, index, replacement):
-    numbers = text.split()
-    numbers[index] = replacement
-    return " ".join(numbers)
-
-
-# name -> (prefix of the meta.txt line to edit, edit of that line; None deletes it)
+# name -> edit of the parsed meta.json that no valid scene could hold
 MALFORMED_RECORDS = {
-    "view_missing_field": ("view=0\t", lambda line: line.rsplit("\t", 1)[0]),
-    "view_extra_field": ("view=0\t", lambda line: line + "\textra"),
-    "view_caption_missing_tab": ("view_caption=0\t", lambda line: line.replace("\t", " ")),
-    "view_caption_extra_field": ("view_caption=0\t", lambda line: line + "\textra"),
-    "object_missing_field": ("object=0\t", lambda line: line.rsplit("\t", 1)[0]),
-    "object_extra_field": ("object=0\t", lambda line: line + "\textra"),
-    "camera_non_numeric": ("view=0\t", lambda l: _edit_field(l, 1, lambda f: _edit_first_number(f, "abc"))),
-    "camera_value_count": ("view=0\t", lambda l: _edit_field(l, 1, lambda f: f.split(" ", 1)[1])),
-    "pose_non_numeric": ("view=1\t", lambda l: _edit_field(l, 2, lambda f: _edit_first_number(f, "1.0.0"))),
-    "pose_value_count": ("view=1\t", lambda l: _edit_field(l, 2, lambda f: f + " 0.0")),
-    "box_non_numeric": ("object=0\t", lambda l: _edit_field(l, 2, lambda f: _edit_first_number(f, "x"))),
-    "box_value_count": ("object=0\t", lambda l: _edit_field(l, 2, lambda f: f.split(" ", 1)[1])),
-    "num_views_non_integer": ("num_views=", lambda line: "num_views=six"),
-    "num_views_float": ("num_views=", lambda line: line + ".5"),
-    "view_index_non_integer": ("view=1\t", lambda line: line.replace("view=1", "view=one", 1)),
-    "view_caption_index_non_integer": ("view_caption=1\t", lambda line: line.replace("=1", "=1.0", 1)),
-    "object_id_non_integer": ("object=0\t", lambda line: line.replace("object=0", "object=#0", 1)),
-    "view_caption_missing": ("view_caption=1\t", None),
-    "num_views_too_small": ("num_views=", lambda line: "num_views=1"),
-    "num_views_negative": ("num_views=", lambda line: "num_views=-3"),
-    "focal_length_negative": ("view=0\t", lambda l: _edit_field(l, 1, lambda f: _edit_first_number(f, "-1.0"))),
-    "rotation_not_orthonormal": ("view=1\t", lambda l: _edit_field(l, 2, lambda f: _edit_first_number(f, "2.0"))),
-    "view_duplicated": ("view=1\t", lambda line: line + "\n" + line),
-    "view_caption_duplicated": ("view_caption=1\t", lambda line: line + "\n" + line),
-    "view_index_past_num_views": ("view=1\t", lambda line: line + "\n" + line.replace("=1", "=6", 1)),
-    "view_caption_index_past_num_views": ("view_caption=0\t", lambda line: line + "\nview_caption=9\tx"),
+    "view_missing_field": _replace(("views", 0, "translation"), None),
+    "view_extra_field": _replace(("views", 0, "extra"), "x"),
+    "view_caption_missing": _replace(("views", 1, "caption"), None),
+    "view_caption_not_text": _replace(("views", 1, "caption"), 7),
+    "object_missing_field": _replace(("objects", 0, "referring_text"), None),
+    "object_extra_field": _replace(("objects", 0, "extra"), 1),
+    "object_id_non_integer": _replace(("objects", 0, "object_id"), "#0"),
+    "object_id_float": _replace(("objects", 0, "object_id"), 0.0),
+    "object_id_boolean": _replace(("objects", 0, "object_id"), False),
+    "camera_non_numeric": _replace(("views", 0, "intrinsics", 0), "abc"),
+    "camera_boolean": _replace(("views", 0, "intrinsics", 0), True),
+    "camera_huge_integer": _replace(("views", 0, "intrinsics", 2), 10**400),
+    "camera_value_count": _replace(("views", 0, "intrinsics"), lambda values: values[1:]),
+    "pose_non_numeric": _replace(("views", 1, "rotation", 0), "1.0"),
+    "pose_value_count": _replace(("views", 1, "translation"), lambda values: values + [0.0]),
+    "box_non_numeric": _replace(("objects", 0, "aabb_min", 0), "x"),
+    "box_value_count": _replace(("objects", 0, "aabb_max"), lambda values: values[1:]),
+    "focal_length_negative": _replace(("views", 0, "intrinsics", 0), -1.0),
+    "rotation_not_orthonormal": _replace(("views", 1, "rotation", 0), 2.0),
+    "views_not_a_list": _replace(("views",), {}),
+    "scene_id_missing": _replace(("scene_id",), None),
+    "scene_caption_not_text": _replace(("scene_caption",), ["a", "bedroom"]),
 }
 
 
 class TestMalformedMeta:
     @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
     def test_raises_format_error(self, tmp_path, case):
-        prefix, edit = MALFORMED_RECORDS[case]
         scene = D.generate_scene(small_spec(object_count=(2, 3)), seed=14)
         D.save_scene(scene, tmp_path / "scene")
-        meta = tmp_path / "scene" / "meta.txt"
-        lines = meta.read_text().splitlines()
-        (hit,) = [i for i, line in enumerate(lines) if line.startswith(prefix)]
-        if edit is None:
-            del lines[hit]
-        else:
-            lines[hit] = edit(lines[hit])
-        meta.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="meta.txt"):
+        _edit_meta(tmp_path / "scene", MALFORMED_RECORDS[case])
+        with pytest.raises(FormatError, match="meta.json"):
             D.load_scene(tmp_path / "scene")
 
 
@@ -649,15 +669,6 @@ def _replace_with_directory(path):
     path.mkdir()
 
 
-def _edit_meta(directory, prefix, edit):
-    """Rewrite the one meta.txt line that starts with ``prefix``."""
-    meta = directory / "meta.txt"
-    lines = meta.read_text().splitlines()
-    (hit,) = [i for i, line in enumerate(lines) if line.startswith(prefix)]
-    lines[hit] = edit(lines[hit])
-    meta.write_text("\n".join(lines) + "\n")
-
-
 def _edit_raster(directory, name, edit):
     path = directory / name
     D._write_raster(path, edit(D._read_raster(path)))
@@ -668,17 +679,19 @@ def _with_nan(depth):
     return depth
 
 
-def _invert_box(line):
-    return _edit_field(line, 2, lambda box: " ".join(box.split()[3:] + box.split()[:3]))
+def _swap_corners(obj):
+    return {**obj, "aabb_min": obj["aabb_max"], "aabb_max": obj["aabb_min"]}
 
 
 # name -> edit of a saved scene directory that no valid scene could hold
 MALFORMED_DIRECTORIES = {
     "raster_missing": lambda d: (d / "view_001_depth.upmv").unlink(),
     "raster_is_directory": lambda d: _replace_with_directory(d / "view_001_image.upmv"),
-    "meta_not_utf8": lambda d: (d / "meta.txt").write_bytes(
-        (d / "meta.txt").read_bytes().replace(b"scene_caption=", b"scene_caption=\xff\xfe")),
-    "meta_is_directory": lambda d: _replace_with_directory(d / "meta.txt"),
+    "meta_not_utf8": lambda d: (d / "meta.json").write_bytes(
+        (d / "meta.json").read_bytes().replace(b'"scene_caption": "', b'"scene_caption": "\xff\xfe')),
+    "meta_is_directory": lambda d: _replace_with_directory(d / "meta.json"),
+    "meta_top_level_array": lambda d: (d / "meta.json").write_text(f"[{(d / 'meta.json').read_text()}]"),
+    "meta_deeply_nested": lambda d: (d / "meta.json").write_text("[" * 100000),
     "image_raster_wrong_shape": lambda d: _edit_raster(d, "view_002_image.upmv", lambda a: a[:, :-1]),
     "image_raster_wrong_rank": lambda d: _edit_raster(d, "view_002_image.upmv", lambda a: a[..., 0]),
     "depth_raster_wrong_rank": lambda d: _edit_raster(d, "view_002_depth.upmv", lambda a: a[None]),
@@ -686,18 +699,15 @@ MALFORMED_DIRECTORIES = {
     "depth_raster_negative": lambda d: _edit_raster(d, "view_002_depth.upmv", lambda a: -a),
     "view_size_differs": lambda d: [_edit_raster(d, f"view_003_{kind}.upmv", lambda a: a[:16, :16])
                                     for kind in ("image", "depth")],
-    "object_box_inverted": lambda d: _edit_meta(d, "object=0\t", _invert_box),
+    "object_box_inverted": lambda d: _edit_meta(d, _replace(("objects", 0), _swap_corners)),
     # object 0's min x, and its max x, which no min corner exceeds
-    "object_box_nan": lambda d: _edit_meta(
-        d, "object=0\t", lambda line: _edit_field(line, 2, lambda f: _set_number(f, 0, "nan"))),
-    "object_box_inf": lambda d: _edit_meta(
-        d, "object=0\t", lambda line: _edit_field(line, 2, lambda f: _set_number(f, 3, "inf"))),
-    "object_duplicated": lambda d: _edit_meta(d, "object=1\t", lambda line: line + "\n" + line),
+    "object_box_nan": lambda d: _edit_meta(d, _replace(("objects", 0, "aabb_min", 0), float("nan"))),
+    "object_box_inf": lambda d: _edit_meta(d, _replace(("objects", 0, "aabb_max", 0), float("inf"))),
+    "object_duplicated": lambda d: _edit_meta(d, _replace(("objects",), lambda objs: objs + objs[1:2])),
     # view 0's translation x, and its cx
-    "pose_nan": lambda d: _edit_meta(
-        d, "view=0\t", lambda line: _edit_field(line, 2, lambda f: _set_number(f, 9, "nan"))),
-    "intrinsics_inf": lambda d: _edit_meta(
-        d, "view=0\t", lambda line: _edit_field(line, 1, lambda f: _set_number(f, 2, "inf"))),
+    "pose_nan": lambda d: _edit_meta(d, _replace(("views", 0, "translation", 0), float("nan"))),
+    "intrinsics_inf": lambda d: _edit_meta(d, _replace(("views", 0, "intrinsics", 2), float("inf"))),
+    "one_view": lambda d: _edit_meta(d, _replace(("views",), lambda views: views[:1])),
     # every view's rasters, so that all views still share one size
     "raster_empty": lambda d: [_edit_raster(d, path.name, lambda a: a[:0])
                                for path in d.glob("view_*.upmv")],
@@ -737,12 +747,12 @@ class TestSaveSceneTexts:
         return scene
 
     @pytest.mark.parametrize("field", ["scene_caption", "view_caption", "referring_text", "category"])
-    @pytest.mark.parametrize("breaker", ["\t", "\r", "\n", "\r\n", "\u2028"])
-    def test_rejected_before_any_write(self, tmp_path, field, breaker):
-        scene = self.scene_with(field, f"a red{breaker}chair")
-        with pytest.raises(ContractError, match="meta.txt"):
-            D.save_scene(scene, tmp_path / "scene")
-        assert not (tmp_path / "scene").exists()
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n", "\r\n", "\u2028", '"', "\\", "\ud800"])
+    def test_round_trip(self, tmp_path, field, char):
+        scene = self.scene_with(field, f"a red{char}chair")
+        D.save_scene(scene, tmp_path / "scene")
+        assert (tmp_path / "scene" / "meta.json").read_bytes().isascii()
+        assert scenes_equal(scene, D.load_scene(tmp_path / "scene"))
 
     def test_round_trip_of_unusual_texts(self, tmp_path):
         scene = D.generate_scene(small_spec(object_count=(2, 3)), seed=17)
@@ -821,7 +831,7 @@ class TestAtomicWrites:
         first = D.generate_scene(small_spec(), seed=20)
         second = D.generate_scene(small_spec(), seed=21)
         D.save_scene(first, tmp_path / "scene")
-        meta = tmp_path / "scene" / "meta.txt"
+        meta = tmp_path / "scene" / "meta.json"
         self.assert_failed_write_keeps(
             monkeypatch, meta, lambda: D.save_scene(second, tmp_path / "scene"))
 

@@ -10,6 +10,7 @@ from upm import encoder as enc
 from upm import engine as E
 from upm.encoder import EncoderConfig
 from upm.errors import ConfigError, DegenerateInputError, FormatError, ShapeError
+from tests.conftest import corruptions
 
 
 def tiny_config(**overrides):
@@ -652,10 +653,9 @@ class TestCheckpoint:
         saved = self.tiny_checkpoint(path)
         blob = path.read_bytes()
         assert len(blob) == 520
-        variants = [blob[:end] for end in range(len(blob))]
-        variants += [blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:] for i in range(len(blob))]
+        truncated, flipped = corruptions(blob)
         loaded = 0
-        for variant in variants:
+        for variant in truncated + flipped:
             path.write_bytes(variant)
             try:
                 params, _, extras = enc.load_checkpoint(path)

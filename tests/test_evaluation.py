@@ -457,6 +457,16 @@ class TestEmitReport:
         assert parsed["classification.zero_shot"] == values[0] / 3
         assert parsed["classification.probe_1shot"] == values[1] / 7
 
+    def test_recalls_not_computed_are_not_reported(self, tmp_path):
+        grounding = ev.grounding_metrics([np.array([0.3, 0.9])], [1], [frozenset({1})], recall_ns=(1,))
+        retrieval = ev.RetrievalResult(recall_at={5: 0.25}, visible_set_accuracy=None, count=8)
+        written = ev.emit_report(ev.EvalReport(grounding=grounding, retrieval={2: retrieval}), tmp_path)
+        assert written["grounding"].read_text().splitlines()[1] == "standard\t1\t1.0\t-\t-\t1.0"
+        assert written["retrieval"].read_text().splitlines()[1] == "2\t8\t-\t0.25"
+        assert ev.parse_summary(written["summary"]) == {
+            "grounding.standard.count": 1, "grounding.standard.r_at_1": 1.0,
+            "grounding.standard.visible_set_accuracy": 1.0, "retrieval.n2.r_at_5": 0.25}
+
     @pytest.mark.parametrize("line", ["grounding.standard.count 7", "retrieval.n1.r_at_1=0.5x"])
     def test_malformed_summary_line_rejected(self, tmp_path, line):
         path = tmp_path / "summary.txt"
