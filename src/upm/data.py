@@ -8,14 +8,17 @@ to be visible from at least one view, by regeneration if needed.  All
 views of a layout are ray-cast in one batched pass, and each view is
 bitwise equal to casting it alone (``oracle_render_view`` in the tests).
 
-A scene directory holds two UPMV rasters per view, ``view_NNN_image.upmv``
-(H, W, 3) and ``view_NNN_depth.upmv`` (H, W), and one ``meta.json``
-object: ``scene_id``, ``scene_type`` and ``scene_caption`` strings, a
-``views`` list of records with ``intrinsics`` [fx, fy, cx, cy], a
-row-major ``rotation`` of 9 numbers, a ``translation`` of 3 and a
-``caption``, and an ``objects`` list of records with an integer
-``object_id``, ``category``, ``aabb_min`` and ``aabb_max`` of 3 numbers
-each, and ``referring_text``.
+A scene directory holds three files.  ``images.upmv`` is one UPMV raster
+(V, H, W, 3) of every view's image and ``depths.upmv`` one (V, H, W) of
+every view's depth, both in view order; a UPMV raster is the magic
+``UPMV``, a rank byte, one little-endian uint32 per dimension and the
+little-endian float64 values in C order.  ``meta.json`` is one object:
+``scene_id``, ``scene_type`` and ``scene_caption`` strings, a ``views``
+list of records with ``intrinsics`` [fx, fy, cx, cy], a row-major
+``rotation`` of 9 numbers, a ``translation`` of 3 and a ``caption``, and
+an ``objects`` list of records with an integer ``object_id``,
+``category``, ``aabb_min`` and ``aabb_max`` of 3 numbers each, and
+``referring_text``.
 """
 
 from __future__ import annotations
@@ -449,13 +452,10 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> tuple[Scene | No
 
 
 def _write_raster(path: Path, array: np.ndarray) -> None:
-    array = np.asarray(array, dtype=np.float64)
+    array = np.asarray(array, dtype="<f8")
     with atomic_write(path) as fh:
-        fh.write(RASTER_MAGIC)
-        fh.write(struct.pack("<B", array.ndim))
-        for dim in array.shape:
-            fh.write(struct.pack("<I", dim))
-        fh.write(array.astype("<f8").tobytes())
+        fh.write(RASTER_MAGIC + struct.pack(f"<B{array.ndim}I", array.ndim, *array.shape))
+        fh.write(array.tobytes())
 
 
 def _read_raster(path: Path) -> np.ndarray:
@@ -471,22 +471,28 @@ def _read_raster(path: Path) -> np.ndarray:
     if len(blob) < header_end:
         raise FormatError(f"truncated raster header in {path}")
     dims = struct.unpack(f"<{rank}I", blob[5:header_end])
-    payload = blob[header_end:]
-    if len(payload) != 8 * math.prod(dims):
+    if len(blob) - header_end != 8 * math.prod(dims):
         raise FormatError(f"truncated raster payload in {path}")
     try:
-        return np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        return np.frombuffer(blob, dtype="<f8", offset=header_end).reshape(dims).copy()
     except ValueError as exc:  # a rank beyond numpy's limit
         raise FormatError(f"raster shape {dims} in {path}: {exc}") from exc
 
 
 def save_scene(scene: Scene, directory) -> None:
-    """Write one scene directory: per-view binary rasters, then meta.json.
+    """Write one scene directory: the image and depth stacks, then meta.json.
 
-    Every file is written atomically.  The metadata is encoded before
-    anything is written, so a scene it cannot hold leaves the directory
+    Every file is written atomically.  The stacks and the metadata are built
+    before anything is written, so a scene they cannot hold (views of
+    different sizes, a value JSON cannot encode) leaves the directory
     untouched.
     """
+    sizes = sorted({(view.image.shape, view.depth.shape) for view in scene.views})
+    if len(sizes) > 1:
+        raise ContractError(f"cannot save scene {scene.scene_id!r}: "
+                            f"its views differ in size: {sizes}")
+    images = np.stack([view.image for view in scene.views])
+    depths = np.stack([view.depth for view in scene.views])
     meta = {
         "scene_id": scene.scene_id,
         "scene_type": scene.scene_type,
@@ -514,9 +520,8 @@ def save_scene(scene: Scene, directory) -> None:
     blob = json.dumps(meta, allow_nan=False).encode("ascii")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for i, view in enumerate(scene.views):
-        _write_raster(directory / f"view_{i:03d}_image.upmv", view.image)
-        _write_raster(directory / f"view_{i:03d}_depth.upmv", view.depth)
+    _write_raster(directory / "images.upmv", images)
+    _write_raster(directory / "depths.upmv", depths)
     with atomic_write(directory / "meta.json") as fh:
         fh.write(blob)
 
@@ -601,12 +606,15 @@ def load_scene(directory) -> Scene:
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError, ContractError) as exc:
         raise FormatError(f"invalid metadata {meta_path}: {type(exc).__name__}: {exc}") from exc
 
+    images = _read_raster(directory / "images.upmv")
+    depths = _read_raster(directory / "depths.upmv")
+    if not (images.ndim == 4 and depths.ndim == 3 and len(images) == len(depths) == len(cameras)):
+        raise FormatError(f"scene rasters in {directory} do not hold {len(cameras)} views: "
+                          f"images {images.shape}, depths {depths.shape}")
     views = []
     for i, (intr, pose) in enumerate(cameras):
-        image = _read_raster(directory / f"view_{i:03d}_image.upmv")
-        depth = _read_raster(directory / f"view_{i:03d}_depth.upmv")
         try:
-            views.append(View(image=image, depth=depth, intrinsics=intr, pose=pose))
+            views.append(View(image=images[i], depth=depths[i], intrinsics=intr, pose=pose))
         except (ContractError, DegenerateInputError) as exc:
             raise FormatError(f"invalid rasters for view {i} in {directory}: {exc}") from exc
 

@@ -177,8 +177,9 @@ def _mean_min_sq_dists(point_sets: Sequence[np.ndarray]) -> np.ndarray:
     concatenated; the distances are split back per source set.  The
     diagonal is zero.
     """
-    # Deferred: importing scipy.spatial costs ~10 MB of RSS, which code that
-    # never computes Chamfer distances should not pay.
+    # Deferred: importing scipy.spatial costs ~30 MB of RSS (peak RSS of an
+    # interpreter that imports every upm module goes from 34 to 64.5 MB),
+    # which code that never computes Chamfer distances should not pay.
     from scipy.spatial import cKDTree
 
     if any(len(pts) == 0 for pts in point_sets):

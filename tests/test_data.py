@@ -501,10 +501,10 @@ class TestSceneIO:
     def test_truncated_raster_rejected(self, tmp_path):
         scene = D.generate_scene(small_spec(), seed=11)
         D.save_scene(scene, tmp_path / "scene")
-        victim = tmp_path / "scene" / "view_000_depth.upmv"
+        victim = tmp_path / "scene" / "depths.upmv"
         blob = victim.read_bytes()
         victim.write_bytes(blob[: len(blob) - 16])
-        with pytest.raises(FormatError, match="view_000_depth"):
+        with pytest.raises(FormatError, match="depths.upmv"):
             D.load_scene(tmp_path / "scene")
 
     def test_every_raster_truncation_and_byte_flip_fails_typed_or_loads_intact(self, tmp_path):
@@ -530,7 +530,7 @@ class TestSceneIO:
     def test_bad_magic_rejected(self, tmp_path):
         scene = D.generate_scene(small_spec(), seed=12)
         D.save_scene(scene, tmp_path / "scene")
-        victim = tmp_path / "scene" / "view_001_image.upmv"
+        victim = tmp_path / "scene" / "images.upmv"
         victim.write_bytes(b"XXXX" + victim.read_bytes()[4:])
         with pytest.raises(FormatError, match="magic"):
             D.load_scene(tmp_path / "scene")
@@ -574,6 +574,46 @@ class TestSceneIO:
     def test_missing_metadata_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="meta.json"):
             D.load_scene(tmp_path / "nowhere")
+
+    def test_directory_holds_two_stacks_and_metadata(self, tmp_path):
+        scene = D.generate_scene(small_spec(), seed=10)
+        D.save_scene(scene, tmp_path / "scene")
+        names = sorted(path.name for path in (tmp_path / "scene").iterdir())
+        assert names == ["depths.upmv", "images.upmv", "meta.json"]
+        images = D._read_raster(tmp_path / "scene" / "images.upmv")
+        depths = D._read_raster(tmp_path / "scene" / "depths.upmv")
+        assert _bits(images) == _bits(np.stack([view.image for view in scene.views]))
+        assert _bits(depths) == _bits(np.stack([view.depth for view in scene.views]))
+        loaded = D.load_scene(tmp_path / "scene")
+        assert scene_digest(loaded) == scene_digest(scene)
+        # Each view's rasters are slices of the two stacks, not copies.
+        for field, shape in (("image", images.shape), ("depth", depths.shape)):
+            stack = getattr(loaded.views[0], field).base
+            assert stack is not None and stack.shape == shape
+            assert all(getattr(view, field).base is stack for view in loaded.views)
+
+    def test_per_view_layout_rejected(self, tmp_path):
+        scene = D.generate_scene(small_spec(), seed=10)
+        directory = tmp_path / "scene"
+        D.save_scene(scene, directory)
+        for i, view in enumerate(scene.views):
+            D._write_raster(directory / f"view_{i:03d}_image.upmv", view.image)
+            D._write_raster(directory / f"view_{i:03d}_depth.upmv", view.depth)
+        (directory / "images.upmv").unlink()
+        (directory / "depths.upmv").unlink()
+        with pytest.raises(FormatError, match="images.upmv"):
+            D.load_scene(directory)
+
+    def test_views_of_different_sizes_rejected_before_any_write(self, tmp_path):
+        directory = tmp_path / "scene"
+        scene = D.generate_scene(small_spec(), seed=17)
+        D.save_scene(scene, directory)
+        before = {path.name: path.read_bytes() for path in directory.iterdir()}
+        # Scene checks view sizes when built; its list of views stays mutable.
+        scene.views[-1] = D.generate_scene(small_spec(image_size=16), seed=17).views[0]
+        with pytest.raises(ContractError, match=f"scene '{scene.scene_id}'.*differ in size"):
+            D.save_scene(scene, directory)
+        assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
 
 
 def _edit_meta(directory, edit):
@@ -674,6 +714,22 @@ def _edit_raster(directory, name, edit):
     D._write_raster(path, edit(D._read_raster(path)))
 
 
+def _edit_stacks(directory, edit):
+    """Apply ``edit`` to both the image and the depth stack."""
+    for name in ("images.upmv", "depths.upmv"):
+        _edit_raster(directory, name, edit)
+
+
+def _in_view(index, edit):
+    """An edit of a stack that replaces view ``index`` by ``edit`` of it."""
+
+    def apply(stack):
+        stack[index] = edit(stack[index])
+        return stack
+
+    return apply
+
+
 def _with_nan(depth):
     depth[3, 3] = np.nan
     return depth
@@ -685,20 +741,22 @@ def _swap_corners(obj):
 
 # name -> edit of a saved scene directory that no valid scene could hold
 MALFORMED_DIRECTORIES = {
-    "raster_missing": lambda d: (d / "view_001_depth.upmv").unlink(),
-    "raster_is_directory": lambda d: _replace_with_directory(d / "view_001_image.upmv"),
+    "raster_missing": lambda d: (d / "depths.upmv").unlink(),
+    "raster_is_directory": lambda d: _replace_with_directory(d / "images.upmv"),
     "meta_not_utf8": lambda d: (d / "meta.json").write_bytes(
         (d / "meta.json").read_bytes().replace(b'"scene_caption": "', b'"scene_caption": "\xff\xfe')),
     "meta_is_directory": lambda d: _replace_with_directory(d / "meta.json"),
     "meta_top_level_array": lambda d: (d / "meta.json").write_text(f"[{(d / 'meta.json').read_text()}]"),
     "meta_deeply_nested": lambda d: (d / "meta.json").write_text("[" * 100000),
-    "image_raster_wrong_shape": lambda d: _edit_raster(d, "view_002_image.upmv", lambda a: a[:, :-1]),
-    "image_raster_wrong_rank": lambda d: _edit_raster(d, "view_002_image.upmv", lambda a: a[..., 0]),
-    "depth_raster_wrong_rank": lambda d: _edit_raster(d, "view_002_depth.upmv", lambda a: a[None]),
-    "depth_raster_nan": lambda d: _edit_raster(d, "view_002_depth.upmv", _with_nan),
-    "depth_raster_negative": lambda d: _edit_raster(d, "view_002_depth.upmv", lambda a: -a),
-    "view_size_differs": lambda d: [_edit_raster(d, f"view_003_{kind}.upmv", lambda a: a[:16, :16])
-                                    for kind in ("image", "depth")],
+    "image_raster_wrong_shape": lambda d: _edit_raster(d, "images.upmv", lambda a: a[:, :, :-1]),
+    "image_raster_wrong_rank": lambda d: _edit_raster(d, "images.upmv", lambda a: a[..., 0]),
+    "depth_raster_wrong_rank": lambda d: _edit_raster(d, "depths.upmv", lambda a: a[None]),
+    "depth_raster_rank_zero": lambda d: _edit_raster(d, "depths.upmv", lambda a: a[0, 0, 0]),
+    "depth_raster_nan": lambda d: _edit_raster(d, "depths.upmv", _in_view(2, _with_nan)),
+    "depth_raster_negative": lambda d: _edit_raster(d, "depths.upmv", _in_view(2, lambda a: -a)),
+    "stacks_one_view_fewer": lambda d: _edit_stacks(d, lambda a: a[:-1]),
+    "stacks_one_view_more": lambda d: _edit_stacks(d, lambda a: np.concatenate([a, a[:1]])),
+    "stacks_differ_in_size": lambda d: _edit_raster(d, "depths.upmv", lambda a: a[:, :16, :16]),
     "object_box_inverted": lambda d: _edit_meta(d, _replace(("objects", 0), _swap_corners)),
     # object 0's min x, and its max x, which no min corner exceeds
     "object_box_nan": lambda d: _edit_meta(d, _replace(("objects", 0, "aabb_min", 0), float("nan"))),
@@ -707,10 +765,11 @@ MALFORMED_DIRECTORIES = {
     # view 0's translation x, and its cx
     "pose_nan": lambda d: _edit_meta(d, _replace(("views", 0, "translation", 0), float("nan"))),
     "intrinsics_inf": lambda d: _edit_meta(d, _replace(("views", 0, "intrinsics", 2), float("inf"))),
-    "one_view": lambda d: _edit_meta(d, _replace(("views",), lambda views: views[:1])),
-    # every view's rasters, so that all views still share one size
-    "raster_empty": lambda d: [_edit_raster(d, path.name, lambda a: a[:0])
-                               for path in d.glob("view_*.upmv")],
+    # the stacks too, so that they hold as many views as meta.json lists
+    "one_view": lambda d: [_edit_meta(d, _replace(("views",), lambda views: views[:1])),
+                           _edit_stacks(d, lambda a: a[:1])],
+    # every view's height, so that the views still share one size
+    "raster_empty": lambda d: _edit_stacks(d, lambda a: a[:, :0]),
 }
 
 
@@ -822,10 +881,10 @@ class TestAtomicWrites:
         first = D.generate_scene(small_spec(), seed=18)
         second = D.generate_scene(small_spec(), seed=19)
         D.save_scene(first, tmp_path / "scene")
-        raster = tmp_path / "scene" / "view_003_depth.upmv"
+        raster = tmp_path / "scene" / "depths.upmv"
         self.assert_failed_write_keeps(
             monkeypatch, raster, lambda: D.save_scene(second, tmp_path / "scene"))
-        assert np.array_equal(D._read_raster(raster), first.views[3].depth)
+        assert np.array_equal(D._read_raster(raster), np.stack([view.depth for view in first.views]))
 
     def test_meta(self, tmp_path, monkeypatch):
         first = D.generate_scene(small_spec(), seed=20)
