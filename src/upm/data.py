@@ -19,6 +19,13 @@ list of records with ``intrinsics`` [fx, fy, cx, cy], a row-major
 an ``objects`` list of records with an integer ``object_id``,
 ``category``, ``aabb_min`` and ``aabb_max`` of 3 numbers each, and
 ``referring_text``.
+
+``save_scene`` commits in this order: it removes any old ``meta.json``,
+replaces ``images.upmv`` and then ``depths.upmv``, and writes
+``meta.json`` last, each file atomically.  A directory with a
+``meta.json`` therefore holds one whole scene; a save that stops part-way
+leaves none, and ``load_scene`` raises ``FormatError`` instead of mixing
+two scenes.
 """
 
 from __future__ import annotations
@@ -480,17 +487,20 @@ def _read_raster(path: Path) -> np.ndarray:
 
 
 def save_scene(scene: Scene, directory) -> None:
-    """Write one scene directory: the image and depth stacks, then meta.json.
+    """Write one scene directory in the commit order of the module docstring.
 
     Every file is written atomically.  The stacks and the metadata are built
     before anything is written, so a scene they cannot hold (views of
-    different sizes, a value JSON cannot encode) leaves the directory
-    untouched.
+    different sizes, a caption count that is not the view count, a value
+    JSON cannot encode) leaves the directory untouched.
     """
     sizes = sorted({(view.image.shape, view.depth.shape) for view in scene.views})
     if len(sizes) > 1:
         raise ContractError(f"cannot save scene {scene.scene_id!r}: "
                             f"its views differ in size: {sizes}")
+    if len(scene.view_captions) != len(scene.views):
+        raise ContractError(f"cannot save scene {scene.scene_id!r}: it has "
+                            f"{len(scene.view_captions)} view captions for {len(scene.views)} views")
     images = np.stack([view.image for view in scene.views])
     depths = np.stack([view.depth for view in scene.views])
     meta = {
@@ -520,6 +530,7 @@ def save_scene(scene: Scene, directory) -> None:
     blob = json.dumps(meta, allow_nan=False).encode("ascii")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    (directory / "meta.json").unlink(missing_ok=True)  # no meta.json over a mix of two scenes
     _write_raster(directory / "images.upmv", images)
     _write_raster(directory / "depths.upmv", depths)
     with atomic_write(directory / "meta.json") as fh:

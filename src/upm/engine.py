@@ -2,8 +2,15 @@
 
 The graph is built define-by-run: every operation on gradient-tracked
 tensors records its parents and a local backward rule on the output.
-``backward`` walks the recorded graph once in reverse topological order.
-All storage is float64 and row-major; slicing copies, it never aliases.
+``backward`` walks the recorded graph once in reverse topological order
+and releases it as it goes: once a node's rule has run, the node drops its
+rule, its parents and its ``.grad``, so the activations, the temporaries
+the rules saved and the interior gradients are freed when ``backward``
+returns, and only the leaves (parameters and tracked inputs) keep a
+``.grad``.  A second backward through a released graph, from the same
+root or from a new loss built on one of its tensors, raises
+``ContractError``.  All storage is float64 and row-major; slicing copies,
+it never aliases.
 
 Operands may carry a leading stack axis: ``matmul`` takes an (N, T, k)
 left operand against a (k, p) weight, and ``attention`` runs (N, Tq, d)
@@ -76,7 +83,8 @@ class Tensor:
     """A dense float64 array, optionally tracked for differentiation.
 
     ``array`` is the row-major value storage.  ``grad``, once ``backward``
-    has run, holds d(root)/d(self) with the same shape as ``array``.
+    has run, holds d(root)/d(self) with the same shape as ``array`` on a
+    leaf; an interior node's is released with its graph.
     """
 
     __slots__ = ("array", "requires_grad", "grad", "_parents", "_backward_fn")
@@ -168,15 +176,31 @@ def trace_graph(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _released(g: np.ndarray) -> None:
+    """The rule of a node whose graph ``backward`` has already walked."""
+    raise ContractError("backward through a released graph")
+
+
 def backward(root: Tensor) -> None:
-    """Populate ``grad`` on every tracked ancestor of a scalar root."""
+    """Populate ``grad`` on every tracked leaf below a scalar root, and release the graph.
+
+    Once a node's rule has run, the node drops its parents and its
+    ``.grad``, and its rule becomes the ``_released`` sentinel (see the
+    module doc); leaves keep their gradients.  A second backward through
+    the same root, or through a loss built on any tensor of a released
+    graph, raises ``ContractError`` before it writes any gradient.
+    """
     if root.array.size != 1:
         raise ContractError(f"backward requires a scalar root, got shape {root.shape}")
     order = trace_graph(root)
+    if any(node._backward_fn is _released for node in order):
+        raise ContractError("backward through a graph that an earlier backward released")
     root.grad = np.ones_like(root.array)
     for node in reversed(order):
-        if node._backward_fn is not None and node.grad is not None:
-            node._backward_fn(node.grad)
+        if node._backward_fn is not None:
+            if node.grad is not None:
+                node._backward_fn(node.grad)
+            node._backward_fn, node._parents, node.grad = _released, (), None
 
 
 def zero_grads(tensors) -> None:

@@ -1,8 +1,11 @@
-"""Shared fixtures: a tiny on-disk dataset and a briefly trained model; a file corrupter."""
+"""Shared fixtures: a tiny on-disk dataset and a briefly trained model; a file corrupter;
+a backward that records interior gradients."""
 
+import numpy as np
 import pytest
 
 from upm import data as D
+from upm import engine as E
 from upm.encoder import EncoderConfig
 from upm.trainer import TrainConfig, train
 
@@ -32,6 +35,26 @@ def corruptions(blob: bytes, masks=(0xFF,)) -> tuple[list[bytes], list[bytes]]:
     flipped = [blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1:]
                for mask in masks for i in range(len(blob))]
     return truncated, flipped
+
+
+def record_backward(root) -> dict:
+    """Run ``E.backward(root)`` and return a copy of the gradient each interior node received.
+
+    ``backward`` releases every interior node's ``.grad`` as it goes, so
+    each rule is wrapped before the walk to copy the gradient it is handed.
+    Keys are the interior nodes (those with a rule) in walk order; leaves
+    keep their ``.grad`` as usual.
+    """
+    received: dict[E.Tensor, np.ndarray] = {}
+    for node in E.trace_graph(root):
+        if node._backward_fn not in (None, E._released):  # a released graph must still raise
+            def recording(g, node=node, rule=node._backward_fn):
+                received[node] = g.copy()
+                rule(g)
+
+            node._backward_fn = recording
+    E.backward(root)
+    return received
 
 
 @pytest.fixture(scope="session")

@@ -615,6 +615,18 @@ class TestSceneIO:
             D.save_scene(scene, directory)
         assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
 
+    def test_caption_count_rejected_before_any_write(self, tmp_path):
+        directory = tmp_path / "scene"
+        scene = D.generate_scene(small_spec(), seed=17)
+        D.save_scene(scene, directory)
+        before = {path.name: path.read_bytes() for path in directory.iterdir()}
+        # Scene checks its captions when built; its list of captions stays mutable.
+        scene.view_captions.pop()
+        with pytest.raises(ContractError,
+                           match=f"scene '{scene.scene_id}'.* 5 view captions for 6 views"):
+            D.save_scene(scene, directory)
+        assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
+
 
 def _edit_meta(directory, edit):
     """Rewrite meta.json after ``edit`` changes its parsed object in place."""
@@ -885,14 +897,31 @@ class TestAtomicWrites:
         self.assert_failed_write_keeps(
             monkeypatch, raster, lambda: D.save_scene(second, tmp_path / "scene"))
         assert np.array_equal(D._read_raster(raster), np.stack([view.depth for view in first.views]))
+        # images.upmv already holds the second scene: without meta.json the
+        # directory does not load, rather than loading as a mix of the two.
+        assert np.array_equal(D._read_raster(tmp_path / "scene" / "images.upmv"),
+                              np.stack([view.image for view in second.views]))
+        with pytest.raises(FormatError, match="missing metadata file"):
+            D.load_scene(tmp_path / "scene")
 
     def test_meta(self, tmp_path, monkeypatch):
+        # meta.json is written last, after the old one is removed: a failed
+        # write leaves the new stacks, no metadata and no temp file.
         first = D.generate_scene(small_spec(), seed=20)
         second = D.generate_scene(small_spec(), seed=21)
-        D.save_scene(first, tmp_path / "scene")
-        meta = tmp_path / "scene" / "meta.json"
-        self.assert_failed_write_keeps(
-            monkeypatch, meta, lambda: D.save_scene(second, tmp_path / "scene"))
+        directory = tmp_path / "scene"
+        D.save_scene(first, directory)
+        failing = FailingWrites("meta.json")
+        monkeypatch.setattr(atomic, "open", failing, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            D.save_scene(second, directory)
+        monkeypatch.undo()
+        assert [p.parent for p in failing.temp_paths] == [directory]
+        assert sorted(p.name for p in directory.iterdir()) == ["depths.upmv", "images.upmv"]
+        assert np.array_equal(D._read_raster(directory / "depths.upmv"),
+                              np.stack([view.depth for view in second.views]))
+        with pytest.raises(FormatError, match="missing metadata file"):
+            D.load_scene(directory)
 
     def test_manifest(self, tmp_path, monkeypatch):
         path = tmp_path / "manifest.tsv"

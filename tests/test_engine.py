@@ -1,12 +1,15 @@
 """Tests for the tensor engine: forward values, gradients, invariants."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from upm import engine as E
 from upm.errors import ContractError, DegenerateInputError, ShapeError
+from tests.conftest import record_backward
 from tests.test_encoder import softmax
 
 
@@ -237,6 +240,77 @@ class TestBackward:
             for parent in node._parents:
                 if parent.requires_grad:
                     assert position[id(parent)] < position[id(node)]
+
+
+class TestBackwardReleasesGraph:
+    """``backward`` frees the graph it walks; leaves keep their gradients."""
+
+    @staticmethod
+    def leaves():
+        rng = np.random.default_rng(31)
+        x = E.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = E.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        return x, w, E.Tensor(rng.normal(size=(2, 3, 5)))
+
+    @staticmethod
+    def loss(x, w, probe):
+        h = E.gelu(E.matmul(x, w))
+        return h, E.reduce_sum(E.mul(h, probe))
+
+    def test_interior_nodes_hold_no_parents_or_grad(self):
+        x, w, probe = self.leaves()
+        h, root = self.loss(x, w, probe)
+        product = h._parents[0]
+        nodes = E.trace_graph(root)
+        values = [node.array.copy() for node in nodes]
+        received = record_backward(root)
+        assert set(received) == set(nodes) - {x, w}
+        for node, value in zip(nodes, values):
+            assert node.array.tobytes() == value.tobytes()  # values stay readable
+            if node not in (x, w):
+                assert node._parents == () and node.grad is None
+        assert E.trace_graph(root) == [root]
+        # Each leaf holds what matmul's rule made of the gradient it received.
+        g = received[product]
+        assert x.grad.tobytes() == (g @ w.array.T + 0.0).tobytes()
+        assert w.grad.tobytes() == (x.array.reshape(-1, 4).T @ g.reshape(-1, 5) + 0.0).tobytes()
+
+    def test_activations_freed_while_root_is_referenced(self):
+        x, w, probe = self.leaves()
+        h, root = self.loss(x, w, probe)
+        value = root.item()
+        # h's array, and the matmul output that gelu's rule saved.
+        freed = [weakref.ref(h.array), weakref.ref(h._parents[0].array)]
+        del h
+        gc.collect()
+        assert all(ref() is not None for ref in freed)  # the graph holds them
+        E.backward(root)
+        gc.collect()
+        assert all(ref() is None for ref in freed)
+        assert root.item() == value and x.grad.shape == x.shape and w.grad.shape == w.shape
+
+    def test_second_backward_raises_and_keeps_leaf_grads(self):
+        x, w, probe = self.leaves()
+        _, root = self.loss(x, w, probe)
+        E.backward(root)
+        before = x.grad.tobytes(), w.grad.tobytes()
+        with pytest.raises(ContractError, match="released"):
+            E.backward(root)
+        assert (x.grad.tobytes(), w.grad.tobytes()) == before
+        assert root.grad is None
+
+    def test_loss_on_a_released_tensor_raises_before_any_write(self):
+        x, w, probe = self.leaves()
+        h, root = self.loss(x, w, probe)
+        E.backward(root)
+        before = x.grad.tobytes(), w.grad.tobytes()
+        # The new root's rules would reach h's gradient, and x's through the
+        # fresh matmul, before the walk met h's released rule.
+        again = E.reduce_sum(E.mul(h, E.matmul(x, w)))
+        with pytest.raises(ContractError, match="released"):
+            E.backward(again)
+        assert (x.grad.tobytes(), w.grad.tobytes()) == before
+        assert h.grad is None and again.grad is None
 
 
 class TestRegisteredOpGradients:
@@ -501,14 +575,16 @@ class TestConstantOperands:
     @pytest.mark.parametrize("name,shapes,build", CASES)
     def test_no_gradient_holds_negative_zero(self, name, shapes, build):
         # The probe's -0.0 column reaches the op's output gradient, yet no
-        # traced .grad holds -0.0: each is zeros plus contributions.  This
-        # is why linear can pass g to the matmul backward uncopied.
+        # traced node's gradient holds -0.0: each is zeros plus contributions.
+        # This is why linear can pass g to the matmul backward uncopied.
         values, probe = self.inputs(shapes, build)
         root = E.reduce_sum(E.mul(build(*(E.Tensor(v, requires_grad=True) for v in values)),
                                   probe))
-        E.backward(root)
-        for node in E.trace_graph(root):
-            assert not np.signbit(node.grad[node.grad == 0]).any(), (name, node)
+        nodes = E.trace_graph(root)
+        received = record_backward(root)
+        for node in nodes:
+            grad = received.get(node, node.grad)  # a leaf keeps its own
+            assert not np.signbit(grad[grad == 0]).any(), (name, node)
 
 
 class TestEmbeddingBag:

@@ -9,6 +9,7 @@ from upm import engine as E
 from upm import objectives as obj
 from upm.engine import Tensor
 from upm.errors import ContractError, DegenerateInputError, ShapeError
+from tests.conftest import record_backward
 
 
 def point_maps(xyzs):
@@ -260,17 +261,18 @@ class TestFusedGeoLoss:
                                     lambda x, **kw: logits.append(x) or real(x, **kw))
                 loss = build(h, targets, temp)
                 monkeypatch.undo()
-                E.backward(E.add(E.scale(loss, obj.DEFAULT_GEO_WEIGHT), Tensor(np.ones(1))))
-                runs.append((loss, h, temp, logits))
-            (loss, h, temp, logits), (o_loss, o_h, o_temp, _) = runs
+                received = record_backward(
+                    E.add(E.scale(loss, obj.DEFAULT_GEO_WEIGHT), Tensor(np.ones(1))))
+                runs.append((loss, h, temp, [received[x] for x in logits]))
+            (loss, h, temp, logits_grads), (o_loss, o_h, o_temp, _) = runs
             assert loss.shape == (1,)
             assert_close_to_oracle(loss.item(), o_loss.item(), [h.grad, temp.log_tau.grad],
                                    [o_h.grad, o_temp.log_tau.grad])
             # Only each scene's off-diagonal block gets a gradient.
-            (all_logits,) = logits
+            (logits_grad,) = logits_grads
             in_block = obj.same_scene(counts, counts) & ~np.eye(sum(counts), dtype=bool)
-            assert np.all(all_logits.grad[~in_block] == 0.0)
-            assert np.all(np.diag(all_logits.grad) == 0.0)
+            assert np.all(logits_grad[~in_block] == 0.0)
+            assert np.all(np.diag(logits_grad) == 0.0)
 
     def test_graph_size_independent_of_scene_count(self):
         rng = np.random.default_rng(15)
