@@ -8,38 +8,29 @@ to be visible from at least one view, by regeneration if needed.  All
 views of a layout are ray-cast in one batched pass, and each view is
 bitwise equal to casting it alone (``oracle_render_view`` in the tests).
 
-A scene directory holds three files.  ``images.upmv`` is one UPMV raster
-(V, H, W, 3) of every view's image and ``depths.upmv`` one (V, H, W) of
-every view's depth, both in view order; a UPMV raster is the magic
-``UPMV``, a rank byte, one little-endian uint32 per dimension and the
-little-endian float64 values in C order.  ``meta.json`` is one object:
-``scene_id``, ``scene_type`` and ``scene_caption`` strings, a ``views``
-list of records with ``intrinsics`` [fx, fy, cx, cy], a row-major
-``rotation`` of 9 numbers, a ``translation`` of 3 and a ``caption``, and
-an ``objects`` list of records with an integer ``object_id``,
-``category``, ``aabb_min`` and ``aabb_max`` of 3 numbers each, and
-``referring_text``.
-
-``save_scene`` commits in this order: it removes any old ``meta.json``,
-replaces ``images.upmv`` and then ``depths.upmv``, and writes
-``meta.json`` last, each file atomically.  A directory with a
-``meta.json`` therefore holds one whole scene; a save that stops part-way
-leaves none, and ``load_scene`` raises ``FormatError`` instead of mixing
-two scenes.
+A scene directory holds one file, ``scene.upm``: a ``upm.container`` whose
+arrays are ``images`` (V, H, W, 3), every view's image, and ``depths``
+(V, H, W), every view's depth, both in view order.  Its metadata is one
+object: ``scene_id``, ``scene_type`` and ``scene_caption`` strings, a
+``views`` list of records with ``intrinsics`` [fx, fy, cx, cy], a
+row-major ``rotation`` of 9 numbers, a ``translation`` of 3 and a
+``caption``, and an ``objects`` list of records with an integer
+``object_id``, ``category``, ``aabb_min`` and ``aabb_max`` of 3 numbers
+each, and ``referring_text``.  The file is replaced atomically, so a
+save that stops part-way leaves the previous scene in place.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-import struct
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .atomic import atomic_write
+from .container import read_arrays, write_arrays
 from .errors import ConfigError, ContractError, DegenerateInputError, FormatError, GenerationError
 from .geometry import (
     DEFAULT_MIN_POINTS,
@@ -52,7 +43,7 @@ from .geometry import (
 
 logger = logging.getLogger(__name__)
 
-RASTER_MAGIC = b"UPMV"
+SCENE_FILE = "scene.upm"
 FLOOR_COLOR = (0.52, 0.48, 0.42)
 
 COLOR_TABLE = {
@@ -458,41 +449,13 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> tuple[Scene | No
 # on-disk format
 
 
-def _write_raster(path: Path, array: np.ndarray) -> None:
-    array = np.asarray(array, dtype="<f8")
-    with atomic_write(path) as fh:
-        fh.write(RASTER_MAGIC + struct.pack(f"<B{array.ndim}I", array.ndim, *array.shape))
-        fh.write(array.tobytes())
-
-
-def _read_raster(path: Path) -> np.ndarray:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        raise FormatError(f"unreadable raster {path}: {exc.strerror}") from exc
-    if len(blob) < 5 or blob[:4] != RASTER_MAGIC:
-        raise FormatError(f"bad raster magic in {path}")
-    rank = blob[4]
-    header_end = 5 + 4 * rank
-    if len(blob) < header_end:
-        raise FormatError(f"truncated raster header in {path}")
-    dims = struct.unpack(f"<{rank}I", blob[5:header_end])
-    if len(blob) - header_end != 8 * math.prod(dims):
-        raise FormatError(f"truncated raster payload in {path}")
-    try:
-        return np.frombuffer(blob, dtype="<f8", offset=header_end).reshape(dims).copy()
-    except ValueError as exc:  # a rank beyond numpy's limit
-        raise FormatError(f"raster shape {dims} in {path}: {exc}") from exc
-
-
 def save_scene(scene: Scene, directory) -> None:
-    """Write one scene directory in the commit order of the module docstring.
+    """Write ``directory/scene.upm`` (module docstring) in one atomic replace.
 
-    Every file is written atomically.  The stacks and the metadata are built
-    before anything is written, so a scene they cannot hold (views of
-    different sizes, a caption count that is not the view count, a value
-    JSON cannot encode) leaves the directory untouched.
+    The stacks and the metadata are built before anything is written, so a
+    scene they cannot hold (views of different sizes, a caption count that
+    is not the view count, a value JSON cannot encode) leaves the directory
+    untouched.
     """
     sizes = sorted({(view.image.shape, view.depth.shape) for view in scene.views})
     if len(sizes) > 1:
@@ -527,14 +490,7 @@ def save_scene(scene: Scene, directory) -> None:
             for obj in scene.objects
         ],
     }
-    blob = json.dumps(meta, allow_nan=False).encode("ascii")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "meta.json").unlink(missing_ok=True)  # no meta.json over a mix of two scenes
-    _write_raster(directory / "images.upmv", images)
-    _write_raster(directory / "depths.upmv", depths)
-    with atomic_write(directory / "meta.json") as fh:
-        fh.write(blob)
+    write_arrays(Path(directory) / SCENE_FILE, meta, [("images", images), ("depths", depths)])
 
 
 _SCENE_KEYS = {"scene_id", "scene_type", "scene_caption", "views", "objects"}
@@ -580,19 +536,19 @@ def load_scene(directory) -> Scene:
     """Read a scene directory written by :func:`save_scene`.
 
     Any malformed directory raises :class:`FormatError`: a missing or
-    unreadable file, a meta.json that is not UTF-8 JSON of the layout in
-    the module docstring, and rasters or records that no valid scene could
-    hold.  An unknown top-level metadata key is logged and ignored.
+    malformed ``scene.upm``, arrays other than exactly ``images`` and
+    ``depths``, metadata not of the layout in the module docstring, and
+    rasters or records that no valid scene could hold.  An unknown
+    top-level metadata key is logged and ignored.
     """
-    directory = Path(directory)
-    meta_path = directory / "meta.json"
-    meta_text = read_utf8(meta_path, "metadata file")
+    path = Path(directory) / SCENE_FILE
+    meta, arrays = read_arrays(path)
+    if arrays.keys() != {"images", "depths"}:
+        raise FormatError(f"scene file {path} holds the arrays {sorted(arrays)}, "
+                          f"not ['depths', 'images']")
     try:
-        meta = json.loads(meta_text)
-        if not isinstance(meta, dict):
-            raise TypeError("metadata is not a JSON object")
         for key in sorted(meta.keys() - _SCENE_KEYS):
-            logger.warning("ignoring unknown metadata key %r in %s", key, meta_path)
+            logger.warning("ignoring unknown metadata key %r in %s", key, path)
         scene_id, scene_type, scene_caption = (
             _text(meta[key], key) for key in ("scene_id", "scene_type", "scene_caption"))
         view_records = _records(meta["views"], _VIEW_KEYS, "view")
@@ -614,26 +570,25 @@ def load_scene(directory) -> Scene:
                 category=_text(r["category"], "category")))
         if len({obj.object_id for obj in objects}) < len(objects):
             raise ValueError("object ids are not distinct")
-    except (ValueError, TypeError, KeyError, OverflowError, RecursionError, ContractError) as exc:
-        raise FormatError(f"invalid metadata {meta_path}: {type(exc).__name__}: {exc}") from exc
+    except (ValueError, TypeError, KeyError, OverflowError, ContractError) as exc:
+        raise FormatError(f"invalid metadata in {path}: {type(exc).__name__}: {exc}") from exc
 
-    images = _read_raster(directory / "images.upmv")
-    depths = _read_raster(directory / "depths.upmv")
+    images, depths = arrays["images"], arrays["depths"]
     if not (images.ndim == 4 and depths.ndim == 3 and len(images) == len(depths) == len(cameras)):
-        raise FormatError(f"scene rasters in {directory} do not hold {len(cameras)} views: "
+        raise FormatError(f"scene rasters in {path} do not hold {len(cameras)} views: "
                           f"images {images.shape}, depths {depths.shape}")
     views = []
     for i, (intr, pose) in enumerate(cameras):
         try:
             views.append(View(image=images[i], depth=depths[i], intrinsics=intr, pose=pose))
         except (ContractError, DegenerateInputError) as exc:
-            raise FormatError(f"invalid rasters for view {i} in {directory}: {exc}") from exc
+            raise FormatError(f"invalid rasters for view {i} in {path}: {exc}") from exc
 
     try:
         return Scene(scene_id=scene_id, views=views, objects=objects, scene_type=scene_type,
                      scene_caption=scene_caption, view_captions=view_captions)
     except ContractError as exc:
-        raise FormatError(f"invalid scene in {directory}: {exc}") from exc
+        raise FormatError(f"invalid scene in {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -18,20 +18,16 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import math
 import re
-import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import engine as E
-from .atomic import atomic_write
+from .container import read_arrays, write_arrays
 from .engine import Tensor
 from .errors import ConfigError, ContractError, DegenerateInputError, FormatError, ShapeError
-
-CHECKPOINT_MAGIC = b"UPM1"
 
 MODALITY_BOTH = "both"
 MODALITY_IMAGE_ONLY = "image-only"
@@ -384,105 +380,38 @@ def encode_texts(texts: Sequence[str], params: EncoderParams, config: EncoderCon
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container
-
-
-def _config_record(config: EncoderConfig) -> bytes:
-    lines = [
-        f"image_size={config.image_size}",
-        f"patch_size={config.patch_size}",
-        f"embed_dim={config.embed_dim}",
-        f"num_blocks={config.num_blocks}",
-        f"num_heads={config.num_heads}",
-        f"mlp_ratio={config.mlp_ratio}",
-        f"text_vocab_size={config.text_vocab_size}",
-        f"text_context_length={config.text_context_length}",
-    ]
-    return "\n".join(lines).encode("utf-8")
-
-
-def _parse_config_record(blob: bytes) -> EncoderConfig:
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"checkpoint config record is not UTF-8: {exc}") from exc
-    values = {}
-    for line in text.splitlines():
-        key, sep, raw = line.partition("=")
-        if not sep:
-            raise FormatError(f"checkpoint config line without '=': {line!r}")
-        try:
-            values[key.strip()] = int(raw.strip())
-        except ValueError as exc:
-            raise FormatError(f"checkpoint config value is not an integer: {line!r}") from exc
-    try:
-        return EncoderConfig(**values)
-    except (TypeError, ConfigError) as exc:
-        raise FormatError(f"invalid checkpoint config record: {exc}") from exc
+# checkpoints
 
 
 def save_checkpoint(path, params: EncoderParams, config: EncoderConfig, extras=None) -> None:
-    """Write the self-describing binary container (magic ``UPM1``), atomically.
+    """Write a ``container`` of the encoder config and the named parameters, atomically.
 
-    ``extras`` may carry additional named tensors (e.g. the loss
-    temperature) that are stored after the encoder parameters.
+    The metadata is ``{"encoder": asdict(config)}``; the arrays are the
+    parameters in ``named_parameters()`` order, then ``extras``, further
+    named tensors such as the loss temperature.
     """
-    entries = list(params.named_parameters())
-    if extras:
-        entries.extend(extras)
-    record = _config_record(config)
-    with atomic_write(path) as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(record)))
-        fh.write(record)
-        fh.write(struct.pack("<I", len(entries)))
-        for name, tensor in entries:
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            arr = tensor.array
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(arr.astype("<f8").tobytes())
+    entries = [*params.named_parameters(), *(extras or [])]
+    write_arrays(path, {"encoder": asdict(config)},
+                 [(name, tensor.array) for name, tensor in entries])
 
 
 def load_checkpoint(path) -> tuple[EncoderParams, EncoderConfig, dict[str, Tensor]]:
-    """Read a ``UPM1`` container back into parameters + config + extras, checking every length."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    pos = 0
+    """Read a checkpoint back into parameters, config and extras.
 
-    def take(count: int) -> bytes:
-        nonlocal pos
-        if count > len(blob) - pos:
-            raise FormatError(f"truncated checkpoint file: {path}")
-        pos += count
-        return blob[pos - count : pos]
-
-    if take(4) != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad magic bytes in checkpoint: {path}")
-    (record_len,) = struct.unpack("<I", take(4))
-    config = _parse_config_record(take(record_len))
-    (n_entries,) = struct.unpack("<I", take(4))
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(n_entries):
-        (name_len,) = struct.unpack("<H", take(2))
-        try:
-            name = take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"checkpoint tensor name is not UTF-8: {path}") from exc
-        if name in tensors:
-            raise FormatError(f"checkpoint tensor {name} appears twice: {path}")
-        rank = take(1)[0]
-        dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        payload = take(8 * math.prod(dims))
-        try:
-            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-        except ValueError as exc:  # a rank beyond numpy's limit
-            raise FormatError(f"checkpoint tensor {name} has shape {dims}: {path}") from exc
-    if pos != len(blob):
-        raise FormatError(f"{len(blob) - pos} trailing bytes in checkpoint: {path}")
+    A malformed file, a config that is not exactly the integer fields of
+    ``EncoderConfig``, and a parameter that is missing or of the wrong
+    shape raise ``FormatError``; an array that is not a parameter is an extra.
+    """
+    meta, tensors = read_arrays(path)
+    try:
+        fields = meta["encoder"]
+        if not (isinstance(fields, dict) and all(type(v) is int for v in fields.values())):
+            raise TypeError(f"the encoder config {fields!r} does not hold integers only")
+        config = EncoderConfig(**fields)
+        if asdict(config) != fields:
+            raise TypeError(f"the encoder config {fields!r} lacks a field")
+    except (KeyError, TypeError, ConfigError) as exc:
+        raise FormatError(f"invalid checkpoint config in {path}: {exc}") from exc
 
     params = _build_params(config, np.empty)  # every array is replaced below
     extras: dict[str, Tensor] = {}
@@ -493,7 +422,7 @@ def load_checkpoint(path) -> tuple[EncoderParams, EncoderConfig, dict[str, Tenso
             if target.array.shape != arr.shape:
                 raise FormatError(f"checkpoint tensor {name} has shape {arr.shape}, "
                                   f"expected {target.array.shape}: {path}")
-            target.array = np.ascontiguousarray(arr)
+            target.array = arr
         else:
             extras[name] = Tensor(arr, requires_grad=True)
     if expected:

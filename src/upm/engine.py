@@ -598,39 +598,3 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
             _accumulate(v, merge(probs.transpose(0, 1, 3, 2) @ gh), owned=True)
 
     return _make(out, (q, k, v), bwd)
-
-
-# ---------------------------------------------------------------------------
-# verification harness
-
-
-def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
-    """Max relative disagreement between analytic and central-difference grads.
-
-    ``f`` must rebuild its computation from the current value of ``x`` on
-    every call (define-by-run).  The relative error per coordinate is
-    ``|analytic - numeric| / max(1, |analytic|)``.
-    """
-    if h <= 0:
-        raise ContractError("finite_diff_check requires h > 0")
-    if not x.requires_grad:
-        raise ContractError("finite_diff_check requires a gradient-tracked input")
-    x.grad = None
-    out = f(x)
-    backward(out)
-    analytic = (x.grad if x.grad is not None else np.zeros_like(x.array)).ravel().copy()
-
-    numeric = np.empty_like(analytic)
-    flat = x.array.ravel()
-    with no_grad():
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + h
-            f_plus = f(x).item()
-            flat[i] = saved - h
-            f_minus = f(x).item()
-            flat[i] = saved
-            numeric[i] = (f_plus - f_minus) / (2.0 * h)
-
-    rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
-    return float(rel.max()) if rel.size else 0.0

@@ -1,5 +1,8 @@
-"""Shared fixtures: a tiny on-disk dataset and a briefly trained model; a file corrupter;
-a backward that records interior gradients."""
+"""Shared fixtures: a tiny on-disk dataset and a briefly trained model; a file corrupter
+and container header editors; a backward that records interior gradients; the
+finite-difference gradient oracle."""
+
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from upm import data as D
 from upm import engine as E
 from upm.encoder import EncoderConfig
+from upm.errors import ContractError
 from upm.trainer import TrainConfig, train
 
 TINY_ENCODER = EncoderConfig(
@@ -37,6 +41,34 @@ def corruptions(blob: bytes, masks=(0xFF,)) -> tuple[list[bytes], list[bytes]]:
     return truncated, flipped
 
 
+def header_end(blob: bytes) -> int:
+    """Where a container's JSON header ends: after the magic, 8 length bytes and the header."""
+    return 12 + int.from_bytes(blob[4:12], "little")
+
+
+def rewrite_header(path, edit) -> None:
+    """Replace a container's JSON header by ``edit`` of its bytes, fixing the header length."""
+    blob = path.read_bytes()
+    end = header_end(blob)
+    header = edit(blob[12:end])
+    path.write_bytes(blob[:4] + len(header).to_bytes(8, "little") + header + blob[end:])
+
+
+def edit_header(path, edit) -> None:
+    """Rewrite a container's parsed JSON header after ``edit`` changes it in place.
+
+    JSON's defaults re-encode it, so an edit may put in NaN or infinity,
+    which the container's writer never writes.
+    """
+
+    def edit_text(text):
+        header = json.loads(text)
+        edit(header)
+        return json.dumps(header, sort_keys=True).encode("ascii")
+
+    rewrite_header(path, edit_text)
+
+
 def record_backward(root) -> dict:
     """Run ``E.backward(root)`` and return a copy of the gradient each interior node received.
 
@@ -55,6 +87,37 @@ def record_backward(root) -> dict:
             node._backward_fn = recording
     E.backward(root)
     return received
+
+
+def finite_diff_check(f, x: E.Tensor, h: float = 1e-5) -> float:
+    """Max relative disagreement between analytic and central-difference grads.
+
+    ``f`` must rebuild its computation from the current value of ``x`` on
+    every call (define-by-run).  The relative error per coordinate is
+    ``|analytic - numeric| / max(1, |analytic|)``.
+    """
+    if h <= 0:
+        raise ContractError("finite_diff_check requires h > 0")
+    if not x.requires_grad:
+        raise ContractError("finite_diff_check requires a gradient-tracked input")
+    x.grad = None
+    E.backward(f(x))
+    analytic = (x.grad if x.grad is not None else np.zeros_like(x.array)).ravel().copy()
+
+    numeric = np.empty_like(analytic)
+    flat = x.array.ravel()
+    with E.no_grad():
+        for i in range(flat.size):
+            saved = flat[i]
+            flat[i] = saved + h
+            f_plus = f(x).item()
+            flat[i] = saved - h
+            f_minus = f(x).item()
+            flat[i] = saved
+            numeric[i] = (f_plus - f_minus) / (2.0 * h)
+
+    rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
+    return float(rel.max()) if rel.size else 0.0
 
 
 @pytest.fixture(scope="session")

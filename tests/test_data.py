@@ -12,6 +12,7 @@ from upm import atomic
 from upm import data as D
 from upm import encoder as enc
 from upm import evaluation as ev
+from upm.container import read_arrays, write_arrays
 from upm.errors import ConfigError, ContractError, DegenerateInputError, FormatError, GenerationError
 from upm.geometry import (
     CameraIntrinsics,
@@ -21,7 +22,7 @@ from upm.geometry import (
     box_counts,
     pairwise_chamfer,
 )
-from tests.conftest import corruptions
+from tests.conftest import corruptions, edit_header, header_end, rewrite_header
 
 
 def aabb_surface_distance(points, lo, hi):
@@ -501,52 +502,38 @@ class TestSceneIO:
     def test_truncated_raster_rejected(self, tmp_path):
         scene = D.generate_scene(small_spec(), seed=11)
         D.save_scene(scene, tmp_path / "scene")
-        victim = tmp_path / "scene" / "depths.upmv"
+        victim = tmp_path / "scene" / "scene.upm"
         blob = victim.read_bytes()
         victim.write_bytes(blob[: len(blob) - 16])
-        with pytest.raises(FormatError, match="depths.upmv"):
+        with pytest.raises(FormatError, match="scene.upm"):
             D.load_scene(tmp_path / "scene")
-
-    def test_every_raster_truncation_and_byte_flip_fails_typed_or_loads_intact(self, tmp_path):
-        path = tmp_path / "raster.upmv"
-        D._write_raster(path, np.arange(12.0).reshape(2, 2, 3))
-        truncated, flipped = corruptions(path.read_bytes())
-        loaded = 0
-        for variant in truncated + flipped:
-            path.write_bytes(variant)
-            try:
-                array = D._read_raster(path)
-            except FormatError:
-                continue
-            assert array.shape == (2, 2, 3)  # a flipped payload byte loads: no checksum
-            loaded += 1
-        assert loaded == 12 * 8
-        # Headers no single flip reaches: a count past 2**64 bytes, a rank past numpy's limit.
-        for header in (b"\x02" + (0x80000000).to_bytes(4, "little") * 2, b"\x41" + bytes(4 * 65)):
-            path.write_bytes(D.RASTER_MAGIC + header)
-            with pytest.raises(FormatError):
-                D._read_raster(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         scene = D.generate_scene(small_spec(), seed=12)
         D.save_scene(scene, tmp_path / "scene")
-        victim = tmp_path / "scene" / "images.upmv"
+        victim = tmp_path / "scene" / "scene.upm"
         victim.write_bytes(b"XXXX" + victim.read_bytes()[4:])
         with pytest.raises(FormatError, match="magic"):
             D.load_scene(tmp_path / "scene")
 
     def test_every_meta_truncation_fails_and_byte_flip_fails_typed_or_loads(self, tmp_path):
-        scene = D.generate_scene(small_spec(view_count=2, object_count=(2, 2)), seed=13)
+        # 8-pixel views keep the payload, and so the count of truncations, small.
+        spec = small_spec(view_count=2, object_count=(2, 2), image_size=8, min_points=4)
+        scene = D.generate_scene(spec, seed=13)
         D.save_scene(scene, tmp_path / "scene")
-        meta = tmp_path / "scene" / "meta.json"
-        truncated, flipped = corruptions(meta.read_bytes(), masks=(0x01, 0x20, 0x80))
+        path = tmp_path / "scene" / "scene.upm"
+        blob = path.read_bytes()
+        truncated, _ = corruptions(blob)
         for variant in truncated:
-            meta.write_bytes(variant)
-            with pytest.raises(FormatError, match="meta.json"):
+            path.write_bytes(variant)
+            with pytest.raises(FormatError, match="scene.upm"):
                 D.load_scene(tmp_path / "scene")
+        # Flips of the magic, the header length and the JSON header, which holds the metadata.
+        end = header_end(blob)
+        _, flipped = corruptions(blob[:end], masks=(0x01, 0x20, 0x80))
         loaded = 0
         for variant in flipped:
-            meta.write_bytes(variant)
+            path.write_bytes(variant + blob[end:])
             try:
                 assert isinstance(D.load_scene(tmp_path / "scene"), D.Scene)
             except FormatError:
@@ -572,37 +559,53 @@ class TestSceneIO:
         assert not (tmp_path / "scene").exists()
 
     def test_missing_metadata_rejected(self, tmp_path):
-        with pytest.raises(FormatError, match="meta.json"):
+        with pytest.raises(FormatError, match="scene.upm"):
             D.load_scene(tmp_path / "nowhere")
 
     def test_directory_holds_two_stacks_and_metadata(self, tmp_path):
         scene = D.generate_scene(small_spec(), seed=10)
         D.save_scene(scene, tmp_path / "scene")
-        names = sorted(path.name for path in (tmp_path / "scene").iterdir())
-        assert names == ["depths.upmv", "images.upmv", "meta.json"]
-        images = D._read_raster(tmp_path / "scene" / "images.upmv")
-        depths = D._read_raster(tmp_path / "scene" / "depths.upmv")
-        assert _bits(images) == _bits(np.stack([view.image for view in scene.views]))
-        assert _bits(depths) == _bits(np.stack([view.depth for view in scene.views]))
+        assert [path.name for path in (tmp_path / "scene").iterdir()] == ["scene.upm"]
+        meta, arrays = read_arrays(tmp_path / "scene" / "scene.upm")
+        assert list(arrays) == ["images", "depths"]
+        assert _bits(arrays["images"]) == _bits(np.stack([view.image for view in scene.views]))
+        assert _bits(arrays["depths"]) == _bits(np.stack([view.depth for view in scene.views]))
+        assert meta["scene_id"] == scene.scene_id and len(meta["views"]) == len(scene.views)
         loaded = D.load_scene(tmp_path / "scene")
         assert scene_digest(loaded) == scene_digest(scene)
         # Each view's rasters are slices of the two stacks, not copies.
-        for field, shape in (("image", images.shape), ("depth", depths.shape)):
+        for field, shape in (("image", arrays["images"].shape), ("depth", arrays["depths"].shape)):
             stack = getattr(loaded.views[0], field).base
             assert stack is not None and stack.shape == shape
             assert all(getattr(view, field).base is stack for view in loaded.views)
 
     def test_per_view_layout_rejected(self, tmp_path):
-        scene = D.generate_scene(small_spec(), seed=10)
-        directory = tmp_path / "scene"
-        D.save_scene(scene, directory)
-        for i, view in enumerate(scene.views):
-            D._write_raster(directory / f"view_{i:03d}_image.upmv", view.image)
-            D._write_raster(directory / f"view_{i:03d}_depth.upmv", view.depth)
-        (directory / "images.upmv").unlink()
-        (directory / "depths.upmv").unlink()
-        with pytest.raises(FormatError, match="images.upmv"):
+        # The layout before stacks: meta.json beside two UPMV rasters per view.
+        directory = self.older_layout(tmp_path, lambda arrays: {
+            f"view_{i:03d}_{field}": stack[i]
+            for field, stack in (("image", arrays["images"]), ("depth", arrays["depths"]))
+            for i in range(len(stack))})
+        with pytest.raises(FormatError, match="scene.upm"):
             D.load_scene(directory)
+
+    def test_stack_layout_rejected(self, tmp_path):
+        # The layout before scene.upm: meta.json beside one UPMV raster per stack.
+        directory = self.older_layout(tmp_path, lambda arrays: arrays)
+        with pytest.raises(FormatError, match="scene.upm"):
+            D.load_scene(directory)
+
+    def older_layout(self, tmp_path, rasters):
+        """A scene directory of meta.json and a UPMV raster for each of ``rasters(arrays)``."""
+        directory = tmp_path / "scene"
+        D.save_scene(D.generate_scene(small_spec(), seed=10), directory)
+        meta, arrays = read_arrays(directory / "scene.upm")
+        (directory / "scene.upm").unlink()
+        (directory / "meta.json").write_text(json.dumps(meta))
+        for name, raster in rasters(arrays).items():
+            dims = np.array(raster.shape, dtype="<u4").tobytes()
+            (directory / f"{name}.upmv").write_bytes(
+                b"UPMV" + bytes([raster.ndim]) + dims + raster.tobytes())
+        return directory
 
     def test_views_of_different_sizes_rejected_before_any_write(self, tmp_path):
         directory = tmp_path / "scene"
@@ -629,11 +632,8 @@ class TestSceneIO:
 
 
 def _edit_meta(directory, edit):
-    """Rewrite meta.json after ``edit`` changes its parsed object in place."""
-    path = directory / "meta.json"
-    meta = json.loads(path.read_text())
-    edit(meta)
-    path.write_text(json.dumps(meta))
+    """Rewrite the scene file's metadata after ``edit`` changes it in place."""
+    edit_header(directory / "scene.upm", lambda header: edit(header["meta"]))
 
 
 def _replace(keys, value):
@@ -651,7 +651,7 @@ def _replace(keys, value):
     return edit
 
 
-# name -> edit of the parsed meta.json that no valid scene could hold
+# name -> edit of the parsed metadata that no valid scene could hold
 MALFORMED_RECORDS = {
     "view_missing_field": _replace(("views", 0, "translation"), None),
     "view_extra_field": _replace(("views", 0, "extra"), "x"),
@@ -684,7 +684,7 @@ class TestMalformedMeta:
         scene = D.generate_scene(small_spec(object_count=(2, 3)), seed=14)
         D.save_scene(scene, tmp_path / "scene")
         _edit_meta(tmp_path / "scene", MALFORMED_RECORDS[case])
-        with pytest.raises(FormatError, match="meta.json"):
+        with pytest.raises(FormatError, match="invalid metadata in .*scene.upm"):
             D.load_scene(tmp_path / "scene")
 
 
@@ -721,14 +721,29 @@ def _replace_with_directory(path):
     path.mkdir()
 
 
+def _nest_meta(directory):
+    """Replace scene.upm by a directory that holds its metadata as meta.json."""
+    meta, _ = read_arrays(directory / "scene.upm")
+    _replace_with_directory(directory / "scene.upm")
+    (directory / "scene.upm" / "meta.json").write_text(json.dumps(meta))
+
+
+def _edit_arrays(directory, edit):
+    """Rewrite the scene file's arrays after ``edit`` changes their dict in place."""
+    path = directory / "scene.upm"
+    meta, arrays = read_arrays(path)
+    edit(arrays)
+    write_arrays(path, meta, arrays.items())
+
+
 def _edit_raster(directory, name, edit):
-    path = directory / name
-    D._write_raster(path, edit(D._read_raster(path)))
+    """Replace the stack ``name`` ("images" or "depths") by ``edit`` of it."""
+    _edit_arrays(directory, lambda arrays: arrays.update({name: edit(arrays[name])}))
 
 
 def _edit_stacks(directory, edit):
     """Apply ``edit`` to both the image and the depth stack."""
-    for name in ("images.upmv", "depths.upmv"):
+    for name in ("images", "depths"):
         _edit_raster(directory, name, edit)
 
 
@@ -753,22 +768,26 @@ def _swap_corners(obj):
 
 # name -> edit of a saved scene directory that no valid scene could hold
 MALFORMED_DIRECTORIES = {
-    "raster_missing": lambda d: (d / "depths.upmv").unlink(),
-    "raster_is_directory": lambda d: _replace_with_directory(d / "images.upmv"),
-    "meta_not_utf8": lambda d: (d / "meta.json").write_bytes(
-        (d / "meta.json").read_bytes().replace(b'"scene_caption": "', b'"scene_caption": "\xff\xfe')),
-    "meta_is_directory": lambda d: _replace_with_directory(d / "meta.json"),
-    "meta_top_level_array": lambda d: (d / "meta.json").write_text(f"[{(d / 'meta.json').read_text()}]"),
-    "meta_deeply_nested": lambda d: (d / "meta.json").write_text("[" * 100000),
-    "image_raster_wrong_shape": lambda d: _edit_raster(d, "images.upmv", lambda a: a[:, :, :-1]),
-    "image_raster_wrong_rank": lambda d: _edit_raster(d, "images.upmv", lambda a: a[..., 0]),
-    "depth_raster_wrong_rank": lambda d: _edit_raster(d, "depths.upmv", lambda a: a[None]),
-    "depth_raster_rank_zero": lambda d: _edit_raster(d, "depths.upmv", lambda a: a[0, 0, 0]),
-    "depth_raster_nan": lambda d: _edit_raster(d, "depths.upmv", _in_view(2, _with_nan)),
-    "depth_raster_negative": lambda d: _edit_raster(d, "depths.upmv", _in_view(2, lambda a: -a)),
+    "raster_missing": lambda d: _edit_arrays(d, lambda arrays: arrays.pop("depths")),
+    "raster_extra": lambda d: _edit_arrays(d, lambda arrays: arrays.update(normals=arrays["depths"])),
+    # scene.upm holds both the rasters and the metadata: an empty directory in
+    # its place, and one that holds the metadata as the older layout's meta.json
+    "raster_is_directory": lambda d: _replace_with_directory(d / "scene.upm"),
+    "meta_is_directory": lambda d: _nest_meta(d),
+    "meta_not_utf8": lambda d: rewrite_header(d / "scene.upm", lambda text: text.replace(
+        b'"scene_caption": "', b'"scene_caption": "\xff\xfe')),
+    "meta_top_level_array": lambda d: edit_header(d / "scene.upm", lambda header: header.update(
+        meta=[header["meta"]])),
+    "meta_deeply_nested": lambda d: rewrite_header(d / "scene.upm", lambda text: b"[" * 100000),
+    "image_raster_wrong_shape": lambda d: _edit_raster(d, "images", lambda a: a[:, :, :-1]),
+    "image_raster_wrong_rank": lambda d: _edit_raster(d, "images", lambda a: a[..., 0]),
+    "depth_raster_wrong_rank": lambda d: _edit_raster(d, "depths", lambda a: a[None]),
+    "depth_raster_rank_zero": lambda d: _edit_raster(d, "depths", lambda a: a[0, 0, 0]),
+    "depth_raster_nan": lambda d: _edit_raster(d, "depths", _in_view(2, _with_nan)),
+    "depth_raster_negative": lambda d: _edit_raster(d, "depths", _in_view(2, lambda a: -a)),
     "stacks_one_view_fewer": lambda d: _edit_stacks(d, lambda a: a[:-1]),
     "stacks_one_view_more": lambda d: _edit_stacks(d, lambda a: np.concatenate([a, a[:1]])),
-    "stacks_differ_in_size": lambda d: _edit_raster(d, "depths.upmv", lambda a: a[:, :16, :16]),
+    "stacks_differ_in_size": lambda d: _edit_raster(d, "depths", lambda a: a[:, :16, :16]),
     "object_box_inverted": lambda d: _edit_meta(d, _replace(("objects", 0), _swap_corners)),
     # object 0's min x, and its max x, which no min corner exceeds
     "object_box_nan": lambda d: _edit_meta(d, _replace(("objects", 0, "aabb_min", 0), float("nan"))),
@@ -777,7 +796,7 @@ MALFORMED_DIRECTORIES = {
     # view 0's translation x, and its cx
     "pose_nan": lambda d: _edit_meta(d, _replace(("views", 0, "translation", 0), float("nan"))),
     "intrinsics_inf": lambda d: _edit_meta(d, _replace(("views", 0, "intrinsics", 2), float("inf"))),
-    # the stacks too, so that they hold as many views as meta.json lists
+    # the stacks too, so that they hold as many views as the metadata lists
     "one_view": lambda d: [_edit_meta(d, _replace(("views",), lambda views: views[:1])),
                            _edit_stacks(d, lambda a: a[:1])],
     # every view's height, so that the views still share one size
@@ -822,7 +841,8 @@ class TestSaveSceneTexts:
     def test_round_trip(self, tmp_path, field, char):
         scene = self.scene_with(field, f"a red{char}chair")
         D.save_scene(scene, tmp_path / "scene")
-        assert (tmp_path / "scene" / "meta.json").read_bytes().isascii()
+        blob = (tmp_path / "scene" / "scene.upm").read_bytes()
+        assert blob[12:header_end(blob)].isascii()
         assert scenes_equal(scene, D.load_scene(tmp_path / "scene"))
 
     def test_round_trip_of_unusual_texts(self, tmp_path):
@@ -837,10 +857,15 @@ class TestSaveSceneTexts:
 
 
 class FailingWrites:
-    """An ``open`` for ``upm.atomic``: a write to the named file stops halfway and raises."""
+    """An ``open`` for ``upm.atomic``: a write to the named file stops halfway and raises.
 
-    def __init__(self, target: str):
+    The first ``whole_writes`` writes to it succeed; the next one writes
+    half its bytes and raises.
+    """
+
+    def __init__(self, target: str, whole_writes: int = 0):
         self.target = target
+        self.whole_writes = whole_writes
         self.temp_paths = []
 
     def __call__(self, path, mode):
@@ -848,14 +873,18 @@ class FailingWrites:
         if self.target not in Path(path).name:
             return fh
         self.temp_paths.append(Path(path))
-        return _FailingHandle(fh)
+        return _FailingHandle(fh, self.whole_writes)
 
 
 class _FailingHandle:
-    def __init__(self, fh):
+    def __init__(self, fh, whole_writes):
         self.fh = fh
+        self.whole_writes = whole_writes
 
     def write(self, blob):
+        if self.whole_writes:
+            self.whole_writes -= 1
+            return self.fh.write(blob)
         self.fh.write(blob[: len(blob) // 2])
         self.fh.flush()
         raise OSError("no space left on device")
@@ -868,9 +897,9 @@ class _FailingHandle:
 
 
 class TestAtomicWrites:
-    def assert_failed_write_keeps(self, monkeypatch, path, write):
+    def assert_failed_write_keeps(self, monkeypatch, path, write, whole_writes=0):
         before = path.read_bytes()
-        failing = FailingWrites(path.name)
+        failing = FailingWrites(path.name, whole_writes)
         monkeypatch.setattr(atomic, "open", failing, raising=False)
         with pytest.raises(OSError, match="no space"):
             write()
@@ -890,38 +919,24 @@ class TestAtomicWrites:
             monkeypatch, path, lambda: enc.save_checkpoint(path, newer, config))
 
     def test_raster(self, tmp_path, monkeypatch):
+        # The header and the image stack are written whole; the depth stack stops halfway.
+        self.assert_failed_scene_save_keeps_previous(tmp_path, monkeypatch, whole_writes=2)
+
+    def test_meta(self, tmp_path, monkeypatch):
+        # The first write, of the header that holds the metadata, stops halfway.
+        self.assert_failed_scene_save_keeps_previous(tmp_path, monkeypatch, whole_writes=0)
+
+    def assert_failed_scene_save_keeps_previous(self, tmp_path, monkeypatch, whole_writes):
+        """The scene file is the whole commit: a save that fails leaves no
+        temp file, and the directory still loads the previous scene bitwise."""
         first = D.generate_scene(small_spec(), seed=18)
         second = D.generate_scene(small_spec(), seed=19)
         D.save_scene(first, tmp_path / "scene")
-        raster = tmp_path / "scene" / "depths.upmv"
         self.assert_failed_write_keeps(
-            monkeypatch, raster, lambda: D.save_scene(second, tmp_path / "scene"))
-        assert np.array_equal(D._read_raster(raster), np.stack([view.depth for view in first.views]))
-        # images.upmv already holds the second scene: without meta.json the
-        # directory does not load, rather than loading as a mix of the two.
-        assert np.array_equal(D._read_raster(tmp_path / "scene" / "images.upmv"),
-                              np.stack([view.image for view in second.views]))
-        with pytest.raises(FormatError, match="missing metadata file"):
-            D.load_scene(tmp_path / "scene")
-
-    def test_meta(self, tmp_path, monkeypatch):
-        # meta.json is written last, after the old one is removed: a failed
-        # write leaves the new stacks, no metadata and no temp file.
-        first = D.generate_scene(small_spec(), seed=20)
-        second = D.generate_scene(small_spec(), seed=21)
-        directory = tmp_path / "scene"
-        D.save_scene(first, directory)
-        failing = FailingWrites("meta.json")
-        monkeypatch.setattr(atomic, "open", failing, raising=False)
-        with pytest.raises(OSError, match="no space"):
-            D.save_scene(second, directory)
-        monkeypatch.undo()
-        assert [p.parent for p in failing.temp_paths] == [directory]
-        assert sorted(p.name for p in directory.iterdir()) == ["depths.upmv", "images.upmv"]
-        assert np.array_equal(D._read_raster(directory / "depths.upmv"),
-                              np.stack([view.depth for view in second.views]))
-        with pytest.raises(FormatError, match="missing metadata file"):
-            D.load_scene(directory)
+            monkeypatch, tmp_path / "scene" / "scene.upm",
+            lambda: D.save_scene(second, tmp_path / "scene"), whole_writes=whole_writes)
+        assert [path.name for path in (tmp_path / "scene").iterdir()] == ["scene.upm"]
+        assert scene_digest(D.load_scene(tmp_path / "scene")) == scene_digest(first)
 
     def test_manifest(self, tmp_path, monkeypatch):
         path = tmp_path / "manifest.tsv"

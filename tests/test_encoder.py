@@ -10,7 +10,7 @@ from upm import encoder as enc
 from upm import engine as E
 from upm.encoder import EncoderConfig
 from upm.errors import ConfigError, DegenerateInputError, FormatError, ShapeError
-from tests.conftest import corruptions
+from tests.conftest import corruptions, edit_header, finite_diff_check
 
 
 def tiny_config(**overrides):
@@ -244,7 +244,7 @@ class TestEncodeViews:
             ("blocks.0.attn.wq", params.blocks[0].wq),
             ("final_ln.gamma", params.final_gamma),
         ]:
-            err = E.finite_diff_check(loss_for(tensor), tensor, h=1e-5)
+            err = finite_diff_check(loss_for(tensor), tensor, h=1e-5)
             assert err <= 1e-4, name
 
     def test_empty_view_list_rejected(self):
@@ -604,12 +604,19 @@ class TestCheckpoint:
         path = tmp_path / "model.upm"
         enc.save_checkpoint(path, enc.init_encoder_params(config, seed=29), config)
         blob = path.read_bytes()
-        field = f"patch_size={config.patch_size}".encode()
-        assert field in blob
-        # Same-length edits keep the record length, so only the record is bad.
-        for bad in (b"patch_size=" + b"x" * (len(field) - 11), field.replace(b"=", b"_")):
-            path.write_bytes(blob.replace(field, bad))
-            with pytest.raises(FormatError, match="config"):
+        # Text, float and boolean values; a field missing (no array's shape
+        # depends on this one, so only the config check sees it); an unknown
+        # field; no config; a config that is not an object.
+        for edit in (lambda meta: meta["encoder"].update(patch_size="x"),
+                     lambda meta: meta["encoder"].update(patch_size=4.0),
+                     lambda meta: meta["encoder"].update(patch_size=True),
+                     lambda meta: meta["encoder"].pop("text_context_length"),
+                     lambda meta: meta["encoder"].update(dropout=0),
+                     lambda meta: meta.pop("encoder"),
+                     lambda meta: meta.update(encoder=[4])):
+            path.write_bytes(blob)
+            edit_header(path, lambda header: edit(header["meta"]))
+            with pytest.raises(FormatError, match="invalid checkpoint config"):
                 enc.load_checkpoint(path)
 
     def edited(self, tmp_path, old, new):
@@ -624,22 +631,22 @@ class TestCheckpoint:
         return path
 
     def test_non_utf8_config_record_rejected(self, tmp_path):
-        path = self.edited(tmp_path, b"patch_size=4", b"patch_size=\xff")
-        with pytest.raises(FormatError, match="config record is not UTF-8"):
+        path = self.edited(tmp_path, b'"patch_size": 4', b'"patch_size": \xff')
+        with pytest.raises(FormatError, match="'ascii' codec can't decode"):
             enc.load_checkpoint(path)
 
     def test_non_utf8_tensor_name_rejected(self, tmp_path):
         path = self.edited(tmp_path, b"phi_i.weight", b"phi_i.\xffeight")
-        with pytest.raises(FormatError, match="tensor name is not UTF-8"):
+        with pytest.raises(FormatError, match="'ascii' codec can't decode"):
             enc.load_checkpoint(path)
 
     def test_zero_patch_size_record_rejected(self, tmp_path):
-        path = self.edited(tmp_path, b"patch_size=4", b"patch_size=0")
+        path = self.edited(tmp_path, b'"patch_size": 4', b'"patch_size": 0')
         with pytest.raises(FormatError, match="patch_size must be positive"):
             enc.load_checkpoint(path)
 
     def tiny_checkpoint(self, path):
-        """The smallest encoder plus one extra tensor: 520 bytes."""
+        """The smallest encoder plus one extra tensor: 630 bytes."""
         config = EncoderConfig(image_size=1, patch_size=1, embed_dim=1, num_blocks=0, num_heads=1,
                                mlp_ratio=1, text_vocab_size=2, text_context_length=1)
         extra = E.Tensor(np.array([0.5, -2.0]))
@@ -652,7 +659,7 @@ class TestCheckpoint:
         path = tmp_path / "model.upm"
         saved = self.tiny_checkpoint(path)
         blob = path.read_bytes()
-        assert len(blob) == 520
+        assert len(blob) == 630
         truncated, flipped = corruptions(blob)
         loaded = 0
         for variant in truncated + flipped:
@@ -687,16 +694,30 @@ class TestCheckpoint:
         path = tmp_path / "model.upm"
         self.tiny_checkpoint(path)
         blob = path.read_bytes()
-        header = b"\x13\x00temperature.log_tau\x01" + (2).to_bytes(4, "little")
-        assert blob.count(header) == 1
-        huge = header[:-5] + b"\x02" + (0x80000000).to_bytes(4, "little") * 2
-        path.write_bytes(blob.replace(header, huge))
+
+        def set_extra_shape(shape):
+            def edit(header):
+                assert header["arrays"][-1] == ["temperature.log_tau", [2]]
+                header["arrays"][-1][1] = shape
+
+            path.write_bytes(blob)
+            edit_header(path, edit)
+
+        set_extra_shape([2**31, 2**31])  # 2**65 bytes
         with pytest.raises(FormatError, match="truncated"):
             enc.load_checkpoint(path)
-        past_numpy_rank = header[:-5] + b"\x41" + bytes(4 * 65)
-        path.write_bytes(blob.replace(header, past_numpy_rank))
+        set_extra_shape([0] * 65)  # past numpy's rank limit
         with pytest.raises(FormatError, match="has shape"):
             enc.load_checkpoint(path)
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match="model.upm"):
+            enc.load_checkpoint(tmp_path / "model.upm")
+
+    def test_directory_rejected(self, tmp_path):
+        (tmp_path / "model.upm").mkdir()
+        with pytest.raises(FormatError, match="model.upm"):
+            enc.load_checkpoint(tmp_path / "model.upm")
 
     def test_truncated_file_rejected(self, tmp_path):
         config = tiny_config()

@@ -9,7 +9,7 @@ import pytest
 
 from upm import engine as E
 from upm.errors import ContractError, DegenerateInputError, ShapeError
-from tests.conftest import record_backward
+from tests.conftest import finite_diff_check, record_backward
 from tests.test_encoder import softmax
 
 
@@ -122,9 +122,9 @@ class TestLayerNorm:
         def f_beta(t):
             return E.reduce_sum(E.mul(E.layer_norm(x, gamma, t), w))
 
-        assert E.finite_diff_check(f_x, x) <= 1e-6
-        assert E.finite_diff_check(f_gamma, gamma) <= 1e-6
-        assert E.finite_diff_check(f_beta, beta) <= 1e-6
+        assert finite_diff_check(f_x, x) <= 1e-6
+        assert finite_diff_check(f_gamma, gamma) <= 1e-6
+        assert finite_diff_check(f_beta, beta) <= 1e-6
 
     def test_rejects_nonpositive_eps(self):
         x = E.Tensor(np.ones((1, 2)))
@@ -162,7 +162,7 @@ class TestBackward:
             h = softmax(h, axis=-1)
             return E.reduce_sum(E.mul(h, h))
 
-        assert E.finite_diff_check(f, x, h=1e-5) <= 1e-5
+        assert finite_diff_check(f, x, h=1e-5) <= 1e-5
 
     def test_each_node_visited_once(self):
         # A diamond-shaped graph: y feeds the root through two paths. A
@@ -345,7 +345,7 @@ class TestRegisteredOpGradients:
         def f(x):
             return E.reduce_sum(builder(x, w))
 
-        assert E.finite_diff_check(f, t, h=1e-5) <= 1e-5, name
+        assert finite_diff_check(f, t, h=1e-5) <= 1e-5, name
 
     def test_broadcast_add_gradient(self):
         rng = np.random.default_rng(31)
@@ -355,7 +355,7 @@ class TestRegisteredOpGradients:
         def f(b):
             return E.reduce_sum(E.mul(E.add(x, b), E.add(x, b)))
 
-        assert E.finite_diff_check(f, bias) <= 1e-6
+        assert finite_diff_check(f, bias) <= 1e-6
 
 
 class TestStackedOpGradients:
@@ -371,13 +371,13 @@ class TestStackedOpGradients:
         w = self.stacked(4, 3, grad=False)
         probe = self.stacked(2, 5, 3, grad=False)
         x = self.stacked(2, 5, 4)
-        assert E.finite_diff_check(lambda t: E.reduce_sum(E.mul(E.matmul(t, w), probe)), x) <= 1e-6
+        assert finite_diff_check(lambda t: E.reduce_sum(E.mul(E.matmul(t, w), probe)), x) <= 1e-6
 
     def test_matmul_stacked_weight(self):
         x = self.stacked(3, 5, 4, grad=False)
         probe = self.stacked(3, 5, 2, grad=False)
         w = self.stacked(4, 2)
-        assert E.finite_diff_check(lambda t: E.reduce_sum(E.mul(E.matmul(x, t), probe)), w) <= 1e-6
+        assert finite_diff_check(lambda t: E.reduce_sum(E.mul(E.matmul(x, t), probe)), w) <= 1e-6
 
     def test_matmul_rejects_stacked_right(self):
         with pytest.raises(ShapeError):
@@ -401,9 +401,9 @@ class TestStackedOpGradients:
         def loss(xv, gv, bv):
             return E.reduce_sum(E.mul(E.layer_norm(xv, gv, bv), w))
 
-        assert E.finite_diff_check(lambda t: loss(t, gamma, beta), x) <= 1e-6
-        assert E.finite_diff_check(lambda t: loss(x, t, beta), gamma) <= 1e-6
-        assert E.finite_diff_check(lambda t: loss(x, gamma, t), beta) <= 1e-6
+        assert finite_diff_check(lambda t: loss(t, gamma, beta), x) <= 1e-6
+        assert finite_diff_check(lambda t: loss(x, t, beta), gamma) <= 1e-6
+        assert finite_diff_check(lambda t: loss(x, gamma, t), beta) <= 1e-6
 
     def test_layer_norm_stacked_sums_items_in_order(self):
         x = self.stacked(3, 4, 5, grad=False)
@@ -428,7 +428,7 @@ class TestStackedOpGradients:
             args[which] = t
             return E.reduce_sum(E.mul(E.attention(*args, num_heads=3), probe))
 
-        assert E.finite_diff_check(f, qkv[which]) <= 1e-6
+        assert finite_diff_check(f, qkv[which]) <= 1e-6
 
     def test_attention_single_head_is_softmax_attention(self):
         q, k, v = (self.stacked(2, 3, 4, grad=False) for _ in range(3))
@@ -464,7 +464,7 @@ class TestStackedOpGradients:
             args[which] = t
             return E.reduce_sum(E.mul(E.attention(*args, num_heads=3), probe))
 
-        assert E.finite_diff_check(f, qkv[which]) <= 1e-6
+        assert finite_diff_check(f, qkv[which]) <= 1e-6
 
     def test_attention_query_rows_are_rows_of_the_full_output(self):
         q, k, v = (self.stacked(3, 5, 6, grad=False) for _ in range(3))
@@ -484,7 +484,7 @@ class TestStackedOpGradients:
             out = E.linear(*args)
             return E.reduce_sum(E.mul(E.mul(out, out), probe))
 
-        assert E.finite_diff_check(f, operands[which]) <= 1e-6
+        assert finite_diff_check(f, operands[which]) <= 1e-6
 
     @pytest.mark.parametrize("shapes", [
         [(5, 4), (3, 2), (2,)],     # inner dimensions disagree
@@ -503,7 +503,7 @@ class TestStackedOpGradients:
         out = E.broadcast_to(row, (3, 1, 4))
         assert out.shape == (3, 1, 4)
         f = lambda t: E.reduce_sum(E.mul(E.broadcast_to(t, (3, 1, 4)), probe))
-        assert E.finite_diff_check(f, row) <= 1e-6
+        assert finite_diff_check(f, row) <= 1e-6
 
 
 class TestConstantOperands:
@@ -674,7 +674,7 @@ class TestMaskedLogSoftmax:
         def f(t):
             return E.reduce_sum(E.mul(E.log_softmax(t, axis=axis, mask=self.MASK), self.probe))
 
-        assert E.finite_diff_check(f, self.x, h=1e-6) <= 1e-6
+        assert finite_diff_check(f, self.x, h=1e-6) <= 1e-6
 
     def test_kept_entries_normalize_and_the_rest_read_zero(self):
         out = E.log_softmax(self.x, axis=1, mask=self.MASK)
@@ -706,17 +706,17 @@ class TestMaskedLogSoftmax:
 class TestFiniteDiffCheck:
     def test_sum_is_exact(self):
         x = E.Tensor(np.arange(4.0), requires_grad=True)
-        assert E.finite_diff_check(E.reduce_sum, x) <= 1e-10
+        assert finite_diff_check(E.reduce_sum, x) <= 1e-10
 
     def test_squared_norm(self):
         rng = np.random.default_rng(41)
         x = E.Tensor(rng.normal(size=6), requires_grad=True)
-        assert E.finite_diff_check(lambda t: E.reduce_sum(E.mul(t, t)), x) <= 1e-7
+        assert finite_diff_check(lambda t: E.reduce_sum(E.mul(t, t)), x) <= 1e-7
 
     def test_rejects_bad_h(self):
         x = E.Tensor(np.ones(2), requires_grad=True)
         with pytest.raises(ContractError):
-            E.finite_diff_check(E.reduce_sum, x, h=0.0)
+            finite_diff_check(E.reduce_sum, x, h=0.0)
 
 
 class TestNoGrad:

@@ -9,7 +9,7 @@ from upm import engine as E
 from upm import objectives as obj
 from upm.engine import Tensor
 from upm.errors import ContractError, DegenerateInputError, ShapeError
-from tests.conftest import record_backward
+from tests.conftest import finite_diff_check, record_backward
 
 
 def point_maps(xyzs):
@@ -135,7 +135,7 @@ class TestTemperature:
         def f(_):
             return E.reduce_sum(E.mul(Tensor(np.array([3.0])), temp.inverse()))
 
-        assert E.finite_diff_check(f, temp.log_tau) <= 1e-7
+        assert finite_diff_check(f, temp.log_tau) <= 1e-7
 
 
 class TestSoftTargets:
@@ -224,11 +224,11 @@ class TestGeoLoss:
         targets = obj.geo_targets(*maps, cfg)
 
         h = Tensor(base.copy(), requires_grad=True)
-        assert E.finite_diff_check(
+        assert finite_diff_check(
             lambda t: obj.geo_loss_from_targets(t, [targets], temp), h, h=1e-6
         ) <= 1e-5
         h2 = Tensor(base.copy())
-        assert E.finite_diff_check(
+        assert finite_diff_check(
             lambda _: obj.geo_loss_from_targets(h2, [targets], temp), temp.log_tau, h=1e-6
         ) <= 1e-5
 
@@ -291,10 +291,10 @@ class TestFusedGeoLoss:
             base, targets = self.batch(rng, counts)
             temp = obj.Temperature(0.3)
             h = Tensor(base, requires_grad=True)
-            assert E.finite_diff_check(
+            assert finite_diff_check(
                 lambda x: obj.geo_loss_from_targets(x, targets, temp), h, h=1e-6
             ) <= 1e-6
-            assert E.finite_diff_check(
+            assert finite_diff_check(
                 lambda _: obj.geo_loss_from_targets(Tensor(base), targets, temp),
                 temp.log_tau, h=1e-6,
             ) <= 1e-6
@@ -499,6 +499,6 @@ class TestTotalLoss:
             return breakdown.total
 
         h = Tensor(base_h.copy(), requires_grad=True)
-        assert E.finite_diff_check(build, h, h=1e-6) <= 1e-4
+        assert finite_diff_check(build, h, h=1e-6) <= 1e-4
         h_const = Tensor(base_h.copy())
-        assert E.finite_diff_check(lambda _: build(h_const), temp.log_tau, h=1e-6) <= 1e-4
+        assert finite_diff_check(lambda _: build(h_const), temp.log_tau, h=1e-6) <= 1e-4

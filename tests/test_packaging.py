@@ -1,5 +1,6 @@
-"""Tests for the package metadata in pyproject.toml."""
+"""Tests for the package metadata in pyproject.toml and for what upm modules import."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -44,3 +45,16 @@ def test_no_module_imports_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120).stdout.split()
     assert out == ["True", "False", "False", "False"]
+
+
+def test_only_the_container_packs_binary():
+    # One binary format: upm.container holds the only writer and reader,
+    # so no other upm module imports struct.
+    importers = []
+    for path in sorted((SRC / "upm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "struct" in names:
+                importers.append(path.stem)
+    assert importers == ["container"]

@@ -557,26 +557,49 @@ class TestTrainLoop:
             train(tiny_dataset, cfg, TINY_ENCODER, out_dir)
         assert not out_dir.exists()
 
-    def test_default_config_run_pinned(self, tmp_path):
-        # metrics.tsv and both checkpoints of a short default-config run, as
-        # produced by the embedding-bag text tower, one-GEMM stacked weight
-        # gradients, losses built once per batch under block masks, a last
-        # encoder block that runs on the class-token row only and QuickGELU.
-        root = tmp_path / "data"
+    @pytest.fixture(scope="class")
+    def default_run(self, tmp_path_factory):
+        """A short default-config run: ten 10-view scenes, two epochs, seed 5."""
+        root = tmp_path_factory.mktemp("default_run")
         ids = []
         for i in range(10):
             spec = D.SceneSpec(scene_type=D.SCENE_TYPES[i % 4], view_count=10)
             scene = D.generate_scene(spec, seed=100 + i)
-            D.save_scene(scene, root / scene.scene_id)
+            D.save_scene(scene, root / "data" / scene.scene_id)
             ids.append(scene.scene_id)
-        D.write_manifest(root / "manifest.tsv", D.split_dataset(ids, seed=0))
-        result = train(root / "manifest.tsv", TrainConfig(epochs=2, seed=5), EncoderConfig(),
-                       tmp_path / "run")
-        assert result.steps == 4
+        D.write_manifest(root / "data" / "manifest.tsv", D.split_dataset(ids, seed=0))
+        return train(root / "data" / "manifest.tsv", TrainConfig(epochs=2, seed=5), EncoderConfig(),
+                     root / "run")
+
+    def test_default_config_run_pinned(self, default_run):
+        # metrics.tsv and both checkpoints of the default-config run, as
+        # produced by the embedding-bag text tower, one-GEMM stacked weight
+        # gradients, losses built once per batch under block masks, a last
+        # encoder block that runs on the class-token row only and QuickGELU.
+        # The checkpoint bytes also pin the container format.
+        assert default_run.steps == 4
         h = hashlib.sha256()
-        for path in (result.metrics_path, result.checkpoint_path, result.best_checkpoint_path):
+        for path in (default_run.metrics_path, default_run.checkpoint_path,
+                     default_run.best_checkpoint_path):
             h.update(path.read_bytes())
-        assert h.hexdigest() == "43fb10b396b3dbec6bcbd42eab9123badd98e5a43a0a64333231d1cf2a55629b"
+        assert h.hexdigest() == "b73836a1ff6b16c190991e38d7d2730903bad84786a10cdd4d359d5a68edec8c"
+
+    def test_default_config_metrics_pinned(self, default_run):
+        # The run's numbers alone, apart from any file format.
+        digest = hashlib.sha256(default_run.metrics_path.read_bytes()).hexdigest()
+        assert digest == "0a8bad8226fe294306d99858e4c92033a06b00e4ec923be2a144465a92cead23"
+
+    def test_default_config_loaded_arrays_pinned(self, default_run):
+        # What both checkpoints load as, apart from their byte layout: the
+        # config, then every array in named_parameters() order, then the extras.
+        h = hashlib.sha256()
+        for path in (default_run.checkpoint_path, default_run.best_checkpoint_path):
+            params, config, extras = load_checkpoint(path)
+            h.update(repr(dataclasses.asdict(config)).encode())
+            for name, tensor in [*params.named_parameters(), *sorted(extras.items())]:
+                array = tensor.array
+                h.update(repr((name, array.dtype.str, array.shape)).encode() + array.tobytes())
+        assert h.hexdigest() == "c8782e8077781dba57bfa3faac47072a37ecf3609112e9277c3f6c18f49826f8"
 
     def test_default_run_updates_only_the_text_rows_it_read(self, tmp_path, monkeypatch):
         # AdamW's live rows of the text table are exactly the token ids of
