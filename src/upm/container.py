@@ -15,12 +15,13 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from .atomic import atomic_write
-from .errors import FormatError
+from .errors import ContractError, FormatError
 
 MAGIC = b"UPMA"
 _PREFIX = len(MAGIC) + 8
@@ -31,9 +32,14 @@ def write_arrays(path, meta: dict, arrays) -> None:
 
     The header is encoded before anything touches the disk, so metadata
     that JSON cannot hold raises ``ValueError`` or ``TypeError`` and writes
-    nothing; otherwise the parent directory is created if needed.
+    nothing, and a name given twice, which :func:`read_arrays` would
+    refuse, raises ``ContractError`` and writes nothing; otherwise the
+    parent directory is created if needed.
     """
     arrays = [(name, np.asarray(array, dtype="<f8", order="C")) for name, array in arrays]
+    repeated = sorted(name for name, count in Counter(n for n, _ in arrays).items() if count > 1)
+    if repeated:
+        raise ContractError(f"array names {repeated} repeat: {path}")
     header = json.dumps({"arrays": [[name, list(array.shape)] for name, array in arrays],
                          "meta": meta}, sort_keys=True, allow_nan=False).encode("ascii")
     path = Path(path)

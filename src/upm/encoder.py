@@ -163,50 +163,74 @@ def init_encoder_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
     return _build_params(config, lambda shape: rng.normal(0.0, 0.02, size=shape))
 
 
+def _parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape by name, in ``named_parameters()`` order, allocating nothing."""
+    d, hidden = config.embed_dim, config.embed_dim * config.mlp_ratio
+    shapes = {"phi_i.weight": (config.patch_dim, d), "phi_i.bias": (d,),
+              "phi_p.weight": (config.patch_dim, d), "phi_p.bias": (d,),
+              "pos_embedding": (config.num_patches, d), "cls_token": (1, d)}
+    block = {"ln1.gamma": (d,), "ln1.beta": (d,)}
+    for name in ("q", "k", "v", "o"):
+        block |= {f"attn.w{name}": (d, d), f"attn.b{name}": (d,)}
+    block |= {"ln2.gamma": (d,), "ln2.beta": (d,), "mlp.w_up": (d, hidden), "mlp.b_up": (hidden,),
+              "mlp.w_down": (hidden, d), "mlp.b_down": (d,)}
+    for i in range(config.num_blocks):
+        shapes |= {f"blocks.{i}.{name}": shape for name, shape in block.items()}
+    return shapes | {"final_ln.gamma": (d,), "final_ln.beta": (d,),
+                     "text.table": (config.text_vocab_size, d), "text.weight": (d, d),
+                     "text.bias": (d,)}
+
+
 def _build_params(config: EncoderConfig, draw: Callable[[tuple[int, ...]], np.ndarray]) -> EncoderParams:
-    """The parameter layout: ``draw(shape)`` makes each random array, in a fixed order."""
-    d = config.embed_dim
+    """The parameter layout: ``draw(shape)`` makes each random array, in a fixed order.
 
-    def param(shape) -> Tensor:
-        return Tensor(draw(shape), requires_grad=True)
+    Shapes come from ``_parameter_shapes``; biases and betas start at
+    zero, gammas at one.
+    """
+    shapes = _parameter_shapes(config)
 
-    phi_i_weight = param((config.patch_dim, d))
-    phi_i_bias = Tensor(np.zeros(d), requires_grad=True)
+    def param(name: str) -> Tensor:
+        return Tensor(draw(shapes[name]), requires_grad=True)
+
+    def const(name: str, value: float = 0.0) -> Tensor:
+        return Tensor(np.full(shapes[name], value), requires_grad=True)
+
+    phi_i_weight = param("phi_i.weight")
     params = EncoderParams(
         phi_i_weight=phi_i_weight,
-        phi_i_bias=phi_i_bias,
+        phi_i_bias=const("phi_i.bias"),
         phi_p_weight=Tensor(phi_i_weight.array.copy(), requires_grad=True),
-        phi_p_bias=Tensor(phi_i_bias.array.copy(), requires_grad=True),
-        pos_embedding=param((config.num_patches, d)),
-        cls_token=param((1, d)),
+        phi_p_bias=const("phi_p.bias"),
+        pos_embedding=param("pos_embedding"),
+        cls_token=param("cls_token"),
     )
-    hidden = d * config.mlp_ratio
-    for _ in range(config.num_blocks):
+    for i in range(config.num_blocks):
+        prefix = f"blocks.{i}."
         params.blocks.append(
             BlockParams(
-                ln1_gamma=Tensor(np.ones(d), requires_grad=True),
-                ln1_beta=Tensor(np.zeros(d), requires_grad=True),
-                wq=param((d, d)),
-                bq=Tensor(np.zeros(d), requires_grad=True),
-                wk=param((d, d)),
-                bk=Tensor(np.zeros(d), requires_grad=True),
-                wv=param((d, d)),
-                bv=Tensor(np.zeros(d), requires_grad=True),
-                wo=param((d, d)),
-                bo=Tensor(np.zeros(d), requires_grad=True),
-                ln2_gamma=Tensor(np.ones(d), requires_grad=True),
-                ln2_beta=Tensor(np.zeros(d), requires_grad=True),
-                w_up=param((d, hidden)),
-                b_up=Tensor(np.zeros(hidden), requires_grad=True),
-                w_down=param((hidden, d)),
-                b_down=Tensor(np.zeros(d), requires_grad=True),
+                ln1_gamma=const(prefix + "ln1.gamma", 1.0),
+                ln1_beta=const(prefix + "ln1.beta"),
+                wq=param(prefix + "attn.wq"),
+                bq=const(prefix + "attn.bq"),
+                wk=param(prefix + "attn.wk"),
+                bk=const(prefix + "attn.bk"),
+                wv=param(prefix + "attn.wv"),
+                bv=const(prefix + "attn.bv"),
+                wo=param(prefix + "attn.wo"),
+                bo=const(prefix + "attn.bo"),
+                ln2_gamma=const(prefix + "ln2.gamma", 1.0),
+                ln2_beta=const(prefix + "ln2.beta"),
+                w_up=param(prefix + "mlp.w_up"),
+                b_up=const(prefix + "mlp.b_up"),
+                w_down=param(prefix + "mlp.w_down"),
+                b_down=const(prefix + "mlp.b_down"),
             )
         )
-    params.final_gamma = Tensor(np.ones(d), requires_grad=True)
-    params.final_beta = Tensor(np.zeros(d), requires_grad=True)
-    params.text_table = param((config.text_vocab_size, d))
-    params.text_weight = param((d, d))
-    params.text_bias = Tensor(np.zeros(d), requires_grad=True)
+    params.final_gamma = const("final_ln.gamma", 1.0)
+    params.final_beta = const("final_ln.beta")
+    params.text_table = param("text.table")
+    params.text_weight = param("text.weight")
+    params.text_bias = const("text.bias")
     return params
 
 
@@ -401,6 +425,9 @@ def load_checkpoint(path) -> tuple[EncoderParams, EncoderConfig, dict[str, Tenso
     A malformed file, a config that is not exactly the integer fields of
     ``EncoderConfig``, and a parameter that is missing or of the wrong
     shape raise ``FormatError``; an array that is not a parameter is an extra.
+    The shapes are checked against the arrays read before any parameter is
+    built, so a config that asks for more than the file holds allocates
+    nothing.
     """
     meta, tensors = read_arrays(path)
     try:
@@ -413,19 +440,18 @@ def load_checkpoint(path) -> tuple[EncoderParams, EncoderConfig, dict[str, Tenso
     except (KeyError, TypeError, ConfigError) as exc:
         raise FormatError(f"invalid checkpoint config in {path}: {exc}") from exc
 
-    params = _build_params(config, np.empty)  # every array is replaced below
-    extras: dict[str, Tensor] = {}
-    expected = dict(params.named_parameters())
+    if 16 * config.num_blocks > len(tensors):  # each block has 16 parameters
+        raise FormatError(f"checkpoint holds {len(tensors)} arrays, too few for "
+                          f"{config.num_blocks} blocks: {path}")
+    shapes = _parameter_shapes(config)
     for name, arr in tensors.items():
-        if name in expected:
-            target = expected.pop(name)
-            if target.array.shape != arr.shape:
-                raise FormatError(f"checkpoint tensor {name} has shape {arr.shape}, "
-                                  f"expected {target.array.shape}: {path}")
-            target.array = arr
-        else:
-            extras[name] = Tensor(arr, requires_grad=True)
-    if expected:
-        missing = ", ".join(sorted(expected))
-        raise FormatError(f"checkpoint is missing parameters [{missing}]: {path}")
-    return params, config, extras
+        if name in shapes and arr.shape != shapes[name]:
+            raise FormatError(f"checkpoint tensor {name} has shape {arr.shape}, "
+                              f"expected {shapes[name]}: {path}")
+    missing = sorted(shapes.keys() - tensors.keys())
+    if missing:
+        raise FormatError(f"checkpoint is missing parameters [{', '.join(missing)}]: {path}")
+    params = _build_params(config, np.empty)  # no larger than the arrays read; each is replaced
+    for name, target in params.named_parameters():
+        target.array = tensors.pop(name)
+    return params, config, {name: Tensor(arr, requires_grad=True) for name, arr in tensors.items()}

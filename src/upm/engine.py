@@ -25,13 +25,14 @@ rounding, not bit for bit.  The other stack reductions (``_unbroadcast``
 for biases, ``layer_norm``'s gamma and beta) still reduce within each
 item first, then add the N item results in stack order.
 
-Every ``.grad`` is built by ``_accumulate`` as zeros plus contributions,
-and the root's is ones, so no ``.grad`` ever holds -0.0: a sum is -0.0
-only when both terms are.  A backward rule hands ``_accumulate`` an array
-it allocated and references nowhere else as ``owned``; a first gradient
-of that kind becomes ``.grad`` itself, normalized in place, instead of
-being copied.  Rules never write into their upstream gradient or into the
-arrays their closures captured from the forward.
+Every ``.grad`` is built as zeros plus contributions, by ``_accumulate``
+or, for a ``RowGrad``, by ``embedding_bag``, and the root's is ones, so no
+``.grad`` ever holds -0.0: a sum is -0.0 only when both terms are.  A
+backward rule hands ``_accumulate`` an array it allocated and references
+nowhere else as ``owned``; a first gradient of that kind becomes
+``.grad`` itself, normalized in place, instead of being copied.  Rules
+never write into their upstream gradient or into the arrays their
+closures captured from the forward.
 
 ``linear(a, w, b)`` is ``add(matmul(a, w), b)`` as one graph node, with
 the chain's bytes forward and in every gradient; its backward is
@@ -46,8 +47,14 @@ backward rule tests ``requires_grad`` before it forms an operand's
 gradient, so constant inputs (patch stacks) cost nothing in ``backward``.
 
 ``embedding_bag`` pools table rows by integer id, so a bag-of-tokens text
-never becomes a dense (n, vocab) selection matrix; its backward adds into
-the touched rows of the table's gradient only.
+never becomes a dense (n, vocab) selection matrix.  Its backward leaves
+the table a ``RowGrad``, not a dense array: the sorted rows the bags read
+and one gradient row each, so no (vocab, d) gradient is ever allocated.
+Several bag nodes on one table merge into one ``RowGrad``, each cell
+summed in the order a dense gradient would sum it, so every row has the
+dense row's bytes.  A table's gradient is one form or the other: a bag
+backward into a dense gradient, or an ``_accumulate`` into a ``RowGrad``,
+raises ``ContractError``.
 
 ``log_softmax`` takes an optional boolean ``mask``, so a batch's losses
 are each one op over the whole batch: a (N, N) or (N, O) logits matrix
@@ -58,6 +65,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,12 +87,25 @@ def no_grad():
         _grad_enabled = saved
 
 
+@dataclass
+class RowGrad:
+    """The gradient of a (V, d) table that is zero outside some rows.
+
+    ``rows`` holds the rows, sorted and unique, as intp; ``values`` is the
+    (len(rows), d) gradient of those rows, in that order.
+    """
+
+    rows: np.ndarray
+    values: np.ndarray
+
+
 class Tensor:
     """A dense float64 array, optionally tracked for differentiation.
 
     ``array`` is the row-major value storage.  ``grad``, once ``backward``
-    has run, holds d(root)/d(self) with the same shape as ``array`` on a
-    leaf; an interior node's is released with its graph.
+    has run, holds d(root)/d(self) on a leaf: an array of ``array``'s
+    shape, or a ``RowGrad`` for a table read only through
+    ``embedding_bag``.  An interior node's is released with its graph.
     """
 
     __slots__ = ("array", "requires_grad", "grad", "_parents", "_backward_fn")
@@ -93,7 +114,7 @@ class Tensor:
         arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
         self.array = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | RowGrad | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], None] | None = None
 
@@ -128,8 +149,11 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     references it nowhere else; a C-contiguous float64 ``g`` of t's exact
     shape is then normalized in place and adopted as ``t.grad``.  Any
     other ``g`` (a view of a node's gradient, a broadcast or transposed
-    view, another dtype or shape) is copied.
+    view, another dtype or shape) is copied.  A ``t.grad`` that is a
+    ``RowGrad`` raises ``ContractError``: the two forms never mix.
     """
+    if isinstance(t.grad, RowGrad):
+        raise ContractError("a dense gradient into a tensor that holds a row gradient")
     if t.grad is not None:
         t.grad += g
     elif (owned and g.dtype == np.float64 and g.shape == t.array.shape
@@ -354,12 +378,14 @@ def embedding_bag(table: Tensor, ids, offsets) -> Tensor:
     ``ids`` is the flat int sequence of every bag's row ids; bag b holds
     ``ids[offsets[b]:offsets[b + 1]]`` (the last bag runs to the end).
     ``offsets`` starts at 0 and strictly increases, so no bag is empty.
-    A repeated id counts once per occurrence.  The backward adds each
-    bag's gradient, divided by its length, into the rows it read, with
-    one ``np.add.at`` over the flattened table gradient: cell (i, c) of
-    the (len(ids), d) contributions goes to ``ids[i] * d + c``, in the
-    per-cell order of a row-wise ``np.add.at``.  The table's other
-    gradient rows stay zero.
+    A repeated id counts once per occurrence.  The backward sets
+    ``table.grad`` to a ``RowGrad`` over the union of the rows it already
+    holds and the rows these bags read: held rows keep their values, new
+    rows start at zero, and each bag's gradient, divided by its length, is
+    added with one ``np.add.at`` over the flattened values, cell (i, c) of
+    the (len(ids), d) contributions going to cell c of ids[i]'s row.  That
+    is the per-cell order of a row-wise ``np.add.at`` into a dense
+    gradient, after every earlier node's, so each row has the dense bytes.
     """
     if table.array.ndim != 2:
         raise ShapeError(f"embedding_bag expects a 2-D table, got {table.shape}")
@@ -380,12 +406,18 @@ def embedding_bag(table: Tensor, ids, offsets) -> Tensor:
     out = np.add.reduceat(table.array[ids], offsets, axis=0) / counts
 
     def bwd(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.array)
+        held = table.grad
+        if not (held is None or isinstance(held, RowGrad)):
+            raise ContractError("embedding_bag into a table that holds a dense gradient")
+        rows = (np.unique(ids) if held is None else np.union1d(held.rows, ids)).astype(np.intp)
         width = table.array.shape[1]
-        cells = ids.astype(np.intp)[:, None] * width + np.arange(width)
-        rows = np.repeat(g / counts, counts[:, 0], axis=0)
-        np.add.at(table.grad.reshape(-1), cells.ravel(), rows.ravel())
+        values = np.zeros((rows.size, width))
+        if held is not None:
+            values[np.searchsorted(rows, held.rows)] = held.values
+        cells = np.searchsorted(rows, ids)[:, None] * width + np.arange(width)
+        contributions = np.repeat(g / counts, counts[:, 0], axis=0)
+        np.add.at(values.reshape(-1), cells.ravel(), contributions.ravel())
+        table.grad = RowGrad(rows, values)
 
     return _make(out, (table,), bwd)
 

@@ -11,12 +11,12 @@ no graph node per scene.  Every scene enters all four losses, except that
 a scene whose selected views observe no object has no (view, object)
 pair, so it contributes nothing to the grounded loss.
 
-``adamw_step`` runs Adam's arithmetic on a matrix parameter's live rows
-only, the rows that have ever had a nonzero gradient, and gives every
-other row the decay-only update.  A row whose moments and gradient are
-zero gets exactly that update from the dense formula, so the parameters
-and moments keep the dense update's bytes while the text table, whose
-batches read a few dozen of its rows, costs a few dozen rows.
+The text table's gradient is an ``engine.RowGrad``: a batch reads a few
+dozen of its rows, and ``clip_gradients`` and ``adamw_step`` touch those
+rows only.  ``adamw_step`` keeps the table's moments for the rows ever read
+and gives every other row the decay-only update, which is what the dense
+formula gives a row whose moments and gradient are zero, so the
+parameters keep the dense update's bytes.
 """
 
 from __future__ import annotations
@@ -134,17 +134,15 @@ def cosine_lr(step: int, total_steps: int, base_lr: float, warmup_fraction: floa
 
 @dataclass
 class OptimizerState:
-    """AdamW's moments, its step count and each matrix parameter's live rows.
+    """AdamW's moments, its step count and each row-gradient parameter's live rows.
 
-    ``first_moment`` and ``second_moment`` are dense, full-shape arrays.
-    ``live_rows`` holds, for each parameter with two or more axes, a boolean
-    mask over its leading axis: the rows that have ever had a nonzero (or
-    non-finite) gradient.  A row outside the mask has zero moments and a
-    zero gradient, so ``adamw_step`` gives it the decay-only update.  The
-    mask holds no information the moments lack: rebuilt as "any moment of
-    the row is nonzero", it can only drop rows whose moments are zero, and
-    such a row updates to the same bytes either way, so resuming from saved
-    moments needs no record of it.
+    A parameter whose gradients are dense arrays has full-shape moments in
+    ``first_moment`` and ``second_moment``.  A parameter whose gradients
+    are ``engine.RowGrad`` values has an entry in ``live_rows``: the rows
+    any of its gradients has held, ascending, as intp; its moments are
+    compact, row i of each holding the moments of row ``live_rows[i]``.
+    Every other row has zero moments, which need no storage.  A parameter
+    that has had no gradient yet has no moments either.
     """
 
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
@@ -169,19 +167,23 @@ def adamw_step(
     then p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay*p).  A
     missing gradient counts as zero.
 
-    A matrix parameter runs that arithmetic only on its live rows (see
-    ``OptimizerState``): it gathers their p, m, v and g, updates them and
-    scatters them back, and gives every other row p -= lr * (0.0 +
-    weight_decay*p), or nothing without decay.  Where m = v = g = 0 the
-    full update is exactly that: m_hat and v_hat are +0.0, so the Adam term
-    is 0.0/eps = +0.0, and adding it turns a -0.0 decay into +0.0 as the
-    ``0.0 +`` does.  The results are therefore the dense update's bytes; a
-    text table whose batches read a few of its rows costs a few rows.  Once
-    every row is live the update runs in place over the whole array.
+    A dense gradient updates the whole parameter in place.  A ``RowGrad``
+    first adds its new rows to the parameter's live rows, with zero
+    moments (see ``OptimizerState``); the live rows then take that
+    arithmetic on their gathered p and compact m and v, with a zero
+    gradient where this step's ``RowGrad`` has no row, and every other row
+    gets p -= lr * (0.0 + weight_decay*p), or nothing without decay, as
+    does a parameter that has had no gradient yet.  Where m = v = g = 0
+    the full update is exactly that: m_hat and v_hat are +0.0, so the Adam
+    term is 0.0/eps = +0.0, and adding it turns a -0.0 decay into +0.0 as
+    the ``0.0 +`` does.  The results are therefore the dense update's
+    bytes, and a text table whose batches read a few of its rows keeps
+    moments for those rows only.
 
     Raises ``ContractError`` unless 0 <= beta1, beta2 < 1, eps > 0 and lr
     is finite with its sign bit clear: outside those ranges the dense
-    update is not +0.0 on a zero row, or divides by zero.
+    update is not +0.0 on a zero row, or divides by zero.  A parameter
+    whose gradient changes form between steps raises it too.
     """
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0 and eps > 0.0
             and math.isfinite(lr) and math.copysign(1.0, lr) > 0.0):
@@ -215,47 +217,68 @@ def adamw_step(
         update *= lr
         p -= update
 
-    for name, tensor in named_params:
-        p, grad = tensor.array, tensor.grad
-        m = state.first_moment.get(name)
-        if m is None:
-            m = state.first_moment[name] = np.zeros_like(p)
-        v = state.second_moment.get(name)
-        if v is None:
-            v = state.second_moment[name] = np.zeros_like(p)
-        decay = weight_decay if weight_decay and name not in no_decay else 0.0
-        live = state.live_rows.get(name)
-        if live is None and p.ndim >= 2:
-            live = state.live_rows[name] = np.zeros(p.shape[0], dtype=bool)
-        if live is not None and not live.all() and grad is not None:
-            live |= grad.any(axis=tuple(range(1, grad.ndim)))
-        if live is None or live.all():
-            adam(name, p, m, v, 0.0 if grad is None else grad, decay)
-            continue
-        rows = np.flatnonzero(live)
-        p_rows, m_rows, v_rows = p[rows], m[rows], v[rows]
-        adam(name, p_rows, m_rows, v_rows, 0.0 if grad is None else grad[rows], decay)
-        m[rows], v[rows] = m_rows, v_rows
-        if decay:  # the decay-only update on every row; the live rows are then overwritten
+    def decay_only(p, decay):
+        """The update of a row whose moments and gradient are zero."""
+        if decay:
             work = np.multiply(decay, p)
             work += 0.0
             work *= lr
             p -= work
-        p[rows] = p_rows
+
+    for name, tensor in named_params:
+        p, grad = tensor.array, tensor.grad
+        decay = weight_decay if weight_decay and name not in no_decay else 0.0
+        sparse = isinstance(grad, E.RowGrad)
+        live = state.live_rows.get(name)
+        if live is None and not sparse:
+            if name not in state.first_moment:
+                if grad is None:
+                    decay_only(p, decay)
+                    continue
+                state.first_moment[name] = np.zeros_like(p)
+                state.second_moment[name] = np.zeros_like(p)
+            adam(name, p, state.first_moment[name], state.second_moment[name],
+                 0.0 if grad is None else grad, decay)
+            continue
+        if (live is None and name in state.first_moment) or not (sparse or grad is None):
+            raise ContractError(f"parameter {name} mixes dense and row gradients")
+        if live is None:
+            live = state.live_rows[name] = np.zeros(0, dtype=np.intp)
+            state.first_moment[name] = state.second_moment[name] = np.zeros((0,) + p.shape[1:])
+        g = 0.0
+        if sparse:
+            grown = np.union1d(live, grad.rows)
+            if grown.size > live.size:  # new rows join with zero moments
+                slots = np.searchsorted(grown, live)
+                for moments in (state.first_moment, state.second_moment):
+                    compact = np.zeros((grown.size,) + p.shape[1:])
+                    compact[slots] = moments[name]
+                    moments[name] = compact
+                live = state.live_rows[name] = grown
+            g = np.zeros((live.size,) + p.shape[1:])
+            g[np.searchsorted(live, grad.rows)] = grad.values
+        m, v = state.first_moment[name], state.second_moment[name]
+        p_rows = p[live]
+        adam(name, p_rows, m, v, g, decay)
+        decay_only(p, decay)  # every row; the live rows are then overwritten
+        p[live] = p_rows
 
 
 def clip_gradients(named_params, max_norm: float) -> float:
-    """Scale all gradients to a global L2 norm of at most max_norm."""
+    """Scale all gradients to a global L2 norm of at most max_norm.
+
+    A ``RowGrad`` counts, and is scaled, through its ``values`` only.
+    """
+    grads = [tensor.grad.values if isinstance(tensor.grad, E.RowGrad) else tensor.grad
+             for _, tensor in named_params if tensor.grad is not None]
     total = 0.0
-    for _, tensor in named_params:
-        if tensor.grad is not None:
-            total += float((tensor.grad * tensor.grad).sum())
+    for grad in grads:
+        total += float((grad * grad).sum())
     norm = math.sqrt(total)
     if norm > max_norm > 0:
         factor = max_norm / norm
-        for _, tensor in named_params:
-            if tensor.grad is not None:
-                tensor.grad *= factor
+        for grad in grads:
+            grad *= factor
     return norm
 
 

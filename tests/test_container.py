@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from upm.container import MAGIC, read_arrays, write_arrays
-from upm.errors import FormatError
+from upm.errors import ContractError, FormatError
 from tests.conftest import corruptions
 
 
@@ -40,6 +40,12 @@ class TestRoundTrip:
         for name, array in arrays:
             assert _bits(loaded[name]) == _bits(np.asarray(array, dtype="<f8"))
             assert loaded[name].flags.writeable and loaded[name].flags.c_contiguous
+
+    def test_repeated_name_refused_before_any_write(self, tmp_path):
+        path = tmp_path / "dir" / "file.upm"
+        with pytest.raises(ContractError, match=r"\['a'\] repeat"):
+            write_arrays(path, {}, [*TINY_ARRAYS, ("a", np.zeros(1))])
+        assert list(tmp_path.iterdir()) == []
 
     def test_layout(self, tmp_path):
         write_arrays(tmp_path / "file.upm", {"z": 1, "a": [2]}, TINY_ARRAYS)

@@ -9,8 +9,8 @@ import pytest
 from upm import encoder as enc
 from upm import engine as E
 from upm.encoder import EncoderConfig
-from upm.errors import ConfigError, DegenerateInputError, FormatError, ShapeError
-from tests.conftest import corruptions, edit_header, finite_diff_check
+from upm.errors import ConfigError, ContractError, DegenerateInputError, FormatError, ShapeError
+from tests.conftest import corruptions, densify, edit_header, finite_diff_check
 
 
 def tiny_config(**overrides):
@@ -513,7 +513,8 @@ class TestTextEncoder:
             params = enc.init_encoder_params(config, seed=26)
             rows = encode(texts, params, config)
             E.backward(E.reduce_sum(E.mul(rows, probe)))
-            results.append((rows.array, params.text_table.grad, params.text_weight.grad,
+            table = params.text_table
+            results.append((rows.array, densify(table.grad, table.shape), params.text_weight.grad,
                             params.text_bias.grad))
         ids = [enc.token_ids(t, config) for t in texts]
         assert [0] in ids and any(len(set(i)) < len(i) for i in ids)
@@ -681,12 +682,49 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="1 trailing bytes"):
             enc.load_checkpoint(path)
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("text_vocab_size", 2**62, "text.table has shape"),  # once a ValueError
+        ("text_vocab_size", 2**40, "text.table has shape"),  # once a MemoryError
+        ("embed_dim", 2**40, "phi_i.weight has shape"),
+        ("num_blocks", 2**40, "too few for 1099511627776 blocks"),
+    ])
+    def test_config_beyond_the_stored_arrays_rejected_before_allocating(self, tmp_path, field,
+                                                                          value, match):
+        path = tmp_path / "model.upm"
+        self.tiny_checkpoint(path)
+        edit_header(path, lambda header: header["meta"]["encoder"].update({field: value}))
+        with pytest.raises(FormatError, match=match):
+            enc.load_checkpoint(path)
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        path = tmp_path / "model.upm"
+        self.tiny_checkpoint(path)
+
+        def rename(header):
+            assert header["arrays"][-2] == ["text.bias", [1]]
+            header["arrays"][-2][0] = "text.offset"
+
+        edit_header(path, rename)
+        with pytest.raises(FormatError, match=r"missing parameters \[text.bias\]"):
+            enc.load_checkpoint(path)
+
     def test_repeated_tensor_name_rejected(self, tmp_path):
+        # The writer refuses a repeated name before any write; a file that
+        # repeats one anyway, by a hand-edited header, fails to load.
         path = tmp_path / "model.upm"
         config = tiny_config()
+        params = enc.init_encoder_params(config, seed=0)
         extra = E.Tensor(np.zeros(1))
-        enc.save_checkpoint(path, enc.init_encoder_params(config, seed=0), config,
-                            extras=[("extra", extra), ("extra", extra)])
+        with pytest.raises(ContractError, match=r"\['extra'\] repeat"):
+            enc.save_checkpoint(path, params, config, extras=[("extra", extra), ("extra", extra)])
+        assert list(tmp_path.iterdir()) == []
+        enc.save_checkpoint(path, params, config, extras=[("extra", extra), ("other", extra)])
+
+        def rename(header):
+            assert header["arrays"][-1] == ["other", [1]]
+            header["arrays"][-1][0] = "extra"
+
+        edit_header(path, rename)
         with pytest.raises(FormatError, match="extra appears twice"):
             enc.load_checkpoint(path)
 

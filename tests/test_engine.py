@@ -9,7 +9,7 @@ import pytest
 
 from upm import engine as E
 from upm.errors import ContractError, DegenerateInputError, ShapeError
-from tests.conftest import finite_diff_check, record_backward
+from tests.conftest import densify, finite_diff_check, record_backward
 from tests.test_encoder import softmax
 
 
@@ -603,15 +603,18 @@ class TestEmbeddingBag:
         out = E.embedding_bag(self.table, [4, 1, 4, 1, 1], [0, 2])
         E.backward(E.reduce_sum(E.mul(out, E.Tensor(g))))
         grad = self.table.grad
-        assert not grad[[0, 2, 3, 5]].any()
-        np.testing.assert_allclose(grad[4], g[0] / 2 + g[1] / 3, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(grad[1], g[0] / 2 + 2 * g[1] / 3, rtol=0, atol=1e-15)
+        assert isinstance(grad, E.RowGrad)
+        assert grad.rows.dtype == np.intp and grad.rows.tolist() == [1, 4]
+        assert grad.values.shape == (2, 3)
+        np.testing.assert_allclose(grad.values[1], g[0] / 2 + g[1] / 3, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(grad.values[0], g[0] / 2 + 2 * g[1] / 3, rtol=0, atol=1e-15)
 
     def test_scatter_matches_row_wise_add_at(self):
         # Two bag nodes on one table, as a step's text batches are: ids
         # repeat within and across bags, some contributions are -0.0, and
-        # the second node adds onto the first's gradient.  Magnitudes span
-        # 16 decades, so any other per-cell order would change the sums.
+        # the second node adds onto the first's gradient, which it merges
+        # into one row gradient over both nodes' rows.  Magnitudes span 16
+        # decades, so any other per-cell order would change the sums.
         rng = np.random.default_rng(83)
         table = E.Tensor(rng.normal(size=(7, 5)), requires_grad=True)
         expected = np.zeros_like(table.array)
@@ -623,7 +626,23 @@ class TestEmbeddingBag:
             out._backward_fn(g)
             counts = np.diff(offsets, append=len(ids))
             np.add.at(expected, ids, np.repeat(g / counts[:, None], counts, axis=0))
-        assert table.grad.tobytes() == expected.tobytes()
+        assert table.grad.rows.tolist() == [0, 1, 2, 4, 6]
+        assert densify(table.grad, table.shape).tobytes() == expected.tobytes()
+
+    def test_row_and_dense_gradients_never_mix(self):
+        # A table read by a bag and by a dense op: whichever rule runs
+        # second finds the other form and raises.
+        table = E.Tensor(self.table.array, requires_grad=True)
+        loss = E.add(E.reduce_sum(E.embedding_bag(table, [1, 2], [0])), E.reduce_sum(table))
+        with pytest.raises(ContractError, match="row gradient|dense gradient"):
+            E.backward(loss)
+        table.grad = E.RowGrad(np.array([1], dtype=np.intp), np.ones((1, 3)))
+        with pytest.raises(ContractError, match="holds a row gradient"):
+            E._accumulate(table, np.ones((6, 3)))
+        table.grad = np.zeros((6, 3))
+        out = E.embedding_bag(table, [1, 2], [0])
+        with pytest.raises(ContractError, match="holds a dense gradient"):
+            out._backward_fn(np.ones((1, 3)))
 
     @pytest.mark.parametrize(
         "ids,offsets,error",

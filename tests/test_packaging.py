@@ -58,3 +58,16 @@ def test_only_the_container_packs_binary():
             if "struct" in names:
                 importers.append(path.stem)
     assert importers == ["container"]
+
+
+def test_only_engine_and_trainer_touch_gradients():
+    # A gradient is a dense array or an engine.RowGrad; the engine makes
+    # both and the trainer's clipping and AdamW read both.  Any other
+    # module that reads ``.grad`` would be one more consumer to teach
+    # about row gradients, so none may.
+    readers = set()
+    for path in sorted((SRC / "upm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "grad":
+                readers.add(path.stem)
+    assert sorted(readers) == ["engine", "trainer"]

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from upm.trainer import (
     prepare_scene,
     train,
 )
-from tests.conftest import TINY_ENCODER, TINY_TRAIN
+from tests.conftest import TINY_ENCODER, TINY_TRAIN, densify
 from tests.test_objectives import oracle_off_diagonal_soft_xent
 
 
@@ -138,22 +139,28 @@ class TestAdamw:
             assert state.step == o_state.step == step + 1
             for (name, tensor), (_, o_tensor) in zip(named, o_named):
                 assert tensor.array.tobytes() == o_tensor.array.tobytes(), (step, name)
+                if name == "never":  # no gradient yet, so no moments: the oracle's are zeros
+                    assert name not in state.first_moment and name not in state.second_moment
+                    assert not o_state.first_moment[name].any()
+                    assert not o_state.second_moment[name].any()
+                    continue
                 assert state.first_moment[name].tobytes() == o_state.first_moment[name].tobytes()
                 assert state.second_moment[name].tobytes() == o_state.second_moment[name].tobytes()
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
     def test_live_rows_match_oracle_bytewise(self, weight_decay):
-        # A (V, d) table and a (4, 2, 2) stack whose rows go live at
-        # different steps: row 3 only ever sees -0.0, so it stays dead; a
-        # step with no gradient still moves the live rows; the stack goes
-        # fully live at step 3 and then updates in place.  The table holds
-        # -0.0 and a tiny negative value, where a decay-only row must keep
-        # the dense update's `0.0 +` step.
+        # A (V, d) table with row gradients beside a dense (4, 2, 2) stack,
+        # against the oracle on their dense forms.  The table has no
+        # gradient at its first step, so it starts with no moments; its
+        # rows go live at different steps, out of order, and row 3 only
+        # ever sees -0.0; a step with no gradient still moves the live
+        # rows.  The table holds -0.0 and a tiny negative value, where a
+        # decay-only row must keep the dense update's `0.0 +` step.
         rng = np.random.default_rng(29)
         table = rng.normal(size=(9, 3))
         table[5] = [-0.0, -5e-324, 0.0]
         values = {"table": table, "stack": rng.normal(size=(4, 2, 2))}
-        table_rows = [[1], [1, 6], [], [6], [0, 1, 5, 6], [], [2]]
+        table_rows = [[], [1], [1, 6], [3, 6], [0, 1, 3, 5, 6], [], [2]]
         stack_rows = [[2], [], [0], [0, 1, 3], [1], None, [2]]
         runs = []
         for step_fn in (adamw_step, oracle_adamw_step):
@@ -162,36 +169,55 @@ class TestAdamw:
         for step, (t_rows, s_rows) in enumerate(zip(table_rows, stack_rows)):
             grads = {}
             if t_rows:
-                grads["table"] = np.zeros((9, 3))
-                grads["table"][t_rows] = rng.normal(size=(len(t_rows), 3))
-                grads["table"][3] = -0.0
+                rows = np.array(t_rows, dtype=np.intp)
+                grads["table"] = E.RowGrad(rows, rng.normal(size=(len(rows), 3)))
+                grads["table"].values[rows == 3] = -0.0
             if s_rows is not None:
                 grads["stack"] = np.zeros((4, 2, 2))
                 grads["stack"][s_rows] = rng.normal(size=(len(s_rows), 2, 2))
             lr = float(rng.uniform(1e-3, 1e-1))
             for named, state, step_fn in runs:
-                for name, tensor in named:
-                    tensor.grad = grads[name].copy() if name in grads else None
+                for name, tensor in named:  # neither optimizer writes into a gradient
+                    grad = grads.get(name)
+                    tensor.grad = grad if step_fn is adamw_step else densify(grad, tensor.shape)
                 step_fn(named, state, lr, beta1=0.8, beta2=0.95, weight_decay=weight_decay)
             (named, state, _), (o_named, o_state, _) = runs
             for (name, tensor), (_, o_tensor) in zip(named, o_named):
                 assert tensor.array.tobytes() == o_tensor.array.tobytes(), (step, name)
-                assert state.first_moment[name].tobytes() == o_state.first_moment[name].tobytes()
-                assert state.second_moment[name].tobytes() == o_state.second_moment[name].tobytes()
-        assert np.flatnonzero(state.live_rows["table"]).tolist() == [0, 1, 2, 5, 6]
-        assert state.live_rows["stack"].all()
+                m, v = state.first_moment.get(name), state.second_moment.get(name)
+                if m is None:  # no gradient yet: the oracle's moments are zeros
+                    m, v = np.zeros_like(tensor.array), np.zeros_like(tensor.array)
+                elif name == "table":
+                    live = state.live_rows[name]
+                    assert m.shape == v.shape == (len(live), 3)
+                    m, v = (densify(E.RowGrad(live, x), tensor.shape) for x in (m, v))
+                assert m.tobytes() == o_state.first_moment[name].tobytes(), (step, name)
+                assert v.tobytes() == o_state.second_moment[name].tobytes(), (step, name)
+        assert state.live_rows["table"].tolist() == [0, 1, 2, 3, 5, 6]
+        assert state.live_rows["table"].dtype == np.intp
+        assert list(state.live_rows) == ["table"]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_gradient_in_dead_row_aborts_with_name(self, bad):
+        # The non-finite value arrives in a row that joins the live rows.
         t = Tensor(np.ones((5, 2)), requires_grad=True)
         state = OptimizerState()
-        t.grad = np.zeros((5, 2))
-        t.grad[1] = 1.0
+        t.grad = E.RowGrad(np.array([1], dtype=np.intp), np.ones((1, 2)))
         adamw_step([("text.table", t)], state, lr=0.1)
-        t.grad = np.zeros((5, 2))
-        t.grad[3, 1] = bad
+        t.grad = E.RowGrad(np.array([3], dtype=np.intp), np.array([[0.0, bad]]))
         with pytest.raises(NumericError, match="text.table"):
             adamw_step([("text.table", t)], state, lr=0.1)
+
+    def test_dense_and_row_gradients_never_mix(self):
+        rows = E.RowGrad(np.array([1], dtype=np.intp), np.ones((1, 2)))
+        for first, second in ((np.ones((5, 2)), rows), (rows, np.ones((5, 2)))):
+            t = Tensor(np.ones((5, 2)), requires_grad=True)
+            state = OptimizerState()
+            t.grad = first
+            adamw_step([("text.table", t)], state, lr=0.1)
+            t.grad = second
+            with pytest.raises(ContractError, match="text.table mixes"):
+                adamw_step([("text.table", t)], state, lr=0.1)
 
     @pytest.mark.parametrize("name,value", [
         ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", math.nan),
@@ -218,6 +244,17 @@ class TestClipGradients:
         norm = clip_gradients([("w", t)], max_norm=1.0)
         assert norm == pytest.approx(20.0)
         assert np.linalg.norm(t.grad) == pytest.approx(1.0)
+
+    def test_row_gradient_counts_and_scales_its_values(self):
+        dense = Tensor(np.zeros(2), requires_grad=True)
+        dense.grad = np.array([3.0, 0.0])
+        table = Tensor(np.zeros((6, 2)), requires_grad=True)
+        table.grad = E.RowGrad(np.array([1, 4], dtype=np.intp), np.array([[0.0, 4.0], [12.0, 0.0]]))
+        norm = clip_gradients([("w", dense), ("text.table", table)], max_norm=6.5)
+        assert norm == 13.0
+        assert table.grad.rows.tolist() == [1, 4]
+        np.testing.assert_allclose(table.grad.values, [[0.0, 2.0], [6.0, 0.0]], rtol=1e-15)
+        np.testing.assert_allclose(dense.grad, [1.5, 0.0], rtol=1e-15)
 
     def test_small_gradients_untouched(self):
         t = Tensor(np.zeros(2), requires_grad=True)
@@ -420,6 +457,41 @@ class TestBatchLoss:
         E.backward(breakdown.total)
         assert firsts.count(False) <= 54
 
+    def test_default_step_traced_peak_and_text_rows(self, default_batch_seed0):
+        # Traced from before the first step, so AdamW's moments count; the
+        # second step peaks mid-backward.  With a dense (4096, 64) table
+        # gradient and dense table moments that peak was 23.6 MB; with a
+        # row gradient and moments for the rows read it is 17.4 MB.
+        batch, enc_cfg, cfg = default_batch_seed0
+        params = init_encoder_params(enc_cfg, seed=0)
+        temperature = Temperature(cfg.initial_tau)
+        named = list(params.named_parameters()) + [(TEMPERATURE_KEY, temperature.log_tau)]
+        state = OptimizerState()
+
+        def step():
+            E.zero_grads(t for _, t in named)
+            E.backward(batch_loss(batch, params, enc_cfg, temperature, cfg).total)
+            clip_gradients(named, cfg.grad_clip)
+            adamw_step(named, state, 1e-4, beta1=cfg.beta1, beta2=cfg.beta2,
+                       weight_decay=cfg.weight_decay)
+
+        tracemalloc.start()
+        try:
+            step()
+            tracemalloc.reset_peak()
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert all(scene.pairs for scene in batch)  # so every object text is read
+        texts = [t for s in batch for t in (*s.object_texts, *s.view_captions, s.scene_caption)]
+        read = sorted({row for text in texts for row in token_ids(text, enc_cfg)})
+        assert params.text_table.grad.rows.tolist() == read
+        assert state.live_rows["text.table"].tolist() == read
+        assert state.first_moment["text.table"].shape == (len(read), enc_cfg.embed_dim)
+        assert state.second_moment["text.table"].shape == (len(read), enc_cfg.embed_dim)
+
     def test_graph_size_independent_of_scene_count(self, default_batch_seed0):
         batch, enc_cfg, cfg = default_batch_seed0
         params = init_encoder_params(enc_cfg, seed=0)
@@ -435,7 +507,7 @@ class TestBatchLoss:
             breakdown = build(batch, params, enc_cfg, temperature, cfg)
             E.backward(breakdown.total)
             named = list(params.named_parameters()) + [(TEMPERATURE_KEY, temperature.log_tau)]
-            runs.append((breakdown.values(), {name: t.grad for name, t in named}))
+            runs.append((breakdown.values(), {name: densify(t.grad, t.shape) for name, t in named}))
         (values, grads), (o_values, o_grads) = runs
         for key, value in o_values.items():
             assert abs(values[key] - value) <= 1e-12 * abs(value), key
@@ -603,8 +675,8 @@ class TestTrainLoop:
 
     def test_default_run_updates_only_the_text_rows_it_read(self, tmp_path, monkeypatch):
         # AdamW's live rows of the text table are exactly the token ids of
-        # the texts encoded under gradient; every other matrix is live
-        # throughout after its first step, so it updates in place.
+        # the texts encoded under gradient, with one row of moments each;
+        # every other parameter has dense gradients and full moments.
         real_encode_texts = trainer.encode_texts
         trained_texts, states = set(), []
 
@@ -630,7 +702,11 @@ class TestTrainLoop:
         enc_cfg = EncoderConfig()
         train(root / "manifest.tsv", TrainConfig(epochs=2, seed=3), enc_cfg, tmp_path / "run")
         read = {row for text in trained_texts for row in token_ids(text, enc_cfg)}
-        live = states[-1].live_rows
-        assert set(np.flatnonzero(live.pop("text.table")).tolist()) == read
+        state = states[-1]
+        assert list(state.live_rows) == ["text.table"]
+        assert state.live_rows["text.table"].tolist() == sorted(read)
         assert 0 < len(read) < enc_cfg.text_vocab_size // 10
-        assert live and all(mask.all() for mask in live.values())
+        shapes = {name: t.shape for name, t in init_encoder_params(enc_cfg).named_parameters()}
+        shapes["text.table"] = (len(read), enc_cfg.embed_dim)
+        for moments in (state.first_moment, state.second_moment):
+            assert {name: moments[name].shape for name in shapes} == shapes
