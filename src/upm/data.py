@@ -594,6 +594,8 @@ def load_scene(directory) -> Scene:
 # ---------------------------------------------------------------------------
 # dataset manifest
 
+_SPLITS = ("train", "val", "test")
+
 
 def split_dataset(scene_ids: list[str], seed: int) -> list[tuple[str, str]]:
     """Assign 80/10/10 train/val/test tags by seeded shuffle.
@@ -616,6 +618,17 @@ def split_dataset(scene_ids: list[str], seed: int) -> list[tuple[str, str]]:
 
 
 def write_manifest(path, entries: list[tuple[str, str]]) -> None:
+    """Write one ``split<TAB>scene_dir`` line per entry, atomically.
+
+    An entry that ``load_manifest`` would refuse, an unknown split or a
+    directory name holding a tab or a line break, raises ``ContractError``
+    before any write.
+    """
+    for split, scene_dir in entries:
+        if split not in _SPLITS:
+            raise ContractError(f"unknown split {split!r}; expected one of {_SPLITS}")
+        if "\t" in scene_dir or scene_dir.splitlines() not in ([], [scene_dir]):
+            raise ContractError(f"scene directory {scene_dir!r} holds a tab or a line break")
     lines = [f"{split}\t{scene_dir}" for split, scene_dir in entries]
     with atomic_write(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
@@ -624,7 +637,7 @@ def write_manifest(path, entries: list[tuple[str, str]]) -> None:
 def load_manifest(path) -> dict[str, list[str]]:
     """Scene directories by split; a malformed manifest raises ``FormatError``."""
     path = Path(path)
-    splits: dict[str, list[str]] = {"train": [], "val": [], "test": []}
+    splits: dict[str, list[str]] = {split: [] for split in _SPLITS}
     for lineno, raw in enumerate(read_utf8(path, "manifest").splitlines(), start=1):
         if not raw.strip():
             continue

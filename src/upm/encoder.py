@@ -11,6 +11,11 @@ encoder stands in for a pretrained text tower so the alignment losses can
 be exercised end to end: each token hashes to a row of a learned table,
 a text is the mean of its tokens' rows (an embedding bag; an empty text
 reads the reserved row 0), and a linear layer projects it.
+
+``_parameter_layout`` is the one statement of the parameters: each
+checkpoint name, in checkpoint order, with its shape and its init.
+``EncoderParams`` is a dict from those names to tensors; the init, the
+checkpoint writer and reader, and the forward's lookups follow the table.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ import functools
 import hashlib
 import itertools
 import re
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -89,148 +94,60 @@ def paper_encoder_config() -> EncoderConfig:
     )
 
 
-@dataclass
-class BlockParams:
-    ln1_gamma: Tensor
-    ln1_beta: Tensor
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    ln2_gamma: Tensor
-    ln2_beta: Tensor
-    w_up: Tensor
-    b_up: Tensor
-    w_down: Tensor
-    b_down: Tensor
-
-
-@dataclass
-class EncoderParams:
-    phi_i_weight: Tensor
-    phi_i_bias: Tensor
-    phi_p_weight: Tensor
-    phi_p_bias: Tensor
-    pos_embedding: Tensor
-    cls_token: Tensor
-    blocks: list[BlockParams] = field(default_factory=list)
-    final_gamma: Tensor = None
-    final_beta: Tensor = None
-    text_table: Tensor = None
-    text_weight: Tensor = None
-    text_bias: Tensor = None
+class EncoderParams(dict):
+    """The encoder's parameters: checkpoint name to ``Tensor``, in ``_parameter_layout`` order."""
 
     def named_parameters(self):
         """(name, tensor) pairs in a fixed, checkpoint-stable order."""
-        yield "phi_i.weight", self.phi_i_weight
-        yield "phi_i.bias", self.phi_i_bias
-        yield "phi_p.weight", self.phi_p_weight
-        yield "phi_p.bias", self.phi_p_bias
-        yield "pos_embedding", self.pos_embedding
-        yield "cls_token", self.cls_token
-        for i, blk in enumerate(self.blocks):
-            prefix = f"blocks.{i}."
-            yield prefix + "ln1.gamma", blk.ln1_gamma
-            yield prefix + "ln1.beta", blk.ln1_beta
-            yield prefix + "attn.wq", blk.wq
-            yield prefix + "attn.bq", blk.bq
-            yield prefix + "attn.wk", blk.wk
-            yield prefix + "attn.bk", blk.bk
-            yield prefix + "attn.wv", blk.wv
-            yield prefix + "attn.bv", blk.bv
-            yield prefix + "attn.wo", blk.wo
-            yield prefix + "attn.bo", blk.bo
-            yield prefix + "ln2.gamma", blk.ln2_gamma
-            yield prefix + "ln2.beta", blk.ln2_beta
-            yield prefix + "mlp.w_up", blk.w_up
-            yield prefix + "mlp.b_up", blk.b_up
-            yield prefix + "mlp.w_down", blk.w_down
-            yield prefix + "mlp.b_down", blk.b_down
-        yield "final_ln.gamma", self.final_gamma
-        yield "final_ln.beta", self.final_beta
-        yield "text.table", self.text_table
-        yield "text.weight", self.text_weight
-        yield "text.bias", self.text_bias
+        return iter(self.items())
+
+
+_DRAW = "N(0, 0.02)"
+
+
+def _block_layout(config: EncoderConfig) -> dict[str, tuple[tuple[int, ...], float | str]]:
+    """One transformer block's entries of ``_parameter_layout``, named below ``blocks.{i}.``."""
+    d, hidden = config.embed_dim, config.embed_dim * config.mlp_ratio
+    block = {"ln1.gamma": ((d,), 1.0), "ln1.beta": ((d,), 0.0)}
+    for name in "qkvo":
+        block |= {f"attn.w{name}": ((d, d), _DRAW), f"attn.b{name}": ((d,), 0.0)}
+    return block | {"ln2.gamma": ((d,), 1.0), "ln2.beta": ((d,), 0.0),
+                    "mlp.w_up": ((d, hidden), _DRAW), "mlp.b_up": ((hidden,), 0.0),
+                    "mlp.w_down": ((hidden, d), _DRAW), "mlp.b_down": ((d,), 0.0)}
+
+
+def _parameter_layout(config: EncoderConfig) -> dict[str, tuple[tuple[int, ...], float | str]]:
+    """The one statement of the encoder's parameters: name to (shape, init), in checkpoint order.
+
+    An init is ``_DRAW``, a seeded N(0, 0.02) draw made in table order; a
+    constant fill; or the name of an earlier entry to copy (the pointmap
+    patch embedding starts as a copy of the image one).  Init, checkpoint
+    names and checkpoint checks all read this table; it allocates nothing.
+    """
+    d = config.embed_dim
+    layout = {"phi_i.weight": ((config.patch_dim, d), _DRAW), "phi_i.bias": ((d,), 0.0),
+              "phi_p.weight": ((config.patch_dim, d), "phi_i.weight"), "phi_p.bias": ((d,), 0.0),
+              "pos_embedding": ((config.num_patches, d), _DRAW), "cls_token": ((1, d), _DRAW)}
+    block = _block_layout(config)
+    for i in range(config.num_blocks):
+        layout |= {f"blocks.{i}.{name}": entry for name, entry in block.items()}
+    return layout | {"final_ln.gamma": ((d,), 1.0), "final_ln.beta": ((d,), 0.0),
+                     "text.table": ((config.text_vocab_size, d), _DRAW),
+                     "text.weight": ((d, d), _DRAW), "text.bias": ((d,), 0.0)}
 
 
 def init_encoder_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
-    """Seeded initialization; the pointmap patch embedding copies the image one."""
+    """Seeded initialization: one pass over ``_parameter_layout``."""
     rng = np.random.default_rng(seed)
-    return _build_params(config, lambda shape: rng.normal(0.0, 0.02, size=shape))
-
-
-def _parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    """Each parameter's shape by name, in ``named_parameters()`` order, allocating nothing."""
-    d, hidden = config.embed_dim, config.embed_dim * config.mlp_ratio
-    shapes = {"phi_i.weight": (config.patch_dim, d), "phi_i.bias": (d,),
-              "phi_p.weight": (config.patch_dim, d), "phi_p.bias": (d,),
-              "pos_embedding": (config.num_patches, d), "cls_token": (1, d)}
-    block = {"ln1.gamma": (d,), "ln1.beta": (d,)}
-    for name in ("q", "k", "v", "o"):
-        block |= {f"attn.w{name}": (d, d), f"attn.b{name}": (d,)}
-    block |= {"ln2.gamma": (d,), "ln2.beta": (d,), "mlp.w_up": (d, hidden), "mlp.b_up": (hidden,),
-              "mlp.w_down": (hidden, d), "mlp.b_down": (d,)}
-    for i in range(config.num_blocks):
-        shapes |= {f"blocks.{i}.{name}": shape for name, shape in block.items()}
-    return shapes | {"final_ln.gamma": (d,), "final_ln.beta": (d,),
-                     "text.table": (config.text_vocab_size, d), "text.weight": (d, d),
-                     "text.bias": (d,)}
-
-
-def _build_params(config: EncoderConfig, draw: Callable[[tuple[int, ...]], np.ndarray]) -> EncoderParams:
-    """The parameter layout: ``draw(shape)`` makes each random array, in a fixed order.
-
-    Shapes come from ``_parameter_shapes``; biases and betas start at
-    zero, gammas at one.
-    """
-    shapes = _parameter_shapes(config)
-
-    def param(name: str) -> Tensor:
-        return Tensor(draw(shapes[name]), requires_grad=True)
-
-    def const(name: str, value: float = 0.0) -> Tensor:
-        return Tensor(np.full(shapes[name], value), requires_grad=True)
-
-    phi_i_weight = param("phi_i.weight")
-    params = EncoderParams(
-        phi_i_weight=phi_i_weight,
-        phi_i_bias=const("phi_i.bias"),
-        phi_p_weight=Tensor(phi_i_weight.array.copy(), requires_grad=True),
-        phi_p_bias=const("phi_p.bias"),
-        pos_embedding=param("pos_embedding"),
-        cls_token=param("cls_token"),
-    )
-    for i in range(config.num_blocks):
-        prefix = f"blocks.{i}."
-        params.blocks.append(
-            BlockParams(
-                ln1_gamma=const(prefix + "ln1.gamma", 1.0),
-                ln1_beta=const(prefix + "ln1.beta"),
-                wq=param(prefix + "attn.wq"),
-                bq=const(prefix + "attn.bq"),
-                wk=param(prefix + "attn.wk"),
-                bk=const(prefix + "attn.bk"),
-                wv=param(prefix + "attn.wv"),
-                bv=const(prefix + "attn.bv"),
-                wo=param(prefix + "attn.wo"),
-                bo=const(prefix + "attn.bo"),
-                ln2_gamma=const(prefix + "ln2.gamma", 1.0),
-                ln2_beta=const(prefix + "ln2.beta"),
-                w_up=param(prefix + "mlp.w_up"),
-                b_up=const(prefix + "mlp.b_up"),
-                w_down=param(prefix + "mlp.w_down"),
-                b_down=const(prefix + "mlp.b_down"),
-            )
-        )
-    params.final_gamma = const("final_ln.gamma", 1.0)
-    params.final_beta = const("final_ln.beta")
-    params.text_table = param("text.table")
-    params.text_weight = param("text.weight")
-    params.text_bias = const("text.bias")
+    params = EncoderParams()
+    for name, (shape, init) in _parameter_layout(config).items():
+        if init == _DRAW:
+            array = rng.normal(0.0, 0.02, size=shape)
+        elif isinstance(init, str):
+            array = params[init].array.copy()
+        else:
+            array = np.full(shape, init)
+        params[name] = Tensor(array, requires_grad=True)
     return params
 
 
@@ -279,43 +196,45 @@ def embed_views(image_patches: np.ndarray, point_patches: np.ndarray, params: En
     """
     if image_patches.shape != point_patches.shape:
         raise ShapeError("patch streams disagree in shape")
-    if image_patches.ndim != 3 or image_patches.shape[1] != params.pos_embedding.shape[0]:
+    pos_embedding = params["pos_embedding"]
+    if image_patches.ndim != 3 or image_patches.shape[1] != pos_embedding.shape[0]:
         raise ShapeError(
             f"got patch stack {image_patches.shape}, positional table has "
-            f"{params.pos_embedding.shape[0]} rows"
+            f"{pos_embedding.shape[0]} rows"
         )
     z_image = E.add(
-        E.linear(Tensor(image_patches), params.phi_i_weight, params.phi_i_bias),
-        params.pos_embedding,
+        E.linear(Tensor(image_patches), params["phi_i.weight"], params["phi_i.bias"]),
+        pos_embedding,
     )
-    z_points = E.linear(Tensor(point_patches), params.phi_p_weight, params.phi_p_bias)
+    z_points = E.linear(Tensor(point_patches), params["phi_p.weight"], params["phi_p.bias"])
     fused = E.add(z_image, z_points)
     n, _, d = fused.shape
-    return E.concat([E.broadcast_to(params.cls_token, (n, 1, d)), fused], axis=1)
+    return E.concat([E.broadcast_to(params["cls_token"], (n, 1, d)), fused], axis=1)
 
 
-def _mlp(x: Tensor, blk: BlockParams) -> Tensor:
-    hidden = E.gelu(E.linear(x, blk.w_up, blk.b_up))
-    return E.linear(hidden, blk.w_down, blk.b_down)
-
-
-def _transformer_block(x: Tensor, blk: BlockParams, num_heads: int, class_token_only: bool) -> Tensor:
-    """One pre-norm block over (N, T, d) tokens.
+def _transformer_block(x: Tensor, params: EncoderParams, index: int, num_heads: int,
+                       class_token_only: bool) -> Tensor:
+    """Block ``index``, pre-norm, over (N, T, d) tokens.
 
     Keys and values always read every token.  With ``class_token_only``
     the queries, the residual and the MLP run on the class-token row
     alone and the block returns (N, 1, d), for a last block whose other
     rows nothing reads.
     """
-    h = E.layer_norm(x, blk.ln1_gamma, blk.ln1_beta)
+    def p(name: str) -> Tensor:
+        return params[f"blocks.{index}.{name}"]
+
+    h = E.layer_norm(x, p("ln1.gamma"), p("ln1.beta"))
     queries = h
     if class_token_only:
         x, queries = E.narrow(x, 1, 0, 1), E.narrow(h, 1, 0, 1)
-    q = E.linear(queries, blk.wq, blk.bq)
-    k = E.linear(h, blk.wk, blk.bk)
-    v = E.linear(h, blk.wv, blk.bv)
-    x = E.add(x, E.linear(E.attention(q, k, v, num_heads), blk.wo, blk.bo))
-    return E.add(x, _mlp(E.layer_norm(x, blk.ln2_gamma, blk.ln2_beta), blk))
+    q = E.linear(queries, p("attn.wq"), p("attn.bq"))
+    k = E.linear(h, p("attn.wk"), p("attn.bk"))
+    v = E.linear(h, p("attn.wv"), p("attn.bv"))
+    x = E.add(x, E.linear(E.attention(q, k, v, num_heads), p("attn.wo"), p("attn.bo")))
+    h = E.layer_norm(x, p("ln2.gamma"), p("ln2.beta"))
+    hidden = E.gelu(E.linear(h, p("mlp.w_up"), p("mlp.b_up")))
+    return E.add(x, E.linear(hidden, p("mlp.w_down"), p("mlp.b_down")))
 
 
 def encode_views(
@@ -344,13 +263,12 @@ def encode_views(
     elif modality == MODALITY_POINTMAP_ONLY:
         image_patches = np.zeros_like(image_patches)
     x = embed_views(image_patches, point_patches, params)
-    for blk in params.blocks[:-1]:
-        x = _transformer_block(x, blk, config.num_heads, class_token_only=False)
-    if params.blocks:
-        x = _transformer_block(x, params.blocks[-1], config.num_heads, class_token_only=True)
-    else:
+    for i in range(config.num_blocks):
+        x = _transformer_block(x, params, i, config.num_heads,
+                               class_token_only=i == config.num_blocks - 1)
+    if config.num_blocks == 0:
         x = E.narrow(x, 1, 0, 1)
-    x = E.layer_norm(x, params.final_gamma, params.final_beta)
+    x = E.layer_norm(x, params["final_ln.gamma"], params["final_ln.beta"])
     return E.normalize_rows(E.reshape(x, (len(views), config.embed_dim)))
 
 
@@ -399,8 +317,8 @@ def encode_texts(texts: Sequence[str], params: EncoderParams, config: EncoderCon
     bags = [token_ids(text, config) for text in texts]
     offsets = np.cumsum([0] + [len(bag) for bag in bags[:-1]])
     ids = np.fromiter(itertools.chain.from_iterable(bags), dtype=np.int64)
-    pooled = E.embedding_bag(params.text_table, ids, offsets)
-    return E.normalize_rows(E.linear(pooled, params.text_weight, params.text_bias))
+    pooled = E.embedding_bag(params["text.table"], ids, offsets)
+    return E.normalize_rows(E.linear(pooled, params["text.weight"], params["text.bias"]))
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +343,8 @@ def load_checkpoint(path) -> tuple[EncoderParams, EncoderConfig, dict[str, Tenso
     A malformed file, a config that is not exactly the integer fields of
     ``EncoderConfig``, and a parameter that is missing or of the wrong
     shape raise ``FormatError``; an array that is not a parameter is an extra.
-    The shapes are checked against the arrays read before any parameter is
-    built, so a config that asks for more than the file holds allocates
-    nothing.
+    Names and shapes are checked against ``_parameter_layout``, which
+    allocates nothing, and the parameters wrap the arrays read.
     """
     meta, tensors = read_arrays(path)
     try:
@@ -440,18 +357,17 @@ def load_checkpoint(path) -> tuple[EncoderParams, EncoderConfig, dict[str, Tenso
     except (KeyError, TypeError, ConfigError) as exc:
         raise FormatError(f"invalid checkpoint config in {path}: {exc}") from exc
 
-    if 16 * config.num_blocks > len(tensors):  # each block has 16 parameters
+    # Checked before the table is built: a huge num_blocks would make a huge table.
+    if config.num_blocks * len(_block_layout(config)) > len(tensors):
         raise FormatError(f"checkpoint holds {len(tensors)} arrays, too few for "
                           f"{config.num_blocks} blocks: {path}")
-    shapes = _parameter_shapes(config)
+    layout = _parameter_layout(config)
     for name, arr in tensors.items():
-        if name in shapes and arr.shape != shapes[name]:
+        if name in layout and arr.shape != layout[name][0]:
             raise FormatError(f"checkpoint tensor {name} has shape {arr.shape}, "
-                              f"expected {shapes[name]}: {path}")
-    missing = sorted(shapes.keys() - tensors.keys())
+                              f"expected {layout[name][0]}: {path}")
+    missing = sorted(layout.keys() - tensors.keys())
     if missing:
         raise FormatError(f"checkpoint is missing parameters [{', '.join(missing)}]: {path}")
-    params = _build_params(config, np.empty)  # no larger than the arrays read; each is replaced
-    for name, target in params.named_parameters():
-        target.array = tensors.pop(name)
+    params = EncoderParams((name, Tensor(tensors.pop(name), requires_grad=True)) for name in layout)
     return params, config, {name: Tensor(arr, requires_grad=True) for name, arr in tensors.items()}

@@ -73,8 +73,8 @@ class ProbeConfig:
         grid = np.asarray(self.reg_grid)
         if grid.ndim != 1 or len(grid) < 1 or np.any(np.diff(grid) <= 0):
             raise ConfigError("regularization grid must be strictly increasing")
-        if not grid[0] > 0:
-            raise ConfigError("regularization strengths must be positive")
+        if not (grid[0] > 0 and np.all(np.isfinite(grid))):  # NaN passes the order check
+            raise ConfigError("regularization strengths must be finite and positive")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
         if not 0.0 <= self.holdout_fraction < 1.0:

@@ -76,8 +76,8 @@ class TrainConfig:
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:  # AdamW divides by 1 - beta**t
                 raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not self.weight_decay >= 0:
-            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
         if not self.grad_clip >= 0:  # NaN or negative: clip_gradients would silently not clip
             raise ConfigError(f"grad_clip must be nonnegative, got {self.grad_clip}")
         if not obj.TAU_MIN <= self.initial_tau <= obj.TAU_MAX:
@@ -180,15 +180,17 @@ def adamw_step(
     bytes, and a text table whose batches read a few of its rows keeps
     moments for those rows only.
 
-    Raises ``ContractError`` unless 0 <= beta1, beta2 < 1, eps > 0 and lr
-    is finite with its sign bit clear: outside those ranges the dense
-    update is not +0.0 on a zero row, or divides by zero.  A parameter
-    whose gradient changes form between steps raises it too.
+    Raises ``ContractError`` unless 0 <= beta1, beta2 < 1, eps > 0, lr
+    is finite with its sign bit clear and weight_decay is finite: outside
+    those ranges the dense update is not +0.0 on a zero row, divides by
+    zero, or turns a parameter into inf or NaN.  A parameter whose
+    gradient changes form between steps raises it too.
     """
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0 and eps > 0.0
-            and math.isfinite(lr) and math.copysign(1.0, lr) > 0.0):
-        raise ContractError(f"AdamW needs 0 <= beta1, beta2 < 1, eps > 0 and a finite lr >= +0.0, "
-                            f"got beta1={beta1!r}, beta2={beta2!r}, eps={eps!r}, lr={lr!r}")
+            and math.isfinite(lr) and math.copysign(1.0, lr) > 0.0 and math.isfinite(weight_decay)):
+        raise ContractError(f"AdamW needs 0 <= beta1, beta2 < 1, eps > 0, a finite lr >= +0.0 and a "
+                            f"finite weight_decay, got beta1={beta1!r}, beta2={beta2!r}, eps={eps!r}, "
+                            f"lr={lr!r}, weight_decay={weight_decay!r}")
     state.step += 1
     t = state.step
     m_correction = 1.0 - beta1**t

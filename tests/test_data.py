@@ -988,6 +988,18 @@ class TestManifest:
         with pytest.raises(FormatError, match="line 2"):
             D.load_manifest(path)
 
+    @pytest.mark.parametrize("entry,match", [
+        (("train", "scene\t1"), "tab or a line break"),
+        (("train", "scene\n1"), "tab or a line break"),
+        (("training", "scene_1"), "unknown split"),
+    ])
+    def test_unloadable_entry_not_written(self, tmp_path, entry, match):
+        # Each of these once wrote a manifest that load_manifest refused
+        # ("malformed manifest line 1", "line 2", "unknown split").
+        with pytest.raises(ContractError, match=match):
+            D.write_manifest(tmp_path / "manifest.tsv", [("val", "a"), entry])
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_split_rejected(self, tmp_path):
         path = tmp_path / "manifest.tsv"
         path.write_text("training\ta\n")

@@ -119,30 +119,30 @@ class TestEmbedView:
     def test_zero_inputs_expose_biases_and_positional_rows(self):
         config = tiny_config()
         params = enc.init_encoder_params(config, seed=3)
-        params.phi_i_bias.array[:] = 0.25
-        params.phi_p_bias.array[:] = 0.5
+        params["phi_i.bias"].array[:] = 0.25
+        params["phi_p.bias"].array[:] = 0.5
         m = config.num_patches
         zeros = np.zeros((2, m, config.patch_dim))
         tokens = enc.embed_views(zeros, zeros, params)
         assert tokens.shape == (2, m + 1, config.embed_dim)
-        expected = params.pos_embedding.array + 0.75
+        expected = params["pos_embedding"].array + 0.75
         for view_tokens in tokens.array:
-            np.testing.assert_array_equal(view_tokens[0], params.cls_token.array[0])
+            np.testing.assert_array_equal(view_tokens[0], params["cls_token"].array[0])
             np.testing.assert_allclose(view_tokens[1:], expected, atol=1e-12)
 
     def test_zeroed_point_projection_reduces_to_image_path(self):
         config = tiny_config()
         params = enc.init_encoder_params(config, seed=4)
-        params.phi_p_weight.array[:] = 0.0
-        params.phi_p_bias.array[:] = 0.0
+        params["phi_p.weight"].array[:] = 0.0
+        params["phi_p.bias"].array[:] = 0.0
         rng = np.random.default_rng(5)
         ip = rng.normal(size=(config.num_patches, config.patch_dim))
         pp = rng.normal(size=(config.num_patches, config.patch_dim))
         tokens = enc.embed_views(ip[None], pp[None], params).array[0]
         image_only = (
-            ip @ params.phi_i_weight.array
-            + params.phi_i_bias.array
-            + params.pos_embedding.array
+            ip @ params["phi_i.weight"].array
+            + params["phi_i.bias"].array
+            + params["pos_embedding"].array
         )
         np.testing.assert_allclose(tokens[1:], image_only, atol=1e-12)
 
@@ -155,9 +155,9 @@ class TestEmbedView:
         tokens = enc.embed_views(ip, pp, params)
         for n in range(3):
             for m in range(config.num_patches):
-                image_row = ip[n, m] @ params.phi_i_weight.array + params.phi_i_bias.array
-                point_row = pp[n, m] @ params.phi_p_weight.array + params.phi_p_bias.array
-                expected = image_row + params.pos_embedding.array[m] + point_row
+                image_row = ip[n, m] @ params["phi_i.weight"].array + params["phi_i.bias"].array
+                point_row = pp[n, m] @ params["phi_p.weight"].array + params["phi_p.bias"].array
+                expected = image_row + params["pos_embedding"].array[m] + point_row
                 np.testing.assert_allclose(tokens.array[n, m + 1], expected, atol=1e-12)
 
     def test_patch_stack_shape_checked(self):
@@ -171,8 +171,8 @@ class TestEmbedView:
 
     def test_shared_initialization_of_patch_embeddings(self):
         params = enc.init_encoder_params(tiny_config(), seed=8)
-        np.testing.assert_array_equal(params.phi_i_weight.array, params.phi_p_weight.array)
-        assert params.phi_i_weight is not params.phi_p_weight
+        np.testing.assert_array_equal(params["phi_i.weight"].array, params["phi_p.weight"].array)
+        assert params["phi_i.weight"] is not params["phi_p.weight"]
 
 
 class TestEncodeViews:
@@ -239,10 +239,10 @@ class TestEncodeViews:
             return f
 
         for name, tensor in [
-            ("phi_p.weight", params.phi_p_weight),
-            ("cls_token", params.cls_token),
-            ("blocks.0.attn.wq", params.blocks[0].wq),
-            ("final_ln.gamma", params.final_gamma),
+            ("phi_p.weight", params["phi_p.weight"]),
+            ("cls_token", params["cls_token"]),
+            ("blocks.0.attn.wq", params["blocks.0.attn.wq"]),
+            ("final_ln.gamma", params["final_ln.gamma"]),
         ]:
             err = finite_diff_check(loss_for(tensor), tensor, h=1e-5)
             assert err <= 1e-4, name
@@ -272,22 +272,23 @@ def oracle_encode_view(image, points, params, config, modality="both", pruned=Tr
     elif modality == "pointmap-only":
         image_patches = np.zeros_like(image_patches)
     z_image = E.add(
-        E.add(E.matmul(E.Tensor(image_patches), params.phi_i_weight), params.phi_i_bias),
-        params.pos_embedding,
+        E.add(E.matmul(E.Tensor(image_patches), params["phi_i.weight"]), params["phi_i.bias"]),
+        params["pos_embedding"],
     )
-    z_points = E.add(E.matmul(E.Tensor(point_patches), params.phi_p_weight), params.phi_p_bias)
-    x = E.concat([params.cls_token, E.add(z_image, z_points)], axis=0)
-    if pruned and not params.blocks:
+    z_points = E.add(E.matmul(E.Tensor(point_patches), params["phi_p.weight"]), params["phi_p.bias"])
+    x = E.concat([params["cls_token"], E.add(z_image, z_points)], axis=0)
+    if pruned and config.num_blocks == 0:
         x = E.narrow(x, 0, 0, 1)
     head_dim = config.embed_dim // config.num_heads
-    for i, blk in enumerate(params.blocks):
-        h = E.layer_norm(x, blk.ln1_gamma, blk.ln1_beta)
+    for i in range(config.num_blocks):
+        pre = f"blocks.{i}."
+        h = E.layer_norm(x, params[pre + "ln1.gamma"], params[pre + "ln1.beta"])
         queries = h
-        if pruned and i == len(params.blocks) - 1:
+        if pruned and i == config.num_blocks - 1:
             x, queries = E.narrow(x, 0, 0, 1), E.narrow(h, 0, 0, 1)
-        q = E.add(E.matmul(queries, blk.wq), blk.bq)
-        k = E.add(E.matmul(h, blk.wk), blk.bk)
-        v = E.add(E.matmul(h, blk.wv), blk.bv)
+        q = E.add(E.matmul(queries, params[pre + "attn.wq"]), params[pre + "attn.bq"])
+        k = E.add(E.matmul(h, params[pre + "attn.wk"]), params[pre + "attn.bk"])
+        v = E.add(E.matmul(h, params[pre + "attn.wv"]), params[pre + "attn.bv"])
         heads = []
         for head in range(config.num_heads):
             start = head * head_dim
@@ -296,12 +297,13 @@ def oracle_encode_view(image, points, params, config, modality="both", pruned=Tr
             vh = E.narrow(v, 1, start, head_dim)
             scores = E.scale(E.matmul(qh, E.transpose(kh)), 1.0 / math.sqrt(head_dim))
             heads.append(E.matmul(softmax(scores, axis=-1), vh))
-        attended = E.add(E.matmul(E.concat(heads, axis=1), blk.wo), blk.bo)
+        attended = E.add(E.matmul(E.concat(heads, axis=1), params[pre + "attn.wo"]),
+                         params[pre + "attn.bo"])
         x = E.add(x, attended)
-        h = E.layer_norm(x, blk.ln2_gamma, blk.ln2_beta)
-        hidden = E.gelu(E.add(E.matmul(h, blk.w_up), blk.b_up))
-        x = E.add(x, E.add(E.matmul(hidden, blk.w_down), blk.b_down))
-    x = E.layer_norm(x, params.final_gamma, params.final_beta)
+        h = E.layer_norm(x, params[pre + "ln2.gamma"], params[pre + "ln2.beta"])
+        hidden = E.gelu(E.add(E.matmul(h, params[pre + "mlp.w_up"]), params[pre + "mlp.b_up"]))
+        x = E.add(x, E.add(E.matmul(hidden, params[pre + "mlp.w_down"]), params[pre + "mlp.b_down"]))
+    x = E.layer_norm(x, params["final_ln.gamma"], params["final_ln.beta"])
     return E.normalize_rows(E.narrow(x, 0, 0, 1))
 
 
@@ -496,8 +498,8 @@ def oracle_encode_texts(texts, params, config):
         ids = enc.token_ids(text, config)
         for tid in ids:
             selection[row, tid] += 1.0 / len(ids)
-    pooled = E.matmul(E.Tensor(selection), params.text_table)
-    projected = E.add(E.matmul(pooled, params.text_weight), params.text_bias)
+    pooled = E.matmul(E.Tensor(selection), params["text.table"])
+    projected = E.add(E.matmul(pooled, params["text.weight"]), params["text.bias"])
     return E.normalize_rows(projected)
 
 
@@ -513,9 +515,9 @@ class TestTextEncoder:
             params = enc.init_encoder_params(config, seed=26)
             rows = encode(texts, params, config)
             E.backward(E.reduce_sum(E.mul(rows, probe)))
-            table = params.text_table
-            results.append((rows.array, densify(table.grad, table.shape), params.text_weight.grad,
-                            params.text_bias.grad))
+            table = params["text.table"]
+            results.append((rows.array, densify(table.grad, table.shape), params["text.weight"].grad,
+                            params["text.bias"].grad))
         ids = [enc.token_ids(t, config) for t in texts]
         assert [0] in ids and any(len(set(i)) < len(i) for i in ids)
         for got, want in zip(*results):
@@ -568,6 +570,21 @@ class TestTextEncoder:
             "near",
             "table",
         ]
+
+
+class TestParameterLayout:
+    @pytest.mark.parametrize("config", [tiny_config(), tiny_config(num_blocks=0), EncoderConfig()])
+    def test_init_and_load_follow_the_table(self, tmp_path, config):
+        # The table is the one statement of the layout: the init and the
+        # checkpoint reader give its names, in its order, at its shapes.
+        layout = [(name, shape) for name, (shape, _) in enc._parameter_layout(config).items()]
+        params = enc.init_encoder_params(config, seed=1)
+        assert [(name, t.shape) for name, t in params.named_parameters()] == layout
+        assert all(t.requires_grad for t in params.values())
+        enc.save_checkpoint(tmp_path / "model.upm", params, config)
+        loaded, _, extras = enc.load_checkpoint(tmp_path / "model.upm")
+        assert [(name, t.shape) for name, t in loaded.named_parameters()] == layout
+        assert all(t.requires_grad for t in loaded.values()) and extras == {}
 
 
 class TestCheckpoint:

@@ -223,6 +223,7 @@ class TestAdamw:
         ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", math.nan),
         ("eps", 0.0), ("eps", -1e-8), ("eps", math.nan),
         ("lr", -1e-3), ("lr", -0.0), ("lr", math.nan), ("lr", math.inf),
+        ("weight_decay", math.inf), ("weight_decay", math.nan),
     ])
     def test_out_of_range_hyperparameter_rejected(self, name, value):
         t = self.one_param(1.0, grad=1.0)
@@ -287,7 +288,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("name,value", [
         ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan), ("beta2", 1.0), ("beta2", -1e-3),
         ("learning_rate", math.nan), ("learning_rate", math.inf),
-        ("weight_decay", -0.01),
+        ("weight_decay", -0.01), ("weight_decay", math.inf), ("weight_decay", math.nan),
         ("weight_geo", math.nan), ("weight_geo", math.inf), ("weight_geo", -1.0),
         ("modality", "depth-only"),
         ("chamfer_subsample", 0), ("voxel_size", 0.0), ("voxel_size", -0.25), ("min_points", 0),
@@ -457,6 +458,14 @@ class TestBatchLoss:
         E.backward(breakdown.total)
         assert firsts.count(False) <= 54
 
+    def test_default_step_reaches_every_parameter(self, default_batch_seed0):
+        # A parameter-table entry that the forward never reads would be
+        # saved, loaded and decayed, but never trained.
+        batch, enc_cfg, cfg = default_batch_seed0
+        params = init_encoder_params(enc_cfg, seed=0)
+        E.backward(batch_loss(batch, params, enc_cfg, Temperature(cfg.initial_tau), cfg).total)
+        assert [name for name, t in params.named_parameters() if t.grad is None] == []
+
     def test_default_step_traced_peak_and_text_rows(self, default_batch_seed0):
         # Traced from before the first step, so AdamW's moments count; the
         # second step peaks mid-backward.  With a dense (4096, 64) table
@@ -487,7 +496,7 @@ class TestBatchLoss:
         assert all(scene.pairs for scene in batch)  # so every object text is read
         texts = [t for s in batch for t in (*s.object_texts, *s.view_captions, s.scene_caption)]
         read = sorted({row for text in texts for row in token_ids(text, enc_cfg)})
-        assert params.text_table.grad.rows.tolist() == read
+        assert params["text.table"].grad.rows.tolist() == read
         assert state.live_rows["text.table"].tolist() == read
         assert state.first_moment["text.table"].shape == (len(read), enc_cfg.embed_dim)
         assert state.second_moment["text.table"].shape == (len(read), enc_cfg.embed_dim)
