@@ -622,13 +622,18 @@ def write_manifest(path, entries: list[tuple[str, str]]) -> None:
 
     An entry that ``load_manifest`` would refuse, an unknown split or a
     directory name holding a tab or a line break, raises ``ContractError``
-    before any write.
+    before any write; so does a name that UTF-8 cannot encode, such as one
+    holding a lone surrogate.
     """
     for split, scene_dir in entries:
         if split not in _SPLITS:
             raise ContractError(f"unknown split {split!r}; expected one of {_SPLITS}")
         if "\t" in scene_dir or scene_dir.splitlines() not in ([], [scene_dir]):
             raise ContractError(f"scene directory {scene_dir!r} holds a tab or a line break")
+        try:
+            scene_dir.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ContractError(f"scene directory {scene_dir!r} is not encodable as UTF-8") from exc
     lines = [f"{split}\t{scene_dir}" for split, scene_dir in entries]
     with atomic_write(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))

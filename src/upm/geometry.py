@@ -17,8 +17,12 @@ as its oracle:
 - ``max_coverage_sample`` builds one (V, K) voxel-occupancy matrix and
   scores every view per greedy round (oracle:
   ``oracle_max_coverage_sample``, an ``np.isin`` loop over views);
-- ``pairwise_chamfer`` queries each view's KD-tree once, with the other
-  views' points concatenated (oracle: the exhaustive scan).
+- ``pairwise_chamfer`` searches each view once, with the other views'
+  points concatenated as queries (oracle: the exhaustive scan).  The
+  search scores every target with one GEMM per block of query rows,
+  through ‖q − t‖² = ‖q‖² − 2q·t + ‖t‖², rescores the best with the
+  scan's expression, and rescans a row whose runner-up lies within the
+  GEMM's rounding bound (see ``_min_sq_dists``).
 """
 
 from __future__ import annotations
@@ -148,40 +152,66 @@ def _min_sq_dists_brute(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return (diff * diff).sum(axis=2).min(axis=1)
 
 
-# Relative gap below which a KD-tree's two nearest distances count as tied.
-# Rounding inside the tree is ~1e-16 relative, so anything this close may
-# order differently under the brute-force expression.
-_NEAR_TIE_RTOL = 1e-9
+# Query rows per GEMM block: a (128, m) score block stays in cache, and
+# 128 rows ran fastest against perfbench's 512-point targets.
+_BLOCK_ROWS = 128
+# The rescan rule's margin (see _min_sq_dists): relative to the scale, and
+# absolute for subnormal results, each off by up to half the smallest
+# subnormal whatever the scale.
+_ROUNDING_BOUND = 64 * np.finfo(np.float64).eps
+_UNDERFLOW_BOUND = 64 * np.finfo(np.float64).smallest_subnormal
 
 
-def _min_sq_dists(queries: np.ndarray, targets: np.ndarray, tree) -> np.ndarray:
-    """``_min_sq_dists_brute(queries, targets)``, bitwise, found through a KD-tree.
+def _min_sq_dists(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``_min_sq_dists_brute(queries, targets)``, bitwise, by one GEMM per block.
 
-    The tree's nearest index is rescored with the brute-force expression.
-    Rows whose two nearest tree distances are near-tied are rescanned by
-    brute force, so ties and duplicates resolve exactly as the scan does.
+    For each block of 128 query rows, the (128, 4) @ (4, m) product of
+    [q, 1] with [−2tᵀ; ‖t‖²] scores every target as ‖t‖² − 2q·t, which is
+    ‖q − t‖² − ‖q‖² and so orders the targets as the distance does.  The
+    best-scoring target is rescored with the scan's expression.
+
+    With scale = ‖q‖² + 2·max‖t‖², a score is off by at most about
+    7·eps·scale and each of the scan's distances by at most 10·eps·scale,
+    so when the runner-up score exceeds the best by more than
+    64·eps·scale, plus 64 smallest subnormals for rounding that
+    underflows, the rescored distance is the scan's strict minimum.  A
+    row whose gap is no larger, or whose 4·scale is not finite, is
+    rescanned by ``_min_sq_dists_brute``: below that limit no score can
+    overflow, and a non-finite coordinate makes the scale non-finite.
+    The rescanned rows, ties among them, resolve exactly as the scan
+    does, inf and NaN included, without a warning.
     """
-    dist, idx = tree.query(queries, k=2)
-    diff = queries - targets[idx[:, 0]]
-    out = (diff * diff).sum(axis=1)
-    near_tie = dist[:, 1] <= dist[:, 0] * (1.0 + _NEAR_TIE_RTOL)
-    if near_tie.any():
-        out[near_tie] = _min_sq_dists_brute(queries[near_tie], targets)
+    n, m = len(queries), len(targets)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.einsum("ij,ij->i", targets, targets)
+        weights = np.vstack([-2.0 * targets.T, norms])
+        rows = np.hstack([queries, np.ones((n, 1))])
+        nearest = np.empty(n, dtype=np.intp)
+        gap = np.empty(n)
+        scores = np.empty((min(n, _BLOCK_ROWS), m))
+        for lo in range(0, n, _BLOCK_ROWS):
+            block = np.matmul(rows[lo:lo + _BLOCK_ROWS], weights, out=scores[:n - lo])
+            r = np.arange(len(block))
+            best = block.argmin(axis=1, out=nearest[lo:lo + len(r)])
+            best_score = block[r, best]
+            block[r, best] = np.inf
+            np.subtract(block[r, block.argmin(axis=1)], best_score, out=gap[lo:lo + len(r)])
+        diff = queries - targets[nearest]
+        out = (diff * diff).sum(axis=1)
+        scale = np.einsum("ij,ij->i", queries, queries) + 2.0 * norms.max()
+        rescan = ~(gap > _ROUNDING_BOUND * scale + _UNDERFLOW_BOUND) | ~np.isfinite(4.0 * scale)
+        if rescan.any():
+            out[rescan] = _min_sq_dists_brute(queries[rescan], targets)
     return out
 
 
 def _mean_min_sq_dists(point_sets: Sequence[np.ndarray]) -> np.ndarray:
     """Entry [v, u]: mean squared distance from set v to its nearest points in set u.
 
-    Each set's KD-tree is queried once, with every other set's points
-    concatenated; the distances are split back per source set.  The
+    Each set is searched once, with every other set's points concatenated
+    as the queries; the distances are split back per source set.  The
     diagonal is zero.
     """
-    # Deferred: importing scipy.spatial costs ~30 MB of RSS (peak RSS of an
-    # interpreter that imports every upm module goes from 34 to 64.5 MB),
-    # which code that never computes Chamfer distances should not pay.
-    from scipy.spatial import cKDTree
-
     if any(len(pts) == 0 for pts in point_sets):
         raise DegenerateInputError("Chamfer distance needs at least one valid point per set")
     n_sets = len(point_sets)
@@ -189,7 +219,7 @@ def _mean_min_sq_dists(point_sets: Sequence[np.ndarray]) -> np.ndarray:
     for u, targets in enumerate(point_sets):
         sources = [v for v in range(n_sets) if v != u]
         queries = np.concatenate([point_sets[v] for v in sources])
-        dists = _min_sq_dists(queries, targets, cKDTree(targets))
+        dists = _min_sq_dists(queries, targets)
         splits = np.cumsum([len(point_sets[v]) for v in sources])[:-1]
         for v, part in zip(sources, np.split(dists, splits)):
             means[v, u] = np.mean(part)
@@ -215,8 +245,12 @@ def pairwise_chamfer(
     Each view's valid points are subsampled once (``subsample=None`` keeps
     them all).  Entry [v, u] averages the squared distance from every point
     of v to its nearest neighbor in u, and adds the same average from u to
-    v; the diagonal is zero.  Nearest neighbors come from a KD-tree and
-    agree bitwise with an exhaustive O(n^2) scan.
+    v; the diagonal is zero.  Nearest neighbors agree bitwise with an
+    exhaustive O(n^2) scan: one GEMM per block of 128 points estimates
+    every squared distance as ‖q‖² − 2q·t + ‖t‖², the best estimate is
+    rescored exactly, and a point whose runner-up lies within the GEMM's
+    rounding bound, or whose coordinates are too large for the bound to
+    hold, is rescanned.
     """
     means = _mean_min_sq_dists([_subsample(p[m], subsample, seed) for p, m in zip(points, validity)])
     return means + means.T

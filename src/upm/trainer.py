@@ -151,6 +151,11 @@ class OptimizerState:
     step: int = 0
 
 
+# Rows per pass of AdamW's decay-only update: a (256, 64) text-table block
+# is a 128 KB work array, against 2 MB for the whole table.
+_DECAY_BLOCK_ROWS = 256
+
+
 def adamw_step(
     named_params: list[tuple[str, Tensor]],
     state: OptimizerState,
@@ -220,12 +225,20 @@ def adamw_step(
         p -= update
 
     def decay_only(p, decay):
-        """The update of a row whose moments and gradient are zero."""
+        """The update of a row whose moments and gradient are zero, in place.
+
+        The rows go in blocks through one reused work array, so a large
+        table needs no temporary of its own size.
+        """
         if decay:
-            work = np.multiply(decay, p)
-            work += 0.0
-            work *= lr
-            p -= work
+            rows = np.atleast_1d(p)  # a view, so the blocks write into p
+            work = np.empty((min(len(rows), _DECAY_BLOCK_ROWS),) + rows.shape[1:])
+            for lo in range(0, len(rows), _DECAY_BLOCK_ROWS):
+                block = rows[lo:lo + _DECAY_BLOCK_ROWS]
+                w = np.multiply(decay, block, out=work[:len(block)])
+                w += 0.0
+                w *= lr
+                block -= w
 
     for name, tensor in named_params:
         p, grad = tensor.array, tensor.grad

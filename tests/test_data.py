@@ -992,10 +992,12 @@ class TestManifest:
         (("train", "scene\t1"), "tab or a line break"),
         (("train", "scene\n1"), "tab or a line break"),
         (("training", "scene_1"), "unknown split"),
+        (("train", "a\udc80"), "not encodable as UTF-8"),
     ])
     def test_unloadable_entry_not_written(self, tmp_path, entry, match):
-        # Each of these once wrote a manifest that load_manifest refused
-        # ("malformed manifest line 1", "line 2", "unknown split").
+        # Each of the first three once wrote a manifest that load_manifest
+        # refused ("malformed manifest line 1", "line 2", "unknown split");
+        # the lone surrogate raised an untyped UnicodeEncodeError.
         with pytest.raises(ContractError, match=match):
             D.write_manifest(tmp_path / "manifest.tsv", [("val", "a"), entry])
         assert list(tmp_path.iterdir()) == []

@@ -2,15 +2,10 @@
 
 import itertools
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from upm import geometry as G
 from upm.errors import (
@@ -90,7 +85,7 @@ def brute_chamfer(a, b):
 
 
 def brute_path_chamfer(a, b):
-    """Chamfer through the exhaustive scan, the oracle the KD-tree path must match bitwise."""
+    """Chamfer through the exhaustive scan, the oracle the GEMM search must match bitwise."""
     return float(np.mean(G._min_sq_dists_brute(a, b)) + np.mean(G._min_sq_dists_brute(b, a)))
 
 
@@ -319,12 +314,12 @@ class TestChamferDistance:
         assert chamfer(pts, pts) == brute_path_chamfer(pts, pts) == 0.0
 
 
-class TestKdTreeNearest:
-    """The KD-tree nearest distances equal the exhaustive scan's bitwise."""
+class TestNearest:
+    """The blocked GEMM search's nearest distances equal the exhaustive scan's bitwise."""
 
     def assert_bitwise(self, queries, targets):
-        kd = G._min_sq_dists(queries, targets, cKDTree(targets))
-        assert np.array_equal(kd, G._min_sq_dists_brute(queries, targets))
+        assert np.array_equal(G._min_sq_dists(queries, targets),
+                              G._min_sq_dists_brute(queries, targets))
         assert chamfer(queries, targets) == brute_path_chamfer(queries, targets)
 
     def test_integer_lattice_ties(self):
@@ -356,6 +351,49 @@ class TestKdTreeNearest:
         for _ in range(10):
             self.assert_bitwise(rng.normal(size=(rng.integers(1, 50), 3)), rng.normal(size=(1, 3)))
 
+    @pytest.mark.parametrize("count", [1, 127, 128, 129, 257])
+    def test_query_counts_across_block_edges(self, count):
+        # About 60% of half-integer queries tie on the lattice and are
+        # rescanned, so rescanned rows mix with GEMM rows in every block.
+        rng = np.random.default_rng(36 + count)
+        targets = rng.integers(-3, 4, size=(150, 3)).astype(float)
+        self.assert_bitwise(rng.normal(size=(count, 3)), targets)
+        self.assert_bitwise(rng.integers(-6, 7, size=(count, 3)) / 2.0, targets)
+
+    def test_underflowing_coordinates(self):
+        # Squares near 1e-322 are subnormal, so rounding is no longer
+        # relative to the scale: the bound's absolute margin sends such
+        # near-ties to the scan.
+        rng = np.random.default_rng(38)
+        for _ in range(20):
+            self.assert_bitwise(rng.normal(size=(100, 3)) * 1e-161, rng.normal(size=(60, 3)) * 1e-161)
+
+    @pytest.mark.parametrize("huge", ["queries", "targets", "both"])
+    def test_overflowing_coordinates_rescanned(self, monkeypatch, huge):
+        # Squares of 1e200 overflow, so no GEMM score or bound is finite:
+        # such rows go to the scan, and a huge target sends every row there.
+        rng = np.random.default_rng(37)
+        queries, targets = rng.normal(size=(200, 3)), rng.normal(size=(40, 3))
+        if huge in ("queries", "both"):
+            queries[::3] *= 1e200
+        if huge in ("targets", "both"):
+            targets[5] = 1e200 * np.array([1.0, -2.0, 0.5])
+            queries[7] = targets[5]
+        brute = G._min_sq_dists_brute
+        with np.errstate(over="ignore"):
+            expected = brute(queries, targets)
+        rescanned = []
+        monkeypatch.setattr(G, "_min_sq_dists_brute",
+                            lambda q, t: rescanned.append(q) or brute(q, t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = G._min_sq_dists(queries, targets)
+        assert np.array_equal(got, expected)
+        assert np.isinf(expected).any() == (huge != "targets")
+        rows = {row.tobytes() for row in np.concatenate(rescanned)}
+        must = queries if huge == "targets" else queries[np.abs(queries).max(axis=1) > 1e100]
+        assert {row.tobytes() for row in must} <= rows
+
 
 class TestPairwiseChamfer:
     def test_symmetric_and_equal_to_each_pair(self):
@@ -386,13 +424,6 @@ class TestPairwiseChamfer:
     def test_empty_view_rejected(self):
         with pytest.raises(DegenerateInputError):
             G.pairwise_chamfer(*stack([[[0, 0, 0]], EMPTY]))
-
-    def test_scipy_spatial_imported_lazily(self):
-        code = "import sys, upm.evaluation, upm.trainer; print('scipy.spatial' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(Path(G.__file__).resolve().parents[1])}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True)
-        assert out.stdout.strip() == "False"
 
 
 class TestProximityRanks:

@@ -23,28 +23,36 @@ def test_console_scripts_resolve():
         assert callable(getattr(importlib.import_module(module), attr)), name
 
 
-def test_no_module_imports_scipy_optimize():
+def test_no_module_imports_scipy():
     # Importing scipy.optimize adds about 22 MB to an eval run's peak RSS,
-    # over its 15% bound, so no upm module may pull it in; nor any other
-    # part of scipy.  A fresh interpreter that imports every upm module
-    # peaks at about 34 MB with no scipy loaded, against 55 MB when
-    # engine imported scipy.special, and eval's peak is about 85 MB.
-    # scipy.spatial (about 10 MB) is imported only where a KD-tree is built,
-    # inside geometry._mean_min_sq_dists.  A fresh interpreter sees only
-    # what upm itself imports.
+    # so no upm module may pull in any part of scipy, not even to compute
+    # a Chamfer distance.  A fresh interpreter that imports every upm
+    # module and computes one peaks at about 37 MB, against 66 MB when
+    # geometry searched a scipy.spatial KD-tree.  A fresh interpreter sees
+    # only what upm itself imports.
     code = (
-        "import importlib, pkgutil, sys, upm\n"
+        "import importlib, pkgutil, sys, numpy as np, upm\n"
         "for module in pkgutil.iter_modules(upm.__path__):\n"
         "    importlib.import_module('upm.' + module.name)\n"
-        "print('upm.probe' in sys.modules, 'scipy.optimize' in sys.modules,\n"
-        "      'scipy.spatial' in sys.modules,\n"
+        "points = np.random.default_rng(0).normal(size=(3, 5, 4, 3))\n"
+        "cd = upm.geometry.pairwise_chamfer(points, np.ones((3, 5, 4), dtype=bool))\n"
+        "print(cd.shape, 'upm.probe' in sys.modules,\n"
         "      any(name.partition('.')[0] == 'scipy' for name in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=120).stdout.split()
-    assert out == ["True", "False", "False", "False"]
+                         check=True, timeout=120).stdout
+    assert out.split() == ["(3,", "3)", "True", "False"]
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    # scipy is a test dependency only: the probe tests use
+    # scipy.optimize.minimize as their oracle.
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
 
 def test_only_the_container_packs_binary():

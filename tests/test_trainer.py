@@ -197,6 +197,23 @@ class TestAdamw:
         assert state.live_rows["table"].dtype == np.intp
         assert list(state.live_rows) == ["table"]
 
+    def test_decay_of_a_large_table_needs_no_table_sized_temporary(self):
+        # The rows outside a row gradient take the decay-only update in
+        # blocks; one (4096, 64) temporary would be 2 MB on its own.
+        rng = np.random.default_rng(30)
+        t = Tensor(rng.normal(size=(4096, 64)), requires_grad=True)
+        state = OptimizerState()
+        rows = np.sort(rng.choice(4096, size=60, replace=False)).astype(np.intp)
+        for _ in range(2):
+            t.grad = E.RowGrad(rows, rng.normal(size=(60, 64)))
+            tracemalloc.start()
+            try:
+                adamw_step([("text.table", t)], state, lr=1e-3, weight_decay=0.05)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_gradient_in_dead_row_aborts_with_name(self, bad):
         # The non-finite value arrives in a row that joins the live rows.
