@@ -600,8 +600,11 @@ _SPLITS = ("train", "val", "test")
 def split_dataset(scene_ids: list[str], seed: int) -> list[tuple[str, str]]:
     """Assign 80/10/10 train/val/test tags by seeded shuffle.
 
-    Both holdout splits take floor(0.1 * n); the remainder trains.
+    Both holdout splits take floor(0.1 * n); the remainder trains.  A
+    repeated id raises ``ContractError``.
     """
+    if len(set(scene_ids)) != len(scene_ids):
+        raise ContractError("scene ids repeat: each scene can be in one split only")
     n = len(scene_ids)
     n_val = n // 10
     n_test = n // 10

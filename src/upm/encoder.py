@@ -1,8 +1,8 @@
 """Early-fusion view encoder over image + pointmap patch streams.
 
-Each view is patchified twice (RGB and world-frame point coordinates),
-both patch sets are linearly embedded, and the token streams are fused by
-elementwise summation before a stack of pre-norm transformer blocks, whose
+``embed_views`` cuts a stack of views into RGB and world-point patches,
+one reshape per stream, embeds both linearly, and fuses the token streams
+by elementwise summation before a stack of pre-norm transformer blocks, whose
 MLPs use CLIP's QuickGELU, x * sigmoid(1.702 x) (``engine.gelu``).  The
 output class token, L2-normalized, is the view embedding: a batch of N
 views encodes to one unit-norm (N, d) tensor, one row per view, and a
@@ -32,7 +32,8 @@ import numpy as np
 from . import engine as E
 from .container import read_arrays, write_arrays
 from .engine import Tensor
-from .errors import ConfigError, ContractError, DegenerateInputError, FormatError, ShapeError
+from .errors import (ConfigError, ContractError, DegenerateInputError, FormatError, NumericError,
+                     ShapeError)
 
 MODALITY_BOTH = "both"
 MODALITY_IMAGE_ONLY = "image-only"
@@ -152,64 +153,42 @@ def init_encoder_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
 
 
 # ---------------------------------------------------------------------------
-# patchification
-
-
-def patchify(image: np.ndarray, points: np.ndarray, patch_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split a view's image and world points, each (H, W, 3), into patches, raster order.
-
-    Returns (image patches, pointmap patches), each M x (p*p*3) with the
-    pixel channels flattened last.  The points are taken as they are:
-    ``back_project`` already writes invalid pixels as +0.0.
-    """
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise ShapeError(f"image must be HxWx3, got {image.shape}")
-    h, w = image.shape[:2]
-    if h != w:
-        raise ShapeError(f"expected a square view, got {h}x{w}")
-    points = np.asarray(points, dtype=np.float64)
-    if points.shape != image.shape:
-        raise ShapeError("pointmap is not pixel-aligned with the image")
-    if h % patch_size != 0:
-        raise ShapeError(f"view size {h} not divisible by patch size {patch_size}")
-    return _to_patches(image, patch_size), _to_patches(points, patch_size)
-
-
-def _to_patches(grid: np.ndarray, p: int) -> np.ndarray:
-    h, w, c = grid.shape
-    rows, cols = h // p, w // p
-    patches = grid.reshape(rows, p, cols, p, c).transpose(0, 2, 1, 3, 4)
-    return np.ascontiguousarray(patches.reshape(rows * cols, p * p * c))
-
-
-# ---------------------------------------------------------------------------
 # forward pass
 
 
-def embed_views(image_patches: np.ndarray, point_patches: np.ndarray, params: EncoderParams) -> Tensor:
-    """Fuse the two patch streams of N views and prepend the class token.
+def embed_views(images: np.ndarray, points: np.ndarray, params: EncoderParams,
+                config: EncoderConfig) -> Tensor:
+    """Cut N views into patches, embed and fuse both streams, and prepend the class token.
 
-    Takes (N, M, p*p*3) patch stacks and gives (N, M + 1, d) tokens.  The
+    Takes the (N, H, W, 3) image stack and the pixel-aligned world-point
+    stack, H = W = ``config.image_size``, and gives (N, M + 1, d) tokens.
+    One reshape and transpose cuts each stack into (N, M, p*p*3) patches,
+    raster order, pixel channels flattened last.  The points are taken as
+    they are: ``back_project`` already writes invalid pixels as +0.0.  The
     positional table is added to the image stream only; the pointmap
-    stream carries its own coordinates.
+    stream carries its own coordinates.  A stack of another shape raises
+    ``ShapeError`` and a non-finite value ``NumericError``.
     """
-    if image_patches.shape != point_patches.shape:
-        raise ShapeError("patch streams disagree in shape")
-    pos_embedding = params["pos_embedding"]
-    if image_patches.ndim != 3 or image_patches.shape[1] != pos_embedding.shape[0]:
-        raise ShapeError(
-            f"got patch stack {image_patches.shape}, positional table has "
-            f"{pos_embedding.shape[0]} rows"
-        )
-    z_image = E.add(
-        E.linear(Tensor(image_patches), params["phi_i.weight"], params["phi_i.bias"]),
-        pos_embedding,
-    )
-    z_points = E.linear(Tensor(point_patches), params["phi_p.weight"], params["phi_p.bias"])
+    images = np.asarray(images, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    size, p = config.image_size, config.patch_size
+    if images.ndim != 4 or images.shape[1:] != (size, size, 3):
+        raise ShapeError(f"expected an (N, {size}, {size}, 3) image stack, got {images.shape}")
+    if points.shape != images.shape:
+        raise ShapeError(f"points {points.shape} are not pixel-aligned with images {images.shape}")
+    if not (np.isfinite(images).all() and np.isfinite(points).all()):
+        raise NumericError("non-finite image or point value in a view stack")
+    n, side = len(images), size // p
+
+    def cut(stack: np.ndarray) -> Tensor:
+        grid = stack.reshape(n, side, p, side, p, 3).transpose(0, 1, 3, 2, 4, 5)
+        return Tensor(np.ascontiguousarray(grid).reshape(n, side * side, config.patch_dim))
+
+    z_image = E.add(E.linear(cut(images), params["phi_i.weight"], params["phi_i.bias"]),
+                    params["pos_embedding"])
+    z_points = E.linear(cut(points), params["phi_p.weight"], params["phi_p.bias"])
     fused = E.add(z_image, z_points)
-    n, _, d = fused.shape
-    return E.concat([E.broadcast_to(params["cls_token"], (n, 1, d)), fused], axis=1)
+    return E.concat([E.broadcast_to(params["cls_token"], (n, 1, config.embed_dim)), fused], axis=1)
 
 
 def _transformer_block(x: Tensor, params: EncoderParams, index: int, num_heads: int,
@@ -245,6 +224,8 @@ def encode_views(
 ) -> Tensor:
     """Encode N (image, points) pairs, each (H, W, 3), to an (N, d) tensor of unit-norm rows.
 
+    The pairs are stacked, one stack zeroed for an ablated modality, and
+    cut by ``embed_views``; views that differ in size raise ``ShapeError``.
     All views run through one stacked graph over (N, M + 1, d) tokens;
     row i has the bits it would have if view i were encoded alone.  Only
     the class token is kept: the last block runs its queries, residual and
@@ -255,14 +236,15 @@ def encode_views(
         raise ContractError(f"unknown modality {modality!r}")
     if len(views) == 0:
         raise DegenerateInputError("cannot encode an empty view list")
-    patches = [patchify(image, points, config.patch_size) for image, points in views]
-    image_patches = np.stack([ip for ip, _ in patches])
-    point_patches = np.stack([pp for _, pp in patches])
+    if len({(np.shape(image), np.shape(points)) for image, points in views}) > 1:
+        raise ShapeError("the views differ in size")
+    images = np.stack([image for image, _ in views])
+    points = np.stack([pts for _, pts in views])
     if modality == MODALITY_IMAGE_ONLY:
-        point_patches = np.zeros_like(point_patches)
+        points = np.zeros_like(points)
     elif modality == MODALITY_POINTMAP_ONLY:
-        image_patches = np.zeros_like(image_patches)
-    x = embed_views(image_patches, point_patches, params)
+        images = np.zeros_like(images)
+    x = embed_views(images, points, params, config)
     for i in range(config.num_blocks):
         x = _transformer_block(x, params, i, config.num_heads,
                                class_token_only=i == config.num_blocks - 1)

@@ -51,7 +51,12 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def rank_descending(scores: np.ndarray) -> list[int]:
-    """Indices sorted by descending score, ties toward the lower index."""
+    """Indices sorted by descending score, ties toward the lower index.
+
+    A NaN score raises ``NumericError``.
+    """
+    if np.isnan(scores).any():
+        raise NumericError("ranking a NaN score")
     return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
 
@@ -319,6 +324,8 @@ def class_labels(scenes: Sequence[Scene], class_names: Sequence[str]) -> np.ndar
 def classify_from_similarities(similarities: np.ndarray, labels: np.ndarray) -> float:
     if len(similarities) == 0:
         raise DegenerateInputError("zero-shot accuracy over zero scenes")
+    if np.isnan(similarities).any():
+        raise NumericError("zero-shot accuracy over a NaN similarity")
     predictions = similarities.argmax(axis=1)
     return float(np.mean(predictions == np.asarray(labels)))
 

@@ -218,6 +218,8 @@ def _mean_min_sq_dists(point_sets: Sequence[np.ndarray]) -> np.ndarray:
     means = np.zeros((n_sets, n_sets))
     for u, targets in enumerate(point_sets):
         sources = [v for v in range(n_sets) if v != u]
+        if not sources:  # a single set: its one entry is the zero diagonal
+            break
         queries = np.concatenate([point_sets[v] for v in sources])
         dists = _min_sq_dists(queries, targets)
         splits = np.cumsum([len(point_sets[v]) for v in sources])[:-1]
@@ -250,8 +252,12 @@ def pairwise_chamfer(
     every squared distance as ‖q‖² − 2q·t + ‖t‖², the best estimate is
     rescored exactly, and a point whose runner-up lies within the GEMM's
     rounding bound, or whose coordinates are too large for the bound to
-    hold, is rescanned.
+    hold, is rescanned.  A single view gives [[0.0]]; a non-finite valid
+    point raises ``NumericError``.
     """
+    finite = np.isfinite(points)
+    if not finite.all() and not finite.all(axis=-1)[validity].all():
+        raise NumericError("Chamfer distance over a non-finite valid point")
     means = _mean_min_sq_dists([_subsample(p[m], subsample, seed) for p, m in zip(points, validity)])
     return means + means.T
 

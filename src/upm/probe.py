@@ -234,11 +234,22 @@ def fit_logistic_grid(
 
 
 def predict_logistic(w: np.ndarray, b: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Class predictions of one fit (W (dim, C), b (C,)), or of a stack ((K, dim, C), (K, C))."""
+    """Class predictions of one fit (W (dim, C), b (C,)), or of a stack ((K, dim, C), (K, C)).
+
+    A non-finite feature raises ``NumericError``.
+    """
+    if not np.isfinite(features).all():
+        raise NumericError("non-finite features to predict from")
     return np.argmax(features @ w + b[..., None, :], axis=-1)
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
+    """The fraction of predictions equal to their labels, over arrays of one shape."""
+    predictions, labels = np.asarray(predictions), np.asarray(labels)
+    if predictions.shape != labels.shape:
+        raise ShapeError(f"predictions {predictions.shape} do not match labels {labels.shape}")
+    if predictions.size == 0:
+        raise DegenerateInputError("accuracy over no predictions")
     return float(np.mean(predictions == labels))
 
 

@@ -124,6 +124,10 @@ def cosine_lr(step: int, total_steps: int, base_lr: float, warmup_fraction: floa
     """Linear warmup to base_lr, then cosine decay to zero."""
     if not 0 <= step <= total_steps:
         raise ContractError(f"step {step} outside [0, {total_steps}]")
+    if not math.isfinite(base_lr):
+        raise ContractError(f"base learning rate {base_lr} is not finite")
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ContractError(f"warmup fraction {warmup_fraction} outside [0, 1)")
     warmup_steps = warmup_fraction * total_steps
     if warmup_steps > 0 and step < warmup_steps:
         return base_lr * step / warmup_steps
@@ -280,10 +284,13 @@ def adamw_step(
 
 
 def clip_gradients(named_params, max_norm: float) -> float:
-    """Scale all gradients to a global L2 norm of at most max_norm.
+    """Scale all gradients to a global L2 norm of at most max_norm; 0 means no clipping.
 
-    A ``RowGrad`` counts, and is scaled, through its ``values`` only.
+    A ``RowGrad`` counts, and is scaled, through its ``values`` only.  A
+    NaN or negative ``max_norm`` raises ``ContractError``.
     """
+    if not max_norm >= 0:
+        raise ContractError(f"max_norm must be nonnegative, got {max_norm}")
     grads = [tensor.grad.values if isinstance(tensor.grad, E.RowGrad) else tensor.grad
              for _, tensor in named_params if tensor.grad is not None]
     total = 0.0

@@ -1,0 +1,80 @@
+"""Degenerate inputs raise typed errors.
+
+One table: each row is a public callable, degenerate arguments, and the
+``UpmError`` subclass the call must raise instead of returning an answer.
+"""
+
+import numpy as np
+import pytest
+
+from upm import data, evaluation, geometry, objectives, probe, trainer
+from upm.encoder import EncoderConfig, embed_views, encode_views, init_encoder_params
+from upm.engine import Tensor
+from upm.errors import ContractError, DegenerateInputError, NumericError, ShapeError
+
+CONFIG = EncoderConfig(image_size=8, patch_size=4, embed_dim=8, num_blocks=0, num_heads=2,
+                       mlp_ratio=1, text_vocab_size=4, text_context_length=4)
+PARAMS = init_encoder_params(CONFIG)
+VIEWS = np.zeros((2, 8, 8, 3))
+VALID = np.ones((2, 8, 8), dtype=bool)
+
+
+def with_value(array, index, value):
+    """A float copy of ``array`` with one entry replaced."""
+    out = np.array(array, dtype=float)
+    out[index] = value
+    return out
+
+
+def gradients():
+    """One parameter with a gradient, as ``clip_gradients`` takes them."""
+    tensor = Tensor(np.zeros(2), requires_grad=True)
+    tensor.grad = np.ones(2)
+    return [("w", tensor)]
+
+
+ROWS = [
+    pytest.param(geometry.pairwise_chamfer, (with_value(VIEWS, (1, 2, 3, 0), np.nan), VALID),
+                 NumericError, id="pairwise_chamfer-nan-valid-point"),
+    pytest.param(geometry.pairwise_chamfer, (with_value(VIEWS, (0, 0, 0, 2), np.inf), VALID),
+                 NumericError, id="pairwise_chamfer-inf-valid-point"),
+    pytest.param(objectives.geo_targets, (np.full((2, 8, 8, 3), np.nan), VALID,
+                                          objectives.GeoAlignConfig()),
+                 NumericError, id="geo_targets-all-nan-points"),
+    pytest.param(embed_views, (with_value(VIEWS, (0, 1, 1, 1), np.nan), VIEWS, PARAMS, CONFIG),
+                 NumericError, id="embed_views-nan-image"),
+    pytest.param(embed_views, (VIEWS, with_value(VIEWS, (1, 7, 7, 2), -np.inf), PARAMS, CONFIG),
+                 NumericError, id="embed_views-inf-points"),
+    pytest.param(encode_views, ([(with_value(VIEWS[0], (4, 4, 0), np.nan), VIEWS[0])], PARAMS,
+                                CONFIG),
+                 NumericError, id="encode_views-nan-image"),
+    pytest.param(probe.accuracy, (np.array([0, 1]), np.array([0])),
+                 ShapeError, id="accuracy-length-mismatch"),
+    pytest.param(probe.accuracy, (np.array([], dtype=int), np.array([], dtype=int)),
+                 DegenerateInputError, id="accuracy-empty"),
+    pytest.param(probe.predict_logistic, (np.zeros((2, 3)), np.zeros(3), np.array([[np.nan, 0.0]])),
+                 NumericError, id="predict_logistic-nan-feature"),
+    pytest.param(evaluation.rank_descending, (np.array([np.nan, 1.0, 2.0]),),
+                 NumericError, id="rank_descending-nan-score"),
+    pytest.param(evaluation.classify_from_similarities,
+                 (np.array([[0.1, 0.9], [np.nan, np.nan]]), np.array([1, 0])),
+                 NumericError, id="classify_from_similarities-nan-row"),
+    pytest.param(trainer.cosine_lr, (5, 100, np.nan, 0.1),
+                 ContractError, id="cosine_lr-nan-base-rate"),
+    pytest.param(trainer.cosine_lr, (5, 100, 1e-3, 1.0),
+                 ContractError, id="cosine_lr-warmup-fraction-one"),
+    pytest.param(trainer.cosine_lr, (5, 100, 1e-3, -0.1),
+                 ContractError, id="cosine_lr-negative-warmup-fraction"),
+    pytest.param(trainer.clip_gradients, (gradients(), np.nan),
+                 ContractError, id="clip_gradients-nan-max-norm"),
+    pytest.param(trainer.clip_gradients, (gradients(), -1.0),
+                 ContractError, id="clip_gradients-negative-max-norm"),
+    pytest.param(data.split_dataset, (["a", "a", "b"], 0),
+                 ContractError, id="split_dataset-duplicate-ids"),
+]
+
+
+@pytest.mark.parametrize("function,args,error", ROWS)
+def test_degenerate_input_raises_typed_error(function, args, error):
+    with pytest.raises(error):
+        function(*args)

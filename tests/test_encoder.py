@@ -37,6 +37,16 @@ def unpatchify(patches, image_size, patch_size):
     return np.ascontiguousarray(grid.reshape(image_size, image_size, c))
 
 
+def oracle_patchify(image, points, patch_size):
+    """One view's (M, p*p*3) image and point patches, raster order, channels last."""
+    def cut(grid):
+        side = grid.shape[0] // patch_size
+        patches = grid.reshape(side, patch_size, side, patch_size, 3).transpose(0, 2, 1, 3, 4)
+        return np.ascontiguousarray(patches.reshape(side * side, -1))
+
+    return cut(np.asarray(image, dtype=np.float64)), cut(np.asarray(points, dtype=np.float64))
+
+
 def softmax(x, axis=-1):
     """Softmax as a graph op, for the per-head attention chain of the oracle below."""
     shifted = x.array - x.array.max(axis=axis, keepdims=True)
@@ -86,33 +96,55 @@ class TestConfig:
         assert cfg.num_patches == 196
 
 
+def embed_params(config, seed):
+    """Encoder parameters with the patch biases and positional rows zeroed."""
+    params = enc.init_encoder_params(config, seed=seed)
+    for name in ("phi_i.bias", "phi_p.bias", "pos_embedding"):
+        params[name].array[:] = 0.0
+    return params
+
+
 class TestPatchify:
     def test_single_patch_collects_everything(self):
+        config = tiny_config(image_size=4)
+        params = embed_params(config, seed=1)
         rng = np.random.default_rng(0)
-        image = rng.uniform(size=(4, 4, 3))
-        ip, pp = enc.patchify(image, rng.normal(size=(4, 4, 3)), patch_size=4)
-        assert ip.shape == (1, 48) and pp.shape == (1, 48)
-        np.testing.assert_array_equal(ip[0], image.reshape(-1))
+        image, points = rng.uniform(size=(1, 4, 4, 3)), rng.normal(size=(1, 4, 4, 3))
+        tokens = enc.embed_views(image, points, params, config).array
+        assert tokens.shape == (1, 2, config.embed_dim)
+        expected = (image.reshape(-1) @ params["phi_i.weight"].array
+                    + points.reshape(-1) @ params["phi_p.weight"].array)
+        np.testing.assert_allclose(tokens[0, 1], expected, atol=1e-12)
 
     def test_raster_order(self):
-        image = np.zeros((8, 8, 3))
-        image[:4, :4] = 1.0  # top-left block
-        ip, _ = enc.patchify(image, np.zeros((8, 8, 3)), patch_size=4)
-        assert ip.shape == (4, 48)
-        np.testing.assert_array_equal(ip[0], np.ones(48))
-        np.testing.assert_array_equal(ip[1:], np.zeros((3, 48)))
+        config = tiny_config()
+        params = embed_params(config, seed=2)
+        image = np.zeros((1, 8, 8, 3))
+        image[0, :4, :4] = 1.0  # top-left patch
+        tokens = enc.embed_views(image, np.zeros_like(image), params, config).array[0]
+        np.testing.assert_allclose(tokens[1], params["phi_i.weight"].array.sum(axis=0), atol=1e-12)
+        np.testing.assert_array_equal(tokens[2:], np.zeros((3, config.embed_dim)))
 
     def test_round_trip(self):
+        # With identity projections the tokens are the patches themselves.
+        config = tiny_config(embed_dim=48)
         rng = np.random.default_rng(1)
-        image = rng.uniform(size=(8, 8, 3))
-        points = rng.normal(size=(8, 8, 3))
-        ip, pp = enc.patchify(image, points, patch_size=4)
-        np.testing.assert_array_equal(unpatchify(ip, 8, 4), image)
-        np.testing.assert_array_equal(unpatchify(pp, 8, 4), points)
+        image, points = rng.uniform(size=(2, 8, 8, 3)), rng.normal(size=(2, 8, 8, 3))
+        for stream, other, grid in (("phi_i", "phi_p", image), ("phi_p", "phi_i", points)):
+            params = embed_params(config, seed=3)
+            params[f"{stream}.weight"].array[:] = np.eye(48)
+            params[f"{other}.weight"].array[:] = 0.0
+            tokens = enc.embed_views(image, points, params, config).array
+            for view_tokens, view in zip(tokens, grid):
+                np.testing.assert_array_equal(unpatchify(view_tokens[1:], 8, 4), view)
 
     def test_misaligned_shapes_rejected(self):
-        with pytest.raises(ShapeError):
-            enc.patchify(np.zeros((8, 8, 3)), np.zeros((4, 4, 3)), patch_size=4)
+        config = tiny_config()
+        params = enc.init_encoder_params(config, seed=4)
+        with pytest.raises(ShapeError, match="pixel-aligned"):
+            enc.embed_views(np.zeros((1, 8, 8, 3)), np.zeros((1, 4, 4, 3)), params, config)
+        with pytest.raises(ShapeError, match="pixel-aligned"):
+            enc.embed_views(np.zeros((2, 8, 8, 3)), np.zeros((1, 8, 8, 3)), params, config)
 
 
 class TestEmbedView:
@@ -121,10 +153,9 @@ class TestEmbedView:
         params = enc.init_encoder_params(config, seed=3)
         params["phi_i.bias"].array[:] = 0.25
         params["phi_p.bias"].array[:] = 0.5
-        m = config.num_patches
-        zeros = np.zeros((2, m, config.patch_dim))
-        tokens = enc.embed_views(zeros, zeros, params)
-        assert tokens.shape == (2, m + 1, config.embed_dim)
+        zeros = np.zeros((2, 8, 8, 3))
+        tokens = enc.embed_views(zeros, zeros, params, config)
+        assert tokens.shape == (2, config.num_patches + 1, config.embed_dim)
         expected = params["pos_embedding"].array + 0.75
         for view_tokens in tokens.array:
             np.testing.assert_array_equal(view_tokens[0], params["cls_token"].array[0])
@@ -136,9 +167,9 @@ class TestEmbedView:
         params["phi_p.weight"].array[:] = 0.0
         params["phi_p.bias"].array[:] = 0.0
         rng = np.random.default_rng(5)
-        ip = rng.normal(size=(config.num_patches, config.patch_dim))
-        pp = rng.normal(size=(config.num_patches, config.patch_dim))
-        tokens = enc.embed_views(ip[None], pp[None], params).array[0]
+        image, points = rng.normal(size=(8, 8, 3)), rng.normal(size=(8, 8, 3))
+        tokens = enc.embed_views(image[None], points[None], params, config).array[0]
+        ip, _ = oracle_patchify(image, points, config.patch_size)
         image_only = (
             ip @ params["phi_i.weight"].array
             + params["phi_i.bias"].array
@@ -150,24 +181,29 @@ class TestEmbedView:
         config = tiny_config()
         params = enc.init_encoder_params(config, seed=6)
         rng = np.random.default_rng(7)
-        ip = rng.normal(size=(3, config.num_patches, config.patch_dim))
-        pp = rng.normal(size=(3, config.num_patches, config.patch_dim))
-        tokens = enc.embed_views(ip, pp, params)
+        images, points = rng.normal(size=(3, 8, 8, 3)), rng.normal(size=(3, 8, 8, 3))
+        tokens = enc.embed_views(images, points, params, config)
         for n in range(3):
+            ip, pp = oracle_patchify(images[n], points[n], config.patch_size)
             for m in range(config.num_patches):
-                image_row = ip[n, m] @ params["phi_i.weight"].array + params["phi_i.bias"].array
-                point_row = pp[n, m] @ params["phi_p.weight"].array + params["phi_p.bias"].array
+                image_row = ip[m] @ params["phi_i.weight"].array + params["phi_i.bias"].array
+                point_row = pp[m] @ params["phi_p.weight"].array + params["phi_p.bias"].array
                 expected = image_row + params["pos_embedding"].array[m] + point_row
                 np.testing.assert_allclose(tokens.array[n, m + 1], expected, atol=1e-12)
 
     def test_patch_stack_shape_checked(self):
         config = tiny_config()
         params = enc.init_encoder_params(config, seed=9)
-        patches = np.zeros((config.num_patches, config.patch_dim))
-        with pytest.raises(ShapeError):
-            enc.embed_views(patches, patches, params)
-        with pytest.raises(ShapeError):
-            enc.embed_views(patches[None, 1:], patches[None, 1:], params)
+        view = np.zeros((8, 8, 3))
+        with pytest.raises(ShapeError, match="image stack"):
+            enc.embed_views(view, view, params, config)
+        for size in (4, 12):
+            stack = np.zeros((1, size, size, 3))
+            with pytest.raises(ShapeError, match="image stack"):
+                enc.embed_views(stack, stack, params, config)
+        wide = np.zeros((1, 8, 8, 4))
+        with pytest.raises(ShapeError, match="image stack"):
+            enc.embed_views(wide, wide, params, config)
 
     def test_shared_initialization_of_patch_embeddings(self):
         params = enc.init_encoder_params(tiny_config(), seed=8)
@@ -253,6 +289,16 @@ class TestEncodeViews:
         with pytest.raises(DegenerateInputError):
             enc.encode_views([], params, config)
 
+    def test_views_of_two_sizes_rejected(self):
+        config = tiny_config()
+        params = enc.init_encoder_params(config, seed=22)
+        rng = np.random.default_rng(23)
+        small = random_view(rng, tiny_config(image_size=4))
+        with pytest.raises(ShapeError, match="differ in size"):
+            enc.encode_views([random_view(rng, config), small], params, config)
+        with pytest.raises(ShapeError, match="image stack"):
+            enc.encode_views([small, small], params, config)
+
 
 def oracle_encode_view(image, points, params, config, modality="both", pruned=True):
     """The per-view encoder: one graph per view, one op chain per head.
@@ -266,7 +312,7 @@ def oracle_encode_view(image, points, params, config, modality="both", pruned=Tr
     token and the class token is taken last, so the pruned encoder's rows
     and gradients agree with it to rounding only.
     """
-    image_patches, point_patches = enc.patchify(image, points, config.patch_size)
+    image_patches, point_patches = oracle_patchify(image, points, config.patch_size)
     if modality == "image-only":
         point_patches = np.zeros_like(point_patches)
     elif modality == "pointmap-only":

@@ -425,6 +425,14 @@ class TestPairwiseChamfer:
         with pytest.raises(DegenerateInputError):
             G.pairwise_chamfer(*stack([[[0, 0, 0]], EMPTY]))
 
+    def test_single_view_gives_zero_diagonal(self):
+        assert G.pairwise_chamfer(*stack([[[0, 0, 0], [1, 2, 3]]])).tolist() == [[0.0]]
+
+    def test_non_finite_invalid_pixel_ignored(self):
+        points, validity = stack([[[0, 0, 0], [1, 0, 0]], [[3, 0, 0]]])
+        points[1, 1] = np.nan  # padding: an invalid pixel
+        assert G.pairwise_chamfer(points, validity).tolist() == [[0.0, 10.5], [10.5, 0.0]]
+
 
 class TestProximityRanks:
     def test_two_views(self):

@@ -280,6 +280,12 @@ class TestClipGradients:
         clip_gradients([("w", t)], max_norm=1.0)
         np.testing.assert_array_equal(t.grad, [0.1, 0.2])
 
+    def test_zero_max_norm_does_not_clip(self):
+        t = Tensor(np.zeros(2), requires_grad=True)
+        t.grad = np.array([30.0, 40.0])
+        assert clip_gradients([("w", t)], max_norm=0.0) == 50.0
+        np.testing.assert_array_equal(t.grad, [30.0, 40.0])
+
 
 class TestTrainConfig:
     def test_validation(self):
