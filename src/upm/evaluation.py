@@ -27,7 +27,7 @@ from . import engine as E
 from .atomic import atomic_write
 from .data import Scene, read_utf8
 from .encoder import EncoderConfig, EncoderParams, encode_texts, encode_views, pool_scene
-from .errors import ContractError, DegenerateInputError, FormatError, NumericError
+from .errors import ContractError, DegenerateInputError, FormatError, NumericError, ShapeError
 from .geometry import DEFAULT_MIN_POINTS, DEFAULT_VOXEL_SIZE, box_counts, max_coverage_sample
 from .probe import ProbeConfig, ProbeOutcome, linear_probe
 
@@ -103,7 +103,12 @@ def scene_embedding_from_views(view_embeddings: np.ndarray) -> np.ndarray:
 def embed_scenes(
     scenes: Sequence[Scene], params: EncoderParams, config: EncoderConfig
 ) -> np.ndarray:
-    """One pooled, unit-norm embedding row per scene, as an (S, d) array."""
+    """One pooled, unit-norm embedding row per scene, as an (S, d) array.
+
+    No scenes raise ``DegenerateInputError``.
+    """
+    if not scenes:
+        raise DegenerateInputError("cannot embed zero scenes")
     return np.stack(
         [scene_embedding_from_views(embed_scene_views(s, params, config)) for s in scenes]
     )
@@ -171,7 +176,14 @@ def grounding_metrics(
     visible_sets: Sequence[frozenset[int]],
     recall_ns: Sequence[int] = DEFAULT_RECALL_NS,
 ) -> RetrievalResult:
-    """Recall@N and visible-set accuracy from per-instance view scores."""
+    """Recall@N and visible-set accuracy from per-instance view scores.
+
+    The three sequences hold one entry per instance; lengths that differ
+    raise ``ShapeError``.
+    """
+    if not len(similarities) == len(gt_views) == len(visible_sets):
+        raise ShapeError(f"{len(similarities)} score rows, {len(gt_views)} ground-truth views "
+                         f"and {len(visible_sets)} visible sets")
     if len(similarities) == 0:
         return RetrievalResult(recall_at={n: 0.0 for n in recall_ns}, visible_set_accuracy=0.0, count=0)
     orders = [rank_descending(np.asarray(scores)) for scores in similarities]
@@ -322,12 +334,15 @@ def class_labels(scenes: Sequence[Scene], class_names: Sequence[str]) -> np.ndar
 
 
 def classify_from_similarities(similarities: np.ndarray, labels: np.ndarray) -> float:
+    """The fraction of (S, C) similarity rows whose argmax is the row's label."""
+    labels = np.asarray(labels)
+    if labels.shape != similarities.shape[:1]:
+        raise ShapeError(f"labels {labels.shape} do not match {len(similarities)} similarity rows")
     if len(similarities) == 0:
         raise DegenerateInputError("zero-shot accuracy over zero scenes")
     if np.isnan(similarities).any():
         raise NumericError("zero-shot accuracy over a NaN similarity")
-    predictions = similarities.argmax(axis=1)
-    return float(np.mean(predictions == np.asarray(labels)))
+    return float(np.mean(similarities.argmax(axis=1) == labels))
 
 
 def zero_shot_classify(

@@ -1,10 +1,11 @@
 """Pretraining loop: batching, view sampling, AdamW, cosine schedule.
 
 Per-scene geometry (max-coverage view subset, Chamfer-rank targets,
-visibility pairs) is computed once at dataset load; each step encodes the
-selected views, assembles the four losses on one graph, and applies a
-clipped AdamW update.  Everything is deterministic given (seed, config,
-dataset).
+visibility pairs) is computed once at dataset load.  ``train_step`` is the
+one optimizer step: it encodes the selected views, assembles the four
+losses on one graph, and applies a clipped AdamW update; ``train`` calls
+it once per batch and writes its rows.  Everything is deterministic given
+(seed, config, dataset).
 
 ``batch_loss`` builds each loss once over the batch's (N, d) views, with
 no graph node per scene.  Every scene enters all four losses, except that
@@ -34,7 +35,7 @@ from .data import Scene, load_manifest, load_scene
 from .encoder import (MODALITIES, EncoderConfig, EncoderParams, encode_texts, encode_views,
                       init_encoder_params, pool_scene, save_checkpoint)
 from .engine import Tensor
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError, DegenerateInputError, NumericError
 from .geometry import DEFAULT_MIN_POINTS, DEFAULT_VOXEL_SIZE, max_coverage_sample, visibility_pairs
 
 logger = logging.getLogger(__name__)
@@ -60,8 +61,6 @@ class TrainConfig:
     grad_clip: float = 1.0
     initial_tau: float = 0.07
     chamfer_subsample: int | None = 512
-    voxel_size: float = DEFAULT_VOXEL_SIZE
-    min_points: int = DEFAULT_MIN_POINTS
     modality: str = "both"
     use_geo: bool = True
     use_ground: bool = True
@@ -89,10 +88,6 @@ class TrainConfig:
             raise ConfigError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
         if self.chamfer_subsample is not None and self.chamfer_subsample < 1:  # None: every point
             raise ConfigError(f"chamfer_subsample must be at least 1 or None, got {self.chamfer_subsample}")
-        if self.min_points < 1:
-            raise ConfigError(f"min_points must be at least 1, got {self.min_points}")
-        if not self.voxel_size > 0:
-            raise ConfigError(f"voxel_size must be positive, got {self.voxel_size}")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigError("warmup fraction must lie in [0, 1)")
         if self.scenes_per_batch < 1 or self.views_per_scene < 1:
@@ -335,7 +330,7 @@ def prepare_scene(scene: Scene, cfg: TrainConfig) -> PreparedScene:
             scene.scene_id, len(scene.views), budget,
         )
         budget = len(scene.views)
-    chosen = max_coverage_sample(points, validity, budget, cfg.voxel_size)
+    chosen = max_coverage_sample(points, validity, budget, DEFAULT_VOXEL_SIZE)
     points, validity = points[chosen], validity[chosen]
     views = [(scene.views[i].image, p) for i, p in zip(chosen, points)]
     targets = None
@@ -343,7 +338,7 @@ def prepare_scene(scene: Scene, cfg: TrainConfig) -> PreparedScene:
         targets = obj.geo_targets(
             points, validity, cfg.geo, subsample=cfg.chamfer_subsample, seed=cfg.seed
         )
-    pairs = sorted(visibility_pairs(points, validity, scene.objects, min_points=cfg.min_points))
+    pairs = sorted(visibility_pairs(points, validity, scene.objects, min_points=DEFAULT_MIN_POINTS))
     return PreparedScene(
         scene_id=scene.scene_id,
         views=views,
@@ -409,6 +404,41 @@ def batch_loss(
 # the training loop
 
 
+@dataclass(frozen=True)
+class StepRecord:
+    """One step's losses and its global gradient norm before clipping."""
+
+    losses: obj.LossBreakdown
+    grad_norm: float
+
+
+def train_step(
+    batch: list[PreparedScene],
+    params: EncoderParams,
+    enc_cfg: EncoderConfig,
+    temperature: obj.Temperature,
+    state: OptimizerState,
+    cfg: TrainConfig,
+    lr: float,
+) -> StepRecord:
+    """One clipped AdamW step of the batch's four losses, in place.
+
+    The parameters are the encoder's and the temperature's ``log_tau``.  A
+    non-finite total raises ``NumericError`` before ``backward``, so no
+    parameter, moment or ``state.step`` changes.
+    """
+    named = [*params.named_parameters(), (TEMPERATURE_KEY, temperature.log_tau)]
+    E.zero_grads(t for _, t in named)
+    breakdown = batch_loss(batch, params, enc_cfg, temperature, cfg)
+    if not math.isfinite(breakdown.total.item()):
+        raise NumericError(f"non-finite training loss at step {state.step}")
+    E.backward(breakdown.total)
+    grad_norm = clip_gradients(named, cfg.grad_clip)
+    adamw_step(named, state, lr, beta1=cfg.beta1, beta2=cfg.beta2, weight_decay=cfg.weight_decay)
+    temperature.clamp()
+    return StepRecord(breakdown, grad_norm)
+
+
 @dataclass
 class TrainResult:
     checkpoint_path: Path
@@ -420,9 +450,9 @@ class TrainResult:
     steps: int
 
 
-def _batches(order: np.ndarray, batch_size: int):
-    for start in range(0, len(order), batch_size):
-        yield order[start : start + batch_size]
+def _batches(items, batch_size: int):
+    for start in range(0, len(items), batch_size):
+        yield items[start : start + batch_size]
 
 
 def train(
@@ -454,7 +484,6 @@ def train(
 
     params = init_encoder_params(enc_cfg, seed=cfg.seed)
     temperature = obj.Temperature(cfg.initial_tau)
-    named = list(params.named_parameters()) + [(TEMPERATURE_KEY, temperature.log_tau)]
     state = OptimizerState()
 
     steps_per_epoch = math.ceil(len(train_scenes) / cfg.scenes_per_batch)
@@ -480,22 +509,10 @@ def train(
         for epoch in range(cfg.epochs):
             order = np.random.default_rng((cfg.seed, epoch)).permutation(len(train_scenes))
             epoch_totals = []
-            for batch_idx in _batches(order, cfg.scenes_per_batch):
-                batch = [train_scenes[i] for i in batch_idx]
+            for batch in _batches([train_scenes[i] for i in order], cfg.scenes_per_batch):
                 lr = cosine_lr(step, total_steps, cfg.learning_rate, cfg.warmup_fraction)
-                E.zero_grads(t for _, t in named)
-                breakdown = batch_loss(batch, params, enc_cfg, temperature, cfg)
-                values = breakdown.values()
-                if not math.isfinite(values["total"]):
-                    raise NumericError(f"non-finite training loss at step {step}")
-                E.backward(breakdown.total)
-                grad_norm = clip_gradients(named, cfg.grad_clip)
-                adamw_step(
-                    named, state, lr,
-                    beta1=cfg.beta1, beta2=cfg.beta2, weight_decay=cfg.weight_decay,
-                )
-                temperature.clamp()
-
+                record = train_step(batch, params, enc_cfg, temperature, state, cfg, lr)
+                values = record.losses.values()
                 if initial_total is None:
                     initial_total = values["total"]
                 epoch_totals.append(values["total"])
@@ -504,7 +521,7 @@ def train(
                     f"\t{values['l_view']!r}\t{values['l_scene']!r}\t{values['total']!r}"
                     f"\t{temperature.value!r}\n"
                 )
-                telemetry.write(f"{step}\t{grad_norm!r}\t{lr!r}\t{temperature.value!r}\n")
+                telemetry.write(f"{step}\t{record.grad_norm!r}\t{lr!r}\t{temperature.value!r}\n")
                 step += 1
 
             logger.info("epoch %d/%d: mean total loss %r over %d steps",
@@ -539,10 +556,10 @@ def evaluate_loss(
     temperature: obj.Temperature,
     cfg: TrainConfig,
 ) -> float:
-    """Mean total loss over fixed batches, no gradients."""
-    totals = []
+    """Mean total loss over fixed batches, no gradients.  No scenes raise ``DegenerateInputError``."""
+    if not scenes:
+        raise DegenerateInputError("validation loss over zero scenes")
     with E.no_grad():
-        for start in range(0, len(scenes), cfg.scenes_per_batch):
-            batch = scenes[start : start + cfg.scenes_per_batch]
-            totals.append(batch_loss(batch, params, enc_cfg, temperature, cfg).total.item())
+        totals = [batch_loss(batch, params, enc_cfg, temperature, cfg).total.item()
+                  for batch in _batches(scenes, cfg.scenes_per_batch)]
     return float(np.mean(totals))

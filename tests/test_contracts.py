@@ -59,6 +59,17 @@ ROWS = [
     pytest.param(evaluation.classify_from_similarities,
                  (np.array([[0.1, 0.9], [np.nan, np.nan]]), np.array([1, 0])),
                  NumericError, id="classify_from_similarities-nan-row"),
+    pytest.param(evaluation.classify_from_similarities,
+                 (np.array([[0.1, 0.9], [0.8, 0.2]]), np.array([1])),
+                 ShapeError, id="classify_from_similarities-label-length-mismatch"),
+    pytest.param(evaluation.grounding_metrics,
+                 ([np.array([0.3, 0.1])], [0, 1], [frozenset({0}), frozenset({1})]),
+                 ShapeError, id="grounding_metrics-length-mismatch"),
+    pytest.param(evaluation.embed_scenes, ([], PARAMS, CONFIG),
+                 DegenerateInputError, id="embed_scenes-no-scenes"),
+    pytest.param(trainer.evaluate_loss,
+                 ([], PARAMS, CONFIG, objectives.Temperature(), trainer.TrainConfig()),
+                 DegenerateInputError, id="evaluate_loss-no-scenes"),
     pytest.param(trainer.cosine_lr, (5, 100, np.nan, 0.1),
                  ContractError, id="cosine_lr-nan-base-rate"),
     pytest.param(trainer.cosine_lr, (5, 100, 1e-3, 1.0),

@@ -81,6 +81,27 @@ def test_only_engine_and_trainer_touch_gradients():
     assert sorted(readers) == ["engine", "trainer"]
 
 
+def test_only_train_step_steps_the_optimizer():
+    # One optimizer step: zeroing, backward, clipping and AdamW are each
+    # called once, in trainer.train_step, and nowhere else in upm, so
+    # whatever hooks into train_step sees every step.
+    step_calls = ("adamw_step", "backward", "clip_gradients", "zero_grads")
+    calls = []
+    for path in sorted((SRC / "upm").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        enclosing = {}
+        for node in ast.walk(tree):
+            scope = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            for child in ast.iter_child_nodes(node):
+                enclosing[child] = scope or enclosing.get(node)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in step_calls:
+                    calls.append((path.stem, enclosing[node], name))
+    assert sorted(calls) == [("trainer", "train_step", name) for name in step_calls]
+
+
 # Public entry points that wait for the ``upm`` command line (generate,
 # train, eval) to give them a caller.
 AWAITING_THE_CLI = {"split_dataset", "load_split_scenes", "load_checkpoint",

@@ -30,6 +30,7 @@ from upm.trainer import (
     paper_train_config,
     prepare_scene,
     train,
+    train_step,
 )
 from tests.conftest import TINY_ENCODER, TINY_TRAIN, densify
 from tests.test_objectives import oracle_off_diagonal_soft_xent
@@ -314,7 +315,7 @@ class TestTrainConfig:
         ("weight_decay", -0.01), ("weight_decay", math.inf), ("weight_decay", math.nan),
         ("weight_geo", math.nan), ("weight_geo", math.inf), ("weight_geo", -1.0),
         ("modality", "depth-only"),
-        ("chamfer_subsample", 0), ("voxel_size", 0.0), ("voxel_size", -0.25), ("min_points", 0),
+        ("chamfer_subsample", 0),
         ("grad_clip", math.nan), ("grad_clip", -1.0),
         ("initial_tau", math.nan), ("initial_tau", 5e-4), ("initial_tau", 101.0),
     ])
@@ -497,21 +498,12 @@ class TestBatchLoss:
         batch, enc_cfg, cfg = default_batch_seed0
         params = init_encoder_params(enc_cfg, seed=0)
         temperature = Temperature(cfg.initial_tau)
-        named = list(params.named_parameters()) + [(TEMPERATURE_KEY, temperature.log_tau)]
         state = OptimizerState()
-
-        def step():
-            E.zero_grads(t for _, t in named)
-            E.backward(batch_loss(batch, params, enc_cfg, temperature, cfg).total)
-            clip_gradients(named, cfg.grad_clip)
-            adamw_step(named, state, 1e-4, beta1=cfg.beta1, beta2=cfg.beta2,
-                       weight_decay=cfg.weight_decay)
-
         tracemalloc.start()
         try:
-            step()
+            train_step(batch, params, enc_cfg, temperature, state, cfg, 1e-4)
             tracemalloc.reset_peak()
-            step()
+            train_step(batch, params, enc_cfg, temperature, state, cfg, 1e-4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -630,29 +622,49 @@ class TestTrainLoop:
         _, _, extras = load_checkpoint(tiny_run.checkpoint_path)
         assert TEMPERATURE_KEY in extras
 
-    def test_non_finite_loss_raises_before_backward(self, tiny_dataset, tmp_path, monkeypatch):
+    def test_non_finite_loss_raises_before_backward(self, monkeypatch):
+        # After one real step, so there are moments and live rows to keep.
+        batch, enc_cfg, cfg = pairless_batch()
+        params = init_encoder_params(enc_cfg, seed=0)
+        temperature = Temperature(cfg.initial_tau)
+        state = OptimizerState()
+        train_step(batch, params, enc_cfg, temperature, state, cfg, 1e-3)
+        named = [*params.named_parameters(), (TEMPERATURE_KEY, temperature.log_tau)]
+
+        def snapshot():
+            return ([(name, t.array.tobytes()) for name, t in named], state.step,
+                     [{name: a.tobytes() for name, a in kind.items()}
+                      for kind in (state.first_moment, state.second_moment, state.live_rows)])
+
+        before = snapshot()
         real_batch_loss = trainer.batch_loss
-        real_init = trainer.init_encoder_params
-        created, backward_calls = [], []
+        backward_calls = []
 
         def nan_loss(*args):
             breakdown = real_batch_loss(*args)
             return dataclasses.replace(breakdown, total=E.scale(breakdown.total, math.nan))
 
-        def init(*args, **kwargs):
-            created.append(real_init(*args, **kwargs))
-            return created[-1]
-
         monkeypatch.setattr(trainer, "batch_loss", nan_loss)
-        monkeypatch.setattr(trainer, "init_encoder_params", init)
         monkeypatch.setattr(E, "backward", backward_calls.append)
-        with pytest.raises(NumericError, match="non-finite training loss at step 0"):
-            train(tiny_dataset, TINY_TRAIN, TINY_ENCODER, tmp_path / "run")
+        with pytest.raises(NumericError, match="non-finite training loss at step 1"):
+            train_step(batch, params, enc_cfg, temperature, state, cfg, 1e-3)
         assert backward_calls == []
-        fresh = real_init(TINY_ENCODER, seed=TINY_TRAIN.seed)
-        for (name, tensor), (_, initial) in zip(created[0].named_parameters(),
-                                                fresh.named_parameters()):
-            assert tensor.array.tobytes() == initial.array.tobytes(), name
+        assert state.live_rows and snapshot() == before
+
+    def test_step_record_grad_norm_is_the_telemetry_value(self, tiny_dataset, tmp_path,
+                                                          monkeypatch):
+        real_train_step = trainer.train_step
+        records = []
+
+        def recording_step(*args):
+            records.append(real_train_step(*args))
+            return records[-1]
+
+        monkeypatch.setattr(trainer, "train_step", recording_step)
+        result = train(tiny_dataset, TINY_TRAIN, TINY_ENCODER, tmp_path / "run")
+        rows = [row.split("\t") for row in result.telemetry_path.read_text().splitlines()[1:]]
+        assert len(records) == len(rows) == result.steps
+        assert [row[1] for row in rows] == [repr(record.grad_norm) for record in records]
 
     def test_rejects_undersized_manifest(self, tiny_dataset, tmp_path):
         cfg = TrainConfig(scenes_per_batch=1000)
