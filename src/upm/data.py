@@ -428,11 +428,7 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> tuple[Scene | No
 
     view_captions = []
     for vi in range(spec.view_count):
-        visible = [
-            placed[oi][0]
-            for oi in np.argsort(-areas[vi])
-            if objects and areas[vi][oi] >= spec.min_points
-        ] if objects else []
+        visible = [placed[oi][0] for oi in np.argsort(-areas[vi]) if areas[vi][oi] >= spec.min_points]
         view_captions.append(_view_caption(spec.scene_type, visible))
 
     return Scene(

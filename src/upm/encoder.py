@@ -32,8 +32,7 @@ import numpy as np
 from . import engine as E
 from .container import read_arrays, write_arrays
 from .engine import Tensor
-from .errors import (ConfigError, ContractError, DegenerateInputError, FormatError, NumericError,
-                     ShapeError)
+from .errors import ConfigError, DegenerateInputError, FormatError, NumericError, ShapeError
 
 MODALITY_BOTH = "both"
 MODALITY_IMAGE_ONLY = "image-only"
@@ -54,6 +53,7 @@ class EncoderConfig:
     mlp_ratio: int = 4
     text_vocab_size: int = 4096
     text_context_length: int = 77
+    modality: str = MODALITY_BOTH
 
     def __post_init__(self):
         sizes = ("image_size", "patch_size", "embed_dim", "num_heads", "mlp_ratio",
@@ -70,6 +70,8 @@ class EncoderConfig:
             raise ConfigError("image_size must be divisible by patch_size")
         if self.embed_dim % self.num_heads != 0:
             raise ConfigError("embed_dim must be divisible by num_heads")
+        if self.modality not in MODALITIES:
+            raise ConfigError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
 
     @property
     def num_patches(self) -> int:
@@ -220,29 +222,26 @@ def encode_views(
     views: Sequence[tuple[np.ndarray, np.ndarray]],
     params: EncoderParams,
     config: EncoderConfig,
-    modality: str = MODALITY_BOTH,
 ) -> Tensor:
     """Encode N (image, points) pairs, each (H, W, 3), to an (N, d) tensor of unit-norm rows.
 
-    The pairs are stacked, one stack zeroed for an ablated modality, and
-    cut by ``embed_views``; views that differ in size raise ``ShapeError``.
+    The pairs are stacked, the stack that ``config.modality`` ablates
+    zeroed, and cut by ``embed_views``; views that differ in size raise ``ShapeError``.
     All views run through one stacked graph over (N, M + 1, d) tokens;
     row i has the bits it would have if view i were encoded alone.  Only
     the class token is kept: the last block runs its queries, residual and
     MLP on that row alone (keys and values still read every token), and
     with no blocks the row is taken straight from the embedded tokens.
     """
-    if modality not in MODALITIES:
-        raise ContractError(f"unknown modality {modality!r}")
     if len(views) == 0:
         raise DegenerateInputError("cannot encode an empty view list")
     if len({(np.shape(image), np.shape(points)) for image, points in views}) > 1:
         raise ShapeError("the views differ in size")
     images = np.stack([image for image, _ in views])
     points = np.stack([pts for _, pts in views])
-    if modality == MODALITY_IMAGE_ONLY:
+    if config.modality == MODALITY_IMAGE_ONLY:
         points = np.zeros_like(points)
-    elif modality == MODALITY_POINTMAP_ONLY:
+    elif config.modality == MODALITY_POINTMAP_ONLY:
         images = np.zeros_like(images)
     x = embed_views(images, points, params, config)
     for i in range(config.num_blocks):
@@ -310,9 +309,9 @@ def encode_texts(texts: Sequence[str], params: EncoderParams, config: EncoderCon
 def save_checkpoint(path, params: EncoderParams, config: EncoderConfig, extras=None) -> None:
     """Write a ``container`` of the encoder config and the named parameters, atomically.
 
-    The metadata is ``{"encoder": asdict(config)}``; the arrays are the
-    parameters in ``named_parameters()`` order, then ``extras``, further
-    named tensors such as the loss temperature.
+    The metadata is ``{"encoder": asdict(config)}``, the sizes and the
+    ``modality`` string; the arrays are the parameters in
+    ``named_parameters()`` order, then ``extras``, such as the temperature.
     """
     entries = [*params.named_parameters(), *(extras or [])]
     write_arrays(path, {"encoder": asdict(config)},
@@ -322,20 +321,20 @@ def save_checkpoint(path, params: EncoderParams, config: EncoderConfig, extras=N
 def load_checkpoint(path) -> tuple[EncoderParams, EncoderConfig, dict[str, Tensor]]:
     """Read a checkpoint back into parameters, config and extras.
 
-    A malformed file, a config that is not exactly the integer fields of
-    ``EncoderConfig``, and a parameter that is missing or of the wrong
-    shape raise ``FormatError``; an array that is not a parameter is an extra.
+    A malformed file, a config whose fields or their types (int sizes, a
+    str modality) differ from ``EncoderConfig``'s, and a parameter that is
+    missing or of the wrong shape raise ``FormatError``; an extra is an
+    array that is not a parameter.
     Names and shapes are checked against ``_parameter_layout``, which
     allocates nothing, and the parameters wrap the arrays read.
     """
     meta, tensors = read_arrays(path)
     try:
-        fields = meta["encoder"]
-        if not (isinstance(fields, dict) and all(type(v) is int for v in fields.values())):
-            raise TypeError(f"the encoder config {fields!r} does not hold integers only")
+        fields, defaults = meta["encoder"], asdict(EncoderConfig())
+        if not (isinstance(fields, dict) and fields.keys() == defaults.keys()
+                and all(type(fields[name]) is type(value) for name, value in defaults.items())):
+            raise TypeError(f"the encoder config {fields!r} lacks the fields or types of {defaults!r}")
         config = EncoderConfig(**fields)
-        if asdict(config) != fields:
-            raise TypeError(f"the encoder config {fields!r} lacks a field")
     except (KeyError, TypeError, ConfigError) as exc:
         raise FormatError(f"invalid checkpoint config in {path}: {exc}") from exc
 

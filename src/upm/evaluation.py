@@ -38,9 +38,11 @@ DEFAULT_PROMPT = "This room is a {}."
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity between rows of a and rows of b."""
+    """Pairwise cosine similarity between rows of a and rows of b, 2-D and of one width."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ShapeError(f"cosine similarity of rows of shapes {a.shape} and {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise NumericError("cosine similarity of a non-finite row")
     a_norm = np.linalg.norm(a, axis=-1, keepdims=True)
@@ -127,7 +129,6 @@ def embed_texts(texts: Sequence[str], params: EncoderParams, config: EncoderConf
 class GroundingInstance:
     scene_id: str
     referring_text: str
-    target_object_id: int
     gt_view: int
     visible_set: frozenset[int]
 
@@ -162,7 +163,6 @@ def build_grounding_instances(
                 GroundingInstance(
                     scene_id=scene.scene_id,
                     referring_text=obj.referring_text,
-                    target_object_id=obj.object_id,
                     gt_view=int(np.argmax(areas)),
                     visible_set=visible,
                 )

@@ -221,7 +221,6 @@ class LossBreakdown:
     l_view: Tensor
     l_scene: Tensor
     total: Tensor
-    weight_geo: float
 
     def values(self) -> dict[str, float]:
         return {
@@ -248,5 +247,4 @@ def total_loss(
         l_view=l_view,
         l_scene=l_scene,
         total=total,
-        weight_geo=weight_geo,
     )

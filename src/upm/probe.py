@@ -174,6 +174,23 @@ class LogisticFits:
     converged: np.ndarray
 
 
+def _checked_set(name: str, features, labels, n_classes=np.inf) -> tuple[np.ndarray, np.ndarray]:
+    """The set as arrays, or the error ``linear_probe`` documents; labels must be < n_classes."""
+    features, labels = np.asarray(features), np.asarray(labels)
+    if features.ndim != 2 or labels.ndim != 1 or len(features) != len(labels):
+        raise ShapeError(f"{name} features {features.shape} do not match "
+                         f"labels {labels.shape} row for row")
+    if len(labels) == 0:
+        raise DegenerateInputError(f"empty probe {name} set")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ContractError(f"probe {name} labels have dtype {labels.dtype}, not an integer type")
+    if not 0 <= labels.min() <= labels.max() < n_classes:
+        raise ContractError(f"a probe {name} label lies outside [0, {n_classes})")
+    if not np.isfinite(features).all():
+        raise NumericError(f"non-finite probe {name} features")
+    return features, labels
+
+
 def fit_logistic_grid(
     features: np.ndarray,
     labels: np.ndarray,
@@ -181,8 +198,17 @@ def fit_logistic_grid(
     regs,
     max_iterations: int = 1000,
 ) -> LogisticFits:
-    """Fit W, b from zero at every regularization strength, by Newton's method in lockstep."""
+    """Fit W, b from zero at every regularization strength, by Newton's method in lockstep.
+
+    A bad set raises as in ``linear_probe``, no strengths ``DegenerateInputError``
+    and a label >= n_classes or a strength not finite and positive ``ContractError``.
+    """
+    features, labels = _checked_set("fit", features, labels, n_classes)
     regs = np.asarray(regs, dtype=np.float64)
+    if regs.size == 0:
+        raise DegenerateInputError("an empty regularization grid")
+    if regs.ndim != 1 or not np.all((regs > 0) & (regs < np.inf)):  # NaN fails both
+        raise ContractError(f"regularization strengths {regs!r} are not a grid of finite positives")
     k, dim = len(regs), features.shape[1]
     v, z = _row_span(features)
     q = z.shape[1]
@@ -287,23 +313,8 @@ def linear_probe(
     ``ContractError`` for a label that is not a non-negative integer and
     ``NumericError`` for a non-finite feature.
     """
-    train_features = np.asarray(train_features)
-    test_features = np.asarray(test_features)
-    train_labels = np.asarray(train_labels)
-    test_labels = np.asarray(test_labels)
-    for name, features, labels in (("train", train_features, train_labels),
-                                   ("test", test_features, test_labels)):
-        if features.ndim != 2 or labels.ndim != 1 or len(features) != len(labels):
-            raise ShapeError(f"{name} features {features.shape} do not match "
-                             f"labels {labels.shape} row for row")
-        if len(labels) == 0:
-            raise DegenerateInputError(f"empty probe {name} set")
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ContractError(f"probe {name} labels have dtype {labels.dtype}, not an integer type")
-        if labels.min() < 0:
-            raise ContractError(f"negative class label in the probe {name} set")
-        if not np.isfinite(features).all():
-            raise NumericError(f"non-finite probe {name} features")
+    train_features, train_labels = _checked_set("train", train_features, train_labels)
+    test_features, test_labels = _checked_set("test", test_features, test_labels)
     if train_features.shape[1] != test_features.shape[1]:
         raise ShapeError(f"train features have width {train_features.shape[1]}, "
                          f"test features {test_features.shape[1]}")

@@ -32,8 +32,8 @@ import numpy as np
 from . import engine as E
 from . import objectives as obj
 from .data import Scene, load_manifest, load_scene
-from .encoder import (MODALITIES, EncoderConfig, EncoderParams, encode_texts, encode_views,
-                      init_encoder_params, pool_scene, save_checkpoint)
+from .encoder import (EncoderConfig, EncoderParams, encode_texts, encode_views, init_encoder_params,
+                      pool_scene, save_checkpoint)
 from .engine import Tensor
 from .errors import ConfigError, ContractError, DegenerateInputError, NumericError
 from .geometry import DEFAULT_MIN_POINTS, DEFAULT_VOXEL_SIZE, max_coverage_sample, visibility_pairs
@@ -61,7 +61,6 @@ class TrainConfig:
     grad_clip: float = 1.0
     initial_tau: float = 0.07
     chamfer_subsample: int | None = 512
-    modality: str = "both"
     use_geo: bool = True
     use_ground: bool = True
     use_view: bool = True
@@ -84,8 +83,6 @@ class TrainConfig:
                               f"got {self.initial_tau}")
         if not (math.isfinite(self.weight_geo) and self.weight_geo >= 0):
             raise ConfigError(f"weight_geo must be finite and nonnegative, got {self.weight_geo}")
-        if self.modality not in MODALITIES:
-            raise ConfigError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
         if self.chamfer_subsample is not None and self.chamfer_subsample < 1:  # None: every point
             raise ConfigError(f"chamfer_subsample must be at least 1 or None, got {self.chamfer_subsample}")
         if not 0.0 <= self.warmup_fraction < 1.0:
@@ -363,9 +360,7 @@ def batch_loss(
 ) -> obj.LossBreakdown:
     """All four objectives over one batch, each one graph over the batch's (N, d) views."""
     zero = Tensor(np.zeros(1))
-    views = encode_views(
-        [view for scene in batch for view in scene.views], params, enc_cfg, modality=cfg.modality
-    )
+    views = encode_views([view for scene in batch for view in scene.views], params, enc_cfg)
     counts = [len(scene.views) for scene in batch]
 
     l_geo = zero

@@ -17,6 +17,9 @@ CONFIG = EncoderConfig(image_size=8, patch_size=4, embed_dim=8, num_blocks=0, nu
 PARAMS = init_encoder_params(CONFIG)
 VIEWS = np.zeros((2, 8, 8, 3))
 VALID = np.ones((2, 8, 8), dtype=bool)
+# A two-class probe problem of four rows, for fit_logistic_grid(features, labels, 2, regs).
+FEATURES = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, -1.0]])
+LABELS = np.array([0, 1, 1, 0])
 
 
 def with_value(array, index, value):
@@ -52,8 +55,28 @@ ROWS = [
                  ShapeError, id="accuracy-length-mismatch"),
     pytest.param(probe.accuracy, (np.array([], dtype=int), np.array([], dtype=int)),
                  DegenerateInputError, id="accuracy-empty"),
+    pytest.param(probe.fit_logistic_grid, (FEATURES, LABELS, 2, []),
+                 DegenerateInputError, id="fit_logistic_grid-empty-reg-grid"),
+    pytest.param(probe.fit_logistic_grid, (FEATURES, LABELS, 2, [np.nan]),
+                 ContractError, id="fit_logistic_grid-nan-reg"),
+    pytest.param(probe.fit_logistic_grid, (FEATURES, LABELS, 2, [0.0]),
+                 ContractError, id="fit_logistic_grid-zero-reg"),
+    pytest.param(probe.fit_logistic_grid, (FEATURES, LABELS, 2, [-1.0]),
+                 ContractError, id="fit_logistic_grid-negative-reg"),
+    pytest.param(probe.fit_logistic_grid, (with_value(FEATURES, (2, 1), np.nan), LABELS, 2, [1.0]),
+                 NumericError, id="fit_logistic_grid-nan-feature"),
+    pytest.param(probe.fit_logistic_grid, (FEATURES, LABELS[:3], 2, [1.0]),
+                 ShapeError, id="fit_logistic_grid-labels-shorter-than-rows"),
+    pytest.param(probe.fit_logistic_grid, (FEATURES, np.array([0, 1, 2, 0]), 2, [1.0]),
+                 ContractError, id="fit_logistic_grid-label-beyond-n-classes"),
+    pytest.param(probe.fit_logistic_grid, (FEATURES[:0], LABELS[:0], 2, [1.0]),
+                 DegenerateInputError, id="fit_logistic_grid-no-rows"),
     pytest.param(probe.predict_logistic, (np.zeros((2, 3)), np.zeros(3), np.array([[np.nan, 0.0]])),
                  NumericError, id="predict_logistic-nan-feature"),
+    pytest.param(evaluation.cosine_similarity, (np.ones((2, 3)), np.ones((2, 4))),
+                 ShapeError, id="cosine_similarity-width-mismatch"),
+    pytest.param(evaluation.cosine_similarity, (np.ones(3), np.ones((2, 3))),
+                 ShapeError, id="cosine_similarity-1d-input"),
     pytest.param(evaluation.rank_descending, (np.array([np.nan, 1.0, 2.0]),),
                  NumericError, id="rank_descending-nan-score"),
     pytest.param(evaluation.classify_from_similarities,

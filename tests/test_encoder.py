@@ -1,5 +1,6 @@
 """Tests for the early-fusion view encoder, text encoder, and checkpoints."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -89,6 +90,11 @@ class TestConfig:
     def test_negative_block_count_rejected(self):
         with pytest.raises(ConfigError, match="num_blocks"):
             tiny_config(num_blocks=-1)
+
+    @pytest.mark.parametrize("name,value", [("text_vocab_size", 1), ("modality", "depth-only")])
+    def test_out_of_range_field_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            tiny_config(**{name: value})
 
     def test_paper_preset_matches_vit_b16(self):
         cfg = enc.paper_encoder_config()
@@ -255,8 +261,10 @@ class TestEncodeViews:
         rng = np.random.default_rng(18)
         view = random_view(rng, config)
         both = enc.encode_views([view], params, config).array[0]
-        image_only = enc.encode_views([view], params, config, modality="image-only").array[0]
-        pointmap_only = enc.encode_views([view], params, config, modality="pointmap-only").array[0]
+        image_only = enc.encode_views(
+            [view], params, dataclasses.replace(config, modality="image-only")).array[0]
+        pointmap_only = enc.encode_views(
+            [view], params, dataclasses.replace(config, modality="pointmap-only")).array[0]
         assert not np.array_equal(both, image_only)
         assert not np.array_equal(both, pointmap_only)
 
@@ -395,7 +403,7 @@ def assert_matches_oracle(got, want, rtol=GRAD_RTOL):
 
 
 def batched(views, params, config, modality):
-    return enc.encode_views(views, params, config, modality=modality)
+    return enc.encode_views(views, params, dataclasses.replace(config, modality=modality))
 
 
 def per_view(views, params, config, modality):
@@ -668,12 +676,15 @@ class TestCheckpoint:
         path = tmp_path / "model.upm"
         enc.save_checkpoint(path, enc.init_encoder_params(config, seed=29), config)
         blob = path.read_bytes()
-        # Text, float and boolean values; a field missing (no array's shape
-        # depends on this one, so only the config check sees it); an unknown
-        # field; no config; a config that is not an object.
+        # Text, float and boolean sizes; an integer and an unknown modality;
+        # a field missing (no array's shape depends on this one, so only the
+        # config check sees it); an unknown field; no config; a config that
+        # is not an object.
         for edit in (lambda meta: meta["encoder"].update(patch_size="x"),
                      lambda meta: meta["encoder"].update(patch_size=4.0),
                      lambda meta: meta["encoder"].update(patch_size=True),
+                     lambda meta: meta["encoder"].update(modality=1),
+                     lambda meta: meta["encoder"].update(modality="depth-only"),
                      lambda meta: meta["encoder"].pop("text_context_length"),
                      lambda meta: meta["encoder"].update(dropout=0),
                      lambda meta: meta.pop("encoder"),
@@ -710,7 +721,7 @@ class TestCheckpoint:
             enc.load_checkpoint(path)
 
     def tiny_checkpoint(self, path):
-        """The smallest encoder plus one extra tensor: 630 bytes."""
+        """The smallest encoder plus one extra tensor: 650 bytes."""
         config = EncoderConfig(image_size=1, patch_size=1, embed_dim=1, num_blocks=0, num_heads=1,
                                mlp_ratio=1, text_vocab_size=2, text_context_length=1)
         extra = E.Tensor(np.array([0.5, -2.0]))
@@ -723,7 +734,7 @@ class TestCheckpoint:
         path = tmp_path / "model.upm"
         saved = self.tiny_checkpoint(path)
         blob = path.read_bytes()
-        assert len(blob) == 630
+        assert len(blob) == 650
         truncated, flipped = corruptions(blob)
         loaded = 0
         for variant in truncated + flipped:

@@ -1,13 +1,15 @@
 """Tests for the evaluation protocols and report emission."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from upm import data as D
+from upm import engine as E
 from upm import evaluation as ev
-from upm.encoder import load_checkpoint
+from upm.encoder import encode_views, init_encoder_params, load_checkpoint, save_checkpoint
 from upm.errors import ContractError, DegenerateInputError, FormatError, NumericError
 from upm.probe import ProbeConfig, ProbeOutcome
 from tests.conftest import TINY_ENCODER
@@ -38,6 +40,23 @@ def encodes(monkeypatch):
 
     monkeypatch.setattr(ev, "embed_scene_views", spy)
     return ids
+
+
+class TestEmbedSceneViews:
+    def test_image_only_checkpoint_encodes_as_trained(self, test_scenes, tmp_path):
+        # The modality travels with the encoder: a loaded image-only
+        # checkpoint zeroes the pointmap stream in evaluation, as in training.
+        config = dataclasses.replace(TINY_ENCODER, modality="image-only")
+        save_checkpoint(tmp_path / "model.upm", init_encoder_params(config, seed=4), config)
+        params, loaded, _ = load_checkpoint(tmp_path / "model.upm")
+        assert loaded == config
+        scene = test_scenes[0]
+        got = ev.embed_scene_views(scene, params, loaded)
+        with E.no_grad():
+            hand_zeroed = [(view.image, np.zeros_like(view.image)) for view in scene.views]
+            want = encode_views(hand_zeroed, params, TINY_ENCODER).array
+        assert got.tobytes() == want.tobytes()
+        assert not np.array_equal(got, ev.embed_scene_views(scene, params, TINY_ENCODER))
 
 
 class TestGroundingMetrics:
@@ -96,7 +115,7 @@ class TestGroundingMetrics:
 
 class TestFilterUnique:
     def make(self, visible):
-        return ev.GroundingInstance("s", "t", 0, min(visible), frozenset(visible))
+        return ev.GroundingInstance("s", "t", min(visible), frozenset(visible))
 
     def test_multi_view_instances_dropped(self):
         instances = [self.make({0, 1}), self.make({2, 3, 4})]
@@ -138,7 +157,7 @@ class TestGroundingIntegration:
 
     def test_unknown_scene_rejected(self, trained):
         params, config = trained
-        ghost = ev.GroundingInstance("ghost", "text", 0, 0, frozenset({0}))
+        ghost = ev.GroundingInstance("ghost", "text", 0, frozenset({0}))
         with pytest.raises(ContractError):
             ev.viewpoint_grounding(params, config, [], [ghost])
 

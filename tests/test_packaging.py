@@ -102,6 +102,23 @@ def test_only_train_step_steps_the_optimizer():
     assert sorted(calls) == [("trainer", "train_step", name) for name in step_calls]
 
 
+def test_only_the_encoder_names_modality():
+    # One modality setting: EncoderConfig.modality, read by encode_views.
+    # Any other upm module that names a modality, as a variable, attribute,
+    # argument, keyword or import, would hold a second setting that could
+    # disagree with the encoder's, and evaluation would not encode as
+    # training did.
+    identifier = {ast.Name: "id", ast.Attribute: "attr", ast.arg: "arg", ast.keyword: "arg",
+                  ast.alias: "name"}
+    namers = set()
+    for path in sorted((SRC / "upm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, identifier.get(type(node), ""), None)
+            if name and "modalit" in name.lower():
+                namers.add(path.stem)
+    assert namers == {"encoder"}
+
+
 # Public entry points that wait for the ``upm`` command line (generate,
 # train, eval) to give them a caller.
 AWAITING_THE_CLI = {"split_dataset", "load_split_scenes", "load_checkpoint",

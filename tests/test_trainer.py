@@ -314,7 +314,6 @@ class TestTrainConfig:
         ("learning_rate", math.nan), ("learning_rate", math.inf),
         ("weight_decay", -0.01), ("weight_decay", math.inf), ("weight_decay", math.nan),
         ("weight_geo", math.nan), ("weight_geo", math.inf), ("weight_geo", -1.0),
-        ("modality", "depth-only"),
         ("chamfer_subsample", 0),
         ("grad_clip", math.nan), ("grad_clip", -1.0),
         ("initial_tau", math.nan), ("initial_tau", 5e-4), ("initial_tau", 101.0),
@@ -384,9 +383,7 @@ def oracle_batch_loss(batch, params, enc_cfg, temperature, cfg):
     scene pools on its own.
     """
     zero = Tensor(np.zeros(1))
-    views = encode_views(
-        [view for scene in batch for view in scene.views], params, enc_cfg, modality=cfg.modality
-    )
+    views = encode_views([view for scene in batch for view in scene.views], params, enc_cfg)
     counts = [len(scene.views) for scene in batch]
     spans = list(zip(np.cumsum([0] + counts[:-1]).tolist(), counts))
 
@@ -692,13 +689,14 @@ class TestTrainLoop:
         # produced by the embedding-bag text tower, one-GEMM stacked weight
         # gradients, losses built once per batch under block masks, a last
         # encoder block that runs on the class-token row only and QuickGELU.
-        # The checkpoint bytes also pin the container format.
+        # The checkpoint bytes also pin the container format and the config
+        # record, modality included.
         assert default_run.steps == 4
         h = hashlib.sha256()
         for path in (default_run.metrics_path, default_run.checkpoint_path,
                      default_run.best_checkpoint_path):
             h.update(path.read_bytes())
-        assert h.hexdigest() == "b73836a1ff6b16c190991e38d7d2730903bad84786a10cdd4d359d5a68edec8c"
+        assert h.hexdigest() == "b2117cb91be55b953fcff751656e0742997970dc340bb745f5ec10fff696a54a"
 
     def test_default_config_metrics_pinned(self, default_run):
         # The run's numbers alone, apart from any file format.
@@ -715,7 +713,7 @@ class TestTrainLoop:
             for name, tensor in [*params.named_parameters(), *sorted(extras.items())]:
                 array = tensor.array
                 h.update(repr((name, array.dtype.str, array.shape)).encode() + array.tobytes())
-        assert h.hexdigest() == "c8782e8077781dba57bfa3faac47072a37ecf3609112e9277c3f6c18f49826f8"
+        assert h.hexdigest() == "a64b6e7ac555bdab0125056021dec88bed514ffaeb1bfea60beea69c6dd85325"
 
     def test_default_run_updates_only_the_text_rows_it_read(self, tmp_path, monkeypatch):
         # AdamW's live rows of the text table are exactly the token ids of
