@@ -44,6 +44,7 @@ from .geometry import (
 logger = logging.getLogger(__name__)
 
 SCENE_FILE = "scene.upm"
+MAX_REGENERATIONS = 25
 FLOOR_COLOR = (0.52, 0.48, 0.42)
 
 COLOR_TABLE = {
@@ -106,7 +107,7 @@ SCENE_TYPES = tuple(SCENE_TYPE_CATALOGS)
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Everything that parameterizes procedural generation of one scene."""
+    """Everything that parameterizes generating a scene; visibility is ``DEFAULT_MIN_POINTS``, not a field."""
 
     scene_type: str = "bedroom"
     seed: int = 0
@@ -117,7 +118,6 @@ class SceneSpec:
     image_size: int = 32
     camera_radius: tuple[float, float] = (1.7, 2.5)
     camera_height: tuple[float, float] = (1.5, 2.4)
-    min_points: int = DEFAULT_MIN_POINTS
 
     def __post_init__(self):
         if not (math.isfinite(self.room_extent) and self.room_extent > 0):
@@ -131,8 +131,6 @@ class SceneSpec:
             if not (math.isfinite(low) and math.isfinite(high) and 0 < low <= high):
                 raise ConfigError(f"{name} must be a finite range with 0 < low <= high, "
                                   f"got {(low, high)}")
-        if self.min_points < 1:
-            raise ConfigError(f"min_points must be at least 1, got {self.min_points}")
         if self.object_count[0] < 0 or self.object_count[0] > self.object_count[1]:
             raise ConfigError("invalid object count range")
         if not self.catalog:
@@ -367,22 +365,22 @@ def _join(parts: list[str]) -> str:
     return ", ".join(parts[:-1]) + " and " + parts[-1]
 
 
-def generate_scene(spec: SceneSpec, seed: int, max_regenerations: int = 25) -> Scene:
+def generate_scene(spec: SceneSpec, seed: int) -> Scene:
     """Generate one scene; regenerate until every object is observable.
 
-    Each rejected layout is logged at DEBUG with the objects no view observes.
+    An object is observable when some view holds at least ``DEFAULT_MIN_POINTS``
+    valid points in its box.  Each rejected layout is logged at DEBUG with the
+    objects no view observes; ``GenerationError`` names the last of
+    ``MAX_REGENERATIONS`` layouts' objects.
     """
-    unobserved: list[str] = []
-    for attempt in range(max_regenerations):
+    for attempt in range(MAX_REGENERATIONS):
         scene, unobserved = _generate_once(spec, seed, attempt)
         if scene is not None:
             return scene
         logger.debug("seed %d attempt %d: layout rejected, no view observes %s",
                      seed, attempt, _join(unobserved))
-    last = f"; the last left unobserved: {_join(unobserved)}" if unobserved else ""
-    raise GenerationError(
-        f"no layout with all objects visible after {max_regenerations} attempts (seed {seed}){last}"
-    )
+    raise GenerationError(f"no layout with all objects visible after {MAX_REGENERATIONS} attempts "
+                          f"(seed {seed}); the last left unobserved: {_join(unobserved)}")
 
 
 def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> tuple[Scene | None, list[str]]:
@@ -421,14 +419,14 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> tuple[Scene | No
     areas = box_counts(points, validity, objects)
     unobserved = [
         _noun(entry.color_name, entry.category)
-        for (entry, _, _), best in zip(placed, areas.max(axis=0)) if best < spec.min_points
+        for (entry, _, _), best in zip(placed, areas.max(axis=0)) if best < DEFAULT_MIN_POINTS
     ]
     if unobserved:
         return None, unobserved
 
     view_captions = []
     for vi in range(spec.view_count):
-        visible = [placed[oi][0] for oi in np.argsort(-areas[vi]) if areas[vi][oi] >= spec.min_points]
+        visible = [placed[oi][0] for oi in np.argsort(-areas[vi]) if areas[vi][oi] >= DEFAULT_MIN_POINTS]
         view_captions.append(_view_caption(spec.scene_type, visible))
 
     return Scene(
@@ -656,6 +654,9 @@ def load_manifest(path) -> dict[str, list[str]]:
 
 
 def load_split_scenes(manifest_path, split: str) -> list[Scene]:
+    """The scenes of one split, in manifest order; an unknown split raises ``ContractError``."""
+    if split not in _SPLITS:
+        raise ContractError(f"unknown split {split!r}; expected one of {_SPLITS}")
     manifest_path = Path(manifest_path)
     splits = load_manifest(manifest_path)
     base = manifest_path.parent

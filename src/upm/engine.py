@@ -72,6 +72,8 @@ import numpy as np
 
 from .errors import ContractError, DegenerateInputError, ShapeError
 
+LAYER_NORM_EPS = 1e-5
+
 _grad_enabled = True
 
 
@@ -525,14 +527,12 @@ def log_softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Te
     return _make(out, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    if eps <= 0:
-        raise ContractError("layer_norm eps must be positive")
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (plus ``LAYER_NORM_EPS``), then affine."""
     xhat = x.array - x.array.mean(axis=-1, keepdims=True)
     # np.var's own steps on the centred array: the sum of squares over n.
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / x.array.shape[-1]
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv_std
     out = gamma.array * xhat
     out += beta.array

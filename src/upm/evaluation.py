@@ -3,9 +3,10 @@ classification (zero-shot and linear probe), and report emission.
 
 All rankings use cosine similarity between unit-normalized embeddings;
 ties break toward the lower index.  Grounding and retrieval share one
-Recall@N, and retrieval, zero-shot classification and the probe share
-one scene embedding, ``embed_scenes``.  Embedding extraction runs outside
-the autodiff graph.
+Recall@N at fixed N: R@1, R@5 and R@10 for grounding, R@1 and R@5 for
+retrieval, R@1 for the views curve.  Retrieval, zero-shot classification
+(one prompt, ``DEFAULT_PROMPT``) and the probe share one scene embedding,
+``embed_scenes``.  Embedding extraction runs outside the autodiff graph.
 
 A protocol call encodes only the scenes it reads (the probe encodes only
 the training scenes it samples) and each of them once, in one
@@ -29,11 +30,12 @@ from .data import Scene, read_utf8
 from .encoder import EncoderConfig, EncoderParams, encode_texts, encode_views, pool_scene
 from .errors import ContractError, DegenerateInputError, FormatError, NumericError, ShapeError
 from .geometry import DEFAULT_MIN_POINTS, DEFAULT_VOXEL_SIZE, box_counts, max_coverage_sample
-from .probe import ProbeConfig, ProbeOutcome, linear_probe
+from .probe import ProbeConfig, ProbeOutcome, accuracy, linear_probe
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_RECALL_NS = (1, 5, 10)
+GROUNDING_RECALL_NS = (1, 5, 10)
+RETRIEVAL_RECALL_NS = (1, 5)
 DEFAULT_PROMPT = "This room is a {}."
 
 
@@ -53,10 +55,12 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def rank_descending(scores: np.ndarray) -> list[int]:
-    """Indices sorted by descending score, ties toward the lower index.
+    """Indices of a 1-D score array sorted by descending score, ties toward the lower index.
 
-    A NaN score raises ``NumericError``.
+    Another rank raises ``ShapeError`` and a NaN score ``NumericError``.
     """
+    if np.ndim(scores) != 1:
+        raise ShapeError(f"ranking scores of shape {np.shape(scores)}, not one row")
     if np.isnan(scores).any():
         raise NumericError("ranking a NaN score")
     return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
@@ -140,19 +144,18 @@ class RetrievalResult:
     count: int
 
 
-def build_grounding_instances(
-    scenes: Sequence[Scene], min_points: int = DEFAULT_MIN_POINTS
-) -> list[GroundingInstance]:
+def build_grounding_instances(scenes: Sequence[Scene]) -> list[GroundingInstance]:
     """One instance per annotated object with a nonempty visible set.
 
     The ground-truth view maximizes visible area (ties to the lower view
-    index); the visible set collects all views at or above min_points.
+    index); the visible set collects all views at or above
+    ``DEFAULT_MIN_POINTS``.
     """
     instances = []
     for scene in scenes:
         scene_areas = box_counts(*scene.pointmaps(), scene.objects)
         for obj, areas in zip(scene.objects, scene_areas.T):
-            visible = frozenset(int(v) for v in np.nonzero(areas >= min_points)[0])
+            visible = frozenset(int(v) for v in np.nonzero(areas >= DEFAULT_MIN_POINTS)[0])
             if not visible:
                 logger.warning(
                     "object %d in scene %s observed nowhere, skipping",
@@ -174,22 +177,25 @@ def grounding_metrics(
     similarities: Sequence[np.ndarray],
     gt_views: Sequence[int],
     visible_sets: Sequence[frozenset[int]],
-    recall_ns: Sequence[int] = DEFAULT_RECALL_NS,
 ) -> RetrievalResult:
-    """Recall@N and visible-set accuracy from per-instance view scores.
+    """Recall@N for each N of ``GROUNDING_RECALL_NS``, and visible-set accuracy.
 
     The three sequences hold one entry per instance; lengths that differ
-    raise ``ShapeError``.
+    raise ``ShapeError``, and a ground-truth view outside its score row
+    raises ``ContractError``.
     """
     if not len(similarities) == len(gt_views) == len(visible_sets):
         raise ShapeError(f"{len(similarities)} score rows, {len(gt_views)} ground-truth views "
                          f"and {len(visible_sets)} visible sets")
+    if any(not 0 <= gt < len(scores) for scores, gt in zip(similarities, gt_views)):
+        raise ContractError("a ground-truth view lies outside its row of view scores")
     if len(similarities) == 0:
-        return RetrievalResult(recall_at={n: 0.0 for n in recall_ns}, visible_set_accuracy=0.0, count=0)
+        return RetrievalResult(recall_at={n: 0.0 for n in GROUNDING_RECALL_NS},
+                               visible_set_accuracy=0.0, count=0)
     orders = [rank_descending(np.asarray(scores)) for scores in similarities]
     visible_hits = sum(order[0] in visible for order, visible in zip(orders, visible_sets))
     return RetrievalResult(
-        recall_at=_recall_at(orders, gt_views, recall_ns),
+        recall_at=_recall_at(orders, gt_views, GROUNDING_RECALL_NS),
         visible_set_accuracy=visible_hits / len(orders),
         count=len(orders),
     )
@@ -200,7 +206,6 @@ def viewpoint_grounding(
     config: EncoderConfig,
     scenes: Sequence[Scene],
     instances: Sequence[GroundingInstance],
-    recall_ns: Sequence[int] = DEFAULT_RECALL_NS,
 ) -> RetrievalResult:
     """Rank each scene's views against the referring text embedding."""
     by_id = {scene.scene_id: scene for scene in scenes}
@@ -216,7 +221,7 @@ def viewpoint_grounding(
         sims.append(cosine_similarity(view_cache[inst.scene_id], text)[:, 0])
         gts.append(inst.gt_view)
         visibles.append(inst.visible_set)
-    return grounding_metrics(sims, gts, visibles, recall_ns)
+    return grounding_metrics(sims, gts, visibles)
 
 
 def filter_unique(instances: Sequence[GroundingInstance]) -> list[GroundingInstance]:
@@ -269,14 +274,15 @@ def scene_retrieval(
     config: EncoderConfig,
     scenes: Sequence[Scene],
     n_utterances: int,
-    recall_ns: Sequence[int] = (1, 5),
 ) -> RetrievalResult:
-    """Rank scenes against captions built from their referring texts."""
+    """Rank scenes against captions built from their referring texts, at ``RETRIEVAL_RECALL_NS``."""
     captions, gt_scene = _retrieval_captions(scenes, n_utterances)
     if not captions:
-        return RetrievalResult(recall_at={n: 0.0 for n in recall_ns}, visible_set_accuracy=None, count=0)
+        return RetrievalResult(recall_at={n: 0.0 for n in RETRIEVAL_RECALL_NS},
+                               visible_set_accuracy=None, count=0)
     scene_matrix = embed_scenes(scenes, params, config)
-    recall = _caption_recall(embed_texts(captions, params, config), gt_scene, scene_matrix, recall_ns)
+    recall = _caption_recall(embed_texts(captions, params, config), gt_scene, scene_matrix,
+                             RETRIEVAL_RECALL_NS)
     return RetrievalResult(recall_at=recall, visible_set_accuracy=None, count=len(captions))
 
 
@@ -334,15 +340,10 @@ def class_labels(scenes: Sequence[Scene], class_names: Sequence[str]) -> np.ndar
 
 
 def classify_from_similarities(similarities: np.ndarray, labels: np.ndarray) -> float:
-    """The fraction of (S, C) similarity rows whose argmax is the row's label."""
-    labels = np.asarray(labels)
-    if labels.shape != similarities.shape[:1]:
-        raise ShapeError(f"labels {labels.shape} do not match {len(similarities)} similarity rows")
-    if len(similarities) == 0:
-        raise DegenerateInputError("zero-shot accuracy over zero scenes")
+    """The fraction of (S, C) similarity rows whose argmax is the row's label, by ``probe.accuracy``."""
     if np.isnan(similarities).any():
         raise NumericError("zero-shot accuracy over a NaN similarity")
-    return float(np.mean(similarities.argmax(axis=1) == labels))
+    return accuracy(similarities.argmax(axis=1), labels)
 
 
 def zero_shot_classify(
@@ -350,28 +351,17 @@ def zero_shot_classify(
     config: EncoderConfig,
     scenes: Sequence[Scene],
     class_names: Sequence[str],
-    template: str | Sequence[str] = DEFAULT_PROMPT,
 ) -> float:
-    """Accuracy of matching scene embeddings to prompted class texts.
+    """Accuracy of matching scene embeddings to one prompt per class.
 
-    With several templates the class text embeddings are averaged and
-    re-normalized before matching.  A scene type not among the class
-    names raises ``ContractError`` before any prompt is embedded.
+    Each class's prompt is ``DEFAULT_PROMPT`` with the class name filled
+    in.  A scene type not among the class names raises ``ContractError``
+    before any prompt is embedded.
     """
     if len(class_names) < 2:
         raise ContractError("zero-shot classification needs at least two classes")
     labels = class_labels(scenes, class_names)
-    templates = [template] if isinstance(template, str) else list(template)
-    class_rows = []
-    for name in class_names:
-        prompts = [t.format(name) for t in templates]
-        rows = embed_texts(prompts, params, config)
-        mean = rows.mean(axis=0)
-        norm = np.linalg.norm(mean)
-        if norm == 0:
-            raise DegenerateInputError(f"class {name!r}: mean prompt embedding has zero norm")
-        class_rows.append(mean / norm)
-    class_matrix = np.stack(class_rows)
+    class_matrix = embed_texts([DEFAULT_PROMPT.format(name) for name in class_names], params, config)
     similarities = cosine_similarity(embed_scenes(scenes, params, config), class_matrix)
     return classify_from_similarities(similarities, labels)
 
@@ -449,11 +439,12 @@ def emit_report(report: EvalReport, out_dir) -> dict[str, Path]:
     texts: dict[str, str] = {}  # file name -> contents
     summary: list[tuple[str, object]] = []
 
-    lines = ["protocol\tcount\tr_at_1\tr_at_5\tr_at_10\tvisible_set_accuracy"]
+    lines = ["\t".join(["protocol", "count", *(f"r_at_{n}" for n in GROUNDING_RECALL_NS),
+                         "visible_set_accuracy"])]
     for name, result in (("standard", report.grounding), ("unique", report.grounding_unique)):
         if result is None:
             continue
-        lines.append(f"{name}\t{result.count}\t{_recall_cells(result, (1, 5, 10))}"
+        lines.append(f"{name}\t{result.count}\t{_recall_cells(result, GROUNDING_RECALL_NS)}"
                      f"\t{_fmt(result.visible_set_accuracy)}")
         summary.append((f"grounding.{name}.count", result.count))
         for n, value in sorted(result.recall_at.items()):
@@ -461,9 +452,9 @@ def emit_report(report: EvalReport, out_dir) -> dict[str, Path]:
         summary.append((f"grounding.{name}.visible_set_accuracy", result.visible_set_accuracy))
     texts["grounding.tsv"] = "\n".join(lines) + "\n"
 
-    lines = ["n_utterances\tcount\tr_at_1\tr_at_5"]
+    lines = ["\t".join(["n_utterances", "count", *(f"r_at_{n}" for n in RETRIEVAL_RECALL_NS)])]
     for n, result in sorted(report.retrieval.items()):
-        lines.append(f"{n}\t{result.count}\t{_recall_cells(result, (1, 5))}")
+        lines.append(f"{n}\t{result.count}\t{_recall_cells(result, RETRIEVAL_RECALL_NS)}")
         for k, value in sorted(result.recall_at.items()):
             summary.append((f"retrieval.n{n}.r_at_{k}", value))
     texts["retrieval.tsv"] = "\n".join(lines) + "\n"

@@ -114,8 +114,8 @@ def back_project(
     Zero depth marks invalid pixels, whose points are +0.0.  Each view is
     bitwise equal to lifting it alone: the per-pixel float ops are the
     same, and the rotation is one stacked product, a BLAS call per image
-    row as in the one-view form.  A valid point that overflows to a
-    non-finite coordinate raises ``NumericError``.
+    row as in the one-view form.  A NaN depth, or a valid point that
+    overflows to a non-finite coordinate, raises ``NumericError``.
     """
     depths = np.asarray(depths, dtype=np.float64)
     if depths.ndim != 3:
@@ -123,7 +123,9 @@ def back_project(
     if not len(intrinsics) == len(poses) == len(depths):
         raise ShapeError(f"{len(depths)} depth maps, {len(intrinsics)} intrinsics, "
                          f"{len(poses)} poses")
-    if np.any(depths < 0):
+    if not (depths >= 0).all():  # false for a negative depth and for NaN
+        if np.isnan(depths).any():
+            raise NumericError("back-projecting a NaN depth")
         raise ContractError("depth values must be nonnegative")
     # Each intrinsic as a (V, 1, 1) column.
     columns = np.array([(i.fx, i.fy, i.cx, i.cy) for i in intrinsics]).reshape(-1, 4)
@@ -272,10 +274,14 @@ def box_counts(points: np.ndarray, validity: np.ndarray,
 
     Takes points (V, H, W, 3) and validity (V, H, W), and counts on the
     (V, H·W) pixel grid; invalid pixels are never counted, whatever their
-    coordinates.  Box bounds are inclusive.
+    coordinates.  Box bounds are inclusive.  A NaN coordinate at a valid
+    pixel, which no box comparison would count, raises ``NumericError``.
     """
     points = points.reshape(len(points), -1, 3)
     validity = validity.reshape(len(validity), -1)
+    nan = np.isnan(points)
+    if nan.any() and nan.any(axis=-1)[validity].any():
+        raise NumericError("counting box points over a NaN valid point")
     lo = np.array([obj.aabb_min for obj in objects]).reshape(-1, 1, 1, 3)
     hi = np.array([obj.aabb_max for obj in objects]).reshape(-1, 1, 1, 3)
     inside = np.repeat(validity[None], len(objects), axis=0)
@@ -287,15 +293,10 @@ def box_counts(points: np.ndarray, validity: np.ndarray,
 
 
 def visibility_pairs(
-    points: np.ndarray,
-    validity: np.ndarray,
-    objects: Sequence[ObjectAnnotation],
-    min_points: int = DEFAULT_MIN_POINTS,
+    points: np.ndarray, validity: np.ndarray, objects: Sequence[ObjectAnnotation]
 ) -> set[tuple[int, int]]:
-    """All (view index, object index) pairs where the view observes the object."""
-    if min_points < 1:
-        raise ContractError("min_points must be at least 1")
-    views, objs = np.nonzero(box_counts(points, validity, objects) >= min_points)
+    """(view, object) index pairs where ``DEFAULT_MIN_POINTS`` or more valid view points lie in the box."""
+    views, objs = np.nonzero(box_counts(points, validity, objects) >= DEFAULT_MIN_POINTS)
     return {(int(v), int(o)) for v, o in zip(views, objs)}
 
 
@@ -308,7 +309,8 @@ def max_coverage_sample(
     packed relative to the minimum voxel over all views; each greedy round
     scores all views against the voxels not yet covered.  Ties break
     toward the lower view index; once no view adds coverage, the remaining
-    budget is filled by ascending index.
+    budget is filled by ascending index.  A non-finite valid point raises
+    ``NumericError``, and voxel keys that overflow raise ``RangeError``.
     """
     n_views = len(points)
     if not (1 <= budget <= n_views):
@@ -322,6 +324,8 @@ def max_coverage_sample(
     if cells.size:
         lo, hi = cells.min(axis=1), cells.max(axis=1)
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            if not np.isfinite(points[validity]).all():
+                raise NumericError("max coverage over a non-finite valid point")
             raise RangeError(f"voxel coordinates overflow at voxel size {voxel_size}")
         sizes = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
         if math.prod(sizes) > np.iinfo(np.int64).max:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import engine as E
 from .engine import Tensor
-from .errors import ContractError, DegenerateInputError, ShapeError
+from .errors import ContractError, DegenerateInputError, NumericError, ShapeError
 from .geometry import DEFAULT_CHAMFER_SEED, DEFAULT_CHAMFER_SUBSAMPLE, pairwise_chamfer
 
 DEFAULT_GEO_WEIGHT = 0.1  # Eq. 8 weight on the geometric term
@@ -142,7 +142,7 @@ def geo_loss_from_targets(
     ``targets`` holds each scene's (V, V-1) targets, in the order the (N, d)
     embeddings hold the scenes' views.  One row-wise log-softmax, masked to
     each scene's off-diagonal block, meets those targets placed in the same
-    blocks of an (N, N) matrix.
+    blocks of an (N, N) matrix.  A non-finite target raises ``NumericError``.
     """
     counts = [len(t) for t in targets]
     if not counts or min(counts) < 2:
@@ -153,6 +153,8 @@ def geo_loss_from_targets(
     np.fill_diagonal(mask, False)
     target_matrix = np.zeros(mask.shape)
     target_matrix[mask] = np.concatenate([np.ravel(t) for t in targets])  # row-major, as each block
+    if not np.isfinite(target_matrix).all():
+        raise NumericError("geometric loss over a non-finite target")
     # ShapeError from the mask check unless the counts cover the embeddings.
     return _masked_xent(view_embeddings, view_embeddings, target_matrix, temperature, mask,
                         both_axes=False, factor=-1.0)

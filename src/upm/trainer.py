@@ -36,11 +36,12 @@ from .encoder import (EncoderConfig, EncoderParams, encode_texts, encode_views, 
                       pool_scene, save_checkpoint)
 from .engine import Tensor
 from .errors import ConfigError, ContractError, DegenerateInputError, NumericError
-from .geometry import DEFAULT_MIN_POINTS, DEFAULT_VOXEL_SIZE, max_coverage_sample, visibility_pairs
+from .geometry import DEFAULT_VOXEL_SIZE, max_coverage_sample, visibility_pairs
 
 logger = logging.getLogger(__name__)
 
 TEMPERATURE_KEY = "temperature.log_tau"
+ADAM_EPS = 1e-8
 METRICS_HEADER = "step\tlr\tl_geo\tl_ground\tl_view\tl_scene\ttotal\ttau"
 TELEMETRY_HEADER = "step\tgrad_norm\tlr\ttau"
 
@@ -103,8 +104,6 @@ def paper_train_config() -> TrainConfig:
         scenes_per_batch=64,
         views_per_scene=32,
         learning_rate=1e-4,
-        beta1=0.9,
-        beta2=0.98,
     )
 
 
@@ -159,14 +158,13 @@ def adamw_step(
     beta1: float = 0.9,
     beta2: float = 0.98,
     weight_decay: float = 0.0,
-    eps: float = 1e-8,
-    no_decay: frozenset[str] = frozenset({TEMPERATURE_KEY}),
 ) -> None:
     """Decoupled-weight-decay Adam with bias correction, in place.
 
     Per parameter: m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g*g,
-    then p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay*p).  A
-    missing gradient counts as zero.
+    then p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay*p), with
+    eps = ``ADAM_EPS``; the temperature (``TEMPERATURE_KEY``) takes no
+    weight decay.  A missing gradient counts as zero.
 
     A dense gradient updates the whole parameter in place.  A ``RowGrad``
     first adds its new rows to the parameter's live rows, with zero
@@ -181,17 +179,17 @@ def adamw_step(
     bytes, and a text table whose batches read a few of its rows keeps
     moments for those rows only.
 
-    Raises ``ContractError`` unless 0 <= beta1, beta2 < 1, eps > 0, lr
-    is finite with its sign bit clear and weight_decay is finite: outside
-    those ranges the dense update is not +0.0 on a zero row, divides by
-    zero, or turns a parameter into inf or NaN.  A parameter whose
-    gradient changes form between steps raises it too.
+    Raises ``ContractError`` unless 0 <= beta1, beta2 < 1, lr is finite
+    with its sign bit clear and weight_decay is finite: outside those
+    ranges the dense update is not +0.0 on a zero row, divides by zero, or
+    turns a parameter into inf or NaN.  A parameter whose gradient
+    changes form between steps raises it too.
     """
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0 and eps > 0.0
+    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0
             and math.isfinite(lr) and math.copysign(1.0, lr) > 0.0 and math.isfinite(weight_decay)):
-        raise ContractError(f"AdamW needs 0 <= beta1, beta2 < 1, eps > 0, a finite lr >= +0.0 and a "
-                            f"finite weight_decay, got beta1={beta1!r}, beta2={beta2!r}, eps={eps!r}, "
-                            f"lr={lr!r}, weight_decay={weight_decay!r}")
+        raise ContractError(f"AdamW needs 0 <= beta1, beta2 < 1, a finite lr >= +0.0 and a finite "
+                            f"weight_decay, got beta1={beta1!r}, beta2={beta2!r}, lr={lr!r}, "
+                            f"weight_decay={weight_decay!r}")
     state.step += 1
     t = state.step
     m_correction = 1.0 - beta1**t
@@ -212,7 +210,7 @@ def adamw_step(
         np.divide(m, m_correction, out=update)
         np.divide(v, v_correction, out=work)
         np.sqrt(work, out=work)
-        work += eps
+        work += ADAM_EPS
         update /= work
         if decay:
             np.multiply(decay, p, out=work)
@@ -238,7 +236,7 @@ def adamw_step(
 
     for name, tensor in named_params:
         p, grad = tensor.array, tensor.grad
-        decay = weight_decay if weight_decay and name not in no_decay else 0.0
+        decay = weight_decay if weight_decay and name != TEMPERATURE_KEY else 0.0
         sparse = isinstance(grad, E.RowGrad)
         live = state.live_rows.get(name)
         if live is None and not sparse:
@@ -335,7 +333,7 @@ def prepare_scene(scene: Scene, cfg: TrainConfig) -> PreparedScene:
         targets = obj.geo_targets(
             points, validity, cfg.geo, subsample=cfg.chamfer_subsample, seed=cfg.seed
         )
-    pairs = sorted(visibility_pairs(points, validity, scene.objects, min_points=DEFAULT_MIN_POINTS))
+    pairs = sorted(visibility_pairs(points, validity, scene.objects))
     return PreparedScene(
         scene_id=scene.scene_id,
         views=views,

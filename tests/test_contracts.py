@@ -4,6 +4,8 @@ One table: each row is a public callable, degenerate arguments, and the
 ``UpmError`` subclass the call must raise instead of returning an answer.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,9 @@ VALID = np.ones((2, 8, 8), dtype=bool)
 # A two-class probe problem of four rows, for fit_logistic_grid(features, labels, 2, regs).
 FEATURES = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, -1.0]])
 LABELS = np.array([0, 1, 1, 0])
+CAMERAS = ([geometry.CameraIntrinsics(4.0, 4.0, 3.5, 3.5)] * 2,
+           [geometry.CameraPose(np.eye(3), np.zeros(3))] * 2)
+BOX = geometry.ObjectAnnotation(0, [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], "the box", "box")
 
 
 def with_value(array, index, value):
@@ -41,9 +46,18 @@ ROWS = [
                  NumericError, id="pairwise_chamfer-nan-valid-point"),
     pytest.param(geometry.pairwise_chamfer, (with_value(VIEWS, (0, 0, 0, 2), np.inf), VALID),
                  NumericError, id="pairwise_chamfer-inf-valid-point"),
+    pytest.param(geometry.back_project, (with_value(np.ones((2, 8, 8)), (1, 3, 4), np.nan), *CAMERAS),
+                 NumericError, id="back_project-nan-depth"),
+    pytest.param(geometry.box_counts, (with_value(VIEWS, (1, 2, 3, 0), np.nan), VALID, [BOX]),
+                 NumericError, id="box_counts-nan-valid-point"),
+    pytest.param(geometry.max_coverage_sample, (with_value(VIEWS, (0, 5, 1, 1), np.nan), VALID, 1, 0.25),
+                 NumericError, id="max_coverage_sample-nan-valid-point"),
     pytest.param(objectives.geo_targets, (np.full((2, 8, 8, 3), np.nan), VALID,
                                           objectives.GeoAlignConfig()),
                  NumericError, id="geo_targets-all-nan-points"),
+    pytest.param(objectives.geo_loss_from_targets,
+                 (Tensor(np.eye(2)), [np.array([[np.nan], [1.0]])], objectives.Temperature()),
+                 NumericError, id="geo_loss_from_targets-nan-target"),
     pytest.param(embed_views, (with_value(VIEWS, (0, 1, 1, 1), np.nan), VIEWS, PARAMS, CONFIG),
                  NumericError, id="embed_views-nan-image"),
     pytest.param(embed_views, (VIEWS, with_value(VIEWS, (1, 7, 7, 2), -np.inf), PARAMS, CONFIG),
@@ -79,6 +93,8 @@ ROWS = [
                  ShapeError, id="cosine_similarity-1d-input"),
     pytest.param(evaluation.rank_descending, (np.array([np.nan, 1.0, 2.0]),),
                  NumericError, id="rank_descending-nan-score"),
+    pytest.param(evaluation.rank_descending, (np.ones((2, 3)),),
+                 ShapeError, id="rank_descending-2d-scores"),
     pytest.param(evaluation.classify_from_similarities,
                  (np.array([[0.1, 0.9], [np.nan, np.nan]]), np.array([1, 0])),
                  NumericError, id="classify_from_similarities-nan-row"),
@@ -88,6 +104,8 @@ ROWS = [
     pytest.param(evaluation.grounding_metrics,
                  ([np.array([0.3, 0.1])], [0, 1], [frozenset({0}), frozenset({1})]),
                  ShapeError, id="grounding_metrics-length-mismatch"),
+    pytest.param(evaluation.grounding_metrics, ([np.array([0.3, 0.1])], [5], [frozenset({0})]),
+                 ContractError, id="grounding_metrics-gt-view-outside-row"),
     pytest.param(evaluation.embed_scenes, ([], PARAMS, CONFIG),
                  DegenerateInputError, id="embed_scenes-no-scenes"),
     pytest.param(trainer.evaluate_loss,
@@ -105,6 +123,9 @@ ROWS = [
                  ContractError, id="clip_gradients-negative-max-norm"),
     pytest.param(data.split_dataset, (["a", "a", "b"], 0),
                  ContractError, id="split_dataset-duplicate-ids"),
+    # The null device reads as an empty manifest.
+    pytest.param(data.load_split_scenes, (os.devnull, "bogus"),
+                 ContractError, id="load_split_scenes-unknown-split"),
 ]
 
 

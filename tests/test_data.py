@@ -184,7 +184,6 @@ class TestSceneSpec:
         dict(camera_height=(1.5, float("nan"))),
         dict(camera_height=(-1.0, 2.4)),
         dict(camera_height=(0.0, 2.4)),
-        dict(min_points=0),
     ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
     def test_rejects_degenerate_geometry(self, overrides):
         with pytest.raises(ConfigError):
@@ -240,7 +239,7 @@ class TestGenerateScene:
         for vi, caption in enumerate(scene.view_captions):
             for oi, obj in enumerate(scene.objects):
                 noun = obj.referring_text.split(" near ")[0].removeprefix("the ")
-                if areas[vi, oi] >= spec.min_points:
+                if areas[vi, oi] >= D.DEFAULT_MIN_POINTS:
                     assert noun in caption
                 else:
                     assert noun not in caption
@@ -261,10 +260,6 @@ class TestGenerateScene:
         with pytest.raises(GenerationError, match="seed"):
             D.generate_scene(spec, seed=0)
 
-    def test_exhausted_regeneration_raises(self):
-        with pytest.raises(GenerationError):
-            D.generate_scene(small_spec(), seed=0, max_regenerations=0)
-
     def test_rejected_layouts_logged_with_unobserved_objects(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="upm.data"):
             scene = D.generate_scene(D.SceneSpec(scene_type="bedroom"), seed=0)
@@ -277,12 +272,14 @@ class TestGenerateScene:
         assert [o.category for o in scene.objects] == ["bed", "lamp"]
 
     def test_generation_error_names_last_unobserved_objects(self, caplog):
-        spec = small_spec(view_count=2, image_size=8, object_count=(1, 1), min_points=65)
+        # 3x3 views hold 9 pixels, fewer than DEFAULT_MIN_POINTS: no layout is accepted.
+        spec = small_spec(view_count=2, image_size=3, object_count=(1, 1))
         with caplog.at_level(logging.DEBUG, logger="upm.data"):
             with pytest.raises(GenerationError) as info:
-                D.generate_scene(spec, seed=0, max_regenerations=3)
+                D.generate_scene(spec, seed=0)
         messages = [r.getMessage() for r in caplog.records]
-        assert [m.split(":")[0] for m in messages] == [f"seed 0 attempt {a}" for a in range(3)]
+        assert [m.split(":")[0] for m in messages] == [
+            f"seed 0 attempt {a}" for a in range(D.MAX_REGENERATIONS)]
         last_object = messages[-1].rsplit("no view observes ", 1)[1]
         assert str(info.value).endswith(f"the last left unobserved: {last_object}")
 
@@ -517,8 +514,9 @@ class TestSceneIO:
             D.load_scene(tmp_path / "scene")
 
     def test_every_meta_truncation_fails_and_byte_flip_fails_typed_or_loads(self, tmp_path):
-        # 8-pixel views keep the payload, and so the count of truncations, small.
-        spec = small_spec(view_count=2, object_count=(2, 2), image_size=8, min_points=4)
+        # 12-pixel views keep the payload, and so the count of truncations, small,
+        # while both objects can still show DEFAULT_MIN_POINTS points.
+        spec = small_spec(view_count=2, object_count=(2, 2), image_size=12)
         scene = D.generate_scene(spec, seed=13)
         D.save_scene(scene, tmp_path / "scene")
         path = tmp_path / "scene" / "scene.upm"

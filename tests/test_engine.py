@@ -98,13 +98,14 @@ class TestLayerNorm:
         x = E.Tensor(np.full((3, 4), 2.5))
         gamma = E.Tensor(np.ones(4))
         beta = E.Tensor(np.zeros(4))
-        out = E.layer_norm(x, gamma, beta, eps=1e-5)
+        out = E.layer_norm(x, gamma, beta)
         np.testing.assert_allclose(out.array, 0.0, atol=1e-9)
 
     def test_hand_case(self):
         x = E.Tensor([[1.0, 3.0]])
-        out = E.layer_norm(x, E.Tensor(np.ones(2)), E.Tensor(np.zeros(2)), eps=1e-12)
-        np.testing.assert_allclose(out.array, [[-1.0, 1.0]], atol=1e-6)
+        out = E.layer_norm(x, E.Tensor(np.ones(2)), E.Tensor(np.zeros(2)))
+        # Mean 2 and variance 1, so each entry is ±1/sqrt(1 + LAYER_NORM_EPS).
+        np.testing.assert_allclose(out.array, [[-1.0, 1.0]] / np.sqrt(1.0 + 1e-5), rtol=1e-15)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -125,11 +126,6 @@ class TestLayerNorm:
         assert finite_diff_check(f_x, x) <= 1e-6
         assert finite_diff_check(f_gamma, gamma) <= 1e-6
         assert finite_diff_check(f_beta, beta) <= 1e-6
-
-    def test_rejects_nonpositive_eps(self):
-        x = E.Tensor(np.ones((1, 2)))
-        with pytest.raises(ContractError):
-            E.layer_norm(x, E.Tensor(np.ones(2)), E.Tensor(np.zeros(2)), eps=0.0)
 
 
 class TestBackward:

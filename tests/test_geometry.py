@@ -473,31 +473,26 @@ class TestProximityRanks:
 
 
 class TestVisibility:
+    # A view observes the box with at least DEFAULT_MIN_POINTS (16) valid points inside it.
     def box(self):
         return G.ObjectAnnotation(0, [-1, -1, -1], [1, 1, 1], "the box", "box")
 
-    def pairs(self, clouds, min_points):
-        return G.visibility_pairs(*stack(clouds), [self.box()], min_points=min_points)
+    def pairs(self, clouds):
+        return G.visibility_pairs(*stack(clouds), [self.box()])
 
     def test_fully_inside(self):
-        assert self.pairs([np.zeros((5, 3))], min_points=1) == {(0, 0)}
+        assert self.pairs([np.zeros((16, 3))]) == {(0, 0)}
 
     def test_fully_outside(self):
-        assert self.pairs([np.full((5, 3), 10.0)], min_points=1) == set()
+        assert self.pairs([np.full((16, 3), 10.0)]) == set()
 
     def test_threshold_boundary(self):
-        inside = np.zeros((4, 3))
         outside = np.full((6, 3), 9.0)
-        cloud = np.vstack([inside, outside])
-        assert self.pairs([cloud], min_points=5) == set()
-        assert self.pairs([cloud], min_points=4) == {(0, 0)}
+        assert self.pairs([np.vstack([np.zeros((15, 3)), outside])]) == set()
+        assert self.pairs([np.vstack([np.zeros((16, 3)), outside])]) == {(0, 0)}
 
     def test_inclusive_bounds(self):
-        assert self.pairs([[[1.0, 1.0, 1.0]]], min_points=1) == {(0, 0)}
-
-    def test_min_points_validation(self):
-        with pytest.raises(ContractError):
-            G.visibility_pairs(*stack([]), [], min_points=0)
+        assert self.pairs([np.ones((16, 3))]) == {(0, 0)}
 
 
 class TestVisibleArea:

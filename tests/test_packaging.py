@@ -143,3 +143,32 @@ def test_every_top_level_definition_has_a_caller():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert defined - read == AWAITING_THE_CLI
+
+
+
+def test_every_optional_parameter_is_passed():
+    # One value in use is a constant, not a parameter.  Each defaulted
+    # parameter of a public top-level upm function must be passed, by
+    # keyword or by position, by some call in upm or perfbench; tests do
+    # not count.  Calls match by the called name, as a name or an
+    # attribute; a call that unpacks ``*args`` or ``**kwargs`` passes
+    # every positional or keyword parameter of that name.
+    paths = sorted((SRC / "upm").glob("*.py")) + sorted((SRC.parent / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    optional = set()  # (function, position or None for keyword-only, parameter)
+    for node in (n for path, tree in trees.items() if path.parent.name == "upm" for n in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name[0] != "_":
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            optional |= {(node.name, i, arg.arg) for i, arg in enumerate(positional) if i >= first}
+            optional |= {(node.name, None, arg.arg) for arg, default
+                         in zip(node.args.kwonlyargs, node.args.kw_defaults) if default is not None}
+    passed = set()
+    for call in (n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        name = getattr(call.func, "attr", getattr(call.func, "id", None))
+        starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+        keywords = {k.arg for k in call.keywords}  # None for **kwargs
+        passed |= {(function, position, parameter) for function, position, parameter in optional
+                   if function == name and (parameter in keywords or None in keywords or (
+                       position is not None and (starred or position < len(call.args))))}
+    assert sorted(f"{f}({p})" for f, _, p in optional - passed) == []

@@ -94,9 +94,9 @@ class TestAdamw:
         assert t.array[0] == 2.5
 
     def test_single_step_matches_scalar_oracle(self):
-        # With g=1 the bias-corrected ratio is 1/(1+eps) at step one.
+        # With g=1 the bias-corrected ratio is 1/(1+ADAM_EPS) at step one.
         t = self.one_param(0.0, grad=1.0)
-        adamw_step([("w", t)], OptimizerState(), lr=0.01, weight_decay=0.0, eps=1e-8)
+        adamw_step([("w", t)], OptimizerState(), lr=0.01, weight_decay=0.0)
         expected = -0.01 * (1.0 / (1.0 + 1e-8))
         assert t.array[0] == pytest.approx(expected, rel=1e-12)
 
@@ -239,7 +239,6 @@ class TestAdamw:
 
     @pytest.mark.parametrize("name,value", [
         ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", math.nan),
-        ("eps", 0.0), ("eps", -1e-8), ("eps", math.nan),
         ("lr", -1e-3), ("lr", -0.0), ("lr", math.nan), ("lr", math.inf),
         ("weight_decay", math.inf), ("weight_decay", math.nan),
     ])
