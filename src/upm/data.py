@@ -3,6 +3,9 @@
 Each scene is a set of posed RGB + depth views of axis-aligned colored
 boxes standing on a square floor, plus object annotations (world AABB,
 referring text, category) and template-generated view/scene captions.
+The boxes come from the scene type's catalog (``SCENE_TYPE_CATALOGS``),
+the floor's side is ``ROOM_EXTENT``, and ring cameras at distances in
+``CAMERA_RADIUS`` and heights in ``CAMERA_HEIGHT`` look near its centre.
 Generation is a pure function of (spec, seed); every object is guaranteed
 to be visible from at least one view, by regeneration if needed.  All
 views of a layout are ray-cast in one batched pass, and each view is
@@ -23,7 +26,6 @@ save that stops part-way leaves the previous scene in place.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -46,6 +48,11 @@ logger = logging.getLogger(__name__)
 SCENE_FILE = "scene.upm"
 MAX_REGENERATIONS = 25
 FLOOR_COLOR = (0.52, 0.48, 0.42)
+# The square floor's side, and the ranges each ring camera's horizontal
+# distance from the room's centre and its height are drawn from, in metres.
+ROOM_EXTENT = 6.0
+CAMERA_RADIUS = (1.7, 2.5)
+CAMERA_HEIGHT = (1.5, 2.4)
 
 COLOR_TABLE = {
     "red": (0.82, 0.18, 0.14),
@@ -107,37 +114,25 @@ SCENE_TYPES = tuple(SCENE_TYPE_CATALOGS)
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Everything that parameterizes generating a scene; visibility is ``DEFAULT_MIN_POINTS``, not a field."""
+    """What varies between scenes.  The catalog is ``SCENE_TYPE_CATALOGS[scene_type]``; the room,
+    cameras and visibility are ``ROOM_EXTENT``, ``CAMERA_*`` and ``DEFAULT_MIN_POINTS``."""
 
     scene_type: str = "bedroom"
     seed: int = 0
-    room_extent: float = 6.0
     object_count: tuple[int, int] = (2, 5)
-    catalog: tuple[CatalogEntry, ...] = ()
     view_count: int = 16
     image_size: int = 32
-    camera_radius: tuple[float, float] = (1.7, 2.5)
-    camera_height: tuple[float, float] = (1.5, 2.4)
 
     def __post_init__(self):
-        if not (math.isfinite(self.room_extent) and self.room_extent > 0):
-            raise ConfigError(f"room extent must be finite and positive, got {self.room_extent}")
         if self.view_count < 2:
             raise ConfigError("a scene needs at least two views")
         if self.image_size < 1:
             raise ConfigError(f"image size must be at least 1, got {self.image_size}")
-        for name in ("camera_radius", "camera_height"):
-            low, high = getattr(self, name)
-            if not (math.isfinite(low) and math.isfinite(high) and 0 < low <= high):
-                raise ConfigError(f"{name} must be a finite range with 0 < low <= high, "
-                                  f"got {(low, high)}")
         if self.object_count[0] < 0 or self.object_count[0] > self.object_count[1]:
             raise ConfigError("invalid object count range")
-        if not self.catalog:
-            if self.scene_type not in SCENE_TYPE_CATALOGS:
-                raise ConfigError(f"unknown scene type {self.scene_type!r}")
-            object.__setattr__(self, "catalog", SCENE_TYPE_CATALOGS[self.scene_type])
-        if self.object_count[1] > len(self.catalog):
+        if self.scene_type not in SCENE_TYPE_CATALOGS:
+            raise ConfigError(f"unknown scene type {self.scene_type!r}")
+        if self.object_count[1] > len(SCENE_TYPE_CATALOGS[self.scene_type]):
             raise ConfigError("object count range exceeds catalog size")
 
 
@@ -217,17 +212,16 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _look_at_pose(eye: np.ndarray, target: np.ndarray) -> CameraPose:
+    """The pose of a camera at ``eye`` looking at ``target``, with world z up.
+
+    Every ring camera's eye is at least 1.7 - 0.9 * sqrt(2) (about 0.43)
+    off the vertical through its target, so neither axis is degenerate.
+    """
     forward = target - eye
-    norm = np.linalg.norm(forward)
-    if norm < 1e-9:
-        raise GenerationError("camera eye coincides with its target")
-    z_axis = forward / norm
+    z_axis = forward / np.linalg.norm(forward)
     up = np.array([0.0, 0.0, 1.0])
     x_axis = _cross(z_axis, up)
-    x_norm = np.linalg.norm(x_axis)
-    if x_norm < 1e-9:
-        raise GenerationError("camera looks straight along the world up axis")
-    x_axis /= x_norm
+    x_axis /= np.linalg.norm(x_axis)
     y_axis = _cross(z_axis, x_axis)
     rotation = np.stack([x_axis, y_axis, z_axis], axis=1)
     return CameraPose(rotation=rotation, translation=eye)
@@ -235,12 +229,13 @@ def _look_at_pose(eye: np.ndarray, target: np.ndarray) -> CameraPose:
 
 def _place_objects(spec: SceneSpec, rng, seed: int):
     count = int(rng.integers(spec.object_count[0], spec.object_count[1] + 1))
-    order = rng.permutation(len(spec.catalog))[:count]
+    catalog = SCENE_TYPE_CATALOGS[spec.scene_type]
+    order = rng.permutation(len(catalog))[:count]
     placed: list[tuple[CatalogEntry, np.ndarray, np.ndarray]] = []
-    half = spec.room_extent / 2.0
+    half = ROOM_EXTENT / 2.0
     margin = 0.1
     for idx in order:
-        entry = spec.catalog[idx]
+        entry = catalog[idx]
         size = rng.uniform(entry.size_min, entry.size_max)
         for _ in range(1000):
             cx = rng.uniform(-half + size[0] / 2, half - size[0] / 2)
@@ -389,15 +384,15 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> tuple[Scene | No
     placed = _place_objects(spec, rng, seed)
     boxes = [(lo, hi) for _, lo, hi in placed]
     colors = [entry.rgb for entry, _, _ in placed]
-    half = spec.room_extent / 2.0
+    half = ROOM_EXTENT / 2.0
 
     n = spec.image_size
     intr = CameraIntrinsics(fx=0.8 * n, fy=0.8 * n, cx=(n - 1) / 2.0, cy=(n - 1) / 2.0)
     poses: list[CameraPose] = []
     for i in range(spec.view_count):
         angle = 2.0 * np.pi * i / spec.view_count + rng.uniform(-0.4, 0.4) * 2.0 * np.pi / spec.view_count
-        radius = rng.uniform(*spec.camera_radius)
-        height = rng.uniform(*spec.camera_height)
+        radius = rng.uniform(*CAMERA_RADIUS)
+        height = rng.uniform(*CAMERA_HEIGHT)
         eye = np.array([radius * np.cos(angle), radius * np.sin(angle), height])
         target = np.array([rng.uniform(-0.3, 0.3) * half, rng.uniform(-0.3, 0.3) * half, 0.0])
         poses.append(_look_at_pose(eye, target))

@@ -29,7 +29,7 @@ from .atomic import atomic_write
 from .data import Scene, read_utf8
 from .encoder import EncoderConfig, EncoderParams, encode_texts, encode_views, pool_scene
 from .errors import ContractError, DegenerateInputError, FormatError, NumericError, ShapeError
-from .geometry import DEFAULT_MIN_POINTS, DEFAULT_VOXEL_SIZE, box_counts, max_coverage_sample
+from .geometry import DEFAULT_MIN_POINTS, box_counts, max_coverage_sample
 from .probe import ProbeConfig, ProbeOutcome, accuracy, linear_probe
 
 logger = logging.getLogger(__name__)
@@ -313,8 +313,7 @@ def retrieval_views_curve(
         points, validity = scene.pointmaps()
         views = embed_scene_views(scene, params, config, points=points)
         below = [budget for budget in budgets if budget < len(views)]
-        picks = (max_coverage_sample(points, validity, max(below), DEFAULT_VOXEL_SIZE)
-                 if below else [])
+        picks = max_coverage_sample(points, validity, max(below)) if below else []
         scene_views.append((views, picks))
     curve = []
     for budget in budgets:
@@ -340,7 +339,10 @@ def class_labels(scenes: Sequence[Scene], class_names: Sequence[str]) -> np.ndar
 
 
 def classify_from_similarities(similarities: np.ndarray, labels: np.ndarray) -> float:
-    """The fraction of (S, C) similarity rows whose argmax is the row's label, by ``probe.accuracy``."""
+    """The fraction of (S, C) similarity rows whose argmax is the row's label, by ``probe.accuracy``;
+    no classes (C = 0) raise ``DegenerateInputError``."""
+    if similarities.shape[1] == 0:
+        raise DegenerateInputError(f"zero-shot accuracy over no classes: {similarities.shape}")
     if np.isnan(similarities).any():
         raise NumericError("zero-shot accuracy over a NaN similarity")
     return accuracy(similarities.argmax(axis=1), labels)

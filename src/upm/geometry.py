@@ -300,10 +300,8 @@ def visibility_pairs(
     return {(int(v), int(o)) for v, o in zip(views, objs)}
 
 
-def max_coverage_sample(
-    points: np.ndarray, validity: np.ndarray, budget: int, voxel_size: float
-) -> list[int]:
-    """Greedy view selection maximizing newly covered voxels.
+def max_coverage_sample(points: np.ndarray, validity: np.ndarray, budget: int) -> list[int]:
+    """Greedy view selection maximizing newly covered voxels of side ``DEFAULT_VOXEL_SIZE``.
 
     Every view's occupied voxels form one (V, K) boolean matrix, with keys
     packed relative to the minimum voxel over all views; each greedy round
@@ -315,21 +313,19 @@ def max_coverage_sample(
     n_views = len(points)
     if not (1 <= budget <= n_views):
         raise ContractError(f"budget {budget} outside [1, {n_views}]")
-    if voxel_size <= 0:
-        raise ContractError("voxel_size must be positive")
     # (3, n): one contiguous row per axis, so the reductions below are fast.
     with np.errstate(over="ignore"):  # an overflow to inf is caught below
-        cells = np.floor(points[validity].T.copy() / voxel_size)
+        cells = np.floor(points[validity].T.copy() / DEFAULT_VOXEL_SIZE)
     occupied = np.zeros((n_views, 0), dtype=bool)
     if cells.size:
         lo, hi = cells.min(axis=1), cells.max(axis=1)
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             if not np.isfinite(points[validity]).all():
                 raise NumericError("max coverage over a non-finite valid point")
-            raise RangeError(f"voxel coordinates overflow at voxel size {voxel_size}")
+            raise RangeError(f"voxel coordinates overflow at voxel size {DEFAULT_VOXEL_SIZE}")
         sizes = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
         if math.prod(sizes) > np.iinfo(np.int64).max:
-            raise RangeError(f"voxel grid {sizes} at voxel size {voxel_size} overflows int64 keys")
+            raise RangeError(f"voxel grid {sizes} at voxel size {DEFAULT_VOXEL_SIZE} overflows int64 keys")
         offset = (cells - lo[:, None]).astype(np.int64)
         keys = (offset[0] * sizes[1] + offset[1]) * sizes[2] + offset[2]
         voxels, voxel_of_point = np.unique(keys, return_inverse=True)

@@ -8,6 +8,8 @@ Each loss is one graph over a batch's (N, d) views, and all four are the
 same cross-entropy of temperature-scaled similarities against a target
 matrix (``_masked_xent``); the geometric and grounded losses mask their
 log-softmax to each scene's block of the logits (``same_scene``).
+The geometric targets' mix and rank temperature are ``GEO_ALPHA`` and
+``GEO_RANK_TAU``, and ``total_loss`` weighs that term by ``DEFAULT_GEO_WEIGHT``.
 """
 
 from __future__ import annotations
@@ -23,22 +25,10 @@ from .errors import ContractError, DegenerateInputError, NumericError, ShapeErro
 from .geometry import DEFAULT_CHAMFER_SEED, DEFAULT_CHAMFER_SUBSAMPLE, pairwise_chamfer
 
 DEFAULT_GEO_WEIGHT = 0.1  # Eq. 8 weight on the geometric term
+GEO_ALPHA = 0.7  # weight of the one-hot nearest-view target in the soft-target mix
+GEO_RANK_TAU = 0.35  # rank temperature of the soft targets
 TAU_MIN = 1e-3
 TAU_MAX = 100.0
-
-
-@dataclass(frozen=True)
-class GeoAlignConfig:
-    """Mixing weight and rank temperature for the geometric soft targets."""
-
-    alpha: float = 0.7
-    tau_r: float = 0.35
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ContractError("alpha must lie in [0, 1]")
-        if not self.tau_r > 0.0:  # NaN too: it would make every soft target NaN
-            raise ContractError(f"tau_r must be positive, got {self.tau_r}")
 
 
 class Temperature:
@@ -66,30 +56,30 @@ class Temperature:
 # soft targets
 
 
-def soft_targets(ranks: Sequence[int] | np.ndarray, cfg: GeoAlignConfig) -> np.ndarray:
+def soft_targets(ranks: Sequence[int] | np.ndarray) -> np.ndarray:
     """Probability over candidates from their proximity ranks.
 
     ``ranks`` holds one anchor's K ranks, or a stack (V, K) of them, one
     anchor per row.  A softmax over -rank/tau_r is mixed with the one-hot
-    nearest-neighbor target: p = alpha * hard + (1 - alpha) * soft.
+    nearest-neighbor target: p = alpha * hard + (1 - alpha) * soft, with
+    alpha = ``GEO_ALPHA`` and tau_r = ``GEO_RANK_TAU``.
     """
     ranks = np.asarray(ranks, dtype=np.float64)
     if ranks.size == 0:
         raise DegenerateInputError("soft targets need at least one candidate")
     if (np.sort(ranks, axis=-1) != np.arange(ranks.shape[-1])).any():
         raise ContractError("ranks must be a permutation of 0..K-1")
-    scores = -ranks / cfg.tau_r
+    scores = -ranks / GEO_RANK_TAU
     scores -= scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
     p_soft = e / e.sum(axis=-1, keepdims=True)
     p_hard = (ranks == 0).astype(np.float64)
-    return cfg.alpha * p_hard + (1.0 - cfg.alpha) * p_soft
+    return GEO_ALPHA * p_hard + (1.0 - GEO_ALPHA) * p_soft
 
 
 def geo_targets(
     points: np.ndarray,
     validity: np.ndarray,
-    cfg: GeoAlignConfig,
     subsample: int | None = DEFAULT_CHAMFER_SUBSAMPLE,
     seed: int = DEFAULT_CHAMFER_SEED,
 ) -> np.ndarray:
@@ -105,7 +95,7 @@ def geo_targets(
     cd = pairwise_chamfer(points, validity, subsample=subsample, seed=seed)
     off_diagonal = cd[~np.eye(n_views, dtype=bool)].reshape(n_views, n_views - 1)
     ranks = np.argsort(np.argsort(off_diagonal, axis=1, kind="stable"), axis=1)
-    return soft_targets(ranks, cfg)
+    return soft_targets(ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +229,9 @@ def total_loss(
     l_ground: Tensor,
     l_view: Tensor,
     l_scene: Tensor,
-    weight_geo: float = DEFAULT_GEO_WEIGHT,
 ) -> LossBreakdown:
-    """Weighted sum: weight_geo * geo + ground + view + scene."""
-    total = E.add(E.scale(l_geo, weight_geo), E.add(l_ground, E.add(l_view, l_scene)))
+    """Weighted sum: ``DEFAULT_GEO_WEIGHT`` * geo + ground + view + scene."""
+    total = E.add(E.scale(l_geo, DEFAULT_GEO_WEIGHT), E.add(l_ground, E.add(l_view, l_scene)))
     return LossBreakdown(
         l_geo=l_geo,
         l_ground=l_ground,

@@ -53,6 +53,8 @@ MAX_HALVINGS = 30
 # copies its stack, so this bounds the Hessians to 2 x 16 x P^2 doubles: 3.0 MB
 # at 8 shots (P = 108), against 18 MB for the whole 96-point grid at once.
 SOLVE_CHUNK = 16
+# Share of the few-shot training set held out to choose the regularization strength.
+HOLDOUT_FRACTION = 0.2
 
 
 def default_reg_grid() -> np.ndarray:
@@ -64,7 +66,6 @@ class ProbeConfig:
     shots: int = 5
     reg_grid: tuple[float, ...] = field(default_factory=lambda: tuple(default_reg_grid()))
     max_iterations: int = 1000
-    holdout_fraction: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -77,8 +78,6 @@ class ProbeConfig:
             raise ConfigError("regularization strengths must be finite and positive")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
-        if not 0.0 <= self.holdout_fraction < 1.0:
-            raise ConfigError("holdout_fraction must lie in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +261,13 @@ def fit_logistic_grid(
 def predict_logistic(w: np.ndarray, b: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Class predictions of one fit (W (dim, C), b (C,)), or of a stack ((K, dim, C), (K, C)).
 
-    A non-finite feature raises ``NumericError``.
+    A non-finite feature raises ``NumericError``; features whose width is
+    not W's input width, or a bias whose width is not W's class count,
+    raise ``ShapeError``.
     """
+    if np.shape(features)[-1] != np.shape(w)[-2] or np.shape(b)[-1] != np.shape(w)[-1]:
+        raise ShapeError(f"features {np.shape(features)} and bias {np.shape(b)} do not fit "
+                         f"weights {np.shape(w)}")
     if not np.isfinite(features).all():
         raise NumericError("non-finite features to predict from")
     return np.argmax(features @ w + b[..., None, :], axis=-1)
@@ -295,7 +299,7 @@ def linear_probe(
 ) -> ProbeOutcome:
     """Grid-searched logistic probe: fit on a sub-fold, select reg, refit.
 
-    The holdout fold takes ``holdout_fraction`` of the few-shot training
+    The holdout fold takes ``HOLDOUT_FRACTION`` of the few-shot training
     set (at least one example); the best grid point by holdout accuracy
     (lowest reg on ties) is refit on the full training set.  Both are
     :func:`fit_logistic_grid` calls, the refit on a one-point grid: Newton
@@ -327,7 +331,7 @@ def linear_probe(
     n = len(train_labels)
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(n)
-    n_holdout = max(1, round(cfg.holdout_fraction * n)) if n > 1 else 0
+    n_holdout = max(1, round(HOLDOUT_FRACTION * n)) if n > 1 else 0
     holdout_idx = order[:n_holdout]
     fit_idx = order[n_holdout:]
     if len(fit_idx) == 0:

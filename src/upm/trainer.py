@@ -36,7 +36,7 @@ from .encoder import (EncoderConfig, EncoderParams, encode_texts, encode_views, 
                       pool_scene, save_checkpoint)
 from .engine import Tensor
 from .errors import ConfigError, ContractError, DegenerateInputError, NumericError
-from .geometry import DEFAULT_VOXEL_SIZE, max_coverage_sample, visibility_pairs
+from .geometry import max_coverage_sample, visibility_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -57,8 +57,6 @@ class TrainConfig:
     weight_decay: float = 0.01
     warmup_fraction: float = 0.1
     seed: int = 0
-    weight_geo: float = obj.DEFAULT_GEO_WEIGHT
-    geo: obj.GeoAlignConfig = field(default_factory=obj.GeoAlignConfig)
     grad_clip: float = 1.0
     initial_tau: float = 0.07
     chamfer_subsample: int | None = 512
@@ -82,8 +80,6 @@ class TrainConfig:
         if not obj.TAU_MIN <= self.initial_tau <= obj.TAU_MAX:
             raise ConfigError(f"initial_tau must lie in [{obj.TAU_MIN}, {obj.TAU_MAX}], "
                               f"got {self.initial_tau}")
-        if not (math.isfinite(self.weight_geo) and self.weight_geo >= 0):
-            raise ConfigError(f"weight_geo must be finite and nonnegative, got {self.weight_geo}")
         if self.chamfer_subsample is not None and self.chamfer_subsample < 1:  # None: every point
             raise ConfigError(f"chamfer_subsample must be at least 1 or None, got {self.chamfer_subsample}")
         if not 0.0 <= self.warmup_fraction < 1.0:
@@ -183,22 +179,26 @@ def adamw_step(
     with its sign bit clear and weight_decay is finite: outside those
     ranges the dense update is not +0.0 on a zero row, divides by zero, or
     turns a parameter into inf or NaN.  A parameter whose gradient
-    changes form between steps raises it too.
+    changes form between steps raises it too.  A non-finite gradient (of
+    a ``RowGrad``, its values) raises ``NumericError`` before ``state.step``
+    or any array changes.
     """
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0
             and math.isfinite(lr) and math.copysign(1.0, lr) > 0.0 and math.isfinite(weight_decay)):
         raise ContractError(f"AdamW needs 0 <= beta1, beta2 < 1, a finite lr >= +0.0 and a finite "
                             f"weight_decay, got beta1={beta1!r}, beta2={beta2!r}, lr={lr!r}, "
                             f"weight_decay={weight_decay!r}")
+    for name, tensor in named_params:
+        grad = tensor.grad.values if isinstance(tensor.grad, E.RowGrad) else tensor.grad
+        if grad is not None and not np.isfinite(grad).all():
+            raise NumericError(f"non-finite gradient in parameter {name}")
     state.step += 1
     t = state.step
     m_correction = 1.0 - beta1**t
     v_correction = 1.0 - beta2**t
 
-    def adam(name, p, m, v, grad, decay):
+    def adam(p, m, v, grad, decay):
         """AdamW's arithmetic on p, m and v in place, through two work arrays."""
-        if not np.isfinite(grad).all():
-            raise NumericError(f"non-finite gradient in parameter {name}")
         update, work = np.empty_like(p), np.empty_like(p)
         m *= beta1
         np.multiply(1.0 - beta1, grad, out=work)
@@ -246,7 +246,7 @@ def adamw_step(
                     continue
                 state.first_moment[name] = np.zeros_like(p)
                 state.second_moment[name] = np.zeros_like(p)
-            adam(name, p, state.first_moment[name], state.second_moment[name],
+            adam(p, state.first_moment[name], state.second_moment[name],
                  0.0 if grad is None else grad, decay)
             continue
         if (live is None and name in state.first_moment) or not (sparse or grad is None):
@@ -268,7 +268,7 @@ def adamw_step(
             g[np.searchsorted(live, grad.rows)] = grad.values
         m, v = state.first_moment[name], state.second_moment[name]
         p_rows = p[live]
-        adam(name, p_rows, m, v, g, decay)
+        adam(p_rows, m, v, g, decay)
         decay_only(p, decay)  # every row; the live rows are then overwritten
         p[live] = p_rows
 
@@ -277,7 +277,8 @@ def clip_gradients(named_params, max_norm: float) -> float:
     """Scale all gradients to a global L2 norm of at most max_norm; 0 means no clipping.
 
     A ``RowGrad`` counts, and is scaled, through its ``values`` only.  A
-    NaN or negative ``max_norm`` raises ``ContractError``.
+    NaN or negative ``max_norm`` raises ``ContractError``; a non-finite
+    global norm raises ``NumericError`` before any gradient is scaled.
     """
     if not max_norm >= 0:
         raise ContractError(f"max_norm must be nonnegative, got {max_norm}")
@@ -287,6 +288,8 @@ def clip_gradients(named_params, max_norm: float) -> float:
     for grad in grads:
         total += float((grad * grad).sum())
     norm = math.sqrt(total)
+    if not math.isfinite(norm):
+        raise NumericError(f"non-finite global gradient norm {norm}")
     if norm > max_norm > 0:
         factor = max_norm / norm
         for grad in grads:
@@ -325,14 +328,12 @@ def prepare_scene(scene: Scene, cfg: TrainConfig) -> PreparedScene:
             scene.scene_id, len(scene.views), budget,
         )
         budget = len(scene.views)
-    chosen = max_coverage_sample(points, validity, budget, DEFAULT_VOXEL_SIZE)
+    chosen = max_coverage_sample(points, validity, budget)
     points, validity = points[chosen], validity[chosen]
     views = [(scene.views[i].image, p) for i, p in zip(chosen, points)]
     targets = None
     if len(chosen) >= 2:
-        targets = obj.geo_targets(
-            points, validity, cfg.geo, subsample=cfg.chamfer_subsample, seed=cfg.seed
-        )
+        targets = obj.geo_targets(points, validity, subsample=cfg.chamfer_subsample, seed=cfg.seed)
     pairs = sorted(visibility_pairs(points, validity, scene.objects))
     return PreparedScene(
         scene_id=scene.scene_id,
@@ -390,7 +391,7 @@ def batch_loss(
         scene_caption_embeddings = encode_texts([s.scene_caption for s in batch], params, enc_cfg)
         l_scene = obj.scene_loss(pool_scene(views, counts), scene_caption_embeddings, temperature)
 
-    return obj.total_loss(l_geo, l_ground, l_view, l_scene, weight_geo=cfg.weight_geo)
+    return obj.total_loss(l_geo, l_ground, l_view, l_scene)
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,10 @@ def with_value(array, index, value):
     return out
 
 
-def gradients():
-    """One parameter with a gradient, as ``clip_gradients`` takes them."""
+def gradients(grad=None):
+    """One parameter with a gradient, ones unless given, as ``clip_gradients`` takes them."""
     tensor = Tensor(np.zeros(2), requires_grad=True)
-    tensor.grad = np.ones(2)
+    tensor.grad = np.ones(2) if grad is None else grad
     return [("w", tensor)]
 
 
@@ -50,10 +50,9 @@ ROWS = [
                  NumericError, id="back_project-nan-depth"),
     pytest.param(geometry.box_counts, (with_value(VIEWS, (1, 2, 3, 0), np.nan), VALID, [BOX]),
                  NumericError, id="box_counts-nan-valid-point"),
-    pytest.param(geometry.max_coverage_sample, (with_value(VIEWS, (0, 5, 1, 1), np.nan), VALID, 1, 0.25),
+    pytest.param(geometry.max_coverage_sample, (with_value(VIEWS, (0, 5, 1, 1), np.nan), VALID, 1),
                  NumericError, id="max_coverage_sample-nan-valid-point"),
-    pytest.param(objectives.geo_targets, (np.full((2, 8, 8, 3), np.nan), VALID,
-                                          objectives.GeoAlignConfig()),
+    pytest.param(objectives.geo_targets, (np.full((2, 8, 8, 3), np.nan), VALID),
                  NumericError, id="geo_targets-all-nan-points"),
     pytest.param(objectives.geo_loss_from_targets,
                  (Tensor(np.eye(2)), [np.array([[np.nan], [1.0]])], objectives.Temperature()),
@@ -87,6 +86,10 @@ ROWS = [
                  DegenerateInputError, id="fit_logistic_grid-no-rows"),
     pytest.param(probe.predict_logistic, (np.zeros((2, 3)), np.zeros(3), np.array([[np.nan, 0.0]])),
                  NumericError, id="predict_logistic-nan-feature"),
+    pytest.param(probe.predict_logistic, (np.zeros((3, 2)), np.zeros(2), np.zeros((4, 5))),
+                 ShapeError, id="predict_logistic-feature-width-mismatch"),
+    pytest.param(probe.predict_logistic, (np.zeros((3, 2)), np.zeros(4), np.zeros((4, 3))),
+                 ShapeError, id="predict_logistic-bias-width-mismatch"),
     pytest.param(evaluation.cosine_similarity, (np.ones((2, 3)), np.ones((2, 4))),
                  ShapeError, id="cosine_similarity-width-mismatch"),
     pytest.param(evaluation.cosine_similarity, (np.ones(3), np.ones((2, 3))),
@@ -101,6 +104,8 @@ ROWS = [
     pytest.param(evaluation.classify_from_similarities,
                  (np.array([[0.1, 0.9], [0.8, 0.2]]), np.array([1])),
                  ShapeError, id="classify_from_similarities-label-length-mismatch"),
+    pytest.param(evaluation.classify_from_similarities, (np.zeros((2, 0)), np.array([0, 0])),
+                 DegenerateInputError, id="classify_from_similarities-no-classes"),
     pytest.param(evaluation.grounding_metrics,
                  ([np.array([0.3, 0.1])], [0, 1], [frozenset({0}), frozenset({1})]),
                  ShapeError, id="grounding_metrics-length-mismatch"),
@@ -121,6 +126,10 @@ ROWS = [
                  ContractError, id="clip_gradients-nan-max-norm"),
     pytest.param(trainer.clip_gradients, (gradients(), -1.0),
                  ContractError, id="clip_gradients-negative-max-norm"),
+    pytest.param(trainer.clip_gradients, (gradients(np.array([np.inf, 1.0])), 1.0),
+                 NumericError, id="clip_gradients-inf-gradient"),
+    pytest.param(trainer.clip_gradients, (gradients(np.array([0.0, np.nan])), 0.0),
+                 NumericError, id="clip_gradients-nan-gradient-no-clipping"),
     pytest.param(data.split_dataset, (["a", "a", "b"], 0),
                  ContractError, id="split_dataset-duplicate-ids"),
     # The null device reads as an empty manifest.

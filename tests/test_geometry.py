@@ -16,7 +16,7 @@ from upm.errors import (
     ShapeError,
     UpmError,
 )
-from upm.objectives import GeoAlignConfig, geo_targets, soft_targets
+from upm.objectives import geo_targets, soft_targets
 
 
 def stack(clouds):
@@ -459,17 +459,16 @@ class TestProximityRanks:
         rng = np.random.default_rng(14)
         distinct = [rng.normal(size=(int(rng.integers(1, 9)), 3)) for _ in range(5)]
         clouds = distinct + [distinct[1], distinct[3], distinct[1]]
-        cfg = GeoAlignConfig()
-        targets = geo_targets(*stack(clouds), cfg)
+        targets = geo_targets(*stack(clouds))
         for anchor in range(len(clouds)):
             ranks = proximity_ranks(clouds, anchor)
-            expected = soft_targets([ranks[u] for u in sorted(ranks)], cfg)
+            expected = soft_targets([ranks[u] for u in sorted(ranks)])
             assert targets[anchor].tobytes() == expected.tobytes()
 
     def test_single_view_rejected(self):
         # geo_targets ranks the views of a scene, and there are none to rank.
         with pytest.raises(DegenerateInputError):
-            geo_targets(*stack([[[0, 0, 0]]]), GeoAlignConfig())
+            geo_targets(*stack([[[0, 0, 0]]]))
 
 
 class TestVisibility:
@@ -602,7 +601,10 @@ def oracle_max_coverage_sample(clouds, budget, voxel):
 
 
 def max_coverage(clouds, budget, voxel):
-    return G.max_coverage_sample(*stack(clouds), budget, voxel)
+    """``max_coverage_sample`` over ragged clouds with ``DEFAULT_VOXEL_SIZE`` set to ``voxel``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(G, "DEFAULT_VOXEL_SIZE", voxel)
+        return G.max_coverage_sample(*stack(clouds), budget)
 
 
 class TestMaxCoverage:
@@ -647,6 +649,8 @@ class TestMaxCoverage:
             max_coverage([wide], 1, 1e-1)
         with pytest.raises(RangeError):
             max_coverage([[[1e300, 0.0, 0.0]]], 1, 1e-10)
+        with pytest.raises(RangeError):  # 1e308 / 0.25 overflows to inf
+            G.max_coverage_sample(*stack([[[1e308, 0.0, 0.0]]]), 1)
 
     def test_full_budget_returns_all_views(self):
         rng = np.random.default_rng(21)
@@ -716,4 +720,4 @@ class TestMaxCoverage:
         with pytest.raises(ContractError):
             max_coverage(clouds, 2, 1.0)
         with pytest.raises(ContractError):
-            max_coverage(clouds, 1, 0.0)
+            max_coverage(clouds, 0, 1.0)

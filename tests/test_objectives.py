@@ -101,19 +101,9 @@ def random_targets(rng, n_views):
     return targets
 
 
-def geo_loss(h, maps, cfg, temperature):
+def geo_loss(h, maps, temperature):
     """One scene's geometric loss from its pointmaps: targets as in prepare_scene, loss as in batch_loss."""
-    return obj.geo_loss_from_targets(h, [obj.geo_targets(*maps, cfg)], temperature)
-
-
-class TestGeoAlignConfig:
-    def test_validation(self):
-        with pytest.raises(ContractError):
-            obj.GeoAlignConfig(alpha=1.5)
-        with pytest.raises(ContractError):
-            obj.GeoAlignConfig(tau_r=0.0)
-        with pytest.raises(ContractError, match="tau_r"):
-            obj.GeoAlignConfig(tau_r=math.nan)
+    return obj.geo_loss_from_targets(h, [obj.geo_targets(*maps)], temperature)
 
 
 class TestTemperature:
@@ -139,25 +129,25 @@ class TestTemperature:
 
 
 class TestSoftTargets:
-    def test_alpha_one_is_exact_one_hot(self):
-        cfg = obj.GeoAlignConfig(alpha=1.0, tau_r=0.35)
-        p = obj.soft_targets([2, 0, 1], cfg)
+    def test_alpha_one_is_exact_one_hot(self, monkeypatch):
+        monkeypatch.setattr(obj, "GEO_ALPHA", 1.0)
+        p = obj.soft_targets([2, 0, 1])
         np.testing.assert_array_equal(p, [0.0, 1.0, 0.0])
 
     def test_paper_setting_matches_oracle(self):
-        cfg = obj.GeoAlignConfig(alpha=0.7, tau_r=0.35)
-        p = obj.soft_targets([0, 1, 2], cfg)
+        assert (obj.GEO_ALPHA, obj.GEO_RANK_TAU) == (0.7, 0.35)
+        p = obj.soft_targets([0, 1, 2])
         expected = soft_targets_oracle([0, 1, 2], 0.7, 0.35)
         np.testing.assert_allclose(p, expected, atol=1e-12)
         np.testing.assert_allclose(p, [0.9828, 0.0162, 0.0009], atol=5e-5)
 
     def test_single_candidate(self):
-        cfg = obj.GeoAlignConfig()
-        np.testing.assert_array_equal(obj.soft_targets([0], cfg), [1.0])
+        np.testing.assert_array_equal(obj.soft_targets([0]), [1.0])
 
-    def test_small_tau_r_approaches_one_hot(self):
-        cfg = obj.GeoAlignConfig(alpha=0.0, tau_r=1e-4)
-        p = obj.soft_targets([1, 0, 3, 2], cfg)
+    def test_small_tau_r_approaches_one_hot(self, monkeypatch):
+        monkeypatch.setattr(obj, "GEO_ALPHA", 0.0)
+        monkeypatch.setattr(obj, "GEO_RANK_TAU", 1e-4)
+        p = obj.soft_targets([1, 0, 3, 2])
         np.testing.assert_allclose(p, [0.0, 1.0, 0.0, 0.0], atol=1e-10)
 
     def test_distribution_property(self):
@@ -165,16 +155,17 @@ class TestSoftTargets:
         for _ in range(50):
             k = int(rng.integers(1, 9))
             ranks = rng.permutation(k)
-            cfg = obj.GeoAlignConfig(alpha=float(rng.uniform(0, 1)), tau_r=float(rng.uniform(0.01, 5)))
-            p = obj.soft_targets(ranks, cfg)
+            p = obj.soft_targets(ranks)
             assert (p >= 0).all()
             assert abs(p.sum() - 1.0) <= 1e-12
+            expected = soft_targets_oracle(ranks.tolist(), obj.GEO_ALPHA, obj.GEO_RANK_TAU)
+            np.testing.assert_allclose(p, expected, atol=1e-12)
 
     def test_rejects_non_permutation(self):
         with pytest.raises(ContractError):
-            obj.soft_targets([0, 0, 1], obj.GeoAlignConfig())
+            obj.soft_targets([0, 0, 1])
         with pytest.raises(DegenerateInputError):
-            obj.soft_targets([], obj.GeoAlignConfig())
+            obj.soft_targets([])
 
 
 class TestGeoLoss:
@@ -182,16 +173,16 @@ class TestGeoLoss:
         rng = np.random.default_rng(3)
         h = Tensor(unit_rows(rng, 2, 8))
         maps = point_maps([[0, 0, 0], [1, 0, 0]])
-        loss = geo_loss(h, maps, obj.GeoAlignConfig(), obj.Temperature())
+        loss = geo_loss(h, maps, obj.Temperature())
         assert loss.item() == pytest.approx(0.0, abs=1e-15)
 
-    def test_alpha_one_equals_one_hot_cross_entropy(self):
+    def test_alpha_one_equals_one_hot_cross_entropy(self, monkeypatch):
+        monkeypatch.setattr(obj, "GEO_ALPHA", 1.0)
         rng = np.random.default_rng(4)
         h = Tensor(unit_rows(rng, 3, 8), requires_grad=True)
         maps = point_maps([[x, 0, 0] for x in (0.0, 1.0, 5.0)])
         temp = obj.Temperature(0.5)
-        cfg = obj.GeoAlignConfig(alpha=1.0, tau_r=0.35)
-        loss = geo_loss(h, maps, cfg, temp).item()
+        loss = geo_loss(h, maps, temp).item()
 
         # Independent one-hot oracle: nearest by Chamfer gets all mass.
         logits = h.array @ h.array.T / temp.value
@@ -211,17 +202,15 @@ class TestGeoLoss:
         row[0, 0] = 1.0
         h = Tensor(np.repeat(row, 3, axis=0))
         maps = point_maps([[x, 0, 0] for x in (0.0, 1.0, 5.0)])
-        cfg = obj.GeoAlignConfig(alpha=0.0, tau_r=0.35)
-        loss = geo_loss(h, maps, cfg, obj.Temperature(1.0))
+        loss = geo_loss(h, maps, obj.Temperature(1.0))
         assert loss.item() == pytest.approx(3.0 * math.log(2.0), abs=1e-12)
 
     def test_gradient_through_embeddings_and_temperature(self):
         rng = np.random.default_rng(5)
         base = unit_rows(rng, 4, 6)
         maps = point_maps([rng.normal(size=3) for _ in range(4)])
-        cfg = obj.GeoAlignConfig()
         temp = obj.Temperature(0.3)
-        targets = obj.geo_targets(*maps, cfg)
+        targets = obj.geo_targets(*maps)
 
         h = Tensor(base.copy(), requires_grad=True)
         assert finite_diff_check(
@@ -463,8 +452,9 @@ class TestTotalLoss:
         assert breakdown.total.item() == 0.0
 
     def test_paper_weighting(self):
+        assert obj.DEFAULT_GEO_WEIGHT == 0.1
         terms = [Tensor(np.array([v])) for v in (1.0, 2.0, 3.0, 4.0)]
-        breakdown = obj.total_loss(*terms, weight_geo=0.1)
+        breakdown = obj.total_loss(*terms)
         assert breakdown.total.item() == pytest.approx(9.1, abs=1e-12)
 
     def test_breakdown_identity(self):
@@ -472,7 +462,7 @@ class TestTotalLoss:
         for _ in range(10):
             vals = rng.uniform(0, 5, size=4)
             terms = [Tensor(np.array([v])) for v in vals]
-            b = obj.total_loss(*terms, weight_geo=0.1)
+            b = obj.total_loss(*terms)
             recomputed = 0.1 * vals[0] + vals[1] + vals[2] + vals[3]
             assert abs(b.total.item() - recomputed) <= 1e-12
 
@@ -481,9 +471,8 @@ class TestTotalLoss:
         base_h = unit_rows(rng, 4, 6)
         base_t = unit_rows(rng, 4, 6)
         maps = point_maps([rng.normal(size=3) for _ in range(4)])
-        cfg = obj.GeoAlignConfig()
         temp = obj.Temperature(0.3)
-        targets = obj.geo_targets(*maps, cfg)
+        targets = obj.geo_targets(*maps)
         pairs = [(0, 0), (1, 2), (3, 1)]
 
         def build(h):

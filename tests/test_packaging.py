@@ -172,3 +172,50 @@ def test_every_optional_parameter_is_passed():
                    if function == name and (parameter in keywords or None in keywords or (
                        position is not None and (starred or position < len(call.args))))}
     assert sorted(f"{f}({p})" for f, _, p in optional - passed) == []
+
+
+def test_no_parameter_always_gets_one_constant():
+    # A parameter that every caller sets to the same upm constant has one
+    # value in use, so the function should read the constant itself.  A
+    # parameter of a public top-level upm function fails when some call in
+    # upm or perfbench reaches it and every such call gives it the same
+    # name, as a name or an attribute, that a upm module defines as an
+    # upper-case top-level constant; a call that leaves it out gives it
+    # its default.  A call that unpacks ``*args`` or ``**kwargs`` into it
+    # counts as a value other than a name.  Tests do not count.
+    paths = sorted((SRC / "upm").glob("*.py")) + sorted((SRC.parent / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    upm_bodies = [node for path, tree in trees.items() if path.parent.name == "upm" for node in tree.body]
+    constants = {target.id for node in upm_bodies if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 if isinstance(target, ast.Name) and target.id.isupper()}
+    functions = {node.name: node for node in upm_bodies
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name[0] != "_"}
+
+    def name_of(expr):
+        return getattr(expr, "id", getattr(expr, "attr", None))
+
+    given = {}  # (function, parameter) -> the names the calls give it, None for anything else
+    for call in (n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        function = functions.get(name_of(call.func))
+        if function is None:
+            continue
+        args = function.args
+        positional = args.posonlyargs + args.args
+        defaults = dict(zip([a.arg for a in positional][len(positional) - len(args.defaults):],
+                            args.defaults))
+        defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+        keywords = {k.arg: k.value for k in call.keywords}
+        starred = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)), None)
+        for index, arg in enumerate(positional + args.kwonlyargs):
+            if index < len(positional) and index < len(call.args) and (starred is None or index < starred):
+                value = name_of(call.args[index])
+            elif arg.arg in keywords:
+                value = name_of(keywords[arg.arg])
+            elif None in keywords or (starred is not None and index < len(positional)):
+                value = None
+            else:
+                value = name_of(defaults[arg.arg]) if arg.arg in defaults else None
+            given.setdefault((function.name, arg.arg), set()).add(value)
+    assert sorted(f"{f}({p}={name})" for (f, p), names in given.items() for name in names
+                  if len(names) == 1 and name in constants) == []

@@ -283,11 +283,10 @@ class TestProbeConfig:
         with pytest.raises(ConfigError):
             ProbeConfig(reg_grid=(1.0, 1.0))
         for bad in ({"reg_grid": (0.0, 1.0)}, {"reg_grid": (-1.0, 1.0)}, {"max_iterations": 0},
-                    {"holdout_fraction": -1.0}, {"holdout_fraction": 1.0},
                     {"reg_grid": (1e-2, math.nan)}, {"reg_grid": (math.inf,)}):
             with pytest.raises(ConfigError):
                 ProbeConfig(**bad)
-        ProbeConfig(reg_grid=(1e-300,), max_iterations=1, holdout_fraction=0.0)
+        ProbeConfig(reg_grid=(1e-300,), max_iterations=1)
 
 
 class TestLinearProbe:

@@ -5,6 +5,7 @@ import hashlib
 import logging
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,33 @@ class TestAdamw:
         with pytest.raises(NumericError, match="text.table"):
             adamw_step([("text.table", t)], state, lr=0.1)
 
+    @pytest.mark.parametrize("bad", ["dense", "rows"])
+    def test_non_finite_gradient_changes_nothing(self, bad):
+        # After one real step, so there are moments and live rows to keep;
+        # the non-finite gradient belongs to the last parameter, which the
+        # update reaches after the others.
+        first, table = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones((5, 2)), requires_grad=True)
+        named = [("w", first), ("text.table", table)]
+        state = OptimizerState()
+        first.grad = np.full(3, 0.5)
+        table.grad = E.RowGrad(np.array([1], dtype=np.intp), np.ones((1, 2)))
+        adamw_step(named, state, lr=0.1, weight_decay=0.01)
+
+        def snapshot():
+            return ([first.array.tobytes(), table.array.tobytes()], state.step,
+                    [{name: a.tobytes() for name, a in kind.items()}
+                     for kind in (state.first_moment, state.second_moment, state.live_rows)])
+
+        before = snapshot()
+        if bad == "dense":
+            named.reverse()
+            first.grad = np.array([1.0, np.inf, 1.0])
+        else:
+            table.grad = E.RowGrad(np.array([3], dtype=np.intp), np.array([[0.0, np.nan]]))
+        with pytest.raises(NumericError, match="parameter w" if bad == "dense" else "text.table"):
+            adamw_step(named, state, lr=0.1, weight_decay=0.01)
+        assert snapshot() == before
+
     def test_dense_and_row_gradients_never_mix(self):
         rows = E.RowGrad(np.array([1], dtype=np.intp), np.ones((1, 2)))
         for first, second in ((np.ones((5, 2)), rows), (rows, np.ones((5, 2)))):
@@ -280,6 +308,16 @@ class TestClipGradients:
         clip_gradients([("w", t)], max_norm=1.0)
         np.testing.assert_array_equal(t.grad, [0.1, 0.2])
 
+    def test_non_finite_norm_raises_before_scaling(self):
+        ok, bad = Tensor(np.zeros(2), requires_grad=True), Tensor(np.zeros(2), requires_grad=True)
+        ok.grad, bad.grad = np.array([3.0, 4.0]), np.array([np.inf, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="inf"):
+                clip_gradients([("a", ok), ("b", bad)], max_norm=1.0)
+        np.testing.assert_array_equal(ok.grad, [3.0, 4.0])
+        np.testing.assert_array_equal(bad.grad, [np.inf, 0.0])
+
     def test_zero_max_norm_does_not_clip(self):
         t = Tensor(np.zeros(2), requires_grad=True)
         t.grad = np.array([30.0, 40.0])
@@ -312,7 +350,6 @@ class TestTrainConfig:
         ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan), ("beta2", 1.0), ("beta2", -1e-3),
         ("learning_rate", math.nan), ("learning_rate", math.inf),
         ("weight_decay", -0.01), ("weight_decay", math.inf), ("weight_decay", math.nan),
-        ("weight_geo", math.nan), ("weight_geo", math.inf), ("weight_geo", -1.0),
         ("chamfer_subsample", 0),
         ("grad_clip", math.nan), ("grad_clip", -1.0),
         ("initial_tau", math.nan), ("initial_tau", 5e-4), ("initial_tau", 101.0),
@@ -412,7 +449,7 @@ def oracle_batch_loss(batch, params, enc_cfg, temperature, cfg):
     pooled = E.concat([pool_scene(E.narrow(views, 0, *span), [span[1]]) for span in spans])
     scene_captions = encode_texts([s.scene_caption for s in batch], params, enc_cfg)
     l_scene = obj.scene_loss(pooled, scene_captions, temperature)
-    return obj.total_loss(l_geo, l_ground, l_view, l_scene, weight_geo=cfg.weight_geo)
+    return obj.total_loss(l_geo, l_ground, l_view, l_scene)
 
 
 def default_batch(first_seed):
