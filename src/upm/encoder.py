@@ -1,16 +1,18 @@
 """Early-fusion view encoder over image + pointmap patch streams.
 
-``embed_views`` cuts a stack of views into RGB and world-point patches,
-one reshape per stream, embeds both linearly, and fuses the token streams
-by elementwise summation before a stack of pre-norm transformer blocks, whose
-MLPs use CLIP's QuickGELU, x * sigmoid(1.702 x) (``engine.gelu``).  The
-output class token, L2-normalized, is the view embedding: a batch of N
-views encodes to one unit-norm (N, d) tensor, one row per view, and a
-scene embedding mean-pools a scene's rows.  A deterministic hashing text
-encoder stands in for a pretrained text tower so the alignment losses can
-be exercised end to end: each token hashes to a row of a learned table,
-a text is the mean of its tokens' rows (an embedding bag; an empty text
-reads the reserved row 0), and a linear layer projects it.
+``encode_views`` takes a stack of views, (N, H, W, 3) images and their
+world points, and ``embed_views`` cuts both stacks into RGB and
+world-point patches, one reshape per stream, embeds both linearly, and
+fuses the token streams by elementwise summation before a stack of
+pre-norm transformer blocks, whose MLPs use CLIP's QuickGELU,
+x * sigmoid(1.702 x) (``engine.gelu``).  The output class token,
+L2-normalized, is the view embedding: a batch of N views encodes to one
+unit-norm (N, d) tensor, one row per view, and a scene embedding
+mean-pools a scene's rows.  A deterministic hashing text encoder stands
+in for a pretrained text tower so the alignment losses can be exercised
+end to end: each token hashes to a row of a learned table, a text is the
+mean of its tokens' rows (an embedding bag; an empty text reads the
+reserved row 0), and a linear layer projects it.
 
 ``_parameter_layout`` is the one statement of the parameters: each
 checkpoint name, in checkpoint order, with its shape and its init.
@@ -218,27 +220,21 @@ def _transformer_block(x: Tensor, params: EncoderParams, index: int, num_heads: 
     return E.add(x, E.linear(hidden, p("mlp.w_down"), p("mlp.b_down")))
 
 
-def encode_views(
-    views: Sequence[tuple[np.ndarray, np.ndarray]],
-    params: EncoderParams,
-    config: EncoderConfig,
-) -> Tensor:
-    """Encode N (image, points) pairs, each (H, W, 3), to an (N, d) tensor of unit-norm rows.
+def encode_views(images: np.ndarray, points: np.ndarray, params: EncoderParams,
+                 config: EncoderConfig) -> Tensor:
+    """Encode N views, an (N, H, W, 3) image stack and its pointmaps, to (N, d) unit-norm rows.
 
-    The pairs are stacked, the stack that ``config.modality`` ablates
-    zeroed, and cut by ``embed_views``; views that differ in size raise ``ShapeError``.
+    The stack that ``config.modality`` ablates is zeroed, and both are cut
+    by ``embed_views``, the one check of their shapes and values; no views
+    raise ``DegenerateInputError``.
     All views run through one stacked graph over (N, M + 1, d) tokens;
     row i has the bits it would have if view i were encoded alone.  Only
     the class token is kept: the last block runs its queries, residual and
     MLP on that row alone (keys and values still read every token), and
     with no blocks the row is taken straight from the embedded tokens.
     """
-    if len(views) == 0:
-        raise DegenerateInputError("cannot encode an empty view list")
-    if len({(np.shape(image), np.shape(points)) for image, points in views}) > 1:
-        raise ShapeError("the views differ in size")
-    images = np.stack([image for image, _ in views])
-    points = np.stack([pts for _, pts in views])
+    if len(images) == 0:
+        raise DegenerateInputError("cannot encode an empty view stack")
     if config.modality == MODALITY_IMAGE_ONLY:
         points = np.zeros_like(points)
     elif config.modality == MODALITY_POINTMAP_ONLY:
@@ -250,7 +246,7 @@ def encode_views(
     if config.num_blocks == 0:
         x = E.narrow(x, 1, 0, 1)
     x = E.layer_norm(x, params["final_ln.gamma"], params["final_ln.beta"])
-    return E.normalize_rows(E.reshape(x, (len(views), config.embed_dim)))
+    return E.normalize_rows(E.reshape(x, (len(images), config.embed_dim)))
 
 
 def pool_scene(view_embeddings: Tensor, counts: Sequence[int]) -> Tensor:

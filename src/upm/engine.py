@@ -262,13 +262,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
-def neg(a: Tensor) -> Tensor:
-    def bwd(g):
-        _accumulate(a, -g, owned=True)
-
-    return _make(-a.array, (a,), bwd)
-
-
 def scale(a: Tensor, factor: float) -> Tensor:
     """Multiply by a plain (non-differentiated) float."""
     factor = float(factor)

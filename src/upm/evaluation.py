@@ -1,7 +1,8 @@
 """Evaluation protocols: viewpoint grounding, scene retrieval, scene
 classification (zero-shot and linear probe), and report emission.
 
-All rankings use cosine similarity between unit-normalized embeddings;
+All rankings use cosine similarity between embeddings that
+``engine.normalize_rows`` scales to unit norm, with its zero-row rule;
 ties break toward the lower index.  Grounding and retrieval share one
 Recall@N at fixed N: R@1, R@5 and R@10 for grounding, R@1 and R@5 for
 retrieval, R@1 for the views curve.  Retrieval, zero-shot classification
@@ -40,18 +41,18 @@ DEFAULT_PROMPT = "This room is a {}."
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity between rows of a and rows of b, 2-D and of one width."""
+    """Pairwise cosine similarity between rows of a and rows of b, 2-D and of one width.
+
+    Both sides are normalized by ``engine.normalize_rows``, so a row whose
+    norm is below its 1e-12 floor raises ``DegenerateInputError``.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"cosine similarity of rows of shapes {a.shape} and {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise NumericError("cosine similarity of a non-finite row")
-    a_norm = np.linalg.norm(a, axis=-1, keepdims=True)
-    b_norm = np.linalg.norm(b, axis=-1, keepdims=True)
-    if np.any(a_norm == 0) or np.any(b_norm == 0):
-        raise DegenerateInputError("cosine similarity of a zero row")
-    return (a / a_norm) @ (b / b_norm).T
+    return E.normalize_rows(E.Tensor(a)).array @ E.normalize_rows(E.Tensor(b)).array.T
 
 
 def rank_descending(scores: np.ndarray) -> list[int]:
@@ -93,9 +94,9 @@ def embed_scene_views(
     """
     if points is None:
         points, _ = scene.pointmaps()
-    pairs = list(zip([v.image for v in scene.views], points))
+    images = np.stack([v.image for v in scene.views])
     with E.no_grad():
-        return encode_views(pairs, params, config).array
+        return encode_views(images, points, params, config).array
 
 
 def scene_embedding_from_views(view_embeddings: np.ndarray) -> np.ndarray:

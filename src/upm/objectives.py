@@ -45,7 +45,7 @@ class Temperature:
 
     def inverse(self) -> Tensor:
         """1/tau as a graph node, so gradients reach log_tau."""
-        return E.exp(E.neg(self.log_tau))
+        return E.exp(E.scale(self.log_tau, -1.0))
 
     def clamp(self) -> None:
         """Keep tau inside [TAU_MIN, TAU_MAX]; call after each update."""

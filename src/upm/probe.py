@@ -87,17 +87,15 @@ class ProbeConfig:
 def logistic_loss_grad(flat: np.ndarray, features: np.ndarray, labels: np.ndarray, n_classes: int, reg):
     """Mean cross-entropy + (reg/2)||W||^2; bias is unregularized.
 
-    ``flat`` is one parameter vector (P,) with a scalar ``reg``, giving a
-    scalar loss and a (P,) gradient, or a stack (K, P) with ``reg`` a
-    scalar or (K,), giving (K,) losses and (K, P) gradients.  Each row of
-    a stack gets bitwise the loss and gradient it gets alone.
+    ``flat`` is a stack (K, P) of parameter vectors and ``reg`` a scalar or
+    (K,), giving (K,) losses and (K, P) gradients.  Each row of a stack
+    gets bitwise the loss and gradient it gets in a stack of one.
     """
-    x = flat.reshape(-1, flat.shape[-1])
-    k = len(x)
+    k = len(flat)
     n, dim = features.shape
     reg = np.asarray(reg, dtype=np.float64)
-    w = x[:, : dim * n_classes].reshape(k, dim, n_classes)
-    b = x[:, dim * n_classes :]
+    w = flat[:, : dim * n_classes].reshape(k, dim, n_classes)
+    b = flat[:, dim * n_classes :]
     rows = np.arange(n)
     logits = np.matmul(features, w) + b[:, None, :]
     logits -= logits.max(axis=2, keepdims=True)
@@ -111,8 +109,6 @@ def logistic_loss_grad(flat: np.ndarray, features: np.ndarray, labels: np.ndarra
     probs /= n
     grad_w = np.matmul(features.T, probs) + reg[..., None, None] * w
     grad = np.concatenate([grad_w.reshape(k, -1), probs.sum(axis=1)], axis=1)
-    if np.ndim(flat) == 1:
-        return loss[0], grad[0]
     return loss, grad
 
 
@@ -262,10 +258,11 @@ def predict_logistic(w: np.ndarray, b: np.ndarray, features: np.ndarray) -> np.n
     """Class predictions of one fit (W (dim, C), b (C,)), or of a stack ((K, dim, C), (K, C)).
 
     A non-finite feature raises ``NumericError``; features whose width is
-    not W's input width, or a bias whose width is not W's class count,
-    raise ``ShapeError``.
+    not W's input width, or a bias whose width is not W's class count or
+    whose stack is not W's, raise ``ShapeError``.
     """
-    if np.shape(features)[-1] != np.shape(w)[-2] or np.shape(b)[-1] != np.shape(w)[-1]:
+    if (np.shape(features)[-1] != np.shape(w)[-2] or np.shape(b)[-1] != np.shape(w)[-1]
+            or np.shape(b)[:-1] != np.shape(w)[:-2]):
         raise ShapeError(f"features {np.shape(features)} and bias {np.shape(b)} do not fit "
                          f"weights {np.shape(w)}")
     if not np.isfinite(features).all():
@@ -334,8 +331,6 @@ def linear_probe(
     n_holdout = max(1, round(HOLDOUT_FRACTION * n)) if n > 1 else 0
     holdout_idx = order[:n_holdout]
     fit_idx = order[n_holdout:]
-    if len(fit_idx) == 0:
-        fit_idx = order
     score_idx = holdout_idx if len(holdout_idx) else np.arange(n)
 
     sweep = fit_logistic_grid(train_features[fit_idx], train_labels[fit_idx], n_classes,

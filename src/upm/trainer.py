@@ -31,11 +31,11 @@ import numpy as np
 
 from . import engine as E
 from . import objectives as obj
-from .data import Scene, load_manifest, load_scene
+from .data import Scene, load_split_scenes
 from .encoder import (EncoderConfig, EncoderParams, encode_texts, encode_views, init_encoder_params,
                       pool_scene, save_checkpoint)
 from .engine import Tensor
-from .errors import ConfigError, ContractError, DegenerateInputError, NumericError
+from .errors import ConfigError, ContractError, DegenerateInputError, NumericError, ShapeError
 from .geometry import max_coverage_sample, visibility_pairs
 
 logger = logging.getLogger(__name__)
@@ -179,9 +179,9 @@ def adamw_step(
     with its sign bit clear and weight_decay is finite: outside those
     ranges the dense update is not +0.0 on a zero row, divides by zero, or
     turns a parameter into inf or NaN.  A parameter whose gradient
-    changes form between steps raises it too.  A non-finite gradient (of
-    a ``RowGrad``, its values) raises ``NumericError`` before ``state.step``
-    or any array changes.
+    changes form between steps raises it too, and a non-finite gradient
+    (of a ``RowGrad``, its values) raises ``NumericError``; both raise
+    before ``state.step`` or any array changes.
     """
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0
             and math.isfinite(lr) and math.copysign(1.0, lr) > 0.0 and math.isfinite(weight_decay)):
@@ -189,9 +189,13 @@ def adamw_step(
                             f"weight_decay, got beta1={beta1!r}, beta2={beta2!r}, lr={lr!r}, "
                             f"weight_decay={weight_decay!r}")
     for name, tensor in named_params:
-        grad = tensor.grad.values if isinstance(tensor.grad, E.RowGrad) else tensor.grad
+        sparse = isinstance(tensor.grad, E.RowGrad)
+        grad = tensor.grad.values if sparse else tensor.grad
         if grad is not None and not np.isfinite(grad).all():
             raise NumericError(f"non-finite gradient in parameter {name}")
+        # Moments are dense, or compact over live rows; the gradient must have their form.
+        if grad is not None and name in state.first_moment and sparse != (name in state.live_rows):
+            raise ContractError(f"parameter {name} mixes dense and row gradients")
     state.step += 1
     t = state.step
     m_correction = 1.0 - beta1**t
@@ -249,8 +253,6 @@ def adamw_step(
             adam(p, state.first_moment[name], state.second_moment[name],
                  0.0 if grad is None else grad, decay)
             continue
-        if (live is None and name in state.first_moment) or not (sparse or grad is None):
-            raise ContractError(f"parameter {name} mixes dense and row gradients")
         if live is None:
             live = state.live_rows[name] = np.zeros(0, dtype=np.intp)
             state.first_moment[name] = state.second_moment[name] = np.zeros((0,) + p.shape[1:])
@@ -357,9 +359,17 @@ def batch_loss(
     temperature: obj.Temperature,
     cfg: TrainConfig,
 ) -> obj.LossBreakdown:
-    """All four objectives over one batch, each one graph over the batch's (N, d) views."""
+    """All four objectives over one batch, each one graph over the batch's (N, d) views.
+
+    The scenes' (image, points) pairs are stacked for ``encode_views``;
+    scenes whose views differ in size raise ``ShapeError``.
+    """
     zero = Tensor(np.zeros(1))
-    views = encode_views([view for scene in batch for view in scene.views], params, enc_cfg)
+    pairs = [view for scene in batch for view in scene.views]
+    if len({(image.shape, points.shape) for image, points in pairs}) > 1:
+        raise ShapeError("the scenes of the batch differ in view size")
+    views = encode_views(np.array([image for image, _ in pairs]),
+                         np.array([points for _, points in pairs]), params, enc_cfg)
     counts = [len(scene.views) for scene in batch]
 
     l_geo = zero
@@ -461,18 +471,15 @@ def train(
     pre-clip gradient norm, learning rate and temperature per step) into
     ``out_dir``, with the checkpoints.
     """
-    manifest_path = Path(manifest_path)
     out_dir = Path(out_dir)
-    splits = load_manifest(manifest_path)
-    if len(splits["train"]) < cfg.scenes_per_batch:
+    train_scenes = [prepare_scene(s, cfg) for s in load_split_scenes(manifest_path, "train")]
+    if len(train_scenes) < cfg.scenes_per_batch:
         raise ConfigError(
             f"need at least {cfg.scenes_per_batch} training scenes, "
-            f"manifest has {len(splits['train'])}"
+            f"manifest has {len(train_scenes)}"
         )
+    val_scenes = [prepare_scene(s, cfg) for s in load_split_scenes(manifest_path, "val")]
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = manifest_path.parent
-    train_scenes = [prepare_scene(load_scene(base / name), cfg) for name in splits["train"]]
-    val_scenes = [prepare_scene(load_scene(base / name), cfg) for name in splits["val"]]
     logger.info("loaded and prepared %d train and %d val scenes from %s",
                 len(train_scenes), len(val_scenes), manifest_path)
 
@@ -494,7 +501,6 @@ def train(
 
     best_val = math.inf
     initial_total = None
-    final_epoch_totals: list[float] = []
     step = 0
     with (open(metrics_path, "w", encoding="utf-8") as metrics,
           open(telemetry_path, "w", encoding="utf-8") as telemetry):
@@ -526,8 +532,6 @@ def train(
                 if val_total < best_val:
                     best_val = val_total
                     write_checkpoint(best_path)
-            if epoch == cfg.epochs - 1:
-                final_epoch_totals = epoch_totals
 
     write_checkpoint(checkpoint_path)
     if not val_scenes:
@@ -538,7 +542,7 @@ def train(
         metrics_path=metrics_path,
         telemetry_path=telemetry_path,
         initial_total=float(initial_total),
-        final_total=float(np.mean(final_epoch_totals)),
+        final_total=float(np.mean(epoch_totals)),
         steps=step,
     )
 

@@ -41,6 +41,12 @@ def gradients(grad=None):
     return [("w", tensor)]
 
 
+def prepared(size):
+    """A prepared scene of two blank views, ``size`` pixels a side, as ``batch_loss`` takes it."""
+    view = (np.zeros((size, size, 3)), np.zeros((size, size, 3)))
+    return trainer.PreparedScene("blank", [view, view], None, [], [], ["", ""], "")
+
+
 ROWS = [
     pytest.param(geometry.pairwise_chamfer, (with_value(VIEWS, (1, 2, 3, 0), np.nan), VALID),
                  NumericError, id="pairwise_chamfer-nan-valid-point"),
@@ -61,8 +67,7 @@ ROWS = [
                  NumericError, id="embed_views-nan-image"),
     pytest.param(embed_views, (VIEWS, with_value(VIEWS, (1, 7, 7, 2), -np.inf), PARAMS, CONFIG),
                  NumericError, id="embed_views-inf-points"),
-    pytest.param(encode_views, ([(with_value(VIEWS[0], (4, 4, 0), np.nan), VIEWS[0])], PARAMS,
-                                CONFIG),
+    pytest.param(encode_views, (with_value(VIEWS, (0, 4, 4, 0), np.nan), VIEWS, PARAMS, CONFIG),
                  NumericError, id="encode_views-nan-image"),
     pytest.param(probe.accuracy, (np.array([0, 1]), np.array([0])),
                  ShapeError, id="accuracy-length-mismatch"),
@@ -90,10 +95,14 @@ ROWS = [
                  ShapeError, id="predict_logistic-feature-width-mismatch"),
     pytest.param(probe.predict_logistic, (np.zeros((3, 2)), np.zeros(4), np.zeros((4, 3))),
                  ShapeError, id="predict_logistic-bias-width-mismatch"),
+    pytest.param(probe.predict_logistic, (np.zeros((3, 4, 2)), np.zeros((2, 2)), np.zeros((5, 4))),
+                 ShapeError, id="predict_logistic-bias-stack-mismatch"),
     pytest.param(evaluation.cosine_similarity, (np.ones((2, 3)), np.ones((2, 4))),
                  ShapeError, id="cosine_similarity-width-mismatch"),
     pytest.param(evaluation.cosine_similarity, (np.ones(3), np.ones((2, 3))),
                  ShapeError, id="cosine_similarity-1d-input"),
+    pytest.param(evaluation.cosine_similarity, (np.array([[1e-13, 0.0]]), np.ones((2, 2))),
+                 DegenerateInputError, id="cosine_similarity-near-zero-row"),
     pytest.param(evaluation.rank_descending, (np.array([np.nan, 1.0, 2.0]),),
                  NumericError, id="rank_descending-nan-score"),
     pytest.param(evaluation.rank_descending, (np.ones((2, 3)),),
@@ -116,6 +125,10 @@ ROWS = [
     pytest.param(trainer.evaluate_loss,
                  ([], PARAMS, CONFIG, objectives.Temperature(), trainer.TrainConfig()),
                  DegenerateInputError, id="evaluate_loss-no-scenes"),
+    pytest.param(trainer.batch_loss,
+                 ([prepared(32), prepared(24)], PARAMS, CONFIG, objectives.Temperature(),
+                  trainer.TrainConfig()),
+                 ShapeError, id="batch_loss-mixed-view-sizes"),
     pytest.param(trainer.cosine_lr, (5, 100, np.nan, 0.1),
                  ContractError, id="cosine_lr-nan-base-rate"),
     pytest.param(trainer.cosine_lr, (5, 100, 1e-3, 1.0),

@@ -69,6 +69,11 @@ def random_view(rng, config, invalid_fraction=0.2):
     return image, points * validity[:, :, None]
 
 
+def stacks(views):
+    """The image stack and the point stack of (image, points) pairs, as ``encode_views`` takes them."""
+    return np.stack([image for image, _ in views]), np.stack([points for _, points in views])
+
+
 class TestConfig:
     def test_patch_count(self):
         assert tiny_config().num_patches == 4
@@ -223,8 +228,8 @@ class TestEncodeViews:
         params = enc.init_encoder_params(config, seed=9)
         rng = np.random.default_rng(10)
         view = random_view(rng, config)
-        h1 = enc.encode_views([view], params, config).array[0]
-        h2 = enc.encode_views([view], params, config).array[0]
+        h1 = enc.encode_views(*stacks([view]), params, config).array[0]
+        h2 = enc.encode_views(*stacks([view]), params, config).array[0]
         assert abs(np.linalg.norm(h1) - 1.0) <= 1e-9
         np.testing.assert_array_equal(h1, h2)
 
@@ -233,15 +238,15 @@ class TestEncodeViews:
         params = enc.init_encoder_params(config, seed=11)
         rng = np.random.default_rng(12)
         view = random_view(rng, config)
-        out = enc.encode_views([view, view], params, config)
+        out = enc.encode_views(*stacks([view, view]), params, config)
         np.testing.assert_array_equal(out.array[0], out.array[1])
 
     def test_zero_blocks_ignore_patch_content(self):
         config = tiny_config(num_blocks=0)
         params = enc.init_encoder_params(config, seed=13)
         rng = np.random.default_rng(14)
-        h1 = enc.encode_views([random_view(rng, config)], params, config).array[0]
-        h2 = enc.encode_views([random_view(rng, config)], params, config).array[0]
+        h1 = enc.encode_views(*stacks([random_view(rng, config)]), params, config).array[0]
+        h2 = enc.encode_views(*stacks([random_view(rng, config)]), params, config).array[0]
         np.testing.assert_array_equal(h1, h2)
 
     def test_permutation_equivariance(self):
@@ -249,9 +254,9 @@ class TestEncodeViews:
         params = enc.init_encoder_params(config, seed=15)
         rng = np.random.default_rng(16)
         views = [random_view(rng, config) for _ in range(4)]
-        base = enc.encode_views(views, params, config).array
+        base = enc.encode_views(*stacks(views), params, config).array
         perm = [2, 0, 3, 1]
-        permuted = enc.encode_views([views[i] for i in perm], params, config).array
+        permuted = enc.encode_views(*stacks([views[i] for i in perm]), params, config).array
         for out_row, src in zip(permuted, perm):
             np.testing.assert_array_equal(out_row, base[src])
 
@@ -260,11 +265,11 @@ class TestEncodeViews:
         params = enc.init_encoder_params(config, seed=17)
         rng = np.random.default_rng(18)
         view = random_view(rng, config)
-        both = enc.encode_views([view], params, config).array[0]
+        both = enc.encode_views(*stacks([view]), params, config).array[0]
         image_only = enc.encode_views(
-            [view], params, dataclasses.replace(config, modality="image-only")).array[0]
+            *stacks([view]), params, dataclasses.replace(config, modality="image-only")).array[0]
         pointmap_only = enc.encode_views(
-            [view], params, dataclasses.replace(config, modality="pointmap-only")).array[0]
+            *stacks([view]), params, dataclasses.replace(config, modality="pointmap-only")).array[0]
         assert not np.array_equal(both, image_only)
         assert not np.array_equal(both, pointmap_only)
 
@@ -277,7 +282,7 @@ class TestEncodeViews:
 
         def loss_for(param):
             def f(_):
-                h = enc.encode_views([view], params, config)
+                h = enc.encode_views(*stacks([view]), params, config)
                 return E.reduce_sum(E.mul(h, E.Tensor(probe)))
 
             return f
@@ -294,18 +299,20 @@ class TestEncodeViews:
     def test_empty_view_list_rejected(self):
         config = tiny_config()
         params = enc.init_encoder_params(config, seed=21)
+        empty = np.zeros((0, config.image_size, config.image_size, 3))
         with pytest.raises(DegenerateInputError):
-            enc.encode_views([], params, config)
+            enc.encode_views(empty, empty, params, config)
 
     def test_views_of_two_sizes_rejected(self):
         config = tiny_config()
         params = enc.init_encoder_params(config, seed=22)
         rng = np.random.default_rng(23)
-        small = random_view(rng, tiny_config(image_size=4))
-        with pytest.raises(ShapeError, match="differ in size"):
-            enc.encode_views([random_view(rng, config), small], params, config)
+        images, _ = stacks([random_view(rng, config)])
+        small_images, small_points = stacks([random_view(rng, tiny_config(image_size=4))])
+        with pytest.raises(ShapeError, match="not pixel-aligned"):
+            enc.encode_views(images, small_points, params, config)
         with pytest.raises(ShapeError, match="image stack"):
-            enc.encode_views([small, small], params, config)
+            enc.encode_views(small_images, small_points, params, config)
 
 
 def oracle_encode_view(image, points, params, config, modality="both", pruned=True):
@@ -403,7 +410,7 @@ def assert_matches_oracle(got, want, rtol=GRAD_RTOL):
 
 
 def batched(views, params, config, modality):
-    return enc.encode_views(views, params, dataclasses.replace(config, modality=modality))
+    return enc.encode_views(*stacks(views), params, dataclasses.replace(config, modality=modality))
 
 
 def per_view(views, params, config, modality):
@@ -451,7 +458,7 @@ class TestBatchedEqualsPerView:
         rng = np.random.default_rng(32)
         views = [random_view(rng, config) for _ in range(3)]
         with E.no_grad():
-            rows = enc.encode_views(views, params, config)
+            rows = enc.encode_views(*stacks(views), params, config)
         assert not rows.requires_grad
         for row, (img, pts) in zip(rows.array, views):
             assert row.tobytes() == oracle_encode_view(img, pts, params, config).array[0].tobytes()
@@ -498,7 +505,7 @@ class TestClassTokenPruning:
         monkeypatch.setattr(E, "gelu", recording_gelu)
         rng = np.random.default_rng(410)
         params = enc.init_encoder_params(config, seed=41)
-        enc.encode_views([random_view(rng, config) for _ in range(4)], params, config)
+        enc.encode_views(*stacks([random_view(rng, config) for _ in range(4)]), params, config)
         hidden = config.embed_dim * config.mlp_ratio
         tokens = config.num_patches + 1
         assert shapes == [(4, tokens, hidden), (4, tokens, hidden), (4, 1, hidden)]

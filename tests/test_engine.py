@@ -317,7 +317,6 @@ class TestRegisteredOpGradients:
         [
             ("add", lambda t, w: E.add(t, E.mul(t, t))),
             ("mul", lambda t, w: E.mul(t, w)),
-            ("neg", lambda t, w: E.neg(E.mul(t, t))),
             ("scale", lambda t, w: E.scale(E.mul(t, t), -1.7)),
             ("exp", lambda t, w: E.exp(E.scale(t, 0.3))),
             ("gelu", lambda t, w: E.gelu(t)),

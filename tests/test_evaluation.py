@@ -53,8 +53,8 @@ class TestEmbedSceneViews:
         scene = test_scenes[0]
         got = ev.embed_scene_views(scene, params, loaded)
         with E.no_grad():
-            hand_zeroed = [(view.image, np.zeros_like(view.image)) for view in scene.views]
-            want = encode_views(hand_zeroed, params, TINY_ENCODER).array
+            images = np.stack([view.image for view in scene.views])
+            want = encode_views(images, np.zeros_like(images), params, TINY_ENCODER).array
         assert got.tobytes() == want.tobytes()
         assert not np.array_equal(got, ev.embed_scene_views(scene, params, TINY_ENCODER))
 

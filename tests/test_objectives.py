@@ -64,7 +64,7 @@ def oracle_off_diagonal_soft_xent(logits, targets):
         candidate_row = parts[0] if len(parts) == 1 else E.concat(parts, axis=1)
         log_probs = E.log_softmax(candidate_row, axis=1)
         weighted = E.mul(Tensor(targets[v][None, :]), log_probs)
-        total = E.add(total, E.neg(E.reduce_sum(weighted)))
+        total = E.add(total, E.scale(E.reduce_sum(weighted), -1.0))
     return total
 
 

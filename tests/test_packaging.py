@@ -68,6 +68,22 @@ def test_only_the_container_packs_binary():
     assert importers == ["container"]
 
 
+def test_only_the_engine_normalizes_rows():
+    # One row normalization: engine.normalize_rows.  A second one could
+    # disagree with it on which rows count as zero, and, once the engine's
+    # norm is made safe from overflow, on rows whose squares overflow.  So
+    # no other upm module calls np.linalg.norm with an axis, by keyword or
+    # as its third argument; data's norms of single 3-vectors take none.
+    callers = set()
+    for path in sorted((SRC / "upm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", getattr(node.func, "id", None)) == "norm"
+                    and (len(node.args) >= 3 or any(k.arg == "axis" for k in node.keywords))):
+                callers.add(path.stem)
+    assert callers <= {"engine"}
+
+
 def test_only_engine_and_trainer_touch_gradients():
     # A gradient is a dense array or an engine.RowGrad; the engine makes
     # both and the trainer's clipping and AdamW read both.  Any other
@@ -121,8 +137,8 @@ def test_only_the_encoder_names_modality():
 
 # Public entry points that wait for the ``upm`` command line (generate,
 # train, eval) to give them a caller.
-AWAITING_THE_CLI = {"split_dataset", "load_split_scenes", "load_checkpoint",
-                    "paper_encoder_config", "paper_train_config"}
+AWAITING_THE_CLI = {"split_dataset", "load_checkpoint", "paper_encoder_config",
+                    "paper_train_config"}
 
 
 def test_every_top_level_definition_has_a_caller():

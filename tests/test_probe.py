@@ -44,6 +44,12 @@ def oracle_logistic_loss_grad(flat, features, labels, n_classes, reg):
     return loss, np.concatenate([grad_w.ravel(), grad_b])
 
 
+def lone_loss_grad(flat, features, labels, n_classes, reg):
+    """The loss and gradient of one parameter vector (P,): row 0 of a stack of one."""
+    loss, grad = logistic_loss_grad(flat[None], features, labels, n_classes, reg)
+    return loss[0], grad[0]
+
+
 def separable_toy(rng, n_per_class=20, gap=3.0):
     a = rng.normal(size=(n_per_class, 2)) + gap
     b = rng.normal(size=(n_per_class, 2)) - gap
@@ -72,9 +78,9 @@ def gradient_descent_1000(features, labels, n_classes, reg, lr=0.5):
     """Plain fixed-step gradient descent baseline, 1000 steps."""
     x = np.zeros(features.shape[1] * n_classes + n_classes)
     for _ in range(1000):
-        _, g = logistic_loss_grad(x, features, labels, n_classes, reg)
+        _, g = lone_loss_grad(x, features, labels, n_classes, reg)
         x -= lr * g
-    loss, _ = logistic_loss_grad(x, features, labels, n_classes, reg)
+    loss, _ = lone_loss_grad(x, features, labels, n_classes, reg)
     return loss
 
 
@@ -106,14 +112,14 @@ class TestNewton:
         features = rng.normal(size=(12, 3))
         labels = rng.integers(0, 3, size=12)
         x = rng.normal(size=3 * 3 + 3)
-        _, grad = logistic_loss_grad(x, features, labels, 3, reg=0.05)
+        _, grad = lone_loss_grad(x, features, labels, 3, reg=0.05)
         h = 1e-6
         for i in range(len(x)):
             probe = x.copy()
             probe[i] += h
-            f_plus, _ = logistic_loss_grad(probe, features, labels, 3, reg=0.05)
+            f_plus, _ = lone_loss_grad(probe, features, labels, 3, reg=0.05)
             probe[i] -= 2 * h
-            f_minus, _ = logistic_loss_grad(probe, features, labels, 3, reg=0.05)
+            f_minus, _ = lone_loss_grad(probe, features, labels, 3, reg=0.05)
             assert grad[i] == pytest.approx((f_plus - f_minus) / (2 * h), abs=1e-6)
 
     def test_loss_rows_match_lone_rows(self):
@@ -127,7 +133,7 @@ class TestNewton:
             expected_loss, expected_grad = oracle_logistic_loss_grad(x, features, labels, 4, reg)
             assert loss == expected_loss
             assert grad.tobytes() == expected_grad.tobytes()
-            lone_loss, lone_grad = logistic_loss_grad(x, features, labels, 4, reg)
+            lone_loss, lone_grad = lone_loss_grad(x, features, labels, 4, reg)
             assert lone_loss == expected_loss
             assert lone_grad.tobytes() == expected_grad.tobytes()
 
@@ -173,7 +179,7 @@ class TestNewton:
         x, y = features[train], noisy[train]
         regs = default_reg_grid()[::5]
         reference = [
-            minimize(lambda p, reg=reg: logistic_loss_grad(p, x, y, 4, reg), np.zeros(64 * 4 + 4),
+            minimize(lambda p, reg=reg: lone_loss_grad(p, x, y, 4, reg), np.zeros(64 * 4 + 4),
                      jac=True, method="L-BFGS-B",
                      options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 10_000})
             for reg in regs
@@ -216,7 +222,7 @@ class TestNewton:
         assert all(later < earlier for earlier, later in zip(objectives, objectives[1:]))
         assert objectives[-1] == full.objective[0]
         flat = np.concatenate([full.w[0].ravel(), full.b[0]])
-        assert logistic_loss_grad(flat, features, labels, 2, 1e-3)[0] == full.objective[0]
+        assert lone_loss_grad(flat, features, labels, 2, 1e-3)[0] == full.objective[0]
 
     def test_beats_plain_gradient_descent(self):
         # Fewer than 10 Newton steps reach the objective that 1,000 plain
@@ -236,7 +242,7 @@ class TestNewton:
         labels = np.array([0, 1])
         for tol, steps in ((GRADIENT_TOL, 0), (np.nextafter(GRADIENT_TOL, 1.0), 1)):
             features = np.vstack([np.zeros(4), np.full(4, 4 * tol)])
-            _, grad = logistic_loss_grad(np.zeros(4 * 2 + 2), features, labels, 2, 1.0)
+            _, grad = lone_loss_grad(np.zeros(4 * 2 + 2), features, labels, 2, 1.0)
             assert np.abs(grad).max() == tol and np.linalg.norm(grad) > GRADIENT_TOL
             fits = fit_logistic_grid(features, labels, 2, [1.0])
             assert fits.converged[0] and fits.iterations[0] == steps

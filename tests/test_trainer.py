@@ -82,6 +82,13 @@ def oracle_adamw_step(named_params, state, lr, beta1=0.9, beta2=0.98, weight_dec
         tensor.array -= lr * update
 
 
+def optimizer_snapshot(tensors, state):
+    """The bytes of the parameters and of every moment and live-row array, and ``state.step``."""
+    return ([t.array.tobytes() for t in tensors], state.step,
+            [{name: a.tobytes() for name, a in kind.items()}
+             for kind in (state.first_moment, state.second_moment, state.live_rows)])
+
+
 class TestAdamw:
     def one_param(self, value=1.0, grad=None):
         t = Tensor(np.array([value]), requires_grad=True)
@@ -238,13 +245,7 @@ class TestAdamw:
         first.grad = np.full(3, 0.5)
         table.grad = E.RowGrad(np.array([1], dtype=np.intp), np.ones((1, 2)))
         adamw_step(named, state, lr=0.1, weight_decay=0.01)
-
-        def snapshot():
-            return ([first.array.tobytes(), table.array.tobytes()], state.step,
-                    [{name: a.tobytes() for name, a in kind.items()}
-                     for kind in (state.first_moment, state.second_moment, state.live_rows)])
-
-        before = snapshot()
+        before = optimizer_snapshot([first, table], state)
         if bad == "dense":
             named.reverse()
             first.grad = np.array([1.0, np.inf, 1.0])
@@ -252,18 +253,23 @@ class TestAdamw:
             table.grad = E.RowGrad(np.array([3], dtype=np.intp), np.array([[0.0, np.nan]]))
         with pytest.raises(NumericError, match="parameter w" if bad == "dense" else "text.table"):
             adamw_step(named, state, lr=0.1, weight_decay=0.01)
-        assert snapshot() == before
+        assert optimizer_snapshot([first, table], state) == before
 
     def test_dense_and_row_gradients_never_mix(self):
+        # Nothing changes before the error, not even the dense parameter
+        # listed first, which the update would reach before the table.
         rows = E.RowGrad(np.array([1], dtype=np.intp), np.ones((1, 2)))
         for first, second in ((np.ones((5, 2)), rows), (rows, np.ones((5, 2)))):
-            t = Tensor(np.ones((5, 2)), requires_grad=True)
+            w, t = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones((5, 2)), requires_grad=True)
+            named = [("w", w), ("text.table", t)]
             state = OptimizerState()
-            t.grad = first
-            adamw_step([("text.table", t)], state, lr=0.1)
+            w.grad, t.grad = np.full(3, 0.5), first
+            adamw_step(named, state, lr=0.1)
+            before = optimizer_snapshot([w, t], state)
             t.grad = second
             with pytest.raises(ContractError, match="text.table mixes"):
-                adamw_step([("text.table", t)], state, lr=0.1)
+                adamw_step(named, state, lr=0.1)
+            assert optimizer_snapshot([w, t], state) == before
 
     @pytest.mark.parametrize("name,value", [
         ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", math.nan),
@@ -419,7 +425,9 @@ def oracle_batch_loss(batch, params, enc_cfg, temperature, cfg):
     scene pools on its own.
     """
     zero = Tensor(np.zeros(1))
-    views = encode_views([view for scene in batch for view in scene.views], params, enc_cfg)
+    pairs = [view for scene in batch for view in scene.views]
+    views = encode_views(np.stack([image for image, _ in pairs]),
+                         np.stack([points for _, points in pairs]), params, enc_cfg)
     counts = [len(scene.views) for scene in batch]
     spans = list(zip(np.cumsum([0] + counts[:-1]).tolist(), counts))
 
