@@ -1,7 +1,8 @@
 """Procedural synthetic scenes: colored boxes on a floor, ring cameras.
 
-Each scene is a set of posed RGB + depth views of axis-aligned colored
-boxes standing on a square floor, plus object annotations (world AABB,
+Each scene is V posed RGB + depth views of axis-aligned colored boxes
+standing on a square floor, as two stacks that ``Scene`` checks once and
+``Scene.views`` windows view by view, plus object annotations (world AABB,
 referring text, category) and template-generated view/scene captions.
 The boxes come from the scene type's catalog (``SCENE_TYPE_CATALOGS``),
 the floor's side is ``ROOM_EXTENT``, and ring cameras at distances in
@@ -136,47 +137,58 @@ class SceneSpec:
             raise ConfigError("object count range exceeds catalog size")
 
 
-@dataclass
+@dataclass(frozen=True)
 class View:
-    """One posed RGB + depth observation."""
+    """One posed RGB + depth observation: a window onto a ``Scene``'s stacks, not a copy."""
 
     image: np.ndarray
     depth: np.ndarray
     intrinsics: CameraIntrinsics
     pose: CameraPose
 
-    def __post_init__(self):
-        self.image = np.ascontiguousarray(np.asarray(self.image, dtype=np.float64))
-        self.depth = np.ascontiguousarray(np.asarray(self.depth, dtype=np.float64))
-        if self.image.ndim != 3 or self.image.shape[2] != 3:
-            raise ContractError(f"image must be HxWx3, got {self.image.shape}")
-        if self.depth.shape != self.image.shape[:2]:
-            raise ContractError("depth is not pixel-aligned with the image")
-        if self.depth.size == 0:
-            raise ContractError(f"rasters need a nonzero height and width, got {self.depth.shape}")
-        if not (np.isfinite(self.image).all() and np.isfinite(self.depth).all()):
-            raise DegenerateInputError("image and depth values must be finite")
-        if np.any(self.depth < 0):
-            raise ContractError("depth must be nonnegative")
 
-
-@dataclass
+@dataclass(frozen=True)
 class Scene:
+    """V posed views as image (V, H, W, 3) and depth (V, H, W) stacks, the only copy of the rasters.
+
+    Checked once, when built: bad shapes, an empty raster, a negative
+    depth, fewer than two views or not one camera and one caption per view
+    raise ``ContractError``, and a non-finite value ``DegenerateInputError``."""
+
     scene_id: str
-    views: list[View]
+    images: np.ndarray
+    depths: np.ndarray
+    intrinsics: list[CameraIntrinsics]
+    poses: list[CameraPose]
     objects: list[ObjectAnnotation]
     scene_type: str
     scene_caption: str
     view_captions: list[str]
 
     def __post_init__(self):
-        if len(self.views) < 2:
+        images = np.ascontiguousarray(self.images, dtype=np.float64)
+        depths = np.ascontiguousarray(self.depths, dtype=np.float64)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "depths", depths)
+        if images.ndim != 4 or images.shape[3] != 3:
+            raise ContractError(f"images must be a (V, H, W, 3) stack, got {images.shape}")
+        if depths.shape != images.shape[:3]:
+            raise ContractError(f"depths {depths.shape} are not pixel-aligned with images {images.shape}")
+        if len(images) < 2:
             raise ContractError("a scene needs at least two views")
-        if len(self.view_captions) != len(self.views):
-            raise ContractError("one caption per view required")
-        sizes = sorted({v.depth.shape for v in self.views})
-        if len(sizes) > 1:
-            raise ContractError(f"views differ in image size: {sizes}")
+        if depths.size == 0:
+            raise ContractError(f"rasters need a nonzero height and width, got {depths.shape[1:]}")
+        if not len(self.intrinsics) == len(self.poses) == len(self.view_captions) == len(images):
+            raise ContractError("one camera and one caption per view required")
+        if not (np.isfinite(images).all() and np.isfinite(depths).all()):
+            raise DegenerateInputError("image and depth values must be finite")
+        if np.any(depths < 0):
+            raise ContractError("depth must be nonnegative")
+
+    @property
+    def views(self) -> list[View]:
+        """One ``View`` per view, its rasters windows onto the stacks."""
+        return [View(*view) for view in zip(self.images, self.depths, self.intrinsics, self.poses)]
 
     def pointmaps(self) -> tuple[np.ndarray, np.ndarray]:
         """Every view's pointmap as ``back_project`` returns it, in one batched pass.
@@ -186,10 +198,7 @@ class Scene:
         as the scene lives (about 16 MB for the 640 views of a default
         40-scene evaluation).
         """
-        return back_project(
-            np.array([v.depth for v in self.views]),
-            [v.intrinsics for v in self.views], [v.pose for v in self.views],
-        )
+        return back_project(self.depths, self.intrinsics, self.poses)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +409,6 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> tuple[Scene | No
         np.array([p.translation for p in poses]), np.array([p.rotation for p in poses]),
         intr, n, boxes, colors, half,
     )
-    views = [View(image=images[i], depth=depths[i], intrinsics=intr, pose=pose)
-             for i, pose in enumerate(poses)]
 
     texts = _referring_texts(placed)
     objects = [
@@ -426,7 +433,7 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> tuple[Scene | No
 
     return Scene(
         scene_id=f"scene_{seed:05d}",
-        views=views,
+        images=images, depths=depths, intrinsics=[intr] * spec.view_count, poses=poses,
         objects=objects,
         scene_type=spec.scene_type,
         scene_caption=_scene_caption(spec.scene_type, [e for e, _, _ in placed]),
@@ -441,32 +448,26 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> tuple[Scene | No
 def save_scene(scene: Scene, directory) -> None:
     """Write ``directory/scene.upm`` (module docstring) in one atomic replace.
 
-    The stacks and the metadata are built before anything is written, so a
-    scene they cannot hold (views of different sizes, a caption count that
-    is not the view count, a value JSON cannot encode) leaves the directory
-    untouched.
+    The metadata is built before anything is written, so a scene it cannot
+    hold (a caption list changed since the scene was built to one whose
+    count is not the view count, a value JSON cannot encode) leaves the
+    directory untouched.
     """
-    sizes = sorted({(view.image.shape, view.depth.shape) for view in scene.views})
-    if len(sizes) > 1:
-        raise ContractError(f"cannot save scene {scene.scene_id!r}: "
-                            f"its views differ in size: {sizes}")
-    if len(scene.view_captions) != len(scene.views):
+    if len(scene.view_captions) != len(scene.images):
         raise ContractError(f"cannot save scene {scene.scene_id!r}: it has "
-                            f"{len(scene.view_captions)} view captions for {len(scene.views)} views")
-    images = np.stack([view.image for view in scene.views])
-    depths = np.stack([view.depth for view in scene.views])
+                            f"{len(scene.view_captions)} view captions for {len(scene.images)} views")
     meta = {
         "scene_id": scene.scene_id,
         "scene_type": scene.scene_type,
         "scene_caption": scene.scene_caption,
         "views": [
             {
-                "intrinsics": [float(x) for x in astuple(view.intrinsics)],
-                "rotation": view.pose.rotation.ravel().tolist(),
-                "translation": view.pose.translation.tolist(),
+                "intrinsics": [float(x) for x in astuple(intr)],
+                "rotation": pose.rotation.ravel().tolist(),
+                "translation": pose.translation.tolist(),
                 "caption": caption,
             }
-            for view, caption in zip(scene.views, scene.view_captions)
+            for intr, pose, caption in zip(scene.intrinsics, scene.poses, scene.view_captions)
         ],
         "objects": [
             {
@@ -479,7 +480,8 @@ def save_scene(scene: Scene, directory) -> None:
             for obj in scene.objects
         ],
     }
-    write_arrays(Path(directory) / SCENE_FILE, meta, [("images", images), ("depths", depths)])
+    write_arrays(Path(directory) / SCENE_FILE, meta,
+                 [("images", scene.images), ("depths", scene.depths)])
 
 
 _SCENE_KEYS = {"scene_id", "scene_type", "scene_caption", "views", "objects"}
@@ -541,12 +543,11 @@ def load_scene(directory) -> Scene:
         scene_id, scene_type, scene_caption = (
             _text(meta[key], key) for key in ("scene_id", "scene_type", "scene_caption"))
         view_records = _records(meta["views"], _VIEW_KEYS, "view")
-        cameras = [
-            (CameraIntrinsics(*_numbers(r["intrinsics"], 4, "intrinsics")),
-             CameraPose(rotation=np.reshape(_numbers(r["rotation"], 9, "rotation"), (3, 3)),
-                        translation=_numbers(r["translation"], 3, "translation")))
-            for r in view_records
-        ]
+        intrinsics = [CameraIntrinsics(*_numbers(r["intrinsics"], 4, "intrinsics"))
+                      for r in view_records]
+        poses = [CameraPose(rotation=np.reshape(_numbers(r["rotation"], 9, "rotation"), (3, 3)),
+                            translation=_numbers(r["translation"], 3, "translation"))
+                 for r in view_records]
         view_captions = [_text(r["caption"], "view caption") for r in view_records]
         objects = []
         for r in _records(meta["objects"], _OBJECT_KEYS, "object"):
@@ -562,21 +563,11 @@ def load_scene(directory) -> Scene:
     except (ValueError, TypeError, KeyError, OverflowError, ContractError) as exc:
         raise FormatError(f"invalid metadata in {path}: {type(exc).__name__}: {exc}") from exc
 
-    images, depths = arrays["images"], arrays["depths"]
-    if not (images.ndim == 4 and depths.ndim == 3 and len(images) == len(depths) == len(cameras)):
-        raise FormatError(f"scene rasters in {path} do not hold {len(cameras)} views: "
-                          f"images {images.shape}, depths {depths.shape}")
-    views = []
-    for i, (intr, pose) in enumerate(cameras):
-        try:
-            views.append(View(image=images[i], depth=depths[i], intrinsics=intr, pose=pose))
-        except (ContractError, DegenerateInputError) as exc:
-            raise FormatError(f"invalid rasters for view {i} in {path}: {exc}") from exc
-
     try:
-        return Scene(scene_id=scene_id, views=views, objects=objects, scene_type=scene_type,
+        return Scene(scene_id=scene_id, images=arrays["images"], depths=arrays["depths"],
+                     intrinsics=intrinsics, poses=poses, objects=objects, scene_type=scene_type,
                      scene_caption=scene_caption, view_captions=view_captions)
-    except ContractError as exc:
+    except (ContractError, DegenerateInputError) as exc:
         raise FormatError(f"invalid scene in {path}: {exc}") from exc
 
 

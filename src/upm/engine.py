@@ -70,7 +70,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, ShapeError
+from .errors import ContractError, DegenerateInputError, NumericError, ShapeError
 
 LAYER_NORM_EPS = 1e-5
 
@@ -551,8 +551,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def normalize_rows(x: Tensor) -> Tensor:
-    """Scale each row (last axis) to unit L2 norm."""
-    norms = np.sqrt((x.array * x.array).sum(axis=-1, keepdims=True))
+    """Scale each row (last axis) to unit L2 norm; a NaN or overflowing norm is a ``NumericError``."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((x.array * x.array).sum(axis=-1, keepdims=True))
+    if not np.isfinite(norms).all():
+        raise NumericError("cannot L2-normalize a row whose norm is not finite")
     if np.any(norms < 1e-12):
         raise DegenerateInputError("cannot L2-normalize a (near-)zero vector")
     out = x.array / norms

@@ -12,8 +12,8 @@ retrieval, R@1 for the views curve.  Retrieval, zero-shot classification
 A protocol call encodes only the scenes it reads (the probe encodes only
 the training scenes it samples) and each of them once, in one
 ``embed_scene_views`` call per scene.  Nothing is cached across calls:
-parameters change in place during training and a ``Scene`` is mutable, so
-a cache could return stale rows.
+parameters change in place during training, and a ``Scene`` is frozen but
+its arrays are not, so a cache could return stale rows.
 """
 
 from __future__ import annotations
@@ -94,9 +94,8 @@ def embed_scene_views(
     """
     if points is None:
         points, _ = scene.pointmaps()
-    images = np.stack([v.image for v in scene.views])
     with E.no_grad():
-        return encode_views(images, points, params, config).array
+        return encode_views(scene.images, points, params, config).array
 
 
 def scene_embedding_from_views(view_embeddings: np.ndarray) -> np.ndarray:

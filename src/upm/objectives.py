@@ -62,9 +62,12 @@ def soft_targets(ranks: Sequence[int] | np.ndarray) -> np.ndarray:
     ``ranks`` holds one anchor's K ranks, or a stack (V, K) of them, one
     anchor per row.  A softmax over -rank/tau_r is mixed with the one-hot
     nearest-neighbor target: p = alpha * hard + (1 - alpha) * soft, with
-    alpha = ``GEO_ALPHA`` and tau_r = ``GEO_RANK_TAU``.
+    alpha = ``GEO_ALPHA`` and tau_r = ``GEO_RANK_TAU``.  A scalar raises
+    ``ShapeError``.
     """
     ranks = np.asarray(ranks, dtype=np.float64)
+    if ranks.ndim == 0:
+        raise ShapeError("soft targets need a vector or a stack of ranks, got a scalar")
     if ranks.size == 0:
         raise DegenerateInputError("soft targets need at least one candidate")
     if (np.sort(ranks, axis=-1) != np.arange(ranks.shape[-1])).any():

@@ -22,7 +22,7 @@ falls to ``GRADIENT_TOL`` (``max_i |g_i| <= 1e-5``, L-BFGS-B's ``pgtol``
 and scipy's default ``gtol``) or when a step improves f by no more than
 ``OBJECTIVE_TOL * max(1, |f|)`` (L-BFGS-B's ``factr = 1e4``), both after
 Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 1995; it stops unconverged
-after ``max_iterations`` Newton steps.
+after ``MAX_ITERATIONS`` Newton steps.
 
 The regularization strength is selected on a held-out fold over a
 96-point log-spaced grid.  The whole grid is fitted in one batched run,
@@ -55,6 +55,8 @@ MAX_HALVINGS = 30
 SOLVE_CHUNK = 16
 # Share of the few-shot training set held out to choose the regularization strength.
 HOLDOUT_FRACTION = 0.2
+# Newton steps after which a fit stops unconverged.
+MAX_ITERATIONS = 1000
 
 
 def default_reg_grid() -> np.ndarray:
@@ -65,7 +67,6 @@ def default_reg_grid() -> np.ndarray:
 class ProbeConfig:
     shots: int = 5
     reg_grid: tuple[float, ...] = field(default_factory=lambda: tuple(default_reg_grid()))
-    max_iterations: int = 1000
     seed: int = 0
 
     def __post_init__(self):
@@ -76,8 +77,6 @@ class ProbeConfig:
             raise ConfigError("regularization grid must be strictly increasing")
         if not (grid[0] > 0 and np.all(np.isfinite(grid))):  # NaN passes the order check
             raise ConfigError("regularization strengths must be finite and positive")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +190,6 @@ def fit_logistic_grid(
     labels: np.ndarray,
     n_classes: int,
     regs,
-    max_iterations: int = 1000,
 ) -> LogisticFits:
     """Fit W, b from zero at every regularization strength, by Newton's method in lockstep.
 
@@ -215,10 +213,10 @@ def fit_logistic_grid(
     f, g = evaluate(theta, np.arange(k))
     iterations = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
-    for it in range(max_iterations + 1):
+    for it in range(MAX_ITERATIONS + 1):
         converged |= np.abs(g).max(axis=1) <= GRADIENT_TOL
         rows = np.flatnonzero(~converged)
-        if it == max_iterations or not len(rows):
+        if it == MAX_ITERATIONS or not len(rows):
             break
         # The last unknown, the last class's bias, stays at 0.
         grad = _span_gradient(v, g[rows], n_classes)[:, :-1]
@@ -305,7 +303,7 @@ def linear_probe(
     step improves f by at most ``OBJECTIVE_TOL`` relative (L-BFGS-B's
     ``factr = 1e4``).  One INFO line gives the grid size, the most Newton
     steps any fit took, the chosen reg and its holdout accuracy.  One
-    WARNING reports how many grid fits stopped at ``max_iterations``
+    WARNING reports how many grid fits stopped at ``MAX_ITERATIONS``
     without converging and whether the refit converged, when any fit did
     not.
 
@@ -334,13 +332,12 @@ def linear_probe(
     score_idx = holdout_idx if len(holdout_idx) else np.arange(n)
 
     sweep = fit_logistic_grid(train_features[fit_idx], train_labels[fit_idx], n_classes,
-                              cfg.reg_grid, cfg.max_iterations)
+                              cfg.reg_grid)
     predictions = predict_logistic(sweep.w, sweep.b, train_features[score_idx])
     scores = np.mean(predictions == train_labels[score_idx], axis=1)
     best = int(np.argmax(scores))  # the first, lowest-reg, of tied points
     chosen_reg = float(cfg.reg_grid[best])
-    refit = fit_logistic_grid(train_features, train_labels, n_classes, [chosen_reg],
-                              cfg.max_iterations)
+    refit = fit_logistic_grid(train_features, train_labels, n_classes, [chosen_reg])
     logger.info(
         "linear probe: %d grid fits and a refit, at most %d Newton steps each; "
         "reg %g chosen at holdout accuracy %g",
@@ -349,9 +346,9 @@ def linear_probe(
     unconverged = int(np.sum(~sweep.converged))
     if unconverged or not refit.converged[0]:
         logger.warning(
-            "linear probe: %d of %d grid fits stopped at max_iterations=%d without "
+            "linear probe: %d of %d grid fits stopped at MAX_ITERATIONS=%d without "
             "converging; the refit at reg %g %s",
-            unconverged, len(scores), cfg.max_iterations, chosen_reg,
+            unconverged, len(scores), MAX_ITERATIONS, chosen_reg,
             "converged" if refit.converged[0] else "did not converge",
         )
     test_acc = accuracy(predict_logistic(refit.w[0], refit.b[0], test_features), test_labels)

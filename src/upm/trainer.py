@@ -307,39 +307,44 @@ def clip_gradients(named_params, max_norm: float) -> float:
 class PreparedScene:
     """One scene's frozen training inputs, over the views max coverage chose.
 
-    ``views`` holds (image (H, W, 3), points (H, W, 3)) pairs, with invalid
-    pixels at +0.0 as ``back_project`` writes them.
+    ``images`` and ``points`` stack the chosen views, (V', H, W, 3) each, with invalid
+    points at +0.0 as ``back_project`` writes them; ``views`` gives per-view windows onto them.
     """
 
     scene_id: str
-    views: list[tuple[np.ndarray, np.ndarray]]
+    images: np.ndarray
+    points: np.ndarray
     geo_targets: np.ndarray | None
     pairs: list[tuple[int, int]]
     object_texts: list[str]
     view_captions: list[str]
     scene_caption: str
 
+    @property
+    def views(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return list(zip(self.images, self.points))
+
 
 def prepare_scene(scene: Scene, cfg: TrainConfig) -> PreparedScene:
     """Select views by max coverage and freeze the geometric targets."""
     points, validity = scene.pointmaps()
     budget = cfg.views_per_scene
-    if budget > len(scene.views):
+    if budget > len(scene.images):
         logger.warning(
             "scene %s has %d views, capping requested %d",
-            scene.scene_id, len(scene.views), budget,
+            scene.scene_id, len(scene.images), budget,
         )
-        budget = len(scene.views)
+        budget = len(scene.images)
     chosen = max_coverage_sample(points, validity, budget)
     points, validity = points[chosen], validity[chosen]
-    views = [(scene.views[i].image, p) for i, p in zip(chosen, points)]
     targets = None
     if len(chosen) >= 2:
         targets = obj.geo_targets(points, validity, subsample=cfg.chamfer_subsample, seed=cfg.seed)
     pairs = sorted(visibility_pairs(points, validity, scene.objects))
     return PreparedScene(
         scene_id=scene.scene_id,
-        views=views,
+        images=scene.images[chosen],
+        points=points,
         geo_targets=targets,
         pairs=pairs,
         object_texts=[o.referring_text for o in scene.objects],
@@ -361,16 +366,17 @@ def batch_loss(
 ) -> obj.LossBreakdown:
     """All four objectives over one batch, each one graph over the batch's (N, d) views.
 
-    The scenes' (image, points) pairs are stacked for ``encode_views``;
-    scenes whose views differ in size raise ``ShapeError``.
+    The scenes' stacks are concatenated for ``encode_views``; scenes whose views differ in
+    size raise ``ShapeError``, and an empty batch ``DegenerateInputError``.
     """
-    zero = Tensor(np.zeros(1))
-    pairs = [view for scene in batch for view in scene.views]
-    if len({(image.shape, points.shape) for image, points in pairs}) > 1:
+    if not batch:
+        raise DegenerateInputError("a batch of zero scenes")
+    if len({(scene.images.shape[1:], scene.points.shape[1:]) for scene in batch}) > 1:
         raise ShapeError("the scenes of the batch differ in view size")
-    views = encode_views(np.array([image for image, _ in pairs]),
-                         np.array([points for _, points in pairs]), params, enc_cfg)
-    counts = [len(scene.views) for scene in batch]
+    zero = Tensor(np.zeros(1))
+    views = encode_views(np.concatenate([scene.images for scene in batch]),
+                         np.concatenate([scene.points for scene in batch]), params, enc_cfg)
+    counts = [len(scene.images) for scene in batch]
 
     l_geo = zero
     if cfg.use_geo:

@@ -11,7 +11,7 @@ import pytest
 
 from upm import data, evaluation, geometry, objectives, probe, trainer
 from upm.encoder import EncoderConfig, embed_views, encode_views, init_encoder_params
-from upm.engine import Tensor
+from upm.engine import Tensor, normalize_rows
 from upm.errors import ContractError, DegenerateInputError, NumericError, ShapeError
 
 CONFIG = EncoderConfig(image_size=8, patch_size=4, embed_dim=8, num_blocks=0, num_heads=2,
@@ -25,6 +25,9 @@ LABELS = np.array([0, 1, 1, 0])
 CAMERAS = ([geometry.CameraIntrinsics(4.0, 4.0, 3.5, 3.5)] * 2,
            [geometry.CameraPose(np.eye(3), np.zeros(3))] * 2)
 BOX = geometry.ObjectAnnotation(0, [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], "the box", "box")
+# Two 4-pixel views, as data.Scene takes their stacks.
+IMAGES = np.full((2, 4, 4, 3), 0.5)
+DEPTHS = np.ones((2, 4, 4))
 
 
 def with_value(array, index, value):
@@ -43,8 +46,15 @@ def gradients(grad=None):
 
 def prepared(size):
     """A prepared scene of two blank views, ``size`` pixels a side, as ``batch_loss`` takes it."""
-    view = (np.zeros((size, size, 3)), np.zeros((size, size, 3)))
-    return trainer.PreparedScene("blank", [view, view], None, [], [], ["", ""], "")
+    blank = np.zeros((2, size, size, 3))
+    return trainer.PreparedScene("blank", blank, blank, None, [], [], ["", ""], "")
+
+
+def scene_args(images=IMAGES, depths=DEPTHS, cameras=2):
+    """``data.Scene``'s arguments: the two stacks, ``cameras`` cameras and a caption per view."""
+    return ("blank", images, depths, [geometry.CameraIntrinsics(4.0, 4.0, 1.5, 1.5)] * cameras,
+            [geometry.CameraPose(np.eye(3), np.zeros(3))] * cameras, [], "bedroom", "",
+            [""] * len(images))
 
 
 ROWS = [
@@ -143,6 +153,30 @@ ROWS = [
                  NumericError, id="clip_gradients-inf-gradient"),
     pytest.param(trainer.clip_gradients, (gradients(np.array([0.0, np.nan])), 0.0),
                  NumericError, id="clip_gradients-nan-gradient-no-clipping"),
+    pytest.param(trainer.batch_loss,
+                 ([], PARAMS, CONFIG, objectives.Temperature(), trainer.TrainConfig()),
+                 DegenerateInputError, id="batch_loss-no-scenes"),
+    pytest.param(objectives.soft_targets, (np.array(0),),
+                 ShapeError, id="soft_targets-scalar-ranks"),
+    pytest.param(normalize_rows, (Tensor(np.array([[1e200, 1e200]])),),
+                 NumericError, id="normalize_rows-overflowing-row"),
+    pytest.param(evaluation.cosine_similarity, (np.array([[1e308, 1e308]]), np.ones((1, 2))),
+                 NumericError, id="cosine_similarity-overflowing-row"),
+    *[pytest.param(data.Scene, scene_args(depths=with_value(DEPTHS, (0, 2, 1), bad)),
+                   DegenerateInputError, id=f"Scene-{name}-depth")
+      for name, bad in (("nan", np.nan), ("inf", np.inf), ("negative-inf", -np.inf))],
+    *[pytest.param(data.Scene, scene_args(images=with_value(IMAGES, (0, 0, 3, 2), bad)),
+                   DegenerateInputError, id=f"Scene-{name}-image")
+      for name, bad in (("nan", np.nan), ("inf", np.inf))],
+    *[pytest.param(data.Scene, scene_args(IMAGES[:, :height, :width], DEPTHS[:, :height, :width]),
+                   ContractError, id=f"Scene-empty-raster-{height}-{width}")
+      for height, width in ((0, 4), (4, 0), (0, 0))],
+    pytest.param(data.Scene, scene_args(depths=DEPTHS[:, :, :3]),
+                 ContractError, id="Scene-stacks-differ-in-size"),
+    pytest.param(data.Scene, scene_args(IMAGES[:1], DEPTHS[:1], cameras=1),
+                 ContractError, id="Scene-one-view"),
+    pytest.param(data.Scene, scene_args(cameras=3),
+                 ContractError, id="Scene-camera-count-mismatch"),
     pytest.param(data.split_dataset, (["a", "a", "b"], 0),
                  ContractError, id="split_dataset-duplicate-ids"),
     # The null device reads as an empty manifest.

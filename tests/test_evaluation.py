@@ -53,8 +53,7 @@ class TestEmbedSceneViews:
         scene = test_scenes[0]
         got = ev.embed_scene_views(scene, params, loaded)
         with E.no_grad():
-            images = np.stack([view.image for view in scene.views])
-            want = encode_views(images, np.zeros_like(images), params, TINY_ENCODER).array
+            want = encode_views(scene.images, np.zeros_like(scene.images), params, TINY_ENCODER).array
         assert got.tobytes() == want.tobytes()
         assert not np.array_equal(got, ev.embed_scene_views(scene, params, TINY_ENCODER))
 

@@ -97,6 +97,20 @@ def test_only_engine_and_trainer_touch_gradients():
     assert sorted(readers) == ["engine", "trainer"]
 
 
+def test_no_module_reads_per_view_windows():
+    # A scene travels as (V, ...) stacks from rendering to encode_views.
+    # Scene.views and PreparedScene.views, per-view windows onto the
+    # stacks, exist only for perfbench's per-view reads, until perfbench
+    # reads the stacks and the windows and View are deleted; so no upm
+    # module reads an attribute named views.
+    readers = set()
+    for path in sorted((SRC / "upm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "views":
+                readers.add(path.stem)
+    assert readers == set()
+
+
 def test_only_train_step_steps_the_optimizer():
     # One optimizer step: zeroing, backward, clipping and AdamW are each
     # called once, in trainer.train_step, and nowhere else in upm, so

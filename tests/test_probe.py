@@ -102,6 +102,13 @@ def record_fits(monkeypatch):
     return calls
 
 
+def capped_fit(cap, *args):
+    """``fit_logistic_grid(*args)`` with its Newton-step cap ``MAX_ITERATIONS`` set to ``cap``."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(probe, "MAX_ITERATIONS", cap)
+        return fit_logistic_grid(*args)
+
+
 def fits_digest(fits):
     return hashlib.sha256(fits.w.tobytes() + fits.b.tobytes()).hexdigest()
 
@@ -216,7 +223,7 @@ class TestNewton:
     def test_objective_strictly_decreases(self):
         features, labels = separable_toy(np.random.default_rng(1))
         full = fit_logistic_grid(features, labels, 2, [1e-3])
-        objectives = [fit_logistic_grid(features, labels, 2, [1e-3], max_iterations=cap).objective[0]
+        objectives = [capped_fit(cap, features, labels, 2, [1e-3]).objective[0]
                       for cap in range(full.iterations[0] + 1)]
         assert len(objectives) >= 3
         assert all(later < earlier for earlier, later in zip(objectives, objectives[1:]))
@@ -254,13 +261,13 @@ class TestNewton:
         regs = default_reg_grid()
         full = fit_logistic_grid(features, labels, 4, regs)
         for cap in (0, 1, 4):
-            capped = fit_logistic_grid(features, labels, 4, regs, max_iterations=cap)
+            capped = capped_fit(cap, features, labels, 4, regs)
             np.testing.assert_array_equal(capped.iterations, np.minimum(full.iterations, cap))
             done = full.iterations <= cap
             np.testing.assert_array_equal(capped.converged, done)
             assert capped.w[done].tobytes() == full.w[done].tobytes()
         assert not capped.converged.all() and capped.converged.any()
-        assert not fit_logistic_grid(features, labels, 4, regs, max_iterations=0).w.any()
+        assert not capped_fit(0, features, labels, 4, regs).w.any()
 
     @pytest.mark.parametrize("absent", [0, 3])
     def test_class_absent_from_fit_rows(self, absent):
@@ -288,11 +295,11 @@ class TestProbeConfig:
             ProbeConfig(shots=0)
         with pytest.raises(ConfigError):
             ProbeConfig(reg_grid=(1.0, 1.0))
-        for bad in ({"reg_grid": (0.0, 1.0)}, {"reg_grid": (-1.0, 1.0)}, {"max_iterations": 0},
+        for bad in ({"reg_grid": (0.0, 1.0)}, {"reg_grid": (-1.0, 1.0)},
                     {"reg_grid": (1e-2, math.nan)}, {"reg_grid": (math.inf,)}):
             with pytest.raises(ConfigError):
                 ProbeConfig(**bad)
-        ProbeConfig(reg_grid=(1e-300,), max_iterations=1)
+        ProbeConfig(reg_grid=(1e-300,))
 
 
 class TestLinearProbe:
@@ -420,7 +427,7 @@ class TestLinearProbe:
                 strict = fit_logistic_grid(*args)
             assert len(default.objective) == len(strict.objective) == GRID_STEPS
             assert strict.converged.all()
-            assert strict.iterations.max() < ProbeConfig().max_iterations
+            assert strict.iterations.max() < probe.MAX_ITERATIONS
             assert np.all(strict.iterations >= default.iterations)
             assert strict.iterations.sum() > default.iterations.sum()
             np.testing.assert_array_equal(predict_logistic(default.w, default.b, features),
@@ -476,23 +483,24 @@ class TestLinearProbe:
         assert infos == ["linear probe: 96 grid fits and a refit, at most 9 Newton steps each; "
                          "reg 2.76761 chosen at holdout accuracy 0.5"]
 
-    def test_unconverged_fits_logged_once(self, caplog):
+    def test_unconverged_fits_logged_once(self, caplog, monkeypatch):
         rng = np.random.default_rng(7)
         features, labels = separable_toy(rng, n_per_class=4, gap=1.0)
         regs = (1e-3, 1e-2, 1e-1)  # 8, 7 and 5 Newton steps uncapped
-        capped = ProbeConfig(shots=4, reg_grid=regs, max_iterations=1)
-        with caplog.at_level(logging.WARNING, logger="upm.probe"):
-            outcome = linear_probe(features, labels, features, labels, capped)
+        with monkeypatch.context() as patched, caplog.at_level(logging.WARNING, logger="upm.probe"):
+            patched.setattr(probe, "MAX_ITERATIONS", 1)
+            outcome = linear_probe(features, labels, features, labels,
+                                   ProbeConfig(shots=4, reg_grid=regs))
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
-        assert "3 of 3 grid fits stopped at max_iterations=1" in warnings[0].getMessage()
+        assert "3 of 3 grid fits stopped at MAX_ITERATIONS=1" in warnings[0].getMessage()
         assert "did not converge" in warnings[0].getMessage()
         assert outcome.chosen_reg in regs
 
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="upm.probe"):
             linear_probe(features, labels, features, labels,
-                         ProbeConfig(shots=4, reg_grid=(1e3,), max_iterations=1000))
+                         ProbeConfig(shots=4, reg_grid=(1e3,)))
         assert not [r for r in caplog.records if r.levelno == logging.WARNING]
 
     def test_accuracy_helper(self):

@@ -387,7 +387,7 @@ class TestPrepareScene:
 
         with caplog.at_level(logging.WARNING):
             prepared = prepare_scene(scene, cfg)
-        assert len(prepared.views) == 4
+        assert len(prepared.images) == len(prepared.points) == 4
         assert any("capping" in r.message for r in caplog.records)
 
     def test_targets_and_pairs_shapes(self):
@@ -408,8 +408,10 @@ class TestPrepareScene:
         for i in range(4):
             scene = D.generate_scene(D.SceneSpec(scene_type=D.SCENE_TYPES[i % 4], seed=7), seed=i)
             prepared = prepare_scene(scene, TrainConfig())
-            chosen = [next(k for k, v in enumerate(scene.views) if v.image is image)
-                      for image, _ in prepared.views]
+            index_of = {}
+            for k, image in enumerate(scene.images):
+                index_of.setdefault(image.tobytes(), k)
+            chosen = [index_of[image.tobytes()] for image in prepared.images]
             targets = prepared.geo_targets
             h.update(repr((chosen, targets.shape, prepared.pairs)).encode())
             h.update(targets.tobytes())
@@ -425,10 +427,9 @@ def oracle_batch_loss(batch, params, enc_cfg, temperature, cfg):
     scene pools on its own.
     """
     zero = Tensor(np.zeros(1))
-    pairs = [view for scene in batch for view in scene.views]
-    views = encode_views(np.stack([image for image, _ in pairs]),
-                         np.stack([points for _, points in pairs]), params, enc_cfg)
-    counts = [len(scene.views) for scene in batch]
+    views = encode_views(np.concatenate([scene.images for scene in batch]),
+                         np.concatenate([scene.points for scene in batch]), params, enc_cfg)
+    counts = [len(scene.images) for scene in batch]
     spans = list(zip(np.cumsum([0] + counts[:-1]).tolist(), counts))
 
     l_geo = zero
@@ -494,7 +495,7 @@ class TestBatchLoss:
         # projections is one linear node: 136 nodes.  One narrow per scene
         # and use, with the per-scene losses added up, made 250.
         batch, enc_cfg, cfg = default_batch_seed0
-        assert sum(len(p.views) for p in batch) == 32
+        assert sum(len(p.images) for p in batch) == 32
         params = init_encoder_params(enc_cfg, seed=0)
         breakdown = batch_loss(batch, params, enc_cfg, Temperature(cfg.initial_tau), cfg)
         assert len(trace_graph(breakdown.total)) <= 140
