@@ -603,16 +603,21 @@ def split_dataset(scene_ids: list[str], seed: int) -> list[tuple[str, str]]:
 def write_manifest(path, entries: list[tuple[str, str]]) -> None:
     """Write one ``split<TAB>scene_dir`` line per entry, atomically.
 
-    An entry that ``load_manifest`` would refuse, an unknown split or a
-    directory name holding a tab or a line break, raises ``ContractError``
-    before any write; so does a name that UTF-8 cannot encode, such as one
-    holding a lone surrogate.
+    An entry that ``load_manifest`` would refuse, an unknown split, an
+    empty directory name, a name listed twice (in one split or two) or one
+    holding a tab or a line break, raises ``ContractError`` before any
+    write; so does a name that UTF-8 cannot encode, such as one holding a
+    lone surrogate.
     """
+    seen: set[str] = set()
     for split, scene_dir in entries:
         if split not in _SPLITS:
             raise ContractError(f"unknown split {split!r}; expected one of {_SPLITS}")
         if "\t" in scene_dir or scene_dir.splitlines() not in ([], [scene_dir]):
             raise ContractError(f"scene directory {scene_dir!r} holds a tab or a line break")
+        if not scene_dir or scene_dir in seen:
+            raise ContractError(f"scene directory {scene_dir!r} is empty or listed twice")
+        seen.add(scene_dir)
         try:
             scene_dir.encode("utf-8")
         except UnicodeEncodeError as exc:
@@ -623,9 +628,13 @@ def write_manifest(path, entries: list[tuple[str, str]]) -> None:
 
 
 def load_manifest(path) -> dict[str, list[str]]:
-    """Scene directories by split; a malformed manifest raises ``FormatError``."""
+    """Scene directories by split; a malformed manifest raises ``FormatError``.
+
+    So does an empty directory name, or one that an earlier line lists.
+    """
     path = Path(path)
     splits: dict[str, list[str]] = {split: [] for split in _SPLITS}
+    seen: set[str] = set()
     for lineno, raw in enumerate(read_utf8(path, "manifest").splitlines(), start=1):
         if not raw.strip():
             continue
@@ -635,6 +644,10 @@ def load_manifest(path) -> dict[str, list[str]]:
             raise FormatError(f"malformed manifest line {lineno} in {path}") from exc
         if split not in splits:
             raise FormatError(f"unknown split {split!r} on manifest line {lineno} in {path}")
+        if not scene_dir or scene_dir in seen:
+            raise FormatError(f"scene directory {scene_dir!r} on manifest line {lineno} in {path} "
+                              f"is empty or listed twice")
+        seen.add(scene_dir)
         splits[split].append(scene_dir)
     return splits
 

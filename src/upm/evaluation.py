@@ -2,11 +2,13 @@
 classification (zero-shot and linear probe), and report emission.
 
 All rankings use cosine similarity between embeddings that
-``engine.normalize_rows`` scales to unit norm, with its zero-row rule;
-ties break toward the lower index.  Grounding and retrieval share one
-Recall@N at fixed N: R@1, R@5 and R@10 for grounding, R@1 and R@5 for
-retrieval, R@1 for the views curve.  Retrieval, zero-shot classification
-(one prompt, ``DEFAULT_PROMPT``) and the probe share one scene embedding,
+``engine.normalize_rows`` scales to unit norm, with its zero-row rule.
+No score row is sorted: a target's rank is counted on its row, as the
+place it would take in a descending sort with ties toward the lower
+index.  Grounding and retrieval share one Recall@N at fixed N: R@1, R@5
+and R@10 for grounding, R@1 and R@5 for retrieval, R@1 for the views
+curve.  Retrieval, zero-shot classification (one prompt,
+``DEFAULT_PROMPT``) and the probe share one scene embedding,
 ``embed_scenes``.  Embedding extraction runs outside the autodiff graph.
 
 A protocol call encodes only the scenes it reads (the probe encodes only
@@ -55,23 +57,13 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return E.normalize_rows(E.Tensor(a)).array @ E.normalize_rows(E.Tensor(b)).array.T
 
 
-def rank_descending(scores: np.ndarray) -> list[int]:
-    """Indices of a 1-D score array sorted by descending score, ties toward the lower index.
-
-    Another rank raises ``ShapeError`` and a NaN score ``NumericError``.
-    """
-    if np.ndim(scores) != 1:
-        raise ShapeError(f"ranking scores of shape {np.shape(scores)}, not one row")
-    if np.isnan(scores).any():
-        raise NumericError("ranking a NaN score")
-    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-
-
 def _recall_at(
-    orders: Sequence[list[int]], targets: Sequence[int], recall_ns: Sequence[int]
+    rows: Sequence[np.ndarray], targets: Sequence[int], recall_ns: Sequence[int]
 ) -> dict[int, float]:
-    """For each N, the fraction of rankings that place their target in the top N."""
-    positions = [order.index(target) for order, target in zip(orders, targets)]
+    """For each N, the fraction of score rows that place their target in the top N:
+    below N scores higher than it, counting equal scores at lower indices."""
+    positions = [int(np.count_nonzero(row > row[t]) + np.count_nonzero(row[:t] == row[t]))
+                 for row, t in zip(rows, targets)]
     return {n: sum(position < n for position in positions) / len(positions) for n in recall_ns}
 
 
@@ -180,24 +172,29 @@ def grounding_metrics(
 ) -> RetrievalResult:
     """Recall@N for each N of ``GROUNDING_RECALL_NS``, and visible-set accuracy.
 
-    The three sequences hold one entry per instance; lengths that differ
-    raise ``ShapeError``, and a ground-truth view outside its score row
-    raises ``ContractError``.
+    The three sequences hold one entry per instance; lengths that differ,
+    or a score row that is not 1-D, raise ``ShapeError``, a NaN score
+    ``NumericError``, and a ground-truth view outside its score row
+    ``ContractError``.  Ties go to the lower view index.
     """
     if not len(similarities) == len(gt_views) == len(visible_sets):
         raise ShapeError(f"{len(similarities)} score rows, {len(gt_views)} ground-truth views "
                          f"and {len(visible_sets)} visible sets")
-    if any(not 0 <= gt < len(scores) for scores, gt in zip(similarities, gt_views)):
+    rows = [np.asarray(scores) for scores in similarities]
+    if any(row.ndim != 1 for row in rows):
+        raise ShapeError(f"score rows of shapes {[row.shape for row in rows]}, not one row each")
+    if any(np.isnan(row).any() for row in rows):
+        raise NumericError("ranking a NaN score")
+    if any(not 0 <= gt < len(row) for row, gt in zip(rows, gt_views)):
         raise ContractError("a ground-truth view lies outside its row of view scores")
-    if len(similarities) == 0:
+    if not rows:
         return RetrievalResult(recall_at={n: 0.0 for n in GROUNDING_RECALL_NS},
                                visible_set_accuracy=0.0, count=0)
-    orders = [rank_descending(np.asarray(scores)) for scores in similarities]
-    visible_hits = sum(order[0] in visible for order, visible in zip(orders, visible_sets))
+    visible_hits = sum(int(np.argmax(row)) in visible for row, visible in zip(rows, visible_sets))
     return RetrievalResult(
-        recall_at=_recall_at(orders, gt_views, GROUNDING_RECALL_NS),
-        visible_set_accuracy=visible_hits / len(orders),
-        count=len(orders),
+        recall_at=_recall_at(rows, gt_views, GROUNDING_RECALL_NS),
+        visible_set_accuracy=visible_hits / len(rows),
+        count=len(rows),
     )
 
 
@@ -259,16 +256,6 @@ def _retrieval_captions(scenes: Sequence[Scene], n_utterances: int) -> tuple[lis
     return captions, gt_scene
 
 
-def _caption_recall(
-    caption_matrix: np.ndarray,
-    gt_scene: Sequence[int],
-    scene_matrix: np.ndarray,
-    recall_ns: Sequence[int],
-) -> dict[int, float]:
-    orders = [rank_descending(row) for row in cosine_similarity(caption_matrix, scene_matrix)]
-    return _recall_at(orders, gt_scene, recall_ns)
-
-
 def scene_retrieval(
     params: EncoderParams,
     config: EncoderConfig,
@@ -281,8 +268,8 @@ def scene_retrieval(
         return RetrievalResult(recall_at={n: 0.0 for n in RETRIEVAL_RECALL_NS},
                                visible_set_accuracy=None, count=0)
     scene_matrix = embed_scenes(scenes, params, config)
-    recall = _caption_recall(embed_texts(captions, params, config), gt_scene, scene_matrix,
-                             RETRIEVAL_RECALL_NS)
+    similarities = cosine_similarity(embed_texts(captions, params, config), scene_matrix)
+    recall = _recall_at(similarities, gt_scene, RETRIEVAL_RECALL_NS)
     return RetrievalResult(recall_at=recall, visible_set_accuracy=None, count=len(captions))
 
 
@@ -321,7 +308,8 @@ def retrieval_views_curve(
             scene_embedding_from_views(views[picks[:budget]] if budget < len(views) else views)
             for views, picks in scene_views
         ]
-        curve.append((budget, _caption_recall(caption_matrix, gt_scene, np.stack(rows), (1,))[1]))
+        similarities = cosine_similarity(caption_matrix, np.stack(rows))
+        curve.append((budget, _recall_at(similarities, gt_scene, (1,))[1]))
     return curve
 
 
@@ -485,13 +473,16 @@ def emit_report(report: EvalReport, out_dir) -> dict[str, Path]:
 def parse_summary(path) -> dict[str, float | None]:
     """Read back a key=value summary with exact float round-trip.
 
-    A missing, non-UTF-8 or malformed summary raises ``FormatError``.
+    A missing, non-UTF-8 or malformed summary raises ``FormatError``, and
+    so does an empty or repeated key.
     """
     values: dict[str, float | None] = {}
     for line in read_utf8(Path(path), "summary").splitlines():
         if not line.strip():
             continue
         key, _, raw = line.partition("=")
+        if not key or key in values:
+            raise FormatError(f"summary line has an empty or repeated key: {line!r} in {path}")
         try:  # a line without '=' leaves raw empty, which float rejects too
             values[key] = float(raw) if raw != "None" else None
         except ValueError as exc:

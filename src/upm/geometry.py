@@ -13,7 +13,8 @@ as its oracle:
 - ``back_project`` lifts a (V, H, W) depth stack to (V, H, W, 3) points
   with one stacked rotation product (oracle: ``oracle_back_project``);
 - ``box_counts`` counts valid pixels inside object boxes on the
-  (V, H·W) pixel grid;
+  (V, H·W) pixel grid, and ``visibility`` thresholds those counts into
+  the (V, O) boolean matrix of which view sees which object;
 - ``max_coverage_sample`` builds one (V, K) voxel-occupancy matrix and
   scores every view per greedy round (oracle:
   ``oracle_max_coverage_sample``, an ``np.isin`` loop over views);
@@ -37,8 +38,6 @@ from .errors import ContractError, DegenerateInputError, NumericError, RangeErro
 
 DEFAULT_MIN_POINTS = 16
 DEFAULT_VOXEL_SIZE = 0.25
-DEFAULT_CHAMFER_SUBSAMPLE = 512
-DEFAULT_CHAMFER_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -230,8 +229,8 @@ def _mean_min_sq_dists(point_sets: Sequence[np.ndarray]) -> np.ndarray:
     return means
 
 
-def _subsample(points: np.ndarray, count: int | None, seed: int) -> np.ndarray:
-    if count is None or len(points) <= count:
+def _subsample(points: np.ndarray, count: int, seed: int) -> np.ndarray:
+    if len(points) <= count:
         return points
     rng = np.random.default_rng((seed, len(points)))
     idx = np.sort(rng.choice(len(points), size=count, replace=False))
@@ -241,21 +240,22 @@ def _subsample(points: np.ndarray, count: int | None, seed: int) -> np.ndarray:
 def pairwise_chamfer(
     points: np.ndarray,
     validity: np.ndarray,
-    subsample: int | None = DEFAULT_CHAMFER_SUBSAMPLE,
-    seed: int = DEFAULT_CHAMFER_SEED,
+    subsample: int,
+    seed: int,
 ) -> np.ndarray:
     """Symmetric (V, V) matrix of Chamfer distances between all view pairs.
 
-    Each view's valid points are subsampled once (``subsample=None`` keeps
-    them all).  Entry [v, u] averages the squared distance from every point
-    of v to its nearest neighbor in u, and adds the same average from u to
-    v; the diagonal is zero.  Nearest neighbors agree bitwise with an
-    exhaustive O(n^2) scan: one GEMM per block of 128 points estimates
-    every squared distance as ‖q‖² − 2q·t + ‖t‖², the best estimate is
-    rescored exactly, and a point whose runner-up lies within the GEMM's
-    rounding bound, or whose coordinates are too large for the bound to
-    hold, is rescanned.  A single view gives [[0.0]]; a non-finite valid
-    point raises ``NumericError``.
+    Each view's valid points are subsampled once, to at most ``subsample``
+    points (a view with no more keeps them all).  Entry [v, u] averages
+    the squared distance from every point of v to its nearest neighbor in
+    u, and adds the same average from u to v; the diagonal is zero.
+    Nearest neighbors agree bitwise with an exhaustive O(n^2) scan: one
+    GEMM per block of 128 points estimates every squared distance as
+    ‖q‖² − 2q·t + ‖t‖², the best estimate is rescored exactly, and a
+    point whose runner-up lies within the GEMM's rounding bound, or whose
+    coordinates are too large for the bound to hold, is rescanned.  A
+    single view gives [[0.0]]; a non-finite valid point raises
+    ``NumericError``.
     """
     finite = np.isfinite(points)
     if not finite.all() and not finite.all(axis=-1)[validity].all():
@@ -292,12 +292,11 @@ def box_counts(points: np.ndarray, validity: np.ndarray,
     return np.ascontiguousarray(inside.sum(axis=2, dtype=np.int64).T)
 
 
-def visibility_pairs(
+def visibility(
     points: np.ndarray, validity: np.ndarray, objects: Sequence[ObjectAnnotation]
-) -> set[tuple[int, int]]:
-    """(view, object) index pairs where ``DEFAULT_MIN_POINTS`` or more valid view points lie in the box."""
-    views, objs = np.nonzero(box_counts(points, validity, objects) >= DEFAULT_MIN_POINTS)
-    return {(int(v), int(o)) for v, o in zip(views, objs)}
+) -> np.ndarray:
+    """(V, O) bool: True where ``DEFAULT_MIN_POINTS`` or more valid view points lie in the box."""
+    return box_counts(points, validity, objects) >= DEFAULT_MIN_POINTS
 
 
 def max_coverage_sample(points: np.ndarray, validity: np.ndarray, budget: int) -> list[int]:

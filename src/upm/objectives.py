@@ -6,8 +6,9 @@ view-to-object-text alignment over visible pairs, and symmetric InfoNCE
 at the view-caption and scene-caption levels.
 Each loss is one graph over a batch's (N, d) views, and all four are the
 same cross-entropy of temperature-scaled similarities against a target
-matrix (``_masked_xent``); the geometric and grounded losses mask their
-log-softmax to each scene's block of the logits (``same_scene``).
+matrix (``_masked_xent``).  The geometric and grounded losses mask their
+log-softmax to each scene's block of the logits (``same_scene``) and place
+each scene's targets or (V, O) visibility in its block (``_place_blocks``).
 The geometric targets' mix and rank temperature are ``GEO_ALPHA`` and
 ``GEO_RANK_TAU``, and ``total_loss`` weighs that term by ``DEFAULT_GEO_WEIGHT``.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from . import engine as E
 from .engine import Tensor
 from .errors import ContractError, DegenerateInputError, NumericError, ShapeError
-from .geometry import DEFAULT_CHAMFER_SEED, DEFAULT_CHAMFER_SUBSAMPLE, pairwise_chamfer
+from .geometry import pairwise_chamfer
 
 DEFAULT_GEO_WEIGHT = 0.1  # Eq. 8 weight on the geometric term
 GEO_ALPHA = 0.7  # weight of the one-hot nearest-view target in the soft-target mix
@@ -80,12 +81,7 @@ def soft_targets(ranks: Sequence[int] | np.ndarray) -> np.ndarray:
     return GEO_ALPHA * p_hard + (1.0 - GEO_ALPHA) * p_soft
 
 
-def geo_targets(
-    points: np.ndarray,
-    validity: np.ndarray,
-    subsample: int | None = DEFAULT_CHAMFER_SUBSAMPLE,
-    seed: int = DEFAULT_CHAMFER_SEED,
-) -> np.ndarray:
+def geo_targets(points: np.ndarray, validity: np.ndarray, subsample: int, seed: int) -> np.ndarray:
     """Per-anchor soft targets over the other views, shape (V, V-1).
 
     Row v holds the target distribution over candidates [0..V-1] \\ {v} in
@@ -111,6 +107,13 @@ def same_scene(row_counts: Sequence[int], col_counts: Sequence[int]) -> np.ndarr
     rows = np.repeat(np.arange(len(row_counts)), row_counts)
     cols = np.repeat(np.arange(len(col_counts)), col_counts)
     return rows[:, None] == cols[None, :]
+
+
+def _place_blocks(mask: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """A float matrix of the mask's shape: the blocks, raveled in turn, at its true cells."""
+    placed = np.zeros(mask.shape)
+    placed[mask] = np.concatenate([np.ravel(block) for block in blocks])
+    return placed
 
 
 def _masked_xent(a: Tensor, b: Tensor, targets: np.ndarray, temperature: Temperature,
@@ -144,8 +147,7 @@ def geo_loss_from_targets(
         raise ShapeError(f"targets of shapes {[np.shape(t) for t in targets]} are not (V, V-1)")
     mask = same_scene(counts, counts)
     np.fill_diagonal(mask, False)
-    target_matrix = np.zeros(mask.shape)
-    target_matrix[mask] = np.concatenate([np.ravel(t) for t in targets])  # row-major, as each block
+    target_matrix = _place_blocks(mask, targets)
     if not np.isfinite(target_matrix).all():
         raise NumericError("geometric loss over a non-finite target")
     # ShapeError from the mask check unless the counts cover the embeddings.
@@ -156,28 +158,29 @@ def geo_loss_from_targets(
 def ground_loss(
     view_embeddings: Tensor,
     object_text_embeddings: Tensor,
-    pairs: Sequence[tuple[int, int]],
+    visible: Sequence[np.ndarray],
     temperature: Temperature,
-    mask: np.ndarray,
 ) -> Tensor:
     """Symmetric InfoNCE over all visible (view, object) pairs of a batch, each weighed the same.
 
-    The (N, O) logits are normalized over objects per view and over views
-    per object, within the boolean ``mask`` (``same_scene`` for a batch).
+    ``visible`` holds each scene's (V, O) boolean block, in the order the
+    embeddings hold the scenes' rows.  The (N, M) logits are normalized over
+    objects per view and over views per object, within each scene's block.
+    Blocks that are not 2-D or do not cover the logits raise ``ShapeError``,
+    and a block that is not bool, which would weigh its pairs, ``ContractError``.
     """
-    pair_list = sorted(set(pairs))
-    if not pair_list:
+    shapes = [np.shape(block) for block in visible]
+    if any(len(shape) != 2 for shape in shapes):
+        raise ShapeError(f"visibility blocks of shapes {shapes} are not (V, O)")
+    if any(np.asarray(block).dtype != bool for block in visible):
+        raise ContractError("visibility blocks must be bool")
+    count = sum(int(np.count_nonzero(block)) for block in visible)
+    if not count:
         raise DegenerateInputError("ground loss needs at least one visible (view, object) pair")
-    shape = (view_embeddings.shape[0], object_text_embeddings.shape[0])
-    if np.shape(mask) != shape:
-        raise ShapeError(f"mask of shape {np.shape(mask)} does not match the {shape} logits")
-    indicator = np.zeros(shape)
-    for v, o in pair_list:
-        if not (0 <= v < shape[0] and 0 <= o < shape[1] and mask[v, o]):
-            raise ContractError(f"pair ({v}, {o}) outside the {shape} logits or the mask")
-        indicator[v, o] = 1.0
-    return _masked_xent(view_embeddings, object_text_embeddings, indicator, temperature, mask,
-                        both_axes=True, factor=-1.0 / (2.0 * len(pair_list)))
+    mask = same_scene([rows for rows, _ in shapes], [cols for _, cols in shapes])
+    # ShapeError from the mask check unless the blocks cover the logits.
+    return _masked_xent(view_embeddings, object_text_embeddings, _place_blocks(mask, visible),
+                        temperature, mask, both_axes=True, factor=-1.0 / (2.0 * count))
 
 
 def _paired_infonce(a: Tensor, b: Tensor, temperature: Temperature, what: str) -> Tensor:

@@ -1,16 +1,16 @@
 """Pretraining loop: batching, view sampling, AdamW, cosine schedule.
 
-Per-scene geometry (max-coverage view subset, Chamfer-rank targets,
-visibility pairs) is computed once at dataset load.  ``train_step`` is the
-one optimizer step: it encodes the selected views, assembles the four
-losses on one graph, and applies a clipped AdamW update; ``train`` calls
-it once per batch and writes its rows.  Everything is deterministic given
+Per-scene geometry (max-coverage view subset, Chamfer-rank targets, the
+(view, object) visibility matrix) is computed once at dataset load.
+``train_step`` is the one optimizer step: it encodes the selected views,
+assembles the four losses on one graph, and applies a clipped AdamW
+update; ``train`` calls it once per batch and writes its rows.  Everything is deterministic given
 (seed, config, dataset).
 
 ``batch_loss`` builds each loss once over the batch's (N, d) views, with
 no graph node per scene.  Every scene enters all four losses, except that
-a scene whose selected views observe no object has no (view, object)
-pair, so it contributes nothing to the grounded loss.
+a scene whose selected views observe no object has an all-false
+visibility block, so it contributes nothing to the grounded loss.
 
 The text table's gradient is an ``engine.RowGrad``: a batch reads a few
 dozen of its rows, and ``clip_gradients`` and ``adamw_step`` touch those
@@ -36,7 +36,7 @@ from .encoder import (EncoderConfig, EncoderParams, encode_texts, encode_views, 
                       pool_scene, save_checkpoint)
 from .engine import Tensor
 from .errors import ConfigError, ContractError, DegenerateInputError, NumericError, ShapeError
-from .geometry import max_coverage_sample, visibility_pairs
+from .geometry import max_coverage_sample, visibility
 
 logger = logging.getLogger(__name__)
 
@@ -59,7 +59,7 @@ class TrainConfig:
     seed: int = 0
     grad_clip: float = 1.0
     initial_tau: float = 0.07
-    chamfer_subsample: int | None = 512
+    chamfer_subsample: int = 512
     use_geo: bool = True
     use_ground: bool = True
     use_view: bool = True
@@ -80,8 +80,8 @@ class TrainConfig:
         if not obj.TAU_MIN <= self.initial_tau <= obj.TAU_MAX:
             raise ConfigError(f"initial_tau must lie in [{obj.TAU_MIN}, {obj.TAU_MAX}], "
                               f"got {self.initial_tau}")
-        if self.chamfer_subsample is not None and self.chamfer_subsample < 1:  # None: every point
-            raise ConfigError(f"chamfer_subsample must be at least 1 or None, got {self.chamfer_subsample}")
+        if self.chamfer_subsample < 1:
+            raise ConfigError(f"chamfer_subsample must be at least 1, got {self.chamfer_subsample}")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigError("warmup fraction must lie in [0, 1)")
         if self.scenes_per_batch < 1 or self.views_per_scene < 1:
@@ -151,9 +151,9 @@ def adamw_step(
     named_params: list[tuple[str, Tensor]],
     state: OptimizerState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.98,
-    weight_decay: float = 0.0,
+    beta1: float,
+    beta2: float,
+    weight_decay: float,
 ) -> None:
     """Decoupled-weight-decay Adam with bias correction, in place.
 
@@ -308,14 +308,15 @@ class PreparedScene:
     """One scene's frozen training inputs, over the views max coverage chose.
 
     ``images`` and ``points`` stack the chosen views, (V', H, W, 3) each, with invalid
-    points at +0.0 as ``back_project`` writes them; ``views`` gives per-view windows onto them.
+    points at +0.0 as ``back_project`` writes them; ``visible`` is their (V', O) visibility.
+    ``views`` (per view) and ``pairs`` ((view, object), row-major) are windows onto them.
     """
 
     scene_id: str
     images: np.ndarray
     points: np.ndarray
     geo_targets: np.ndarray | None
-    pairs: list[tuple[int, int]]
+    visible: np.ndarray
     object_texts: list[str]
     view_captions: list[str]
     scene_caption: str
@@ -323,6 +324,10 @@ class PreparedScene:
     @property
     def views(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return list(zip(self.images, self.points))
+
+    @property
+    def pairs(self) -> list[tuple[int, int]]:
+        return [(int(v), int(o)) for v, o in zip(*np.nonzero(self.visible))]
 
 
 def prepare_scene(scene: Scene, cfg: TrainConfig) -> PreparedScene:
@@ -340,13 +345,12 @@ def prepare_scene(scene: Scene, cfg: TrainConfig) -> PreparedScene:
     targets = None
     if len(chosen) >= 2:
         targets = obj.geo_targets(points, validity, subsample=cfg.chamfer_subsample, seed=cfg.seed)
-    pairs = sorted(visibility_pairs(points, validity, scene.objects))
     return PreparedScene(
         scene_id=scene.scene_id,
         images=scene.images[chosen],
         points=points,
         geo_targets=targets,
-        pairs=pairs,
+        visible=visibility(points, validity, scene.objects),
         object_texts=[o.referring_text for o in scene.objects],
         view_captions=[scene.view_captions[i] for i in chosen],
         scene_caption=scene.scene_caption,
@@ -384,17 +388,14 @@ def batch_loss(
 
     l_ground = zero
     if cfg.use_ground:
-        object_counts = [len(scene.object_texts) for scene in batch]
-        starts = zip(np.cumsum([0] + counts).tolist(), np.cumsum([0] + object_counts).tolist())
-        pairs = [(vs + v, os + o) for scene, (vs, os) in zip(batch, starts) for v, o in scene.pairs]
         for scene in batch:
-            if not scene.pairs:
+            if not scene.visible.any():
                 logger.warning("ground loss: scene %s has no visible pairs", scene.scene_id)
-        if pairs:
+        if any(scene.visible.any() for scene in batch):
             text_embeddings = encode_texts(
                 [text for scene in batch for text in scene.object_texts], params, enc_cfg)
-            l_ground = obj.ground_loss(views, text_embeddings, pairs, temperature,
-                                       obj.same_scene(counts, object_counts))
+            l_ground = obj.ground_loss(views, text_embeddings, [s.visible for s in batch],
+                                       temperature)
 
     l_view = zero
     if cfg.use_view:

@@ -47,7 +47,8 @@ def gradients(grad=None):
 def prepared(size):
     """A prepared scene of two blank views, ``size`` pixels a side, as ``batch_loss`` takes it."""
     blank = np.zeros((2, size, size, 3))
-    return trainer.PreparedScene("blank", blank, blank, None, [], [], ["", ""], "")
+    return trainer.PreparedScene("blank", blank, blank, None, np.zeros((2, 0), dtype=bool), [],
+                                 ["", ""], "")
 
 
 def scene_args(images=IMAGES, depths=DEPTHS, cameras=2):
@@ -58,9 +59,9 @@ def scene_args(images=IMAGES, depths=DEPTHS, cameras=2):
 
 
 ROWS = [
-    pytest.param(geometry.pairwise_chamfer, (with_value(VIEWS, (1, 2, 3, 0), np.nan), VALID),
+    pytest.param(geometry.pairwise_chamfer, (with_value(VIEWS, (1, 2, 3, 0), np.nan), VALID, 512, 0),
                  NumericError, id="pairwise_chamfer-nan-valid-point"),
-    pytest.param(geometry.pairwise_chamfer, (with_value(VIEWS, (0, 0, 0, 2), np.inf), VALID),
+    pytest.param(geometry.pairwise_chamfer, (with_value(VIEWS, (0, 0, 0, 2), np.inf), VALID, 512, 0),
                  NumericError, id="pairwise_chamfer-inf-valid-point"),
     pytest.param(geometry.back_project, (with_value(np.ones((2, 8, 8)), (1, 3, 4), np.nan), *CAMERAS),
                  NumericError, id="back_project-nan-depth"),
@@ -68,11 +69,27 @@ ROWS = [
                  NumericError, id="box_counts-nan-valid-point"),
     pytest.param(geometry.max_coverage_sample, (with_value(VIEWS, (0, 5, 1, 1), np.nan), VALID, 1),
                  NumericError, id="max_coverage_sample-nan-valid-point"),
-    pytest.param(objectives.geo_targets, (np.full((2, 8, 8, 3), np.nan), VALID),
+    pytest.param(objectives.geo_targets, (np.full((2, 8, 8, 3), np.nan), VALID, 512, 0),
                  NumericError, id="geo_targets-all-nan-points"),
     pytest.param(objectives.geo_loss_from_targets,
                  (Tensor(np.eye(2)), [np.array([[np.nan], [1.0]])], objectives.Temperature()),
                  NumericError, id="geo_loss_from_targets-nan-target"),
+    pytest.param(objectives.ground_loss,
+                 (Tensor(np.eye(2)), Tensor(np.eye(2)), [np.ones(2, dtype=bool)],
+                  objectives.Temperature()),
+                 ShapeError, id="ground_loss-1d-block"),
+    pytest.param(objectives.ground_loss,
+                 (Tensor(np.eye(2)), Tensor(np.eye(2)), [np.ones((1, 2), dtype=bool)],
+                  objectives.Temperature()),
+                 ShapeError, id="ground_loss-blocks-miss-logits"),
+    pytest.param(objectives.ground_loss,
+                 (Tensor(np.eye(2)), Tensor(np.eye(2)), [np.array([[2, 0], [0, 0]])],
+                  objectives.Temperature()),
+                 ContractError, id="ground_loss-int-block"),
+    pytest.param(objectives.ground_loss,
+                 (Tensor(np.eye(2)), Tensor(np.eye(2)), [np.zeros((2, 2), dtype=bool)],
+                  objectives.Temperature()),
+                 DegenerateInputError, id="ground_loss-no-visible-pair"),
     pytest.param(embed_views, (with_value(VIEWS, (0, 1, 1, 1), np.nan), VIEWS, PARAMS, CONFIG),
                  NumericError, id="embed_views-nan-image"),
     pytest.param(embed_views, (VIEWS, with_value(VIEWS, (1, 7, 7, 2), -np.inf), PARAMS, CONFIG),
@@ -113,10 +130,10 @@ ROWS = [
                  ShapeError, id="cosine_similarity-1d-input"),
     pytest.param(evaluation.cosine_similarity, (np.array([[1e-13, 0.0]]), np.ones((2, 2))),
                  DegenerateInputError, id="cosine_similarity-near-zero-row"),
-    pytest.param(evaluation.rank_descending, (np.array([np.nan, 1.0, 2.0]),),
-                 NumericError, id="rank_descending-nan-score"),
-    pytest.param(evaluation.rank_descending, (np.ones((2, 3)),),
-                 ShapeError, id="rank_descending-2d-scores"),
+    pytest.param(evaluation.grounding_metrics, ([np.array([np.nan, 1.0, 2.0])], [0], [frozenset({0})]),
+                 NumericError, id="grounding_metrics-nan-score"),
+    pytest.param(evaluation.grounding_metrics, ([np.ones((2, 3))], [0], [frozenset({0})]),
+                 ShapeError, id="grounding_metrics-2d-scores"),
     pytest.param(evaluation.classify_from_similarities,
                  (np.array([[0.1, 0.9], [np.nan, np.nan]]), np.array([1, 0])),
                  NumericError, id="classify_from_similarities-nan-row"),

@@ -379,7 +379,7 @@ class TestRenderConsistency:
         # Keep only the pixels inside the top slab.
         validity &= ((points >= top_slab.aabb_min) & (points <= top_slab.aabb_max)).all(axis=-1)
         voxel_tolerance = 0.2**2
-        cd = pairwise_chamfer(points, validity, subsample=None)
+        cd = pairwise_chamfer(points, validity, subsample=validity[0].size, seed=0)  # every point
         assert cd[0, 1] < voxel_tolerance
         assert cd[0, 2] < voxel_tolerance
 
@@ -930,14 +930,27 @@ class TestManifest:
         (("train", "scene\n1"), "tab or a line break"),
         (("training", "scene_1"), "unknown split"),
         (("train", "a\udc80"), "not encodable as UTF-8"),
+        (("test", "a"), "empty or listed twice"),
+        (("val", "a"), "empty or listed twice"),
+        (("train", ""), "empty or listed twice"),
     ])
     def test_unloadable_entry_not_written(self, tmp_path, entry, match):
         # Each of the first three once wrote a manifest that load_manifest
         # refused ("malformed manifest line 1", "line 2", "unknown split");
-        # the lone surrogate raised an untyped UnicodeEncodeError.
+        # the lone surrogate raised an untyped UnicodeEncodeError.  A
+        # repeated name once leaked a scene into two splits or trained it
+        # twice an epoch, and an empty one named the manifest's directory.
         with pytest.raises(ContractError, match=match):
             D.write_manifest(tmp_path / "manifest.tsv", [("val", "a"), entry])
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text", ["train\ts0\ntest\ts0\n", "train\ts1\ntrain\ts1\n",
+                                      "train\ts0\ntrain\t\n"])
+    def test_empty_or_repeated_scene_directory_rejected(self, tmp_path, text):
+        path = tmp_path / "manifest.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match="line 2 .* is empty or listed twice"):
+            D.load_manifest(path)
 
     def test_unknown_split_rejected(self, tmp_path):
         path = tmp_path / "manifest.tsv"

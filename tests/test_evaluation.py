@@ -73,7 +73,7 @@ class TestGroundingMetrics:
         rng = np.random.default_rng(0)
         sims = [rng.normal(size=6) for _ in range(40)]
         gts = [int(rng.integers(0, 6)) for _ in range(40)]
-        recall = ev._recall_at([ev.rank_descending(s) for s in sims], gts, (1, 2, 3, 6))
+        recall = ev._recall_at(sims, gts, (1, 2, 3, 6))
         values = [recall[n] for n in (1, 2, 3, 6)]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert recall[6] == 1.0
@@ -108,6 +108,22 @@ class TestGroundingMetrics:
         second = ev.grounding_metrics([sims], [1], [frozenset({1})])
         assert top_first.recall_at[1] == 1.0
         assert second.recall_at[1] == 0.0
+
+    def test_tie_at_top_gives_visible_set_hit_to_lower_index(self):
+        sims = np.array([0.1, 0.5, 0.5])
+        assert ev.grounding_metrics([sims], [0], [frozenset({1})]).visible_set_accuracy == 1.0
+        assert ev.grounding_metrics([sims], [0], [frozenset({2})]).visible_set_accuracy == 0.0
+
+    def test_signed_zeros_tie(self):
+        sims = np.array([-0.0, 0.0])
+        result = ev.grounding_metrics([sims], [1], [frozenset({0})])
+        assert result.recall_at == {1: 0.0, 5: 1.0, 10: 1.0}
+        assert result.visible_set_accuracy == 1.0
+
+    def test_recall_values_are_python_floats(self):
+        recall = ev._recall_at([np.array([0.2, 0.7, 0.1])], [1], (1, 2))
+        assert recall == {1: 1.0, 2: 1.0}
+        assert all(type(value) is float for value in recall.values())
 
 
 class TestFilterUnique:
@@ -458,7 +474,8 @@ class TestEmitReport:
             "grounding.standard.count": 1, "grounding.standard.r_at_1": 1.0,
             "grounding.standard.visible_set_accuracy": 1.0, "retrieval.n2.r_at_5": 0.25}
 
-    @pytest.mark.parametrize("line", ["grounding.standard.count 7", "retrieval.n1.r_at_1=0.5x"])
+    @pytest.mark.parametrize("line", ["grounding.standard.count 7", "retrieval.n1.r_at_1=0.5x",
+                                      "=1.0", "classification.zero_shot=0.5"])
     def test_malformed_summary_line_rejected(self, tmp_path, line):
         path = tmp_path / "summary.txt"
         path.write_text(f"classification.zero_shot=0.25\n{line}\n", encoding="utf-8")

@@ -37,6 +37,8 @@ def stack(clouds):
 
 
 EMPTY = np.empty((0, 3))
+# A Chamfer subsample count above every test set's size, so every point is kept.
+EVERY_POINT = 1 << 20
 
 
 def oracle_back_project(depth, intr, pose):
@@ -70,7 +72,7 @@ def project(points_world, intr, pose):
     return np.stack([u, v, z], axis=-1)
 
 
-def chamfer(a, b, subsample=None, seed=G.DEFAULT_CHAMFER_SEED):
+def chamfer(a, b, subsample=EVERY_POINT, seed=0):
     """The Chamfer distance of one pair of clouds, read from the pairwise matrix."""
     return G.pairwise_chamfer(*stack([a, b]), subsample, seed)[0, 1]
 
@@ -92,7 +94,7 @@ def brute_path_chamfer(a, b):
 def proximity_ranks(clouds, anchor):
     """Every other view's 0-based rank by Chamfer distance to the anchor, ties to the
     lower index: the oracle for geo_targets' ranking."""
-    distances = G.pairwise_chamfer(*stack(clouds))[anchor]
+    distances = G.pairwise_chamfer(*stack(clouds), EVERY_POINT, 0)[anchor]
     order = sorted((u for u in range(len(clouds)) if u != anchor), key=lambda u: (distances[u], u))
     return {u: rank for rank, u in enumerate(order)}
 
@@ -417,21 +419,23 @@ class TestPairwiseChamfer:
                 pts = np.vstack([pts, pts[: rng.integers(0, len(pts) + 1)]])
                 pts[rng.random(len(pts)) < 0.2] += 1e-12 * rng.normal(size=3)
                 sets.append(rng.permutation(pts))
-            cd = G.pairwise_chamfer(*stack(sets), subsample=None)
+            cd = G.pairwise_chamfer(*stack(sets), EVERY_POINT, 0)
             for v, u in itertools.permutations(range(len(sets)), 2):
                 assert cd[v, u] == brute_path_chamfer(sets[v], sets[u])
 
     def test_empty_view_rejected(self):
         with pytest.raises(DegenerateInputError):
-            G.pairwise_chamfer(*stack([[[0, 0, 0]], EMPTY]))
+            G.pairwise_chamfer(*stack([[[0, 0, 0]], EMPTY]), EVERY_POINT, 0)
 
     def test_single_view_gives_zero_diagonal(self):
-        assert G.pairwise_chamfer(*stack([[[0, 0, 0], [1, 2, 3]]])).tolist() == [[0.0]]
+        cd = G.pairwise_chamfer(*stack([[[0, 0, 0], [1, 2, 3]]]), EVERY_POINT, 0)
+        assert cd.tolist() == [[0.0]]
 
     def test_non_finite_invalid_pixel_ignored(self):
         points, validity = stack([[[0, 0, 0], [1, 0, 0]], [[3, 0, 0]]])
         points[1, 1] = np.nan  # padding: an invalid pixel
-        assert G.pairwise_chamfer(points, validity).tolist() == [[0.0, 10.5], [10.5, 0.0]]
+        cd = G.pairwise_chamfer(points, validity, EVERY_POINT, 0)
+        assert cd.tolist() == [[0.0, 10.5], [10.5, 0.0]]
 
 
 class TestProximityRanks:
@@ -459,7 +463,7 @@ class TestProximityRanks:
         rng = np.random.default_rng(14)
         distinct = [rng.normal(size=(int(rng.integers(1, 9)), 3)) for _ in range(5)]
         clouds = distinct + [distinct[1], distinct[3], distinct[1]]
-        targets = geo_targets(*stack(clouds))
+        targets = geo_targets(*stack(clouds), EVERY_POINT, 0)
         for anchor in range(len(clouds)):
             ranks = proximity_ranks(clouds, anchor)
             expected = soft_targets([ranks[u] for u in sorted(ranks)])
@@ -468,7 +472,7 @@ class TestProximityRanks:
     def test_single_view_rejected(self):
         # geo_targets ranks the views of a scene, and there are none to rank.
         with pytest.raises(DegenerateInputError):
-            geo_targets(*stack([[[0, 0, 0]]]))
+            geo_targets(*stack([[[0, 0, 0]]]), EVERY_POINT, 0)
 
 
 class TestVisibility:
@@ -476,22 +480,24 @@ class TestVisibility:
     def box(self):
         return G.ObjectAnnotation(0, [-1, -1, -1], [1, 1, 1], "the box", "box")
 
-    def pairs(self, clouds):
-        return G.visibility_pairs(*stack(clouds), [self.box()])
+    def visible(self, clouds):
+        visible = G.visibility(*stack(clouds), [self.box()])
+        assert visible.dtype == bool and visible.shape == (len(clouds), 1)
+        return visible.tolist()
 
     def test_fully_inside(self):
-        assert self.pairs([np.zeros((16, 3))]) == {(0, 0)}
+        assert self.visible([np.zeros((16, 3))]) == [[True]]
 
     def test_fully_outside(self):
-        assert self.pairs([np.full((16, 3), 10.0)]) == set()
+        assert self.visible([np.full((16, 3), 10.0)]) == [[False]]
 
     def test_threshold_boundary(self):
         outside = np.full((6, 3), 9.0)
-        assert self.pairs([np.vstack([np.zeros((15, 3)), outside])]) == set()
-        assert self.pairs([np.vstack([np.zeros((16, 3)), outside])]) == {(0, 0)}
+        assert self.visible([np.vstack([np.zeros((15, 3)), outside]),
+                             np.vstack([np.zeros((16, 3)), outside])]) == [[False], [True]]
 
     def test_inclusive_bounds(self):
-        assert self.pairs([np.ones((16, 3))]) == {(0, 0)}
+        assert self.visible([np.ones((16, 3))]) == [[True]]
 
 
 class TestVisibleArea:

@@ -88,9 +88,12 @@ def assert_close_to_oracle(value, oracle_value, grads, oracle_grads, rtol=1e-12)
         assert np.abs(g - o).max() <= rtol * largest
 
 
-def one_scene(h, t):
-    """The grounded-loss mask of a one-scene batch: every view sees every object."""
-    return obj.same_scene([h.shape[0]], [t.shape[0]])
+def visible(shape, pairs):
+    """A (V, O) visibility block, true at each (view, object) pair."""
+    block = np.zeros(shape, dtype=bool)
+    for v, o in pairs:
+        block[v, o] = True
+    return block
 
 
 def random_targets(rng, n_views):
@@ -103,7 +106,7 @@ def random_targets(rng, n_views):
 
 def geo_loss(h, maps, temperature):
     """One scene's geometric loss from its pointmaps: targets as in prepare_scene, loss as in batch_loss."""
-    return obj.geo_loss_from_targets(h, [obj.geo_targets(*maps)], temperature)
+    return obj.geo_loss_from_targets(h, [obj.geo_targets(*maps, 512, 0)], temperature)
 
 
 class TestTemperature:
@@ -210,7 +213,7 @@ class TestGeoLoss:
         base = unit_rows(rng, 4, 6)
         maps = point_maps([rng.normal(size=3) for _ in range(4)])
         temp = obj.Temperature(0.3)
-        targets = obj.geo_targets(*maps)
+        targets = obj.geo_targets(*maps, 512, 0)
 
         h = Tensor(base.copy(), requires_grad=True)
         assert finite_diff_check(
@@ -325,13 +328,13 @@ class TestGroundLoss:
     def test_singleton_denominators_give_zero(self):
         h = Tensor(np.ones((1, 4)) / 2.0)
         t = Tensor(np.ones((1, 4)) / 2.0)
-        loss = obj.ground_loss(h, t, [(0, 0)], obj.Temperature(), one_scene(h, t))
+        loss = obj.ground_loss(h, t, [visible((1, 1), [(0, 0)])], obj.Temperature())
         assert loss.item() == pytest.approx(0.0, abs=1e-15)
 
     def test_uniform_logits_one_pair(self):
         h = Tensor(np.zeros((2, 4)))
         t = Tensor(np.zeros((2, 4)))
-        loss = obj.ground_loss(h, t, [(0, 0)], obj.Temperature(1.0), one_scene(h, t))
+        loss = obj.ground_loss(h, t, [visible((2, 2), [(0, 0)])], obj.Temperature(1.0))
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_matches_scalar_oracle(self):
@@ -340,29 +343,26 @@ class TestGroundLoss:
         t = Tensor(unit_rows(rng, 2, 8))
         temp = obj.Temperature(0.7)
         pairs = [(0, 0), (1, 1), (2, 0)]
-        loss = obj.ground_loss(h, t, pairs, temp, one_scene(h, t)).item()
+        loss = obj.ground_loss(h, t, [visible((3, 2), pairs)], temp).item()
         logits = h.array @ t.array.T / temp.value
         assert loss == pytest.approx(ground_loss_oracle(logits, pairs), abs=1e-12)
 
     def test_empty_pairs_rejected(self):
         h = Tensor(np.ones((2, 4)))
         t = Tensor(np.ones((1, 4)))
-        with pytest.raises(DegenerateInputError, match="at least one visible"):
-            obj.ground_loss(h, t, [], obj.Temperature(), one_scene(h, t))
-
-    def test_out_of_range_pair_rejected(self):
-        h = Tensor(np.ones((2, 4)))
-        t = Tensor(np.ones((1, 4)))
-        with pytest.raises(ContractError):
-            obj.ground_loss(h, t, [(2, 0)], obj.Temperature(), one_scene(h, t))
+        for blocks in ([], [np.zeros((2, 1), dtype=bool)],
+                       [np.zeros((1, 1), dtype=bool), np.zeros((1, 0), dtype=bool)]):
+            with pytest.raises(DegenerateInputError, match="at least one visible"):
+                obj.ground_loss(h, t, blocks, obj.Temperature())
 
     def test_nonnegative(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             h = Tensor(unit_rows(rng, 4, 6))
             t = Tensor(unit_rows(rng, 3, 6))
-            pairs = [(int(rng.integers(0, 4)), int(rng.integers(0, 3))) for _ in range(4)]
-            assert obj.ground_loss(h, t, pairs, obj.Temperature(0.2), one_scene(h, t)).item() >= 0.0
+            block = rng.random((4, 3)) < 0.3
+            block[0, 0] = True
+            assert obj.ground_loss(h, t, [block], obj.Temperature(0.2)).item() >= 0.0
 
 
     def test_masked_batch_is_pair_weighted_mean_of_scenes(self):
@@ -370,29 +370,19 @@ class TestGroundLoss:
         rng = np.random.default_rng(12)
         view_counts, object_counts = (3, 4, 2), (2, 0, 3)
         scene_pairs = [[(0, 0), (2, 1), (1, 1)], [], [(0, 2), (1, 0)]]
+        blocks = [visible(shape, ps)
+                  for shape, ps in zip(zip(view_counts, object_counts), scene_pairs)]
         h, t = unit_rows(rng, 9, 8), unit_rows(rng, 5, 8)
         temp = obj.Temperature(0.4)
         view_starts, object_starts = (0, 3, 7), (0, 2, 2)
-        pairs = [(vs + v, os + o) for vs, os, ps in zip(view_starts, object_starts, scene_pairs)
-                 for v, o in ps]
-        mask = obj.same_scene(view_counts, object_counts)
-        loss = obj.ground_loss(Tensor(h), Tensor(t), pairs, temp, mask).item()
+        loss = obj.ground_loss(Tensor(h), Tensor(t), blocks, temp).item()
         weighted = 0.0
-        for vs, vc, os, oc, ps in zip(view_starts, view_counts, object_starts, object_counts,
-                                      scene_pairs):
-            if ps:
+        for vs, vc, os, oc, block in zip(view_starts, view_counts, object_starts, object_counts,
+                                         blocks):
+            if block.any():
                 h_s, t_s = Tensor(h[vs:vs + vc]), Tensor(t[os:os + oc])
-                scene = obj.ground_loss(h_s, t_s, ps, temp, one_scene(h_s, t_s))
-                weighted += len(ps) * scene.item()
-        assert loss == pytest.approx(weighted / len(pairs), rel=1e-12)
-
-    def test_pair_outside_mask_rejected(self):
-        mask = obj.same_scene((1, 1), (1, 1))
-        h, t = Tensor(np.eye(2, 4)), Tensor(np.eye(2, 4))
-        with pytest.raises(ContractError):
-            obj.ground_loss(h, t, [(0, 1)], obj.Temperature(), mask)
-        with pytest.raises(ShapeError):
-            obj.ground_loss(h, t, [(0, 0)], obj.Temperature(), mask[:, :1])
+                weighted += block.sum() * obj.ground_loss(h_s, t_s, [block], temp).item()
+        assert loss == pytest.approx(weighted / sum(map(len, scene_pairs)), rel=1e-12)
 
 
 class TestViewAndSceneLoss:
@@ -472,8 +462,8 @@ class TestTotalLoss:
         base_t = unit_rows(rng, 4, 6)
         maps = point_maps([rng.normal(size=3) for _ in range(4)])
         temp = obj.Temperature(0.3)
-        targets = obj.geo_targets(*maps)
-        pairs = [(0, 0), (1, 2), (3, 1)]
+        targets = obj.geo_targets(*maps, 512, 0)
+        block = visible((4, 4), [(0, 0), (1, 2), (3, 1)])
 
         def build(h):
             t = Tensor(base_t)
@@ -481,7 +471,7 @@ class TestTotalLoss:
             scene_caps = Tensor(base_t[:2])
             breakdown = obj.total_loss(
                 obj.geo_loss_from_targets(h, [targets], temp),
-                obj.ground_loss(h, t, pairs, temp, one_scene(h, t)),
+                obj.ground_loss(h, t, [block], temp),
                 obj.view_loss(h, t, temp),
                 obj.scene_loss(scenes, scene_caps, temp),
             )

@@ -35,7 +35,7 @@ def test_no_module_imports_scipy():
         "for module in pkgutil.iter_modules(upm.__path__):\n"
         "    importlib.import_module('upm.' + module.name)\n"
         "points = np.random.default_rng(0).normal(size=(3, 5, 4, 3))\n"
-        "cd = upm.geometry.pairwise_chamfer(points, np.ones((3, 5, 4), dtype=bool))\n"
+        "cd = upm.geometry.pairwise_chamfer(points, np.ones((3, 5, 4), dtype=bool), 512, 0)\n"
         "print(cd.shape, 'upm.probe' in sys.modules,\n"
         "      any(name.partition('.')[0] == 'scipy' for name in sys.modules))\n"
     )
@@ -98,15 +98,18 @@ def test_only_engine_and_trainer_touch_gradients():
 
 
 def test_no_module_reads_per_view_windows():
-    # A scene travels as (V, ...) stacks from rendering to encode_views.
-    # Scene.views and PreparedScene.views, per-view windows onto the
-    # stacks, exist only for perfbench's per-view reads, until perfbench
-    # reads the stacks and the windows and View are deleted; so no upm
-    # module reads an attribute named views.
+    # A scene travels as (V, ...) stacks from rendering to encode_views,
+    # and its visibility as one (V, O) matrix from geometry to the
+    # grounded loss.  Scene.views and PreparedScene.views, per-view
+    # windows onto the stacks, and PreparedScene.pairs, a (view, object)
+    # list read off the matrix, exist only for perfbench's reads, until
+    # perfbench reads the arrays (ROADMAP item 3) and the windows and
+    # View are deleted; so no upm module reads an attribute named views
+    # or pairs.
     readers = set()
     for path in sorted((SRC / "upm").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr == "views":
+            if isinstance(node, ast.Attribute) and node.attr in ("views", "pairs"):
                 readers.add(path.stem)
     assert readers == set()
 

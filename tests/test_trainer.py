@@ -82,6 +82,12 @@ def oracle_adamw_step(named_params, state, lr, beta1=0.9, beta2=0.98, weight_dec
         tensor.array -= lr * update
 
 
+def adamw(named_params, state, lr, **hyper):
+    """``adamw_step`` at ``TrainConfig``'s betas and no weight decay, unless ``hyper`` sets them."""
+    hyper = {"beta1": 0.9, "beta2": 0.98, "weight_decay": 0.0, **hyper}
+    adamw_step(named_params, state, lr, **hyper)
+
+
 def optimizer_snapshot(tensors, state):
     """The bytes of the parameters and of every moment and live-row array, and ``state.step``."""
     return ([t.array.tobytes() for t in tensors], state.step,
@@ -98,13 +104,13 @@ class TestAdamw:
 
     def test_zero_grad_zero_decay_is_identity(self):
         t = self.one_param(2.5, grad=0.0)
-        adamw_step([("w", t)], OptimizerState(), lr=0.1, weight_decay=0.0)
+        adamw([("w", t)], OptimizerState(), lr=0.1, weight_decay=0.0)
         assert t.array[0] == 2.5
 
     def test_single_step_matches_scalar_oracle(self):
         # With g=1 the bias-corrected ratio is 1/(1+ADAM_EPS) at step one.
         t = self.one_param(0.0, grad=1.0)
-        adamw_step([("w", t)], OptimizerState(), lr=0.01, weight_decay=0.0)
+        adamw([("w", t)], OptimizerState(), lr=0.01, weight_decay=0.0)
         expected = -0.01 * (1.0 / (1.0 + 1e-8))
         assert t.array[0] == pytest.approx(expected, rel=1e-12)
 
@@ -112,18 +118,18 @@ class TestAdamw:
         t = self.one_param(4.0, grad=0.0)
         state = OptimizerState()
         for _ in range(3):
-            adamw_step([("w", t)], state, lr=0.1, weight_decay=0.5)
+            adamw([("w", t)], state, lr=0.1, weight_decay=0.5)
         assert t.array[0] == pytest.approx(4.0 * (1 - 0.1 * 0.5) ** 3, rel=1e-12)
 
     def test_temperature_excluded_from_decay(self):
         t = self.one_param(2.0, grad=0.0)
-        adamw_step([(TEMPERATURE_KEY, t)], OptimizerState(), lr=0.1, weight_decay=0.5)
+        adamw([(TEMPERATURE_KEY, t)], OptimizerState(), lr=0.1, weight_decay=0.5)
         assert t.array[0] == 2.0
 
     def test_non_finite_gradient_aborts_with_name(self):
         t = self.one_param(1.0, grad=float("nan"))
         with pytest.raises(NumericError, match="attn.wq"):
-            adamw_step([("blocks.0.attn.wq", t)], OptimizerState(), lr=0.1)
+            adamw([("blocks.0.attn.wq", t)], OptimizerState(), lr=0.1)
 
     def test_seeded_sequence_matches_oracle_bytewise(self):
         # Shapes repeat; one parameter never gets a gradient and one is
@@ -217,7 +223,7 @@ class TestAdamw:
             t.grad = E.RowGrad(rows, rng.normal(size=(60, 64)))
             tracemalloc.start()
             try:
-                adamw_step([("text.table", t)], state, lr=1e-3, weight_decay=0.05)
+                adamw([("text.table", t)], state, lr=1e-3, weight_decay=0.05)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -229,10 +235,10 @@ class TestAdamw:
         t = Tensor(np.ones((5, 2)), requires_grad=True)
         state = OptimizerState()
         t.grad = E.RowGrad(np.array([1], dtype=np.intp), np.ones((1, 2)))
-        adamw_step([("text.table", t)], state, lr=0.1)
+        adamw([("text.table", t)], state, lr=0.1)
         t.grad = E.RowGrad(np.array([3], dtype=np.intp), np.array([[0.0, bad]]))
         with pytest.raises(NumericError, match="text.table"):
-            adamw_step([("text.table", t)], state, lr=0.1)
+            adamw([("text.table", t)], state, lr=0.1)
 
     @pytest.mark.parametrize("bad", ["dense", "rows"])
     def test_non_finite_gradient_changes_nothing(self, bad):
@@ -244,7 +250,7 @@ class TestAdamw:
         state = OptimizerState()
         first.grad = np.full(3, 0.5)
         table.grad = E.RowGrad(np.array([1], dtype=np.intp), np.ones((1, 2)))
-        adamw_step(named, state, lr=0.1, weight_decay=0.01)
+        adamw(named, state, lr=0.1, weight_decay=0.01)
         before = optimizer_snapshot([first, table], state)
         if bad == "dense":
             named.reverse()
@@ -252,7 +258,7 @@ class TestAdamw:
         else:
             table.grad = E.RowGrad(np.array([3], dtype=np.intp), np.array([[0.0, np.nan]]))
         with pytest.raises(NumericError, match="parameter w" if bad == "dense" else "text.table"):
-            adamw_step(named, state, lr=0.1, weight_decay=0.01)
+            adamw(named, state, lr=0.1, weight_decay=0.01)
         assert optimizer_snapshot([first, table], state) == before
 
     def test_dense_and_row_gradients_never_mix(self):
@@ -264,11 +270,11 @@ class TestAdamw:
             named = [("w", w), ("text.table", t)]
             state = OptimizerState()
             w.grad, t.grad = np.full(3, 0.5), first
-            adamw_step(named, state, lr=0.1)
+            adamw(named, state, lr=0.1)
             before = optimizer_snapshot([w, t], state)
             t.grad = second
             with pytest.raises(ContractError, match="text.table mixes"):
-                adamw_step(named, state, lr=0.1)
+                adamw(named, state, lr=0.1)
             assert optimizer_snapshot([w, t], state) == before
 
     @pytest.mark.parametrize("name,value", [
@@ -280,12 +286,12 @@ class TestAdamw:
         t = self.one_param(1.0, grad=1.0)
         kwargs = {"lr": 0.1, name: value}
         with pytest.raises(ContractError, match=name):
-            adamw_step([("w", t)], OptimizerState(), **kwargs)
+            adamw([("w", t)], OptimizerState(), **kwargs)
         assert t.array[0] == 1.0
 
     def test_missing_grad_treated_as_zero(self):
         t = self.one_param(3.0)
-        adamw_step([("w", t)], OptimizerState(), lr=0.1, weight_decay=0.0)
+        adamw([("w", t)], OptimizerState(), lr=0.1, weight_decay=0.0)
         assert t.array[0] == 3.0
 
 
@@ -364,9 +370,6 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=name):
             TrainConfig(**{name: value})
 
-    def test_chamfer_subsample_none_keeps_every_point(self):
-        assert TrainConfig(chamfer_subsample=None).chamfer_subsample is None
-
     def test_paper_preset(self):
         cfg = paper_train_config()
         assert cfg.epochs == 80
@@ -398,8 +401,13 @@ class TestPrepareScene:
         prepared = prepare_scene(scene, cfg)
         assert prepared.geo_targets.shape == (4, 3)
         np.testing.assert_allclose(prepared.geo_targets.sum(axis=1), 1.0, atol=1e-12)
-        for v, o in prepared.pairs:
-            assert 0 <= v < 4 and 0 <= o < len(prepared.object_texts)
+        assert prepared.visible.shape == (4, len(prepared.object_texts))
+        assert prepared.visible.dtype == bool and prepared.visible.any()
+        # perfbench's window: the true cells as (view, object) ints, row-major.
+        cells = [(v, o) for v in range(4) for o in range(len(prepared.object_texts))
+                 if prepared.visible[v, o]]
+        assert prepared.pairs == cells
+        assert all(type(i) is int for pair in prepared.pairs for i in pair)
 
     def test_default_outputs_pinned(self):
         # Chosen views, geo-target bytes and pairs of four default scenes, as
@@ -423,7 +431,7 @@ def oracle_batch_loss(batch, params, enc_cfg, temperature, cfg):
 
     Each scene takes a fresh narrow of the view rows per loss, its own (V, V)
     geometric logits through the per-row graph, and its own text-tower call
-    and grounded loss when it has pairs, weighted by its pair count; each
+    and grounded loss when it has visible pairs, weighted by their count; each
     scene pools on its own.
     """
     zero = Tensor(np.zeros(1))
@@ -443,13 +451,12 @@ def oracle_batch_loss(batch, params, enc_cfg, temperature, cfg):
     if cfg.use_ground:
         weighted, total_pairs = zero, 0
         for scene, span in zip(batch, spans):
-            if scene.pairs:
+            if scene.visible.any():
                 texts = encode_texts(scene.object_texts, params, enc_cfg)
                 rows = E.narrow(views, 0, *span)
-                term = obj.ground_loss(rows, texts, scene.pairs, temperature,
-                                       np.ones((span[1], len(scene.object_texts)), dtype=bool))
-                weighted = E.add(weighted, E.scale(term, float(len(scene.pairs))))
-                total_pairs += len(scene.pairs)
+                term = obj.ground_loss(rows, texts, [scene.visible], temperature)
+                weighted = E.add(weighted, E.scale(term, float(scene.visible.sum())))
+                total_pairs += int(scene.visible.sum())
         if total_pairs:
             l_ground = E.scale(weighted, 1.0 / total_pairs)
 
@@ -469,14 +476,14 @@ def default_batch(first_seed):
 
 
 def pairless_batch():
-    """Small scenes: one with objects but its pairs dropped, and one with no objects at all."""
+    """Small scenes: one with objects but no view seeing them, and one with no objects at all."""
     cfg = TrainConfig(views_per_scene=4, chamfer_subsample=64)
     specs = [D.SceneSpec(scene_type=kind, view_count=6, image_size=24, object_count=count)
              for kind, count in (("office", (2, 4)), ("kitchen", (2, 4)), ("bedroom", (2, 4)),
                                  ("office", (0, 0)))]
     batch = [prepare_scene(D.generate_scene(spec, seed=40 + i), cfg) for i, spec in enumerate(specs)]
-    batch[1] = dataclasses.replace(batch[1], pairs=[])
-    assert batch[0].pairs and batch[2].pairs and not batch[3].object_texts
+    batch[1] = dataclasses.replace(batch[1], visible=np.zeros_like(batch[1].visible))
+    assert batch[0].visible.any() and batch[2].visible.any() and not batch[3].object_texts
     return batch, TINY_ENCODER, cfg
 
 
@@ -550,7 +557,7 @@ class TestBatchLoss:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
-        assert all(scene.pairs for scene in batch)  # so every object text is read
+        assert all(scene.visible.any() for scene in batch)  # so every object text is read
         texts = [t for s in batch for t in (*s.object_texts, *s.view_captions, s.scene_caption)]
         read = sorted({row for text in texts for row in token_ids(text, enc_cfg)})
         assert params["text.table"].grad.rows.tolist() == read
