@@ -600,14 +600,21 @@ def split_dataset(scene_ids: list[str], seed: int) -> list[tuple[str, str]]:
     return [(tags[i], scene_ids[i]) for i in range(n)]
 
 
+def _not_one_path_component(scene_dir: str) -> bool:
+    """True for ``.``, ``..``, a name holding a separator and an absolute path: each
+    names something other than one entry of the manifest's directory."""
+    return scene_dir in (".", "..") or Path(scene_dir).name != scene_dir
+
+
 def write_manifest(path, entries: list[tuple[str, str]]) -> None:
     """Write one ``split<TAB>scene_dir`` line per entry, atomically.
 
     An entry that ``load_manifest`` would refuse, an unknown split, an
-    empty directory name, a name listed twice (in one split or two) or one
-    holding a tab or a line break, raises ``ContractError`` before any
-    write; so does a name that UTF-8 cannot encode, such as one holding a
-    lone surrogate.
+    empty directory name, a name listed twice (in one split or two), one
+    holding a tab or a line break, or one that is not a single plain path
+    component (``.``, ``..``, a name holding ``/``, an absolute path),
+    raises ``ContractError`` before any write; so does a name that UTF-8
+    cannot encode, such as one holding a lone surrogate.
     """
     seen: set[str] = set()
     for split, scene_dir in entries:
@@ -617,6 +624,8 @@ def write_manifest(path, entries: list[tuple[str, str]]) -> None:
             raise ContractError(f"scene directory {scene_dir!r} holds a tab or a line break")
         if not scene_dir or scene_dir in seen:
             raise ContractError(f"scene directory {scene_dir!r} is empty or listed twice")
+        if _not_one_path_component(scene_dir):
+            raise ContractError(f"scene directory {scene_dir!r} is not one plain path component")
         seen.add(scene_dir)
         try:
             scene_dir.encode("utf-8")
@@ -630,7 +639,10 @@ def write_manifest(path, entries: list[tuple[str, str]]) -> None:
 def load_manifest(path) -> dict[str, list[str]]:
     """Scene directories by split; a malformed manifest raises ``FormatError``.
 
-    So does an empty directory name, or one that an earlier line lists.
+    So does an empty directory name, one that an earlier line lists, and
+    one that is not a single plain path component (``.``, ``..``, a name
+    holding ``/``, an absolute path), which would load something other
+    than one entry of the manifest's directory.
     """
     path = Path(path)
     splits: dict[str, list[str]] = {split: [] for split in _SPLITS}
@@ -647,6 +659,9 @@ def load_manifest(path) -> dict[str, list[str]]:
         if not scene_dir or scene_dir in seen:
             raise FormatError(f"scene directory {scene_dir!r} on manifest line {lineno} in {path} "
                               f"is empty or listed twice")
+        if _not_one_path_component(scene_dir):
+            raise FormatError(f"scene directory {scene_dir!r} on manifest line {lineno} in {path} "
+                              f"is not one plain path component")
         seen.add(scene_dir)
         splits[split].append(scene_dir)
     return splits

@@ -18,16 +18,21 @@ as its oracle:
 - ``max_coverage_sample`` builds one (V, K) voxel-occupancy matrix and
   scores every view per greedy round (oracle:
   ``oracle_max_coverage_sample``, an ``np.isin`` loop over views);
-- ``pairwise_chamfer`` searches each view once, with the other views'
-  points concatenated as queries (oracle: the exhaustive scan).  The
-  search scores every target with one GEMM per block of query rows,
-  through ‖q − t‖² = ‖q‖² − 2q·t + ‖t‖², rescores the best with the
-  scan's expression, and rescans a row whose runner-up lies within the
-  GEMM's rounding bound (see ``_min_sq_dists``).
+- ``chamfer_ranks`` ranks each view's other views by Chamfer distance,
+  as the exact distances rank them (oracle: the ranks of the tests'
+  exact ``pairwise_chamfer`` matrix).  A float32 filter, one GEMM per
+  block of query columns through ‖q − t‖² = ‖q‖² − 2q·t + ‖t‖² on points
+  shifted to the target view's centroid, estimates every distance with a
+  proven rounding bound.  Only an entry whose interval overlaps another
+  in its row is computed exactly, by ``_min_sq_dists``: a float64 GEMM
+  search that rescores the best target with the scan's expression and
+  rescans a row whose runner-up lies within its rounding bound.  So the
+  ranks are those of the exact distances on any BLAS kernel.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,6 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, NumericError, RangeError, ShapeError
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_MIN_POINTS = 16
 DEFAULT_VOXEL_SIZE = 0.25
@@ -161,6 +168,14 @@ _BLOCK_ROWS = 128
 # subnormal whatever the scale.
 _ROUNDING_BOUND = 64 * np.finfo(np.float64).eps
 _UNDERFLOW_BOUND = 64 * np.finfo(np.float64).smallest_subnormal
+# The float32 filter of chamfer_ranks: query columns per score block (a
+# (512, 256) block stays in cache, and 256 ran fastest against 512-point
+# targets), the per-query bound K·s² + A, and the s from which the bound
+# is infinite (see chamfer_ranks for the derivation).
+_FILTER_COLS = 256
+_FILTER_K = 2.0 ** -20
+_FILTER_A = 2.0 ** -126
+_FILTER_S_MAX = 2.0 ** 62
 
 
 def _min_sq_dists(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -206,29 +221,6 @@ def _min_sq_dists(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mean_min_sq_dists(point_sets: Sequence[np.ndarray]) -> np.ndarray:
-    """Entry [v, u]: mean squared distance from set v to its nearest points in set u.
-
-    Each set is searched once, with every other set's points concatenated
-    as the queries; the distances are split back per source set.  The
-    diagonal is zero.
-    """
-    if any(len(pts) == 0 for pts in point_sets):
-        raise DegenerateInputError("Chamfer distance needs at least one valid point per set")
-    n_sets = len(point_sets)
-    means = np.zeros((n_sets, n_sets))
-    for u, targets in enumerate(point_sets):
-        sources = [v for v in range(n_sets) if v != u]
-        if not sources:  # a single set: its one entry is the zero diagonal
-            break
-        queries = np.concatenate([point_sets[v] for v in sources])
-        dists = _min_sq_dists(queries, targets)
-        splits = np.cumsum([len(point_sets[v]) for v in sources])[:-1]
-        for v, part in zip(sources, np.split(dists, splits)):
-            means[v, u] = np.mean(part)
-    return means
-
-
 def _subsample(points: np.ndarray, count: int, seed: int) -> np.ndarray:
     if len(points) <= count:
         return points
@@ -237,31 +229,155 @@ def _subsample(points: np.ndarray, count: int, seed: int) -> np.ndarray:
     return points[idx]
 
 
-def pairwise_chamfer(
+def _filter_means(point_sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 estimates of every (v, u) mean nearest squared distance, with error bounds.
+
+    Entry [v, u] of the first (V, V) array estimates the mean, over the
+    points q of set v, of the squared distance to q's nearest point in set
+    u; entry [v, u] of the second is the mean of the per-query bounds
+    ``_FILTER_K·s² + _FILTER_A`` derived in ``chamfer_ranks``, or inf where
+    s reaches ``_FILTER_S_MAX``.  Both diagonals are zero.
+
+    For each target set u, every point is shifted by u's centroid and cast
+    to float32 as a column [q̂; 1], and one (m, 4) @ (4, k) GEMM per block
+    of query columns scores all m targets as ‖t̂‖² − 2q̂·t̂; a query's
+    estimate is its minimum score plus ‖q̂‖², added in float64.  u's own
+    points are not scored.
+    """
+    n_sets = len(point_sets)
+    counts = np.array([len(pts) for pts in point_sets])
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    every = np.concatenate(point_sets)
+    columns = np.ones((4, len(every)), dtype=np.float32)
+    nearest = np.zeros(len(every), dtype=np.float32)
+    means = np.zeros((n_sets, n_sets))
+    bounds = np.zeros((n_sets, n_sets))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow makes a bound inf or NaN
+        for u, (start, targets) in enumerate(zip(starts, point_sets)):
+            columns[:3] = (every - targets.mean(axis=0)).T
+            stop = start + len(targets)
+            shifted = columns[:3, start:stop]
+            norms = np.einsum("ij,ij->j", shifted, shifted)
+            weights = np.hstack([-2.0 * shifted.T, norms[:, None]])
+            for lo, hi in ((0, start), (stop, len(every))):
+                for block in range(lo, hi, _FILTER_COLS):
+                    end = min(block + _FILTER_COLS, hi)
+                    np.min(weights @ columns[:, block:end], axis=0, out=nearest[block:end])
+            query_norms = np.einsum("ij,ij->j", columns[:3], columns[:3]).astype(np.float64)
+            s = np.sqrt(query_norms) + np.sqrt(np.float64(norms.max()))
+            slack = np.where(s < _FILTER_S_MAX, _FILTER_K * s * s + _FILTER_A, np.inf)
+            means[:, u] = np.add.reduceat(query_norms + nearest, starts) / counts
+            bounds[:, u] = np.add.reduceat(slack, starts) / counts
+    np.fill_diagonal(means, 0.0)
+    np.fill_diagonal(bounds, 0.0)
+    return means, bounds
+
+
+def chamfer_ranks(
     points: np.ndarray,
     validity: np.ndarray,
     subsample: int,
     seed: int,
 ) -> np.ndarray:
-    """Symmetric (V, V) matrix of Chamfer distances between all view pairs.
+    """(V, V-1) ranks of each view's Chamfer distances to the other views.
 
-    Each view's valid points are subsampled once, to at most ``subsample``
-    points (a view with no more keeps them all).  Entry [v, u] averages
-    the squared distance from every point of v to its nearest neighbor in
-    u, and adds the same average from u to v; the diagonal is zero.
-    Nearest neighbors agree bitwise with an exhaustive O(n^2) scan: one
-    GEMM per block of 128 points estimates every squared distance as
-    ‖q‖² − 2q·t + ‖t‖², the best estimate is rescored exactly, and a
-    point whose runner-up lies within the GEMM's rounding bound, or whose
-    coordinates are too large for the bound to hold, is rescanned.  A
-    single view gives [[0.0]]; a non-finite valid point raises
-    ``NumericError``.
+    Row v ranks the candidates [0..V-1] \\ {v}, in ascending view order,
+    by ascending Chamfer distance to v, 0 for the nearest; exact ties rank
+    toward the lower view index.  Each view's valid points are subsampled
+    once, to at most ``subsample`` points (a view with no more keeps them
+    all).  The distance of v and u is the mean squared distance from
+    every point of v to its nearest point in u, plus the same mean from u
+    to v: the exact distance, as ``_min_sq_dists`` (bitwise the exhaustive
+    scan) and ``np.mean`` compute each half and ``+`` adds them.  The
+    ranks are those of the exact distances, but most distances are never
+    computed exactly:
+
+    1. **Filter.**  ``_filter_means`` estimates every half in float32,
+       with a bound B_vu on |estimate − exact| for each entry (below).
+    2. **Certify and refine.**  An entry whose interval [d − B, d + B]
+       about its estimate d overlaps the interval of any other entry in its row, or whose
+       estimate or bound is not finite, is searched exactly, in both
+       directions.  Every estimate lies within its interval, so two
+       entries with disjoint intervals compare as their exact distances
+       do, and two with overlapping intervals are both exact.
+    3. **Rank** with a stable argsort.
+
+    **The bound.**  u = 2⁻²⁴ and w = 2⁻⁵³ are float32's and float64's
+    unit roundoffs, τ = 2⁻¹²⁶ is float32's smallest normal, γₖ = ku/(1 − ku)
+    and γ'ₖ = kw/(1 − kw).  Arithmetic rounds to nearest with gradual
+    underflow: a product or a cast to float32 returns z(1 + δ) + η with
+    |δ| ≤ u and |η| ≤ uτ, a sum or difference z(1 + δ), and float64 the
+    same with w.  Take one target set, its centroid c, a query q of
+    another set and a target t; x = q − c and y = t − c are the exact
+    shifts, x̂ and ŷ their float32 casts, a = ‖x̂‖, R = max ‖ŷ‖ over the
+    targets and s = a + R.  D is q's exact nearest squared distance, D̂
+    the same over the cast points, f the filter's estimate and Ď
+    ``_min_sq_dists``' value.  A cross term in uτs is below
+    2⁻⁵⁶u(s² + τ), since τs ≤ 2⁻⁶⁶s² + 2⁻⁶⁰τ.
+
+    - *Cast.*  The float64 shift and the cast give |x̂ᵢ − xᵢ| ≤ α|xᵢ| + uτ
+      with α = u + w + uw, so ‖x̂ − x‖ ≤ α‖x‖ + 2uτ and ‖x‖ ≤ (a + 2uτ)/(1 − α).
+      Each distance ‖x̂ − ŷ‖ is then within ρ = αs/(1 − α) + 5uτ of
+      ‖x − y‖, and so are their minima √D̂ and √D.  As √D̂ ≤ s,
+      |D̂ − D| ≤ ρ(2s + ρ) ≤ 2.0001u·s² + uτ.
+    - *Norms.*  Three squares and two sums in any order:
+      |N̂ − ‖ŷ‖²| ≤ γ₃(‖ŷ‖² + τ), and the same for ‖x̂‖².
+    - *Dot product.*  The score [x̂, 1]·[−2ŷ, N̂_t] has four terms, so in
+      any summation order, with or without FMA (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, §3.1),
+      |ŝ − (N̂_t − 2x̂·ŷ)| ≤ γ₄(2aR + N̂_t + τ).  A minimum moves by no
+      more than its terms' largest error, so with both norms
+      |N̂_q + min ŝ − D̂| ≤ (γ₃ + γ₄ + γ₃γ₄)s² + (2γ₃ + γ₄ + γ₃γ₄)τ
+      ≤ 7.0001u·s² + 10.0001uτ, and the float64 sum that forms f adds
+      under 2⁻²⁸u·s².
+    - *Exact path.*  Ď is the scan's minimum of three squared float64
+      differences summed, within γ'₅D + 2⁻¹⁰⁷³ of D, and D ≤ (s + ρ)².
+
+    So |f − Ď| ≤ 9.01u·s² + 11uτ per query.  Each ``np.mean`` of n values
+    (n < 2²⁶ points a set), in any summation order, is off by at most γ'ₙ
+    times the mean of their magnitudes, each at most 1.0001s², and
+    ``means + means.T`` rounds once more: together under 0.3u·s².  So
+    with K = 16u = 2⁻²⁰ and A = τ, B_vu = mean over v's points of K·s² + A
+    (targets u) plus mean over u's points (targets v) bounds the entry,
+    and the 6.6u·s² and 0.99τ it has to spare cover the float64 rounding
+    of B, of d ± B, and of √N̂ in place of ‖x̂‖.  B is finite only while
+    every s < 2⁶²: below that no float32 cast, norm or score overflows,
+    nor any float64 distance.
+
+    A non-finite valid point raises ``NumericError``; fewer than two
+    views, or a view without a valid point, ``DegenerateInputError``.
+    One DEBUG line reports how many of the V(V−1) entries were searched
+    exactly.
     """
+    n_views = len(points)
+    if n_views < 2:
+        raise DegenerateInputError("Chamfer ranks need at least two views")
     finite = np.isfinite(points)
     if not finite.all() and not finite.all(axis=-1)[validity].all():
         raise NumericError("Chamfer distance over a non-finite valid point")
-    means = _mean_min_sq_dists([_subsample(p[m], subsample, seed) for p, m in zip(points, validity)])
-    return means + means.T
+    point_sets = [_subsample(p[m], subsample, seed) for p, m in zip(points, validity)]
+    if any(len(pts) == 0 for pts in point_sets):
+        raise DegenerateInputError("Chamfer distance needs at least one valid point per set")
+    means, bounds = _filter_means(point_sets)
+    candidates = ~np.eye(n_views, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        distances = means + means.T
+        slack = (bounds + bounds.T)[candidates].reshape(n_views, n_views - 1)
+        estimates = distances[candidates].reshape(n_views, n_views - 1)
+        certain = np.isfinite(estimates) & np.isfinite(slack)
+        lo = np.where(certain, estimates - slack, -np.inf)
+        hi = np.where(certain, estimates + slack, np.inf)
+    overlap = (lo[:, :, None] <= hi[:, None, :]) & (lo[:, None, :] <= hi[:, :, None])
+    uncertain = np.zeros((n_views, n_views), dtype=bool)
+    uncertain[candidates] = (overlap & ~np.eye(n_views - 1, dtype=bool)).any(axis=2).ravel()
+    pairs = np.argwhere(np.triu(uncertain | uncertain.T, 1))
+    for v, u in pairs:
+        distances[v, u] = distances[u, v] = (np.mean(_min_sq_dists(point_sets[v], point_sets[u]))
+                                             + np.mean(_min_sq_dists(point_sets[u], point_sets[v])))
+    logger.debug("Chamfer ranks: %d of %d entries searched exactly", 2 * len(pairs),
+                 n_views * (n_views - 1))
+    off_diagonal = distances[candidates].reshape(n_views, n_views - 1)
+    return np.argsort(np.argsort(off_diagonal, axis=1, kind="stable"), axis=1)
 
 
 # ---------------------------------------------------------------------------

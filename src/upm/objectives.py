@@ -11,6 +11,11 @@ log-softmax to each scene's block of the logits (``same_scene``) and place
 each scene's targets or (V, O) visibility in its block (``_place_blocks``).
 The geometric targets' mix and rank temperature are ``GEO_ALPHA`` and
 ``GEO_RANK_TAU``, and ``total_loss`` weighs that term by ``DEFAULT_GEO_WEIGHT``.
+The targets use the Chamfer distances only through their ranks, so
+``geo_targets`` takes ``geometry.chamfer_ranks``: a float32 filter
+estimates every distance with a proven rounding bound, only the entries
+whose bound cannot order them against their row are searched exactly, and
+the ranks equal those of the exact distances.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 from . import engine as E
 from .engine import Tensor
 from .errors import ContractError, DegenerateInputError, NumericError, ShapeError
-from .geometry import pairwise_chamfer
+from .geometry import chamfer_ranks
 
 DEFAULT_GEO_WEIGHT = 0.1  # Eq. 8 weight on the geometric term
 GEO_ALPHA = 0.7  # weight of the one-hot nearest-view target in the soft-target mix
@@ -86,15 +91,11 @@ def geo_targets(points: np.ndarray, validity: np.ndarray, subsample: int, seed: 
 
     Row v holds the target distribution over candidates [0..V-1] \\ {v} in
     ascending view order, ranked by ascending Chamfer distance to v; ties
-    rank toward the lower view index (a stable sort).
+    rank toward the lower view index (a stable sort).  The ranks are
+    ``chamfer_ranks``': those of the exact distances, certified from a
+    float32 estimate and its rounding bound.
     """
-    n_views = len(points)
-    if n_views < 2:
-        raise DegenerateInputError("geometric targets need at least two views")
-    cd = pairwise_chamfer(points, validity, subsample=subsample, seed=seed)
-    off_diagonal = cd[~np.eye(n_views, dtype=bool)].reshape(n_views, n_views - 1)
-    ranks = np.argsort(np.argsort(off_diagonal, axis=1, kind="stable"), axis=1)
-    return soft_targets(ranks)
+    return soft_targets(chamfer_ranks(points, validity, subsample, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ One table: each row is a public callable, degenerate arguments, and the
 """
 
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from upm import data, evaluation, geometry, objectives, probe, trainer
 from upm.encoder import EncoderConfig, embed_views, encode_views, init_encoder_params
 from upm.engine import Tensor, normalize_rows
-from upm.errors import ContractError, DegenerateInputError, NumericError, ShapeError
+from upm.errors import ContractError, DegenerateInputError, FormatError, NumericError, ShapeError
 
 CONFIG = EncoderConfig(image_size=8, patch_size=4, embed_dim=8, num_blocks=0, num_heads=2,
                        mlp_ratio=1, text_vocab_size=4, text_context_length=4)
@@ -51,6 +53,14 @@ def prepared(size):
                                  ["", ""], "")
 
 
+def load_manifest_text(text):
+    """``data.load_manifest`` of a manifest file holding ``text``."""
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "manifest.tsv"
+        path.write_text(text, encoding="utf-8")
+        return data.load_manifest(path)
+
+
 def scene_args(images=IMAGES, depths=DEPTHS, cameras=2):
     """``data.Scene``'s arguments: the two stacks, ``cameras`` cameras and a caption per view."""
     return ("blank", images, depths, [geometry.CameraIntrinsics(4.0, 4.0, 1.5, 1.5)] * cameras,
@@ -59,10 +69,14 @@ def scene_args(images=IMAGES, depths=DEPTHS, cameras=2):
 
 
 ROWS = [
-    pytest.param(geometry.pairwise_chamfer, (with_value(VIEWS, (1, 2, 3, 0), np.nan), VALID, 512, 0),
-                 NumericError, id="pairwise_chamfer-nan-valid-point"),
-    pytest.param(geometry.pairwise_chamfer, (with_value(VIEWS, (0, 0, 0, 2), np.inf), VALID, 512, 0),
-                 NumericError, id="pairwise_chamfer-inf-valid-point"),
+    pytest.param(geometry.chamfer_ranks, (with_value(VIEWS, (1, 2, 3, 0), np.nan), VALID, 512, 0),
+                 NumericError, id="chamfer_ranks-nan-valid-point"),
+    pytest.param(geometry.chamfer_ranks, (with_value(VIEWS, (0, 0, 0, 2), np.inf), VALID, 512, 0),
+                 NumericError, id="chamfer_ranks-inf-valid-point"),
+    pytest.param(geometry.chamfer_ranks, (VIEWS, with_value(VALID, 1, False).astype(bool), 512, 0),
+                 DegenerateInputError, id="chamfer_ranks-empty-view"),
+    pytest.param(geometry.chamfer_ranks, (VIEWS[:1], VALID[:1], 512, 0),
+                 DegenerateInputError, id="chamfer_ranks-single-view"),
     pytest.param(geometry.back_project, (with_value(np.ones((2, 8, 8)), (1, 3, 4), np.nan), *CAMERAS),
                  NumericError, id="back_project-nan-depth"),
     pytest.param(geometry.box_counts, (with_value(VIEWS, (1, 2, 3, 0), np.nan), VALID, [BOX]),
@@ -196,6 +210,11 @@ ROWS = [
                  ContractError, id="Scene-camera-count-mismatch"),
     pytest.param(data.split_dataset, (["a", "a", "b"], 0),
                  ContractError, id="split_dataset-duplicate-ids"),
+    # A path under the null device cannot be written, so nothing is even if the check fails.
+    pytest.param(data.write_manifest, (os.path.join(os.devnull, "manifest.tsv"), [("train", "a/b")]),
+                 ContractError, id="write_manifest-nested-scene-directory"),
+    pytest.param(load_manifest_text, ("train\ts0\ntrain\t..\n",),
+                 FormatError, id="load_manifest-parent-scene-directory"),
     # The null device reads as an empty manifest.
     pytest.param(data.load_split_scenes, (os.devnull, "bogus"),
                  ContractError, id="load_split_scenes-unknown-split"),

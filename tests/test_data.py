@@ -21,9 +21,9 @@ from upm.geometry import (
     ObjectAnnotation,
     back_project,
     box_counts,
-    pairwise_chamfer,
 )
 from tests.conftest import corruptions, edit_header, header_end, rewrite_header
+from tests.test_geometry import pairwise_chamfer
 
 
 def aabb_surface_distance(points, lo, hi):
@@ -950,6 +950,22 @@ class TestManifest:
         path = tmp_path / "manifest.tsv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(FormatError, match="line 2 .* is empty or listed twice"):
+            D.load_manifest(path)
+
+    @pytest.mark.parametrize("name", [".", "..", "a/b", "scene/", "/abs/scene", "../scene"])
+    def test_scene_directory_beyond_one_component_not_written(self, tmp_path, name):
+        # load_split_scenes joins each name to the manifest's directory, so
+        # these would load the manifest's own directory, its parent, a
+        # nested directory or any absolute path.
+        with pytest.raises(ContractError, match="not one plain path component"):
+            D.write_manifest(tmp_path / "manifest.tsv", [("val", "a"), ("train", name)])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", [".", "..", "a/b", "scene/", "/abs/scene", "../scene"])
+    def test_scene_directory_beyond_one_component_rejected(self, tmp_path, name):
+        path = tmp_path / "manifest.tsv"
+        path.write_text(f"train\ts0\ntest\t{name}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 2 .* not one plain path component"):
             D.load_manifest(path)
 
     def test_unknown_split_rejected(self, tmp_path):

@@ -1,12 +1,18 @@
 """Tests for pointmap geometry: back-projection, Chamfer, ranks, coverage."""
 
+import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from upm import data as D
 from upm import geometry as G
 from upm.errors import (
     ContractError,
@@ -72,9 +78,56 @@ def project(points_world, intr, pose):
     return np.stack([u, v, z], axis=-1)
 
 
+def mean_min_sq_dists(point_sets):
+    """Entry [v, u]: mean squared distance from set v to its nearest points in set u.
+
+    Each set is searched once by the exact ``_min_sq_dists``, with every
+    other set's points concatenated as the queries; the distances are
+    split back per source set.  The diagonal is zero.
+    """
+    if any(len(pts) == 0 for pts in point_sets):
+        raise DegenerateInputError("Chamfer distance needs at least one valid point per set")
+    n_sets = len(point_sets)
+    means = np.zeros((n_sets, n_sets))
+    for u, targets in enumerate(point_sets):
+        sources = [v for v in range(n_sets) if v != u]
+        if not sources:  # a single set: its one entry is the zero diagonal
+            break
+        queries = np.concatenate([point_sets[v] for v in sources])
+        dists = G._min_sq_dists(queries, targets)
+        splits = np.cumsum([len(point_sets[v]) for v in sources])[:-1]
+        for v, part in zip(sources, np.split(dists, splits)):
+            means[v, u] = np.mean(part)
+    return means
+
+
+def pairwise_chamfer(points, validity, subsample, seed):
+    """Symmetric (V, V) matrix of exact Chamfer distances between all view pairs: the
+    oracle whose ranks ``chamfer_ranks`` must give.
+
+    Each view's valid points are subsampled once as ``chamfer_ranks``
+    subsamples them.  Entry [v, u] averages the squared distance from every
+    point of v to its nearest neighbor in u, and adds the same average from
+    u to v; the diagonal is zero.  A single view gives [[0.0]]; a
+    non-finite valid point raises ``NumericError``.
+    """
+    finite = np.isfinite(points)
+    if not finite.all() and not finite.all(axis=-1)[validity].all():
+        raise NumericError("Chamfer distance over a non-finite valid point")
+    means = mean_min_sq_dists([G._subsample(p[m], subsample, seed) for p, m in zip(points, validity)])
+    return means + means.T
+
+
+def exact_ranks(points, validity, subsample=EVERY_POINT, seed=0):
+    """The (V, V-1) ranks of the oracle's off-diagonal distances, ties to the lower index."""
+    cd = pairwise_chamfer(points, validity, subsample, seed)
+    off_diagonal = cd[~np.eye(len(cd), dtype=bool)].reshape(len(cd), len(cd) - 1)
+    return np.argsort(np.argsort(off_diagonal, axis=1, kind="stable"), axis=1)
+
+
 def chamfer(a, b, subsample=EVERY_POINT, seed=0):
     """The Chamfer distance of one pair of clouds, read from the pairwise matrix."""
-    return G.pairwise_chamfer(*stack([a, b]), subsample, seed)[0, 1]
+    return pairwise_chamfer(*stack([a, b]), subsample, seed)[0, 1]
 
 
 def brute_chamfer(a, b):
@@ -94,7 +147,7 @@ def brute_path_chamfer(a, b):
 def proximity_ranks(clouds, anchor):
     """Every other view's 0-based rank by Chamfer distance to the anchor, ties to the
     lower index: the oracle for geo_targets' ranking."""
-    distances = G.pairwise_chamfer(*stack(clouds), EVERY_POINT, 0)[anchor]
+    distances = pairwise_chamfer(*stack(clouds), EVERY_POINT, 0)[anchor]
     order = sorted((u for u in range(len(clouds)) if u != anchor), key=lambda u: (distances[u], u))
     return {u: rank for rank, u in enumerate(order)}
 
@@ -402,7 +455,7 @@ class TestPairwiseChamfer:
         rng = np.random.default_rng(35)
         clouds = [rng.normal(size=(rng.integers(1, 90), 3)) for _ in range(6)]
         clouds.append(rng.integers(-2, 3, size=(40, 3)).astype(float))
-        cd = G.pairwise_chamfer(*stack(clouds), subsample=32, seed=4)
+        cd = pairwise_chamfer(*stack(clouds), subsample=32, seed=4)
         assert np.array_equal(cd, cd.T)
         assert np.all(np.diag(cd) == 0.0)
         for v, u in itertools.combinations(range(len(clouds)), 2):
@@ -419,22 +472,22 @@ class TestPairwiseChamfer:
                 pts = np.vstack([pts, pts[: rng.integers(0, len(pts) + 1)]])
                 pts[rng.random(len(pts)) < 0.2] += 1e-12 * rng.normal(size=3)
                 sets.append(rng.permutation(pts))
-            cd = G.pairwise_chamfer(*stack(sets), EVERY_POINT, 0)
+            cd = pairwise_chamfer(*stack(sets), EVERY_POINT, 0)
             for v, u in itertools.permutations(range(len(sets)), 2):
                 assert cd[v, u] == brute_path_chamfer(sets[v], sets[u])
 
     def test_empty_view_rejected(self):
         with pytest.raises(DegenerateInputError):
-            G.pairwise_chamfer(*stack([[[0, 0, 0]], EMPTY]), EVERY_POINT, 0)
+            pairwise_chamfer(*stack([[[0, 0, 0]], EMPTY]), EVERY_POINT, 0)
 
     def test_single_view_gives_zero_diagonal(self):
-        cd = G.pairwise_chamfer(*stack([[[0, 0, 0], [1, 2, 3]]]), EVERY_POINT, 0)
+        cd = pairwise_chamfer(*stack([[[0, 0, 0], [1, 2, 3]]]), EVERY_POINT, 0)
         assert cd.tolist() == [[0.0]]
 
     def test_non_finite_invalid_pixel_ignored(self):
         points, validity = stack([[[0, 0, 0], [1, 0, 0]], [[3, 0, 0]]])
         points[1, 1] = np.nan  # padding: an invalid pixel
-        cd = G.pairwise_chamfer(points, validity, EVERY_POINT, 0)
+        cd = pairwise_chamfer(points, validity, EVERY_POINT, 0)
         assert cd.tolist() == [[0.0, 10.5], [10.5, 0.0]]
 
 
@@ -473,6 +526,172 @@ class TestProximityRanks:
         # geo_targets ranks the views of a scene, and there are none to rank.
         with pytest.raises(DegenerateInputError):
             geo_targets(*stack([[[0, 0, 0]]]), EVERY_POINT, 0)
+
+
+def near_tie_clouds():
+    """An anchor cloud and two shifted copies whose Chamfer distances to it differ by
+    about 1e-9 relative: far inside the float32 filter's bound.  The farther copy
+    has the lower index, so ranking by index instead of distance shows."""
+    rng = np.random.default_rng(61)
+    anchor = rng.uniform(-1.0, 1.0, size=(40, 3))
+    step = np.array([0.05, 0.0, 0.0])
+    return [anchor, anchor + step * (1 + 1e-9), anchor + step]
+
+
+def generated_chosen_views(seed, count):
+    """Pointmaps of the views max coverage chooses, as prepare_scene chooses them, for
+    ``count`` small generated scenes of one spec seed."""
+    for index in range(count):
+        spec = D.SceneSpec(scene_type=D.SCENE_TYPES[index % 4], seed=seed, view_count=8,
+                           image_size=24)
+        points, validity = D.generate_scene(spec, seed=index).pointmaps()
+        chosen = G.max_coverage_sample(points, validity, 8)
+        yield points[chosen], validity[chosen]
+
+
+def exact_searches(monkeypatch):
+    """Count ``chamfer_ranks``' exact searches: a list that gets one entry per call."""
+    calls = []
+    search = G._min_sq_dists
+    monkeypatch.setattr(G, "_min_sq_dists", lambda q, t: calls.append(len(q)) or search(q, t))
+    return calls
+
+
+# A child process ranks the clouds saved at argv[1] and prints its BLAS core
+# name (OpenBLAS only) and the SHA-256 of every geo_targets output in turn.
+RANKS_IN_CHILD = """
+import ctypes, glob, hashlib, os, sys
+import numpy as np
+from upm.objectives import geo_targets
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*"))
+core = b"unknown"
+if libs:
+    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    core = corename()
+inputs = np.load(sys.argv[1])
+digest = hashlib.sha256()
+for k in range(len(inputs.files) // 2):
+    digest.update(geo_targets(inputs[f"p{k}"], inputs[f"m{k}"], 64, 0).tobytes())
+print(core.decode(), digest.hexdigest())
+"""
+
+
+class TestChamferRanks:
+    """``chamfer_ranks`` gives the exact distances' ranks, from a certified float32 filter."""
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_filter_within_bound_and_ranks_exact_on_generated_scenes(self, seed):
+        # 50 scenes a seed: every filter entry lies within its bound of the
+        # exact entry, and the ranks are the exact distances' ranks.
+        for points, validity in generated_chosen_views(seed, 50):
+            sets = [G._subsample(p[m], 128, 0) for p, m in zip(points, validity)]
+            means, bounds = G._filter_means(sets)
+            exact = pairwise_chamfer(points, validity, 128, 0)
+            assert (np.abs(means + means.T - exact) <= bounds + bounds.T).all()
+            assert np.array_equal(G.chamfer_ranks(points, validity, 128, 0),
+                                  exact_ranks(points, validity, 128, 0))
+
+    def test_separated_views_searched_by_the_filter_alone(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        clouds = [rng.normal(size=(50, 3)) + [4.0 * v, 0.0, 0.0] for v in range(5)]
+        expected = exact_ranks(*stack(clouds))
+        searches = exact_searches(monkeypatch)
+        assert np.array_equal(G.chamfer_ranks(*stack(clouds), EVERY_POINT, 0), expected)
+        assert searches == []
+
+    def test_near_tie_searched_exactly(self, monkeypatch, caplog):
+        clouds = near_tie_clouds()
+        expected = exact_ranks(*stack(clouds))
+        searches = exact_searches(monkeypatch)
+        with caplog.at_level("DEBUG", logger="upm.geometry"):
+            ranks = G.chamfer_ranks(*stack(clouds), EVERY_POINT, 0)
+        assert expected[0].tolist() == [1, 0]  # the nearer copy has the higher index
+        assert np.array_equal(ranks, expected)
+        # Row 0's two entries overlap: both pairs are searched, each way.
+        assert len(searches) == 4
+        assert [r.getMessage() for r in caplog.records] == [
+            "Chamfer ranks: 4 of 6 entries searched exactly"]
+
+    def test_duplicate_views_keep_the_lower_index_first(self):
+        rng = np.random.default_rng(63)
+        distinct = [rng.normal(size=(int(rng.integers(5, 30)), 3)) for _ in range(4)]
+        clouds = [distinct[0], distinct[1], distinct[2], distinct[1], distinct[3], distinct[1]]
+        ranks = G.chamfer_ranks(*stack(clouds), EVERY_POINT, 0)
+        assert np.array_equal(ranks, exact_ranks(*stack(clouds)))
+        # Anchor 0's candidates 1, 3 and 5 tie exactly, in columns 0, 2 and 4.
+        assert ranks[0, 0] < ranks[0, 2] < ranks[0, 4]
+
+    @pytest.mark.parametrize("scale", [1e30, 1e39, 1e200])
+    def test_huge_coordinates_rank_exactly_without_warnings(self, scale):
+        # At 1e30 float32 squares overflow, at 1e39 the cast itself, and at
+        # 1e200 the exact search's squares too: no bound is finite, so every
+        # entry is searched exactly.
+        rng = np.random.default_rng(64)
+        clouds = [(rng.normal(size=(20, 3)) + 3.0 * v) * scale for v in range(5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ranks = G.chamfer_ranks(*stack(clouds), EVERY_POINT, 0)
+            expected = exact_ranks(*stack(clouds))
+        assert np.array_equal(ranks, expected)
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e-40, 1e-160, 1e-310])
+    def test_subnormal_coordinates_rank_exactly(self, scale):
+        # At 1e-20 float32 squares are subnormal, so their rounding is
+        # absolute, not relative: the bound's A term covers it.  1e-40 is
+        # subnormal in float32, 1e-160 squares to a float64 subnormal, and
+        # 1e-310 is a float64 subnormal itself.
+        rng = np.random.default_rng(65)
+        clouds = [(rng.normal(size=(20, 3)) + 2.0 * v) * scale for v in range(5)]
+        clouds.append(clouds[2] * (1 + 1e-6))
+        points, validity = stack(clouds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ranks = G.chamfer_ranks(points, validity, EVERY_POINT, 0)
+            means, bounds = G._filter_means([p[m] for p, m in zip(points, validity)])
+        assert np.array_equal(ranks, exact_ranks(points, validity))
+        exact = pairwise_chamfer(points, validity, EVERY_POINT, 0)
+        assert (np.abs(means + means.T - exact) <= bounds + bounds.T).all()
+
+    def test_views_with_one_valid_point(self):
+        rng = np.random.default_rng(66)
+        clouds = [rng.normal(size=(1, 3)) for _ in range(4)] + [rng.normal(size=(9, 3))]
+        clouds.append(clouds[1])
+        ranks = G.chamfer_ranks(*stack(clouds), EVERY_POINT, 0)
+        assert np.array_equal(ranks, exact_ranks(*stack(clouds)))
+
+    def test_one_debug_line_per_geo_targets_call(self, caplog):
+        rng = np.random.default_rng(67)
+        clouds = [rng.normal(size=(30, 3)) + [3.0 * v, 0.0, 0.0] for v in range(4)]
+        with caplog.at_level("DEBUG", logger="upm.geometry"):
+            geo_targets(*stack(clouds), EVERY_POINT, 0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "Chamfer ranks: 0 of 12 entries searched exactly"]
+
+    @pytest.mark.parametrize("kernel", ["Haswell", "Nehalem"])
+    def test_same_targets_on_another_blas_kernel(self, tmp_path, kernel):
+        # sgemm's bits vary by kernel (FMA use, summation order): Nehalem's
+        # filter estimates differ from SkylakeX's and Haswell's.  The
+        # certified ranks may not.  The child runs the given OpenBLAS
+        # kernel on one thread, set in its own environment only.
+        rng = np.random.default_rng(68)
+        cases = [[rng.normal(size=(int(rng.integers(20, 200)), 3)) * 2.0 for _ in range(8)],
+                 near_tie_clouds(),
+                 [c for c in near_tie_clouds() for _ in range(2)]]
+        arrays = {}
+        digest = hashlib.sha256()
+        for k, clouds in enumerate(cases):
+            arrays[f"p{k}"], arrays[f"m{k}"] = stack(clouds)
+            digest.update(geo_targets(arrays[f"p{k}"], arrays[f"m{k}"], 64, 0).tobytes())
+        np.savez(tmp_path / "clouds.npz", **arrays)
+        src = Path(G.__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", RANKS_IN_CHILD, str(tmp_path / "clouds.npz")],
+                             env=env, capture_output=True, text=True, check=True, timeout=120).stdout
+        core, child_digest = out.split()
+        assert core in (kernel, "unknown")
+        assert child_digest == digest.hexdigest()
 
 
 class TestVisibility:

@@ -25,25 +25,25 @@ def test_console_scripts_resolve():
 
 def test_no_module_imports_scipy():
     # Importing scipy.optimize adds about 22 MB to an eval run's peak RSS,
-    # so no upm module may pull in any part of scipy, not even to compute
-    # a Chamfer distance.  A fresh interpreter that imports every upm
-    # module and computes one peaks at about 37 MB, against 66 MB when
-    # geometry searched a scipy.spatial KD-tree.  A fresh interpreter sees
-    # only what upm itself imports.
+    # so no upm module may pull in any part of scipy, not even to rank
+    # views by Chamfer distance.  A fresh interpreter that imports every
+    # upm module and computes Chamfer distances peaked at about 37 MB,
+    # against 66 MB when geometry searched a scipy.spatial KD-tree.  A
+    # fresh interpreter sees only what upm itself imports.
     code = (
         "import importlib, pkgutil, sys, numpy as np, upm\n"
         "for module in pkgutil.iter_modules(upm.__path__):\n"
         "    importlib.import_module('upm.' + module.name)\n"
         "points = np.random.default_rng(0).normal(size=(3, 5, 4, 3))\n"
-        "cd = upm.geometry.pairwise_chamfer(points, np.ones((3, 5, 4), dtype=bool), 512, 0)\n"
-        "print(cd.shape, 'upm.probe' in sys.modules,\n"
+        "ranks = upm.geometry.chamfer_ranks(points, np.ones((3, 5, 4), dtype=bool), 512, 0)\n"
+        "print(ranks.shape, 'upm.probe' in sys.modules,\n"
         "      any(name.partition('.')[0] == 'scipy' for name in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120).stdout
-    assert out.split() == ["(3,", "3)", "True", "False"]
+    assert out.split() == ["(3,", "2)", "True", "False"]
 
 
 def test_runtime_dependencies_are_numpy_alone():
