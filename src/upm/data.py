@@ -125,6 +125,8 @@ class SceneSpec:
     image_size: int = 32
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.view_count < 2:
             raise ConfigError("a scene needs at least two views")
         if self.image_size < 1:
@@ -375,8 +377,11 @@ def generate_scene(spec: SceneSpec, seed: int) -> Scene:
     An object is observable when some view holds at least ``DEFAULT_MIN_POINTS``
     valid points in its box.  Each rejected layout is logged at DEBUG with the
     objects no view observes; ``GenerationError`` names the last of
-    ``MAX_REGENERATIONS`` layouts' objects.
+    ``MAX_REGENERATIONS`` layouts' objects.  A negative seed raises
+    ``ContractError``.
     """
+    if seed < 0:
+        raise ContractError(f"seed must be nonnegative, got {seed}")
     for attempt in range(MAX_REGENERATIONS):
         scene, unobserved = _generate_once(spec, seed, attempt)
         if scene is not None:
@@ -581,8 +586,10 @@ def split_dataset(scene_ids: list[str], seed: int) -> list[tuple[str, str]]:
     """Assign 80/10/10 train/val/test tags by seeded shuffle.
 
     Both holdout splits take floor(0.1 * n); the remainder trains.  A
-    repeated id raises ``ContractError``.
+    repeated id or a negative seed raises ``ContractError``.
     """
+    if seed < 0:
+        raise ContractError(f"seed must be nonnegative, got {seed}")
     if len(set(scene_ids)) != len(scene_ids):
         raise ContractError("scene ids repeat: each scene can be in one split only")
     n = len(scene_ids)

@@ -34,7 +34,7 @@ import numpy as np
 from . import engine as E
 from .container import read_arrays, write_arrays
 from .engine import Tensor
-from .errors import ConfigError, DegenerateInputError, FormatError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, DegenerateInputError, FormatError, NumericError, ShapeError
 
 MODALITY_BOTH = "both"
 MODALITY_IMAGE_ONLY = "image-only"
@@ -142,7 +142,12 @@ def _parameter_layout(config: EncoderConfig) -> dict[str, tuple[tuple[int, ...],
 
 
 def init_encoder_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
-    """Seeded initialization: one pass over ``_parameter_layout``."""
+    """Seeded initialization: one pass over ``_parameter_layout``.
+
+    A negative seed raises ``ContractError``.
+    """
+    if seed < 0:
+        raise ContractError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     params = EncoderParams()
     for name, (shape, init) in _parameter_layout(config).items():

@@ -24,10 +24,9 @@ as its oracle:
   block of query columns through ‖q − t‖² = ‖q‖² − 2q·t + ‖t‖² on points
   shifted to the target view's centroid, estimates every distance with a
   proven rounding bound.  Only an entry whose interval overlaps another
-  in its row is computed exactly, by ``_min_sq_dists``: a float64 GEMM
-  search that rescores the best target with the scan's expression and
-  rescans a row whose runner-up lies within its rounding bound.  So the
-  ranks are those of the exact distances on any BLAS kernel.
+  in its row is computed exactly, by ``_min_sq_dists``: a blocked float64
+  scan over every target, with no BLAS call.  So the ranks are those of
+  the exact distances on any BLAS kernel.
 """
 
 from __future__ import annotations
@@ -155,19 +154,9 @@ def back_project(
 # Chamfer distance
 
 
-def _min_sq_dists_brute(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    diff = queries[:, None, :] - targets[None, :, :]
-    return (diff * diff).sum(axis=2).min(axis=1)
-
-
-# Query rows per GEMM block: a (128, m) score block stays in cache, and
-# 128 rows ran fastest against perfbench's 512-point targets.
+# Query rows per scan block: a block's (128, m) arrays hold the scan's
+# memory to O(128·m) for m targets, whatever the number of queries.
 _BLOCK_ROWS = 128
-# The rescan rule's margin (see _min_sq_dists): relative to the scale, and
-# absolute for subnormal results, each off by up to half the smallest
-# subnormal whatever the scale.
-_ROUNDING_BOUND = 64 * np.finfo(np.float64).eps
-_UNDERFLOW_BOUND = 64 * np.finfo(np.float64).smallest_subnormal
 # The float32 filter of chamfer_ranks: query columns per score block (a
 # (512, 256) block stays in cache, and 256 ran fastest against 512-point
 # targets), the per-query bound K·s² + A, and the s from which the bound
@@ -179,45 +168,22 @@ _FILTER_S_MAX = 2.0 ** 62
 
 
 def _min_sq_dists(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """``_min_sq_dists_brute(queries, targets)``, bitwise, by one GEMM per block.
+    """Each query's squared distance to its nearest target, by exhaustive scan.
 
-    For each block of 128 query rows, the (128, 4) @ (4, m) product of
-    [q, 1] with [−2tᵀ; ‖t‖²] scores every target as ‖t‖² − 2q·t, which is
-    ‖q − t‖² − ‖q‖² and so orders the targets as the distance does.  The
-    best-scoring target is rescored with the scan's expression.
-
-    With scale = ‖q‖² + 2·max‖t‖², a score is off by at most about
-    7·eps·scale and each of the scan's distances by at most 10·eps·scale,
-    so when the runner-up score exceeds the best by more than
-    64·eps·scale, plus 64 smallest subnormals for rounding that
-    underflows, the rescored distance is the scan's strict minimum.  A
-    row whose gap is no larger, or whose 4·scale is not finite, is
-    rescanned by ``_min_sq_dists_brute``: below that limit no score can
-    overflow, and a non-finite coordinate makes the scale non-finite.
-    The rescanned rows, ties among them, resolve exactly as the scan
-    does, inf and NaN included, without a warning.
+    For each block of 128 query rows, every target's squared distance is
+    summed one coordinate plane at a time, as (dx² + dy²) + dz², and the
+    row minimum taken.  No BLAS call is made, so the bytes are the same on
+    every kernel.  A square that overflows is inf, without a warning.
     """
-    n, m = len(queries), len(targets)
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.einsum("ij,ij->i", targets, targets)
-        weights = np.vstack([-2.0 * targets.T, norms])
-        rows = np.hstack([queries, np.ones((n, 1))])
-        nearest = np.empty(n, dtype=np.intp)
-        gap = np.empty(n)
-        scores = np.empty((min(n, _BLOCK_ROWS), m))
-        for lo in range(0, n, _BLOCK_ROWS):
-            block = np.matmul(rows[lo:lo + _BLOCK_ROWS], weights, out=scores[:n - lo])
-            r = np.arange(len(block))
-            best = block.argmin(axis=1, out=nearest[lo:lo + len(r)])
-            best_score = block[r, best]
-            block[r, best] = np.inf
-            np.subtract(block[r, block.argmin(axis=1)], best_score, out=gap[lo:lo + len(r)])
-        diff = queries - targets[nearest]
-        out = (diff * diff).sum(axis=1)
-        scale = np.einsum("ij,ij->i", queries, queries) + 2.0 * norms.max()
-        rescan = ~(gap > _ROUNDING_BOUND * scale + _UNDERFLOW_BOUND) | ~np.isfinite(4.0 * scale)
-        if rescan.any():
-            out[rescan] = _min_sq_dists_brute(queries[rescan], targets)
+    columns = np.ascontiguousarray(targets.T)
+    out = np.empty(len(queries))
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(queries), _BLOCK_ROWS):
+            block = queries[lo:lo + _BLOCK_ROWS]
+            total = np.square(block[:, 0, None] - columns[0])
+            for axis in (1, 2):
+                total += np.square(block[:, axis, None] - columns[axis])
+            out[lo:lo + len(block)] = total.min(axis=1)
     return out
 
 
@@ -287,10 +253,9 @@ def chamfer_ranks(
     once, to at most ``subsample`` points (a view with no more keeps them
     all).  The distance of v and u is the mean squared distance from
     every point of v to its nearest point in u, plus the same mean from u
-    to v: the exact distance, as ``_min_sq_dists`` (bitwise the exhaustive
-    scan) and ``np.mean`` compute each half and ``+`` adds them.  The
-    ranks are those of the exact distances, but most distances are never
-    computed exactly:
+    to v: the exact distance, as the exhaustive scan ``_min_sq_dists`` and
+    ``np.mean`` compute each half and ``+`` adds them.  The ranks are those
+    of the exact distances, but most distances are never computed exactly:
 
     1. **Filter.**  ``_filter_means`` estimates every half in float32,
        with a bound B_vu on |estimate − exact| for each entry (below).
@@ -330,8 +295,8 @@ def chamfer_ranks(
       |N̂_q + min ŝ − D̂| ≤ (γ₃ + γ₄ + γ₃γ₄)s² + (2γ₃ + γ₄ + γ₃γ₄)τ
       ≤ 7.0001u·s² + 10.0001uτ, and the float64 sum that forms f adds
       under 2⁻²⁸u·s².
-    - *Exact path.*  Ď is the scan's minimum of three squared float64
-      differences summed, within γ'₅D + 2⁻¹⁰⁷³ of D, and D ≤ (s + ρ)².
+    - *Exact path.*  Ď, the minimum of three squared float64 differences
+      summed, is within γ'₅D + 2⁻¹⁰⁷³ of D, and D ≤ (s + ρ)².
 
     So |f − Ď| ≤ 9.01u·s² + 11uτ per query.  Each ``np.mean`` of n values
     (n < 2²⁶ points a set), in any summation order, is off by at most γ'ₙ
@@ -345,11 +310,14 @@ def chamfer_ranks(
     nor any float64 distance.
 
     A non-finite valid point raises ``NumericError``; fewer than two
-    views, or a view without a valid point, ``DegenerateInputError``.
+    views, or a view without a valid point, ``DegenerateInputError``; a
+    negative seed ``ContractError``.
     One DEBUG line reports how many of the V(V−1) entries were searched
     exactly.
     """
     n_views = len(points)
+    if seed < 0:
+        raise ContractError(f"seed must be nonnegative, got {seed}")
     if n_views < 2:
         raise DegenerateInputError("Chamfer ranks need at least two views")
     finite = np.isfinite(points)

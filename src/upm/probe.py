@@ -72,6 +72,8 @@ class ProbeConfig:
     def __post_init__(self):
         if self.shots < 1:
             raise ConfigError("shots must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         grid = np.asarray(self.reg_grid)
         if grid.ndim != 1 or len(grid) < 1 or np.any(np.diff(grid) <= 0):
             raise ConfigError("regularization grid must be strictly increasing")

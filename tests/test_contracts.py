@@ -4,6 +4,7 @@ One table: each row is a public callable, degenerate arguments, and the
 ``UpmError`` subclass the call must raise instead of returning an answer.
 """
 
+import functools
 import os
 import tempfile
 from pathlib import Path
@@ -14,7 +15,8 @@ import pytest
 from upm import data, evaluation, geometry, objectives, probe, trainer
 from upm.encoder import EncoderConfig, embed_views, encode_views, init_encoder_params
 from upm.engine import Tensor, normalize_rows
-from upm.errors import ContractError, DegenerateInputError, FormatError, NumericError, ShapeError
+from upm.errors import (ConfigError, ContractError, DegenerateInputError, FormatError, NumericError,
+                        ShapeError)
 
 CONFIG = EncoderConfig(image_size=8, patch_size=4, embed_dim=8, num_blocks=0, num_heads=2,
                        mlp_ratio=1, text_vocab_size=4, text_context_length=4)
@@ -77,6 +79,9 @@ ROWS = [
                  DegenerateInputError, id="chamfer_ranks-empty-view"),
     pytest.param(geometry.chamfer_ranks, (VIEWS[:1], VALID[:1], 512, 0),
                  DegenerateInputError, id="chamfer_ranks-single-view"),
+    # 64 points a view: a negative seed is refused without a subsample to draw.
+    pytest.param(geometry.chamfer_ranks, (VIEWS, VALID, 512, -1),
+                 ContractError, id="chamfer_ranks-negative-seed"),
     pytest.param(geometry.back_project, (with_value(np.ones((2, 8, 8)), (1, 3, 4), np.nan), *CAMERAS),
                  NumericError, id="back_project-nan-depth"),
     pytest.param(geometry.box_counts, (with_value(VIEWS, (1, 2, 3, 0), np.nan), VALID, [BOX]),
@@ -210,6 +215,14 @@ ROWS = [
                  ContractError, id="Scene-camera-count-mismatch"),
     pytest.param(data.split_dataset, (["a", "a", "b"], 0),
                  ContractError, id="split_dataset-duplicate-ids"),
+    pytest.param(data.split_dataset, (["a", "b"], -1),
+                 ContractError, id="split_dataset-negative-seed"),
+    pytest.param(data.generate_scene, (data.SceneSpec(view_count=2, image_size=4), -3),
+                 ContractError, id="generate_scene-negative-seed"),
+    pytest.param(init_encoder_params, (CONFIG, -1),
+                 ContractError, id="init_encoder_params-negative-seed"),
+    *[pytest.param(functools.partial(config, seed=-1), (), ConfigError, id=f"{config.__name__}-negative-seed")
+      for config in (data.SceneSpec, trainer.TrainConfig, probe.ProbeConfig)],
     # A path under the null device cannot be written, so nothing is even if the check fails.
     pytest.param(data.write_manifest, (os.path.join(os.devnull, "manifest.tsv"), [("train", "a/b")]),
                  ContractError, id="write_manifest-nested-scene-directory"),
