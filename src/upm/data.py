@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
+from .config import check_fields, declared
 from .container import read_arrays, write_arrays
 from .errors import ConfigError, ContractError, DegenerateInputError, FormatError, GenerationError
 from .geometry import (
@@ -116,25 +117,19 @@ SCENE_TYPES = tuple(SCENE_TYPE_CATALOGS)
 @dataclass(frozen=True)
 class SceneSpec:
     """What varies between scenes.  The catalog is ``SCENE_TYPE_CATALOGS[scene_type]``; the room,
-    cameras and visibility are ``ROOM_EXTENT``, ``CAMERA_*`` and ``DEFAULT_MIN_POINTS``."""
+    cameras and visibility are ``ROOM_EXTENT``, ``CAMERA_*`` and ``DEFAULT_MIN_POINTS``.
+    ``upm.config`` checks each field's kind and range."""
 
-    scene_type: str = "bedroom"
-    seed: int = 0
-    object_count: tuple[int, int] = (2, 5)
-    view_count: int = 16
-    image_size: int = 32
+    scene_type: str = declared("bedroom", str, ("in", SCENE_TYPES))
+    seed: int = declared(0, int, (">=", 0))
+    object_count: tuple[int, int] = declared((2, 5), (int, int), (">=", 0))
+    view_count: int = declared(16, int, (">=", 2))
+    image_size: int = declared(32, int, (">", 0))
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.view_count < 2:
-            raise ConfigError("a scene needs at least two views")
-        if self.image_size < 1:
-            raise ConfigError(f"image size must be at least 1, got {self.image_size}")
-        if self.object_count[0] < 0 or self.object_count[0] > self.object_count[1]:
+        check_fields(self)
+        if self.object_count[0] > self.object_count[1]:
             raise ConfigError("invalid object count range")
-        if self.scene_type not in SCENE_TYPE_CATALOGS:
-            raise ConfigError(f"unknown scene type {self.scene_type!r}")
         if self.object_count[1] > len(SCENE_TYPE_CATALOGS[self.scene_type]):
             raise ConfigError("object count range exceeds catalog size")
 

@@ -26,12 +26,13 @@ import functools
 import hashlib
 import itertools
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from . import engine as E
+from .config import check_fields, declared
 from .container import read_arrays, write_arrays
 from .engine import Tensor
 from .errors import ConfigError, ContractError, DegenerateInputError, FormatError, NumericError, ShapeError
@@ -47,33 +48,24 @@ _EMPTY_TOKEN_ID = 0
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    image_size: int = 32
-    patch_size: int = 8
-    embed_dim: int = 64
-    num_blocks: int = 2
-    num_heads: int = 4
-    mlp_ratio: int = 4
-    text_vocab_size: int = 4096
-    text_context_length: int = 77
-    modality: str = MODALITY_BOTH
+    """The encoder's sizes and modality; ``upm.config`` checks each field's kind and range."""
+
+    image_size: int = declared(32, int, (">", 0))
+    patch_size: int = declared(8, int, (">", 0))
+    embed_dim: int = declared(64, int, (">", 0))
+    num_blocks: int = declared(2, int, (">=", 0))
+    num_heads: int = declared(4, int, (">", 0))
+    mlp_ratio: int = declared(4, int, (">", 0))
+    text_vocab_size: int = declared(4096, int, (">=", 2))  # id 0 is reserved for the empty text
+    text_context_length: int = declared(77, int, (">", 0))
+    modality: str = declared(MODALITY_BOTH, str, ("in", MODALITIES))
 
     def __post_init__(self):
-        sizes = ("image_size", "patch_size", "embed_dim", "num_heads", "mlp_ratio",
-                 "text_context_length")
-        for name in sizes:
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"{name} must be positive, got {value}")
-        if self.num_blocks < 0:
-            raise ConfigError(f"num_blocks must be nonnegative, got {self.num_blocks}")
-        if self.text_vocab_size < 2:  # id 0 is reserved for the empty text
-            raise ConfigError(f"text_vocab_size must be at least 2, got {self.text_vocab_size}")
+        check_fields(self)
         if self.image_size % self.patch_size != 0:
             raise ConfigError("image_size must be divisible by patch_size")
         if self.embed_dim % self.num_heads != 0:
             raise ConfigError("embed_dim must be divisible by num_heads")
-        if self.modality not in MODALITIES:
-            raise ConfigError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
 
     @property
     def num_patches(self) -> int:
@@ -322,20 +314,19 @@ def save_checkpoint(path, params: EncoderParams, config: EncoderConfig, extras=N
 def load_checkpoint(path) -> tuple[EncoderParams, EncoderConfig, dict[str, Tensor]]:
     """Read a checkpoint back into parameters, config and extras.
 
-    A malformed file, a config whose fields or their types (int sizes, a
-    str modality) differ from ``EncoderConfig``'s, and a parameter that is
-    missing or of the wrong shape raise ``FormatError``; an extra is an
-    array that is not a parameter.
+    A malformed file, a config record that does not name exactly
+    ``EncoderConfig``'s fields or that its constructor refuses, and a
+    parameter that is missing or of the wrong shape raise ``FormatError``;
+    an extra is an array that is not a parameter.
     Names and shapes are checked against ``_parameter_layout``, which
     allocates nothing, and the parameters wrap the arrays read.
     """
     meta, tensors = read_arrays(path)
     try:
-        fields, defaults = meta["encoder"], asdict(EncoderConfig())
-        if not (isinstance(fields, dict) and fields.keys() == defaults.keys()
-                and all(type(fields[name]) is type(value) for name, value in defaults.items())):
-            raise TypeError(f"the encoder config {fields!r} lacks the fields or types of {defaults!r}")
-        config = EncoderConfig(**fields)
+        record = meta["encoder"]
+        config = EncoderConfig(**record)  # TypeError for an unknown field or a record not a mapping
+        if len(record) != len(fields(config)):
+            raise TypeError(f"the encoder config {record!r} lacks some of EncoderConfig's fields")
     except (KeyError, TypeError, ConfigError) as exc:
         raise FormatError(f"invalid checkpoint config in {path}: {exc}") from exc
 

@@ -38,6 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import conforms
 from .errors import ContractError, DegenerateInputError, NumericError, RangeError, ShapeError
 
 logger = logging.getLogger(__name__)
@@ -311,13 +312,16 @@ def chamfer_ranks(
 
     A non-finite valid point raises ``NumericError``; fewer than two
     views, or a view without a valid point, ``DegenerateInputError``; a
-    negative seed ``ContractError``.
+    negative seed, or a ``subsample`` that is not an int of at least 1,
+    ``ContractError``.
     One DEBUG line reports how many of the V(V−1) entries were searched
     exactly.
     """
     n_views = len(points)
     if seed < 0:
         raise ContractError(f"seed must be nonnegative, got {seed}")
+    if not (conforms(int, subsample) and subsample >= 1):
+        raise ContractError(f"subsample must be an int of at least 1, got {subsample!r}")
     if n_views < 2:
         raise DegenerateInputError("Chamfer ranks need at least two views")
     finite = np.isfinite(points)
@@ -390,12 +394,13 @@ def max_coverage_sample(points: np.ndarray, validity: np.ndarray, budget: int) -
     packed relative to the minimum voxel over all views; each greedy round
     scores all views against the voxels not yet covered.  Ties break
     toward the lower view index; once no view adds coverage, the remaining
-    budget is filled by ascending index.  A non-finite valid point raises
-    ``NumericError``, and voxel keys that overflow raise ``RangeError``.
+    budget is filled by ascending index.  A ``budget`` that is not an int
+    in [1, V] raises ``ContractError``, a non-finite valid point
+    ``NumericError``, and voxel keys that overflow ``RangeError``.
     """
     n_views = len(points)
-    if not (1 <= budget <= n_views):
-        raise ContractError(f"budget {budget} outside [1, {n_views}]")
+    if not (conforms(int, budget) and 1 <= budget <= n_views):
+        raise ContractError(f"budget {budget!r} is not an int in [1, {n_views}]")
     # (3, n): one contiguous row per axis, so the reductions below are fast.
     with np.errstate(over="ignore"):  # an overflow to inf is caught below
         cells = np.floor(points[validity].T.copy() / DEFAULT_VOXEL_SIZE)

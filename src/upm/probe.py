@@ -32,10 +32,11 @@ then the chosen strength is refit on the full few-shot training set.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_fields, declared
 from .errors import ConfigError, ContractError, DegenerateInputError, NumericError, ShapeError
 
 logger = logging.getLogger(__name__)
@@ -65,20 +66,16 @@ def default_reg_grid() -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    shots: int = 5
-    reg_grid: tuple[float, ...] = field(default_factory=lambda: tuple(default_reg_grid()))
-    seed: int = 0
+    """Few-shot probe settings; ``upm.config`` checks each field's kind and range."""
+
+    shots: int = declared(5, int, (">", 0))
+    reg_grid: tuple[float, ...] = declared(tuple(default_reg_grid()), (float, ...), (">", 0))
+    seed: int = declared(0, int, (">=", 0))
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ConfigError("shots must be at least 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        grid = np.asarray(self.reg_grid)
-        if grid.ndim != 1 or len(grid) < 1 or np.any(np.diff(grid) <= 0):
+        check_fields(self)
+        if any(b <= a for a, b in zip(self.reg_grid, self.reg_grid[1:])):
             raise ConfigError("regularization grid must be strictly increasing")
-        if not (grid[0] > 0 and np.all(np.isfinite(grid))):  # NaN passes the order check
-            raise ConfigError("regularization strengths must be finite and positive")
 
 
 # ---------------------------------------------------------------------------

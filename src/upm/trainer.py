@@ -31,6 +31,7 @@ import numpy as np
 
 from . import engine as E
 from . import objectives as obj
+from .config import check_fields, declared
 from .data import Scene, load_split_scenes
 from .encoder import (EncoderConfig, EncoderParams, encode_texts, encode_views, init_encoder_params,
                       pool_scene, save_checkpoint)
@@ -48,46 +49,27 @@ TELEMETRY_HEADER = "step\tgrad_norm\tlr\ttau"
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 30
-    scenes_per_batch: int = 4
-    views_per_scene: int = 8
-    learning_rate: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.98
-    weight_decay: float = 0.01
-    warmup_fraction: float = 0.1
-    seed: int = 0
-    grad_clip: float = 1.0
-    initial_tau: float = 0.07
-    chamfer_subsample: int = 512
-    use_geo: bool = True
-    use_ground: bool = True
-    use_view: bool = True
-    use_scene: bool = True
+    """The pretraining recipe; ``upm.config`` checks each field's kind and range."""
+
+    epochs: int = declared(30, int, (">", 0))
+    scenes_per_batch: int = declared(4, int, (">", 0))
+    views_per_scene: int = declared(8, int, (">", 0))
+    learning_rate: float = declared(3e-4, float, (">", 0))
+    beta1: float = declared(0.9, float, (">=", 0), ("<", 1))  # AdamW divides by 1 - beta**t
+    beta2: float = declared(0.98, float, (">=", 0), ("<", 1))
+    weight_decay: float = declared(0.01, float, (">=", 0))
+    warmup_fraction: float = declared(0.1, float, (">=", 0), ("<", 1))
+    seed: int = declared(0, int, (">=", 0))
+    grad_clip: float = declared(1.0, float, (">=", 0))
+    initial_tau: float = declared(0.07, float, (">=", obj.TAU_MIN), ("<=", obj.TAU_MAX))
+    chamfer_subsample: int = declared(512, int, (">", 0))
+    use_geo: bool = declared(True, bool)
+    use_ground: bool = declared(True, bool)
+    use_view: bool = declared(True, bool)
+    use_scene: bool = declared(True, bool)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("epochs must be at least 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:  # AdamW divides by 1 - beta**t
-                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ConfigError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
-        if not self.grad_clip >= 0:  # NaN or negative: clip_gradients would silently not clip
-            raise ConfigError(f"grad_clip must be nonnegative, got {self.grad_clip}")
-        if not obj.TAU_MIN <= self.initial_tau <= obj.TAU_MAX:
-            raise ConfigError(f"initial_tau must lie in [{obj.TAU_MIN}, {obj.TAU_MAX}], "
-                              f"got {self.initial_tau}")
-        if self.chamfer_subsample < 1:
-            raise ConfigError(f"chamfer_subsample must be at least 1, got {self.chamfer_subsample}")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ConfigError("warmup fraction must lie in [0, 1)")
-        if self.scenes_per_batch < 1 or self.views_per_scene < 1:
-            raise ConfigError("batch and view counts must be positive")
+        check_fields(self)
         if self.use_geo and self.views_per_scene < 2:
             raise ConfigError("the geometric loss needs at least two views per scene")
         if not (self.use_geo or self.use_ground or self.use_view or self.use_scene):

@@ -82,12 +82,20 @@ ROWS = [
     # 64 points a view: a negative seed is refused without a subsample to draw.
     pytest.param(geometry.chamfer_ranks, (VIEWS, VALID, 512, -1),
                  ContractError, id="chamfer_ranks-negative-seed"),
+    *[pytest.param(geometry.chamfer_ranks, (VIEWS, VALID, subsample, 0),
+                   ContractError, id=f"chamfer_ranks-subsample-{subsample}")
+      for subsample in (-1, 0, 2.5)],
     pytest.param(geometry.back_project, (with_value(np.ones((2, 8, 8)), (1, 3, 4), np.nan), *CAMERAS),
                  NumericError, id="back_project-nan-depth"),
     pytest.param(geometry.box_counts, (with_value(VIEWS, (1, 2, 3, 0), np.nan), VALID, [BOX]),
                  NumericError, id="box_counts-nan-valid-point"),
     pytest.param(geometry.max_coverage_sample, (with_value(VIEWS, (0, 5, 1, 1), np.nan), VALID, 1),
                  NumericError, id="max_coverage_sample-nan-valid-point"),
+    # Three views, so that a budget of 2.5 lies inside [1, V].
+    *[pytest.param(geometry.max_coverage_sample,
+                   (np.zeros((3, 8, 8, 3)), np.ones((3, 8, 8), dtype=bool), budget),
+                   ContractError, id=f"max_coverage_sample-budget-{budget}")
+      for budget in (2.5, True)],
     pytest.param(objectives.geo_targets, (np.full((2, 8, 8, 3), np.nan), VALID, 512, 0),
                  NumericError, id="geo_targets-all-nan-points"),
     pytest.param(objectives.geo_loss_from_targets,
@@ -223,6 +231,17 @@ ROWS = [
                  ContractError, id="init_encoder_params-negative-seed"),
     *[pytest.param(functools.partial(config, seed=-1), (), ConfigError, id=f"{config.__name__}-negative-seed")
       for config in (data.SceneSpec, trainer.TrainConfig, probe.ProbeConfig)],
+    # A field of the wrong type: a float or a bool for an int, an int for a
+    # bool, a short or float tuple, a string for an int, an infinite float.
+    *[pytest.param(functools.partial(config, **{name: value}), (), ConfigError,
+                   id=f"{config.__name__}-{name}-{value!r}")
+      for config, name, value in (
+          (trainer.TrainConfig, "epochs", 1.5), (trainer.TrainConfig, "scenes_per_batch", 2.5),
+          (trainer.TrainConfig, "seed", True), (trainer.TrainConfig, "use_geo", 1),
+          (trainer.TrainConfig, "grad_clip", float("inf")), (probe.ProbeConfig, "shots", 2.5),
+          (EncoderConfig, "embed_dim", 64.0), (EncoderConfig, "num_blocks", True),
+          (data.SceneSpec, "view_count", 3.0), (data.SceneSpec, "object_count", (2,)),
+          (data.SceneSpec, "object_count", (2.0, 3)), (data.SceneSpec, "image_size", "32"))],
     # A path under the null device cannot be written, so nothing is even if the check fails.
     pytest.param(data.write_manifest, (os.path.join(os.devnull, "manifest.tsv"), [("train", "a/b")]),
                  ContractError, id="write_manifest-nested-scene-directory"),

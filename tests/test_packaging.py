@@ -5,9 +5,14 @@ import importlib
 import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
+
+from upm.config import DECLARED, check_fields
+from upm.encoder import paper_encoder_config
+from upm.trainer import paper_train_config
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SRC = PYPROJECT.parent / "src"
@@ -252,3 +257,29 @@ def test_no_parameter_always_gets_one_constant():
             given.setdefault((function.name, arg.arg), set()).add(value)
     assert sorted(f"{f}({p}={name})" for (f, p), names in given.items() for name in names
                   if len(names) == 1 and name in constants) == []
+
+
+def test_every_config_field_is_declared():
+    # Each field of a config class, a dataclass of upm named *Config or
+    # *Spec, states its kind and range once, through upm.config.declared,
+    # and its annotation names the same kind; so a new field cannot land
+    # without them.  The presets pass the one check.
+    def spelling(kind):
+        if isinstance(kind, tuple):
+            return f"tuple[{', '.join('...' if k is Ellipsis else k.__name__ for k in kind)}]"
+        return kind.__name__
+
+    classes = {}
+    for path in sorted((SRC / "upm").glob("*.py")):
+        module = importlib.import_module(f"upm.{path.stem}")
+        classes.update((name, value) for name, value in vars(module).items()
+                       if name.endswith(("Config", "Spec")) and is_dataclass(value)
+                       and value.__module__ == module.__name__)
+    assert sorted(classes) == ["EncoderConfig", "ProbeConfig", "SceneSpec", "TrainConfig"]
+    for name, cls in classes.items():
+        declared = {f.name: f.metadata[DECLARED][0] for f in fields(cls) if DECLARED in f.metadata}
+        assert list(declared) == [f.name for f in fields(cls)], name
+        assert {f.name: f.type for f in fields(cls)} == {
+            field: spelling(kind) for field, kind in declared.items()}, name
+    check_fields(paper_train_config())
+    check_fields(paper_encoder_config())
