@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .config import check_fields, declared
+from .config import check_fields, conforms, declared
 from .container import read_arrays, write_arrays
 from .errors import ConfigError, ContractError, DegenerateInputError, FormatError, GenerationError
 from .geometry import (
@@ -372,11 +372,11 @@ def generate_scene(spec: SceneSpec, seed: int) -> Scene:
     An object is observable when some view holds at least ``DEFAULT_MIN_POINTS``
     valid points in its box.  Each rejected layout is logged at DEBUG with the
     objects no view observes; ``GenerationError`` names the last of
-    ``MAX_REGENERATIONS`` layouts' objects.  A negative seed raises
-    ``ContractError``.
+    ``MAX_REGENERATIONS`` layouts' objects.  A seed that is not a
+    nonnegative int raises ``ContractError``.
     """
-    if seed < 0:
-        raise ContractError(f"seed must be nonnegative, got {seed}")
+    if not (conforms(int, seed) and seed >= 0):
+        raise ContractError(f"seed must be a nonnegative int, got {seed!r}")
     for attempt in range(MAX_REGENERATIONS):
         scene, unobserved = _generate_once(spec, seed, attempt)
         if scene is not None:
@@ -581,10 +581,11 @@ def split_dataset(scene_ids: list[str], seed: int) -> list[tuple[str, str]]:
     """Assign 80/10/10 train/val/test tags by seeded shuffle.
 
     Both holdout splits take floor(0.1 * n); the remainder trains.  A
-    repeated id or a negative seed raises ``ContractError``.
+    repeated id or a seed that is not a nonnegative int raises
+    ``ContractError``.
     """
-    if seed < 0:
-        raise ContractError(f"seed must be nonnegative, got {seed}")
+    if not (conforms(int, seed) and seed >= 0):
+        raise ContractError(f"seed must be a nonnegative int, got {seed!r}")
     if len(set(scene_ids)) != len(scene_ids):
         raise ContractError("scene ids repeat: each scene can be in one split only")
     n = len(scene_ids)

@@ -10,14 +10,18 @@ L2-normalized, is the view embedding: a batch of N views encodes to one
 unit-norm (N, d) tensor, one row per view, and a scene embedding
 mean-pools a scene's rows.  A deterministic hashing text encoder stands
 in for a pretrained text tower so the alignment losses can be exercised
-end to end: each token hashes to a row of a learned table, a text is the
-mean of its tokens' rows (an embedding bag; an empty text reads the
-reserved row 0), and a linear layer projects it.
+end to end: each token hashes to a row of a table, a text is the mean of
+its tokens' rows (an empty text reads the reserved row 0), and a linear
+layer projects it.  The table is a fixed seeded draw, as a pretrained
+tower's weights would be held fixed: it is saved and loaded with the other
+parameters but never trained, so the projection is where text gradients
+stop, and every gradient is a dense array.
 
 ``_parameter_layout`` is the one statement of the parameters: each
 checkpoint name, in checkpoint order, with its shape and its init.
 ``EncoderParams`` is a dict from those names to tensors; the init, the
 checkpoint writer and reader, and the forward's lookups follow the table.
+``named_parameters()`` is the same table without the fixed text table.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import engine as E
-from .config import check_fields, declared
+from .config import check_fields, conforms, declared
 from .container import read_arrays, write_arrays
 from .engine import Tensor
 from .errors import ConfigError, ContractError, DegenerateInputError, FormatError, NumericError, ShapeError
@@ -44,6 +48,7 @@ MODALITIES = (MODALITY_BOTH, MODALITY_IMAGE_ONLY, MODALITY_POINTMAP_ONLY)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _EMPTY_TOKEN_ID = 0
+_FIXED = "text.table"  # drawn at init, saved and loaded, never trained
 
 
 @dataclass(frozen=True)
@@ -95,8 +100,8 @@ class EncoderParams(dict):
     """The encoder's parameters: checkpoint name to ``Tensor``, in ``_parameter_layout`` order."""
 
     def named_parameters(self):
-        """(name, tensor) pairs in a fixed, checkpoint-stable order."""
-        return iter(self.items())
+        """The trained (name, tensor) pairs, in checkpoint order: every entry but the text table."""
+        return ((name, tensor) for name, tensor in self.items() if name != _FIXED)
 
 
 _DRAW = "N(0, 0.02)"
@@ -136,10 +141,10 @@ def _parameter_layout(config: EncoderConfig) -> dict[str, tuple[tuple[int, ...],
 def init_encoder_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
     """Seeded initialization: one pass over ``_parameter_layout``.
 
-    A negative seed raises ``ContractError``.
+    A seed that is not a nonnegative int raises ``ContractError``.
     """
-    if seed < 0:
-        raise ContractError(f"seed must be nonnegative, got {seed}")
+    if not (conforms(int, seed) and seed >= 0):
+        raise ContractError(f"seed must be a nonnegative int, got {seed!r}")
     rng = np.random.default_rng(seed)
     params = EncoderParams()
     for name, (shape, init) in _parameter_layout(config).items():
@@ -149,7 +154,7 @@ def init_encoder_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
             array = params[init].array.copy()
         else:
             array = np.full(shape, init)
-        params[name] = Tensor(array, requires_grad=True)
+        params[name] = Tensor(array, requires_grad=name != _FIXED)
     return params
 
 
@@ -283,16 +288,18 @@ def token_ids(text: str, config: EncoderConfig) -> list[int]:
 def encode_texts(texts: Sequence[str], params: EncoderParams, config: EncoderConfig) -> Tensor:
     """Encode a batch of strings to unit-norm rows of an (n, d) tensor.
 
-    Each text is the mean of its token ids' table rows (one
-    ``embedding_bag`` over the batch's flat ids), then a linear projection.
+    Each text is the mean of its token ids' rows of the fixed table, one
+    ``np.add.reduceat`` over the batch's flat ids, fed as a constant to the
+    trained linear projection.
     """
     if len(texts) == 0:
         raise DegenerateInputError("cannot encode an empty text batch")
     bags = [token_ids(text, config) for text in texts]
-    offsets = np.cumsum([0] + [len(bag) for bag in bags[:-1]])
+    lengths = [len(bag) for bag in bags]
+    offsets = np.cumsum([0] + lengths[:-1])
     ids = np.fromiter(itertools.chain.from_iterable(bags), dtype=np.int64)
-    pooled = E.embedding_bag(params["text.table"], ids, offsets)
-    return E.normalize_rows(E.linear(pooled, params["text.weight"], params["text.bias"]))
+    pooled = np.add.reduceat(params[_FIXED].array[ids], offsets, axis=0) / np.array(lengths)[:, None]
+    return E.normalize_rows(E.linear(Tensor(pooled), params["text.weight"], params["text.bias"]))
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +310,11 @@ def save_checkpoint(path, params: EncoderParams, config: EncoderConfig, extras=N
     """Write a ``container`` of the encoder config and the named parameters, atomically.
 
     The metadata is ``{"encoder": asdict(config)}``, the sizes and the
-    ``modality`` string; the arrays are the parameters in
-    ``named_parameters()`` order, then ``extras``, such as the temperature.
+    ``modality`` string; the arrays are every ``_parameter_layout`` entry,
+    the fixed text table too, in its order, then ``extras``, such as the
+    temperature.
     """
-    entries = [*params.named_parameters(), *(extras or [])]
+    entries = [*params.items(), *(extras or [])]
     write_arrays(path, {"encoder": asdict(config)},
                  [(name, tensor.array) for name, tensor in entries])
 
@@ -342,5 +350,6 @@ def load_checkpoint(path) -> tuple[EncoderParams, EncoderConfig, dict[str, Tenso
     missing = sorted(layout.keys() - tensors.keys())
     if missing:
         raise FormatError(f"checkpoint is missing parameters [{', '.join(missing)}]: {path}")
-    params = EncoderParams((name, Tensor(tensors.pop(name), requires_grad=True)) for name in layout)
+    params = EncoderParams((name, Tensor(tensors.pop(name), requires_grad=name != _FIXED))
+                           for name in layout)
     return params, config, {name: Tensor(arr, requires_grad=True) for name, arr in tensors.items()}

@@ -25,8 +25,8 @@ rounding, not bit for bit.  The other stack reductions (``_unbroadcast``
 for biases, ``layer_norm``'s gamma and beta) still reduce within each
 item first, then add the N item results in stack order.
 
-Every ``.grad`` is built as zeros plus contributions, by ``_accumulate``
-or, for a ``RowGrad``, by ``embedding_bag``, and the root's is ones, so no
+Every ``.grad`` is a dense array of its tensor's shape, built as zeros
+plus contributions by ``_accumulate``, and the root's is ones, so no
 ``.grad`` ever holds -0.0: a sum is -0.0 only when both terms are.  A
 backward rule hands ``_accumulate`` an array it allocated and references
 nowhere else as ``owned``; a first gradient of that kind becomes
@@ -46,16 +46,6 @@ No gradient is computed for an operand that does not require one: every
 backward rule tests ``requires_grad`` before it forms an operand's
 gradient, so constant inputs (patch stacks) cost nothing in ``backward``.
 
-``embedding_bag`` pools table rows by integer id, so a bag-of-tokens text
-never becomes a dense (n, vocab) selection matrix.  Its backward leaves
-the table a ``RowGrad``, not a dense array: the sorted rows the bags read
-and one gradient row each, so no (vocab, d) gradient is ever allocated.
-Several bag nodes on one table merge into one ``RowGrad``, each cell
-summed in the order a dense gradient would sum it, so every row has the
-dense row's bytes.  A table's gradient is one form or the other: a bag
-backward into a dense gradient, or an ``_accumulate`` into a ``RowGrad``,
-raises ``ContractError``.
-
 ``log_softmax`` takes an optional boolean ``mask``, so a batch's losses
 are each one op over the whole batch: a (N, N) or (N, O) logits matrix
 normalizes each row or column over the entries of its own scene only.
@@ -65,7 +55,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,25 +78,12 @@ def no_grad():
         _grad_enabled = saved
 
 
-@dataclass
-class RowGrad:
-    """The gradient of a (V, d) table that is zero outside some rows.
-
-    ``rows`` holds the rows, sorted and unique, as intp; ``values`` is the
-    (len(rows), d) gradient of those rows, in that order.
-    """
-
-    rows: np.ndarray
-    values: np.ndarray
-
-
 class Tensor:
     """A dense float64 array, optionally tracked for differentiation.
 
     ``array`` is the row-major value storage.  ``grad``, once ``backward``
-    has run, holds d(root)/d(self) on a leaf: an array of ``array``'s
-    shape, or a ``RowGrad`` for a table read only through
-    ``embedding_bag``.  An interior node's is released with its graph.
+    has run, holds d(root)/d(self) on a leaf, an array of ``array``'s
+    shape.  An interior node's is released with its graph.
     """
 
     __slots__ = ("array", "requires_grad", "grad", "_parents", "_backward_fn")
@@ -116,7 +92,7 @@ class Tensor:
         arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
         self.array = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | RowGrad | None = None
+        self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], None] | None = None
 
@@ -151,11 +127,8 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     references it nowhere else; a C-contiguous float64 ``g`` of t's exact
     shape is then normalized in place and adopted as ``t.grad``.  Any
     other ``g`` (a view of a node's gradient, a broadcast or transposed
-    view, another dtype or shape) is copied.  A ``t.grad`` that is a
-    ``RowGrad`` raises ``ContractError``: the two forms never mix.
+    view, another dtype or shape) is copied.
     """
-    if isinstance(t.grad, RowGrad):
-        raise ContractError("a dense gradient into a tensor that holds a row gradient")
     if t.grad is not None:
         t.grad += g
     elif (owned and g.dtype == np.float64 and g.shape == t.array.shape
@@ -365,56 +338,6 @@ def linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
             _matmul_backward(a, w, g)
 
     return _make(out, (a, w, b), bwd)
-
-
-def embedding_bag(table: Tensor, ids, offsets) -> Tensor:
-    """Mean of each bag's rows of a (V, d) ``table``, as an (n, d) tensor.
-
-    ``ids`` is the flat int sequence of every bag's row ids; bag b holds
-    ``ids[offsets[b]:offsets[b + 1]]`` (the last bag runs to the end).
-    ``offsets`` starts at 0 and strictly increases, so no bag is empty.
-    A repeated id counts once per occurrence.  The backward sets
-    ``table.grad`` to a ``RowGrad`` over the union of the rows it already
-    holds and the rows these bags read: held rows keep their values, new
-    rows start at zero, and each bag's gradient, divided by its length, is
-    added with one ``np.add.at`` over the flattened values, cell (i, c) of
-    the (len(ids), d) contributions going to cell c of ids[i]'s row.  That
-    is the per-cell order of a row-wise ``np.add.at`` into a dense
-    gradient, after every earlier node's, so each row has the dense bytes.
-    """
-    if table.array.ndim != 2:
-        raise ShapeError(f"embedding_bag expects a 2-D table, got {table.shape}")
-    ids = np.asarray(ids)
-    offsets = np.asarray(offsets)
-    for name, arr in (("ids", ids), ("offsets", offsets)):
-        if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
-            raise ContractError(f"embedding_bag {name} must be a 1-D integer array, "
-                                f"got {arr.dtype} of shape {arr.shape}")
-    vocab = table.array.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
-        raise ShapeError(f"embedding_bag ids outside [0, {vocab})")
-    if (offsets.size == 0 or offsets[0] != 0 or np.any(np.diff(offsets) <= 0)
-            or offsets[-1] >= ids.size):
-        raise ContractError("embedding_bag offsets must start at 0 and strictly increase "
-                            f"below {ids.size}, giving no empty bag")
-    counts = np.diff(offsets, append=ids.size)[:, None]
-    out = np.add.reduceat(table.array[ids], offsets, axis=0) / counts
-
-    def bwd(g):
-        held = table.grad
-        if not (held is None or isinstance(held, RowGrad)):
-            raise ContractError("embedding_bag into a table that holds a dense gradient")
-        rows = (np.unique(ids) if held is None else np.union1d(held.rows, ids)).astype(np.intp)
-        width = table.array.shape[1]
-        values = np.zeros((rows.size, width))
-        if held is not None:
-            values[np.searchsorted(rows, held.rows)] = held.values
-        cells = np.searchsorted(rows, ids)[:, None] * width + np.arange(width)
-        contributions = np.repeat(g / counts, counts[:, 0], axis=0)
-        np.add.at(values.reshape(-1), cells.ravel(), contributions.ravel())
-        table.grad = RowGrad(rows, values)
-
-    return _make(out, (table,), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -310,16 +310,18 @@ def chamfer_ranks(
     every s < 2⁶²: below that no float32 cast, norm or score overflows,
     nor any float64 distance.
 
-    A non-finite valid point raises ``NumericError``; fewer than two
-    views, or a view without a valid point, ``DegenerateInputError``; a
-    negative seed, or a ``subsample`` that is not an int of at least 1,
-    ``ContractError``.
+    Pointmaps of the wrong shape or a mask that is not bool raise
+    ``ShapeError``; a non-finite valid point ``NumericError``; fewer than
+    two views, or a view without a valid point, ``DegenerateInputError``;
+    a seed that is not a nonnegative int, or a ``subsample`` that is not
+    an int of at least 1, ``ContractError``.
     One DEBUG line reports how many of the V(V−1) entries were searched
     exactly.
     """
+    _check_pointmaps(points, validity)
     n_views = len(points)
-    if seed < 0:
-        raise ContractError(f"seed must be nonnegative, got {seed}")
+    if not (conforms(int, seed) and seed >= 0):
+        raise ContractError(f"seed must be a nonnegative int, got {seed!r}")
     if not (conforms(int, subsample) and subsample >= 1):
         raise ContractError(f"subsample must be an int of at least 1, got {subsample!r}")
     if n_views < 2:
@@ -356,15 +358,27 @@ def chamfer_ranks(
 # visibility, coverage
 
 
+def _check_pointmaps(points: np.ndarray, validity: np.ndarray) -> None:
+    """Raise ``ShapeError`` unless points are a (V, H, W, 3) array and validity a bool (V, H, W) one."""
+    if not (isinstance(points, np.ndarray) and points.ndim == 4 and points.shape[-1] == 3
+            and isinstance(validity, np.ndarray) and validity.dtype == bool
+            and validity.shape == points.shape[:3]):
+        raise ShapeError(f"expected (V, H, W, 3) points and a bool (V, H, W) validity mask, got "
+                         f"points {getattr(points, 'shape', None)} and a mask of "
+                         f"{getattr(validity, 'dtype', None)} {getattr(validity, 'shape', None)}")
+
+
 def box_counts(points: np.ndarray, validity: np.ndarray,
                objects: Sequence[ObjectAnnotation]) -> np.ndarray:
     """(V, O) counts of valid pixels whose world point lies in each object box.
 
     Takes points (V, H, W, 3) and validity (V, H, W), and counts on the
     (V, H·W) pixel grid; invalid pixels are never counted, whatever their
-    coordinates.  Box bounds are inclusive.  A NaN coordinate at a valid
-    pixel, which no box comparison would count, raises ``NumericError``.
+    coordinates.  Box bounds are inclusive.  Pointmaps of the wrong shape
+    or a mask that is not bool raise ``ShapeError``, and a NaN coordinate
+    at a valid pixel, which no box comparison would count, ``NumericError``.
     """
+    _check_pointmaps(points, validity)
     points = points.reshape(len(points), -1, 3)
     validity = validity.reshape(len(validity), -1)
     nan = np.isnan(points)
@@ -383,7 +397,10 @@ def box_counts(points: np.ndarray, validity: np.ndarray,
 def visibility(
     points: np.ndarray, validity: np.ndarray, objects: Sequence[ObjectAnnotation]
 ) -> np.ndarray:
-    """(V, O) bool: True where ``DEFAULT_MIN_POINTS`` or more valid view points lie in the box."""
+    """(V, O) bool: True where ``DEFAULT_MIN_POINTS`` or more valid view points lie in the box.
+
+    ``box_counts`` checks the pointmaps.
+    """
     return box_counts(points, validity, objects) >= DEFAULT_MIN_POINTS
 
 
@@ -394,10 +411,12 @@ def max_coverage_sample(points: np.ndarray, validity: np.ndarray, budget: int) -
     packed relative to the minimum voxel over all views; each greedy round
     scores all views against the voxels not yet covered.  Ties break
     toward the lower view index; once no view adds coverage, the remaining
-    budget is filled by ascending index.  A ``budget`` that is not an int
-    in [1, V] raises ``ContractError``, a non-finite valid point
+    budget is filled by ascending index.  Pointmaps of the wrong shape or
+    a mask that is not bool raise ``ShapeError``, a ``budget`` that is not
+    an int in [1, V] ``ContractError``, a non-finite valid point
     ``NumericError``, and voxel keys that overflow ``RangeError``.
     """
+    _check_pointmaps(points, validity)
     n_views = len(points)
     if not (conforms(int, budget) and 1 <= budget <= n_views):
         raise ContractError(f"budget {budget!r} is not an int in [1, {n_views}]")

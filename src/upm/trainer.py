@@ -12,12 +12,10 @@ no graph node per scene.  Every scene enters all four losses, except that
 a scene whose selected views observe no object has an all-false
 visibility block, so it contributes nothing to the grounded loss.
 
-The text table's gradient is an ``engine.RowGrad``: a batch reads a few
-dozen of its rows, and ``clip_gradients`` and ``adamw_step`` touch those
-rows only.  ``adamw_step`` keeps the table's moments for the rows ever read
-and gives every other row the decay-only update, which is what the dense
-formula gives a row whose moments and gradient are zero, so the
-parameters keep the dense update's bytes.
+The trained parameters are ``EncoderParams.named_parameters()`` and the
+temperature: the text table is a fixed seeded draw that no step changes.
+Every gradient that ``clip_gradients`` and ``adamw_step`` read is a dense
+array, and every AdamW moment has its parameter's shape.
 """
 
 from __future__ import annotations
@@ -109,26 +107,15 @@ def cosine_lr(step: int, total_steps: int, base_lr: float, warmup_fraction: floa
 
 @dataclass
 class OptimizerState:
-    """AdamW's moments, its step count and each row-gradient parameter's live rows.
+    """AdamW's moments and its step count.
 
-    A parameter whose gradients are dense arrays has full-shape moments in
-    ``first_moment`` and ``second_moment``.  A parameter whose gradients
-    are ``engine.RowGrad`` values has an entry in ``live_rows``: the rows
-    any of its gradients has held, ascending, as intp; its moments are
-    compact, row i of each holding the moments of row ``live_rows[i]``.
-    Every other row has zero moments, which need no storage.  A parameter
-    that has had no gradient yet has no moments either.
+    A parameter's moments have its shape and appear with its first
+    gradient; a parameter that has had no gradient yet has none.
     """
 
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    live_rows: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
-
-
-# Rows per pass of AdamW's decay-only update: a (256, 64) text-table block
-# is a 128 KB work array, against 2 MB for the whole table.
-_DECAY_BLOCK_ROWS = 256
 
 
 def adamw_step(
@@ -144,28 +131,19 @@ def adamw_step(
     Per parameter: m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g*g,
     then p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay*p), with
     eps = ``ADAM_EPS``; the temperature (``TEMPERATURE_KEY``) takes no
-    weight decay.  A missing gradient counts as zero.
-
-    A dense gradient updates the whole parameter in place.  A ``RowGrad``
-    first adds its new rows to the parameter's live rows, with zero
-    moments (see ``OptimizerState``); the live rows then take that
-    arithmetic on their gathered p and compact m and v, with a zero
-    gradient where this step's ``RowGrad`` has no row, and every other row
-    gets p -= lr * (0.0 + weight_decay*p), or nothing without decay, as
-    does a parameter that has had no gradient yet.  Where m = v = g = 0
-    the full update is exactly that: m_hat and v_hat are +0.0, so the Adam
-    term is 0.0/eps = +0.0, and adding it turns a -0.0 decay into +0.0 as
-    the ``0.0 +`` does.  The results are therefore the dense update's
-    bytes, and a text table whose batches read a few of its rows keeps
-    moments for those rows only.
+    weight decay.  A missing gradient counts as zero.  A parameter that
+    has had no gradient yet keeps no moments and gets
+    p -= lr * (weight_decay*p + 0.0), or nothing without decay: with
+    m = v = g = 0 the Adam term is 0.0/eps = +0.0, and adding it turns a
+    -0.0 decay into +0.0 as the ``+ 0.0`` does, so that is the full
+    update's bytes.
 
     Raises ``ContractError`` unless 0 <= beta1, beta2 < 1, lr is finite
     with its sign bit clear and weight_decay is finite: outside those
-    ranges the dense update is not +0.0 on a zero row, divides by zero, or
-    turns a parameter into inf or NaN.  A parameter whose gradient
-    changes form between steps raises it too, and a non-finite gradient
-    (of a ``RowGrad``, its values) raises ``NumericError``; both raise
-    before ``state.step`` or any array changes.
+    ranges the update is not +0.0 on a zero parameter, divides by zero, or
+    turns a parameter into inf or NaN.  A non-finite gradient raises
+    ``NumericError``; both raise before ``state.step`` or any array
+    changes.
     """
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0
             and math.isfinite(lr) and math.copysign(1.0, lr) > 0.0 and math.isfinite(weight_decay)):
@@ -173,20 +151,26 @@ def adamw_step(
                             f"weight_decay, got beta1={beta1!r}, beta2={beta2!r}, lr={lr!r}, "
                             f"weight_decay={weight_decay!r}")
     for name, tensor in named_params:
-        sparse = isinstance(tensor.grad, E.RowGrad)
-        grad = tensor.grad.values if sparse else tensor.grad
-        if grad is not None and not np.isfinite(grad).all():
+        if tensor.grad is not None and not np.isfinite(tensor.grad).all():
             raise NumericError(f"non-finite gradient in parameter {name}")
-        # Moments are dense, or compact over live rows; the gradient must have their form.
-        if grad is not None and name in state.first_moment and sparse != (name in state.live_rows):
-            raise ContractError(f"parameter {name} mixes dense and row gradients")
     state.step += 1
     t = state.step
     m_correction = 1.0 - beta1**t
     v_correction = 1.0 - beta2**t
-
-    def adam(p, m, v, grad, decay):
-        """AdamW's arithmetic on p, m and v in place, through two work arrays."""
+    for name, tensor in named_params:
+        p, grad = tensor.array, tensor.grad
+        decay = weight_decay if weight_decay and name != TEMPERATURE_KEY else 0.0
+        if name not in state.first_moment:
+            if grad is None:
+                if decay:
+                    p -= (decay * p + 0.0) * lr
+                continue
+            state.first_moment[name] = np.zeros_like(p)
+            state.second_moment[name] = np.zeros_like(p)
+        if grad is None:
+            grad = 0.0
+        # AdamW's arithmetic on p, m and v in place, through two work arrays.
+        m, v = state.first_moment[name], state.second_moment[name]
         update, work = np.empty_like(p), np.empty_like(p)
         m *= beta1
         np.multiply(1.0 - beta1, grad, out=work)
@@ -206,70 +190,16 @@ def adamw_step(
         update *= lr
         p -= update
 
-    def decay_only(p, decay):
-        """The update of a row whose moments and gradient are zero, in place.
-
-        The rows go in blocks through one reused work array, so a large
-        table needs no temporary of its own size.
-        """
-        if decay:
-            rows = np.atleast_1d(p)  # a view, so the blocks write into p
-            work = np.empty((min(len(rows), _DECAY_BLOCK_ROWS),) + rows.shape[1:])
-            for lo in range(0, len(rows), _DECAY_BLOCK_ROWS):
-                block = rows[lo:lo + _DECAY_BLOCK_ROWS]
-                w = np.multiply(decay, block, out=work[:len(block)])
-                w += 0.0
-                w *= lr
-                block -= w
-
-    for name, tensor in named_params:
-        p, grad = tensor.array, tensor.grad
-        decay = weight_decay if weight_decay and name != TEMPERATURE_KEY else 0.0
-        sparse = isinstance(grad, E.RowGrad)
-        live = state.live_rows.get(name)
-        if live is None and not sparse:
-            if name not in state.first_moment:
-                if grad is None:
-                    decay_only(p, decay)
-                    continue
-                state.first_moment[name] = np.zeros_like(p)
-                state.second_moment[name] = np.zeros_like(p)
-            adam(p, state.first_moment[name], state.second_moment[name],
-                 0.0 if grad is None else grad, decay)
-            continue
-        if live is None:
-            live = state.live_rows[name] = np.zeros(0, dtype=np.intp)
-            state.first_moment[name] = state.second_moment[name] = np.zeros((0,) + p.shape[1:])
-        g = 0.0
-        if sparse:
-            grown = np.union1d(live, grad.rows)
-            if grown.size > live.size:  # new rows join with zero moments
-                slots = np.searchsorted(grown, live)
-                for moments in (state.first_moment, state.second_moment):
-                    compact = np.zeros((grown.size,) + p.shape[1:])
-                    compact[slots] = moments[name]
-                    moments[name] = compact
-                live = state.live_rows[name] = grown
-            g = np.zeros((live.size,) + p.shape[1:])
-            g[np.searchsorted(live, grad.rows)] = grad.values
-        m, v = state.first_moment[name], state.second_moment[name]
-        p_rows = p[live]
-        adam(p_rows, m, v, g, decay)
-        decay_only(p, decay)  # every row; the live rows are then overwritten
-        p[live] = p_rows
-
 
 def clip_gradients(named_params, max_norm: float) -> float:
     """Scale all gradients to a global L2 norm of at most max_norm; 0 means no clipping.
 
-    A ``RowGrad`` counts, and is scaled, through its ``values`` only.  A
-    NaN or negative ``max_norm`` raises ``ContractError``; a non-finite
+    A NaN or negative ``max_norm`` raises ``ContractError``; a non-finite
     global norm raises ``NumericError`` before any gradient is scaled.
     """
     if not max_norm >= 0:
         raise ContractError(f"max_norm must be nonnegative, got {max_norm}")
-    grads = [tensor.grad.values if isinstance(tensor.grad, E.RowGrad) else tensor.grad
-             for _, tensor in named_params if tensor.grad is not None]
+    grads = [tensor.grad for _, tensor in named_params if tensor.grad is not None]
     total = 0.0
     for grad in grads:
         total += float((grad * grad).sum())

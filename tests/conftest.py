@@ -89,16 +89,6 @@ def record_backward(root) -> dict:
     return received
 
 
-def densify(grad, shape):
-    """``grad`` as a dense array of ``shape``: a ``RowGrad``'s rows scattered into
-    zeros, any other value (an array or None) as it is."""
-    if not isinstance(grad, E.RowGrad):
-        return grad
-    dense = np.zeros(shape)
-    dense[grad.rows] = grad.values
-    return dense
-
-
 def finite_diff_check(f, x: E.Tensor, h: float = 1e-5) -> float:
     """Max relative disagreement between analytic and central-difference grads.
 
@@ -112,8 +102,7 @@ def finite_diff_check(f, x: E.Tensor, h: float = 1e-5) -> float:
         raise ContractError("finite_diff_check requires a gradient-tracked input")
     x.grad = None
     E.backward(f(x))
-    grad = densify(x.grad, x.shape)
-    analytic = (grad if grad is not None else np.zeros_like(x.array)).ravel().copy()
+    analytic = (x.grad if x.grad is not None else np.zeros_like(x.array)).ravel().copy()
 
     numeric = np.empty_like(analytic)
     flat = x.array.ravel()

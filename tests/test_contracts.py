@@ -85,6 +85,22 @@ ROWS = [
     *[pytest.param(geometry.chamfer_ranks, (VIEWS, VALID, subsample, 0),
                    ContractError, id=f"chamfer_ranks-subsample-{subsample}")
       for subsample in (-1, 0, 2.5)],
+    # A seed that is not an int: 2.5 and True, the bool once taken as 1.
+    *[pytest.param(function, (*args, seed), ContractError, id=f"{function.__name__}-seed-{seed}")
+      for function, args in ((geometry.chamfer_ranks, (VIEWS, VALID, 512)),
+                             (data.generate_scene, (data.SceneSpec(view_count=2, image_size=4),)),
+                             (data.split_dataset, (["a", "b"],)),
+                             (init_encoder_params, (CONFIG,)))
+      for seed in (2.5, True)],
+    # Pointmaps of the wrong shape, and a validity mask that is not bool.
+    *[pytest.param(function, (VIEWS, VALID.astype(float), *args), ShapeError,
+                   id=f"{function.__name__}-float-mask")
+      for function, args in ((geometry.chamfer_ranks, (512, 0)), (geometry.max_coverage_sample, (1,)),
+                             (geometry.visibility, ([BOX],)), (geometry.box_counts, ([BOX],)))],
+    pytest.param(geometry.chamfer_ranks, (VIEWS[..., :2], VALID, 512, 0),
+                 ShapeError, id="chamfer_ranks-two-coordinates"),
+    pytest.param(geometry.max_coverage_sample, (VIEWS, VALID[:, :, :4], 1),
+                 ShapeError, id="max_coverage_sample-mask-shape"),
     pytest.param(geometry.back_project, (with_value(np.ones((2, 8, 8)), (1, 3, 4), np.nan), *CAMERAS),
                  NumericError, id="back_project-nan-depth"),
     pytest.param(geometry.box_counts, (with_value(VIEWS, (1, 2, 3, 0), np.nan), VALID, [BOX]),

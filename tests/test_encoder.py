@@ -11,7 +11,7 @@ from upm import encoder as enc
 from upm import engine as E
 from upm.encoder import EncoderConfig
 from upm.errors import ConfigError, ContractError, DegenerateInputError, FormatError, ShapeError
-from tests.conftest import corruptions, densify, edit_header, finite_diff_check
+from tests.conftest import corruptions, edit_header, finite_diff_check
 
 
 def tiny_config(**overrides):
@@ -552,7 +552,7 @@ def oracle_encode_texts(texts, params, config):
 
     Row i of the selection matrix holds 1/len for each of text i's token
     ids, added once per occurrence.  ``encode_texts`` must agree with it to
-    rounding, in rows and in every gradient.
+    rounding, in rows and in the projection's gradients.
     """
     selection = np.zeros((len(texts), config.text_vocab_size))
     for row, text in enumerate(texts):
@@ -576,9 +576,8 @@ class TestTextEncoder:
             params = enc.init_encoder_params(config, seed=26)
             rows = encode(texts, params, config)
             E.backward(E.reduce_sum(E.mul(rows, probe)))
-            table = params["text.table"]
-            results.append((rows.array, densify(table.grad, table.shape), params["text.weight"].grad,
-                            params["text.bias"].grad))
+            assert params["text.table"].grad is None  # the table is fixed
+            results.append((rows.array, params["text.weight"].grad, params["text.bias"].grad))
         ids = [enc.token_ids(t, config) for t in texts]
         assert [0] in ids and any(len(set(i)) < len(i) for i in ids)
         for got, want in zip(*results):
@@ -637,15 +636,18 @@ class TestParameterLayout:
     @pytest.mark.parametrize("config", [tiny_config(), tiny_config(num_blocks=0), EncoderConfig()])
     def test_init_and_load_follow_the_table(self, tmp_path, config):
         # The table is the one statement of the layout: the init and the
-        # checkpoint reader give its names, in its order, at its shapes.
+        # checkpoint reader give its names, in its order, at its shapes, and
+        # the trained parameters are all of them but the fixed text table.
         layout = [(name, shape) for name, (shape, _) in enc._parameter_layout(config).items()]
+        trained = [(name, shape) for name, shape in layout if name != "text.table"]
         params = enc.init_encoder_params(config, seed=1)
-        assert [(name, t.shape) for name, t in params.named_parameters()] == layout
-        assert all(t.requires_grad for t in params.values())
         enc.save_checkpoint(tmp_path / "model.upm", params, config)
         loaded, _, extras = enc.load_checkpoint(tmp_path / "model.upm")
-        assert [(name, t.shape) for name, t in loaded.named_parameters()] == layout
-        assert all(t.requires_grad for t in loaded.values()) and extras == {}
+        assert extras == {}
+        for p in (params, loaded):
+            assert [(name, t.shape) for name, t in p.items()] == layout
+            assert [(name, t.shape) for name, t in p.named_parameters()] == trained
+            assert [name for name, t in p.items() if not t.requires_grad] == ["text.table"]
 
 
 class TestCheckpoint:
@@ -657,9 +659,7 @@ class TestCheckpoint:
         enc.save_checkpoint(path, params, config, extras=[("temperature.log_tau", extra)])
         loaded, loaded_config, extras = enc.load_checkpoint(path)
         assert loaded_config == config
-        for (name_a, t_a), (name_b, t_b) in zip(
-            params.named_parameters(), loaded.named_parameters()
-        ):
+        for (name_a, t_a), (name_b, t_b) in zip(params.items(), loaded.items(), strict=True):
             assert name_a == name_b
             np.testing.assert_array_equal(t_a.array, t_b.array)
         np.testing.assert_array_equal(extras["temperature.log_tau"].array, extra.array)
@@ -734,7 +734,7 @@ class TestCheckpoint:
         extra = E.Tensor(np.array([0.5, -2.0]))
         enc.save_checkpoint(path, enc.init_encoder_params(config, seed=0), config,
                             extras=[("temperature.log_tau", extra)])
-        return {name: t.shape for name, t in enc.init_encoder_params(config).named_parameters()} | {
+        return {name: t.shape for name, t in enc.init_encoder_params(config).items()} | {
             "temperature.log_tau": (2,)}
 
     def test_every_truncation_and_byte_flip_fails_typed_or_loads_intact(self, tmp_path):
@@ -751,7 +751,7 @@ class TestCheckpoint:
             except FormatError:
                 continue
             # No checksum: a flipped payload byte loads, with every name and shape intact.
-            shapes = {name: t.shape for name, t in params.named_parameters()}
+            shapes = {name: t.shape for name, t in params.items()}
             assert shapes | {name: t.shape for name, t in extras.items()} == saved
             loaded += 1
         assert 0 < loaded < len(blob)

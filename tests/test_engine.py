@@ -9,7 +9,7 @@ import pytest
 
 from upm import engine as E
 from upm.errors import ContractError, DegenerateInputError, ShapeError
-from tests.conftest import densify, finite_diff_check, record_backward
+from tests.conftest import finite_diff_check, record_backward
 from tests.test_encoder import softmax
 
 
@@ -328,8 +328,6 @@ class TestRegisteredOpGradients:
             ("softmax", lambda t, w: E.mul(softmax(t, axis=-1), w)),
             ("log_softmax", lambda t, w: E.mul(E.log_softmax(t, axis=-1), w)),
             ("normalize_rows", lambda t, w: E.mul(E.normalize_rows(t), w)),
-            ("embedding_bag",
-             lambda t, w: E.mul(E.embedding_bag(t, [2, 0, 2, 1, 1], [0, 1, 3]), w)),
         ],
     )
     def test_gradient(self, name, builder):
@@ -580,83 +578,6 @@ class TestConstantOperands:
         for node in nodes:
             grad = received.get(node, node.grad)  # a leaf keeps its own
             assert not np.signbit(grad[grad == 0]).any(), (name, node)
-
-
-class TestEmbeddingBag:
-    def setup_method(self):
-        self.table = E.Tensor(np.random.default_rng(81).normal(size=(6, 3)), requires_grad=True)
-
-    def test_rows_are_bag_means(self):
-        out = E.embedding_bag(self.table, [4, 4, 1, 0, 2, 5, 2], [0, 3, 4]).array
-        rows = self.table.array
-        np.testing.assert_allclose(out[0], (2 * rows[4] + rows[1]) / 3, rtol=0, atol=1e-15)
-        assert out[1].tobytes() == rows[0].tobytes()
-        np.testing.assert_allclose(out[2], (rows[2] + rows[5] + rows[2]) / 3, rtol=0, atol=1e-15)
-
-    def test_only_touched_rows_get_gradient(self):
-        g = np.random.default_rng(82).normal(size=(2, 3))
-        out = E.embedding_bag(self.table, [4, 1, 4, 1, 1], [0, 2])
-        E.backward(E.reduce_sum(E.mul(out, E.Tensor(g))))
-        grad = self.table.grad
-        assert isinstance(grad, E.RowGrad)
-        assert grad.rows.dtype == np.intp and grad.rows.tolist() == [1, 4]
-        assert grad.values.shape == (2, 3)
-        np.testing.assert_allclose(grad.values[1], g[0] / 2 + g[1] / 3, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(grad.values[0], g[0] / 2 + 2 * g[1] / 3, rtol=0, atol=1e-15)
-
-    def test_scatter_matches_row_wise_add_at(self):
-        # Two bag nodes on one table, as a step's text batches are: ids
-        # repeat within and across bags, some contributions are -0.0, and
-        # the second node adds onto the first's gradient, which it merges
-        # into one row gradient over both nodes' rows.  Magnitudes span 16
-        # decades, so any other per-cell order would change the sums.
-        rng = np.random.default_rng(83)
-        table = E.Tensor(rng.normal(size=(7, 5)), requires_grad=True)
-        expected = np.zeros_like(table.array)
-        for ids, offsets in (([4, 1, 4, 4, 6, 1, 0], [0, 3, 5]), ([1, 6, 6, 2, 4], [0, 1])):
-            out = E.embedding_bag(table, ids, offsets)
-            g = rng.normal(size=out.shape) * 10.0 ** rng.integers(-8, 8, size=out.shape)
-            g[0, 1::2] = -0.0
-            g[-1, 0] = -0.0
-            out._backward_fn(g)
-            counts = np.diff(offsets, append=len(ids))
-            np.add.at(expected, ids, np.repeat(g / counts[:, None], counts, axis=0))
-        assert table.grad.rows.tolist() == [0, 1, 2, 4, 6]
-        assert densify(table.grad, table.shape).tobytes() == expected.tobytes()
-
-    def test_row_and_dense_gradients_never_mix(self):
-        # A table read by a bag and by a dense op: whichever rule runs
-        # second finds the other form and raises.
-        table = E.Tensor(self.table.array, requires_grad=True)
-        loss = E.add(E.reduce_sum(E.embedding_bag(table, [1, 2], [0])), E.reduce_sum(table))
-        with pytest.raises(ContractError, match="row gradient|dense gradient"):
-            E.backward(loss)
-        table.grad = E.RowGrad(np.array([1], dtype=np.intp), np.ones((1, 3)))
-        with pytest.raises(ContractError, match="holds a row gradient"):
-            E._accumulate(table, np.ones((6, 3)))
-        table.grad = np.zeros((6, 3))
-        out = E.embedding_bag(table, [1, 2], [0])
-        with pytest.raises(ContractError, match="holds a dense gradient"):
-            out._backward_fn(np.ones((1, 3)))
-
-    @pytest.mark.parametrize(
-        "ids,offsets,error",
-        [
-            ([0, 6], [0, 1], ShapeError),
-            ([-1, 2], [0, 1], ShapeError),
-            ([0, 1], [1], ContractError),
-            ([0, 1, 2], [0, 2, 1], ContractError),
-            ([0, 1, 2], [0, 1, 1], ContractError),
-            ([0, 1], [0, 2], ContractError),
-            ([0, 1], np.zeros(0, dtype=int), ContractError),
-            (np.zeros(0, dtype=int), [0], ContractError),
-            ([0.0, 1.0], [0], ContractError),
-            ([[0, 1]], [0], ContractError),
-        ],
-    )
-    def test_rejects_bad_ids_and_offsets(self, ids, offsets, error):
-        with pytest.raises(error):
-            E.embedding_bag(self.table, ids, offsets)
 
 
 def plain_log_softmax(x, axis):

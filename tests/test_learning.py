@@ -7,10 +7,10 @@ unedited.
 
 One fixed run: 16 default scenes, the default ``TrainConfig`` (seed 0) for
 8 epochs of 4 scenes, 32 steps.  Measured on that run:
-- mean total loss: 12.75 at the initial encoder's first step, 8.18 over
-  the final epoch, a gain of 4.57;
+- mean total loss: 12.73 at the initial encoder's first step, 8.21 over
+  the final epoch, a gain of 4.53;
 - ``scene_retrieval`` R@5 at one utterance over 16 held-out scenes: 0.191
-  for the initial encoder, 0.426 trained, a gain of 0.235.
+  for the initial encoder, 0.404 trained, a gain of 0.213.
 
 Each margin below is the measured gain divided by 2, rounded down.
 

@@ -90,10 +90,10 @@ def test_only_the_engine_normalizes_rows():
 
 
 def test_only_engine_and_trainer_touch_gradients():
-    # A gradient is a dense array or an engine.RowGrad; the engine makes
-    # both and the trainer's clipping and AdamW read both.  Any other
-    # module that reads ``.grad`` would be one more consumer to teach
-    # about row gradients, so none may.
+    # The engine writes every gradient, a dense array, and only the
+    # trainer's clipping and AdamW read them, inside train_step.  Any other
+    # module that read ``.grad`` would see gradients that train_step has
+    # not yet clipped or checked for non-finite values, so none may.
     readers = set()
     for path in sorted((SRC / "upm").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -15,7 +15,7 @@ from upm import engine as E
 from upm import objectives as obj
 from upm import trainer
 from upm.encoder import (EncoderConfig, encode_texts, encode_views, init_encoder_params,
-                         load_checkpoint, pool_scene, token_ids)
+                         load_checkpoint, pool_scene)
 from upm.engine import Tensor, trace_graph
 from upm.errors import ConfigError, ContractError, NumericError
 from upm.objectives import Temperature
@@ -33,7 +33,7 @@ from upm.trainer import (
     train,
     train_step,
 )
-from tests.conftest import TINY_ENCODER, TINY_TRAIN, densify
+from tests.conftest import TINY_ENCODER, TINY_TRAIN
 from tests.test_objectives import oracle_off_diagonal_soft_xent
 
 
@@ -89,10 +89,10 @@ def adamw(named_params, state, lr, **hyper):
 
 
 def optimizer_snapshot(tensors, state):
-    """The bytes of the parameters and of every moment and live-row array, and ``state.step``."""
+    """The bytes of the parameters and of every moment, and ``state.step``."""
     return ([t.array.tobytes() for t in tensors], state.step,
             [{name: a.tobytes() for name, a in kind.items()}
-             for kind in (state.first_moment, state.second_moment, state.live_rows)])
+             for kind in (state.first_moment, state.second_moment)])
 
 
 class TestAdamw:
@@ -162,120 +162,21 @@ class TestAdamw:
                 assert state.first_moment[name].tobytes() == o_state.first_moment[name].tobytes()
                 assert state.second_moment[name].tobytes() == o_state.second_moment[name].tobytes()
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
-    def test_live_rows_match_oracle_bytewise(self, weight_decay):
-        # A (V, d) table with row gradients beside a dense (4, 2, 2) stack,
-        # against the oracle on their dense forms.  The table has no
-        # gradient at its first step, so it starts with no moments; its
-        # rows go live at different steps, out of order, and row 3 only
-        # ever sees -0.0; a step with no gradient still moves the live
-        # rows.  The table holds -0.0 and a tiny negative value, where a
-        # decay-only row must keep the dense update's `0.0 +` step.
-        rng = np.random.default_rng(29)
-        table = rng.normal(size=(9, 3))
-        table[5] = [-0.0, -5e-324, 0.0]
-        values = {"table": table, "stack": rng.normal(size=(4, 2, 2))}
-        table_rows = [[], [1], [1, 6], [3, 6], [0, 1, 3, 5, 6], [], [2]]
-        stack_rows = [[2], [], [0], [0, 1, 3], [1], None, [2]]
-        runs = []
-        for step_fn in (adamw_step, oracle_adamw_step):
-            named = [(name, Tensor(v.copy(), requires_grad=True)) for name, v in values.items()]
-            runs.append((named, OptimizerState(), step_fn))
-        for step, (t_rows, s_rows) in enumerate(zip(table_rows, stack_rows)):
-            grads = {}
-            if t_rows:
-                rows = np.array(t_rows, dtype=np.intp)
-                grads["table"] = E.RowGrad(rows, rng.normal(size=(len(rows), 3)))
-                grads["table"].values[rows == 3] = -0.0
-            if s_rows is not None:
-                grads["stack"] = np.zeros((4, 2, 2))
-                grads["stack"][s_rows] = rng.normal(size=(len(s_rows), 2, 2))
-            lr = float(rng.uniform(1e-3, 1e-1))
-            for named, state, step_fn in runs:
-                for name, tensor in named:  # neither optimizer writes into a gradient
-                    grad = grads.get(name)
-                    tensor.grad = grad if step_fn is adamw_step else densify(grad, tensor.shape)
-                step_fn(named, state, lr, beta1=0.8, beta2=0.95, weight_decay=weight_decay)
-            (named, state, _), (o_named, o_state, _) = runs
-            for (name, tensor), (_, o_tensor) in zip(named, o_named):
-                assert tensor.array.tobytes() == o_tensor.array.tobytes(), (step, name)
-                m, v = state.first_moment.get(name), state.second_moment.get(name)
-                if m is None:  # no gradient yet: the oracle's moments are zeros
-                    m, v = np.zeros_like(tensor.array), np.zeros_like(tensor.array)
-                elif name == "table":
-                    live = state.live_rows[name]
-                    assert m.shape == v.shape == (len(live), 3)
-                    m, v = (densify(E.RowGrad(live, x), tensor.shape) for x in (m, v))
-                assert m.tobytes() == o_state.first_moment[name].tobytes(), (step, name)
-                assert v.tobytes() == o_state.second_moment[name].tobytes(), (step, name)
-        assert state.live_rows["table"].tolist() == [0, 1, 2, 3, 5, 6]
-        assert state.live_rows["table"].dtype == np.intp
-        assert list(state.live_rows) == ["table"]
-
-    def test_decay_of_a_large_table_needs_no_table_sized_temporary(self):
-        # The rows outside a row gradient take the decay-only update in
-        # blocks; one (4096, 64) temporary would be 2 MB on its own.
-        rng = np.random.default_rng(30)
-        t = Tensor(rng.normal(size=(4096, 64)), requires_grad=True)
+    def test_non_finite_gradient_changes_nothing(self):
+        # After one real step, so there are moments to keep; the
+        # non-finite gradient belongs to the last parameter, which the
+        # update reaches after the other.
+        first, second = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones((5, 2)), requires_grad=True)
+        named = [("w", first), ("v", second)]
         state = OptimizerState()
-        rows = np.sort(rng.choice(4096, size=60, replace=False)).astype(np.intp)
-        for _ in range(2):
-            t.grad = E.RowGrad(rows, rng.normal(size=(60, 64)))
-            tracemalloc.start()
-            try:
-                adamw([("text.table", t)], state, lr=1e-3, weight_decay=0.05)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 1e6
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_gradient_in_dead_row_aborts_with_name(self, bad):
-        # The non-finite value arrives in a row that joins the live rows.
-        t = Tensor(np.ones((5, 2)), requires_grad=True)
-        state = OptimizerState()
-        t.grad = E.RowGrad(np.array([1], dtype=np.intp), np.ones((1, 2)))
-        adamw([("text.table", t)], state, lr=0.1)
-        t.grad = E.RowGrad(np.array([3], dtype=np.intp), np.array([[0.0, bad]]))
-        with pytest.raises(NumericError, match="text.table"):
-            adamw([("text.table", t)], state, lr=0.1)
-
-    @pytest.mark.parametrize("bad", ["dense", "rows"])
-    def test_non_finite_gradient_changes_nothing(self, bad):
-        # After one real step, so there are moments and live rows to keep;
-        # the non-finite gradient belongs to the last parameter, which the
-        # update reaches after the others.
-        first, table = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones((5, 2)), requires_grad=True)
-        named = [("w", first), ("text.table", table)]
-        state = OptimizerState()
-        first.grad = np.full(3, 0.5)
-        table.grad = E.RowGrad(np.array([1], dtype=np.intp), np.ones((1, 2)))
+        first.grad, second.grad = np.full(3, 0.5), np.ones((5, 2))
         adamw(named, state, lr=0.1, weight_decay=0.01)
-        before = optimizer_snapshot([first, table], state)
-        if bad == "dense":
-            named.reverse()
-            first.grad = np.array([1.0, np.inf, 1.0])
-        else:
-            table.grad = E.RowGrad(np.array([3], dtype=np.intp), np.array([[0.0, np.nan]]))
-        with pytest.raises(NumericError, match="parameter w" if bad == "dense" else "text.table"):
+        before = optimizer_snapshot([first, second], state)
+        second.grad = np.zeros((5, 2))
+        second.grad[3, 1] = np.nan
+        with pytest.raises(NumericError, match="parameter v"):
             adamw(named, state, lr=0.1, weight_decay=0.01)
-        assert optimizer_snapshot([first, table], state) == before
-
-    def test_dense_and_row_gradients_never_mix(self):
-        # Nothing changes before the error, not even the dense parameter
-        # listed first, which the update would reach before the table.
-        rows = E.RowGrad(np.array([1], dtype=np.intp), np.ones((1, 2)))
-        for first, second in ((np.ones((5, 2)), rows), (rows, np.ones((5, 2)))):
-            w, t = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones((5, 2)), requires_grad=True)
-            named = [("w", w), ("text.table", t)]
-            state = OptimizerState()
-            w.grad, t.grad = np.full(3, 0.5), first
-            adamw(named, state, lr=0.1)
-            before = optimizer_snapshot([w, t], state)
-            t.grad = second
-            with pytest.raises(ContractError, match="text.table mixes"):
-                adamw(named, state, lr=0.1)
-            assert optimizer_snapshot([w, t], state) == before
+        assert optimizer_snapshot([first, second], state) == before
 
     @pytest.mark.parametrize("name,value", [
         ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", math.nan),
@@ -302,17 +203,6 @@ class TestClipGradients:
         norm = clip_gradients([("w", t)], max_norm=1.0)
         assert norm == pytest.approx(20.0)
         assert np.linalg.norm(t.grad) == pytest.approx(1.0)
-
-    def test_row_gradient_counts_and_scales_its_values(self):
-        dense = Tensor(np.zeros(2), requires_grad=True)
-        dense.grad = np.array([3.0, 0.0])
-        table = Tensor(np.zeros((6, 2)), requires_grad=True)
-        table.grad = E.RowGrad(np.array([1, 4], dtype=np.intp), np.array([[0.0, 4.0], [12.0, 0.0]]))
-        norm = clip_gradients([("w", dense), ("text.table", table)], max_norm=6.5)
-        assert norm == 13.0
-        assert table.grad.rows.tolist() == [1, 4]
-        np.testing.assert_allclose(table.grad.values, [[0.0, 2.0], [6.0, 0.0]], rtol=1e-15)
-        np.testing.assert_allclose(dense.grad, [1.5, 0.0], rtol=1e-15)
 
     def test_small_gradients_untouched(self):
         t = Tensor(np.zeros(2), requires_grad=True)
@@ -498,9 +388,10 @@ class TestBatchLoss:
         # geometric and grounded losses mask their logits to each scene's
         # block and the scenes pool in one matmul.  The last encoder block
         # narrows its input and its first layer norm to the class-token row,
-        # the encoder's trailing narrow is gone, and each of the 17 biased
-        # projections is one linear node: 136 nodes.  One narrow per scene
-        # and use, with the per-scene losses added up, made 250.
+        # the encoder's trailing narrow is gone, each of the 17 biased
+        # projections is one linear node, and the fixed text table's pooled
+        # rows enter as constants: 132 nodes.  One narrow per scene and use,
+        # with the per-scene losses added up, made 250.
         batch, enc_cfg, cfg = default_batch_seed0
         assert sum(len(p.images) for p in batch) == 32
         params = init_encoder_params(enc_cfg, seed=0)
@@ -513,7 +404,7 @@ class TestBatchLoss:
         # first accumulation adopts them as .grad.  It still copies where g
         # is a view of the node's own gradient (add, reshape, transpose,
         # concat, broadcast_to, and the bias and beta sums over no axis) or
-        # not C-contiguous (attention's key gradient): 53 copies against 81
+        # not C-contiguous (attention's key gradient): 53 copies against 78
         # adoptions in this step.
         batch, enc_cfg, cfg = default_batch_seed0
         params = init_encoder_params(enc_cfg, seed=0)
@@ -539,11 +430,11 @@ class TestBatchLoss:
         E.backward(batch_loss(batch, params, enc_cfg, Temperature(cfg.initial_tau), cfg).total)
         assert [name for name, t in params.named_parameters() if t.grad is None] == []
 
-    def test_default_step_traced_peak_and_text_rows(self, default_batch_seed0):
+    def test_default_step_traced_peak(self, default_batch_seed0):
         # Traced from before the first step, so AdamW's moments count; the
-        # second step peaks mid-backward.  With a dense (4096, 64) table
-        # gradient and dense table moments that peak was 23.6 MB; with a
-        # row gradient and moments for the rows read it is 17.4 MB.
+        # second step peaks mid-backward, at 17.3 MB with the text table
+        # fixed.  A trained (4096, 64) table with a dense gradient and dense
+        # moments made it 23.6 MB.
         batch, enc_cfg, cfg = default_batch_seed0
         params = init_encoder_params(enc_cfg, seed=0)
         temperature = Temperature(cfg.initial_tau)
@@ -557,13 +448,6 @@ class TestBatchLoss:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
-        assert all(scene.visible.any() for scene in batch)  # so every object text is read
-        texts = [t for s in batch for t in (*s.object_texts, *s.view_captions, s.scene_caption)]
-        read = sorted({row for text in texts for row in token_ids(text, enc_cfg)})
-        assert params["text.table"].grad.rows.tolist() == read
-        assert state.live_rows["text.table"].tolist() == read
-        assert state.first_moment["text.table"].shape == (len(read), enc_cfg.embed_dim)
-        assert state.second_moment["text.table"].shape == (len(read), enc_cfg.embed_dim)
 
     def test_graph_size_independent_of_scene_count(self, default_batch_seed0):
         batch, enc_cfg, cfg = default_batch_seed0
@@ -580,7 +464,7 @@ class TestBatchLoss:
             breakdown = build(batch, params, enc_cfg, temperature, cfg)
             E.backward(breakdown.total)
             named = list(params.named_parameters()) + [(TEMPERATURE_KEY, temperature.log_tau)]
-            runs.append((breakdown.values(), {name: densify(t.grad, t.shape) for name, t in named}))
+            runs.append((breakdown.values(), {name: t.grad for name, t in named}))
         (values, grads), (o_values, o_grads) = runs
         for key, value in o_values.items():
             assert abs(values[key] - value) <= 1e-12 * abs(value), key
@@ -672,7 +556,7 @@ class TestTrainLoop:
         assert TEMPERATURE_KEY in extras
 
     def test_non_finite_loss_raises_before_backward(self, monkeypatch):
-        # After one real step, so there are moments and live rows to keep.
+        # After one real step, so there are moments to keep.
         batch, enc_cfg, cfg = pairless_batch()
         params = init_encoder_params(enc_cfg, seed=0)
         temperature = Temperature(cfg.initial_tau)
@@ -683,7 +567,7 @@ class TestTrainLoop:
         def snapshot():
             return ([(name, t.array.tobytes()) for name, t in named], state.step,
                      [{name: a.tobytes() for name, a in kind.items()}
-                      for kind in (state.first_moment, state.second_moment, state.live_rows)])
+                      for kind in (state.first_moment, state.second_moment)])
 
         before = snapshot()
         real_batch_loss = trainer.batch_loss
@@ -698,7 +582,7 @@ class TestTrainLoop:
         with pytest.raises(NumericError, match="non-finite training loss at step 1"):
             train_step(batch, params, enc_cfg, temperature, state, cfg, 1e-3)
         assert backward_calls == []
-        assert state.live_rows and snapshot() == before
+        assert state.first_moment and snapshot() == before
 
     def test_step_record_grad_norm_is_the_telemetry_value(self, tiny_dataset, tmp_path,
                                                           monkeypatch):
@@ -738,9 +622,9 @@ class TestTrainLoop:
 
     def test_default_config_run_pinned(self, default_run):
         # metrics.tsv and both checkpoints of the default-config run, as
-        # produced by the embedding-bag text tower, one-GEMM stacked weight
-        # gradients, losses built once per batch under block masks, a last
-        # encoder block that runs on the class-token row only and QuickGELU.
+        # produced by a text table fixed at its seeded draw, one-GEMM stacked
+        # weight gradients, losses built once per batch under block masks, a
+        # last encoder block that runs on the class-token row only and QuickGELU.
         # The checkpoint bytes also pin the container format and the config
         # record, modality included.
         assert default_run.steps == 4
@@ -748,59 +632,31 @@ class TestTrainLoop:
         for path in (default_run.metrics_path, default_run.checkpoint_path,
                      default_run.best_checkpoint_path):
             h.update(path.read_bytes())
-        assert h.hexdigest() == "b2117cb91be55b953fcff751656e0742997970dc340bb745f5ec10fff696a54a"
+        assert h.hexdigest() == "4d3f74655a7a755b10267e28b3a1ee7ebc4e7e2b5eb28fe05ab721052d24347a"
+
+    def test_default_run_leaves_the_text_table_at_its_init(self, default_run):
+        # The table is a fixed seeded draw: no step trains or decays it,
+        # while the projection behind it trains.
+        init = init_encoder_params(EncoderConfig(), seed=5)
+        for path in (default_run.checkpoint_path, default_run.best_checkpoint_path):
+            params, _, _ = load_checkpoint(path)
+            assert params["text.table"].array.tobytes() == init["text.table"].array.tobytes()
+            assert params["text.weight"].array.tobytes() != init["text.weight"].array.tobytes()
 
     def test_default_config_metrics_pinned(self, default_run):
         # The run's numbers alone, apart from any file format.
         digest = hashlib.sha256(default_run.metrics_path.read_bytes()).hexdigest()
-        assert digest == "0a8bad8226fe294306d99858e4c92033a06b00e4ec923be2a144465a92cead23"
+        assert digest == "47eee645a65cd4b0a96451015d68e034f91f8e8d5c3163698f40f0a23970a48c"
 
     def test_default_config_loaded_arrays_pinned(self, default_run):
         # What both checkpoints load as, apart from their byte layout: the
-        # config, then every array in named_parameters() order, then the extras.
+        # config, then every parameter in checkpoint order, the fixed text
+        # table too, then the extras.
         h = hashlib.sha256()
         for path in (default_run.checkpoint_path, default_run.best_checkpoint_path):
             params, config, extras = load_checkpoint(path)
             h.update(repr(dataclasses.asdict(config)).encode())
-            for name, tensor in [*params.named_parameters(), *sorted(extras.items())]:
+            for name, tensor in [*params.items(), *sorted(extras.items())]:
                 array = tensor.array
                 h.update(repr((name, array.dtype.str, array.shape)).encode() + array.tobytes())
-        assert h.hexdigest() == "a64b6e7ac555bdab0125056021dec88bed514ffaeb1bfea60beea69c6dd85325"
-
-    def test_default_run_updates_only_the_text_rows_it_read(self, tmp_path, monkeypatch):
-        # AdamW's live rows of the text table are exactly the token ids of
-        # the texts encoded under gradient, with one row of moments each;
-        # every other parameter has dense gradients and full moments.
-        real_encode_texts = trainer.encode_texts
-        trained_texts, states = set(), []
-
-        def encode_texts(texts, params, enc_cfg):
-            if E._grad_enabled:
-                trained_texts.update(texts)
-            return real_encode_texts(texts, params, enc_cfg)
-
-        def adamw_step(named, state, *args, **kwargs):
-            states.append(state)
-            return real_adamw_step(named, state, *args, **kwargs)
-
-        real_adamw_step = trainer.adamw_step
-        monkeypatch.setattr(trainer, "encode_texts", encode_texts)
-        monkeypatch.setattr(trainer, "adamw_step", adamw_step)
-        root = tmp_path / "data"
-        ids = []
-        for i in range(10):
-            scene = D.generate_scene(D.SceneSpec(scene_type=D.SCENE_TYPES[i % 4]), seed=200 + i)
-            D.save_scene(scene, root / scene.scene_id)
-            ids.append(scene.scene_id)
-        D.write_manifest(root / "manifest.tsv", D.split_dataset(ids, seed=0))
-        enc_cfg = EncoderConfig()
-        train(root / "manifest.tsv", TrainConfig(epochs=2, seed=3), enc_cfg, tmp_path / "run")
-        read = {row for text in trained_texts for row in token_ids(text, enc_cfg)}
-        state = states[-1]
-        assert list(state.live_rows) == ["text.table"]
-        assert state.live_rows["text.table"].tolist() == sorted(read)
-        assert 0 < len(read) < enc_cfg.text_vocab_size // 10
-        shapes = {name: t.shape for name, t in init_encoder_params(enc_cfg).named_parameters()}
-        shapes["text.table"] = (len(read), enc_cfg.embed_dim)
-        for moments in (state.first_moment, state.second_moment):
-            assert {name: moments[name].shape for name in shapes} == shapes
+        assert h.hexdigest() == "573d733ec68aac43b5b50ef0a1eed64cc2c911fbf8ba24a9b80dcde32ae1244a"
