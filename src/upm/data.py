@@ -1,9 +1,10 @@
 """Procedural synthetic scenes: colored boxes on a floor, ring cameras.
 
 Each scene is V posed RGB + depth views of axis-aligned colored boxes
-standing on a square floor, as two stacks that ``Scene`` checks once and
-``Scene.views`` windows view by view, plus object annotations (world AABB,
-referring text, category) and template-generated view/scene captions.
+standing on a square floor, as image, depth and camera stacks that
+``Scene`` checks once and ``Scene.views`` windows view by view, plus
+object annotations (world AABB, referring text, category) and
+template-generated view/scene captions.
 The boxes come from the scene type's catalog (``SCENE_TYPE_CATALOGS``),
 the floor's side is ``ROOM_EXTENT``, and ring cameras at distances in
 ``CAMERA_RADIUS`` and heights in ``CAMERA_HEIGHT`` look near its centre.
@@ -13,21 +14,21 @@ views of a layout are ray-cast in one batched pass, and each view is
 bitwise equal to casting it alone (``oracle_render_view`` in the tests).
 
 A scene directory holds one file, ``scene.upm``: a ``upm.container`` whose
-arrays are ``images`` (V, H, W, 3), every view's image, and ``depths``
-(V, H, W), every view's depth, both in view order.  Its metadata is one
-object: ``scene_id``, ``scene_type`` and ``scene_caption`` strings, a
-``views`` list of records with ``intrinsics`` [fx, fy, cx, cy], a
-row-major ``rotation`` of 9 numbers, a ``translation`` of 3 and a
-``caption``, and an ``objects`` list of records with an integer
-``object_id``, ``category``, ``aabb_min`` and ``aabb_max`` of 3 numbers
-each, and ``referring_text``.  The file is replaced atomically, so a
-save that stops part-way leaves the previous scene in place.
+five arrays, all in view order, are ``images`` (V, H, W, 3), ``depths``
+(V, H, W), ``intrinsics`` (V, 4) as [fx, fy, cx, cy], ``rotations``
+(V, 3, 3) and ``translations`` (V, 3).  Its metadata is one object:
+``scene_id``, ``scene_type`` and ``scene_caption`` strings, a
+``view_captions`` list of one string per view, and an ``objects`` list
+of records with an integer ``object_id``, ``category``, ``aabb_min`` and
+``aabb_max`` of 3 numbers each, and ``referring_text``.  The file is
+replaced atomically, so a save that stops part-way leaves the previous
+scene in place.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ import numpy as np
 from .atomic import atomic_write
 from .config import check_fields, conforms, declared
 from .container import read_arrays, write_arrays
-from .errors import ConfigError, ContractError, DegenerateInputError, FormatError, GenerationError
+from .errors import ConfigError, ContractError, DegenerateInputError, FormatError, GenerationError, ShapeError
 from .geometry import (
     DEFAULT_MIN_POINTS,
     CameraIntrinsics,
@@ -48,6 +49,8 @@ from .geometry import (
 logger = logging.getLogger(__name__)
 
 SCENE_FILE = "scene.upm"
+# A scene's stacks, in the order its file stores them: two rasters, then three camera stacks.
+SCENE_ARRAYS = ("images", "depths", "intrinsics", "rotations", "translations")
 MAX_REGENERATIONS = 25
 FLOOR_COLOR = (0.52, 0.48, 0.42)
 # The square floor's side, and the ranges each ring camera's horizontal
@@ -146,27 +149,31 @@ class View:
 
 @dataclass(frozen=True)
 class Scene:
-    """V posed views as image (V, H, W, 3) and depth (V, H, W) stacks, the only copy of the rasters.
+    """V posed views as the stacks of ``SCENE_ARRAYS`` (module docstring), their only copy.
 
-    Checked once, when built: bad shapes, an empty raster, a negative
-    depth, fewer than two views or not one camera and one caption per view
-    raise ``ContractError``, and a non-finite value ``DegenerateInputError``."""
+    Checked once, when built: bad raster shapes, an empty raster, a
+    negative depth, fewer than two views or not one caption per view raise
+    ``ContractError``, and a non-finite raster value ``DegenerateInputError``.
+    Camera stacks of other shapes raise ``ShapeError``; a non-finite camera,
+    a focal length ≤ 0, or a rotation R with max |R Rᵀ − I| or |det R − 1|
+    over 1e-9, ``ContractError``."""
 
     scene_id: str
     images: np.ndarray
     depths: np.ndarray
-    intrinsics: list[CameraIntrinsics]
-    poses: list[CameraPose]
+    intrinsics: np.ndarray
+    rotations: np.ndarray
+    translations: np.ndarray
     objects: list[ObjectAnnotation]
     scene_type: str
     scene_caption: str
     view_captions: list[str]
 
     def __post_init__(self):
-        images = np.ascontiguousarray(self.images, dtype=np.float64)
-        depths = np.ascontiguousarray(self.depths, dtype=np.float64)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "depths", depths)
+        for name in SCENE_ARRAYS:
+            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float64))
+        images, depths, intrinsics, rotations, translations = (
+            getattr(self, name) for name in SCENE_ARRAYS)
         if images.ndim != 4 or images.shape[3] != 3:
             raise ContractError(f"images must be a (V, H, W, 3) stack, got {images.shape}")
         if depths.shape != images.shape[:3]:
@@ -175,17 +182,33 @@ class Scene:
             raise ContractError("a scene needs at least two views")
         if depths.size == 0:
             raise ContractError(f"rasters need a nonzero height and width, got {depths.shape[1:]}")
-        if not len(self.intrinsics) == len(self.poses) == len(self.view_captions) == len(images):
-            raise ContractError("one camera and one caption per view required")
+        if len(self.view_captions) != len(images):
+            raise ContractError("one caption per view required")
         if not (np.isfinite(images).all() and np.isfinite(depths).all()):
             raise DegenerateInputError("image and depth values must be finite")
         if np.any(depths < 0):
             raise ContractError("depth must be nonnegative")
+        n_views = len(images)
+        shapes = (intrinsics.shape, rotations.shape, translations.shape)
+        if shapes != ((n_views, 4), (n_views, 3, 3), (n_views, 3)):
+            raise ShapeError(f"camera stacks of shapes {shapes} for {n_views} views, not "
+                             f"(V, 4) intrinsics, (V, 3, 3) rotations and (V, 3) translations")
+        if not all(np.isfinite(stack).all() for stack in (intrinsics, rotations, translations)):
+            raise ContractError("camera intrinsics, rotations and translations must be finite")
+        if np.any(intrinsics[:, :2] <= 0):
+            raise ContractError("focal lengths must be positive")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the checks below
+            if not np.abs(rotations @ rotations.transpose(0, 2, 1) - np.eye(3)).max() <= 1e-9:
+                raise ContractError("rotation is not orthonormal")
+            if not np.abs(np.linalg.det(rotations) - 1.0).max() <= 1e-9:
+                raise ContractError("rotation determinant must be +1")
 
     @property
     def views(self) -> list[View]:
-        """One ``View`` per view, its rasters windows onto the stacks."""
-        return [View(*view) for view in zip(self.images, self.depths, self.intrinsics, self.poses)]
+        """One ``View`` per view, its rasters and pose windows onto the stacks."""
+        return [View(image, depth, CameraIntrinsics(*intrinsics), CameraPose(rotation, translation))
+                for image, depth, intrinsics, rotation, translation
+                in zip(self.images, self.depths, self.intrinsics, self.rotations, self.translations)]
 
     def pointmaps(self) -> tuple[np.ndarray, np.ndarray]:
         """Every view's pointmap as ``back_project`` returns it, in one batched pass.
@@ -195,7 +218,7 @@ class Scene:
         as the scene lives (about 16 MB for the 640 views of a default
         40-scene evaluation).
         """
-        return back_project(self.depths, self.intrinsics, self.poses)
+        return back_project(self.depths, self.intrinsics, self.rotations, self.translations)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +240,8 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
-def _look_at_pose(eye: np.ndarray, target: np.ndarray) -> CameraPose:
-    """The pose of a camera at ``eye`` looking at ``target``, with world z up.
+def _look_at_pose(eye: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The camera-to-world rotation of a camera at ``eye`` looking at ``target``, with world z up.
 
     Every ring camera's eye is at least 1.7 - 0.9 * sqrt(2) (about 0.43)
     off the vertical through its target, so neither axis is degenerate.
@@ -229,8 +252,7 @@ def _look_at_pose(eye: np.ndarray, target: np.ndarray) -> CameraPose:
     x_axis = _cross(z_axis, up)
     x_axis /= np.linalg.norm(x_axis)
     y_axis = _cross(z_axis, x_axis)
-    rotation = np.stack([x_axis, y_axis, z_axis], axis=1)
-    return CameraPose(rotation=rotation, translation=eye)
+    return np.stack([x_axis, y_axis, z_axis], axis=1)
 
 
 def _place_objects(spec: SceneSpec, rng, seed: int):
@@ -268,9 +290,9 @@ def _clear_of(placed, lo, hi, margin) -> bool:
 
 
 def _render_views(
-    eyes: np.ndarray,
+    intrinsics: np.ndarray,
     rotations: np.ndarray,
-    intr: CameraIntrinsics,
+    translations: np.ndarray,
     n: int,
     boxes: list[tuple[np.ndarray, np.ndarray]],
     colors: list[tuple[float, float, float]],
@@ -278,25 +300,26 @@ def _render_views(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-hit ray cast of the boxes and the floor from V cameras at once, flat shading.
 
-    ``eyes`` (V, 3) are the camera centres and ``rotations`` (V, 3, 3) their
-    camera-to-world rotations.  Returns images (V, n, n, 3) and depths
-    (V, n, n); a ray that hits nothing is black at depth 0.  Every view is
-    bitwise equal to casting it alone: the float ops per ray are the same,
-    and the ray directions come from one stacked product, a BLAS call per
-    view.  The ray directions and their zero-safe copy hold V·n·n·3 float64
-    values each; the slab test works one axis at a time in five V·n·n
-    float64 buffers written in place.
+    The cameras are stacks as ``Scene`` holds them; ``translations`` are their
+    centres.  Returns images (V, n, n, 3) and depths (V, n, n); a ray that
+    hits nothing is black at depth 0.  Every view is bitwise equal to
+    casting it alone: the float ops per ray are the same, and the ray
+    directions come from one stacked product, a BLAS call per view.  The
+    ray directions and their zero-safe copy hold V·n·n·3 float64 values
+    each; the slab test works one axis at a time in five V·n·n float64
+    buffers written in place.
     """
-    v_count = len(eyes)
+    v_count = len(translations)
     u = np.arange(n, dtype=np.float64)[None, :].repeat(n, axis=0)
     v = np.arange(n, dtype=np.float64)[:, None].repeat(n, axis=1)
-    dirs_cam = np.stack([(u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy, np.ones((n, n))], axis=-1)
+    fx, fy, cx, cy = intrinsics.T[..., None, None]
+    dirs_cam = np.stack([(u - cx) / fx, (v - cy) / fy, np.ones((v_count, n, n))], axis=-1)
     # (3, V, n*n): one contiguous plane per world axis.
-    dirs = np.matmul(dirs_cam.reshape(-1, 3), rotations.transpose(0, 2, 1)).transpose(2, 0, 1).copy()
+    dirs = np.matmul(dirs_cam.reshape(v_count, -1, 3), rotations.transpose(0, 2, 1)).transpose(2, 0, 1).copy()
     safe_dirs = np.where(dirs == 0.0, 1e-300, dirs)
 
     # Floor: z = 0 inside the room square.
-    ex, ey, ez = eyes.T[:, :, None]
+    ex, ey, ez = translations.T[:, :, None]
     s_floor = -ez / safe_dirs[2]
     fx = ex + s_floor * dirs[0]
     fy = ey + s_floor * dirs[1]
@@ -308,7 +331,7 @@ def _render_views(
     t1, t2, t3, t_near, t_far = (np.empty_like(depth) for _ in range(5))
     mask = np.empty_like(update)
     for index, (lo, hi) in enumerate(boxes, start=2):
-        lo_rel, hi_rel = lo - eyes, hi - eyes
+        lo_rel, hi_rel = lo - translations, hi - translations
         for a in range(3):
             np.divide(lo_rel[:, a, None], safe_dirs[a], out=t1)
             np.divide(hi_rel[:, a, None], safe_dirs[a], out=t2)
@@ -396,19 +419,17 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> tuple[Scene | No
     half = ROOM_EXTENT / 2.0
 
     n = spec.image_size
-    intr = CameraIntrinsics(fx=0.8 * n, fy=0.8 * n, cx=(n - 1) / 2.0, cy=(n - 1) / 2.0)
-    poses: list[CameraPose] = []
+    intrinsics = np.tile([0.8 * n, 0.8 * n, (n - 1) / 2.0, (n - 1) / 2.0], (spec.view_count, 1))
+    cameras = []
     for i in range(spec.view_count):
         angle = 2.0 * np.pi * i / spec.view_count + rng.uniform(-0.4, 0.4) * 2.0 * np.pi / spec.view_count
         radius = rng.uniform(*CAMERA_RADIUS)
         height = rng.uniform(*CAMERA_HEIGHT)
         eye = np.array([radius * np.cos(angle), radius * np.sin(angle), height])
         target = np.array([rng.uniform(-0.3, 0.3) * half, rng.uniform(-0.3, 0.3) * half, 0.0])
-        poses.append(_look_at_pose(eye, target))
-    images, depths = _render_views(
-        np.array([p.translation for p in poses]), np.array([p.rotation for p in poses]),
-        intr, n, boxes, colors, half,
-    )
+        cameras.append((_look_at_pose(eye, target), eye))
+    rotations, translations = map(np.array, zip(*cameras))
+    images, depths = _render_views(intrinsics, rotations, translations, n, boxes, colors, half)
 
     texts = _referring_texts(placed)
     objects = [
@@ -417,7 +438,7 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> tuple[Scene | No
         for i, (entry, lo, hi) in enumerate(placed)
     ]
 
-    points, validity = back_project(depths, [intr] * spec.view_count, poses)
+    points, validity = back_project(depths, intrinsics, rotations, translations)
     areas = box_counts(points, validity, objects)
     unobserved = [
         _noun(entry.color_name, entry.category)
@@ -433,7 +454,7 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> tuple[Scene | No
 
     return Scene(
         scene_id=f"scene_{seed:05d}",
-        images=images, depths=depths, intrinsics=[intr] * spec.view_count, poses=poses,
+        images=images, depths=depths, intrinsics=intrinsics, rotations=rotations, translations=translations,
         objects=objects,
         scene_type=spec.scene_type,
         scene_caption=_scene_caption(spec.scene_type, [e for e, _, _ in placed]),
@@ -460,15 +481,7 @@ def save_scene(scene: Scene, directory) -> None:
         "scene_id": scene.scene_id,
         "scene_type": scene.scene_type,
         "scene_caption": scene.scene_caption,
-        "views": [
-            {
-                "intrinsics": [float(x) for x in astuple(intr)],
-                "rotation": pose.rotation.ravel().tolist(),
-                "translation": pose.translation.tolist(),
-                "caption": caption,
-            }
-            for intr, pose, caption in zip(scene.intrinsics, scene.poses, scene.view_captions)
-        ],
+        "view_captions": list(scene.view_captions),
         "objects": [
             {
                 "object_id": int(obj.object_id),
@@ -481,22 +494,11 @@ def save_scene(scene: Scene, directory) -> None:
         ],
     }
     write_arrays(Path(directory) / SCENE_FILE, meta,
-                 [("images", scene.images), ("depths", scene.depths)])
+                 [(name, getattr(scene, name)) for name in SCENE_ARRAYS])
 
 
-_SCENE_KEYS = {"scene_id", "scene_type", "scene_caption", "views", "objects"}
-_VIEW_KEYS = {"intrinsics", "rotation", "translation", "caption"}
+_SCENE_KEYS = {"scene_id", "scene_type", "scene_caption", "view_captions", "objects"}
 _OBJECT_KEYS = {"object_id", "category", "aabb_min", "aabb_max", "referring_text"}
-
-
-def _records(value, keys: set[str], what: str) -> list[dict]:
-    """A JSON list of records that each hold exactly ``keys``."""
-    if not isinstance(value, list):
-        raise TypeError(f"{what} records are not a list")
-    for record in value:
-        if not (isinstance(record, dict) and record.keys() == keys):
-            raise ValueError(f"each {what} record must hold exactly the keys {sorted(keys)}")
-    return value
 
 
 def _numbers(value, count: int, what: str) -> list[float]:
@@ -527,30 +529,29 @@ def load_scene(directory) -> Scene:
     """Read a scene directory written by :func:`save_scene`.
 
     Any malformed directory raises :class:`FormatError`: a missing or
-    malformed ``scene.upm``, arrays other than exactly ``images`` and
-    ``depths``, metadata not of the layout in the module docstring, and
-    rasters or records that no valid scene could hold.  An unknown
-    top-level metadata key is logged and ignored.
+    malformed ``scene.upm``, arrays other than exactly ``SCENE_ARRAYS``,
+    metadata not of the layout in the module docstring, and stacks or
+    records that no valid scene could hold.  An unknown top-level metadata
+    key is logged and ignored.
     """
     path = Path(directory) / SCENE_FILE
     meta, arrays = read_arrays(path)
-    if arrays.keys() != {"images", "depths"}:
+    if arrays.keys() != set(SCENE_ARRAYS):
         raise FormatError(f"scene file {path} holds the arrays {sorted(arrays)}, "
-                          f"not ['depths', 'images']")
+                          f"not {sorted(SCENE_ARRAYS)}")
     try:
         for key in sorted(meta.keys() - _SCENE_KEYS):
             logger.warning("ignoring unknown metadata key %r in %s", key, path)
         scene_id, scene_type, scene_caption = (
             _text(meta[key], key) for key in ("scene_id", "scene_type", "scene_caption"))
-        view_records = _records(meta["views"], _VIEW_KEYS, "view")
-        intrinsics = [CameraIntrinsics(*_numbers(r["intrinsics"], 4, "intrinsics"))
-                      for r in view_records]
-        poses = [CameraPose(rotation=np.reshape(_numbers(r["rotation"], 9, "rotation"), (3, 3)),
-                            translation=_numbers(r["translation"], 3, "translation"))
-                 for r in view_records]
-        view_captions = [_text(r["caption"], "view caption") for r in view_records]
+        view_captions, records = meta["view_captions"], meta["objects"]
+        if not (isinstance(view_captions, list) and all(isinstance(c, str) for c in view_captions)):
+            raise TypeError("view captions must be a list of strings")
+        if not (isinstance(records, list)
+                and all(isinstance(r, dict) and r.keys() == _OBJECT_KEYS for r in records)):
+            raise ValueError(f"objects must be a list of records of the keys {sorted(_OBJECT_KEYS)}")
         objects = []
-        for r in _records(meta["objects"], _OBJECT_KEYS, "object"):
+        for r in records:
             if type(r["object_id"]) is not int:
                 raise TypeError(f"object id {r['object_id']!r} is not an integer")
             objects.append(ObjectAnnotation(
@@ -564,10 +565,9 @@ def load_scene(directory) -> Scene:
         raise FormatError(f"invalid metadata in {path}: {type(exc).__name__}: {exc}") from exc
 
     try:
-        return Scene(scene_id=scene_id, images=arrays["images"], depths=arrays["depths"],
-                     intrinsics=intrinsics, poses=poses, objects=objects, scene_type=scene_type,
-                     scene_caption=scene_caption, view_captions=view_captions)
-    except (ContractError, DegenerateInputError) as exc:
+        return Scene(scene_id=scene_id, objects=objects, scene_type=scene_type,
+                     scene_caption=scene_caption, view_captions=view_captions, **arrays)
+    except (ContractError, DegenerateInputError, ShapeError) as exc:
         raise FormatError(f"invalid scene in {path}: {exc}") from exc
 
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import engine as E
 from .atomic import atomic_write
+from .config import conforms
 from .data import Scene, read_utf8
 from .encoder import EncoderConfig, EncoderParams, encode_texts, encode_views, pool_scene
 from .errors import ContractError, DegenerateInputError, FormatError, NumericError, ShapeError
@@ -174,8 +175,8 @@ def grounding_metrics(
 
     The three sequences hold one entry per instance; lengths that differ,
     or a score row that is not 1-D, raise ``ShapeError``, a NaN score
-    ``NumericError``, and a ground-truth view outside its score row
-    ``ContractError``.  Ties go to the lower view index.
+    ``NumericError``, and a ground-truth view that is not an int inside its
+    score row ``ContractError``.  Ties go to the lower view index.
     """
     if not len(similarities) == len(gt_views) == len(visible_sets):
         raise ShapeError(f"{len(similarities)} score rows, {len(gt_views)} ground-truth views "
@@ -185,8 +186,8 @@ def grounding_metrics(
         raise ShapeError(f"score rows of shapes {[row.shape for row in rows]}, not one row each")
     if any(np.isnan(row).any() for row in rows):
         raise NumericError("ranking a NaN score")
-    if any(not 0 <= gt < len(row) for row, gt in zip(rows, gt_views)):
-        raise ContractError("a ground-truth view lies outside its row of view scores")
+    if not all(conforms(int, gt) and 0 <= gt < len(row) for row, gt in zip(rows, gt_views)):
+        raise ContractError("a ground-truth view is not an int inside its row of view scores")
     if not rows:
         return RetrievalResult(recall_at={n: 0.0 for n in GROUNDING_RECALL_NS},
                                visible_set_accuracy=0.0, count=0)
@@ -231,9 +232,11 @@ def filter_unique(instances: Sequence[GroundingInstance]) -> list[GroundingInsta
 
 
 def build_scene_captions(scene: Scene, n_utterances: int) -> list[str]:
-    """Join consecutive groups of n referring texts into retrieval captions."""
-    if n_utterances < 1:
-        raise ContractError("captions need at least one utterance")
+    """Join consecutive groups of n referring texts into retrieval captions.
+
+    An ``n_utterances`` that is not an int of at least 1 raises ``ContractError``."""
+    if not (conforms(int, n_utterances) and n_utterances >= 1):
+        raise ContractError(f"captions need an int of at least one utterance, got {n_utterances!r}")
     texts = [obj.referring_text for obj in scene.objects]
     if not texts:
         return []

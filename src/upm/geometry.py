@@ -49,40 +49,20 @@ DEFAULT_VOXEL_SIZE = 0.25
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Pinhole intrinsics in pixel units."""
+    """Pinhole intrinsics in pixel units: one row of a scene's (V, 4) stack."""
 
     fx: float
     fy: float
     cx: float
     cy: float
 
-    def __post_init__(self):
-        if not all(math.isfinite(x) for x in (self.fx, self.fy, self.cx, self.cy)):
-            raise ContractError("intrinsics must be finite")
-        if self.fx <= 0 or self.fy <= 0:
-            raise ContractError("focal lengths must be positive")
-
 
 @dataclass(frozen=True)
 class CameraPose:
-    """Camera-to-world rigid transform: x_world = R @ x_cam + t."""
+    """Camera-to-world rigid transform, x_world = R @ x_cam + t: one view of a scene's stacks."""
 
     rotation: np.ndarray
     translation: np.ndarray
-
-    def __post_init__(self):
-        r = np.ascontiguousarray(np.asarray(self.rotation, dtype=np.float64))
-        t = np.ascontiguousarray(np.asarray(self.translation, dtype=np.float64))
-        if r.shape != (3, 3) or t.shape != (3,):
-            raise ShapeError(f"pose expects 3x3 rotation and 3-vector, got {r.shape}, {t.shape}")
-        if not (np.isfinite(r).all() and np.isfinite(t).all()):
-            raise ContractError("pose must be finite")
-        if np.abs(r @ r.T - np.eye(3)).max() > 1e-9:
-            raise ContractError("rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > 1e-9:
-            raise ContractError("rotation determinant must be +1")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
 
 
 @dataclass
@@ -112,38 +92,38 @@ class ObjectAnnotation:
 
 def back_project(
     depths: np.ndarray,
-    intrinsics: Sequence[CameraIntrinsics],
-    poses: Sequence[CameraPose],
+    intrinsics: np.ndarray,
+    rotations: np.ndarray,
+    translations: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lift V depth maps to world points (V, H, W, 3) and validity (V, H, W).
 
-    Zero depth marks invalid pixels, whose points are +0.0.  Each view is
+    View v's camera is ``intrinsics[v]`` [fx, fy, cx, cy] and x_world =
+    R @ x_cam + t for R, t = ``rotations[v]``, ``translations[v]``.  Zero
+    depth marks invalid pixels, whose points are +0.0.  Each view is
     bitwise equal to lifting it alone: the per-pixel float ops are the
     same, and the rotation is one stacked product, a BLAS call per image
-    row as in the one-view form.  A NaN depth, or a valid point that
-    overflows to a non-finite coordinate, raises ``NumericError``.
+    row as in the one-view form.  Stacks that are not (V, H, W), (V, 4),
+    (V, 3, 3) and (V, 3) raise ``ShapeError``; a NaN depth, or a valid
+    point that overflows to a non-finite coordinate, ``NumericError``.
     """
-    depths = np.asarray(depths, dtype=np.float64)
-    if depths.ndim != 3:
-        raise ShapeError(f"depths must be VxHxW, got {depths.shape}")
-    if not len(intrinsics) == len(poses) == len(depths):
-        raise ShapeError(f"{len(depths)} depth maps, {len(intrinsics)} intrinsics, "
-                         f"{len(poses)} poses")
+    depths, intrinsics, rotations, translations = (
+        np.ascontiguousarray(a, dtype=np.float64) for a in (depths, intrinsics, rotations, translations))
+    shapes = tuple(a.shape for a in (depths, intrinsics, rotations, translations))
+    if depths.ndim != 3 or shapes[1:] != ((len(depths), 4), (len(depths), 3, 3), (len(depths), 3)):
+        raise ShapeError(f"depths, intrinsics, rotations and translations of shapes {shapes}")
     if not (depths >= 0).all():  # false for a negative depth and for NaN
         if np.isnan(depths).any():
             raise NumericError("back-projecting a NaN depth")
         raise ContractError("depth values must be nonnegative")
     # Each intrinsic as a (V, 1, 1) column.
-    columns = np.array([(i.fx, i.fy, i.cx, i.cy) for i in intrinsics]).reshape(-1, 4)
-    fx, fy, cx, cy = columns.T[..., None, None]
+    fx, fy, cx, cy = intrinsics.T[..., None, None]
     _, h, w = depths.shape
     u = np.arange(w, dtype=np.float64)[None, :]
     v = np.arange(h, dtype=np.float64)[:, None]
-    rotations_t = np.array([p.rotation for p in poses]).reshape(-1, 3, 3).transpose(0, 2, 1)
-    translations = np.array([p.translation for p in poses]).reshape(-1, 1, 1, 3)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite point is caught below
         cam = np.stack([(u - cx) * depths / fx, (v - cy) * depths / fy, depths], axis=-1)
-        world = np.matmul(cam, rotations_t[:, None]) + translations
+        world = np.matmul(cam, rotations.transpose(0, 2, 1)[:, None]) + translations[:, None, None]
     validity = depths > 0
     world[~validity] = 0.0
     if not np.isfinite(world).all():

@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import engine as E
+from .config import conforms
 from .engine import Tensor
 from .errors import ContractError, DegenerateInputError, NumericError, ShapeError
 from .geometry import chamfer_ranks
@@ -104,7 +105,13 @@ def geo_targets(points: np.ndarray, validity: np.ndarray, subsample: int, seed: 
 
 def same_scene(row_counts: Sequence[int], col_counts: Sequence[int]) -> np.ndarray:
     """True where row and column belong to the same scene; scene s owns
-    ``row_counts[s]`` consecutive rows and ``col_counts[s]`` consecutive columns."""
+    ``row_counts[s]`` consecutive rows and ``col_counts[s]`` consecutive columns.
+    Count lists not 1-D of one length raise ``ShapeError``, and a count not a
+    nonnegative int ``ContractError``."""
+    if not np.ndim(row_counts) == np.ndim(col_counts) == 1 or len(row_counts) != len(col_counts):
+        raise ShapeError(f"count lists {row_counts!r} and {col_counts!r} are not 1-D of one length")
+    if not all(conforms(int, count) and count >= 0 for count in (*row_counts, *col_counts)):
+        raise ContractError(f"counts {row_counts!r} and {col_counts!r} are not nonnegative ints")
     rows = np.repeat(np.arange(len(row_counts)), row_counts)
     cols = np.repeat(np.arange(len(col_counts)), col_counts)
     return rows[:, None] == cols[None, :]

@@ -26,8 +26,8 @@ VALID = np.ones((2, 8, 8), dtype=bool)
 # A two-class probe problem of four rows, for fit_logistic_grid(features, labels, 2, regs).
 FEATURES = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, -1.0]])
 LABELS = np.array([0, 1, 1, 0])
-CAMERAS = ([geometry.CameraIntrinsics(4.0, 4.0, 3.5, 3.5)] * 2,
-           [geometry.CameraPose(np.eye(3), np.zeros(3))] * 2)
+# Two cameras as (V, ...) stacks: intrinsics, rotations and translations.
+CAMERAS = ([[4.0, 4.0, 3.5, 3.5]] * 2, [np.eye(3)] * 2, np.zeros((2, 3)))
 BOX = geometry.ObjectAnnotation(0, [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], "the box", "box")
 # Two 4-pixel views, as data.Scene takes their stacks.
 IMAGES = np.full((2, 4, 4, 3), 0.5)
@@ -63,12 +63,14 @@ def load_manifest_text(text):
         return data.load_manifest(path)
 
 
-def scene_args(images=IMAGES, depths=DEPTHS, cameras=2):
-    """``data.Scene``'s arguments: the two stacks, ``cameras`` cameras and a caption per view."""
-    return ("blank", images, depths, [geometry.CameraIntrinsics(4.0, 4.0, 1.5, 1.5)] * cameras,
-            [geometry.CameraPose(np.eye(3), np.zeros(3))] * cameras, [], "bedroom", "",
-            [""] * len(images))
+def scene_args(images=IMAGES, depths=DEPTHS, cameras=2, objects=()):
+    """``data.Scene``'s arguments: the two raster stacks, stacks of ``cameras`` cameras, the
+    ``objects`` and a caption per view."""
+    return ("blank", images, depths, [[4.0, 4.0, 1.5, 1.5]] * cameras, [np.eye(3)] * cameras,
+            np.zeros((cameras, 3)), list(objects), "bedroom", "", [""] * len(images))
 
+
+BOXED_SCENE = data.Scene(*scene_args(objects=[BOX]))
 
 ROWS = [
     pytest.param(geometry.chamfer_ranks, (with_value(VIEWS, (1, 2, 3, 0), np.nan), VALID, 512, 0),
@@ -190,6 +192,17 @@ ROWS = [
                  ShapeError, id="grounding_metrics-length-mismatch"),
     pytest.param(evaluation.grounding_metrics, ([np.array([0.3, 0.1])], [5], [frozenset({0})]),
                  ContractError, id="grounding_metrics-gt-view-outside-row"),
+    *[pytest.param(evaluation.grounding_metrics, ([np.array([0.3, 0.1])], [gt], [frozenset({0})]),
+                   ContractError, id=f"grounding_metrics-gt-view-{gt}")
+      for gt in (1.5, True)],
+    # A scene with one referring text, so that its captions are built.
+    *[pytest.param(evaluation.build_scene_captions, (BOXED_SCENE, n_utterances),
+                   ContractError, id=f"build_scene_captions-n-utterances-{n_utterances}")
+      for n_utterances in (1.5, True)],
+    *[pytest.param(function, (PARAMS, CONFIG, [BOXED_SCENE], 1.5, *budgets),
+                   ContractError, id=f"{function.__name__}-n-utterances-1.5")
+      for function, budgets in ((evaluation.scene_retrieval, ()),
+                                (evaluation.retrieval_views_curve, ([1],)))],
     pytest.param(evaluation.embed_scenes, ([], PARAMS, CONFIG),
                  DegenerateInputError, id="embed_scenes-no-scenes"),
     pytest.param(trainer.evaluate_loss,
@@ -218,6 +231,14 @@ ROWS = [
                  DegenerateInputError, id="batch_loss-no-scenes"),
     pytest.param(objectives.soft_targets, (np.array(0),),
                  ShapeError, id="soft_targets-scalar-ranks"),
+    pytest.param(objectives.same_scene, ([2, -1], [1, 1]),
+                 ContractError, id="same_scene-negative-count"),
+    pytest.param(objectives.same_scene, ([2.0, 3.0], [1, 1]),
+                 ContractError, id="same_scene-float-counts"),
+    pytest.param(objectives.same_scene, ([[2, 3]], [1]),
+                 ShapeError, id="same_scene-2d-counts"),
+    pytest.param(objectives.same_scene, ([2, 3], [1]),
+                 ShapeError, id="same_scene-scene-count-mismatch"),
     pytest.param(normalize_rows, (Tensor(np.array([[1e200, 1e200]])),),
                  NumericError, id="normalize_rows-overflowing-row"),
     pytest.param(evaluation.cosine_similarity, (np.array([[1e308, 1e308]]), np.ones((1, 2))),
@@ -236,7 +257,7 @@ ROWS = [
     pytest.param(data.Scene, scene_args(IMAGES[:1], DEPTHS[:1], cameras=1),
                  ContractError, id="Scene-one-view"),
     pytest.param(data.Scene, scene_args(cameras=3),
-                 ContractError, id="Scene-camera-count-mismatch"),
+                 ShapeError, id="Scene-camera-count-mismatch"),
     pytest.param(data.split_dataset, (["a", "a", "b"], 0),
                  ContractError, id="split_dataset-duplicate-ids"),
     pytest.param(data.split_dataset, (["a", "b"], -1),

@@ -14,14 +14,8 @@ from upm import data as D
 from upm import encoder as enc
 from upm import evaluation as ev
 from upm.container import read_arrays, write_arrays
-from upm.errors import ConfigError, ContractError, FormatError, GenerationError
-from upm.geometry import (
-    CameraIntrinsics,
-    CameraPose,
-    ObjectAnnotation,
-    back_project,
-    box_counts,
-)
+from upm.errors import ConfigError, ContractError, FormatError, GenerationError, ShapeError
+from upm.geometry import ObjectAnnotation, back_project, box_counts
 from tests.conftest import corruptions, edit_header, header_end, rewrite_header
 from tests.test_geometry import pairwise_chamfer
 
@@ -52,13 +46,14 @@ def render_depth_consistency(scene):
     return worst
 
 
-def oracle_render_view(eye, pose, intr, image_size, boxes, colors, room_half):
+def oracle_render_view(intrinsics, rotation, eye, image_size, boxes, colors, room_half):
     """One view's nearest-hit ray cast, one camera at a time: the oracle of ``_render_views``."""
     n = image_size
+    fx, fy, cx, cy = intrinsics
     u = np.arange(n, dtype=np.float64)[None, :].repeat(n, axis=0)
     v = np.arange(n, dtype=np.float64)[:, None].repeat(n, axis=1)
-    dirs_cam = np.stack([(u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy, np.ones((n, n))], axis=-1)
-    dirs = dirs_cam.reshape(-1, 3) @ pose.rotation.T
+    dirs_cam = np.stack([(u - cx) / fx, (v - cy) / fy, np.ones((n, n))], axis=-1)
+    dirs = dirs_cam.reshape(-1, 3) @ rotation.T
     safe_dirs = np.where(dirs == 0.0, 1e-300, dirs)
 
     depth = np.full(n * n, np.inf)
@@ -101,17 +96,10 @@ def scenes_equal(a: D.Scene, b: D.Scene) -> bool:
         b.view_captions,
     ):
         return False
-    if len(a.views) != len(b.views) or len(a.objects) != len(b.objects):
+    if len(a.objects) != len(b.objects):
         return False
-    for va, vb in zip(a.views, b.views):
-        if not (
-            np.array_equal(va.image, vb.image)
-            and np.array_equal(va.depth, vb.depth)
-            and va.intrinsics == vb.intrinsics
-            and np.array_equal(va.pose.rotation, vb.pose.rotation)
-            and np.array_equal(va.pose.translation, vb.pose.translation)
-        ):
-            return False
+    if not all(np.array_equal(getattr(a, name), getattr(b, name)) for name in D.SCENE_ARRAYS):
+        return False
     for oa, ob in zip(a.objects, b.objects):
         if not (
             oa.object_id == ob.object_id
@@ -307,7 +295,8 @@ class TestGenerationPinned:
 
 
 def ring_intrinsics(n):
-    return CameraIntrinsics(fx=0.8 * n, fy=0.8 * n, cx=(n - 1) / 2.0, cy=(n - 1) / 2.0)
+    """Generation's [fx, fy, cx, cy] at ``n`` pixels a side."""
+    return [0.8 * n, 0.8 * n, (n - 1) / 2.0, (n - 1) / 2.0]
 
 
 def random_boxes(rng, count):
@@ -320,12 +309,14 @@ def random_boxes(rng, count):
 
 
 def look_at_poses(rng, count, room_half=3.0):
-    poses = []
+    """``count`` random look-at cameras: rotations (count, 3, 3) and translations (count, 3)."""
+    rotations, eyes = [], []
     for _ in range(count):
         eye = np.append(rng.uniform(-room_half, room_half, size=2), rng.uniform(0.2, 3.0))
         target = np.append(rng.uniform(-1.0, 1.0, size=2), rng.uniform(0.0, 0.5))
-        poses.append(D._look_at_pose(eye, target))
-    return poses
+        rotations.append(D._look_at_pose(eye, target))
+        eyes.append(eye)
+    return np.array(rotations), np.array(eyes)
 
 
 # Camera-to-world rotations that keep exact zeros in the ray directions:
@@ -336,15 +327,13 @@ ALONG_X = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 class TestRenderConsistency:
     def ring_pointmaps(self, box_lo, box_hi, n_views=8, image_size=32):
-        intr = ring_intrinsics(image_size)
+        intrinsics = np.tile(ring_intrinsics(image_size), (n_views, 1))
         angles = 2 * np.pi * np.arange(n_views) / n_views
-        poses = [D._look_at_pose(np.array([2.2 * np.cos(a), 2.2 * np.sin(a), 1.8]), np.zeros(3))
-                 for a in angles]
-        _, depths = D._render_views(
-            np.array([p.translation for p in poses]), np.array([p.rotation for p in poses]),
-            intr, image_size, [(box_lo, box_hi)], [(1.0, 0.0, 0.0)], 3.0,
-        )
-        return back_project(depths, [intr] * n_views, poses)
+        eyes = np.array([[2.2 * np.cos(a), 2.2 * np.sin(a), 1.8] for a in angles])
+        rotations = np.array([D._look_at_pose(eye, np.zeros(3)) for eye in eyes])
+        _, depths = D._render_views(intrinsics, rotations, eyes, image_size,
+                                    [(box_lo, box_hi)], [(1.0, 0.0, 0.0)], 3.0)
+        return back_project(depths, intrinsics, rotations, eyes)
 
     def test_centered_box_visible_from_every_ring_view(self):
         lo, hi = np.array([-0.5, -0.5, 0.0]), np.array([0.5, 0.5, 0.6])
@@ -389,14 +378,15 @@ class TestRenderConsistency:
 
 
 class TestRenderViews:
-    def assert_matches_oracle(self, poses, intr, n, boxes, colors, room_half=3.0):
-        eyes = np.array([p.translation for p in poses])
+    def assert_matches_oracle(self, rotations, translations, intrinsics, n, boxes, colors,
+                              room_half=3.0):
+        """``intrinsics`` is one [fx, fy, cx, cy] for every view, or a (V, 4) stack."""
+        intrinsics = np.broadcast_to(intrinsics, (len(rotations), 4))
         images, depths = D._render_views(
-            eyes, np.array([p.rotation for p in poses]), intr, n, boxes, colors, room_half)
-        assert images.shape == (len(poses), n, n, 3) and depths.shape == (len(poses), n, n)
-        for pose, image, depth in zip(poses, images, depths):
-            want_image, want_depth = oracle_render_view(
-                pose.translation, pose, intr, n, boxes, colors, room_half)
+            intrinsics, rotations, translations, n, boxes, colors, room_half)
+        assert images.shape == (len(rotations), n, n, 3) and depths.shape == (len(rotations), n, n)
+        for camera, image, depth in zip(zip(intrinsics, rotations, translations), images, depths):
+            want_image, want_depth = oracle_render_view(*camera, n, boxes, colors, room_half)
             assert image.tobytes() == want_image.tobytes()
             assert depth.tobytes() == want_depth.tobytes()
         return images, depths
@@ -405,7 +395,7 @@ class TestRenderViews:
     def test_random_cameras_match_oracle(self, n):
         rng = np.random.default_rng(n)
         boxes, colors = random_boxes(rng, 4)
-        images, depths = self.assert_matches_oracle(look_at_poses(rng, 12), ring_intrinsics(n),
+        images, depths = self.assert_matches_oracle(*look_at_poses(rng, 12), ring_intrinsics(n),
                                                     n, boxes, colors)
         drawn = {tuple(c) for c in images.reshape(-1, 3)}
         assert D.FLOOR_COLOR in drawn and drawn & set(colors) and (depths > 0).any()
@@ -413,12 +403,19 @@ class TestRenderViews:
     @pytest.mark.parametrize("n", [8, 17])
     def test_zero_direction_components_match_oracle(self, n):
         # Integer principal points put exact zeros in the camera rays.
-        intr = CameraIntrinsics(fx=0.8 * n, fy=0.8 * n, cx=float(n // 2), cy=float(n // 3))
+        intr = [0.8 * n, 0.8 * n, float(n // 2), float(n // 3)]
         boxes, colors = random_boxes(np.random.default_rng(5), 3)
-        poses = [CameraPose(rotation=DOWN, translation=np.array([0.3, -0.2, 2.5])),
-                 CameraPose(rotation=ALONG_X, translation=np.array([-2.5, 0.1, 0.4])),
-                 CameraPose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 1.0]))]
-        self.assert_matches_oracle(poses, intr, n, boxes, colors)
+        rotations = np.array([DOWN, ALONG_X, np.eye(3)])
+        translations = np.array([[0.3, -0.2, 2.5], [-2.5, 0.1, 0.4], [0.0, 0.0, 1.0]])
+        self.assert_matches_oracle(rotations, translations, intr, n, boxes, colors)
+
+    def test_per_view_intrinsics_match_oracle(self):
+        rng = np.random.default_rng(10)
+        boxes, colors = random_boxes(rng, 3)
+        rotations, translations = look_at_poses(rng, 6)
+        intrinsics = ring_intrinsics(16) * rng.uniform(0.8, 1.2, size=(6, 4))
+        images, _ = self.assert_matches_oracle(rotations, translations, intrinsics, 16, boxes, colors)
+        assert D.FLOOR_COLOR in {tuple(c) for c in images.reshape(-1, 3)}
 
     def test_eye_on_box_face_planes_matches_oracle(self):
         # Zero slab distances, signed either way; the downward cameras also
@@ -426,17 +423,15 @@ class TestRenderViews:
         lo, hi = np.array([-0.5, -0.4, 0.0]), np.array([0.6, 0.5, 0.7])
         eyes = [np.array([lo[0], 2.0, 1.2]), np.array([1.5, hi[1], 0.9]),
                 np.array([-1.5, -1.5, hi[2]]), np.array([hi[0], lo[1], 1.5])]
-        poses = [D._look_at_pose(eye, np.array([0.05, 0.05, 0.0])) for eye in eyes]
-        poses += [CameraPose(rotation=DOWN, translation=np.array([0.0, 0.0, hi[2]])),
-                  CameraPose(rotation=DOWN, translation=np.array([lo[0], 0.0, 2.0])),
-                  CameraPose(rotation=DOWN, translation=np.array([0.1, hi[1], 1.6]))]
-        intr = CameraIntrinsics(fx=12.8, fy=12.8, cx=8.0, cy=8.0)
-        images, _ = self.assert_matches_oracle(poses, intr, 16, [(lo, hi)], [(0.9, 0.1, 0.1)])
+        rotations = [D._look_at_pose(eye, np.array([0.05, 0.05, 0.0])) for eye in eyes] + [DOWN] * 3
+        eyes += [np.array([0.0, 0.0, hi[2]]), np.array([lo[0], 0.0, 2.0]), np.array([0.1, hi[1], 1.6])]
+        images, _ = self.assert_matches_oracle(np.array(rotations), np.array(eyes),
+                                               [12.8, 12.8, 8.0, 8.0], 16, [(lo, hi)], [(0.9, 0.1, 0.1)])
         assert tuple(images[5, 8, 8]) == (0.9, 0.1, 0.1)
 
     def test_no_boxes_matches_oracle(self):
-        poses = look_at_poses(np.random.default_rng(6), 5)
-        images, _ = self.assert_matches_oracle(poses, ring_intrinsics(24), 24, [], [])
+        cameras = look_at_poses(np.random.default_rng(6), 5)
+        images, _ = self.assert_matches_oracle(*cameras, ring_intrinsics(24), 24, [], [])
         assert {tuple(c) for c in images.reshape(-1, 3)} <= {D.FLOOR_COLOR, (0.0, 0.0, 0.0)}
 
     def test_overlapping_boxes_match_oracle(self):
@@ -445,13 +440,13 @@ class TestRenderViews:
                  (np.array([-0.3, -0.3, 0.0]), np.array([0.9, 0.9, 0.9]))]
         colors = [(0.8, 0.2, 0.1), (0.1, 0.7, 0.2), (0.2, 0.2, 0.9)]
         images, _ = self.assert_matches_oracle(
-            look_at_poses(np.random.default_rng(7), 8), ring_intrinsics(32), 32, boxes, colors)
+            *look_at_poses(np.random.default_rng(7), 8), ring_intrinsics(32), 32, boxes, colors)
         assert colors[2] not in {tuple(c) for c in images.reshape(-1, 3)}
 
     def test_one_view_batch_matches_oracle(self):
         rng = np.random.default_rng(8)
         boxes, colors = random_boxes(rng, 2)
-        self.assert_matches_oracle(look_at_poses(rng, 1), ring_intrinsics(24), 24, boxes, colors)
+        self.assert_matches_oracle(*look_at_poses(rng, 1), ring_intrinsics(24), 24, boxes, colors)
 
 
 class TestCross:
@@ -518,6 +513,18 @@ class TestSceneIO:
             loaded += 1
         # No checksum: a flipped digit or letter of a text loads.
         assert 0 < loaded < len(flipped)
+        # Flips of the camera stacks, the end of the payload: a camera no scene could hold fails.
+        start = len(blob) - 8 * sum(getattr(scene, name).size for name in D.SCENE_ARRAYS[2:])
+        _, flipped = corruptions(blob[start:], masks=(0x01, 0x20, 0x80))
+        loaded = 0
+        for variant in flipped:
+            path.write_bytes(blob[:start] + variant)
+            try:
+                assert isinstance(D.load_scene(tmp_path / "scene"), D.Scene)
+            except FormatError:
+                continue
+            loaded += 1
+        assert 0 < loaded < len(flipped)
 
     def test_unknown_metadata_key_warns_and_loads(self, tmp_path, caplog):
         scene = D.generate_scene(small_spec(), seed=13)
@@ -544,10 +551,10 @@ class TestSceneIO:
         D.save_scene(scene, tmp_path / "scene")
         assert [path.name for path in (tmp_path / "scene").iterdir()] == ["scene.upm"]
         meta, arrays = read_arrays(tmp_path / "scene" / "scene.upm")
-        assert list(arrays) == ["images", "depths"]
-        assert _bits(arrays["images"]) == _bits(np.stack([view.image for view in scene.views]))
-        assert _bits(arrays["depths"]) == _bits(np.stack([view.depth for view in scene.views]))
-        assert meta["scene_id"] == scene.scene_id and len(meta["views"]) == len(scene.views)
+        assert list(arrays) == ["images", "depths", "intrinsics", "rotations", "translations"]
+        for name in D.SCENE_ARRAYS:
+            assert _bits(arrays[name]) == _bits(getattr(scene, name))
+        assert meta["scene_id"] == scene.scene_id and meta["view_captions"] == scene.view_captions
         loaded = D.load_scene(tmp_path / "scene")
         assert scene_digest(loaded) == scene_digest(scene)
         # Each view's rasters are slices of the two stacks, not copies.
@@ -617,40 +624,71 @@ def _replace(keys, value):
     return edit
 
 
+def _set(index, value):
+    """An edit of an array that sets its entry at ``index`` to ``value``."""
+
+    def apply(array):
+        array[index] = value
+        return array
+
+    return apply
+
+
+# name -> (camera stack, edit of it that no valid scene could hold, the error data.Scene raises)
+BAD_CAMERAS = {
+    "camera_non_numeric": ("intrinsics", _set((0, 0), np.nan), ContractError),
+    "pose_non_numeric": ("rotations", _set((1, 0, 2), np.nan), ContractError),
+    "focal_length_negative": ("intrinsics", _set((0, 0), -1.0), ContractError),
+    "focal_length_zero": ("intrinsics", _set((1, 1), 0.0), ContractError),
+    "rotation_not_orthonormal": ("rotations", _set((1, 0, 0), 2.0), ContractError),
+    "rotation_reflection": ("rotations", lambda stack: stack * [[[1.0], [1.0], [-1.0]]], ContractError),
+    "camera_value_count": ("intrinsics", lambda stack: stack[:, 1:], ShapeError),
+    "pose_value_count": ("translations", lambda stack: np.hstack([stack, stack[:, :1]]), ShapeError),
+    "rotation_rank": ("rotations", lambda stack: stack.reshape(len(stack), 9), ShapeError),
+    "camera_count": ("rotations", lambda stack: stack[:-1], ShapeError),
+}
+
+
+class TestSceneCameras:
+    @pytest.mark.parametrize("case", sorted(BAD_CAMERAS))
+    def test_bad_stack_raises_typed_error(self, case):
+        scene = D.generate_scene(small_spec(object_count=(2, 3)), seed=14)
+        stack, edit, error = BAD_CAMERAS[case]
+        with pytest.raises(error):
+            replace(scene, **{stack: edit(getattr(scene, stack).copy())})
+
+
 # name -> edit of the parsed metadata that no valid scene could hold
 MALFORMED_RECORDS = {
-    "view_missing_field": _replace(("views", 0, "translation"), None),
-    "view_extra_field": _replace(("views", 0, "extra"), "x"),
-    "view_caption_missing": _replace(("views", 1, "caption"), None),
-    "view_caption_not_text": _replace(("views", 1, "caption"), 7),
+    "view_missing_field": _replace(("view_captions",), None),
+    "view_caption_missing": _replace(("view_captions", 1), lambda caption: None),  # JSON null
+    "view_caption_not_text": _replace(("view_captions", 1), 7),
     "object_missing_field": _replace(("objects", 0, "referring_text"), None),
     "object_extra_field": _replace(("objects", 0, "extra"), 1),
     "object_id_non_integer": _replace(("objects", 0, "object_id"), "#0"),
     "object_id_float": _replace(("objects", 0, "object_id"), 0.0),
     "object_id_boolean": _replace(("objects", 0, "object_id"), False),
-    "camera_non_numeric": _replace(("views", 0, "intrinsics", 0), "abc"),
-    "camera_boolean": _replace(("views", 0, "intrinsics", 0), True),
-    "camera_huge_integer": _replace(("views", 0, "intrinsics", 2), 10**400),
-    "camera_value_count": _replace(("views", 0, "intrinsics"), lambda values: values[1:]),
-    "pose_non_numeric": _replace(("views", 1, "rotation", 0), "1.0"),
-    "pose_value_count": _replace(("views", 1, "translation"), lambda values: values + [0.0]),
     "box_non_numeric": _replace(("objects", 0, "aabb_min", 0), "x"),
     "box_value_count": _replace(("objects", 0, "aabb_max"), lambda values: values[1:]),
-    "focal_length_negative": _replace(("views", 0, "intrinsics", 0), -1.0),
-    "rotation_not_orthonormal": _replace(("views", 1, "rotation", 0), 2.0),
-    "views_not_a_list": _replace(("views",), {}),
+    "views_not_a_list": _replace(("view_captions",), {}),
     "scene_id_missing": _replace(("scene_id",), None),
     "scene_caption_not_text": _replace(("scene_caption",), ["a", "bedroom"]),
 }
 
 
 class TestMalformedMeta:
-    @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+    # Bad metadata, and camera stacks that no scene could hold: load_scene refuses both.
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS.keys() | BAD_CAMERAS.keys()))
     def test_raises_format_error(self, tmp_path, case):
         scene = D.generate_scene(small_spec(object_count=(2, 3)), seed=14)
         D.save_scene(scene, tmp_path / "scene")
-        _edit_meta(tmp_path / "scene", MALFORMED_RECORDS[case])
-        with pytest.raises(FormatError, match="invalid metadata in .*scene.upm"):
+        if case in MALFORMED_RECORDS:
+            _edit_meta(tmp_path / "scene", MALFORMED_RECORDS[case])
+            what = "metadata"
+        else:
+            _edit_raster(tmp_path / "scene", *BAD_CAMERAS[case][:2])
+            what = "scene"
+        with pytest.raises(FormatError, match=f"invalid {what} in .*scene.upm"):
             D.load_scene(tmp_path / "scene")
 
 
@@ -675,7 +713,7 @@ def _edit_arrays(directory, edit):
 
 
 def _edit_raster(directory, name, edit):
-    """Replace the stack ``name`` ("images" or "depths") by ``edit`` of it."""
+    """Replace the stack ``name``, one of ``data.SCENE_ARRAYS``, by ``edit`` of it."""
     _edit_arrays(directory, lambda arrays: arrays.update({name: edit(arrays[name])}))
 
 
@@ -732,11 +770,12 @@ MALFORMED_DIRECTORIES = {
     "object_box_inf": lambda d: _edit_meta(d, _replace(("objects", 0, "aabb_max", 0), float("inf"))),
     "object_duplicated": lambda d: _edit_meta(d, _replace(("objects",), lambda objs: objs + objs[1:2])),
     # view 0's translation x, and its cx
-    "pose_nan": lambda d: _edit_meta(d, _replace(("views", 0, "translation", 0), float("nan"))),
-    "intrinsics_inf": lambda d: _edit_meta(d, _replace(("views", 0, "intrinsics", 2), float("inf"))),
-    # the stacks too, so that they hold as many views as the metadata lists
-    "one_view": lambda d: [_edit_meta(d, _replace(("views",), lambda views: views[:1])),
-                           _edit_stacks(d, lambda a: a[:1])],
+    "pose_nan": lambda d: _edit_raster(d, "translations", _set((0, 0), np.nan)),
+    "intrinsics_inf": lambda d: _edit_raster(d, "intrinsics", _set((0, 2), np.inf)),
+    # every stack and the view captions, so that they all hold one view
+    "one_view": lambda d: [_edit_meta(d, _replace(("view_captions",), lambda captions: captions[:1])),
+                           _edit_arrays(d, lambda arrays: arrays.update(
+                               {name: stack[:1] for name, stack in arrays.items()}))],
     # every view's height, so that the views still share one size
     "raster_empty": lambda d: _edit_stacks(d, lambda a: a[:, :0]),
 }

@@ -47,34 +47,36 @@ EMPTY = np.empty((0, 3))
 EVERY_POINT = 1 << 20
 
 
-def oracle_back_project(depth, intr, pose):
+def oracle_back_project(depth, intrinsics, rotation, translation):
     """One view's back-projection, one view at a time: the oracle of the batched ``back_project``."""
     depth = np.asarray(depth, dtype=np.float64)
+    fx, fy, cx, cy = intrinsics
     h, w = depth.shape
     u = np.arange(w, dtype=np.float64)[None, :]
     v = np.arange(h, dtype=np.float64)[:, None]
-    x_cam = (u - intr.cx) * depth / intr.fx
-    y_cam = (v - intr.cy) * depth / intr.fy
+    x_cam = (u - cx) * depth / fx
+    y_cam = (v - cy) * depth / fy
     cam = np.stack([x_cam, y_cam, depth], axis=-1)
-    world = cam @ pose.rotation.T + pose.translation
+    world = cam @ rotation.T + translation
     validity = depth > 0
     world[~validity] = 0.0
     return world, validity
 
 
-def back_project_one(depth, intr, pose):
+def back_project_one(depth, intrinsics, rotation=np.eye(3), translation=np.zeros(3)):
     """Back-project a single view through the batched ``back_project``."""
-    points, validity = G.back_project(np.asarray(depth)[None], [intr], [pose])
+    points, validity = G.back_project(np.asarray(depth)[None], [intrinsics], [rotation], [translation])
     return points[0], validity[0]
 
 
-def project(points_world, intr, pose):
+def project(points_world, intrinsics, rotation, translation):
     """Forward-project world points to (u, v, z): the inverse of back_project, as its oracle."""
+    fx, fy, cx, cy = intrinsics
     pts = np.asarray(points_world, dtype=np.float64).reshape(-1, 3)
-    cam = (pts - pose.translation) @ pose.rotation
+    cam = (pts - translation) @ rotation
     z = cam[:, 2]
-    u = cam[:, 0] * intr.fx / z + intr.cx
-    v = cam[:, 1] * intr.fy / z + intr.cy
+    u = cam[:, 0] * fx / z + cx
+    v = cam[:, 1] * fy / z + cy
     return np.stack([u, v, z], axis=-1)
 
 
@@ -160,10 +162,6 @@ def proximity_ranks(clouds, anchor):
     return {u: rank for rank, u in enumerate(order)}
 
 
-def identity_pose():
-    return G.CameraPose(rotation=np.eye(3), translation=np.zeros(3))
-
-
 def random_rotation(rng):
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     if np.linalg.det(q) < 0:
@@ -171,35 +169,41 @@ def random_rotation(rng):
     return q
 
 
+def two_view_scene(stack, view, value):
+    """A two-view ``data.Scene`` whose camera ``stack`` holds ``value`` at view ``view``."""
+    cameras = {"intrinsics": np.array([[10.0, 10.0, 4.0, 4.0]] * 2),
+               "rotations": np.stack([np.eye(3)] * 2), "translations": np.zeros((2, 3))}
+    cameras[stack][view] = value
+    return D.Scene("s", np.zeros((2, 8, 8, 3)), np.ones((2, 8, 8)), objects=[],
+                   scene_type="bedroom", scene_caption="", view_captions=["", ""], **cameras)
+
+
 class TestCameraTypes:
+    # A scene's cameras are (V, ...) stacks, and data.Scene checks them once.
     def test_intrinsics_reject_nonpositive_focal(self):
         with pytest.raises(ContractError):
-            G.CameraIntrinsics(fx=0.0, fy=1.0, cx=0.0, cy=0.0)
+            two_view_scene("intrinsics", 1, [0.0, 1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_intrinsics_reject_non_finite(self, field, bad):
-        values = {"fx": 10.0, "fy": 10.0, "cx": 4.0, "cy": 4.0, field: bad}
         with pytest.raises(ContractError, match="finite"):
-            G.CameraIntrinsics(**values)
+            two_view_scene("intrinsics", (1, ["fx", "fy", "cx", "cy"].index(field)), bad)
 
     @pytest.mark.parametrize("part, index", [("rotation", (0, 0)), ("rotation", (2, 1)),
                                              ("translation", (0,)), ("translation", (2,))])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_pose_rejects_non_finite(self, part, index, bad):
-        arrays = {"rotation": np.eye(3), "translation": np.zeros(3)}
-        arrays[part][index] = bad
         with pytest.raises(ContractError, match="finite"):
-            G.CameraPose(**arrays)
+            two_view_scene(part + "s", (1, *index), bad)
 
     def test_pose_rejects_non_orthonormal(self):
-        with pytest.raises(ContractError):
-            G.CameraPose(rotation=np.eye(3) * 2.0, translation=np.zeros(3))
+        with pytest.raises(ContractError, match="orthonormal"):
+            two_view_scene("rotations", 1, np.eye(3) * 2.0)
 
     def test_pose_rejects_reflection(self):
-        r = np.diag([1.0, 1.0, -1.0])
-        with pytest.raises(ContractError):
-            G.CameraPose(rotation=r, translation=np.zeros(3))
+        with pytest.raises(ContractError, match="determinant"):
+            two_view_scene("rotations", 0, np.diag([1.0, 1.0, -1.0]))
 
     def test_aabb_ordering(self):
         with pytest.raises(ContractError):
@@ -212,88 +216,86 @@ class TestCameraTypes:
 
 class TestBackProject:
     def test_principal_ray(self):
-        intr = G.CameraIntrinsics(100, 100, 50, 50)
         depth = np.zeros((101, 101))
         depth[50, 50] = 2.0
-        points, validity = back_project_one(depth, intr, identity_pose())
+        points, validity = back_project_one(depth, [100, 100, 50, 50])
         np.testing.assert_allclose(points[50, 50], [0.0, 0.0, 2.0])
         assert validity[50, 50]
         assert not validity[0, 0]
 
     def test_pure_translation(self):
-        intr = G.CameraIntrinsics(100, 100, 50, 50)
-        pose = G.CameraPose(rotation=np.eye(3), translation=np.array([1.0, 0.0, 0.0]))
         depth = np.zeros((101, 101))
         depth[50, 50] = 2.0
-        points, _ = back_project_one(depth, intr, pose)
+        points, _ = back_project_one(depth, [100, 100, 50, 50], np.eye(3), [1.0, 0.0, 0.0])
         np.testing.assert_allclose(points[50, 50], [1.0, 0.0, 2.0])
 
     def test_round_trip_through_projection(self):
         rng = np.random.default_rng(19)
-        intr = G.CameraIntrinsics(40.0, 44.0, 15.5, 15.5)
-        pose = G.CameraPose(rotation=random_rotation(rng), translation=rng.normal(size=3))
+        camera = ([40.0, 44.0, 15.5, 15.5], random_rotation(rng), rng.normal(size=3))
         depth = rng.uniform(0.5, 4.0, size=(32, 32))
         depth[rng.random((32, 32)) < 0.3] = 0.0
-        points, validity = back_project_one(depth, intr, pose)
+        points, validity = back_project_one(depth, *camera)
         vs, us = np.nonzero(validity)
-        uvz = project(points[vs, us], intr, pose)
+        uvz = project(points[vs, us], *camera)
         np.testing.assert_allclose(uvz[:, 0], us, atol=1e-9)
         np.testing.assert_allclose(uvz[:, 1], vs, atol=1e-9)
         np.testing.assert_allclose(uvz[:, 2], depth[vs, us], atol=1e-9)
 
     def test_rejects_bad_shapes(self):
-        intr = G.CameraIntrinsics(1, 1, 0, 0)
+        cameras = ([[1.0, 1.0, 0.0, 0.0]], [np.eye(3)], [np.zeros(3)])
         with pytest.raises(ShapeError):
-            G.back_project(np.zeros((2, 2)), [intr], [identity_pose()])
+            G.back_project(np.zeros((2, 2)), *cameras)
         with pytest.raises(ShapeError):
-            G.back_project(np.zeros((2, 2, 2)), [intr], [identity_pose()])
+            G.back_project(np.zeros((2, 2, 2)), *cameras)
+        for stack, bad in ((0, [[1.0, 1.0, 0.0]]), (1, np.eye(3)), (2, [np.zeros(4)])):
+            with pytest.raises(ShapeError):
+                G.back_project(np.zeros((1, 2, 2)), *cameras[:stack], bad, *cameras[stack + 1:])
 
     def test_rejects_negative_depth(self):
-        intr = G.CameraIntrinsics(1, 1, 0, 0)
         with pytest.raises(ContractError):
-            G.back_project(np.full((1, 2, 2), -1.0), [intr], [identity_pose()])
+            back_project_one(np.full((2, 2), -1.0), [1.0, 1.0, 0.0, 0.0])
 
     def test_invalid_pixels_are_positive_zero(self):
         # The encoder patchifies the points as they are, so every zero-depth
         # pixel must hold +0.0 bytes, although the camera would put it at t.
         rng = np.random.default_rng(45)
-        intr = G.CameraIntrinsics(20.0, 24.0, 7.5, 8.5)
-        poses = [G.CameraPose(rotation=random_rotation(rng),
-                              translation=rng.uniform(1.0, 3.0, size=3)) for _ in range(3)]
+        rotations, translations = zip(*[(random_rotation(rng), rng.uniform(1.0, 3.0, size=3))
+                                        for _ in range(3)])
         depths = rng.uniform(0.2, 6.0, size=(3, 16, 16))
         depths[rng.random(depths.shape) < 0.3] = 0.0
-        points, validity = G.back_project(depths, [intr] * 3, poses)
+        points, validity = G.back_project(depths, [[20.0, 24.0, 7.5, 8.5]] * 3, rotations,
+                                          translations)
         invalid = ~validity
         assert invalid.any(axis=(1, 2)).all()
         assert points[invalid].tobytes() == bytes(points[invalid].nbytes)
 
     def test_overflow_raises_typed_error_without_warning(self):
         # A finite depth and a valid camera whose points overflow float64.
-        intr = G.CameraIntrinsics(1.0, 1.0, -10.0, -10.0)
-        pose = G.CameraPose(rotation=random_rotation(np.random.default_rng(46)),
-                            translation=np.ones(3))
+        rotation = random_rotation(np.random.default_rng(46))
         depths = np.zeros((2, 3, 3))
         depths[1, 2, 1] = 1e308
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="non-finite") as info:
-                G.back_project(depths, [intr, intr], [pose, pose])
+                G.back_project(depths, [[1.0, 1.0, -10.0, -10.0]] * 2, [rotation] * 2,
+                               np.ones((2, 3)))
         assert isinstance(info.value, UpmError)
 
     @pytest.mark.parametrize("views, h, w", [(5, 32, 32), (1, 32, 32), (3, 17, 23), (2, 1, 1)])
     def test_batch_bytes_equal_oracle(self, views, h, w):
         # Per-view intrinsics and poses, with zero-depth pixels in every view.
         rng = np.random.default_rng(h * w + views)
-        intrinsics = [G.CameraIntrinsics(*rng.uniform(10.0, 50.0, size=2),
-                                         *rng.uniform(-5.0, 20.0, size=2)) for _ in range(views)]
-        poses = [G.CameraPose(rotation=random_rotation(rng), translation=rng.normal(size=3))
-                 for _ in range(views)]
+        intrinsics = np.concatenate([rng.uniform(10.0, 50.0, size=(views, 2)),
+                                     rng.uniform(-5.0, 20.0, size=(views, 2))], axis=1)
+        rotations = np.array([random_rotation(rng) for _ in range(views)])
+        translations = rng.normal(size=(views, 3))
         depths = rng.uniform(0.2, 6.0, size=(views, h, w))
         depths[rng.random(depths.shape) < 0.3] = 0.0
-        points, validity = G.back_project(depths, intrinsics, poses)
+        points, validity = G.back_project(depths, intrinsics, rotations, translations)
         assert points.shape == (views, h, w, 3) and validity.shape == (views, h, w)
         for v in range(views):
-            oracle_points, oracle_validity = oracle_back_project(depths[v], intrinsics[v], poses[v])
+            oracle_points, oracle_validity = oracle_back_project(depths[v], intrinsics[v],
+                                                                 rotations[v], translations[v])
             assert points[v].tobytes() == oracle_points.tobytes()
             assert np.array_equal(validity[v], oracle_validity)
 

@@ -18,6 +18,18 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SRC = PYPROJECT.parent / "src"
 
 
+def calls_by_function(path):
+    """(innermost enclosing function's name or None, called name) for each call in a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    enclosing = {}
+    for node in ast.walk(tree):
+        scope = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for child in ast.iter_child_nodes(node):
+            enclosing[child] = scope or enclosing.get(node)
+    return [(enclosing[node], getattr(node.func, "attr", getattr(node.func, "id", None)))
+            for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
 def test_console_scripts_resolve():
     # An entry whose module or function is missing installs a script that
     # fails on its first import.
@@ -73,6 +85,18 @@ def test_only_the_container_packs_binary():
     assert importers == ["container"]
 
 
+def test_only_scene_views_builds_camera_records():
+    # A scene's cameras are (V, ...) stacks that data.Scene checks once.
+    # CameraIntrinsics and CameraPose are unchecked per-view records that
+    # only Scene.views builds, for perfbench's reads, until perfbench
+    # reads the stacks (ROADMAP item 3) and the records are deleted with
+    # this one call site.
+    builders = [(path.stem, function, name) for path in sorted((SRC / "upm").glob("*.py"))
+                for function, name in calls_by_function(path)
+                if name in ("CameraIntrinsics", "CameraPose")]
+    assert sorted(builders) == [("data", "views", "CameraIntrinsics"), ("data", "views", "CameraPose")]
+
+
 def test_only_the_engine_normalizes_rows():
     # One row normalization: engine.normalize_rows.  A second one could
     # disagree with it on which rows count as zero, and, once the engine's
@@ -124,19 +148,8 @@ def test_only_train_step_steps_the_optimizer():
     # called once, in trainer.train_step, and nowhere else in upm, so
     # whatever hooks into train_step sees every step.
     step_calls = ("adamw_step", "backward", "clip_gradients", "zero_grads")
-    calls = []
-    for path in sorted((SRC / "upm").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        enclosing = {}
-        for node in ast.walk(tree):
-            scope = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-            for child in ast.iter_child_nodes(node):
-                enclosing[child] = scope or enclosing.get(node)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if name in step_calls:
-                    calls.append((path.stem, enclosing[node], name))
+    calls = [(path.stem, function, name) for path in sorted((SRC / "upm").glob("*.py"))
+             for function, name in calls_by_function(path) if name in step_calls]
     assert sorted(calls) == [("trainer", "train_step", name) for name in step_calls]
 
 
