@@ -9,9 +9,10 @@ The boxes come from the scene type's catalog (``SCENE_TYPE_CATALOGS``),
 the floor's side is ``ROOM_EXTENT``, and ring cameras at distances in
 ``CAMERA_RADIUS`` and heights in ``CAMERA_HEIGHT`` look near its centre.
 Generation is a pure function of (spec, seed); every object is guaranteed
-to be visible from at least one view, by regeneration if needed.  All
-views of a layout are ray-cast in one batched pass, and each view is
-bitwise equal to casting it alone (``oracle_render_view`` in the tests).
+to be visible from at least one view, by regeneration if needed.  A
+layout's ring cameras are (V, …) arrays and all its views are ray-cast in
+one batched pass, each bitwise equal to casting it alone
+(``oracle_render_view`` in the tests), with no BLAS call in any step.
 
 A scene directory holds one file, ``scene.upm``: a ``upm.container`` whose
 five arrays, all in view order, are ``images`` (V, H, W, 3), ``depths``
@@ -28,6 +29,7 @@ scene in place.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +38,7 @@ import numpy as np
 from .atomic import atomic_write
 from .config import check_fields, conforms, declared
 from .container import read_arrays, write_arrays
+from .engine import Tensor, normalize_rows
 from .errors import ConfigError, ContractError, DegenerateInputError, FormatError, GenerationError, ShapeError
 from .geometry import (
     DEFAULT_MIN_POINTS,
@@ -183,7 +186,7 @@ class Scene:
         if depths.size == 0:
             raise ContractError(f"rasters need a nonzero height and width, got {depths.shape[1:]}")
         if len(self.view_captions) != len(images):
-            raise ContractError("one caption per view required")
+            raise ContractError(f"{len(self.view_captions)} view captions for {len(images)} views")
         if not (np.isfinite(images).all() and np.isfinite(depths).all()):
             raise DegenerateInputError("image and depth values must be finite")
         if np.any(depths < 0):
@@ -233,26 +236,15 @@ def _noun(entry_color: str, category: str) -> str:
     return f"{entry_color} {category}"
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.cross`` of two 3-vectors, with the float ops it uses but without its overhead."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
-def _look_at_pose(eye: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """The camera-to-world rotation of a camera at ``eye`` looking at ``target``, with world z up.
+def _look_at_rotations(eyes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Camera-to-world rotations (V, 3, 3) of cameras at ``eyes`` looking at ``targets``, world z up.
 
     Every ring camera's eye is at least 1.7 - 0.9 * sqrt(2) (about 0.43)
     off the vertical through its target, so neither axis is degenerate.
     """
-    forward = target - eye
-    z_axis = forward / np.linalg.norm(forward)
-    up = np.array([0.0, 0.0, 1.0])
-    x_axis = _cross(z_axis, up)
-    x_axis /= np.linalg.norm(x_axis)
-    y_axis = _cross(z_axis, x_axis)
-    return np.stack([x_axis, y_axis, z_axis], axis=1)
+    z_axes = normalize_rows(Tensor(targets - eyes)).array
+    x_axes = normalize_rows(Tensor(np.cross(z_axes, [0.0, 0.0, 1.0]))).array
+    return np.stack([x_axes, np.cross(z_axes, x_axes), z_axes], axis=2)
 
 
 def _place_objects(spec: SceneSpec, rng, seed: int):
@@ -303,19 +295,19 @@ def _render_views(
     The cameras are stacks as ``Scene`` holds them; ``translations`` are their
     centres.  Returns images (V, n, n, 3) and depths (V, n, n); a ray that
     hits nothing is black at depth 0.  Every view is bitwise equal to
-    casting it alone: the float ops per ray are the same, and the ray
-    directions come from one stacked product, a BLAS call per view.  The
-    ray directions and their zero-safe copy hold V·n·n·3 float64 values
-    each; the slab test works one axis at a time in five V·n·n float64
-    buffers written in place.
+    casting it alone: the float ops per ray are the same, and no BLAS call
+    rotates the rays.  The ray directions and their zero-safe copy hold
+    V·n·n·3 float64 values each; the slab test works one axis at a time in
+    five V·n·n float64 buffers written in place.
     """
     v_count = len(translations)
-    u = np.arange(n, dtype=np.float64)[None, :].repeat(n, axis=0)
-    v = np.arange(n, dtype=np.float64)[:, None].repeat(n, axis=1)
     fx, fy, cx, cy = intrinsics.T[..., None, None]
-    dirs_cam = np.stack([(u - cx) / fx, (v - cy) / fy, np.ones((v_count, n, n))], axis=-1)
-    # (3, V, n*n): one contiguous plane per world axis.
-    dirs = np.matmul(dirs_cam.reshape(v_count, -1, 3), rotations.transpose(0, 2, 1)).transpose(2, 0, 1).copy()
+    u = np.arange(n, dtype=np.float64)
+    dx, dy = (u - cx) / fx, (u[:, None] - cy) / fy  # (V, 1, n) and (V, n, 1)
+    r = rotations[..., None, None]
+    # (3, V, n*n): one contiguous plane per world axis, the camera ray (dx, dy, 1) rotated.
+    dirs = np.stack([(dx * r[:, a, 0] + dy * r[:, a, 1]) + r[:, a, 2]
+                     for a in range(3)]).reshape(3, v_count, -1)
     safe_dirs = np.where(dirs == 0.0, 1e-300, dirs)
 
     # Floor: z = 0 inside the room square.
@@ -359,7 +351,7 @@ def _referring_texts(placed) -> list[str]:
         if len(placed) == 1:
             texts.append(f"the {_noun(entry.color_name, entry.category)}")
             continue
-        others = [(np.linalg.norm(centers[i] - centers[j]), j) for j in range(len(placed)) if j != i]
+        others = [(math.dist(centers[i], centers[j]), j) for j in range(len(placed)) if j != i]
         _, nearest = min(others)
         anchor = placed[nearest][0]
         texts.append(
@@ -419,16 +411,15 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> tuple[Scene | No
     half = ROOM_EXTENT / 2.0
 
     n = spec.image_size
-    intrinsics = np.tile([0.8 * n, 0.8 * n, (n - 1) / 2.0, (n - 1) / 2.0], (spec.view_count, 1))
-    cameras = []
-    for i in range(spec.view_count):
-        angle = 2.0 * np.pi * i / spec.view_count + rng.uniform(-0.4, 0.4) * 2.0 * np.pi / spec.view_count
-        radius = rng.uniform(*CAMERA_RADIUS)
-        height = rng.uniform(*CAMERA_HEIGHT)
-        eye = np.array([radius * np.cos(angle), radius * np.sin(angle), height])
-        target = np.array([rng.uniform(-0.3, 0.3) * half, rng.uniform(-0.3, 0.3) * half, 0.0])
-        cameras.append((_look_at_pose(eye, target), eye))
-    rotations, translations = map(np.array, zip(*cameras))
+    v_count = spec.view_count
+    intrinsics = np.tile([0.8 * n, 0.8 * n, (n - 1) / 2.0, (n - 1) / 2.0], (v_count, 1))
+    angles = (2.0 * np.pi * np.arange(v_count) / v_count
+              + rng.uniform(-0.4, 0.4, v_count) * 2.0 * np.pi / v_count)
+    radii = rng.uniform(*CAMERA_RADIUS, v_count)
+    heights = rng.uniform(*CAMERA_HEIGHT, v_count)
+    translations = np.stack([radii * np.cos(angles), radii * np.sin(angles), heights], axis=1)
+    targets = np.column_stack([rng.uniform(-0.3, 0.3, (v_count, 2)) * half, np.zeros(v_count)])
+    rotations = _look_at_rotations(translations, targets)
     images, depths = _render_views(intrinsics, rotations, translations, n, boxes, colors, half)
 
     texts = _referring_texts(placed)
@@ -469,14 +460,12 @@ def _generate_once(spec: SceneSpec, seed: int, attempt: int) -> tuple[Scene | No
 def save_scene(scene: Scene, directory) -> None:
     """Write ``directory/scene.upm`` (module docstring) in one atomic replace.
 
-    The metadata is built before anything is written, so a scene it cannot
-    hold (a caption list changed since the scene was built to one whose
-    count is not the view count, a value JSON cannot encode) leaves the
-    directory untouched.
+    The metadata is built, and it and the stacks pass ``load_scene``'s
+    checks, before anything is written.  So a scene that ``load_scene``
+    would refuse (its captions or stacks changed since it was built, a text
+    not a string, an object id not an int or repeated) raises
+    ``ContractError`` and leaves the directory untouched.
     """
-    if len(scene.view_captions) != len(scene.images):
-        raise ContractError(f"cannot save scene {scene.scene_id!r}: it has "
-                            f"{len(scene.view_captions)} view captions for {len(scene.images)} views")
     meta = {
         "scene_id": scene.scene_id,
         "scene_type": scene.scene_type,
@@ -484,7 +473,7 @@ def save_scene(scene: Scene, directory) -> None:
         "view_captions": list(scene.view_captions),
         "objects": [
             {
-                "object_id": int(obj.object_id),
+                "object_id": obj.object_id,
                 "category": obj.category,
                 "aabb_min": obj.aabb_min.tolist(),
                 "aabb_max": obj.aabb_max.tolist(),
@@ -493,12 +482,17 @@ def save_scene(scene: Scene, directory) -> None:
             for obj in scene.objects
         ],
     }
-    write_arrays(Path(directory) / SCENE_FILE, meta,
-                 [(name, getattr(scene, name)) for name in SCENE_ARRAYS])
+    arrays = {name: getattr(scene, name) for name in SCENE_ARRAYS}
+    try:
+        Scene(**_scene_fields(meta), **arrays)
+    except (*_METADATA_ERRORS, DegenerateInputError, ShapeError) as exc:
+        raise ContractError(f"cannot save scene {scene.scene_id!r}: {type(exc).__name__}: {exc}") from exc
+    write_arrays(Path(directory) / SCENE_FILE, meta, arrays.items())
 
 
 _SCENE_KEYS = {"scene_id", "scene_type", "scene_caption", "view_captions", "objects"}
 _OBJECT_KEYS = {"object_id", "category", "aabb_min", "aabb_max", "referring_text"}
+_METADATA_ERRORS = (ValueError, TypeError, KeyError, OverflowError, ContractError)
 
 
 def _numbers(value, count: int, what: str) -> list[float]:
@@ -513,6 +507,33 @@ def _text(value, what: str) -> str:
     if not isinstance(value, str):
         raise TypeError(f"{what} must be a string")
     return value
+
+
+def _scene_fields(meta: dict) -> dict:
+    """The ``Scene`` fields other than its stacks, read from a scene file's metadata.
+
+    The one reader of the layout in the module docstring, run by ``load_scene`` and
+    ``save_scene``: metadata not of it raises one of ``_METADATA_ERRORS``.  Unknown
+    top-level keys are not read."""
+    fields = {key: _text(meta[key], key) for key in ("scene_id", "scene_type", "scene_caption")}
+    view_captions, records = meta["view_captions"], meta["objects"]
+    if not (isinstance(view_captions, list) and all(isinstance(c, str) for c in view_captions)):
+        raise TypeError("view captions must be a list of strings")
+    if not (isinstance(records, list)
+            and all(isinstance(r, dict) and r.keys() == _OBJECT_KEYS for r in records)):
+        raise ValueError(f"objects must be a list of records of the keys {sorted(_OBJECT_KEYS)}")
+    objects = []
+    for r in records:
+        if type(r["object_id"]) is not int:
+            raise TypeError(f"object id {r['object_id']!r} is not an integer")
+        objects.append(ObjectAnnotation(
+            object_id=r["object_id"], aabb_min=_numbers(r["aabb_min"], 3, "aabb_min"),
+            aabb_max=_numbers(r["aabb_max"], 3, "aabb_max"),
+            referring_text=_text(r["referring_text"], "referring text"),
+            category=_text(r["category"], "category")))
+    if len({obj.object_id for obj in objects}) < len(objects):
+        raise ValueError("object ids are not distinct")
+    return dict(fields, view_captions=view_captions, objects=objects)
 
 
 def read_utf8(path: Path, what: str) -> str:
@@ -539,34 +560,15 @@ def load_scene(directory) -> Scene:
     if arrays.keys() != set(SCENE_ARRAYS):
         raise FormatError(f"scene file {path} holds the arrays {sorted(arrays)}, "
                           f"not {sorted(SCENE_ARRAYS)}")
+    for key in sorted(meta.keys() - _SCENE_KEYS):
+        logger.warning("ignoring unknown metadata key %r in %s", key, path)
     try:
-        for key in sorted(meta.keys() - _SCENE_KEYS):
-            logger.warning("ignoring unknown metadata key %r in %s", key, path)
-        scene_id, scene_type, scene_caption = (
-            _text(meta[key], key) for key in ("scene_id", "scene_type", "scene_caption"))
-        view_captions, records = meta["view_captions"], meta["objects"]
-        if not (isinstance(view_captions, list) and all(isinstance(c, str) for c in view_captions)):
-            raise TypeError("view captions must be a list of strings")
-        if not (isinstance(records, list)
-                and all(isinstance(r, dict) and r.keys() == _OBJECT_KEYS for r in records)):
-            raise ValueError(f"objects must be a list of records of the keys {sorted(_OBJECT_KEYS)}")
-        objects = []
-        for r in records:
-            if type(r["object_id"]) is not int:
-                raise TypeError(f"object id {r['object_id']!r} is not an integer")
-            objects.append(ObjectAnnotation(
-                object_id=r["object_id"], aabb_min=_numbers(r["aabb_min"], 3, "aabb_min"),
-                aabb_max=_numbers(r["aabb_max"], 3, "aabb_max"),
-                referring_text=_text(r["referring_text"], "referring text"),
-                category=_text(r["category"], "category")))
-        if len({obj.object_id for obj in objects}) < len(objects):
-            raise ValueError("object ids are not distinct")
-    except (ValueError, TypeError, KeyError, OverflowError, ContractError) as exc:
+        fields = _scene_fields(meta)
+    except _METADATA_ERRORS as exc:
         raise FormatError(f"invalid metadata in {path}: {type(exc).__name__}: {exc}") from exc
 
     try:
-        return Scene(scene_id=scene_id, objects=objects, scene_type=scene_type,
-                     scene_caption=scene_caption, view_captions=view_captions, **arrays)
+        return Scene(**fields, **arrays)
     except (ContractError, DegenerateInputError, ShapeError) as exc:
         raise FormatError(f"invalid scene in {path}: {exc}") from exc
 

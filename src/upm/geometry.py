@@ -11,7 +11,7 @@ each is bitwise equal to its one-view-at-a-time form, kept in the tests
 as its oracle:
 
 - ``back_project`` lifts a (V, H, W) depth stack to (V, H, W, 3) points
-  with one stacked rotation product (oracle: ``oracle_back_project``);
+  with no BLAS call (oracle: ``oracle_back_project``);
 - ``box_counts`` counts valid pixels inside object boxes on the
   (V, H·W) pixel grid, and ``visibility`` thresholds those counts into
   the (V, O) boolean matrix of which view sees which object;
@@ -102,10 +102,10 @@ def back_project(
     R @ x_cam + t for R, t = ``rotations[v]``, ``translations[v]``.  Zero
     depth marks invalid pixels, whose points are +0.0.  Each view is
     bitwise equal to lifting it alone: the per-pixel float ops are the
-    same, and the rotation is one stacked product, a BLAS call per image
-    row as in the one-view form.  Stacks that are not (V, H, W), (V, 4),
-    (V, 3, 3) and (V, 3) raise ``ShapeError``; a NaN depth, or a valid
-    point that overflows to a non-finite coordinate, ``NumericError``.
+    same, and no BLAS call rotates the points.  Stacks that are not
+    (V, H, W), (V, 4), (V, 3, 3) and (V, 3) raise ``ShapeError``; a NaN
+    depth, or a valid point that overflows to a non-finite coordinate,
+    ``NumericError``.
     """
     depths, intrinsics, rotations, translations = (
         np.ascontiguousarray(a, dtype=np.float64) for a in (depths, intrinsics, rotations, translations))
@@ -116,14 +116,17 @@ def back_project(
         if np.isnan(depths).any():
             raise NumericError("back-projecting a NaN depth")
         raise ContractError("depth values must be nonnegative")
-    # Each intrinsic as a (V, 1, 1) column.
+    # Each intrinsic, rotation entry and translation as a (V, 1, 1) column.
     fx, fy, cx, cy = intrinsics.T[..., None, None]
+    r, t = rotations[..., None, None], translations[..., None, None]
     _, h, w = depths.shape
     u = np.arange(w, dtype=np.float64)[None, :]
     v = np.arange(h, dtype=np.float64)[:, None]
+    world = np.empty(depths.shape + (3,))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite point is caught below
-        cam = np.stack([(u - cx) * depths / fx, (v - cy) * depths / fy, depths], axis=-1)
-        world = np.matmul(cam, rotations.transpose(0, 2, 1)[:, None]) + translations[:, None, None]
+        x, y = (u - cx) * depths / fx, (v - cy) * depths / fy
+        for a in range(3):
+            world[..., a] = ((x * r[:, a, 0] + y * r[:, a, 1]) + depths * r[:, a, 2]) + t[:, a]
     validity = depths > 0
     world[~validity] = 0.0
     if not np.isfinite(world).all():

@@ -108,7 +108,11 @@ def same_scene(row_counts: Sequence[int], col_counts: Sequence[int]) -> np.ndarr
     ``row_counts[s]`` consecutive rows and ``col_counts[s]`` consecutive columns.
     Count lists not 1-D of one length raise ``ShapeError``, and a count not a
     nonnegative int ``ContractError``."""
-    if not np.ndim(row_counts) == np.ndim(col_counts) == 1 or len(row_counts) != len(col_counts):
+    try:
+        flat = np.ndim(row_counts) == np.ndim(col_counts) == 1
+    except ValueError:  # a ragged list has no shape
+        flat = False
+    if not flat or len(row_counts) != len(col_counts):
         raise ShapeError(f"count lists {row_counts!r} and {col_counts!r} are not 1-D of one length")
     if not all(conforms(int, count) and count >= 0 for count in (*row_counts, *col_counts)):
         raise ContractError(f"counts {row_counts!r} and {col_counts!r} are not nonnegative ints")

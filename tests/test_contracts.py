@@ -239,6 +239,10 @@ ROWS = [
                  ShapeError, id="same_scene-2d-counts"),
     pytest.param(objectives.same_scene, ([2, 3], [1]),
                  ShapeError, id="same_scene-scene-count-mismatch"),
+    pytest.param(objectives.same_scene, ([[1], [2, 3]], [1, 1]),
+                 ShapeError, id="same_scene-ragged-row-counts"),
+    pytest.param(objectives.same_scene, ([1, 1], [[1], [2, 3]]),
+                 ShapeError, id="same_scene-ragged-col-counts"),
     pytest.param(normalize_rows, (Tensor(np.array([[1e200, 1e200]])),),
                  NumericError, id="normalize_rows-overflowing-row"),
     pytest.param(evaluation.cosine_similarity, (np.array([[1e308, 1e308]]), np.ones((1, 2))),

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -52,8 +55,9 @@ def oracle_render_view(intrinsics, rotation, eye, image_size, boxes, colors, roo
     fx, fy, cx, cy = intrinsics
     u = np.arange(n, dtype=np.float64)[None, :].repeat(n, axis=0)
     v = np.arange(n, dtype=np.float64)[:, None].repeat(n, axis=1)
-    dirs_cam = np.stack([(u - cx) / fx, (v - cy) / fy, np.ones((n, n))], axis=-1)
-    dirs = dirs_cam.reshape(-1, 3) @ rotation.T
+    dx, dy = ((u - cx) / fx).ravel(), ((v - cy) / fy).ravel()
+    dirs = np.stack([(dx * rotation[a, 0] + dy * rotation[a, 1]) + rotation[a, 2]
+                     for a in range(3)], axis=1)
     safe_dirs = np.where(dirs == 0.0, 1e-300, dirs)
 
     depth = np.full(n * n, np.inf)
@@ -137,15 +141,15 @@ def scene_digest(scene: D.Scene) -> str:
 # default spec; a seed whose first layout is rejected (library seed 2); an
 # object-free spec; and non-default view counts and image sizes, one odd.
 PINNED_SCENES = [
-    (dict(scene_type="bedroom"), 8, "3ccf4883844f934b570fca87d829f74cde22e607cec5eb37030f9acea4175b19"),
-    (dict(scene_type="office"), 4, "67e7d2de4c76c34252f437e27d937a4559c7b1ec6fbc1ed956e49f0ce9d1a86f"),
-    (dict(scene_type="kitchen"), 2, "351b08a62e45839088da197a65335c7484250e2fe782f81e5f6b598aa5da6434"),
-    (dict(scene_type="library"), 0, "090a435e6186c9c08f33f7162a2d0549f612cf362cf4d6c10f033bf9a2ac9ff0"),
-    (dict(scene_type="library"), 2, "4b0aef5b17a6011cec1837eee2a88230ec5cabd92b0dd2248a1e3efbc157d398"),
-    (dict(scene_type="office", object_count=(0, 0)), 5, "58e8af485381d5ad33b830e308ba569aa545a070236bbd7526a75893824ef31e"),
-    (dict(scene_type="kitchen", view_count=5, image_size=17), 3, "1024a1ee45743a3b230889cc4c1fea107d88b6bded0dc6defb271f39fec8e443"),
-    (dict(scene_type="bedroom", view_count=3, image_size=8, object_count=(1, 2)), 9, "60e68f7f7877fa9f1e3fc4dedf97137cc7557a72d6fa83e1fda5cdc3f6a4f929"),
-    (dict(scene_type="library", view_count=7, image_size=24), 6, "becb2ce9700eebd7ac523b5c8a11174892c375a5e9de3f927b5e36233104aa3d"),
+    (dict(scene_type="bedroom"), 8, "656101fd3bcc93f802b416b5fa2b3c22f639e26c6769b24c018f5383f9dce4e7"),
+    (dict(scene_type="office"), 4, "6e79d61f63e7babe947d1196f65c611c12c42855f040276621fc3ebd56a82b8b"),
+    (dict(scene_type="kitchen"), 2, "df5fb1861736595bf338a8d7e967c23dec2164d72824cc383dca9e7a7ecf0cfd"),
+    (dict(scene_type="library"), 0, "98b7628cf604927765e8d9fd21c4ebfcaeb3516a3b7d720f0ab93e35fcdd66e6"),
+    (dict(scene_type="library"), 2, "2b6d953d153f54d491f20112314e4074192c3a99f0fc2c70749cef1299e65b06"),
+    (dict(scene_type="office", object_count=(0, 0)), 5, "d354b276d0fc8697c16932f4ee2ea547905d515e8afb62f5936605ab06659b80"),
+    (dict(scene_type="kitchen", view_count=5, image_size=17), 3, "a2b0bcadb04b382df091342ec1d660e862e907933f90f5b3e82afdcd3902f40d"),
+    (dict(scene_type="bedroom", view_count=3, image_size=8, object_count=(1, 2)), 9, "4186daa2e18d953cc9f729cd8b2543f2219d64e37f8ab0d1bd1b1a4c45eb78c6"),
+    (dict(scene_type="library", view_count=7, image_size=24), 6, "4681643c801f1ac004a5869017e8978aa367787441d10c8e7d006e146af352f3"),
 ]
 
 
@@ -229,14 +233,13 @@ class TestGenerateScene:
 
     def test_rejected_layouts_logged_with_unobserved_objects(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="upm.data"):
-            scene = D.generate_scene(D.SceneSpec(scene_type="bedroom"), seed=0)
+            scene = D.generate_scene(D.SceneSpec(scene_type="bedroom"), seed=5)
         assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2
         assert [r.getMessage() for r in caplog.records] == [
-            "seed 0 attempt 0: layout rejected, no view observes teal wardrobe, green nightstand "
-            "and yellow nightstand",
-            "seed 0 attempt 1: layout rejected, no view observes green nightstand",
+            "seed 5 attempt 0: layout rejected, no view observes orange lamp and yellow nightstand",
+            "seed 5 attempt 1: layout rejected, no view observes orange lamp",
         ]
-        assert [o.category for o in scene.objects] == ["bed", "lamp"]
+        assert [o.category for o in scene.objects] == ["nightstand", "bed", "lamp"]
 
     def test_generation_error_names_last_unobserved_objects(self, caplog):
         # 3x3 views hold 9 pixels, fewer than DEFAULT_MIN_POINTS: no layout is accepted.
@@ -284,7 +287,9 @@ class TestGenerationVisibility:
 
 
 class TestGenerationPinned:
-    @pytest.mark.parametrize("overrides, seed, digest", PINNED_SCENES)
+    # Ids without the digest, so that a re-pin keeps each case's name.
+    @pytest.mark.parametrize("overrides, seed, digest", PINNED_SCENES,
+                             ids=[f"overrides{i}-{seed}" for i, (_, seed, _) in enumerate(PINNED_SCENES)])
     def test_scene_bytes_pinned(self, overrides, seed, digest):
         assert scene_digest(D.generate_scene(D.SceneSpec(**overrides), seed)) == digest
 
@@ -292,6 +297,22 @@ class TestGenerationPinned:
         with caplog.at_level(logging.DEBUG, logger="upm.data"):
             D.generate_scene(D.SceneSpec(scene_type="library"), seed=2)
         assert "attempt 0: layout rejected" in caplog.text
+
+    def test_pins_hold_on_another_blas_kernel(self):
+        # Generation makes no BLAS call, and prepare_scene's one, the Chamfer
+        # filter, has certified ranks, so neither output depends on the
+        # kernel OpenBLAS picks for the CPU: the pins hold under a forced
+        # older kernel too.  Only the child sees the forced kernel.
+        repo = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "tests/test_data.py::TestGenerationPinned::test_scene_bytes_pinned",
+             "tests/test_trainer.py::TestPrepareScene::test_default_outputs_pinned"],
+            cwd=repo, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+        assert f"{len(PINNED_SCENES) + 1} passed" in done.stdout
 
 
 def ring_intrinsics(n):
@@ -310,13 +331,10 @@ def random_boxes(rng, count):
 
 def look_at_poses(rng, count, room_half=3.0):
     """``count`` random look-at cameras: rotations (count, 3, 3) and translations (count, 3)."""
-    rotations, eyes = [], []
-    for _ in range(count):
-        eye = np.append(rng.uniform(-room_half, room_half, size=2), rng.uniform(0.2, 3.0))
-        target = np.append(rng.uniform(-1.0, 1.0, size=2), rng.uniform(0.0, 0.5))
-        rotations.append(D._look_at_pose(eye, target))
-        eyes.append(eye)
-    return np.array(rotations), np.array(eyes)
+    eyes = np.column_stack([rng.uniform(-room_half, room_half, size=(count, 2)),
+                            rng.uniform(0.2, 3.0, count)])
+    targets = np.column_stack([rng.uniform(-1.0, 1.0, size=(count, 2)), rng.uniform(0.0, 0.5, count)])
+    return D._look_at_rotations(eyes, targets), eyes
 
 
 # Camera-to-world rotations that keep exact zeros in the ray directions:
@@ -330,7 +348,7 @@ class TestRenderConsistency:
         intrinsics = np.tile(ring_intrinsics(image_size), (n_views, 1))
         angles = 2 * np.pi * np.arange(n_views) / n_views
         eyes = np.array([[2.2 * np.cos(a), 2.2 * np.sin(a), 1.8] for a in angles])
-        rotations = np.array([D._look_at_pose(eye, np.zeros(3)) for eye in eyes])
+        rotations = D._look_at_rotations(eyes, np.zeros((n_views, 3)))
         _, depths = D._render_views(intrinsics, rotations, eyes, image_size,
                                     [(box_lo, box_hi)], [(1.0, 0.0, 0.0)], 3.0)
         return back_project(depths, intrinsics, rotations, eyes)
@@ -423,7 +441,8 @@ class TestRenderViews:
         lo, hi = np.array([-0.5, -0.4, 0.0]), np.array([0.6, 0.5, 0.7])
         eyes = [np.array([lo[0], 2.0, 1.2]), np.array([1.5, hi[1], 0.9]),
                 np.array([-1.5, -1.5, hi[2]]), np.array([hi[0], lo[1], 1.5])]
-        rotations = [D._look_at_pose(eye, np.array([0.05, 0.05, 0.0])) for eye in eyes] + [DOWN] * 3
+        targets = np.tile([0.05, 0.05, 0.0], (4, 1))
+        rotations = [*D._look_at_rotations(np.array(eyes), targets), DOWN, DOWN, DOWN]
         eyes += [np.array([0.0, 0.0, hi[2]]), np.array([lo[0], 0.0, 2.0]), np.array([0.1, hi[1], 1.6])]
         images, _ = self.assert_matches_oracle(np.array(rotations), np.array(eyes),
                                                [12.8, 12.8, 8.0, 8.0], 16, [(lo, hi)], [(0.9, 0.1, 0.1)])
@@ -449,18 +468,38 @@ class TestRenderViews:
         self.assert_matches_oracle(*look_at_poses(rng, 1), ring_intrinsics(24), 24, boxes, colors)
 
 
-class TestCross:
-    def test_bytes_equal_numpy_cross(self):
-        rng = np.random.default_rng(9)
-        vectors = rng.normal(size=(400, 3))
-        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        axes = np.vstack([np.eye(3), -np.eye(3), [[0.6, -0.8, 0.0], [-0.6, 0.0, 0.8]]])
-        vectors = np.vstack([vectors, axes])
-        for a, b in zip(vectors, np.roll(vectors, 1, axis=0)):
-            assert D._cross(a, b).tobytes() == np.cross(a, b).tobytes()
-        for a in vectors:
-            for b in axes:
-                assert D._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+def _set_object_field(index, field, value):
+    """An edit of a scene that sets ``field`` of its object ``index`` to ``value``."""
+
+    def edit(scene):
+        setattr(scene.objects[index], field, value)
+        return scene
+
+    return edit
+
+
+def _caption_not_text(scene):
+    scene.view_captions[1] = 1
+    return scene
+
+
+def _depth_made_negative(scene):
+    scene.depths[0, 0, 0] = -1.0  # the stacks stay mutable after the scene's checks
+    return scene
+
+
+# name -> edit of a scene that save_scene must refuse, as load_scene would refuse its file
+UNLOADABLE_SCENES = {
+    "scene_id_not_text": lambda scene: replace(scene, scene_id=5),
+    "scene_type_missing": lambda scene: replace(scene, scene_type=None),
+    "view_caption_not_text": _caption_not_text,
+    "depth_made_negative": _depth_made_negative,
+    "referring_text_not_text": _set_object_field(0, "referring_text", 7),
+    "category_missing": _set_object_field(1, "category", None),
+    "object_ids_repeat": _set_object_field(1, "object_id", 0),
+    "object_id_float": _set_object_field(0, "object_id", 1.5),
+    "object_id_text": _set_object_field(0, "object_id", "x"),
+}
 
 
 class TestSceneIO:
@@ -538,7 +577,7 @@ class TestSceneIO:
     def test_unencodable_scene_rejected_before_any_write(self, tmp_path):
         scene = D.generate_scene(small_spec(), seed=13)
         scene.objects[0].aabb_max[2] = np.inf  # arrays stay mutable after validation
-        with pytest.raises(ValueError, match="JSON compliant"):
+        with pytest.raises(ContractError, match="cannot save scene .*AABB corners must be finite"):
             D.save_scene(scene, tmp_path / "scene")
         assert not (tmp_path / "scene").exists()
 
@@ -602,6 +641,19 @@ class TestSceneIO:
                            match=f"scene '{scene.scene_id}'.* 5 view captions for 6 views"):
             D.save_scene(scene, directory)
         assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
+
+    @pytest.mark.parametrize("case", sorted(UNLOADABLE_SCENES))
+    def test_unloadable_scene_rejected_before_any_write(self, tmp_path, case):
+        # Each of these used to save and then fail to load, except that an id
+        # of 1.5 saved as 1 and an id "x" raised an untyped ValueError.
+        directory = tmp_path / "scene"
+        scene = D.generate_scene(small_spec(object_count=(2, 3)), seed=17)
+        D.save_scene(scene, directory)
+        before = (directory / "scene.upm").read_bytes()
+        with pytest.raises(ContractError, match="cannot save scene"):
+            D.save_scene(UNLOADABLE_SCENES[case](scene), directory)
+        assert [path.name for path in directory.iterdir()] == ["scene.upm"]
+        assert (directory / "scene.upm").read_bytes() == before
 
 
 def _edit_meta(directory, edit):

@@ -516,4 +516,4 @@ class TestFullReport:
         )
         summary = ev.emit_report(report, tmp_path)["summary"].read_bytes()
         digest = hashlib.sha256(summary + repr(report.views_curve).encode()).hexdigest()
-        assert digest == "4c99383a59d50c17ba0500d8a3d342464bdf363e3deb350feeb617cf1f66f74b"
+        assert digest == "a2435b48f2450b1a239d13383653869c935654008719a6bdd55bc69dc3b50ae2"

@@ -56,8 +56,8 @@ def oracle_back_project(depth, intrinsics, rotation, translation):
     v = np.arange(h, dtype=np.float64)[:, None]
     x_cam = (u - cx) * depth / fx
     y_cam = (v - cy) * depth / fy
-    cam = np.stack([x_cam, y_cam, depth], axis=-1)
-    world = cam @ rotation.T + translation
+    world = np.stack([((x_cam * rotation[a, 0] + y_cam * rotation[a, 1]) + depth * rotation[a, 2])
+                      + translation[a] for a in range(3)], axis=-1)
     validity = depth > 0
     world[~validity] = 0.0
     return world, validity

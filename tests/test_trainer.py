@@ -313,7 +313,7 @@ class TestPrepareScene:
             targets = prepared.geo_targets
             h.update(repr((chosen, targets.shape, prepared.pairs)).encode())
             h.update(targets.tobytes())
-        assert h.hexdigest() == "16420ee83bf5e69f732b24c4858e3e474d97765080049b176cbb7aeb98cbf587"
+        assert h.hexdigest() == "de82596fc035b9ce2f72f2d40675d347eaae1479ffcc2571ad7db216d4e634e3"
 
 
 def oracle_batch_loss(batch, params, enc_cfg, temperature, cfg):
@@ -632,7 +632,7 @@ class TestTrainLoop:
         for path in (default_run.metrics_path, default_run.checkpoint_path,
                      default_run.best_checkpoint_path):
             h.update(path.read_bytes())
-        assert h.hexdigest() == "4d3f74655a7a755b10267e28b3a1ee7ebc4e7e2b5eb28fe05ab721052d24347a"
+        assert h.hexdigest() == "d9753dee5f450701d013c99667d5e4648451f75b6c564f3e09c4d7d31a9e79e1"
 
     def test_default_run_leaves_the_text_table_at_its_init(self, default_run):
         # The table is a fixed seeded draw: no step trains or decays it,
@@ -646,7 +646,7 @@ class TestTrainLoop:
     def test_default_config_metrics_pinned(self, default_run):
         # The run's numbers alone, apart from any file format.
         digest = hashlib.sha256(default_run.metrics_path.read_bytes()).hexdigest()
-        assert digest == "47eee645a65cd4b0a96451015d68e034f91f8e8d5c3163698f40f0a23970a48c"
+        assert digest == "5b14275c52e819ab01475c0bf054fd05c7e52c60bcdd494bbb7cc84583854384"
 
     def test_default_config_loaded_arrays_pinned(self, default_run):
         # What both checkpoints load as, apart from their byte layout: the
@@ -659,4 +659,4 @@ class TestTrainLoop:
             for name, tensor in [*params.items(), *sorted(extras.items())]:
                 array = tensor.array
                 h.update(repr((name, array.dtype.str, array.shape)).encode() + array.tobytes())
-        assert h.hexdigest() == "573d733ec68aac43b5b50ef0a1eed64cc2c911fbf8ba24a9b80dcde32ae1244a"
+        assert h.hexdigest() == "7613e1b381edcf84861d5f4d124bba80a47dc3bc5e65cabc84134ace3d16c39d"
